@@ -1,14 +1,16 @@
 GO ?= go
 
-.PHONY: all build vet test race chaos crash crash-smoke fleet multicloud fuzz bench-parallel bench-replay bench-json cover serve-smoke verify
+.PHONY: all build vet test race chaos crash crash-smoke fleet multicloud fuzz bench-parallel bench-replay bench-json bench-service cover serve-smoke verify
 
 all: verify
 
 build:
 	$(GO) build ./...
 
+# go vet, plus gofmt: any file gofmt would change fails the target.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -87,6 +89,14 @@ bench-replay:
 # accounting; see DESIGN.md §11). CI uploads the file as an artifact.
 bench-json:
 	$(GO) run ./cmd/blameit-bench -o BENCH_$$(date -u +%Y-%m-%d).json
+
+# The whole-service benchmark (BENCHMARK.json, benchmark/README.md) on the
+# workload that exercises the journal: a real blameitd with -data-dir
+# driven over HTTP, every served and recovered report held to the
+# reference, a kill -9 and a timed recovery per pass. Other workloads:
+# go run ./benchmark -workload raw_closed|fleet_wal_closed|paced_raw.
+bench-service:
+	$(GO) run ./benchmark -workload raw_wal_closed
 
 # Coverage over every package (-short skips the multi-minute integration
 # runs), printing the module total; leaves cover.out behind for

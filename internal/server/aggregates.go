@@ -2,13 +2,13 @@ package server
 
 import (
 	"errors"
-	"io"
 	"net/http"
 	"sort"
 
 	"blameit/internal/ingest"
 	"blameit/internal/netmodel"
 	"blameit/internal/quartet"
+	"blameit/internal/trace"
 )
 
 // The aggregate feed: POST /v1/aggregates accepts JSONL AggCell batches
@@ -62,7 +62,7 @@ func (s *Server) handleAggregates(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "draining: ingestion is closed")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBatchBytes))
+	body, err := readBatch(w, r, s.cfg.MaxBatchBytes)
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -87,7 +87,7 @@ func (s *Server) handleAggregates(w http.ResponseWriter, r *http.Request) {
 			s.frontMu.Unlock()
 		}
 	}
-	cells, err := ingest.DecodeAggBatch(body, nil, onBad)
+	cells, err := ingest.DecodeAggBatch(body, make([]ingest.AggCell, 0, batchLines(body)), onBad)
 	if err != nil {
 		s.mAggRejected.Inc()
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -190,7 +190,7 @@ func (s *Server) flushAggLocked(through netmodel.Bucket) error {
 	sort.Slice(due, func(i, j int) bool { return due[i] < due[j] })
 	for _, b := range due {
 		agg := s.agg.pending[b]
-		obs := agg.Observations(nil)
+		obs := agg.Observations(make([]trace.Observation, 0, len(agg.Cells())))
 		if err := s.q.Push(obs); err != nil {
 			if errors.Is(err, ErrBackpressure) {
 				return err
@@ -206,7 +206,7 @@ func (s *Server) flushAggLocked(through netmodel.Bucket) error {
 			// The bucket's cells left the buffer (the Push above
 			// journaled their reconstruction as a queue batch); the
 			// flush marker stops replay from re-buffering them.
-			s.wal.journalAggFlush(b)
+			s.wal.journalAggFlush(b, s.agg.high)
 		}
 		s.mAggFlushed.Add(int64(len(obs)))
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"blameit/internal/ingest"
 	"blameit/internal/netmodel"
 	"blameit/internal/pipeline"
+	"blameit/internal/trace"
 )
 
 func (s *Server) routes() {
@@ -57,6 +59,27 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// readBatch reads one request body bounded by limit (a *http.MaxBytesError
+// beyond it), into a buffer sized once from the declared Content-Length;
+// an undeclared length grows the buffer as io.ReadAll would. The buffer is
+// not pooled: salvage mode leaves lines of it with the quarantine.
+func readBatch(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 {
+		// MinRead of slack lets ReadFrom see the EOF without growing.
+		buf.Grow(int(min(n, limit)) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	return buf.Bytes(), err
+}
+
+// batchLines bounds how many records a body can decode to, for sizing the
+// decode destination: at most one per line, and no line shorter than
+// "{}\n" decodes to one.
+func batchLines(body []byte) int {
+	return min(bytes.Count(body, []byte{'\n'})+1, len(body)/3+1)
+}
+
 // ingestResponse summarizes one accepted batch.
 type ingestResponse struct {
 	Accepted int `json:"accepted"`
@@ -74,7 +97,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "draining: ingestion is closed")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBatchBytes))
+	body, err := readBatch(w, r, s.cfg.MaxBatchBytes)
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -99,7 +122,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			s.frontMu.Unlock()
 		}
 	}
-	obs, err := ingest.DecodeBatch(body, nil, onBad)
+	obs, err := ingest.DecodeBatch(body, make([]trace.Observation, 0, batchLines(body)), onBad)
 	if err != nil {
 		s.mRejected.Inc()
 		writeError(w, http.StatusBadRequest, "%v", err)

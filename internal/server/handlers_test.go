@@ -3,8 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -152,6 +155,39 @@ func TestIngestOversizedBatch(t *testing.T) {
 	_, h := e.health(t)
 	if h.QueueDepth != 0 {
 		t.Errorf("queue_depth = %d after a 413, want 0", h.QueueDepth)
+	}
+}
+
+// TestReadBatchSizing: the body lands in one buffer sized from the declared
+// length — never from a length beyond the limit — and an undeclared or
+// understated length still yields every byte.
+func TestReadBatchSizing(t *testing.T) {
+	body := bytes.Repeat([]byte("0123456789abcdef"), 1<<12) // 64 KiB
+	read := func(declared, limit int64) ([]byte, error) {
+		r := httptest.NewRequest(http.MethodPost, "/v1/ingest", io.NopCloser(bytes.NewReader(body)))
+		r.ContentLength = declared
+		return readBatch(httptest.NewRecorder(), r, limit)
+	}
+	for _, declared := range []int64{int64(len(body)), -1, 100} {
+		got, err := read(declared, 1<<20)
+		if err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("declared %d: read %d bytes, err %v; want all %d", declared, len(got), err, len(body))
+		}
+		// One allocation, rounded up to a size class — not a doubling.
+		if declared == int64(len(body)) && cap(got) >= 3*len(body)/2 {
+			t.Errorf("declared %d: buffer grew to %d", declared, cap(got))
+		}
+	}
+	var tooLarge *http.MaxBytesError
+	got, err := read(1<<40, 1024) // a declared terabyte must not be believed
+	if !errors.As(err, &tooLarge) || cap(got) > 1024+2*bytes.MinRead {
+		t.Fatalf("over the limit: err %v with a %d-byte buffer, want MaxBytesError and about 1 KiB", err, cap(got))
+	}
+	if n := batchLines([]byte("\n\n\n\n\n\n\n\n\n")); n > 4 {
+		t.Errorf("batchLines of nine blank lines = %d, want at most 4", n)
+	}
+	if n := batchLines([]byte("{\"a\":1}\n{\"a\":2}")); n != 2 {
+		t.Errorf("batchLines of two records = %d, want 2", n)
 	}
 }
 

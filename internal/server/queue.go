@@ -101,7 +101,8 @@ func newIngestQueue(maxRecords int, manualSeal bool) *ingestQueue {
 
 // Push enqueues one decoded batch. The whole batch is accepted or refused:
 // over capacity returns ErrBackpressure (nothing enqueued), after Close
-// returns ErrClosed.
+// returns ErrClosed. An accepted batch belongs to the queue: the caller
+// must not write to obs afterwards.
 func (q *ingestQueue) Push(obs []trace.Observation) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -132,19 +133,34 @@ func (q *ingestQueue) pushRecovered(obs []trace.Observation) {
 	q.pushLocked(obs)
 }
 
+// pushLocked routes a batch into the queue, which takes the slice over:
+// a batch is mostly one bucket's records, so each run of equal buckets is
+// moved as a whole, and a run that opens its bucket stays where it was
+// decoded instead of being copied (capacity clipped, so that appending to
+// one bucket cannot write into the next run).
 func (q *ingestQueue) pushLocked(obs []trace.Observation) {
-	for _, o := range obs {
-		if o.Bucket < q.frontier {
-			q.stale = append(q.stale, o)
-			continue
-		}
-		q.pending[o.Bucket] = append(q.pending[o.Bucket], o)
-		if !q.manualSeal && o.Bucket > q.watermark {
-			q.watermark = o.Bucket
-		}
-	}
 	q.records += len(obs)
 	q.pushed += int64(len(obs))
+	for len(obs) > 0 {
+		b, n := obs[0].Bucket, 1
+		for n < len(obs) && obs[n].Bucket == b {
+			n++
+		}
+		run := obs[:n:n]
+		obs = obs[n:]
+		switch {
+		case b < q.frontier:
+			q.stale = append(q.stale, run...)
+			continue
+		case q.pending[b] == nil:
+			q.pending[b] = run
+		default:
+			q.pending[b] = append(q.pending[b], run...)
+		}
+		if !q.manualSeal && b > q.watermark {
+			q.watermark = b
+		}
+	}
 	q.cond.Broadcast()
 }
 

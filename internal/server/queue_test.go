@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -166,5 +167,43 @@ func TestQueueContextCancellation(t *testing.T) {
 	}
 	if ok := <-okc; ok {
 		t.Fatal("awaitBucket = true after cancellation")
+	}
+}
+
+// TestQueueKeepsRunsApart: the queue keeps a pushed batch's backing array,
+// one run of it per bucket. Records arriving later for the first bucket
+// must not be appended into the memory of the second run, and interleaved
+// buckets must come out in arrival order.
+func TestQueueKeepsRunsApart(t *testing.T) {
+	q := newIngestQueue(0, true)
+	batch := append(obsAt(0, 3), obsAt(1, 2)...)
+	batch = append(batch, obsAt(0, 1)...) // bucket 0 again, after bucket 1
+	for i := range batch {
+		batch[i].Samples = 100 + i // tell the records apart
+	}
+	if err := q.Push(batch); err != nil {
+		t.Fatal(err)
+	}
+	more := obsAt(0, 2)
+	more[0].Samples, more[1].Samples = 200, 201
+	if err := q.Push(more); err != nil {
+		t.Fatal(err)
+	}
+	q.SealThrough(1)
+	samples := func(b netmodel.Bucket) (out []int) {
+		obs, err := q.ObservationsAt(context.Background(), b, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range obs {
+			out = append(out, o.Samples)
+		}
+		return out
+	}
+	if got, want := samples(0), []int{100, 101, 102, 105, 200, 201}; !reflect.DeepEqual(got, want) {
+		t.Errorf("bucket 0 served samples %v, want %v", got, want)
+	}
+	if got, want := samples(1), []int{103, 104}; !reflect.DeepEqual(got, want) {
+		t.Errorf("bucket 1 served samples %v, want %v: a later append for bucket 0 wrote into its run", got, want)
 	}
 }

@@ -475,8 +475,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.bcancel()
 	if s.wal != nil {
-		// Everything the backend will ever journal is journaled; sync
-		// and close so even SyncOff leaves a complete log behind.
+		// Everything the backend will ever journal is journaled; let a
+		// compaction pass still running finish, then sync and close so
+		// even SyncOff leaves a complete log behind.
+		s.wal.stopCompacting()
 		if err := s.wal.log.Close(); err != nil {
 			s.wal.absorb(err)
 		}

@@ -30,6 +30,7 @@ import (
 	"blameit/internal/netmodel"
 	"blameit/internal/pipeline"
 	"blameit/internal/probe"
+	"blameit/internal/quartet"
 	"blameit/internal/sim"
 	"blameit/internal/topology"
 	"blameit/internal/trace"
@@ -95,6 +96,10 @@ func (e *walEnv) crash() {
 	<-e.srv.done
 	e.ts.Close()
 	if e.srv.wal != nil {
+		// A goroutine cannot be killed: let a compaction pass in flight run
+		// out before the next incarnation opens the directory. Kills inside
+		// a pass are internal/wal's TestCompactionCrashPoints.
+		e.srv.wal.stopCompacting()
 		e.srv.wal.log.Abandon()
 	}
 	e.alive = false
@@ -187,10 +192,12 @@ func seededPoints(rng *rand.Rand, horizon, n int) []crashPoint {
 
 // runServiceFeed drives one service run over pre-generated bucket
 // streams — POST, seal, next — crashing and reopening at each crash
-// point. It returns the final incarnation, quiesced through the last
-// bucket and still serving, so callers can read reports, verdicts, and
-// health before closing it.
-func runServiceFeed(t *testing.T, dir string, makeSim func() *sim.Simulator, mut func(*Config), streams [][]trace.Observation, points []crashPoint) *walEnv {
+// point. With lockstep it waits for the backend after every seal, so that
+// each bucket is read before the next one's records arrive. It returns
+// the final incarnation, quiesced through the last bucket and still
+// serving, so callers can read reports, verdicts, and health before
+// closing it.
+func runServiceFeed(t *testing.T, dir string, makeSim func() *sim.Simulator, mut func(*Config), streams [][]trace.Observation, points []crashPoint, lockstep bool) *walEnv {
 	t.Helper()
 	e := openEnv(t, dir, makeSim, mut)
 	pi := 0
@@ -211,6 +218,9 @@ func runServiceFeed(t *testing.T, dir string, makeSim func() *sim.Simulator, mut
 		}
 		if st, body := postSeal(t, e.ts.Client(), e.ts.URL, bb); st != http.StatusAccepted {
 			t.Fatalf("seal %d = %d (%s)", bb, st, body)
+		}
+		if lockstep {
+			e.quiesce(t, bb)
 		}
 		if pi < len(points) && points[pi].bucket == bb {
 			if points[pi].mode == "boundary" {
@@ -267,7 +277,7 @@ func TestWALRestartEquivalence(t *testing.T) {
 	mkSim := func() *sim.Simulator { return newTestSim(1) }
 	mut := func(c *Config) { c.WarmupBuckets = warmup }
 
-	ref := runServiceFeed(t, "", mkSim, mut, streams, nil)
+	ref := runServiceFeed(t, "", mkSim, mut, streams, nil, false)
 	want := collectCanonical(t, ref.ts.Client(), ref.ts.URL)
 	wantIdx := reportsIndex(t, ref.ts.Client(), ref.ts.URL)
 	ref.close(t)
@@ -275,7 +285,7 @@ func TestWALRestartEquivalence(t *testing.T) {
 		t.Fatal("reference run produced no reports — test horizon too short")
 	}
 
-	clean := runServiceFeed(t, t.TempDir(), mkSim, mut, streams, nil)
+	clean := runServiceFeed(t, t.TempDir(), mkSim, mut, streams, nil, false)
 	if got := collectCanonical(t, clean.ts.Client(), clean.ts.URL); !bytes.Equal(got, want) {
 		t.Fatalf("WAL-enabled run (no crash) diverged from the durability-free run:\n got %d bytes\nwant %d bytes", len(got), len(want))
 	}
@@ -287,7 +297,7 @@ func TestWALRestartEquivalence(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000*run + 7)))
 			points := seededPoints(rng, horizon, pointsPerRun)
 			t.Logf("crash points: %+v", points)
-			e := runServiceFeed(t, t.TempDir(), mkSim, mut, streams, points)
+			e := runServiceFeed(t, t.TempDir(), mkSim, mut, streams, points, false)
 			defer e.close(t)
 			if got := collectCanonical(t, e.ts.Client(), e.ts.URL); !bytes.Equal(got, want) {
 				t.Errorf("reports diverged after %d crash/recover cycles", len(points))
@@ -300,6 +310,135 @@ func TestWALRestartEquivalence(t *testing.T) {
 				t.Errorf("final incarnation recovered nothing: %+v", wh)
 			}
 		})
+	}
+}
+
+// runAggFeed is runServiceFeed for the aggregate feed: every bucket
+// arrives on /v1/aggregates as two agents' partials in one batch, and the
+// next bucket's arrival flushes it (the streaming discipline), so the
+// journal carries agg-batch and agg-flush records beside the queue's own.
+// Every seventh bucket is followed by a redelivery of the bucket before
+// it, after the backend has consumed that one: the cells form a fresh
+// aggregate that flushes at once, a flush that steps back, and the queue
+// serves its records late. Crash modes: "midbatch" kills between the two
+// agents' partials, posted separately (the first is buffered, unflushed,
+// when the daemon dies); "afterpost" kills right after the batch is
+// acked, backend wherever it is; "compacted" kills after the batch is
+// acked AND the backend has finished the bucket before it — report,
+// compaction pass and all — so the pass ran with this bucket's cells
+// buffered and unflushed; "boundary" seals, quiesces and kills.
+// compactions[i] is how many passes the incarnation killed at points[i]
+// had completed.
+func runAggFeed(t *testing.T, dir string, makeSim func() *sim.Simulator, mut func(*Config), streams [][]trace.Observation, points []crashPoint) (e *walEnv, compactions []int64) {
+	t.Helper()
+	e = openEnv(t, dir, makeSim, mut)
+	post := func(parts ...*quartet.Partial) {
+		postWithRetry(t, e.ts.Client(), e.ts.URL+"/v1/aggregates", aggBody(t, parts...))
+	}
+	reopen := func() {
+		e.crash() // waits for a pass in flight, so the count below is final
+		compactions = append(compactions, e.srv.WALHealth().Compactions)
+		e = openEnv(t, dir, makeSim, mut)
+		checkRecoveryConsistent(t, e)
+	}
+	partials := func(b int) (*quartet.Partial, *quartet.Partial) {
+		obs, bb := streams[b], netmodel.Bucket(b)
+		return partialOf(quartet.PartialID{Agent: 0, Seq: int64(b + 1)}, bb, obs[:len(obs)/2]),
+			partialOf(quartet.PartialID{Agent: 1, Seq: int64(b + 1)}, bb, obs[len(obs)/2:])
+	}
+	pi := 0
+	for b := range streams {
+		bb := netmodel.Bucket(b)
+		mode := ""
+		if pi < len(points) && points[pi].bucket == bb {
+			mode = points[pi].mode
+			pi++
+		}
+		pa, pb := partials(b)
+		if mode == "midbatch" {
+			post(pa)
+			reopen()
+			post(pb)
+		} else {
+			post(pa, pb)
+		}
+		if b%7 == 3 {
+			e.quiesce(t, bb-1)
+			late, _ := partials(b - 1)
+			post(late)
+		}
+		switch mode {
+		case "afterpost":
+			reopen()
+		case "compacted":
+			e.quiesce(t, bb-1)
+			reopen()
+		case "boundary":
+			if st, body := postSeal(t, e.ts.Client(), e.ts.URL, bb); st != http.StatusAccepted {
+				t.Fatalf("seal %d = %d (%s)", bb, st, body)
+			}
+			e.quiesce(t, bb)
+			reopen()
+		}
+	}
+	last := netmodel.Bucket(len(streams) - 1)
+	if st, body := postSeal(t, e.ts.Client(), e.ts.URL, last); st != http.StatusAccepted {
+		t.Fatalf("seal %d = %d (%s)", last, st, body)
+	}
+	e.quiesce(t, last)
+	return e, compactions
+}
+
+// TestWALRestartEquivalenceAggregates is TestWALRestartEquivalence over
+// /v1/aggregates: the buffered-aggregate state (agg-batch and agg-flush
+// records, the feed's high bucket) must survive kills before the first
+// compaction and after later ones, including one with a partial buffered
+// and unflushed.
+func TestWALRestartEquivalenceAggregates(t *testing.T) {
+	const warmup = 36
+	horizon := 108
+	if testing.Short() {
+		horizon = 72
+	}
+	streams := simStreams(newTestSim(1), horizon)
+	mkSim := func() *sim.Simulator { return newTestSim(1) }
+	mut := func(c *Config) {
+		c.WarmupBuckets = warmup
+		c.CompactEveryReports = 1 // a pass after every report
+	}
+
+	ref, _ := runAggFeed(t, "", mkSim, mut, streams, nil)
+	want := collectCanonical(t, ref.ts.Client(), ref.ts.URL)
+	ref.close(t)
+	if len(want) == 0 {
+		t.Fatal("reference run produced no reports — test horizon too short")
+	}
+	wantLate := ref.srv.Pipeline().Quarantine().Count(ingest.ReasonLate)
+	if wantLate == 0 {
+		t.Fatal("the redeliveries were not served late: the feed does not exercise a flush that steps back")
+	}
+
+	points := []crashPoint{
+		{bucket: 20, mode: "afterpost"}, // mid-warmup
+		{bucket: 37, mode: "midbatch"},  // before the first report, so before any pass
+		{bucket: 42, mode: "compacted"}, // the window ending at 41 reported and compacted under bucket 42's cells
+		{bucket: 52, mode: "boundary"},
+		{bucket: 59, mode: "midbatch"}, // a bucket with a redelivery after it
+		{bucket: 66, mode: "afterpost"},
+	}
+	e, compactions := runAggFeed(t, t.TempDir(), mkSim, mut, streams, points)
+	defer e.close(t)
+	if compactions[0] != 0 || compactions[1] != 0 || compactions[2] == 0 {
+		t.Fatalf("compactions per killed incarnation = %v: the kills do not fall either side of one", compactions)
+	}
+	if got := collectCanonical(t, e.ts.Client(), e.ts.URL); !bytes.Equal(got, want) {
+		t.Errorf("reports diverged after %d crash/recover cycles on the aggregate feed", len(points))
+	}
+	if got := e.srv.Pipeline().Quarantine().Count(ingest.ReasonLate); got != wantLate {
+		t.Errorf("late quarantine: crash arm %d, uninterrupted arm %d", got, wantLate)
+	}
+	if cells, buckets := e.srv.aggStats(); cells != 0 || buckets != 0 {
+		t.Errorf("aggregate buffer after the final seal: %d cells in %d buckets, want empty", cells, buckets)
 	}
 }
 
@@ -615,7 +754,14 @@ func TestRestartUnderChaos(t *testing.T) {
 		c.Pipeline.WarmupSampleEvery = 1
 	}
 
-	ref := runServiceFeed(t, "", mkSim, mut, streams, nil)
+	// Lockstep: the chaos source delivers a held-back record in the stream
+	// of a later bucket, on the premise that its own bucket has been
+	// consumed by then, and the books below count it as late. Over HTTP
+	// that holds only if the backend has read each bucket before the next
+	// stream is posted; a feeder that runs ahead lands those records in
+	// buckets still pending, where they are served on time instead — how
+	// many depends on the race, and differs between the two arms.
+	ref := runServiceFeed(t, "", mkSim, mut, streams, nil, true)
 	want := collectCanonical(t, ref.ts.Client(), ref.ts.URL)
 	ref.close(t)
 	wantQuar := ref.srv.Pipeline().Quarantine()
@@ -625,7 +771,7 @@ func TestRestartUnderChaos(t *testing.T) {
 		{bucket: 310, mode: "boundary"}, // inside the first incident
 		{bucket: 540, mode: "boundary"}, // near the end
 	}
-	e := runServiceFeed(t, t.TempDir(), mkSim, mut, streams, points)
+	e := runServiceFeed(t, t.TempDir(), mkSim, mut, streams, points, true)
 	got := collectCanonical(t, e.ts.Client(), e.ts.URL)
 	verdicts, status := []byte(nil), 0
 	{
@@ -728,9 +874,14 @@ func (d *daemonProc) kill(t *testing.T) {
 	_, _ = d.cmd.Process.Wait()
 }
 
-// httpQuiesce polls /healthz until the queue is drained through b.
+// httpQuiesce polls /healthz until the daemon (no warm-up, default job
+// cadence) has read every bucket through b and published every report due
+// by then. An empty queue past the watermark only says bucket b was read:
+// its step, and the report of a window ending at b, may still be running.
 func httpQuiesce(t *testing.T, client *http.Client, base string, b netmodel.Bucket) {
 	t.Helper()
+	every := netmodel.Bucket(pipeline.DefaultConfig().RunEvery)
+	lastDue := (b+1)/every*every - 1 // end of the last window complete at b, or -1
 	waitFor(t, fmt.Sprintf("daemon drained through bucket %d", b), func() bool {
 		resp, err := client.Get(base + "/healthz")
 		if err != nil {
@@ -739,7 +890,10 @@ func httpQuiesce(t *testing.T, client *http.Client, base string, b netmodel.Buck
 		var h healthResponse
 		err = json.NewDecoder(resp.Body).Decode(&h)
 		resp.Body.Close()
-		return err == nil && h.QueueDepth == 0 && h.Watermark > b
+		if err != nil || h.QueueDepth != 0 || h.Watermark <= b {
+			return false
+		}
+		return lastDue < 0 || (h.LastWindowTo != nil && *h.LastWindowTo >= lastDue)
 	})
 }
 

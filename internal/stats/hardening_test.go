@@ -56,8 +56,8 @@ func TestHistogramNonFinite(t *testing.T) {
 // endpoints and in the regimes where the standard form escapes numerically.
 func TestBoundedParetoInvEndpoints(t *testing.T) {
 	cases := []struct {
-		name           string
-		alpha, lo, hi  float64
+		name          string
+		alpha, lo, hi float64
 	}{
 		{"typical", 1.2, 1, 100},
 		{"alpha-near-0", 1e-6, 1, 100},

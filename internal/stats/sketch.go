@@ -132,7 +132,7 @@ type StreamingSummary struct {
 	w        Welford
 	min, max float64
 	// NonFinite counts NaN/±Inf observations, which update nothing else.
-	NonFinite int
+	NonFinite          int
 	p10, p50, p90, p99 *P2Quantile
 }
 

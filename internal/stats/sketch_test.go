@@ -102,9 +102,9 @@ func TestStreamingSummaryMatchesSummarize(t *testing.T) {
 		t.Fatalf("NonFinite = %d, want 2", s.NonFinite)
 	}
 	for _, c := range []struct {
-		name     string
-		got      float64
-		q        float64
+		name string
+		got  float64
+		q    float64
 	}{{"p10", got.P10, 0.10}, {"p50", got.P50, 0.50}, {"p90", got.P90, 0.90}, {"p99", got.P99, 0.99}} {
 		lo := Quantile(xs, math.Max(0, c.q-0.03))
 		hi := Quantile(xs, math.Min(1, c.q+0.03))

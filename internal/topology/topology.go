@@ -258,6 +258,10 @@ type World struct {
 
 	// Region- and device-specific RTT badness targets (§2.1), per provider.
 	targets [][netmodel.NumRegions][netmodel.NumDeviceClasses]float64
+	// attachTargets[q][p][i] is TargetFor(p, attachments[q][p][i].Cloud),
+	// worked out once: the pipeline asks for it per observation, and the
+	// base path RTT behind it never changes.
+	attachTargets [][][]float64
 }
 
 var metroNames = map[netmodel.Region][]string{
@@ -743,8 +747,21 @@ func (w *World) assignPopulations() {
 // population and its own attachments.
 func (w *World) deriveTargets() {
 	w.targets = make([][netmodel.NumRegions][netmodel.NumDeviceClasses]float64, len(w.Providers))
+	w.attachTargets = make([][][]float64, len(w.Providers))
 	for q := range w.Providers {
 		w.deriveProviderTargets(netmodel.ProviderID(q))
+		w.attachTargets[q] = make([][]float64, len(w.attachments[q]))
+		for p, atts := range w.attachments[q] {
+			pref := w.Prefixes[p]
+			for _, att := range atts {
+				t := w.targets[q][w.Metros[pref.Metro].Region][pref.Device]
+				base := w.BasePathRTT(w.InitialPath(att.Cloud, pref.BGPPrefix), netmodel.PrefixID(p))
+				if adj := base*1.3 + 8; adj > t {
+					t = adj
+				}
+				w.attachTargets[q][p] = append(w.attachTargets[q][p], t)
+			}
+		}
 	}
 }
 
@@ -949,19 +966,13 @@ func (w *World) TargetForPrefix(p netmodel.PrefixID) float64 {
 // accident) get no such relief.
 func (w *World) TargetFor(p netmodel.PrefixID, c netmodel.CloudID) float64 {
 	q := w.Clouds[c].Provider
-	pref := w.Prefixes[p]
-	t := w.targets[q][w.Metros[pref.Metro].Region][pref.Device]
-	for _, att := range w.attachments[q][p] {
-		if att.Cloud != c {
-			continue
+	for i, att := range w.attachments[q][p] {
+		if att.Cloud == c {
+			return w.attachTargets[q][p][i]
 		}
-		base := w.BasePathRTT(w.InitialPath(c, pref.BGPPrefix), p)
-		if adj := base*1.3 + 8; adj > t {
-			t = adj
-		}
-		break
 	}
-	return t
+	pref := w.Prefixes[p]
+	return w.targets[q][w.Metros[pref.Metro].Region][pref.Device]
 }
 
 // ResolvePrefix maps a /24 base address back to its prefix (the

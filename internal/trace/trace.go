@@ -234,11 +234,11 @@ type Store struct {
 	windowLen        netmodel.Bucket // ingestion window length in 5-min buckets
 	windows          map[int][]storageBucket
 	nextSeq          uint64
-	reads            int // storage buckets scanned (for the inefficiency metric)
-	recordsScanned   int // records examined, including filtered-out ones
-	retention        int // windows kept behind the read frontier; 0 = unbounded
-	evictBelow       int // all windows < evictBelow have been dropped
-	evicted          int // total windows evicted so far
+	reads            int         // storage buckets scanned (for the inefficiency metric)
+	recordsScanned   int         // records examined, including filtered-out ones
+	retention        int         // windows kept behind the read frontier; 0 = unbounded
+	evictBelow       int         // all windows < evictBelow have been dropped
+	evicted          int         // total windows evicted so far
 	cursors          []runCursor // read-side merge scratch, reused across reads
 }
 

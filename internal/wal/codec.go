@@ -25,32 +25,48 @@ import (
 const (
 	frameHeader = 8 // uint32 length + uint32 crc
 
-	recMeta     = 0x01 // configuration fingerprint; first record of every segment
-	recSnapshot = 0x02 // compaction marker: supersedes all lower segments
+	recMeta = 0x01 // configuration fingerprint; first record of every segment
+	// 0x02 was format version 1's compaction snapshot marker.
 	recBatch    = 0x03 // one accepted ingest batch, in queue push order
 	recBucket   = 0x04 // one consumed bucket: the exact stream served to the pipeline
 	recSeal     = 0x05 // one explicit watermark advance
 	recReport   = 0x06 // one published report's canonical JSON
 	recAggBatch = 0x07 // one accepted /v1/aggregates cell batch
-	recAggFlush = 0x08 // one aggregate flush trigger (buckets <= through flushed)
+	recAggFlush = 0x08 // one aggregate flush (buckets <= through flushed) and the feed's high bucket then
 )
 
-// segment file header: magic + format version.
+// segment file header: magic + format version. Version 2 dropped the
+// snapshot record and added the high bucket to the agg-flush record.
 const (
 	segMagic   = "BLAMEWAL"
-	segVersion = 1
+	segVersion = 2
 	segHeader  = len(segMagic) + 4
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// appendFrame frames one payload (type byte already included) onto buf.
-func appendFrame(buf, payload []byte) []byte {
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+// beginFrame starts a record of the given type on buf: the header's room,
+// then the type byte. The caller appends the body and calls sealFrame.
+func beginFrame(buf []byte, typ byte) []byte {
+	return append(buf, 0, 0, 0, 0, 0, 0, 0, 0, typ)
+}
+
+// sealFrame fills in the header of the record begun at buf[start:].
+func sealFrame(buf []byte, start int) {
+	payload := buf[start+frameHeader:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, crcTable))
+}
+
+// frameLen reads a frame header's payload length; false marks a length no
+// record can have.
+func frameLen(hdr []byte, maxRecord int64) (int64, bool) {
+	n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
+	return n, n != 0 && n <= maxRecord
+}
+
+func crcMatches(hdr, payload []byte) bool {
+	return crc32.Checksum(payload, crcTable) == binary.LittleEndian.Uint32(hdr[4:8])
 }
 
 // rawRecord is one CRC-valid record as scanned from a segment, with its
@@ -74,16 +90,16 @@ func scanRecords(data []byte, maxRecord int64) (recs []rawRecord, valid int64) {
 		if len(rest) < frameHeader {
 			return recs, off
 		}
-		n := int64(binary.LittleEndian.Uint32(rest[0:4]))
-		if n == 0 || n > maxRecord || n > int64(len(rest))-frameHeader {
+		n, ok := frameLen(rest, maxRecord)
+		if !ok || n > int64(len(rest))-frameHeader {
 			return recs, off
 		}
 		payload := rest[frameHeader : frameHeader+n]
-		if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(rest[4:8]) {
+		if !crcMatches(rest, payload) {
 			return recs, off
 		}
 		typ, body := payload[0], payload[1:]
-		val, ok := decodeBody(typ, body)
+		val, _, ok := decodeBody(typ, body, true)
 		if !ok {
 			return recs, off
 		}
@@ -101,6 +117,19 @@ type reader struct {
 }
 
 func (r *reader) varint() int64 {
+	// Most journaled integers fit one or two bytes; binary.Varint's general
+	// loop is kept for the rest and for every malformed case.
+	if b := r.b; len(b) >= 2 {
+		if b[0] < 0x80 {
+			r.b = b[1:]
+			return int64(b[0]>>1) ^ -int64(b[0]&1)
+		}
+		if b[1] < 0x80 {
+			r.b = b[2:]
+			ux := uint64(b[0]&0x7f) | uint64(b[1])<<7
+			return int64(ux>>1) ^ -int64(ux&1)
+		}
+	}
 	v, n := binary.Varint(r.b)
 	if n <= 0 {
 		r.err = true
@@ -159,13 +188,20 @@ func appendObs(buf []byte, obs []trace.Observation) []byte {
 	return buf
 }
 
-func readObs(r *reader) []trace.Observation {
+// readObs reads an observation list and returns it with the highest
+// bucket in it (noBucket for none). Without build the same bytes are
+// checked and nothing is allocated.
+func readObs(r *reader, build bool) ([]trace.Observation, netmodel.Bucket) {
+	high := noBucket
 	n := r.uvarint()
 	if r.err || n > uint64(len(r.b)/minObsBytes)+1 {
 		r.err = true
-		return nil
+		return nil, high
 	}
-	obs := make([]trace.Observation, 0, n)
+	var obs []trace.Observation
+	if build {
+		obs = make([]trace.Observation, 0, n)
+	}
 	for i := uint64(0); i < n; i++ {
 		var o trace.Observation
 		o.Prefix = netmodel.PrefixID(r.varint())
@@ -176,11 +212,14 @@ func readObs(r *reader) []trace.Observation {
 		o.MeanRTT = r.f64()
 		o.Clients = int(r.varint())
 		if r.err {
-			return nil
+			return nil, high
 		}
-		obs = append(obs, o)
+		high = max(high, o.Bucket)
+		if build {
+			obs = append(obs, o)
+		}
 	}
-	return obs
+	return obs, high
 }
 
 const minCellBytes = 9 + 8 // nine 1-byte varints, 8-byte float
@@ -203,13 +242,18 @@ func appendCells(buf []byte, cells []ingest.AggCell) []byte {
 	return buf
 }
 
-func readCells(r *reader) []ingest.AggCell {
+// readCells is readObs for aggregate cells.
+func readCells(r *reader, build bool) ([]ingest.AggCell, netmodel.Bucket) {
+	high := noBucket
 	n := r.uvarint()
 	if r.err || n > uint64(len(r.b)/minCellBytes)+1 {
 		r.err = true
-		return nil
+		return nil, high
 	}
-	cells := make([]ingest.AggCell, 0, n)
+	var cells []ingest.AggCell
+	if build {
+		cells = make([]ingest.AggCell, 0, n)
+	}
 	for i := uint64(0); i < n; i++ {
 		var c ingest.AggCell
 		c.Agent = int(r.varint())
@@ -223,98 +267,74 @@ func readCells(r *reader) []ingest.AggCell {
 		c.MeanRTT = r.f64()
 		c.Clients = int(r.varint())
 		if r.err {
-			return nil
+			return nil, high
 		}
-		cells = append(cells, c)
+		high = max(high, c.Bucket)
+		if build {
+			cells = append(cells, c)
+		}
 	}
-	return cells
+	return cells, high
 }
 
-// snapshotRec is the compaction marker. DroppedConsumed accounts, per
-// bucket, for consumed records whose originating batch records were
-// dropped by compaction — recovery subtracts them from the consumed
-// totals when computing how many leftover batch records to skip.
-type snapshotRec struct {
-	supersedes uint64
-	aggHigh    int64
-	dropped    map[netmodel.Bucket]int64
+// aggFlush is the agg-flush record's body: the aggregate feed flushed
+// every buffered bucket <= through, and high was the highest bucket it had
+// seen by then. Carrying high here is what lets compaction drop flushed
+// agg-batch records outright: the flush that settles a batch also restates
+// the one thing the batch contributed beyond its cells.
+type aggFlush struct {
+	through, high netmodel.Bucket
 }
 
-func appendSnapshot(buf []byte, s snapshotRec) []byte {
-	buf = binary.AppendUvarint(buf, s.supersedes)
-	buf = binary.AppendVarint(buf, s.aggHigh)
-	buf = binary.AppendUvarint(buf, uint64(len(s.dropped)))
-	for _, b := range sortedBuckets(s.dropped) {
-		buf = binary.AppendVarint(buf, int64(b))
-		buf = binary.AppendVarint(buf, s.dropped[b])
-	}
-	return buf
-}
+// noBucket is the high bucket of a record that names none.
+const noBucket = netmodel.Bucket(math.MinInt)
 
-func readSnapshot(r *reader) snapshotRec {
-	s := snapshotRec{supersedes: r.uvarint(), aggHigh: r.varint()}
-	n := r.uvarint()
-	if r.err || n > uint64(len(r.b)/2)+1 {
-		r.err = true
-		return s
-	}
-	s.dropped = make(map[netmodel.Bucket]int64, n)
-	for i := uint64(0); i < n; i++ {
-		b := netmodel.Bucket(r.varint())
-		s.dropped[b] = r.varint()
-	}
-	return s
-}
-
-// decodeBody decodes one record body by type. A false return marks the
-// record — and everything after it — as the corrupt tail.
-func decodeBody(typ byte, body []byte) (any, bool) {
+// decodeBody checks one record body by type and, with build, decodes it
+// into val (without, val is not to be used). high is what compaction
+// judges the record by: the highest
+// bucket among a batch's observations or an agg-batch's cells, the bucket
+// of a seal. Open builds and compaction does not, but both go through
+// here, so they accept the same bytes. A false return marks the record —
+// and everything after it — as the corrupt tail.
+func decodeBody(typ byte, body []byte, build bool) (val any, high netmodel.Bucket, ok bool) {
 	r := &reader{b: body}
+	high = noBucket
 	switch typ {
 	case recMeta:
-		return string(body), true
-	case recSnapshot:
-		s := readSnapshot(r)
-		return s, !r.err && r.empty()
+		if build {
+			val = string(body)
+		}
+		return val, high, true
 	case recBatch:
-		obs := readObs(r)
-		return obs, !r.err && r.empty()
+		var obs []trace.Observation
+		obs, high = readObs(r, build)
+		val = obs
 	case recBucket:
 		b := netmodel.Bucket(r.varint())
-		obs := readObs(r)
-		return BucketStream{Bucket: b, Obs: obs}, !r.err && r.empty()
+		obs, _ := readObs(r, build)
+		val = BucketStream{Bucket: b, Obs: obs}
 	case recSeal:
-		b := netmodel.Bucket(r.varint())
-		return b, !r.err && r.empty()
+		high = netmodel.Bucket(r.varint())
+		val = high
 	case recReport:
 		rep := Report{
 			Seq:  r.varint(),
 			From: netmodel.Bucket(r.varint()),
 			To:   netmodel.Bucket(r.varint()),
 		}
-		flag := r.varint()
-		rep.Final = flag != 0
-		rep.Canonical = append([]byte(nil), r.rest()...)
-		return rep, !r.err
-	case recAggBatch:
-		cells := readCells(r)
-		return cells, !r.err && r.empty()
-	case recAggFlush:
-		b := netmodel.Bucket(r.varint())
-		return b, !r.err && r.empty()
-	}
-	return nil, false
-}
-
-func sortedBuckets(m map[netmodel.Bucket]int64) []netmodel.Bucket {
-	out := make([]netmodel.Bucket, 0, len(m))
-	for b := range m {
-		out = append(out, b)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+		rep.Final = r.varint() != 0
+		if build {
+			rep.Canonical = append([]byte(nil), r.rest()...)
 		}
+		return rep, high, !r.err
+	case recAggBatch:
+		var cells []ingest.AggCell
+		cells, high = readCells(r, build)
+		val = cells
+	case recAggFlush:
+		val = aggFlush{through: netmodel.Bucket(r.varint()), high: netmodel.Bucket(r.varint())}
+	default:
+		return nil, high, false
 	}
-	return out
+	return val, high, !r.err && r.empty()
 }

@@ -1,154 +1,103 @@
 package wal
 
 import (
+	"bufio"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
-	"blameit/internal/ingest"
 	"blameit/internal/netmodel"
-	"blameit/internal/trace"
 )
 
-// Compact rewrites the log without the records that have become
-// redundant now that their buckets' reports are durable:
+// Compact drops the records later history has made redundant, one sealed
+// segment at a time:
 //
-//   - Batch records whose observations were all consumed (they are
-//     restated, in served order, by the bucket records) and whose buckets
-//     are covered by a durable report are dropped; the snapshot carries
-//     per-bucket dropped counts so this pass's own FIFO availability math
-//     stays exact across repeated compactions. Partially consumed batches
-//     are kept whole.
-//   - Seal records collapse to the single highest one.
-//   - The aggregate feed's prefix of fully flushed (batch, flush) events
-//     is dropped; the snapshot carries the high-bucket state the dropped
-//     prefix established.
+//   - A batch record goes once the reads have settled every observation in
+//     it (Horizon) — the bucket records restate what was served, and what
+//     a read discarded must stay gone — and a journaled report covers its
+//     highest bucket. Until then it is kept whole.
+//   - An agg-batch record goes once a later flush covers its highest
+//     bucket: replaying it would buffer cells only for that flush to
+//     discard them.
+//   - A seal record goes once a higher seal is journaled.
 //
-// Bucket and report records are never dropped: the pipeline's learned
-// state (thresholds, windows, budget, quarantine books) is a function of
-// the full consumed history, and replay-from-zero is what makes recovery
-// byte-exact. The WAL's steady state is therefore one copy of the
-// consumed trace plus the report log — the durable incident record.
+// Bucket, report and agg-flush records are never dropped: the pipeline's
+// learned state is a function of the full consumed history, and
+// replay-from-zero is what makes recovery byte-exact. The log's steady
+// state is one copy of the consumed trace plus the report log.
 //
-// The rewrite is crash-safe at every step: the filtered log is written to
-// a .tmp file, fsynced, renamed to the next segment number (its snapshot
-// record marks every lower segment superseded), the directory is fsynced,
-// and only then are the old segments deleted. A kill between any two
-// steps leaves either the old segments authoritative (tmp files are
-// deleted on open) or both generations present with the snapshot marker
-// deciding in favor of the new one.
+// A pass seals the active segment under the lock and does everything else
+// without it, so appends never wait for a rewrite. It judges only by
+// history in sealed segments, which are fsynced: no acknowledged batch is
+// dropped on evidence a power loss could take back. Each segment that may
+// still hold a droppable record is streamed frame by frame — length, CRC
+// and body shape checked as on open, nothing decoded — with the kept
+// frames copied verbatim into a .tmp that is fsynced and renamed over the
+// segment. A segment with no batch left is never visited again, so a pass
+// costs the bytes appended since the last one, not the log's length.
+//
+// A crash leaves every segment either as it was or rewritten; a .tmp left
+// behind is deleted on open. Dropping is invisible to recovery (it would
+// have skipped the dropped records anyway), so any mix of the two states
+// recovers the same.
 func (l *Log) Compact() error {
+	l.compactMu.Lock()
+	defer l.compactMu.Unlock()
+
+	// Sealing fsyncs the active segment under the lock; flushing what has
+	// piled up since the last sync first, without it, leaves the locked
+	// fsync next to nothing to do.
+	l.syncBehind()
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.closed {
-		return fmt.Errorf("wal: log closed")
+		l.mu.Unlock()
+		return errors.New("wal: log closed")
 	}
-	if err := l.syncLocked(); err != nil {
-		return err
-	}
-
-	// Re-scan everything from disk — the files are the source of truth.
-	var seqs []uint64
-	entries, err := os.ReadDir(l.dir)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	for _, e := range entries {
-		var seq uint64
-		if _, err := fmt.Sscanf(e.Name(), "wal-%d.log", &seq); err == nil && !isTmp(e.Name()) {
-			seqs = append(seqs, seq)
+	if l.size > l.freshSize() {
+		if err := l.rotateLocked(); err != nil {
+			l.mu.Unlock()
+			return err
 		}
 	}
-	sortU64(seqs)
-	var all []rawRecord
-	for _, seq := range seqs {
-		data, err := os.ReadFile(filepath.Join(l.dir, segName(seq)))
-		if err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-		if len(data) < segHeader {
-			continue
-		}
-		recs, _ := scanRecords(data[segHeader:], l.cfg.MaxRecordBytes)
-		all = append(all, recs...)
-	}
+	ev := l.ev
+	ev.reads, ev.flushes = ev.reads.clone(), ev.flushes.clone()
+	todo := append([]segment(nil), l.dirty...)
+	l.mu.Unlock()
 
-	kept, snap := filterForCompaction(all)
-	snap.supersedes = l.seq // every existing segment is restated
-
-	// Phase 1: write the rewrite to a tmp file.
 	if !l.step("begin") {
 		return nil
 	}
-	var extra []byte
-	extra = appendFrame(extra, appendSnapshot([]byte{recSnapshot}, snap))
-	for _, r := range kept {
-		payload := make([]byte, 0, 1+len(r.body))
-		payload = append(payload, r.typ)
-		payload = append(payload, r.body...)
-		extra = appendFrame(extra, payload)
-	}
-	newSeq := l.seq + 1
-	tmpPath := filepath.Join(l.dir, segName(newSeq)+".tmp")
-	tmp, err := os.OpenFile(tmpPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	hdr := make([]byte, 0, segHeader)
-	hdr = append(hdr, segMagic...)
-	hdr = append(hdr, byte(segVersion), 0, 0, 0)
-	hdr = appendFrame(hdr, append([]byte{recMeta}, l.cfg.Meta...))
-	if _, err := tmp.Write(hdr); err == nil {
-		_, err = tmp.Write(extra)
-	}
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmpPath)
-		return fmt.Errorf("wal: %w", err)
+	var read, written int64
+	clean := make(map[uint64]bool)
+	for _, seg := range todo {
+		res, err := l.compactSegment(seg, ev)
+		if err != nil {
+			return err
+		}
+		if res.abandoned {
+			return nil
+		}
+		read += res.read
+		written += res.written
+		if !res.pending {
+			clean[seg.seq] = true
+		}
 	}
 
-	// Phase 2: make the rewrite authoritative.
-	if !l.step("pre-rename") {
-		os.Remove(tmpPath)
-		return nil
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	still := l.dirty[:0]
+	for _, seg := range l.dirty {
+		if !clean[seg.seq] {
+			still = append(still, seg)
+		}
 	}
-	newPath := filepath.Join(l.dir, segName(newSeq))
-	if err := os.Rename(tmpPath, newPath); err != nil {
-		os.Remove(tmpPath)
-		return fmt.Errorf("wal: %w", err)
-	}
-	syncDir(l.dir)
-
-	// Phase 3: retire the old generation and append to the new segment.
-	if !l.step("pre-delete") {
-		// Crash point: both generations on disk. Open resolves via the
-		// snapshot's supersede marker. The in-memory log still appends to
-		// the old active segment, which recovery will ignore — but this
-		// branch only exists for tests, which stop here.
-		return nil
-	}
-	for _, seq := range seqs {
-		os.Remove(filepath.Join(l.dir, segName(seq)))
-	}
-	syncDir(l.dir)
-	f, err := os.OpenFile(newPath, os.O_WRONLY|os.O_APPEND, 0o666)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("wal: %w", err)
-	}
-	l.f.Close()
-	l.f, l.size, l.seq = f, st.Size(), newSeq
-	l.stats.Segments = 1
+	l.dirty = still
 	l.stats.Compactions++
+	l.stats.LastCompactReadBytes, l.stats.LastCompactWrittenBytes = read, written
 	return nil
 }
 
@@ -159,139 +108,191 @@ func (l *Log) step(phase string) bool {
 	return l.compactStep(phase)
 }
 
-// filterForCompaction decides which records the rewrite keeps and builds
-// the snapshot that carries the dropped records' accounting.
-func filterForCompaction(all []rawRecord) (kept []rawRecord, snap snapshotRec) {
-	snap = snapshotRec{aggHigh: -1, dropped: map[netmodel.Bucket]int64{}}
+// segmentResult is what filtering one segment came to.
+type segmentResult struct {
+	read, written int64
+	// pending: a batch or agg-batch is still in the segment, so a later
+	// pass must look again.
+	pending bool
+	// abandoned: the test hook stopped the pass here.
+	abandoned bool
+}
 
-	// Carry forward the bookkeeping of any previous compaction.
-	consumed := map[netmodel.Bucket]int64{}
-	maxReportTo := netmodel.Bucket(-1)
-	var maxSeal netmodel.Bucket = -1
-	maxSealIdx := -1
-	for i, r := range all {
-		switch r.typ {
-		case recSnapshot:
-			s := r.val.(snapshotRec)
-			for b, n := range s.dropped {
-				snap.dropped[b] += n
-			}
-			if s.aggHigh > snap.aggHigh {
-				snap.aggHigh = s.aggHigh
-			}
+// compactSegment filters one sealed segment through the evidence. Any
+// error leaves the segment file as it was.
+func (l *Log) compactSegment(seg segment, ev evidence) (res segmentResult, err error) {
+	path := filepath.Join(l.dir, segName(seg.seq))
+	fail := func(err error) (segmentResult, error) {
+		return res, fmt.Errorf("wal: compacting %s: %w", path, err)
+	}
+	src, err := os.Open(path)
+	if err != nil {
+		return fail(err)
+	}
+	defer src.Close()
+	st, err := src.Stat()
+	if err != nil {
+		return fail(err)
+	}
+	fr := newFrameReader(src, st.Size(), l.cfg.MaxRecordBytes)
+	head, err := fr.header()
+	if err != nil {
+		return fail(err)
+	}
+
+	tmpPath := path + ".tmp"
+	tmp, err := os.OpenFile(tmpPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
+	if err != nil {
+		return fail(err)
+	}
+	// Until the rename, the .tmp is this function's to clean up — except
+	// when the test hook abandons the pass, which leaves what a kill would.
+	renamed := false
+	defer func() {
+		tmp.Close()
+		if !renamed && !res.abandoned {
+			os.Remove(tmpPath)
+		}
+	}()
+	// Kept frames are mostly larger than any sensible buffer and pass
+	// straight through; the buffer gathers the small ones between them.
+	w := bufio.NewWriterSize(tmp, 64<<10)
+	w.Write(head) // a failed write sticks and surfaces at Flush
+	written := int64(len(head))
+
+	reads, flushes := seg.reads, seg.flushes
+	dropped := false
+	for {
+		frame, typ, high, err := fr.next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			// Rewriting would silently cut the segment at the bad frame:
+			// leave it for the next open to truncate and report.
+			return fail(fmt.Errorf("%w at offset %d of %d", err, fr.off, st.Size()))
+		}
+		keep := true
+		switch typ {
 		case recBucket:
-			for _, o := range r.val.(BucketStream).Obs {
-				consumed[o.Bucket]++
-			}
-		case recReport:
-			if rep := r.val.(Report); rep.To > maxReportTo {
-				maxReportTo = rep.To
-			}
-		case recSeal:
-			if b := r.val.(netmodel.Bucket); b >= maxSeal {
-				maxSeal, maxSealIdx = b, i
-			}
-		}
-	}
-	// Records already dropped by earlier compactions consumed part of the
-	// totals; only the remainder is assignable to surviving batches.
-	avail := map[netmodel.Bucket]int64{}
-	for b, n := range consumed {
-		avail[b] = n - snap.dropped[b]
-	}
-
-	// The aggregate prefix: batches fully covered by a later flush, and
-	// the flushes between them, replay to a no-op.
-	aggMaxFlush := make([]netmodel.Bucket, len(all))
-	running := netmodel.Bucket(-1)
-	for i := len(all) - 1; i >= 0; i-- {
-		aggMaxFlush[i] = running
-		if all[i].typ == recAggFlush {
-			if b := all[i].val.(netmodel.Bucket); b > running {
-				running = b
-			}
-		}
-	}
-	aggPrefix := true
-
-	drop := make([]bool, len(all))
-	for i, r := range all {
-		switch r.typ {
-		case recMeta, recSnapshot:
-			drop[i] = true // restated by the new segment's own header
-		case recSeal:
-			drop[i] = i != maxSealIdx
-		case recBatch:
-			obs := r.val.([]trace.Observation)
-			droppable := true
-			for _, o := range obs {
-				if avail[o.Bucket] < 1 || o.Bucket > maxReportTo {
-					droppable = false
-					break
-				}
-			}
-			// FIFO accounting: whether dropped or kept, this batch's
-			// records consume availability ahead of later batches.
-			if droppable {
-				for _, o := range obs {
-					avail[o.Bucket]--
-					snap.dropped[o.Bucket]++
-				}
-				drop[i] = true
-			} else {
-				for _, o := range obs {
-					if avail[o.Bucket] > 0 {
-						avail[o.Bucket]--
-					}
-				}
-			}
-		}
-	}
-
-	// Aggregate events: walk forward, dropping the fully flushed prefix.
-	for i, r := range all {
-		switch r.typ {
-		case recAggBatch:
-			if !aggPrefix {
-				continue
-			}
-			high := netmodel.Bucket(-1)
-			for _, c := range r.val.([]ingest.AggCell) {
-				if c.Bucket > high {
-					high = c.Bucket
-				}
-			}
-			if high <= aggMaxFlush[i] {
-				drop[i] = true
-				if int64(high) > snap.aggHigh {
-					snap.aggHigh = int64(high)
-				}
-			} else {
-				aggPrefix = false
-			}
+			reads++
 		case recAggFlush:
-			if aggPrefix {
-				drop[i] = true
-			}
+			flushes++
+		case recBatch:
+			keep = !(ev.reads.Reached(reads, high) && high <= ev.reportTo)
+			res.pending = res.pending || keep
+		case recAggBatch:
+			keep = !ev.flushes.Reached(flushes, high)
+			res.pending = res.pending || keep
+		case recSeal:
+			keep = high >= ev.maxSeal
+		}
+		if keep {
+			w.Write(frame)
+			written += int64(len(frame))
+		} else {
+			dropped = true
 		}
 	}
+	res.read = fr.off
+	if !dropped {
+		return res, nil // the deferred clean-up discards the copy
+	}
+	res.written = written
 
-	for i, r := range all {
-		if !drop[i] {
-			kept = append(kept, r)
-		}
+	if !l.step("pre-sync") {
+		res.abandoned = true
+		return res, nil
 	}
-	return kept, snap
+	if err := w.Flush(); err != nil {
+		return fail(err)
+	}
+	if err := tmp.Sync(); err != nil {
+		return fail(err)
+	}
+	if err := tmp.Close(); err != nil {
+		return fail(err)
+	}
+	if !l.step("pre-rename") {
+		res.abandoned = true
+		return res, nil
+	}
+	if err := os.Rename(tmpPath, path); err != nil {
+		return fail(err)
+	}
+	renamed = true
+	if !l.step("post-rename") {
+		res.abandoned = true
+		return res, nil
+	}
+	if err := syncDir(l.dir); err != nil {
+		return fail(err)
+	}
+	return res, nil
 }
 
-func isTmp(name string) bool {
-	return len(name) > 4 && name[len(name)-4:] == ".tmp"
+// errBadFrame marks bytes scanRecords would refuse: a torn or over-long
+// frame, a CRC mismatch, an unknown type or an undecodable body.
+var errBadFrame = errors.New("invalid record")
+
+// frameReader streams a segment's frames, accepting exactly the prefix
+// scanRecords accepts, without holding more than one frame in memory.
+type frameReader struct {
+	r         *bufio.Reader
+	size, max int64
+	off       int64 // bytes consumed as valid: the header and whole frames
+	buf       []byte
 }
 
-func sortU64(s []uint64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
+func newFrameReader(r io.Reader, size, maxRecord int64) *frameReader {
+	return &frameReader{r: bufio.NewReaderSize(r, 64<<10), size: size, max: maxRecord, buf: make([]byte, 4<<10)}
+}
+
+// header reads and checks the segment header.
+func (fr *frameReader) header() ([]byte, error) {
+	head := make([]byte, segHeader)
+	if _, err := io.ReadFull(fr.r, head); err != nil {
+		return nil, fmt.Errorf("reading segment header: %w", err)
 	}
+	if string(head[:len(segMagic)]) != segMagic || binary.LittleEndian.Uint32(head[len(segMagic):]) != segVersion {
+		return nil, errors.New("not a segment of this format version")
+	}
+	fr.off = int64(segHeader)
+	return head, nil
+}
+
+// next returns the next frame — header and payload, valid until the call
+// after — with its record type and high bucket (decodeBody); io.EOF at a
+// clean end; errBadFrame, or the read error, otherwise.
+func (fr *frameReader) next() (frame []byte, typ byte, high netmodel.Bucket, err error) {
+	hdr := fr.buf[:frameHeader]
+	if _, err := io.ReadFull(fr.r, hdr); err != nil {
+		if err == io.ErrUnexpectedEOF {
+			err = errBadFrame
+		}
+		return nil, 0, 0, err
+	}
+	n, ok := frameLen(hdr, fr.max)
+	if !ok || n > fr.size-fr.off-frameHeader {
+		return nil, 0, 0, errBadFrame
+	}
+	if need := frameHeader + int(n); need > len(fr.buf) {
+		fr.buf = append(make([]byte, 0, need+need/4), hdr...)[:need+need/4]
+	}
+	frame = fr.buf[:frameHeader+n]
+	payload := frame[frameHeader:]
+	if _, err := io.ReadFull(fr.r, payload); err != nil {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			err = errBadFrame // the file shrank under us
+		}
+		return nil, 0, 0, err
+	}
+	if !crcMatches(frame, payload) {
+		return nil, 0, 0, errBadFrame
+	}
+	if _, high, ok = decodeBody(payload[0], payload[1:], false); !ok {
+		return nil, 0, 0, errBadFrame
+	}
+	fr.off += int64(len(frame))
+	return frame, payload[0], high, nil
 }

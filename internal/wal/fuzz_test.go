@@ -3,21 +3,34 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"testing"
+
+	"blameit/internal/ingest"
 )
+
+// appendFrame frames one payload (type byte first) onto buf.
+func appendFrame(buf, payload []byte) []byte {
+	start := len(buf)
+	buf = append(beginFrame(buf, payload[0]), payload[1:]...)
+	sealFrame(buf, start)
+	return buf
+}
 
 // FuzzWALDecode drives the segment record scanner over arbitrary bytes.
 // The scanner sits on the recovery path of every daemon restart, so it
 // must uphold, for ANY input: no panic, no out-of-bounds, a valid offset
 // (the truncation point never exceeds the input), and prefix consistency
 // (the records it accepts re-encode to exactly the bytes it consumed —
-// what recovery replays is what was on disk).
+// what recovery replays is what was on disk). Compaction's streaming
+// scanner, which checks bodies without decoding them, must accept exactly
+// the same prefix frame for frame: it rewrites what recovery will read.
 func FuzzWALDecode(f *testing.F) {
 	// Seed corpus: a valid log, a torn tail, a bit flip, a zero-length
 	// record, and a giant-length record.
 	valid := appendFrame(nil, append([]byte{recMeta}, "m"...))
 	valid = appendFrame(valid, appendObs([]byte{recBatch}, obsFor(3, 2)))
-	valid = appendFrame(valid, appendVarintByte(recSeal, 7))
+	valid = appendFrame(valid, binary.AppendVarint([]byte{recSeal}, 7))
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3]) // torn tail
 	flipped := append([]byte(nil), valid...)
@@ -30,6 +43,13 @@ func FuzzWALDecode(f *testing.F) {
 	giant = binary.LittleEndian.AppendUint32(giant, 0)
 	f.Add(giant)
 	f.Add([]byte{})
+	// One of every other record type, for the body walkers.
+	rest := appendFrame(nil, appendObs(binary.AppendVarint([]byte{recBucket}, 3), obsFor(3, 2)))
+	rest = appendFrame(rest, append([]byte{recReport, 0, 0, 4, 1}, "{}\n"...))
+	rest = appendFrame(rest, appendCells([]byte{recAggBatch}, []ingest.AggCell{{Agent: 1, Seq: 2, Bucket: 4, Samples: 9, MeanRTT: 55.25, Clients: 2}}))
+	rest = appendFrame(rest, []byte{recAggFlush, 8, 10})
+	f.Add(rest)
+	f.Add(appendFrame(nil, []byte{0x02, 0, 1, 0})) // version 1's snapshot record: now an unknown type
 
 	const maxRecord = 1 << 20
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -49,9 +69,28 @@ func FuzzWALDecode(f *testing.F) {
 		if !bytes.Equal(re, data[:valid]) {
 			t.Fatalf("accepted records re-encode to %d bytes != consumed %d", len(re), valid)
 		}
+		fr := newFrameReader(bytes.NewReader(data), int64(len(data)), maxRecord)
+		for i := 0; ; i++ {
+			frame, typ, _, err := fr.next()
+			if err != nil {
+				if wantEOF := valid == int64(len(data)); (err == io.EOF) != wantEOF || (err != io.EOF && err != errBadFrame) {
+					t.Fatalf("streaming scanner ended with %v at %d; scanRecords accepted %d of %d bytes", err, fr.off, valid, len(data))
+				}
+				if i != len(recs) || fr.off != valid {
+					t.Fatalf("streaming scanner accepted %d frames / %d bytes, scanRecords %d / %d", i, fr.off, len(recs), valid)
+				}
+				break
+			}
+			if i >= len(recs) {
+				t.Fatalf("streaming scanner accepted frame %d past scanRecords' %d", i, len(recs))
+			}
+			if typ != recs[i].typ || !bytes.Equal(frame[frameHeader+1:], recs[i].body) {
+				t.Fatalf("frame %d: streaming scanner and scanRecords disagree on the record", i)
+			}
+		}
 		// Interpretation must not panic either (decodeBody already ran in
 		// scanRecords; fold the records as recovery would).
 		rec := &Recovery{MaxSeal: -1, AggHigh: -1}
-		_ = interpret(rec, recs, "m")
+		_, _ = interpret(rec, recs, "m")
 	})
 }

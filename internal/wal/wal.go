@@ -27,6 +27,10 @@
 // body on open, truncates the log at the last valid record, deletes any
 // later segments, and reports the discarded byte count so the daemon can
 // surface it in /healthz.
+//
+// Replay-from-zero keeps every consumed bucket and report for good; what
+// compaction (Compact) removes is the second copy — the accepted batches,
+// once later history has settled them (Horizon).
 package wal
 
 import (
@@ -119,6 +123,11 @@ type Stats struct {
 	LagRecords  int64
 	Segments    int
 	Compactions int64
+	// LastCompactReadBytes and LastCompactWrittenBytes are the segment
+	// bytes the most recent compaction pass read and wrote: a pass costs
+	// the bytes appended since the one before, not the log's length.
+	LastCompactReadBytes    int64
+	LastCompactWrittenBytes int64
 }
 
 // BucketStream is one consumed bucket: the exact observation stream —
@@ -147,9 +156,9 @@ type Batch struct {
 	Obs []trace.Observation
 	// AfterBuckets is how many consumed-bucket records preceded this
 	// batch in the log — i.e. which reads had already happened when it
-	// arrived. Derived at scan time, like Report.AfterBuckets: recovery
-	// simulates each record's fate (served, discarded, or still queued)
-	// against the reads that followed the batch.
+	// arrived. Derived at scan time, like Report.AfterBuckets: it is the
+	// position Recovery.Reads judges the batch's records from (served or
+	// discarded by a later read, or still queued).
 	AfterBuckets int
 }
 
@@ -175,15 +184,40 @@ type Recovery struct {
 	MaxSeal netmodel.Bucket
 	// AggEvents replays the aggregate buffer's history.
 	AggEvents []AggEvent
-	// AggHigh carries compaction bookkeeping forward; see snapshotRec.
+	// AggHigh is the highest bucket the aggregate feed had seen by its last
+	// flush, or -1: flushed batches are compacted away, and the flush
+	// records restate the high bucket they established.
 	AggHigh netmodel.Bucket
+	// Reads is the settle rule over Buckets: Reads.Reached(batch.AfterBuckets,
+	// o.Bucket) says whether a later read served or discarded record o of a
+	// batch, so that recovery re-queues exactly the rest.
+	Reads Horizon
 	// TruncatedBytes is how much corrupt tail the open discarded.
 	TruncatedBytes int64
 	Segments       int
 
-	// Snapshot bookkeeping from the scan.
-	supersedes  uint64
-	hasSnapshot bool
+	// The rest of what compaction judges by; see evidence.
+	flushes  Horizon
+	reportTo netmodel.Bucket
+}
+
+// evidence is the journaled history compaction may act on. The log keeps
+// it current as it appends; a compaction pass copies it right after
+// sealing the active segment, when all of it is in fsynced files.
+type evidence struct {
+	reads, flushes Horizon
+	// reportTo is the highest window end among journaled reports, or -1.
+	reportTo netmodel.Bucket
+	maxSeal  netmodel.Bucket
+}
+
+// segment is one segment file as compaction sees it.
+type segment struct {
+	seq uint64
+	// reads and flushes count the bucket and agg-flush records journaled
+	// before the segment's first record: the positions its batches are
+	// judged from.
+	reads, flushes int
 }
 
 // Empty reports whether the scan found nothing to replay.
@@ -197,22 +231,32 @@ type Log struct {
 	dir string
 	cfg Config
 
+	// compactMu serializes compaction passes. It is taken before mu and
+	// held for the whole pass; mu is held only while the pass seals the
+	// active segment and while it books its result.
+	compactMu sync.Mutex
+
 	mu     sync.Mutex
 	f      *os.File
-	seq    uint64 // active segment sequence number
-	size   int64  // active segment size
+	active segment
+	size   int64 // active segment size
 	stats  Stats
 	closed bool
+	ev     evidence
+	// dirty lists, oldest first, the sealed segments that may still hold a
+	// record compaction can drop. A segment leaves the list for good once
+	// a pass finds no batch left in it.
+	dirty []segment
 
-	buf []byte // scratch frame buffer, reused under mu
+	buf []byte // frame buffer, reused under mu
 
 	stop     chan struct{} // interval flusher shutdown
 	syncDone chan struct{}
 
-	// compactStep, when set (tests), is called between compaction phases
-	// so crash points inside the compaction protocol can be exercised
-	// deterministically. Returning false abandons the compaction at that
-	// point, as a kill would.
+	// compactStep, when set (tests), is called between compaction phases,
+	// with mu not held, so crash points inside the compaction protocol can
+	// be exercised deterministically. Returning false abandons the
+	// compaction at that point, files as they are, as a kill would.
 	compactStep func(phase string) bool
 }
 
@@ -220,7 +264,8 @@ func segName(seq uint64) string { return fmt.Sprintf("wal-%010d.log", seq) }
 
 // Open scans dir (created if missing), recovers its contents, truncates
 // any corrupt tail, and returns the log opened for append plus the
-// recovery state. The returned Recovery is never nil.
+// recovery state. The returned Recovery is never nil. A directory written
+// in another format version is refused, not converted.
 func Open(dir string, cfg Config) (*Log, *Recovery, error) {
 	cfg = cfg.withDefaults()
 	if err := os.MkdirAll(dir, 0o777); err != nil {
@@ -236,7 +281,9 @@ func Open(dir string, cfg Config) (*Log, *Recovery, error) {
 		if strings.HasSuffix(name, ".tmp") {
 			// A compaction that died before its rename; its contents are
 			// not part of the log.
-			os.Remove(filepath.Join(dir, name))
+			if err := os.Remove(filepath.Join(dir, name)); err != nil {
+				return nil, nil, fmt.Errorf("wal: %w", err)
+			}
 			continue
 		}
 		var seq uint64
@@ -246,13 +293,14 @@ func Open(dir string, cfg Config) (*Log, *Recovery, error) {
 	}
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 
-	rec := &Recovery{MaxSeal: -1, AggHigh: -1}
+	rec := &Recovery{MaxSeal: -1, AggHigh: -1, reportTo: -1}
 	l := &Log{dir: dir, cfg: cfg}
 
 	// Scan segments in order. The first corruption truncates: the file is
 	// cut back to its last valid record and every later segment is
 	// discarded — replay needs a consistent prefix, and anything after a
 	// corrupt record has no trustworthy ordering against it.
+	var segs []segment
 	truncatedFrom := -1
 	for i, seq := range seqs {
 		path := filepath.Join(dir, segName(seq))
@@ -261,14 +309,21 @@ func Open(dir string, cfg Config) (*Log, *Recovery, error) {
 			return nil, nil, fmt.Errorf("wal: %w", err)
 		}
 		if len(data) < segHeader || string(data[:len(segMagic)]) != segMagic {
-			rec.TruncatedBytes += int64(len(data))
-			os.Remove(path)
 			truncatedFrom = i
 			break
 		}
+		if v := binary.LittleEndian.Uint32(data[len(segMagic):]); v != segVersion {
+			return nil, nil, fmt.Errorf("wal: %s is in format version %d and this build reads only version %d: start from an empty data directory", path, v, segVersion)
+		}
+		seg := segment{seq: seq, reads: rec.Reads.Len(), flushes: rec.flushes.Len()}
 		recs, valid := scanRecords(data[segHeader:], cfg.MaxRecordBytes)
-		if err := interpret(rec, recs, cfg.Meta); err != nil {
+		droppable, err := interpret(rec, recs, cfg.Meta)
+		if err != nil {
 			return nil, nil, err
+		}
+		segs = append(segs, seg)
+		if droppable {
+			l.dirty = append(l.dirty, seg)
 		}
 		if int(valid) < len(data)-segHeader {
 			rec.TruncatedBytes += int64(len(data)-segHeader) - valid
@@ -285,37 +340,30 @@ func Open(dir string, cfg Config) (*Log, *Recovery, error) {
 			if st, err := os.Stat(path); err == nil {
 				rec.TruncatedBytes += st.Size()
 			}
-			os.Remove(path)
-		}
-		seqs = seqs[:truncatedFrom]
-	}
-
-	// Drop segments a surviving snapshot superseded: a compaction that
-	// renamed its rewrite but died before deleting the originals leaves
-	// both on disk, and the snapshot marker says which to trust.
-	if super, ok := maxSupersedes(rec); ok {
-		kept := seqs[:0]
-		for _, seq := range seqs {
-			if seq <= super {
-				os.Remove(filepath.Join(dir, segName(seq)))
-				continue
+			// A discarded segment that stayed would be read as live history
+			// by the next open.
+			if err := os.Remove(path); err != nil {
+				return nil, nil, fmt.Errorf("wal: discarding segment after corruption: %w", err)
 			}
-			kept = append(kept, seq)
 		}
-		seqs = kept
 	}
-	rec.Segments = len(seqs)
+	rec.Segments = len(segs)
+	l.ev = evidence{reads: rec.Reads.clone(), flushes: rec.flushes.clone(), reportTo: rec.reportTo, maxSeal: rec.MaxSeal}
 
-	if len(seqs) == 0 {
-		l.seq = 1
-		f, size, err := l.createSegment(l.seq, nil)
+	if len(segs) == 0 {
+		f, err := l.createSegment(1)
 		if err != nil {
 			return nil, nil, err
 		}
-		l.f, l.size = f, size
+		l.f, l.size, l.active = f, l.freshSize(), segment{seq: 1}
+		l.stats.Segments = 1
 	} else {
-		l.seq = seqs[len(seqs)-1]
-		path := filepath.Join(dir, segName(l.seq))
+		// The last segment goes on taking appends; it is not sealed.
+		l.active = segs[len(segs)-1]
+		if n := len(l.dirty); n > 0 && l.dirty[n-1].seq == l.active.seq {
+			l.dirty = l.dirty[:n-1]
+		}
+		path := filepath.Join(dir, segName(l.active.seq))
 		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o666)
 		if err != nil {
 			return nil, nil, fmt.Errorf("wal: %w", err)
@@ -326,10 +374,7 @@ func Open(dir string, cfg Config) (*Log, *Recovery, error) {
 			return nil, nil, fmt.Errorf("wal: %w", err)
 		}
 		l.f, l.size = f, st.Size()
-	}
-	l.stats.Segments = len(seqs)
-	if l.stats.Segments == 0 {
-		l.stats.Segments = 1
+		l.stats.Segments = len(segs)
 	}
 
 	if cfg.Fsync == SyncInterval {
@@ -340,27 +385,23 @@ func Open(dir string, cfg Config) (*Log, *Recovery, error) {
 	return l, rec, nil
 }
 
-// interpret folds scanned records into the recovery state. A snapshot
-// record resets it: the compacted segment restates everything that still
-// matters from the segments it supersedes.
-func interpret(rec *Recovery, recs []rawRecord, wantMeta string) error {
+// interpret folds one segment's scanned records into the recovery state,
+// and reports whether the segment holds records compaction could drop one
+// day: batches and agg-batches.
+func interpret(rec *Recovery, recs []rawRecord, wantMeta string) (droppable bool, err error) {
 	for _, r := range recs {
 		switch r.typ {
 		case recMeta:
 			if got := r.val.(string); got != wantMeta {
-				return fmt.Errorf("%w: log written under %q, reopened under %q", ErrMetaMismatch, got, wantMeta)
+				return false, fmt.Errorf("%w: log written under %q, reopened under %q", ErrMetaMismatch, got, wantMeta)
 			}
-		case recSnapshot:
-			s := r.val.(snapshotRec)
-			rec.Buckets, rec.Batches, rec.Reports = nil, nil, nil
-			rec.AggEvents = nil
-			rec.MaxSeal = -1
-			rec.AggHigh = netmodel.Bucket(s.aggHigh)
-			rec.supersedes, rec.hasSnapshot = s.supersedes, true
 		case recBatch:
+			droppable = true
 			rec.Batches = append(rec.Batches, Batch{Obs: r.val.([]trace.Observation), AfterBuckets: len(rec.Buckets)})
 		case recBucket:
-			rec.Buckets = append(rec.Buckets, r.val.(BucketStream))
+			bs := r.val.(BucketStream)
+			rec.Buckets = append(rec.Buckets, bs)
+			rec.Reads.add(bs.Bucket)
 		case recSeal:
 			if b := r.val.(netmodel.Bucket); b > rec.MaxSeal {
 				rec.MaxSeal = b
@@ -369,69 +410,87 @@ func interpret(rec *Recovery, recs []rawRecord, wantMeta string) error {
 			rep := r.val.(Report)
 			rep.AfterBuckets = len(rec.Buckets)
 			rec.Reports = append(rec.Reports, rep)
+			if rep.To > rec.reportTo {
+				rec.reportTo = rep.To
+			}
 		case recAggBatch:
+			droppable = true
 			rec.AggEvents = append(rec.AggEvents, AggEvent{Cells: r.val.([]ingest.AggCell)})
 		case recAggFlush:
-			rec.AggEvents = append(rec.AggEvents, AggEvent{Flush: true, Through: r.val.(netmodel.Bucket)})
+			f := r.val.(aggFlush)
+			rec.AggEvents = append(rec.AggEvents, AggEvent{Flush: true, Through: f.through})
+			rec.flushes.add(f.through)
+			if f.high > rec.AggHigh {
+				rec.AggHigh = f.high
+			}
 		}
 	}
-	return nil
+	return droppable, nil
 }
 
-// maxSupersedes returns the supersede marker of the last snapshot seen.
-func maxSupersedes(rec *Recovery) (uint64, bool) {
-	return rec.supersedes, rec.hasSnapshot
+// freshSize is the size of a segment holding nothing but its header and
+// meta record.
+func (l *Log) freshSize() int64 {
+	return int64(segHeader + frameHeader + 1 + len(l.cfg.Meta))
 }
 
-// createSegment writes a fresh segment file: header, meta record, and any
-// extra pre-framed payloads (a compaction's snapshot + kept records). The
+// createSegment writes a fresh segment file: header and meta record. The
 // file and directory are fsynced before it is trusted.
-func (l *Log) createSegment(seq uint64, extra []byte) (*os.File, int64, error) {
+func (l *Log) createSegment(seq uint64) (*os.File, error) {
 	path := filepath.Join(l.dir, segName(seq))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
 	if err != nil {
-		return nil, 0, fmt.Errorf("wal: %w", err)
+		return nil, fmt.Errorf("wal: %w", err)
 	}
-	buf := make([]byte, 0, segHeader+64+len(extra))
+	buf := make([]byte, 0, l.freshSize())
 	buf = append(buf, segMagic...)
-	buf = append(buf, byte(segVersion), 0, 0, 0)
-	buf = appendFrame(buf, append([]byte{recMeta}, l.cfg.Meta...))
-	buf = append(buf, extra...)
-	if _, err := f.Write(buf); err != nil {
+	buf = binary.LittleEndian.AppendUint32(buf, segVersion)
+	buf = append(beginFrame(buf, recMeta), l.cfg.Meta...)
+	sealFrame(buf, segHeader)
+	_, err = f.Write(buf)
+	if err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = syncDir(l.dir)
+	}
+	if err != nil {
 		f.Close()
 		os.Remove(path)
-		return nil, 0, fmt.Errorf("wal: %w", err)
+		return nil, fmt.Errorf("wal: %w", err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, 0, fmt.Errorf("wal: %w", err)
-	}
-	syncDir(l.dir)
-	return f, int64(len(buf)), nil
+	return f, nil
 }
 
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
+// syncDir makes the directory's entries — a created or renamed segment —
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
 	}
+	defer d.Close()
+	return d.Sync()
 }
 
-// append frames and writes one record under the configured fsync policy,
-// rotating the active segment first when it would overflow.
-func (l *Log) append(payload []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+// frame starts a record of the given type in the log's reusable frame
+// buffer; the Append methods encode the body straight onto it and hand the
+// result to write. Caller holds mu.
+func (l *Log) frame(typ byte) []byte { return beginFrame(l.buf[:0], typ) }
+
+// write completes the frame begun by frame and writes it as one write(2)
+// under the configured fsync policy, rotating the active segment first
+// when it would overflow. Caller holds mu.
+func (l *Log) write(frame []byte) error {
+	l.buf = frame[:0]
 	if l.closed {
 		return errors.New("wal: log closed")
 	}
-	if int64(len(payload)) > l.cfg.MaxRecordBytes {
-		return fmt.Errorf("wal: record %d bytes exceeds limit %d", len(payload), l.cfg.MaxRecordBytes)
+	if n := int64(len(frame) - frameHeader); n > l.cfg.MaxRecordBytes {
+		return fmt.Errorf("wal: record %d bytes exceeds limit %d", n, l.cfg.MaxRecordBytes)
 	}
-	frame := appendFrame(l.buf[:0], payload)
-	l.buf = frame[:0]
-	if l.size+int64(len(frame)) > l.cfg.SegmentBytes && l.size > int64(segHeader) {
+	sealFrame(frame, 0)
+	if l.size+int64(len(frame)) > l.cfg.SegmentBytes && l.size > l.freshSize() {
 		if err := l.rotateLocked(); err != nil {
 			return err
 		}
@@ -453,6 +512,8 @@ func (l *Log) append(payload []byte) error {
 	return nil
 }
 
+// rotateLocked seals the active segment — fsynced under every policy, so
+// whatever is in a sealed segment is durable — and starts the next one.
 func (l *Log) rotateLocked() error {
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("wal: %w", err)
@@ -460,55 +521,85 @@ func (l *Log) rotateLocked() error {
 	l.stats.Syncs++
 	l.stats.LagRecords = 0
 	l.f.Close()
-	f, size, err := l.createSegment(l.seq+1, nil)
+	next := segment{seq: l.active.seq + 1, reads: l.ev.reads.Len(), flushes: l.ev.flushes.Len()}
+	f, err := l.createSegment(next.seq)
 	if err != nil {
 		return err
 	}
-	l.seq++
-	l.f, l.size = f, size
+	l.dirty = append(l.dirty, l.active)
+	l.f, l.size, l.active = f, l.freshSize(), next
 	l.stats.Segments++
 	return nil
 }
 
 // AppendBatch journals one accepted ingest batch in queue push order.
 func (l *Log) AppendBatch(obs []trace.Observation) error {
-	return l.append(appendObs([]byte{recBatch}, obs))
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.write(appendObs(l.frame(recBatch), obs))
 }
 
 // AppendBucket journals the exact stream served to the pipeline for one
 // consumed bucket. Empty streams are journaled too: replay must re-seal
 // empty buckets in the same places.
 func (l *Log) AppendBucket(b netmodel.Bucket, obs []trace.Observation) error {
-	buf := appendVarintByte(recBucket, int64(b))
-	return l.append(appendObs(buf, obs))
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	err := l.write(appendObs(binary.AppendVarint(l.frame(recBucket), int64(b)), obs))
+	if err == nil {
+		l.ev.reads.add(b)
+	}
+	return err
 }
 
 // AppendSeal journals one explicit watermark advance.
 func (l *Log) AppendSeal(b netmodel.Bucket) error {
-	return l.append(appendVarintByte(recSeal, int64(b)))
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	err := l.write(binary.AppendVarint(l.frame(recSeal), int64(b)))
+	if err == nil && b > l.ev.maxSeal {
+		l.ev.maxSeal = b
+	}
+	return err
 }
 
 // AppendReport journals one published report's canonical JSON.
 func (l *Log) AppendReport(rep Report) error {
-	buf := appendVarintByte(recReport, rep.Seq)
-	buf = appendVarint(buf, int64(rep.From))
-	buf = appendVarint(buf, int64(rep.To))
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	buf := binary.AppendVarint(l.frame(recReport), rep.Seq)
+	buf = binary.AppendVarint(buf, int64(rep.From))
+	buf = binary.AppendVarint(buf, int64(rep.To))
+	final := int64(0)
 	if rep.Final {
-		buf = appendVarint(buf, 1)
-	} else {
-		buf = appendVarint(buf, 0)
+		final = 1
 	}
-	return l.append(append(buf, rep.Canonical...))
+	buf = binary.AppendVarint(buf, final)
+	err := l.write(append(buf, rep.Canonical...))
+	if err == nil && rep.To > l.ev.reportTo {
+		l.ev.reportTo = rep.To
+	}
+	return err
 }
 
 // AppendAggBatch journals one accepted aggregate cell batch.
 func (l *Log) AppendAggBatch(cells []ingest.AggCell) error {
-	return l.append(appendCells([]byte{recAggBatch}, cells))
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.write(appendCells(l.frame(recAggBatch), cells))
 }
 
-// AppendAggFlush journals one aggregate flush trigger.
-func (l *Log) AppendAggFlush(through netmodel.Bucket) error {
-	return l.append(appendVarintByte(recAggFlush, int64(through)))
+// AppendAggFlush journals one aggregate flush — every buffered bucket <=
+// through left the buffer — with the highest bucket the feed has seen.
+func (l *Log) AppendAggFlush(through, high netmodel.Bucket) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	buf := binary.AppendVarint(l.frame(recAggFlush), int64(through))
+	err := l.write(binary.AppendVarint(buf, int64(high)))
+	if err == nil {
+		l.ev.flushes.add(through)
+	}
+	return err
 }
 
 // Sync forces everything appended so far to disk.
@@ -583,19 +674,29 @@ func (l *Log) flusher() {
 		case <-l.stop:
 			return
 		case <-t.C:
-			l.mu.Lock()
-			if !l.closed && l.stats.LagRecords > 0 {
-				l.syncLocked()
-			}
-			l.mu.Unlock()
+			l.syncBehind()
 		}
 	}
 }
 
-func appendVarint(buf []byte, v int64) []byte {
-	return binary.AppendVarint(buf, v)
-}
-
-func appendVarintByte(typ byte, v int64) []byte {
-	return appendVarint([]byte{typ}, v)
+// syncBehind is the interval flusher's sync: it fsyncs the active segment
+// without holding mu, so that an fsync — several milliseconds of disk time
+// for an interval's worth of records — never stalls an append. Records
+// appended while it runs wait for the next tick.
+func (l *Log) syncBehind() {
+	l.mu.Lock()
+	f, lag := l.f, l.stats.LagRecords
+	l.mu.Unlock()
+	if lag == 0 || f.Sync() != nil {
+		// Nothing to do, or the segment was sealed or closed under the
+		// fsync: sealing and closing sync it themselves, and a failing disk
+		// surfaces on the next append.
+		return
+	}
+	l.mu.Lock()
+	if l.f == f {
+		l.stats.Syncs++
+		l.stats.LagRecords -= lag
+	}
+	l.mu.Unlock()
 }

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
@@ -79,7 +80,7 @@ func writeSample(t *testing.T, dir string, cfg Config) *Recovery {
 		t.Fatalf("AppendAggBatch: %v", err)
 	}
 	want.AggEvents = append(want.AggEvents, AggEvent{Cells: cells})
-	if err := l.AppendAggFlush(4); err != nil {
+	if err := l.AppendAggFlush(4, 4); err != nil {
 		t.Fatalf("AppendAggFlush: %v", err)
 	}
 	want.AggEvents = append(want.AggEvents, AggEvent{Flush: true, Through: 4})
@@ -350,4 +351,28 @@ func TestStatsAndLag(t *testing.T) {
 	if st := l.Stats(); st.LagRecords != 0 {
 		t.Fatalf("LagRecords = %d after Sync, want 0", st.LagRecords)
 	}
+}
+
+// TestReaderVarint holds the reader's one- and two-byte fast paths to
+// encoding/binary over every value they cover and the boundaries beyond,
+// non-minimal encodings included.
+func TestReaderVarint(t *testing.T) {
+	check := func(enc []byte) {
+		t.Helper()
+		want, n := binary.Varint(enc)
+		r := &reader{b: append([]byte(nil), enc...)}
+		got := r.varint()
+		if (n <= 0) != r.err || (n > 0 && (got != want || len(r.b) != len(enc)-n)) {
+			t.Fatalf("varint(% x) = %d, %d left, err %v; binary.Varint = %d, n %d", enc, got, len(r.b), r.err, want, n)
+		}
+	}
+	for v := int64(-70000); v <= 70000; v++ {
+		check(binary.AppendVarint(nil, v))
+		check(append(binary.AppendVarint(nil, v), 0xff, 0x01)) // with bytes following
+	}
+	for _, enc := range [][]byte{{}, {0x80}, {0x80, 0x00}, {0xff, 0x7f}, {0x80, 0x80, 0x00}, {0xff, 0xff}, bytes.Repeat([]byte{0xff}, 11)} {
+		check(enc)
+	}
+	check(binary.AppendVarint(nil, math.MaxInt64))
+	check(binary.AppendVarint(nil, math.MinInt64))
 }

@@ -45,14 +45,20 @@ healthz_field() { # healthz_field <json-int-field>
   curl -fsS "$BASE/healthz" | sed -n "s/.*\"$1\":\([0-9-]*\).*/\1/p"
 }
 
+# wait_drained <bucket>: the queue is empty AND the report of the last job
+# window complete at <bucket> (cadence 3, no warmup) is published. An
+# empty queue alone only says the last bucket was read; its step may
+# still be running, and the report it publishes still missing.
 wait_drained() {
-  local depth=""
+  local due=$(( ($1 + 1) / 3 * 3 - 1 )) depth="" to=""
   for _ in $(seq 1 300); do
     depth=$(healthz_field queue_depth)
-    [ "${depth:-1}" = "0" ] && break
+    to=$(healthz_field last_window_to)
+    [ "${depth:-1}" = "0" ] && [ "${to:--1}" -ge "$due" ] && return 0
     sleep 0.2
   done
-  [ "${depth:-1}" = "0" ] || { echo "crash-smoke: backend failed to drain (queue_depth=$depth)" >&2; exit 1; }
+  echo "crash-smoke: backend failed to drain through bucket $1 (queue_depth=$depth last_window_to=$to)" >&2
+  exit 1
 }
 
 # --- Control arm: uninterrupted, in-memory ---
@@ -60,7 +66,7 @@ wait_drained() {
 DPID=$!
 wait_up
 "$WORK/blameit-tracegen" "${TGEN[@]}" -post "$BASE" >/dev/null
-wait_drained
+wait_drained 287
 curl -fsS "$BASE/v1/reports" > "$WORK/index-control.json"
 for b in 119 200 287; do
   curl -fsS "$BASE/v1/reports/$b" > "$WORK/report$b-control.json"
@@ -118,14 +124,14 @@ ki=0
 for kb in 40 120 170 230; do
   feed_range "$next" "$kb"
   next=$((kb + 1))
-  if [ $((ki % 2)) = 0 ]; then wait_drained; fi
+  if [ $((ki % 2)) = 0 ]; then wait_drained "$kb"; fi
   ki=$((ki + 1))
   kill -9 "$DPID"; wait "$DPID" 2>/dev/null || true
   DPID=""
   start_wal_daemon
 done
 feed_range "$next" 287
-wait_drained
+wait_drained 287
 
 recovered=$(healthz_field recovered_reports)
 [ "${recovered:-0}" -gt 0 ] || { echo "crash-smoke: final restart recovered no reports" >&2; exit 1; }
