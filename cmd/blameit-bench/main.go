@@ -379,10 +379,10 @@ func main() {
 	fcfg := pipeline.DefaultConfig()
 	fstart := time.Now()
 	fp := pipeline.New(pipeline.Deps{
-		World:      fsim.World,
-		Table:      fsim.Routes,
-		Aggregates: fleet.NewCollector(fleet.New(fsim, benchAgents), chaos.Config{Seed: 1}),
-		Prober:     probe.NewEngine(fsim, fcfg.ProbeNoiseMS),
+		World:  fsim.World,
+		Table:  fsim.Routes,
+		Source: fleet.NewCollector(fleet.New(fsim, benchAgents), chaos.Config{Seed: 1}),
+		Prober: probe.NewEngine(fsim, fcfg.ProbeNoiseMS),
 	}, fcfg)
 	if err := fp.Warmup(0, netmodel.BucketsPerDay); err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)

@@ -31,8 +31,9 @@
 // prefix space splits across N agents, each pre-aggregates its slice of
 // every bucket into a quartet partial, and the records become aggregate
 // cells (POSTed to URL/v1/aggregates in -post mode, written as AggCell
-// JSONL otherwise). The daemon merges the partials back into per-bucket
-// aggregates, so the reports are byte-identical to the raw feed's:
+// JSONL otherwise). The daemon serves each bucket's partials to the
+// pipeline in canonical (agent, epoch, seq) order, so the reports are
+// byte-identical to the raw feed's:
 //
 //	blameit-tracegen -scale medium -days 2 -fleet 8 -post http://localhost:7031
 package main

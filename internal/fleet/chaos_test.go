@@ -42,10 +42,10 @@ func runFleetArm(t *testing.T, chaosOn bool, fs []faults.Fault, days, agents int
 	}
 	res.col = fleet.NewCollector(res.fl, ccfg)
 	p := pipeline.New(pipeline.Deps{
-		World:      s.World,
-		Table:      s.Routes,
-		Aggregates: res.col,
-		Prober:     probe.NewEngine(s, cfg.ProbeNoiseMS),
+		World:  s.World,
+		Table:  s.Routes,
+		Source: res.col,
+		Prober: probe.NewEngine(s, cfg.ProbeNoiseMS),
 	}, cfg)
 	res.pipe = p
 	if err := p.Warmup(0, netmodel.BucketsPerDay); err != nil {

@@ -132,9 +132,9 @@ type Stats struct {
 }
 
 // Collector merges the fleet's delivered partials into per-bucket
-// aggregates and serves them to the pipeline (it implements
-// pipeline.AggregateSource). Not safe for concurrent use — the pipeline
-// reads buckets serially.
+// aggregates and serves each to the pipeline as its canonically folded
+// observation stream (it implements ingest.ObservationSource). Not safe
+// for concurrent use — the pipeline reads buckets serially.
 type Collector struct {
 	fleet *Fleet
 	cfg   chaos.Config
@@ -220,14 +220,14 @@ func (c *Collector) deliver(p *quartet.Partial) {
 	}
 }
 
-// AggregatesAt drives one bucket of the fleet: agents collect and
+// ObservationsAt drives one bucket of the fleet: agents collect and
 // pre-aggregate their slices, the delivery fabric applies its faults,
 // lagged partials whose delivery time arrived are flushed, and the
-// bucket's merged aggregate is sealed and handed to the pipeline. A nil
-// aggregate means every partial of the bucket was lost.
-func (c *Collector) AggregatesAt(ctx context.Context, b netmodel.Bucket) (*quartet.Aggregate, error) {
+// bucket's merged aggregate is sealed and its observations appended to
+// buf — none when every partial of the bucket was lost.
+func (c *Collector) ObservationsAt(ctx context.Context, b netmodel.Bucket, buf []trace.Observation) ([]trace.Observation, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return buf, err
 	}
 	// Transient collector failure, rolled before any agent state advances
 	// so the pipeline's retry re-reads an identical bucket.
@@ -236,7 +236,7 @@ func (c *Collector) AggregatesAt(ctx context.Context, b netmodel.Bucket) (*quart
 		c.erredBucket, c.erredPrimed = b, true
 		c.stats.TransientErrs++
 		c.count(&c.mTransient, "fleet.collector.transient_errs")
-		return nil, ingest.Transient(fmt.Errorf("fleet: injected transient collector failure at bucket %d", b))
+		return buf, ingest.Transient(fmt.Errorf("fleet: injected transient collector failure at bucket %d", b))
 	}
 	for _, ag := range c.fleet.Agents {
 		c.stats.Attempted++
@@ -287,5 +287,8 @@ func (c *Collector) AggregatesAt(ctx context.Context, b netmodel.Bucket) (*quart
 	agg := c.pending[b]
 	delete(c.pending, b)
 	c.frontier = b + 1
-	return agg, nil
+	if agg == nil {
+		return buf, nil
+	}
+	return agg.Observations(buf), nil
 }

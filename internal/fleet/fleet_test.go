@@ -18,6 +18,7 @@ import (
 	"blameit/internal/quartet"
 	"blameit/internal/sim"
 	"blameit/internal/topology"
+	"blameit/internal/trace"
 )
 
 // buildSim constructs the shared deterministic world for one arm. Every
@@ -83,7 +84,7 @@ type shuffledCollector struct {
 	rng   *rand.Rand
 }
 
-func (sc *shuffledCollector) AggregatesAt(_ context.Context, b netmodel.Bucket) (*quartet.Aggregate, error) {
+func (sc *shuffledCollector) ObservationsAt(_ context.Context, b netmodel.Bucket, buf []trace.Observation) ([]trace.Observation, error) {
 	parts := make([]*quartet.Partial, 0, len(sc.fleet.Agents))
 	for _, ag := range sc.fleet.Agents {
 		parts = append(parts, ag.Collect(b))
@@ -93,7 +94,7 @@ func (sc *shuffledCollector) AggregatesAt(_ context.Context, b netmodel.Bucket) 
 	for _, p := range parts {
 		agg.Add(p)
 	}
-	return agg, nil
+	return agg.Observations(buf), nil
 }
 
 // TestFleetMatchesCentralized is the tentpole equivalence property end
@@ -126,10 +127,10 @@ func TestFleetMatchesCentralized(t *testing.T) {
 		}
 		col := fleet.NewCollector(f, chaos.Config{Seed: int64(agents)})
 		got := runReports(t, pipeline.Deps{
-			World:      s.World,
-			Table:      s.Routes,
-			Aggregates: col,
-			Prober:     probe.NewEngine(s, cfg.ProbeNoiseMS),
+			World:  s.World,
+			Table:  s.Routes,
+			Source: col,
+			Prober: probe.NewEngine(s, cfg.ProbeNoiseMS),
 		}, horizon)
 		if !bytes.Equal(got, want) {
 			t.Errorf("%d-agent fleet reports diverge from centralized (%d vs %d bytes)", agents, len(got), len(want))
@@ -149,10 +150,10 @@ func TestFleetMatchesCentralized(t *testing.T) {
 	s, _ := buildSim(days, fs)
 	sc := &shuffledCollector{fleet: fleet.New(s, 16), rng: rand.New(rand.NewSource(7))}
 	got := runReports(t, pipeline.Deps{
-		World:      s.World,
-		Table:      s.Routes,
-		Aggregates: sc,
-		Prober:     probe.NewEngine(s, cfg.ProbeNoiseMS),
+		World:  s.World,
+		Table:  s.Routes,
+		Source: sc,
+		Prober: probe.NewEngine(s, cfg.ProbeNoiseMS),
 	}, horizon)
 	if !bytes.Equal(got, want) {
 		t.Error("shuffled-delivery fleet reports diverge from centralized")

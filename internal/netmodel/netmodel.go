@@ -233,15 +233,14 @@ type MiddleKey string
 
 // Key returns the MiddleKey for the path.
 func (p Path) Key() MiddleKey {
-	var sb strings.Builder
-	sb.Grow(8 + 8*len(p.Middle))
-	sb.WriteString("c")
-	sb.WriteString(strconv.Itoa(int(p.Cloud)))
+	// One allocation, the key itself: the step loop and Algorithm 1 call
+	// this once per quartet.
+	buf := make([]byte, 0, 64)
+	buf = strconv.AppendInt(append(buf, 'c'), int64(p.Cloud), 10)
 	for _, a := range p.Middle {
-		sb.WriteByte('|')
-		sb.WriteString(strconv.Itoa(int(a)))
+		buf = strconv.AppendInt(append(buf, '|'), int64(a), 10)
 	}
-	return MiddleKey(sb.String())
+	return MiddleKey(buf)
 }
 
 // FullKey encodes the complete AS-level path including the client AS. Two

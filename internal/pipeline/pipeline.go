@@ -251,34 +251,19 @@ func ReportFromCanonical(data []byte) (*Report, error) {
 	}, nil
 }
 
-// AggregateSource delivers one bucket's merged quartet aggregate — the
-// edge-aggregated alternative to a raw ObservationSource. Implementations
-// (a fleet collector merging per-agent partials, the blameitd aggregate
-// endpoint) own the returned aggregate; the pipeline reads its canonical
-// cells during the call and never retains it. A nil aggregate means the
-// bucket delivered nothing. Errors follow the ObservationSource contract:
-// ingest.TransientError values are retried per Config.SourceRetries,
-// anything else is fatal.
-type AggregateSource interface {
-	AggregatesAt(ctx context.Context, b netmodel.Bucket) (*quartet.Aggregate, error)
-}
-
 // Deps are the pipeline's external dependencies: the topology and routing
 // views shared with the telemetry backends, the passive telemetry feed,
 // the active-phase prober, and optionally the storage layer behind the
-// source (for §6.1 scan-cost accounting). World, Table, and Prober are
-// required, plus exactly one telemetry feed: a raw observation Source or
-// an Aggregates source of merged edge partials. Either way Step classifies
-// from merged aggregate cells — a raw Source just goes through the
-// trivial one-agent aggregation first.
+// source (for §6.1 scan-cost accounting). World, Table, Source, and Prober
+// are required. Source is the one telemetry feed, whoever produced the
+// observations — a trace, a simulator, the daemon's queue, a fleet
+// collector's merged edge partials: Step validates the bucket's stream and
+// classifies from its trivial one-agent aggregation.
 type Deps struct {
 	World  *topology.World
 	Table  *bgp.Table
 	Source ingest.ObservationSource
-	// Aggregates feeds the pipeline pre-merged edge aggregates instead of
-	// raw observations. Mutually exclusive with Source.
-	Aggregates AggregateSource
-	Prober     probe.Prober
+	Prober probe.Prober
 	// Store, when non-nil, is the ingestion store the Source reads through;
 	// the pipeline exposes it for scan-cost reporting but never bypasses
 	// the Source to reach it.
@@ -322,11 +307,8 @@ type Pipeline struct {
 	Provider netmodel.ProviderID
 
 	// Source feeds the passive phase; Prober serves the active phase.
-	// Aggregates replaces Source when the feed is pre-merged edge
-	// partials (exactly one of the two is set).
-	Source     ingest.ObservationSource
-	Aggregates AggregateSource
-	Prober     probe.Prober
+	Source ingest.ObservationSource
+	Prober probe.Prober
 	// Store is the ingestion store behind Source, when there is one (nil
 	// for direct live or streaming sources). Read-only accounting.
 	Store *trace.Store
@@ -369,12 +351,10 @@ type Pipeline struct {
 	windowPrimed bool
 	obsBuf       []trace.Observation
 
-	// agg is the per-bucket merged aggregate Step classifies from. Both
-	// feeds converge on it: the validated observation stream of the bucket
-	// (raw reads after quarantine, or the reconstruction of an upstream
-	// merged aggregate, re-validated the same way) is folded into aggPart,
-	// the trivial one-agent aggregation, and agg holds exactly that
-	// partial. Both are recycled across buckets.
+	// agg is the per-bucket merged aggregate Step classifies from: the
+	// bucket's observation stream, validated by the quarantine, is folded
+	// into aggPart, the trivial one-agent aggregation, and agg holds
+	// exactly that partial. Both are recycled across buckets.
 	agg     *quartet.Aggregate
 	aggPart *quartet.Partial
 
@@ -421,11 +401,8 @@ type Pipeline struct {
 // topology works, which is what lets blameit -replay re-run a recorded
 // trace. Use NewSim for the conventional live wiring.
 func New(deps Deps, cfg Config) *Pipeline {
-	if deps.World == nil || deps.Table == nil || deps.Prober == nil {
-		panic("pipeline: Deps.World, Table, and Prober are all required")
-	}
-	if (deps.Source == nil) == (deps.Aggregates == nil) {
-		panic("pipeline: exactly one of Deps.Source and Deps.Aggregates is required")
+	if deps.World == nil || deps.Table == nil || deps.Source == nil || deps.Prober == nil {
+		panic("pipeline: Deps.World, Table, Source, and Prober are all required")
 	}
 	if deps.Provider < 0 || int(deps.Provider) >= deps.World.NumProviders() {
 		panic(fmt.Sprintf("pipeline: Deps.Provider %d outside the world's %d providers", deps.Provider, deps.World.NumProviders()))
@@ -457,29 +434,25 @@ func New(deps Deps, cfg Config) *Pipeline {
 		}
 	}
 	p := &Pipeline{
-		World:      deps.World,
-		Table:      deps.Table,
-		Cfg:        cfg,
-		Provider:   deps.Provider,
-		Source:     deps.Source,
-		Aggregates: deps.Aggregates,
-		Prober:     pr,
-		Store:      deps.Store,
-		Metrics:    reg,
-		Learner:    core.NewLearner(),
-		Durations:  predict.NewDurationPredictor(3),
-		Clients:    predict.NewClientPredictor(),
-		Alerter:    alerting.NewAlerter(cfg.TopNAlerts),
-		agg:        quartet.NewAggregate(0),
-		aggPart:    quartet.NewPartial(quartet.PartialID{}, 0),
+		World:     deps.World,
+		Table:     deps.Table,
+		Cfg:       cfg,
+		Provider:  deps.Provider,
+		Source:    deps.Source,
+		Prober:    pr,
+		Store:     deps.Store,
+		Metrics:   reg,
+		Learner:   core.NewLearner(),
+		Durations: predict.NewDurationPredictor(3),
+		Clients:   predict.NewClientPredictor(),
+		Alerter:   alerting.NewAlerter(cfg.TopNAlerts),
+		agg:       quartet.NewAggregate(0),
+		aggPart:   quartet.NewPartial(quartet.PartialID{}, 0),
 	}
 	if m, ok := p.Prober.(interface{ SetMetrics(*metrics.Registry) }); ok {
 		m.SetMetrics(reg)
 	}
 	if m, ok := p.Source.(interface{ SetMetrics(*metrics.Registry) }); ok {
-		m.SetMetrics(reg)
-	}
-	if m, ok := p.Aggregates.(interface{ SetMetrics(*metrics.Registry) }); ok {
 		m.SetMetrics(reg)
 	}
 	p.quar = ingest.NewQuarantine(netmodel.PrefixID(len(deps.World.Prefixes)), len(deps.World.Clouds))
@@ -604,9 +577,8 @@ func (p *Pipeline) StepContext(ctx context.Context, b netmodel.Bucket) (*Report,
 		p.lastSnap = p.Metrics.Snapshot()
 		p.lastSnapPrimed = true
 	}
-	// Passive collection and aggregation: the bucket's telemetry — raw
-	// records or upstream edge partials — converges on p.agg's merged
-	// cells, which is what classification consumes.
+	// Passive collection and aggregation: the bucket's telemetry converges
+	// on p.agg's merged cells, which is what classification consumes.
 	collectStart := time.Now()
 	if err := p.readBucket(ctx, b); err != nil {
 		return nil, err
@@ -682,32 +654,18 @@ func msSince(from, to time.Time) float64 {
 // readBucket fills p.obsBuf with bucket b's validated observation stream
 // and folds it into p.agg, the merged aggregate Step classifies from.
 //
-// With a raw Source the records are read directly; with an Aggregates
-// feed the upstream merged aggregate's canonical cells are reconstructed
-// into observations first. Either stream then passes through the
-// quarantine (late, corrupt, and duplicate records are diverted there
-// instead of reaching the aggregates — validation always precedes
-// aggregation, so chaos-injected duplicates are quarantined, never
-// silently merged) and the survivors fold into the trivial one-agent
-// aggregation. Transient read errors are retried up to Cfg.SourceRetries
+// The stream passes through the quarantine (late, corrupt, and duplicate
+// records are diverted there instead of reaching the aggregates —
+// validation always precedes aggregation, so duplicates, chaos-injected or
+// two edge partials claiming one quartet, are quarantined, never silently
+// merged) and the survivors fold into the trivial one-agent aggregation. Transient read errors are retried up to Cfg.SourceRetries
 // times; when retries run out the bucket is declared dark — counted,
 // records lost, run continues. Fatal errors (cancellation, strict decode
 // failures) propagate.
 func (p *Pipeline) readBucket(ctx context.Context, b netmodel.Bucket) error {
 	for attempt := 0; ; attempt++ {
 		var err error
-		if p.Aggregates != nil {
-			var agg *quartet.Aggregate
-			agg, err = p.Aggregates.AggregatesAt(ctx, b)
-			if err == nil {
-				p.obsBuf = p.obsBuf[:0]
-				if agg != nil {
-					p.obsBuf = agg.Observations(p.obsBuf)
-				}
-			}
-		} else {
-			p.obsBuf, err = p.Source.ObservationsAt(ctx, b, p.obsBuf[:0])
-		}
+		p.obsBuf, err = p.Source.ObservationsAt(ctx, b, p.obsBuf[:0])
 		if err == nil {
 			p.obsBuf = p.quar.Filter(b, p.obsBuf)
 			break
@@ -732,10 +690,12 @@ func (p *Pipeline) readBucket(ctx context.Context, b netmodel.Bucket) error {
 	}
 	// The trivial one-agent aggregation over the validated stream. The
 	// quarantine guarantees per-bucket key uniqueness, so the cells are
-	// exactly the validated observations in canonical order.
+	// exactly the validated observations in canonical order: they are
+	// appended as they come, with no index to find colliding keys by and no
+	// latency sketch, which nothing reads off this partial.
 	p.aggPart.Reset(quartet.PartialID{Seq: int64(b)}, b)
 	for _, o := range p.obsBuf {
-		p.aggPart.Observe(o)
+		p.aggPart.Cells = append(p.aggPart.Cells, quartet.Cell{Key: quartet.KeyOf(o), Samples: o.Samples, MeanRTT: o.MeanRTT, Clients: o.Clients})
 	}
 	p.agg.Reset(b)
 	p.agg.Add(p.aggPart)

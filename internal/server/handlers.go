@@ -11,9 +11,9 @@ import (
 
 	"blameit/internal/active"
 	"blameit/internal/ingest"
+	"blameit/internal/metrics"
 	"blameit/internal/netmodel"
 	"blameit/internal/pipeline"
-	"blameit/internal/trace"
 )
 
 func (s *Server) routes() {
@@ -80,6 +80,64 @@ func batchLines(body []byte) int {
 	return min(bytes.Count(body, []byte{'\n'})+1, len(body)/3+1)
 }
 
+// admitBatch is the front half the two ingestion handlers share: refuse
+// while draining (503), read the bounded body (413 beyond MaxBatchBytes),
+// decode it — one undecodable line fails the whole batch with 400 unless
+// ?mode=salvage routes such lines to the ingestion quarantine — and push the
+// records into the queue, atomically and in body order (429 with
+// Retry-After when it is full, so clients back off). Unless ok it has
+// answered the request; rejected counts the feed's refused bodies.
+func admitBatch[T any](s *Server, w http.ResponseWriter, r *http.Request, rejected *metrics.Counter,
+	decode func(body []byte, buf []T, onBad func(line []byte)) ([]T, error),
+	push func([]T) error) (recs []T, salvaged int, ok bool) {
+	if s.draining.Load() {
+		writeError(w, http.StatusServiceUnavailable, "draining: ingestion is closed")
+		return nil, 0, false
+	}
+	body, err := readBatch(w, r, s.cfg.MaxBatchBytes)
+	if err != nil {
+		rejected.Inc()
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			s.mOversized.Inc()
+			writeError(w, http.StatusRequestEntityTooLarge, "batch exceeds %d bytes", tooLarge.Limit)
+			return nil, 0, false
+		}
+		writeError(w, http.StatusBadRequest, "reading batch: %v", err)
+		return nil, 0, false
+	}
+	var onBad func([]byte)
+	if r.URL.Query().Get("mode") == "salvage" {
+		at := s.q.Watermark()
+		onBad = func(line []byte) {
+			salvaged++
+			s.frontMu.Lock()
+			s.frontQuar.RejectLine(line, at)
+			s.frontMu.Unlock()
+		}
+	}
+	recs, err = decode(body, make([]T, 0, batchLines(body)), onBad)
+	if err != nil {
+		rejected.Inc()
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return nil, 0, false
+	}
+	err = push(recs)
+	pending, _ := s.q.Depth()
+	switch {
+	case errors.Is(err, ErrBackpressure):
+		s.mBackpress.Inc()
+		w.Header().Set("Retry-After", retryAfterSeconds(pending, s.cfg.MaxPendingRecords))
+		writeError(w, http.StatusTooManyRequests, "ingest queue full (%d records pending); retry after the backend drains", s.cfg.MaxPendingRecords)
+		return nil, 0, false
+	case err != nil:
+		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		return nil, 0, false
+	}
+	s.gQueueDepth.Set(int64(pending))
+	return recs, salvaged, true
+}
+
 // ingestResponse summarizes one accepted batch.
 type ingestResponse struct {
 	Accepted int `json:"accepted"`
@@ -87,64 +145,50 @@ type ingestResponse struct {
 	Rejected int `json:"rejected,omitempty"`
 }
 
-// handleIngest accepts one JSONL observation batch. The body is bounded by
-// MaxBatchBytes (413 beyond it); undecodable lines fail the whole batch
-// with 400 unless ?mode=salvage routes them to the ingestion quarantine; a
-// full queue answers 429 so clients back off; a draining server answers
-// 503. Decoded records are enqueued atomically, in body order.
+// handleIngest accepts one JSONL observation batch (see admitBatch).
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "draining: ingestion is closed")
-		return
-	}
-	body, err := readBatch(w, r, s.cfg.MaxBatchBytes)
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			s.mOversized.Inc()
-			s.mRejected.Inc()
-			writeError(w, http.StatusRequestEntityTooLarge, "batch exceeds %d bytes", tooLarge.Limit)
-			return
-		}
-		s.mRejected.Inc()
-		writeError(w, http.StatusBadRequest, "reading batch: %v", err)
-		return
-	}
-	salvage := r.URL.Query().Get("mode") == "salvage"
-	var onBad func([]byte)
-	rejected := 0
-	if salvage {
-		at := s.q.Watermark()
-		onBad = func(line []byte) {
-			rejected++
-			s.frontMu.Lock()
-			s.frontQuar.RejectLine(line, at)
-			s.frontMu.Unlock()
-		}
-	}
-	obs, err := ingest.DecodeBatch(body, make([]trace.Observation, 0, batchLines(body)), onBad)
-	if err != nil {
-		s.mRejected.Inc()
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if err := s.q.Push(obs); err != nil {
-		switch {
-		case errors.Is(err, ErrBackpressure):
-			s.mBackpress.Inc()
-			pending, _ := s.q.Depth()
-			w.Header().Set("Retry-After", retryAfterSeconds(pending, s.cfg.MaxPendingRecords))
-			writeError(w, http.StatusTooManyRequests, "ingest queue full (%d records pending); retry after the backend drains", s.cfg.MaxPendingRecords)
-		default:
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
-		}
+	obs, salvaged, ok := admitBatch(s, w, r, s.mRejected, ingest.DecodeBatch, s.q.Push)
+	if !ok {
 		return
 	}
 	s.mBatches.Inc()
 	s.mRecords.Add(int64(len(obs)))
-	pending, _ := s.q.Depth()
-	s.gQueueDepth.Set(int64(pending))
-	writeJSON(w, http.StatusAccepted, ingestResponse{Accepted: len(obs), Rejected: rejected})
+	writeJSON(w, http.StatusAccepted, ingestResponse{Accepted: len(obs), Rejected: salvaged})
+}
+
+// aggResponse summarizes one accepted aggregate batch.
+type aggResponse struct {
+	Cells    int `json:"cells"`
+	Partials int `json:"partials"`
+	// Deduped counts partials dropped as redeliveries of an identity still
+	// pending in the queue.
+	Deduped int `json:"deduped,omitempty"`
+	// Rejected counts salvage-mode lines diverted to the quarantine.
+	Rejected int `json:"rejected,omitempty"`
+}
+
+// handleAggregates accepts one JSONL aggregate-cell batch from an
+// edge-aggregating fleet (see admitBatch). A record here is a partial's
+// cell, not a raw observation; the queue takes the batch as one run per
+// (agent, epoch, seq) partial, which must therefore arrive whole — one
+// partial's cells within one batch.
+func (s *Server) handleAggregates(w http.ResponseWriter, r *http.Request) {
+	var adm cellAdmission
+	cells, salvaged, ok := admitBatch(s, w, r, s.mAggRejected, ingest.DecodeAggBatch, func(cells []ingest.AggCell) (err error) {
+		adm, err = s.q.PushCells(cells)
+		return err
+	})
+	if !ok {
+		return
+	}
+	s.mAggBatches.Inc()
+	s.mAggCells.Add(int64(len(cells)))
+	s.mAggPartials.Add(int64(adm.partials))
+	s.mAggDeduped.Add(int64(adm.deduped))
+	s.mAggFlushed.Add(int64(adm.records))
+	writeJSON(w, http.StatusAccepted, aggResponse{
+		Cells: len(cells), Partials: adm.partials, Deduped: adm.deduped, Rejected: salvaged,
+	})
 }
 
 // sealRequest advances the seal watermark: every bucket <= Through becomes
@@ -172,14 +216,6 @@ func (s *Server) handleSeal(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Through < 0 {
 		writeError(w, http.StatusBadRequest, "seal through %d must be >= 0", req.Through)
-		return
-	}
-	// Sealing a bucket completes it for the aggregate feed too: flush the
-	// covered buffered aggregates before the watermark moves past them.
-	if err := s.flushAggregates(req.Through); err != nil {
-		pending, _ := s.q.Depth()
-		w.Header().Set("Retry-After", retryAfterSeconds(pending, s.cfg.MaxPendingRecords))
-		writeError(w, http.StatusTooManyRequests, "flushing buffered aggregates: %v; retry the seal after the backend drains", err)
 		return
 	}
 	s.q.SealThrough(req.Through)

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"blameit/internal/netmodel"
+	"blameit/internal/quartet"
 	"blameit/internal/trace"
 )
 
@@ -347,5 +348,74 @@ func TestVerdictsSinceFilter(t *testing.T) {
 	}
 	if len(since) != 2 || since[0].To != 5 {
 		t.Fatalf("since=5 windows = %+v, want the 3-5 and 6-6 windows", since)
+	}
+}
+
+// TestAggregateCellsCountAsQueueDepth: cells accepted on /v1/aggregates
+// wait in the one ingest queue, so /healthz queue_depth and the
+// server.ingest.queue_depth gauge count them while they wait and read zero
+// once the backend has consumed them.
+func TestAggregateCellsCountAsQueueDepth(t *testing.T) {
+	e := newTestEnv(t, func(c *Config) { c.ManualSeal = true })
+	obs := e.bucketObs(0)
+	half := len(obs) / 2
+	e.mustPost(t, "/v1/aggregates", aggBody(t,
+		partialOf(quartet.PartialID{Agent: 0, Seq: 1}, 0, obs[:half]),
+		partialOf(quartet.PartialID{Agent: 1, Seq: 1}, 0, obs[half:])))
+	depth := func() (health int, gauge int64) {
+		_, h := e.health(t)
+		_, gauges := e.metricsSnapshot(t)
+		return h.QueueDepth, gauges["server.ingest.queue_depth"]
+	}
+	if h, g := depth(); h != len(obs) || g != int64(len(obs)) {
+		t.Fatalf("with %d cells waiting: healthz queue_depth = %d, gauge = %d", len(obs), h, g)
+	}
+	e.seal(t, 0)
+	waitFor(t, "the backend to consume bucket 0", func() bool {
+		h, g := depth()
+		return h == 0 && g == 0
+	})
+}
+
+// TestBackpressureOnlyOnRefusedPosts pins the admission contract: the two
+// feeds share one budget, server.ingest.backpressure counts exactly the
+// 429s answered to ingest and aggregates POSTs, an accepted batch never
+// counts, and POST /v1/seal — which moves a watermark and queues nothing —
+// is never refused, full queue or not.
+func TestBackpressureOnlyOnRefusedPosts(t *testing.T) {
+	e := newTestEnv(t, func(c *Config) {
+		c.ManualSeal = true // nothing drains before the seal
+		c.MaxPendingRecords = 10
+	})
+	obs := e.bucketObs(0)
+	if len(obs) < 12 {
+		t.Fatalf("bucket 0 has %d observations; need >= 12", len(obs))
+	}
+	partial := func(agent int, obs []trace.Observation) []byte {
+		return aggBody(t, partialOf(quartet.PartialID{Agent: agent, Seq: 1}, 0, obs))
+	}
+	refused := 0
+	for i, step := range []struct {
+		path string
+		body []byte
+		want int
+	}{
+		{"/v1/aggregates", partial(0, obs[:4]), http.StatusAccepted},
+		{"/v1/ingest", jsonlBody(t, obs[4:10]), http.StatusAccepted}, // the queue is now exactly full
+		{"/v1/aggregates", partial(1, obs[10:11]), http.StatusTooManyRequests},
+		{"/v1/ingest", jsonlBody(t, obs[10:11]), http.StatusTooManyRequests},
+		{"/v1/seal", []byte(`{"through":0}`), http.StatusAccepted},
+	} {
+		status, body := e.post(t, step.path, step.body)
+		if status != step.want {
+			t.Fatalf("step %d: POST %s = %d (%s), want %d", i, step.path, status, body, step.want)
+		}
+		if status == http.StatusTooManyRequests {
+			refused++
+		}
+	}
+	counters, _ := e.metricsSnapshot(t)
+	if got := counters["server.ingest.backpressure"]; got != int64(refused) {
+		t.Errorf("server.ingest.backpressure = %d after %d refused POSTs", got, refused)
 	}
 }

@@ -3,9 +3,12 @@ package server
 import (
 	"context"
 	"errors"
+	"sort"
 	"sync"
 
+	"blameit/internal/ingest"
 	"blameit/internal/netmodel"
+	"blameit/internal/quartet"
 	"blameit/internal/trace"
 )
 
@@ -19,28 +22,6 @@ var (
 	ErrClosed = errors.New("server: ingest queue closed")
 )
 
-// ingestQueue is the seam between the HTTP frontend and the pipeline
-// backend: handlers Push record batches into per-bucket pending buffers,
-// and the backend reads them out through the ingest.ObservationSource
-// interface — the same interface a file replay or a live simulator feeds
-// the pipeline through, which is what keeps the daemon byte-equivalent to
-// the batch CLI.
-//
-// A bucket becomes readable when it SEALS. In the streaming mode (the
-// default), a record for bucket X seals every bucket below X — the
-// watermark discipline of a bucket-ordered trace replay. SealThrough
-// advances the watermark explicitly (the loadgen's final seal, or a
-// deployment that seals on wall-clock). Closing the queue seals everything
-// still pending, so a draining backend steps the remaining buckets and
-// stops.
-//
-// Ordering: within a bucket, records are served in arrival order (Push
-// appends under the lock), which is the order-equivalence contract of
-// ObservationSource. Records arriving for a bucket the backend has already
-// consumed are held and delivered with the next read, where the pipeline's
-// quarantine rejects them as late — exactly how a chaos-injected late
-// batch is treated. Records for buckets the backend skipped over (warmup
-// subsampling) are discarded, as a streaming replay discards them.
 // queueJournal receives the queue's externally visible events for the
 // durability layer: accepted batches in push order, explicit seals, and
 // the exact per-bucket streams served to the backend. Calls happen under
@@ -50,10 +31,90 @@ var (
 // (degrading durability loudly) rather than failing the data plane.
 type queueJournal interface {
 	journalBatch(obs []trace.Observation)
+	journalAggBatch(cells []ingest.AggCell)
 	journalSeal(through netmodel.Bucket)
 	journalBucket(b netmodel.Bucket, obs []trace.Observation)
 }
 
+// run is one bucket's records from one body, in body order. A run of the
+// raw feed is anonymous; a run of the aggregate feed is one partial and
+// carries its identity.
+type run struct {
+	id  quartet.PartialID
+	agg bool
+	obs []trace.Observation
+}
+
+// partialKey identifies a pending aggregate run.
+type partialKey struct {
+	b  netmodel.Bucket
+	id quartet.PartialID
+}
+
+// cellRuns regroups a decoded aggregate batch into runs, one per (agent,
+// epoch, seq, bucket) in order of first appearance, each partial's cells in
+// body order. A partial's cells normally sit together, and its run is then
+// a slice of the one array the cells were converted into.
+func cellRuns(cells []ingest.AggCell) []run {
+	obs := make([]trace.Observation, len(cells))
+	for i, c := range cells {
+		obs[i] = c.Observation()
+	}
+	var runs []run
+	index := make(map[partialKey]int)
+	for i := 0; i < len(cells); {
+		k := partialKey{cells[i].Bucket, cells[i].ID()}
+		n := i + 1
+		for n < len(cells) && cells[n].Bucket == k.b && cells[n].ID() == k.id {
+			n++
+		}
+		if at, seen := index[k]; seen {
+			runs[at].obs = append(runs[at].obs, obs[i:n]...)
+		} else {
+			index[k] = len(runs)
+			runs = append(runs, run{id: k.id, agg: true, obs: obs[i:n:n]})
+		}
+		i = n
+	}
+	return runs
+}
+
+// cellAdmission is what became of one accepted aggregate batch.
+type cellAdmission struct {
+	partials int // runs queued
+	deduped  int // runs dropped as redeliveries
+	records  int // cells queued
+}
+
+// ingestQueue is the seam between the HTTP frontend and the pipeline
+// backend, and the daemon's one ingest buffer: both POST handlers push
+// their decoded batches into it as per-bucket runs, and the backend reads
+// them out through the ingest.ObservationSource interface — the same
+// interface a file replay or a live simulator feeds the pipeline through,
+// which is what keeps the daemon byte-equivalent to the batch CLI.
+//
+// A bucket becomes readable when it SEALS. In the streaming mode (the
+// default), a record for bucket X seals every bucket below X — the
+// watermark discipline of a bucket-ordered trace replay. SealThrough
+// advances the watermark explicitly (the loadgen's final seal, or a
+// deployment that seals on wall-clock). Closing the queue seals everything
+// still pending, so a draining backend steps the remaining buckets and
+// stops.
+//
+// Ordering: a bucket is served as its runs concatenated — the raw feed's
+// runs first, in arrival order (the order-equivalence contract of
+// ObservationSource), then the aggregate feed's in PartialID order, which
+// is the canonical fold of quartet.Aggregate: a bucket's partials give the
+// same stream in whatever order, and split over whatever bodies, they
+// arrived. A partial redelivered while its bucket is still pending is
+// dropped by its (agent, epoch, seq) identity. Nothing is merged: two
+// partials (or two cells of one) claiming the same quartet both reach the
+// pipeline, whose quarantine keeps the first and counts the other as a
+// duplicate. Records arriving for a bucket the backend has already
+// consumed are held and delivered with the next read, where the quarantine
+// rejects them as late — exactly how a chaos-injected late batch is
+// treated. Records for buckets the backend skipped over (warmup
+// subsampling) are discarded, as a streaming replay discards them.
 type ingestQueue struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -64,7 +125,10 @@ type ingestQueue struct {
 	// replay has caught up.
 	jrn queueJournal
 
-	pending map[netmodel.Bucket][]trace.Observation
+	pending map[netmodel.Bucket][]run
+	// partials holds the identity of every pending aggregate run, to drop
+	// redeliveries by.
+	partials map[partialKey]struct{}
 	// stale holds arrivals for already-consumed buckets until the next
 	// read flushes them into the pipeline's late-record quarantine path.
 	stale []trace.Observation
@@ -90,7 +154,8 @@ type ingestQueue struct {
 
 func newIngestQueue(maxRecords int, manualSeal bool) *ingestQueue {
 	q := &ingestQueue{
-		pending:    make(map[netmodel.Bucket][]trace.Observation),
+		pending:    make(map[netmodel.Bucket][]run),
+		partials:   make(map[partialKey]struct{}),
 		maxRecords: maxRecords,
 		manualSeal: manualSeal,
 		stepped:    -1,
@@ -99,18 +164,15 @@ func newIngestQueue(maxRecords int, manualSeal bool) *ingestQueue {
 	return q
 }
 
-// Push enqueues one decoded batch. The whole batch is accepted or refused:
-// over capacity returns ErrBackpressure (nothing enqueued), after Close
-// returns ErrClosed. An accepted batch belongs to the queue: the caller
-// must not write to obs afterwards.
+// Push enqueues one decoded raw batch. The whole batch is accepted or
+// refused: over capacity returns ErrBackpressure (nothing enqueued), after
+// Close returns ErrClosed. An accepted batch belongs to the queue: the
+// caller must not write to obs afterwards.
 func (q *ingestQueue) Push(obs []trace.Observation) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.closed {
-		return ErrClosed
-	}
-	if q.maxRecords > 0 && q.records+len(obs) > q.maxRecords {
-		return ErrBackpressure
+	if err := q.admitLocked(len(obs)); err != nil {
+		return err
 	}
 	if q.jrn != nil {
 		// Journal before the in-memory accept so an acknowledged batch is
@@ -121,47 +183,95 @@ func (q *ingestQueue) Push(obs []trace.Observation) error {
 	return nil
 }
 
-// pushRecovered enqueues a batch replayed from the journal: no capacity
-// check (the records were accepted once already and must not be dropped
-// now) and no re-journaling.
-func (q *ingestQueue) pushRecovered(obs []trace.Observation) {
+// PushCells is Push for one decoded aggregate batch. Admission is graded
+// on the whole batch, redeliveries included.
+func (q *ingestQueue) PushCells(cells []ingest.AggCell) (cellAdmission, error) {
+	runs := cellRuns(cells)
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if err := q.admitLocked(len(cells)); err != nil {
+		return cellAdmission{}, err
+	}
+	if q.jrn != nil {
+		q.jrn.journalAggBatch(cells)
+	}
+	return q.pushRunsLocked(runs), nil
+}
+
+func (q *ingestQueue) admitLocked(n int) error {
+	if q.closed {
+		return ErrClosed
+	}
+	if q.maxRecords > 0 && q.records+n > q.maxRecords {
+		return ErrBackpressure
+	}
+	return nil
+}
+
+// pushRecovered enqueues what is left of a batch replayed from the journal:
+// no capacity check (the records were accepted once already and must not be
+// dropped now) and no re-journaling.
+func (q *ingestQueue) pushRecovered(obs []trace.Observation, cells []ingest.AggCell) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return
 	}
 	q.pushLocked(obs)
+	q.pushRunsLocked(cellRuns(cells))
 }
 
-// pushLocked routes a batch into the queue, which takes the slice over:
-// a batch is mostly one bucket's records, so each run of equal buckets is
-// moved as a whole, and a run that opens its bucket stays where it was
-// decoded instead of being copied (capacity clipped, so that appending to
-// one bucket cannot write into the next run).
+// pushLocked routes a raw batch into the queue, which takes the slice over:
+// a batch is mostly one bucket's records, so each stretch of equal buckets
+// becomes a run where it was decoded instead of being copied.
 func (q *ingestQueue) pushLocked(obs []trace.Observation) {
-	q.records += len(obs)
-	q.pushed += int64(len(obs))
 	for len(obs) > 0 {
-		b, n := obs[0].Bucket, 1
-		for n < len(obs) && obs[n].Bucket == b {
+		n := 1
+		for n < len(obs) && obs[n].Bucket == obs[0].Bucket {
 			n++
 		}
-		run := obs[:n:n]
+		q.pushRunLocked(run{obs: obs[:n]})
 		obs = obs[n:]
-		switch {
-		case b < q.frontier:
-			q.stale = append(q.stale, run...)
-			continue
-		case q.pending[b] == nil:
-			q.pending[b] = run
-		default:
-			q.pending[b] = append(q.pending[b], run...)
+	}
+	q.cond.Broadcast()
+}
+
+func (q *ingestQueue) pushRunsLocked(runs []run) (adm cellAdmission) {
+	for _, r := range runs {
+		if q.pushRunLocked(r) {
+			adm.partials++
+			adm.records += len(r.obs)
+		} else {
+			adm.deduped++
 		}
+	}
+	q.cond.Broadcast()
+	return adm
+}
+
+// pushRunLocked queues one run under its bucket, or holds it as stale when
+// the bucket is already consumed. It reports false, queueing nothing, for
+// an aggregate run whose identity is already pending.
+func (q *ingestQueue) pushRunLocked(r run) bool {
+	b := r.obs[0].Bucket
+	if b < q.frontier {
+		q.stale = append(q.stale, r.obs...)
+	} else {
+		if r.agg {
+			k := partialKey{b, r.id}
+			if _, dup := q.partials[k]; dup {
+				return false
+			}
+			q.partials[k] = struct{}{}
+		}
+		q.pending[b] = append(q.pending[b], r)
 		if !q.manualSeal && b > q.watermark {
 			q.watermark = b
 		}
 	}
-	q.cond.Broadcast()
+	q.records += len(r.obs)
+	q.pushed += int64(len(r.obs))
+	return true
 }
 
 // SealThrough marks every bucket up to and including b as sealed, letting
@@ -243,6 +353,20 @@ func (q *ingestQueue) Watermark() netmodel.Bucket {
 	return q.watermark
 }
 
+// dropLocked forgets bucket b's pending runs and returns how many records
+// they held.
+func (q *ingestQueue) dropLocked(b netmodel.Bucket) (n int) {
+	for _, r := range q.pending[b] {
+		n += len(r.obs)
+		if r.agg {
+			delete(q.partials, partialKey{b, r.id})
+		}
+	}
+	delete(q.pending, b)
+	q.records -= n
+	return n
+}
+
 // maxQueuedLocked returns the highest bucket with pending records, or -1.
 func (q *ingestQueue) maxQueuedLocked() netmodel.Bucket {
 	max := netmodel.Bucket(-1)
@@ -258,11 +382,9 @@ func (q *ingestQueue) maxQueuedLocked() netmodel.Bucket {
 // them (warmup subsampling) and a streaming source discards skipped
 // records rather than serving them late.
 func (q *ingestQueue) discardBelowLocked(b netmodel.Bucket) {
-	for pb, obs := range q.pending {
+	for pb := range q.pending {
 		if pb < b {
-			q.records -= len(obs)
-			q.discarded += int64(len(obs))
-			delete(q.pending, pb)
+			q.discarded += int64(q.dropLocked(pb))
 		}
 	}
 }
@@ -293,8 +415,9 @@ func (q *ingestQueue) awaitBucket(ctx context.Context, b netmodel.Bucket) bool {
 }
 
 // ObservationsAt implements ingest.ObservationSource: it serves bucket b's
-// records in arrival order, preceded by any held stale records (the
-// pipeline's quarantine rejects those as late). It blocks until b seals,
+// runs — raw ones in arrival order, then aggregate ones in PartialID order
+// — preceded by any held stale records (the pipeline's quarantine rejects
+// those as late). It blocks until b seals,
 // the queue closes, or ctx is cancelled; the pipeline's warmup and step
 // loops call it with non-decreasing buckets, discarding skipped ones.
 func (q *ingestQueue) ObservationsAt(ctx context.Context, b netmodel.Bucket, buf []trace.Observation) ([]trace.Observation, error) {
@@ -311,10 +434,19 @@ func (q *ingestQueue) ObservationsAt(ctx context.Context, b netmodel.Bucket, buf
 	}
 	start := len(buf)
 	buf = append(buf, q.stale...)
-	buf = append(buf, q.pending[b]...)
-	q.records -= len(q.stale) + len(q.pending[b])
+	q.records -= len(q.stale)
 	q.stale = q.stale[:0]
-	delete(q.pending, b)
+	runs := q.pending[b]
+	sort.SliceStable(runs, func(i, j int) bool {
+		if runs[i].agg != runs[j].agg {
+			return runs[j].agg
+		}
+		return runs[i].agg && runs[i].id.Less(runs[j].id)
+	})
+	for _, r := range runs {
+		buf = append(buf, r.obs...)
+	}
+	q.dropLocked(b)
 	if q.jrn != nil {
 		// Journal the exact slice served — stale-first order and all, and
 		// empty reads too: replaying these streams in order IS how recovery

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"blameit/internal/ingest"
 	"blameit/internal/netmodel"
 	"blameit/internal/trace"
 )
@@ -205,5 +206,54 @@ func TestQueueKeepsRunsApart(t *testing.T) {
 	}
 	if got, want := samples(1), []int{103, 104}; !reflect.DeepEqual(got, want) {
 		t.Errorf("bucket 1 served samples %v, want %v: a later append for bucket 0 wrote into its run", got, want)
+	}
+}
+
+// TestQueuePartialRuns: an aggregate batch queues as one run per partial,
+// a partial's cells regrouped even when the body interleaves them; a bucket
+// serves its raw runs in arrival order and then its partials in (agent,
+// epoch, seq) order, whatever order they arrived in; a partial redelivered
+// while its bucket is pending is dropped, and one redelivered after the
+// bucket was consumed is held as stale like any late record.
+func TestQueuePartialRuns(t *testing.T) {
+	cell := func(agent, samples int) ingest.AggCell {
+		return ingest.AggCell{Agent: agent, Seq: 1, Bucket: 0, Prefix: netmodel.PrefixID(samples), Samples: samples, MeanRTT: 50, Clients: 1}
+	}
+	q := newIngestQueue(0, true)
+	adm, err := q.PushCells([]ingest.AggCell{cell(2, 20), cell(1, 10), cell(2, 21)})
+	if err != nil || adm != (cellAdmission{partials: 2, records: 3}) {
+		t.Fatalf("first batch admitted as %+v, %v; want 2 partials, 3 records", adm, err)
+	}
+	raw := obsAt(0, 2)
+	raw[0].Samples, raw[1].Samples = 1, 2
+	if err := q.Push(raw); err != nil {
+		t.Fatal(err)
+	}
+	adm, err = q.PushCells([]ingest.AggCell{cell(0, 5), cell(2, 20)})
+	if err != nil || adm != (cellAdmission{partials: 1, deduped: 1, records: 1}) {
+		t.Fatalf("batch with a redelivery admitted as %+v, %v; want 1 partial, 1 deduped, 1 record", adm, err)
+	}
+	if pending, _ := q.Depth(); pending != 6 {
+		t.Fatalf("depth = %d, want 6 (the redelivery queued nothing)", pending)
+	}
+	q.SealThrough(0)
+	obs, err := q.ObservationsAt(context.Background(), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	for _, o := range obs {
+		got = append(got, o.Samples)
+	}
+	if want := []int{1, 2, 5, 10, 20, 21}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("bucket 0 served samples %v, want %v", got, want)
+	}
+	adm, err = q.PushCells([]ingest.AggCell{cell(2, 20)})
+	if err != nil || adm.deduped != 0 || adm.records != 1 {
+		t.Fatalf("redelivery after consumption admitted as %+v, %v; want it held, not deduplicated", adm, err)
+	}
+	q.SealThrough(1)
+	if obs, _ := q.ObservationsAt(context.Background(), 1, nil); len(obs) != 1 || obs[0].Bucket != 0 {
+		t.Fatalf("next read served %+v, want the one stale bucket-0 record", obs)
 	}
 }

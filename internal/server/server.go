@@ -5,7 +5,9 @@
 //
 // The frontend accepts JSONL observation batches on POST /v1/ingest
 // (decoded by the same alloc-free canonical scanner the batch replay path
-// uses), with bounded request bodies and queue backpressure. The backend
+// uses) and an edge-aggregating fleet's partial cells on POST
+// /v1/aggregates, with bounded request bodies and backpressure, into one
+// ingest queue. The backend
 // is one worker goroutine that owns the pipeline — which is not safe for
 // concurrent use and never needs to be — and steps it bucket by bucket as
 // buckets seal in the ingest queue. Because the backend drives the very
@@ -26,13 +28,11 @@ import (
 	"net/http"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"blameit/internal/ingest"
 	"blameit/internal/metrics"
 	"blameit/internal/netmodel"
 	"blameit/internal/pipeline"
-	"blameit/internal/quartet"
 	"blameit/internal/wal"
 )
 
@@ -211,13 +211,6 @@ type Server struct {
 	frontMu   sync.Mutex
 	frontQuar *ingest.Quarantine
 
-	// agg buffers the /v1/aggregates feed's per-bucket merged aggregates
-	// until their buckets complete and flush into the queue. Guarded by
-	// aggMu: handlers run concurrently and quartet.Aggregate is
-	// single-goroutine.
-	aggMu sync.Mutex
-	agg   aggState
-
 	// wal, when non-nil, is the durability layer (Config.DataDir set).
 	wal *walState
 
@@ -254,9 +247,6 @@ func New(deps pipeline.Deps, cfg Config) (*Server, error) {
 	if deps.Source != nil {
 		return nil, fmt.Errorf("server: deps.Source must be nil; the server feeds the pipeline from its HTTP ingest queue")
 	}
-	if deps.Aggregates != nil {
-		return nil, fmt.Errorf("server: deps.Aggregates must be nil; POST /v1/aggregates feeds edge partials through the ingest queue")
-	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -288,11 +278,11 @@ func New(deps pipeline.Deps, cfg Config) (*Server, error) {
 	s.mSeals = s.reg.Counter("server.seal.requests")
 	s.gQueueDepth = s.reg.Gauge("server.ingest.queue_depth")
 	s.mReportsPub = s.reg.Counter("server.reports.published")
-	s.agg.pending = make(map[netmodel.Bucket]*quartet.Aggregate)
 	s.mAggBatches = s.reg.Counter("server.aggregates.batches")
 	s.mAggCells = s.reg.Counter("server.aggregates.cells")
 	s.mAggPartials = s.reg.Counter("server.aggregates.partials")
 	s.mAggDeduped = s.reg.Counter("server.aggregates.deduped")
+	// Cells admitted to the queue, net of deduplicated redeliveries.
 	s.mAggFlushed = s.reg.Counter("server.aggregates.flushed_records")
 	s.mAggRejected = s.reg.Counter("server.aggregates.rejected_batches")
 	s.mux = http.NewServeMux()
@@ -439,33 +429,6 @@ func (s *Server) publish(rep *pipeline.Report) {
 // (nil after a clean drain).
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
-	// Flush every buffered aggregate bucket before closing the queue, so
-	// a fleet run that never sent a trailing seal still gets its last
-	// buckets localized. Backpressure clears as the backend drains. The
-	// flush is bounded by the highest buffered bucket, not an arbitrary
-	// huge seal: the seal it implies is journaled and replayed on
-	// restart, and the backend walks every sealed bucket.
-	for {
-		s.aggMu.Lock()
-		through := netmodel.Bucket(-1)
-		for b := range s.agg.pending {
-			if b > through {
-				through = b
-			}
-		}
-		s.aggMu.Unlock()
-		if through < 0 {
-			break
-		}
-		err := s.flushAggregates(through)
-		if err == nil || ctx.Err() != nil {
-			break
-		}
-		select {
-		case <-time.After(2 * time.Millisecond):
-		case <-ctx.Done():
-		}
-	}
 	s.q.Close()
 	select {
 	case <-s.done:

@@ -315,18 +315,18 @@ func TestWALRestartEquivalence(t *testing.T) {
 
 // runAggFeed is runServiceFeed for the aggregate feed: every bucket
 // arrives on /v1/aggregates as two agents' partials in one batch, and the
-// next bucket's arrival flushes it (the streaming discipline), so the
-// journal carries agg-batch and agg-flush records beside the queue's own.
+// next bucket's arrival seals it (the streaming discipline), so the
+// journal carries agg-batch records where the raw feed's has batches.
 // Every seventh bucket is followed by a redelivery of the bucket before
-// it, after the backend has consumed that one: the cells form a fresh
-// aggregate that flushes at once, a flush that steps back, and the queue
-// serves its records late. Crash modes: "midbatch" kills between the two
-// agents' partials, posted separately (the first is buffered, unflushed,
-// when the daemon dies); "afterpost" kills right after the batch is
-// acked, backend wherever it is; "compacted" kills after the batch is
-// acked AND the backend has finished the bucket before it — report,
-// compaction pass and all — so the pass ran with this bucket's cells
-// buffered and unflushed; "boundary" seals, quiesces and kills.
+// it, after the backend has consumed that one: the queue holds the cells
+// as stale and serves them late, ahead of the next bucket. Crash modes:
+// "midbatch" kills between the two agents' partials, posted separately
+// (the first is pending, its bucket unsealed, when the daemon dies);
+// "afterpost" kills right after the batch is acked, backend wherever it
+// is; "compacted" kills after the batch is acked AND the backend has
+// finished the bucket before it — report, compaction pass and all — so
+// the pass ran with this bucket's cells pending and unsettled; "boundary"
+// seals, quiesces and kills.
 // compactions[i] is how many passes the incarnation killed at points[i]
 // had completed.
 func runAggFeed(t *testing.T, dir string, makeSim func() *sim.Simulator, mut func(*Config), streams [][]trace.Observation, points []crashPoint) (e *walEnv, compactions []int64) {
@@ -390,10 +390,10 @@ func runAggFeed(t *testing.T, dir string, makeSim func() *sim.Simulator, mut fun
 }
 
 // TestWALRestartEquivalenceAggregates is TestWALRestartEquivalence over
-// /v1/aggregates: the buffered-aggregate state (agg-batch and agg-flush
-// records, the feed's high bucket) must survive kills before the first
-// compaction and after later ones, including one with a partial buffered
-// and unflushed.
+// /v1/aggregates: the queued partials (agg-batch records, settled by the
+// reads) and the watermark their arrival set must survive kills before the
+// first compaction and after later ones, including one with a partial
+// pending and one with a redelivery held as stale.
 func TestWALRestartEquivalenceAggregates(t *testing.T) {
 	const warmup = 36
 	horizon := 108
@@ -415,7 +415,7 @@ func TestWALRestartEquivalenceAggregates(t *testing.T) {
 	}
 	wantLate := ref.srv.Pipeline().Quarantine().Count(ingest.ReasonLate)
 	if wantLate == 0 {
-		t.Fatal("the redeliveries were not served late: the feed does not exercise a flush that steps back")
+		t.Fatal("the redeliveries were not served late: the feed does not exercise the stale hold")
 	}
 
 	points := []crashPoint{
@@ -437,8 +437,8 @@ func TestWALRestartEquivalenceAggregates(t *testing.T) {
 	if got := e.srv.Pipeline().Quarantine().Count(ingest.ReasonLate); got != wantLate {
 		t.Errorf("late quarantine: crash arm %d, uninterrupted arm %d", got, wantLate)
 	}
-	if cells, buckets := e.srv.aggStats(); cells != 0 || buckets != 0 {
-		t.Errorf("aggregate buffer after the final seal: %d cells in %d buckets, want empty", cells, buckets)
+	if pending, _ := e.srv.q.Depth(); pending != 0 {
+		t.Errorf("queue after the final seal: %d records pending, want none", pending)
 	}
 }
 

@@ -31,15 +31,16 @@ const (
 	recBucket   = 0x04 // one consumed bucket: the exact stream served to the pipeline
 	recSeal     = 0x05 // one explicit watermark advance
 	recReport   = 0x06 // one published report's canonical JSON
-	recAggBatch = 0x07 // one accepted /v1/aggregates cell batch
-	recAggFlush = 0x08 // one aggregate flush (buckets <= through flushed) and the feed's high bucket then
+	recAggBatch = 0x07 // one accepted /v1/aggregates cell batch, in queue push order
+	// 0x08 was format version 2's aggregate-flush marker.
 )
 
 // segment file header: magic + format version. Version 2 dropped the
-// snapshot record and added the high bucket to the agg-flush record.
+// snapshot record; version 3 dropped the agg-flush record, and an
+// agg-batch now settles by the reads, as a batch does.
 const (
 	segMagic   = "BLAMEWAL"
-	segVersion = 2
+	segVersion = 3
 	segHeader  = len(segMagic) + 4
 )
 
@@ -277,23 +278,13 @@ func readCells(r *reader, build bool) ([]ingest.AggCell, netmodel.Bucket) {
 	return cells, high
 }
 
-// aggFlush is the agg-flush record's body: the aggregate feed flushed
-// every buffered bucket <= through, and high was the highest bucket it had
-// seen by then. Carrying high here is what lets compaction drop flushed
-// agg-batch records outright: the flush that settles a batch also restates
-// the one thing the batch contributed beyond its cells.
-type aggFlush struct {
-	through, high netmodel.Bucket
-}
-
 // noBucket is the high bucket of a record that names none.
 const noBucket = netmodel.Bucket(math.MinInt)
 
 // decodeBody checks one record body by type and, with build, decodes it
 // into val (without, val is not to be used). high is what compaction
-// judges the record by: the highest
-// bucket among a batch's observations or an agg-batch's cells, the bucket
-// of a seal. Open builds and compaction does not, but both go through
+// judges the record by: the highest bucket among a batch's observations or
+// an agg-batch's cells, the bucket of a seal. Open builds and compaction does not, but both go through
 // here, so they accept the same bytes. A false return marks the record —
 // and everything after it — as the corrupt tail.
 func decodeBody(typ byte, body []byte, build bool) (val any, high netmodel.Bucket, ok bool) {
@@ -331,8 +322,6 @@ func decodeBody(typ byte, body []byte, build bool) (val any, high netmodel.Bucke
 		var cells []ingest.AggCell
 		cells, high = readCells(r, build)
 		val = cells
-	case recAggFlush:
-		val = aggFlush{through: netmodel.Bucket(r.varint()), high: netmodel.Bucket(r.varint())}
 	default:
 		return nil, high, false
 	}

@@ -15,16 +15,14 @@ import (
 // Compact drops the records later history has made redundant, one sealed
 // segment at a time:
 //
-//   - A batch record goes once the reads have settled every observation in
-//     it (Horizon) — the bucket records restate what was served, and what
-//     a read discarded must stay gone — and a journaled report covers its
-//     highest bucket. Until then it is kept whole.
-//   - An agg-batch record goes once a later flush covers its highest
-//     bucket: replaying it would buffer cells only for that flush to
-//     discard them.
+//   - A batch or agg-batch record goes once the reads have settled every
+//     observation or cell in it (Horizon) — the bucket records restate what
+//     was served, and what a read discarded must stay gone — and a
+//     journaled report covers its highest bucket. Until then it is kept
+//     whole.
 //   - A seal record goes once a higher seal is journaled.
 //
-// Bucket, report and agg-flush records are never dropped: the pipeline's
+// Bucket and report records are never dropped: the pipeline's
 // learned state is a function of the full consumed history, and
 // replay-from-zero is what makes recovery byte-exact. The log's steady
 // state is one copy of the consumed trace plus the report log.
@@ -63,7 +61,6 @@ func (l *Log) Compact() error {
 		}
 	}
 	ev := l.ev
-	ev.reads, ev.flushes = ev.reads.clone(), ev.flushes.clone()
 	todo := append([]segment(nil), l.dirty...)
 	l.mu.Unlock()
 
@@ -111,7 +108,7 @@ func (l *Log) step(phase string) bool {
 // segmentResult is what filtering one segment came to.
 type segmentResult struct {
 	read, written int64
-	// pending: a batch or agg-batch is still in the segment, so a later
+	// pending: a batch of either feed is still in the segment, so a later
 	// pass must look again.
 	pending bool
 	// abandoned: the test hook stopped the pass here.
@@ -160,7 +157,7 @@ func (l *Log) compactSegment(seg segment, ev evidence) (res segmentResult, err e
 	w.Write(head) // a failed write sticks and surfaces at Flush
 	written := int64(len(head))
 
-	reads, flushes := seg.reads, seg.flushes
+	reads := seg.reads
 	dropped := false
 	for {
 		frame, typ, high, err := fr.next()
@@ -176,13 +173,8 @@ func (l *Log) compactSegment(seg segment, ev evidence) (res segmentResult, err e
 		switch typ {
 		case recBucket:
 			reads++
-		case recAggFlush:
-			flushes++
-		case recBatch:
+		case recBatch, recAggBatch:
 			keep = !(ev.reads.Reached(reads, high) && high <= ev.reportTo)
-			res.pending = res.pending || keep
-		case recAggBatch:
-			keep = !ev.flushes.Reached(flushes, high)
 			res.pending = res.pending || keep
 		case recSeal:
 			keep = high >= ev.maxSeal

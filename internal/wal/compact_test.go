@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,16 +14,26 @@ import (
 	"blameit/internal/trace"
 )
 
-// populate writes a realistic history: batches pushed, buckets consumed,
-// reports published, an aggregate prefix flushed, plus a leftover
-// unconsumed batch and an unflushed aggregate batch that compaction must
-// keep.
+// pendingCells is the aggregate batch populate leaves unconsumed.
+var pendingCells = []ingest.AggCell{{Agent: 2, Seq: 1, Bucket: 8, Samples: 5, MeanRTT: 11, Clients: 1}}
+
+// populate writes a realistic history: batches of both feeds pushed,
+// buckets consumed, reports published, plus a leftover unconsumed batch of
+// each feed that compaction must keep.
 func populate(t *testing.T, l *Log) {
 	t.Helper()
 	for b := netmodel.Bucket(0); b < 6; b++ {
 		obs := obsFor(b, 4)
 		if err := l.AppendBatch(obs); err != nil {
 			t.Fatal(err)
+		}
+		if b == 4 {
+			// An aggregate batch the read below settles, as it does the raw one.
+			cell := ingest.AggCell{Agent: 1, Seq: 1, Bucket: b, Prefix: 9, Samples: 5, MeanRTT: 10, Clients: 1}
+			if err := l.AppendAggBatch([]ingest.AggCell{cell}); err != nil {
+				t.Fatal(err)
+			}
+			obs = append(obs, cell.Observation())
 		}
 		if err := l.AppendBucket(b, obs); err != nil {
 			t.Fatal(err)
@@ -37,22 +48,10 @@ func populate(t *testing.T, l *Log) {
 			t.Fatal(err)
 		}
 	}
-	// Aggregate feed: one fully flushed batch, one still buffered. The
-	// buffered one is for a lower bucket than the flush that came before
-	// it (late cells): position, not bucket order, decides what is
-	// settled, and the feed's high bucket survives only in the flush.
-	flushed := []ingest.AggCell{{Agent: 1, Bucket: 12, Samples: 5, MeanRTT: 10, Clients: 1}}
-	if err := l.AppendAggBatch(flushed); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AppendAggFlush(12, 12); err != nil {
-		t.Fatal(err)
-	}
-	pendingCells := []ingest.AggCell{{Agent: 2, Bucket: 9, Samples: 5, MeanRTT: 11, Clients: 1}}
+	// Batches for buckets no read has reached: not yet droppable.
 	if err := l.AppendAggBatch(pendingCells); err != nil {
 		t.Fatal(err)
 	}
-	// A batch for a bucket past the last report: not yet droppable.
 	if err := l.AppendBatch(obsFor(7, 3)); err != nil {
 		t.Fatal(err)
 	}
@@ -62,54 +61,30 @@ func populate(t *testing.T, l *Log) {
 // actually reconstruct. Compaction must preserve it exactly.
 type projection struct {
 	buckets   []BucketStream
-	leftovers [][]trace.Observation // per-batch records no read settled
+	leftovers []Batch // per batch, the records or cells no read settled
 	reports   []Report
 	maxSeal   netmodel.Bucket
-	aggCells  [][]ingest.AggCell // batches surviving the flush replay
-	aggHigh   netmodel.Bucket    // the feed's high bucket after the replay
 }
 
 func project(rec *Recovery) projection {
 	p := projection{buckets: rec.Buckets, reports: rec.Reports, maxSeal: rec.MaxSeal}
 	// The server's leftover reconstruction: what no later read settled.
 	for _, batch := range rec.Batches {
-		var left []trace.Observation
+		var left Batch
 		for _, o := range batch.Obs {
 			if !rec.Reads.Reached(batch.AfterBuckets, o.Bucket) {
-				left = append(left, o)
+				left.Obs = append(left.Obs, o)
 			}
 		}
-		if len(left) > 0 {
+		for _, c := range batch.Cells {
+			if !rec.Reads.Reached(batch.AfterBuckets, c.Bucket) {
+				left.Cells = append(left.Cells, c)
+			}
+		}
+		if len(left.Obs)+len(left.Cells) > 0 {
 			p.leftovers = append(p.leftovers, left)
 		}
 	}
-	// Replay the aggregate events: a flush discards buffered cells at or
-	// below its threshold.
-	var buffered [][]ingest.AggCell
-	p.aggHigh = rec.AggHigh
-	for _, ev := range rec.AggEvents {
-		if !ev.Flush {
-			buffered = append(buffered, ev.Cells)
-			for _, c := range ev.Cells {
-				p.aggHigh = max(p.aggHigh, c.Bucket)
-			}
-			continue
-		}
-		var kept [][]ingest.AggCell
-		for _, cells := range buffered {
-			var still []ingest.AggCell
-			for _, c := range cells {
-				if c.Bucket > ev.Through {
-					still = append(still, c)
-				}
-			}
-			if len(still) > 0 {
-				kept = append(kept, still)
-			}
-		}
-		buffered = kept
-	}
-	p.aggCells = buffered
 	return p
 }
 
@@ -127,7 +102,7 @@ func checkProjectionsEqual(t *testing.T, got, want projection) {
 		t.Fatalf("leftover batches: %d, want %d", len(got.leftovers), len(want.leftovers))
 	}
 	for i := range want.leftovers {
-		if !obsEqual(got.leftovers[i], want.leftovers[i]) {
+		if !obsEqual(got.leftovers[i].Obs, want.leftovers[i].Obs) || !reflect.DeepEqual(got.leftovers[i].Cells, want.leftovers[i].Cells) {
 			t.Fatalf("leftover batch %d differs", i)
 		}
 	}
@@ -136,12 +111,6 @@ func checkProjectionsEqual(t *testing.T, got, want projection) {
 	}
 	if got.maxSeal != want.maxSeal {
 		t.Fatalf("maxSeal: %d, want %d", got.maxSeal, want.maxSeal)
-	}
-	if len(got.aggCells) != len(want.aggCells) {
-		t.Fatalf("buffered agg batches: %d, want %d", len(got.aggCells), len(want.aggCells))
-	}
-	if got.aggHigh != want.aggHigh {
-		t.Fatalf("aggregate feed high bucket: %d, want %d", got.aggHigh, want.aggHigh)
 	}
 }
 
@@ -185,13 +154,10 @@ func TestCompactionPreservesRecovery(t *testing.T) {
 	want.maxSeal = 11
 	checkProjectionsEqual(t, project(rec), want)
 
-	// The droppable records must actually be gone: consumed batches and
-	// the flushed aggregate prefix.
-	if len(rec.Batches) >= 7 {
-		t.Fatalf("compaction kept %d batches; consumed ones should be dropped", len(rec.Batches))
-	}
-	if len(rec.AggEvents) >= 3 {
-		t.Fatalf("compaction kept %d agg events; the flushed prefix should be dropped", len(rec.AggEvents))
+	// The droppable records must actually be gone: the consumed batches of
+	// both feeds.
+	if len(rec.Batches) != 2 || len(rec.Batches[0].Cells) == 0 || len(rec.Batches[1].Obs) == 0 {
+		t.Fatalf("compaction kept %d batches; want the unconsumed one of each feed", len(rec.Batches))
 	}
 }
 
@@ -263,8 +229,8 @@ func TestCompactionCrashPoints(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkProjectionsEqual(t, project(rec2), want)
-		if n := len(rec2.Batches); n != 1 {
-			t.Fatalf("%d batches survived the second compaction, want only the unsettled one", n)
+		if n := len(rec2.Batches); n != 2 {
+			t.Fatalf("%d batches survived the second compaction, want only the two unsettled ones", n)
 		}
 	}
 	for _, crashAt := range []string{"begin", "pre-sync", "pre-rename", "post-rename"} {
@@ -522,14 +488,13 @@ func TestCompactionDropsSkippedWarmupBatches(t *testing.T) {
 	}
 }
 
-// TestHorizon pins the settle rule itself, including flush sequences that
-// step back.
+// TestHorizon pins the settle rule itself.
 func TestHorizon(t *testing.T) {
 	var h Horizon
 	if h.Reached(0, 0) {
 		t.Fatal("an empty horizon reached something")
 	}
-	for _, b := range []netmodel.Bucket{3, 9, 5, 5, 2} { // events 0..4
+	for _, b := range []netmodel.Bucket{3, 5, 9} { // reads 0..2
 		h.add(b)
 	}
 	cases := []struct {
@@ -537,42 +502,45 @@ func TestHorizon(t *testing.T) {
 		b     netmodel.Bucket
 		want  bool
 	}{
-		{0, 9, true}, {0, 10, false}, // event 1 reached 9
-		{2, 9, false}, {2, 5, true}, // after events 0 and 1, the best is 5
-		{4, 5, false}, {4, 2, true}, // only event 4 is left
-		{5, 0, false}, {5, noBucket, false}, // nothing came after five events
-		{4, noBucket, true},
+		{0, 9, true}, {0, 10, false}, // read 2 reached 9
+		{2, 9, true}, {2, 10, false}, // only read 2 is left
+		{3, 0, false}, {3, noBucket, false}, // nothing came after three reads
+		{2, noBucket, true},
 	}
 	for _, c := range cases {
 		if got := h.Reached(c.after, c.b); got != c.want {
 			t.Errorf("Reached(%d, %d) = %v, want %v", c.after, c.b, got, c.want)
 		}
 	}
-	if h.Len() != 5 {
-		t.Errorf("Len = %d, want 5", h.Len())
+	if h.Len() != 3 {
+		t.Errorf("Len = %d, want 3", h.Len())
 	}
 }
 
 // TestOpenRefusesFormatVersion1 pins what happens to a data directory
-// written before per-segment compaction (testdata/format-v1 was written by
-// that code, snapshot record included): the open fails and says which
-// version it found, rather than misreading the old agg-flush records.
+// written in an earlier format — testdata/format-v1 before per-segment
+// compaction (snapshot record included), testdata/format-v2 by the commit
+// before the aggregate feed joined the ingest queue (agg-flush record
+// included), each by the code of its day: the open fails and says which
+// version it found, rather than misreading or dropping the old records.
 func TestOpenRefusesFormatVersion1(t *testing.T) {
-	dir := t.TempDir()
-	old, err := os.ReadFile(filepath.Join("testdata", "format-v1", segName(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, segName(2)), old, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = Open(dir, Config{Fsync: SyncOff, Meta: "m"})
-	if err == nil || !strings.Contains(err.Error(), "format version 1") {
-		t.Fatalf("Open of a version-1 directory: err = %v, want a refusal naming format version 1", err)
-	}
-	now, err := os.ReadFile(filepath.Join(dir, segName(2)))
-	if err != nil || !bytes.Equal(now, old) {
-		t.Fatalf("refused open touched the old segment (err %v)", err)
+	for version, seg := range map[int]string{1: segName(2), 2: segName(1)} {
+		dir := t.TempDir()
+		old, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("format-v%d", version), seg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, seg), old, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = Open(dir, Config{Fsync: SyncOff, Meta: "m"})
+		if want := fmt.Sprintf("format version %d", version); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Open of a version-%d directory: err = %v, want a refusal naming %s", version, err, want)
+		}
+		now, err := os.ReadFile(filepath.Join(dir, seg))
+		if err != nil || !bytes.Equal(now, old) {
+			t.Fatalf("refused open touched the version-%d segment (err %v)", version, err)
+		}
 	}
 }
 
@@ -583,13 +551,16 @@ func TestDoubleCompaction(t *testing.T) {
 	cfg := Config{Fsync: SyncOff, Meta: "m"}
 	extend := func(l *Log) {
 		// Consume the leftover bucket-7 batch populate pushed, plus a new
-		// one, and cover both with a report.
+		// one, and the leftover aggregate batch, and cover all with a report.
 		obs := obsFor(7, 3)
 		if err := l.AppendBatch(obs); err != nil {
 			t.Fatal(err)
 		}
 		served := append(append([]trace.Observation(nil), obsFor(7, 3)...), obs...)
 		if err := l.AppendBucket(7, served); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.AppendBucket(8, []trace.Observation{pendingCells[0].Observation()}); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.AppendReport(Report{Seq: 2, From: 6, To: 8, Canonical: []byte("{}\n")}); err != nil {

@@ -47,9 +47,13 @@ func FuzzWALDecode(f *testing.F) {
 	rest := appendFrame(nil, appendObs(binary.AppendVarint([]byte{recBucket}, 3), obsFor(3, 2)))
 	rest = appendFrame(rest, append([]byte{recReport, 0, 0, 4, 1}, "{}\n"...))
 	rest = appendFrame(rest, appendCells([]byte{recAggBatch}, []ingest.AggCell{{Agent: 1, Seq: 2, Bucket: 4, Samples: 9, MeanRTT: 55.25, Clients: 2}}))
-	rest = appendFrame(rest, []byte{recAggFlush, 8, 10})
 	f.Add(rest)
-	f.Add(appendFrame(nil, []byte{0x02, 0, 1, 0})) // version 1's snapshot record: now an unknown type
+	f.Add(appendFrame(nil, []byte{0x02, 0, 1, 0}))                              // version 1's snapshot record: now an unknown type
+	withFlush := appendFrame(append([]byte(nil), rest...), []byte{0x08, 8, 10}) // version 2's agg-flush record: likewise
+	f.Add(appendFrame(withFlush, binary.AppendVarint([]byte{recSeal}, 9)))
+	if recs, valid := scanRecords(withFlush, 1<<20); len(recs) != 3 || valid != int64(len(rest)) {
+		f.Fatalf("scan accepted %d records / %d bytes of a log with a kind-0x08 record after %d bytes: the unknown kind must stop it", len(recs), valid, len(rest))
+	}
 
 	const maxRecord = 1 << 20
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -90,7 +94,7 @@ func FuzzWALDecode(f *testing.F) {
 		}
 		// Interpretation must not panic either (decodeBody already ran in
 		// scanRecords; fold the records as recovery would).
-		rec := &Recovery{MaxSeal: -1, AggHigh: -1}
+		rec := &Recovery{MaxSeal: -1}
 		_, _ = interpret(rec, recs, "m")
 	})
 }

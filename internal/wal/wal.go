@@ -1,9 +1,9 @@
 // Package wal is blameitd's durability layer: a checksummed,
 // length-prefixed, append-only write-ahead log over rotating segment
 // files. The daemon journals the ingest queue's externally visible events
-// — accepted batches, explicit seals, and the exact per-bucket streams
-// the pipeline consumed — plus every published report and the aggregate
-// feed's accepted cell batches. Because the pipeline's state is a
+// — accepted batches of either feed (raw observations, aggregate cells),
+// explicit seals, and the exact per-bucket streams the pipeline consumed —
+// plus every published report. Because the pipeline's state is a
 // deterministic function of the consumed observation streams, replaying
 // the journaled buckets through the unchanged WarmupContext/StepContext
 // path reconstructs the backend exactly, and a restart (including kill -9
@@ -151,23 +151,17 @@ type Report struct {
 	AfterBuckets int
 }
 
-// Batch is one accepted ingest batch in push order.
+// Batch is one accepted ingest batch in push order: raw observations
+// (POST /v1/ingest) or aggregate cells (POST /v1/aggregates), never both.
 type Batch struct {
-	Obs []trace.Observation
+	Obs   []trace.Observation
+	Cells []ingest.AggCell
 	// AfterBuckets is how many consumed-bucket records preceded this
 	// batch in the log — i.e. which reads had already happened when it
 	// arrived. Derived at scan time, like Report.AfterBuckets: it is the
 	// position Recovery.Reads judges the batch's records from (served or
 	// discarded by a later read, or still queued).
 	AfterBuckets int
-}
-
-// AggEvent is one aggregate-feed event in arrival order: either an
-// accepted cell batch or a flush trigger.
-type AggEvent struct {
-	Flush   bool
-	Through netmodel.Bucket
-	Cells   []ingest.AggCell
 }
 
 // Recovery is everything a scan of the directory reconstructs.
@@ -182,12 +176,6 @@ type Recovery struct {
 	Reports []Report
 	// MaxSeal is the highest explicitly sealed bucket, or -1.
 	MaxSeal netmodel.Bucket
-	// AggEvents replays the aggregate buffer's history.
-	AggEvents []AggEvent
-	// AggHigh is the highest bucket the aggregate feed had seen by its last
-	// flush, or -1: flushed batches are compacted away, and the flush
-	// records restate the high bucket they established.
-	AggHigh netmodel.Bucket
 	// Reads is the settle rule over Buckets: Reads.Reached(batch.AfterBuckets,
 	// o.Bucket) says whether a later read served or discarded record o of a
 	// batch, so that recovery re-queues exactly the rest.
@@ -197,7 +185,6 @@ type Recovery struct {
 	Segments       int
 
 	// The rest of what compaction judges by; see evidence.
-	flushes  Horizon
 	reportTo netmodel.Bucket
 }
 
@@ -205,7 +192,7 @@ type Recovery struct {
 // it current as it appends; a compaction pass copies it right after
 // sealing the active segment, when all of it is in fsynced files.
 type evidence struct {
-	reads, flushes Horizon
+	reads Horizon
 	// reportTo is the highest window end among journaled reports, or -1.
 	reportTo netmodel.Bucket
 	maxSeal  netmodel.Bucket
@@ -214,16 +201,14 @@ type evidence struct {
 // segment is one segment file as compaction sees it.
 type segment struct {
 	seq uint64
-	// reads and flushes count the bucket and agg-flush records journaled
-	// before the segment's first record: the positions its batches are
-	// judged from.
-	reads, flushes int
+	// reads counts the bucket records journaled before the segment's first
+	// record: the position its batches are judged from.
+	reads int
 }
 
 // Empty reports whether the scan found nothing to replay.
 func (r *Recovery) Empty() bool {
-	return len(r.Buckets) == 0 && len(r.Batches) == 0 && len(r.Reports) == 0 &&
-		r.MaxSeal < 0 && len(r.AggEvents) == 0
+	return len(r.Buckets) == 0 && len(r.Batches) == 0 && len(r.Reports) == 0 && r.MaxSeal < 0
 }
 
 // Log is the append side. All methods are safe for concurrent use.
@@ -293,7 +278,7 @@ func Open(dir string, cfg Config) (*Log, *Recovery, error) {
 	}
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 
-	rec := &Recovery{MaxSeal: -1, AggHigh: -1, reportTo: -1}
+	rec := &Recovery{MaxSeal: -1, reportTo: -1}
 	l := &Log{dir: dir, cfg: cfg}
 
 	// Scan segments in order. The first corruption truncates: the file is
@@ -315,7 +300,7 @@ func Open(dir string, cfg Config) (*Log, *Recovery, error) {
 		if v := binary.LittleEndian.Uint32(data[len(segMagic):]); v != segVersion {
 			return nil, nil, fmt.Errorf("wal: %s is in format version %d and this build reads only version %d: start from an empty data directory", path, v, segVersion)
 		}
-		seg := segment{seq: seq, reads: rec.Reads.Len(), flushes: rec.flushes.Len()}
+		seg := segment{seq: seq, reads: rec.Reads.Len()}
 		recs, valid := scanRecords(data[segHeader:], cfg.MaxRecordBytes)
 		droppable, err := interpret(rec, recs, cfg.Meta)
 		if err != nil {
@@ -348,7 +333,7 @@ func Open(dir string, cfg Config) (*Log, *Recovery, error) {
 		}
 	}
 	rec.Segments = len(segs)
-	l.ev = evidence{reads: rec.Reads.clone(), flushes: rec.flushes.clone(), reportTo: rec.reportTo, maxSeal: rec.MaxSeal}
+	l.ev = evidence{reads: rec.Reads, reportTo: rec.reportTo, maxSeal: rec.MaxSeal}
 
 	if len(segs) == 0 {
 		f, err := l.createSegment(1)
@@ -387,7 +372,7 @@ func Open(dir string, cfg Config) (*Log, *Recovery, error) {
 
 // interpret folds one segment's scanned records into the recovery state,
 // and reports whether the segment holds records compaction could drop one
-// day: batches and agg-batches.
+// day: batches of either feed.
 func interpret(rec *Recovery, recs []rawRecord, wantMeta string) (droppable bool, err error) {
 	for _, r := range recs {
 		switch r.typ {
@@ -415,14 +400,7 @@ func interpret(rec *Recovery, recs []rawRecord, wantMeta string) (droppable bool
 			}
 		case recAggBatch:
 			droppable = true
-			rec.AggEvents = append(rec.AggEvents, AggEvent{Cells: r.val.([]ingest.AggCell)})
-		case recAggFlush:
-			f := r.val.(aggFlush)
-			rec.AggEvents = append(rec.AggEvents, AggEvent{Flush: true, Through: f.through})
-			rec.flushes.add(f.through)
-			if f.high > rec.AggHigh {
-				rec.AggHigh = f.high
-			}
+			rec.Batches = append(rec.Batches, Batch{Cells: r.val.([]ingest.AggCell), AfterBuckets: len(rec.Buckets)})
 		}
 	}
 	return droppable, nil
@@ -521,7 +499,7 @@ func (l *Log) rotateLocked() error {
 	l.stats.Syncs++
 	l.stats.LagRecords = 0
 	l.f.Close()
-	next := segment{seq: l.active.seq + 1, reads: l.ev.reads.Len(), flushes: l.ev.flushes.Len()}
+	next := segment{seq: l.active.seq + 1, reads: l.ev.reads.Len()}
 	f, err := l.createSegment(next.seq)
 	if err != nil {
 		return err
@@ -582,24 +560,12 @@ func (l *Log) AppendReport(rep Report) error {
 	return err
 }
 
-// AppendAggBatch journals one accepted aggregate cell batch.
+// AppendAggBatch journals one accepted aggregate cell batch in queue push
+// order.
 func (l *Log) AppendAggBatch(cells []ingest.AggCell) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.write(appendCells(l.frame(recAggBatch), cells))
-}
-
-// AppendAggFlush journals one aggregate flush — every buffered bucket <=
-// through left the buffer — with the highest bucket the feed has seen.
-func (l *Log) AppendAggFlush(through, high netmodel.Bucket) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	buf := binary.AppendVarint(l.frame(recAggFlush), int64(through))
-	err := l.write(binary.AppendVarint(buf, int64(high)))
-	if err == nil {
-		l.ev.flushes.add(through)
-	}
-	return err
 }
 
 // Sync forces everything appended so far to disk.

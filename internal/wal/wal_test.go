@@ -41,7 +41,7 @@ func writeSample(t *testing.T, dir string, cfg Config) *Recovery {
 	if !rec.Empty() {
 		t.Fatalf("fresh dir recovered non-empty state: %+v", rec)
 	}
-	want := &Recovery{MaxSeal: -1, AggHigh: -1}
+	want := &Recovery{MaxSeal: -1}
 
 	batch0 := obsFor(0, 5)
 	// Exercise the exact-bits paths: NaN, Inf, negative counts (chaos
@@ -79,11 +79,7 @@ func writeSample(t *testing.T, dir string, cfg Config) *Recovery {
 	if err := l.AppendAggBatch(cells); err != nil {
 		t.Fatalf("AppendAggBatch: %v", err)
 	}
-	want.AggEvents = append(want.AggEvents, AggEvent{Cells: cells})
-	if err := l.AppendAggFlush(4, 4); err != nil {
-		t.Fatalf("AppendAggFlush: %v", err)
-	}
-	want.AggEvents = append(want.AggEvents, AggEvent{Flush: true, Through: 4})
+	want.Batches = append(want.Batches, Batch{Cells: cells, AfterBuckets: 2})
 
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -111,6 +107,9 @@ func checkRecovered(t *testing.T, got, want *Recovery) {
 		if !obsEqual(got.Batches[i].Obs, want.Batches[i].Obs) {
 			t.Errorf("batch %d: observations differ", i)
 		}
+		if !reflect.DeepEqual(got.Batches[i].Cells, want.Batches[i].Cells) {
+			t.Errorf("batch %d: cells = %+v, want %+v", i, got.Batches[i].Cells, want.Batches[i].Cells)
+		}
 		if got.Batches[i].AfterBuckets != want.Batches[i].AfterBuckets {
 			t.Errorf("batch %d: AfterBuckets = %d, want %d", i, got.Batches[i].AfterBuckets, want.Batches[i].AfterBuckets)
 		}
@@ -126,9 +125,6 @@ func checkRecovered(t *testing.T, got, want *Recovery) {
 	}
 	if got.MaxSeal != want.MaxSeal {
 		t.Errorf("MaxSeal = %d, want %d", got.MaxSeal, want.MaxSeal)
-	}
-	if !reflect.DeepEqual(got.AggEvents, want.AggEvents) {
-		t.Errorf("AggEvents = %+v, want %+v", got.AggEvents, want.AggEvents)
 	}
 }
 

@@ -94,12 +94,13 @@ for _ in $(seq 1 300); do
 done
 [ "${depth:-1}" = "0" ] || { echo "serve-smoke: fleet-fed backend failed to drain (queue_depth=$depth)" >&2; exit 1; }
 
-# Every posted partial must have landed: 2 agents x 288 buckets merged,
-# nothing deduplicated or rejected, and the sealed buckets flushed.
+# Every posted partial must have landed: 2 agents x 288 buckets queued,
+# nothing deduplicated or rejected, and (above) the queue drained — its
+# depth counts the aggregate feed's cells like any record.
 fleetsnap=$(curl -fsS "$BASE/metrics")
 counter() { sed -n "s/.*\"$1\": *\([0-9-]*\).*/\1/p" <<<"$fleetsnap"; }
 partials=$(counter 'server\.aggregates\.partials')
-[ "${partials:-0}" = "576" ] || { echo "serve-smoke: aggregate partials merged=$partials, want 576" >&2; exit 1; }
+[ "${partials:-0}" = "576" ] || { echo "serve-smoke: aggregate partials queued=$partials, want 576" >&2; exit 1; }
 [ "$(counter 'server\.aggregates\.deduped')" = "0" ] || { echo "serve-smoke: unexpected aggregate dedup" >&2; exit 1; }
 [ "$(counter 'server\.aggregates\.rejected_batches')" = "0" ] || { echo "serve-smoke: aggregate batches rejected" >&2; exit 1; }
 
