@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race chaos crash crash-smoke fleet multicloud fuzz bench-parallel bench-replay bench-json bench-service cover serve-smoke verify
+.PHONY: all build vet test race chaos crash crash-smoke fleet multicloud fuzz bench-parallel bench-replay bench-json bench-service bench-service-smoke cover serve-smoke verify
 
 all: verify
 
@@ -97,6 +97,18 @@ bench-json:
 # go run ./benchmark -workload raw_closed|fleet_wal_closed|paced_raw.
 bench-service:
 	$(GO) run ./benchmark -workload raw_wal_closed
+
+# The benchmark contract, one second a workload: benchmark/ must compile
+# against the packages it drives, every report the daemon serves must
+# equal the reference replay, no operation may fail, and the traced run
+# must still emit every per-layer metric BENCHMARK.json declares. Any of
+# those exits non-zero here rather than in the pipeline's own run.
+bench-service-smoke:
+	$(GO) vet ./benchmark
+	for w in raw_closed raw_wal_closed fleet_wal_closed paced_raw; do \
+		$(GO) run ./benchmark -workload $$w -seconds 1 || exit 1; \
+	done
+	$(GO) run ./benchmark -workload raw_closed -trace 1 -seconds 1
 
 # Coverage over every package (-short skips the multi-minute integration
 # runs), printing the module total; leaves cover.out behind for

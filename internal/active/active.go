@@ -14,7 +14,6 @@ import (
 	"blameit/internal/netmodel"
 	"blameit/internal/predict"
 	"blameit/internal/probe"
-	"blameit/internal/quartet"
 )
 
 // Issue is one ongoing middle-segment problem: the set of bad quartets
@@ -288,18 +287,4 @@ func MiddleKeysOfBy(results []core.Result, keyOf core.MiddleKeyFunc) []netmodel.
 		}
 	}
 	return out
-}
-
-// RecordClients feeds the client predictor with this window's per-path
-// client counts, derived from all sufficiently-sampled quartets (not just
-// bad ones — the predictor needs normal traffic levels).
-func RecordClients(cp *predict.ClientPredictor, qs []quartet.Quartet, pathOf core.PathFunc) {
-	for _, q := range qs {
-		if !q.Enough {
-			continue
-		}
-		o := q.Obs
-		mk := pathOf(o.Prefix, o.Cloud, o.Bucket).Key()
-		cp.Record(mk, o.Bucket, o.Clients)
-	}
 }

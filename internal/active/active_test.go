@@ -260,17 +260,3 @@ func TestMiddleKeysOfDedup(t *testing.T) {
 		t.Errorf("keys = %v", keys)
 	}
 }
-
-func TestRecordClients(t *testing.T) {
-	cp := predict.NewClientPredictor()
-	path := netmodel.Path{Cloud: 1, Middle: []netmodel.ASN{2001}, Client: 100}
-	qs := []quartet.Quartet{
-		{Obs: trace.Observation{Prefix: 1, Cloud: 1, Bucket: 10, Clients: 30, Samples: 20}, Enough: true},
-		{Obs: trace.Observation{Prefix: 2, Cloud: 1, Bucket: 10, Clients: 5, Samples: 3}, Enough: false}, // gated
-	}
-	RecordClients(cp, qs, func(netmodel.PrefixID, netmodel.CloudID, netmodel.Bucket) netmodel.Path { return path })
-	got := cp.Predict(path.Key(), netmodel.Bucket(netmodel.BucketsPerDay+10))
-	if got != 30 {
-		t.Errorf("predict = %v, want 30 (gated quartet excluded)", got)
-	}
-}

@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"sort"
 	"testing"
 
 	"blameit/internal/netmodel"
@@ -223,5 +224,66 @@ func TestEventNewPathsAreKnownAlternates(t *testing.T) {
 		if !valid {
 			t.Fatalf("event switched to a route that is neither primary nor alternate: %v", e.NewPath)
 		}
+	}
+}
+
+// TestRouteAtMatchesSegmentsAndKeys holds the route accessor to a naive
+// reading of the table — the last segment that started at or before the
+// bucket, found by the standard library's search — and the key it hands out
+// to the path's own Key(), for every entry, one bucket before, at and after
+// every segment boundary and at both ends of the horizon. The /24 form
+// must agree, every event must carry its new path's key, and none of it
+// may allocate.
+func TestRouteAtMatchesSegmentsAndKeys(t *testing.T) {
+	w := testWorld()
+	horizon := netmodel.Bucket(4 * netmodel.BucketsPerDay)
+	tbl := NewTable(w, DefaultChurnConfig(), horizon, 44)
+	multi := 0
+	for _, c := range w.Clouds {
+		for _, bp := range w.BGPPrefixes {
+			entry := tbl.entries[int(c.ID)*tbl.nBGP+int(bp.ID)]
+			if !sort.SliceIsSorted(entry, func(i, j int) bool { return entry[i].From < entry[j].From }) {
+				t.Fatalf("cloud %d bgp %d: segments out of order", c.ID, bp.ID)
+			}
+			if len(entry) > 1 {
+				multi++
+			}
+			at := []netmodel.Bucket{0, horizon - 1}
+			for _, seg := range entry {
+				at = append(at, seg.From-1, seg.From, seg.From+1)
+			}
+			kid := w.PrefixesOfBGP(bp.ID)[0]
+			for _, b := range at {
+				if b < 0 || b >= horizon {
+					continue
+				}
+				want := entry[0]
+				if i := sort.Search(len(entry), func(i int) bool { return entry[i].From > b }); i > 0 {
+					want = entry[i-1]
+				}
+				path, key := tbl.RouteAt(c.ID, bp.ID, b)
+				if !path.Equal(want.Path) || key != want.Path.Key() {
+					t.Fatalf("cloud %d bgp %d bucket %d: RouteAt = %v %q, want %v %q", c.ID, bp.ID, b, path, key, want.Path, want.Path.Key())
+				}
+				if !tbl.PathAt(c.ID, bp.ID, b).Equal(want.Path) || !tbl.PathAtForPrefix(c.ID, kid, b).Equal(want.Path) {
+					t.Fatalf("cloud %d bgp %d bucket %d: PathAt disagrees with RouteAt", c.ID, bp.ID, b)
+				}
+				if p2, k2 := tbl.RouteAtForPrefix(c.ID, kid, b); !p2.Equal(path) || k2 != key {
+					t.Fatalf("cloud %d bgp %d bucket %d: RouteAtForPrefix disagrees with RouteAt", c.ID, bp.ID, b)
+				}
+			}
+		}
+	}
+	if multi == 0 {
+		t.Fatal("no entry churned: the segment search went untested")
+	}
+	for _, e := range tbl.Events(0, horizon) {
+		if e.NewKey != e.NewPath.Key() {
+			t.Fatalf("event at bucket %d: NewKey %q, NewPath.Key() %q", e.Bucket, e.NewKey, e.NewPath.Key())
+		}
+	}
+	c, p := w.Clouds[0].ID, w.Prefixes[0].ID
+	if n := testing.AllocsPerRun(100, func() { tbl.RouteAtForPrefix(c, p, horizon/2) }); n != 0 {
+		t.Errorf("RouteAtForPrefix allocates %v times a call", n)
 	}
 }

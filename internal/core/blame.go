@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"blameit/internal/metrics"
 	"blameit/internal/netmodel"
@@ -112,15 +113,25 @@ type Result struct {
 // Metro⟩ baseline of Fig. 11 substitutes a coarser key.
 type MiddleKeyFunc func(path netmodel.Path, p netmodel.PrefixID) netmodel.MiddleKey
 
+// Route is a quartet's resolved AS-level route and the key of the middle
+// aggregate the quartet is grouped into (the path's own MiddleKey unless a
+// coarser grouping is in force).
+type Route struct {
+	Path netmodel.Path
+	Key  netmodel.MiddleKey
+}
+
 // Localizer runs Algorithm 1 over one time window of quartets.
 //
-// A Localizer is read-only once configured: Localize touches only local
-// aggregates plus the immutable cfg, thresholds, pathOf and keyOf fields,
-// so one Localizer may serve any number of concurrent Localize calls (the
-// pipeline fans a job's buckets out this way) provided the installed
-// PathFunc and MiddleKeyFunc are themselves safe for concurrent use — the
-// BGP table's path resolution is. SetMiddleKeyFunc is configuration, not
-// operation: call it before sharing the Localizer across goroutines.
+// A Localizer is read-only once configured: a call touches only the
+// immutable cfg, thresholds, pathOf and keyOf fields plus a working scratch
+// it takes from a pool for the duration of the call and clears before use,
+// so one Localizer may serve any number of concurrent calls (the pipeline
+// fans a job's buckets out this way) and the results cannot depend on which
+// call got which scratch — provided the installed PathFunc and
+// MiddleKeyFunc are themselves safe for concurrent use; the BGP table's
+// path resolution is. SetMiddleKeyFunc is configuration, not operation:
+// call it before sharing the Localizer across goroutines.
 type Localizer struct {
 	cfg     Config
 	cloudAS netmodel.ASN
@@ -136,7 +147,8 @@ type Localizer struct {
 }
 
 // NewLocalizer builds a localizer. th may be nil, in which case the static
-// badness targets stand in for learned expected RTTs.
+// badness targets stand in for learned expected RTTs. pathOf is what
+// Localize resolves routes through; LocalizeRoutes does not call it.
 func NewLocalizer(cfg Config, cloudAS netmodel.ASN, pathOf PathFunc, th *Thresholds) *Localizer {
 	return &Localizer{
 		cfg: cfg, cloudAS: cloudAS, pathOf: pathOf, th: th,
@@ -144,7 +156,7 @@ func NewLocalizer(cfg Config, cloudAS netmodel.ASN, pathOf PathFunc, th *Thresho
 	}
 }
 
-// SetMiddleKeyFunc overrides how quartets are grouped into middle
+// SetMiddleKeyFunc overrides how Localize groups quartets into middle
 // aggregates (used by the ⟨AS, Metro⟩ grouping baseline).
 func (l *Localizer) SetMiddleKeyFunc(f MiddleKeyFunc) { l.keyOf = f }
 
@@ -209,107 +221,159 @@ func (l *Localizer) expectedMiddle(k netmodel.MiddleKey, d netmodel.DeviceClass,
 	return fallback
 }
 
-// Localize assigns blame to every bad quartet in the window. All quartets
-// of the window (good and bad) must be passed: the good ones feed the
-// aggregates and the ambiguity check. Quartets failing the sample gate are
-// excluded from aggregates, as in the paper.
-func (l *Localizer) Localize(qs []quartet.Quartet) []Result {
-	clouds := make(map[netmodel.CloudID]*aggregate)
-	middles := make(map[netmodel.MiddleKey]*aggregate)
-	goodClouds := make(map[netmodel.PrefixID][]netmodel.CloudID) // clouds each prefix reached with good RTT
-	paths := make([]netmodel.Path, len(qs))
+// goodSeen records which clouds a prefix reached with good RTT in the
+// window — no more than the ambiguity check asks: the first such cloud and
+// whether a second, different one exists. Clouds are stored +1 so the zero
+// value means none.
+type goodSeen struct {
+	first   int32
+	another bool
+}
 
+func (g *goodSeen) add(c netmodel.CloudID) {
+	switch {
+	case g.first == 0:
+		g.first = int32(c) + 1
+	case g.first != int32(c)+1:
+		g.another = true
+	}
+}
+
+// elsewhere reports whether the prefix saw good RTT to a cloud other than c.
+func (g goodSeen) elsewhere(c netmodel.CloudID) bool {
+	return g.another || g.first != 0 && g.first != int32(c)+1
+}
+
+// scratch is the working state of one localize call. It is dense where the
+// IDs are (clouds, prefixes) and keeps its capacity from call to call; a
+// call leaves it cleared.
+type scratch struct {
+	clouds  []aggregate                  // by CloudID
+	good    []goodSeen                   // by PrefixID
+	middles []aggregate                  // by middle index
+	midIdx  map[netmodel.MiddleKey]int32 // middle key -> index into middles
+	midOf   []int32                      // per quartet, its middle index
+}
+
+// scratchPool recycles scratches across calls: a window's buckets are
+// localized concurrently, each call holding one for its duration.
+var scratchPool = sync.Pool{
+	New: func() any { return &scratch{midIdx: make(map[netmodel.MiddleKey]int32)} },
+}
+
+// grown returns s with length at least n, the new tail zeroed.
+func grown[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	return append(s, make([]T, n-len(s))...)
+}
+
+// Localize assigns blame to every bad quartet in the window, resolving
+// each sufficiently sampled quartet's route through the PathFunc and its
+// middle key through the MiddleKeyFunc. See LocalizeRoutes.
+func (l *Localizer) Localize(qs []quartet.Quartet) []Result {
+	routes := make([]Route, len(qs))
+	for i, q := range qs {
+		if q.Enough {
+			path := l.pathOf(q.Obs.Prefix, q.Obs.Cloud, q.Obs.Bucket)
+			routes[i] = Route{Path: path, Key: l.keyOf(path, q.Obs.Prefix)}
+		}
+	}
+	return l.LocalizeRoutes(qs, routes)
+}
+
+// LocalizeRoutes is Algorithm 1: it assigns blame to every bad quartet in
+// the window, given each quartet's resolved route (routes[i] belongs to
+// qs[i]; entries of quartets failing the sample gate are not read). All
+// quartets of the window (good and bad) must be passed: the good ones feed
+// the aggregates and the ambiguity check. Quartets failing the sample gate
+// are excluded from aggregates, as in the paper.
+func (l *Localizer) LocalizeRoutes(qs []quartet.Quartet, routes []Route) []Result {
+	s := scratchPool.Get().(*scratch)
+	s.midOf = grown(s.midOf, len(qs))
+
+	var enough, bad int
 	for i, q := range qs {
 		if !q.Enough {
 			continue
 		}
+		enough++
 		o := q.Obs
-		paths[i] = l.pathOf(o.Prefix, o.Cloud, o.Bucket)
 		// Cloud aggregate: compare against the location's expected RTT.
-		ca := clouds[o.Cloud]
-		if ca == nil {
-			ca = &aggregate{}
-			clouds[o.Cloud] = ca
-		}
 		// Equality counts as bad, matching quartet.Classify's >= gate so
 		// the aggregate test and the per-quartet test agree at the
 		// threshold.
-		ca.add(o.MeanRTT >= l.expectedCloud(o.Cloud, o.Device, q.Target), o.Samples)
-		// Middle aggregate, keyed by the BGP path (or the override).
-		mk := l.keyOf(paths[i], o.Prefix)
-		ma := middles[mk]
-		if ma == nil {
-			ma = &aggregate{}
-			middles[mk] = ma
+		s.clouds = grown(s.clouds, int(o.Cloud)+1)
+		s.clouds[o.Cloud].add(o.MeanRTT >= l.expectedCloud(o.Cloud, o.Device, q.Target), o.Samples)
+		// Middle aggregate, keyed by the BGP path (or a coarser grouping).
+		mk := routes[i].Key
+		mi, ok := s.midIdx[mk]
+		if !ok {
+			mi = int32(len(s.middles))
+			s.midIdx[mk] = mi
+			s.middles = append(s.middles, aggregate{})
 		}
-		ma.add(o.MeanRTT >= l.expectedMiddle(mk, o.Device, q.Target), o.Samples)
-		if !q.Bad {
-			goodClouds[o.Prefix] = append(goodClouds[o.Prefix], o.Cloud)
+		s.midOf[i] = mi
+		s.middles[mi].add(o.MeanRTT >= l.expectedMiddle(mk, o.Device, q.Target), o.Samples)
+		s.good = grown(s.good, int(o.Prefix)+1)
+		if q.Bad {
+			bad++
+		} else {
+			s.good[o.Prefix].add(o.Cloud)
 		}
 	}
+	l.mLocalized.Add(int64(enough))
 
-	if l.mLocalized != nil {
-		var enough int64
-		for _, q := range qs {
-			if q.Enough {
-				enough++
-			}
-		}
-		l.mLocalized.Add(enough)
-	}
-
-	results := make([]Result, 0, len(qs))
+	results := make([]Result, 0, bad)
+	var byCat [numBlames]int64
 	for i, q := range qs {
 		if !q.Enough || !q.Bad {
 			continue
 		}
 		o := q.Obs
-		path := paths[i] // resolved above: every Enough quartet has its path
-		res := Result{Q: q, Path: path}
-		mk := l.keyOf(path, o.Prefix)
+		res := Result{Q: q, Path: routes[i].Path}
+		cloud, middle := &s.clouds[o.Cloud], &s.middles[s.midOf[i]]
 		switch {
 		// An aggregate with exactly MinAggregate quartets is decidable:
 		// Algorithm 1 requires "at least" MinAggregate (5) quartets.
-		case clouds[o.Cloud] == nil || clouds[o.Cloud].n < l.cfg.MinAggregate:
+		case cloud.n < l.cfg.MinAggregate:
 			res.Blame = BlameInsufficient
-		case clouds[o.Cloud].badFraction(l.cfg.WeightBySamples) >= l.cfg.Tau:
+		case cloud.badFraction(l.cfg.WeightBySamples) >= l.cfg.Tau:
 			res.Blame = BlameCloud
 			res.BlamedAS = l.cloudAS
-		case middles[mk] == nil || middles[mk].n < l.cfg.MinAggregate:
+		case middle.n < l.cfg.MinAggregate:
 			res.Blame = BlameInsufficient
-		case middles[mk].badFraction(l.cfg.WeightBySamples) >= l.cfg.Tau:
+		case middle.badFraction(l.cfg.WeightBySamples) >= l.cfg.Tau:
 			res.Blame = BlameMiddle
-		case goodToAnotherCloud(goodClouds[o.Prefix], o.Cloud):
+		case s.good[o.Prefix].elsewhere(o.Cloud):
 			res.Blame = BlameAmbiguous
 		default:
 			res.Blame = BlameClient
-			res.BlamedAS = path.Client
+			res.BlamedAS = res.Path.Client
 		}
+		byCat[res.Blame]++
 		results = append(results, res)
 	}
 	// Batch the per-category counts into the shared atomic counters (one
 	// Add per category per call, not per verdict).
-	var byCat [numBlames]int64
-	for _, r := range results {
-		byCat[r.Blame]++
-	}
 	for b, n := range byCat {
 		if n > 0 {
 			l.mVerdicts[b].Add(n)
 		}
 	}
-	return results
-}
 
-// goodToAnotherCloud reports whether any of the clouds a prefix reached
-// with good RTT differs from the bad quartet's cloud.
-func goodToAnotherCloud(goodClouds []netmodel.CloudID, bad netmodel.CloudID) bool {
-	for _, c := range goodClouds {
-		if c != bad {
-			return true
+	// Clear what the call touched, keeping the capacity.
+	for _, q := range qs {
+		if q.Enough && !q.Bad {
+			s.good[q.Obs.Prefix] = goodSeen{}
 		}
 	}
-	return false
+	clear(s.clouds)
+	clear(s.midIdx)
+	s.middles = s.middles[:0]
+	scratchPool.Put(s)
+	return results
 }
 
 // Summarize counts verdicts by category.

@@ -2,8 +2,12 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
+	"blameit/internal/metrics"
 	"blameit/internal/netmodel"
 	"blameit/internal/quartet"
 	"blameit/internal/trace"
@@ -444,4 +448,243 @@ func TestBlameString(t *testing.T) {
 	if len(Categories()) != 5 {
 		t.Error("Categories must list 5 verdicts")
 	}
+}
+
+// naiveLocalize is the reference Algorithm 1: the paper's pseudocode over
+// per-call maps, re-deriving each quartet's path and key wherever it needs
+// them. It is what Localizer ran before routes were resolved once and the
+// working state became a pooled dense scratch; the differential tests below
+// hold LocalizeRoutes to it.
+func naiveLocalize(l *Localizer, qs []quartet.Quartet) []Result {
+	clouds := make(map[netmodel.CloudID]*aggregate)
+	middles := make(map[netmodel.MiddleKey]*aggregate)
+	goodClouds := make(map[netmodel.PrefixID][]netmodel.CloudID) // clouds each prefix reached with good RTT
+	for _, q := range qs {
+		if !q.Enough {
+			continue
+		}
+		o := q.Obs
+		ca := clouds[o.Cloud]
+		if ca == nil {
+			ca = &aggregate{}
+			clouds[o.Cloud] = ca
+		}
+		ca.add(o.MeanRTT >= l.expectedCloud(o.Cloud, o.Device, q.Target), o.Samples)
+		mk := l.keyOf(l.pathOf(o.Prefix, o.Cloud, o.Bucket), o.Prefix)
+		ma := middles[mk]
+		if ma == nil {
+			ma = &aggregate{}
+			middles[mk] = ma
+		}
+		ma.add(o.MeanRTT >= l.expectedMiddle(mk, o.Device, q.Target), o.Samples)
+		if !q.Bad {
+			goodClouds[o.Prefix] = append(goodClouds[o.Prefix], o.Cloud)
+		}
+	}
+	var results []Result
+	for _, q := range qs {
+		if !q.Enough || !q.Bad {
+			continue
+		}
+		o := q.Obs
+		path := l.pathOf(o.Prefix, o.Cloud, o.Bucket)
+		res := Result{Q: q, Path: path}
+		mk := l.keyOf(path, o.Prefix)
+		goodElsewhere := false
+		for _, c := range goodClouds[o.Prefix] {
+			if c != o.Cloud {
+				goodElsewhere = true
+			}
+		}
+		switch {
+		case clouds[o.Cloud].n < l.cfg.MinAggregate:
+			res.Blame = BlameInsufficient
+		case clouds[o.Cloud].badFraction(l.cfg.WeightBySamples) >= l.cfg.Tau:
+			res.Blame = BlameCloud
+			res.BlamedAS = l.cloudAS
+		case middles[mk].n < l.cfg.MinAggregate:
+			res.Blame = BlameInsufficient
+		case middles[mk].badFraction(l.cfg.WeightBySamples) >= l.cfg.Tau:
+			res.Blame = BlameMiddle
+		case goodElsewhere:
+			res.Blame = BlameAmbiguous
+		default:
+			res.Blame = BlameClient
+			res.BlamedAS = path.Client
+		}
+		results = append(results, res)
+	}
+	return results
+}
+
+// randomWindow draws one bucket's quartets and the routes behind them,
+// built group by group so the decision boundaries are hit on purpose and
+// not by luck: (cloud, middle) groups one short of, exactly at and past
+// MinAggregate, bad counts one short of, exactly at and past τ, prefixes
+// seen at one, two and three clouds and sometimes twice at one (the
+// ambiguity check), under-sampled rows in between, and sample counts that
+// make the weighted and unweighted fractions disagree.
+func randomWindow(r *rand.Rand, cfg Config) ([]quartet.Quartet, map[pcKey]netmodel.Path) {
+	paths := make(map[pcKey]netmodel.Path)
+	var qs []quartet.Quartet
+	nClouds := 1 + r.Intn(3)
+	prefixPool := 5 + r.Intn(40)
+	m := cfg.MinAggregate
+	for c := 0; c < nClouds; c++ {
+		for g, groups := 0, 1+r.Intn(4); g < groups; g++ {
+			middle := netmodel.ASN(2000 + r.Intn(6)) // few enough that groups share a middle
+			size := []int{m - 1, m, m + 1, 2 * m, 4 * m}[r.Intn(5)]
+			atTau := int(cfg.Tau * float64(size))
+			bad := []int{0, atTau - 1, atTau, atTau + 1, size}[r.Intn(5)]
+			for i := 0; i < size; i++ {
+				p := r.Intn(prefixPool)
+				k := pcKey{netmodel.PrefixID(p), netmodel.CloudID(c)}
+				// The pipeline's quarantine leaves one quartet per (prefix,
+				// cloud) in a bucket, but Algorithm 1 does not depend on it:
+				// now and then a pair repeats, on the route it already has.
+				if _, dup := paths[k]; !dup {
+					paths[k] = simplePath(c, middle, netmodel.ASN(100+p%7))
+				} else if r.Intn(4) != 0 {
+					continue
+				}
+				rtt := 20 + 20*r.Float64()
+				if i < bad {
+					rtt = 60 + 40*r.Float64()
+				}
+				samples := quartet.MinSamples + r.Intn(200)
+				if r.Intn(6) == 0 {
+					samples = r.Intn(quartet.MinSamples) // fails the sample gate
+				}
+				q := mkQuartet(p, c, rtt, 50, samples)
+				q.Obs.Device = netmodel.DeviceClass(r.Intn(netmodel.NumDeviceClasses))
+				qs = append(qs, q)
+			}
+		}
+	}
+	r.Shuffle(len(qs), func(i, j int) { qs[i], qs[j] = qs[j], qs[i] })
+	return qs, paths
+}
+
+// randomLocalizer draws a configuration: learned thresholds for some of
+// the clouds and middles and the static target for the rest, sample
+// weighting on or off, and now and then a grouping coarser than the path.
+func randomLocalizer(r *rand.Rand, paths map[pcKey]netmodel.Path) *Localizer {
+	cfg := DefaultConfig()
+	cfg.WeightBySamples = r.Intn(2) == 0
+	cfg.UseExpectedRTT = r.Intn(4) != 0
+	cloudTh := make(map[netmodel.CloudID]float64)
+	middleTh := make(map[netmodel.MiddleKey]float64)
+	for c := 0; c < 3; c++ {
+		if r.Intn(2) == 0 {
+			cloudTh[netmodel.CloudID(c)] = 30 + 40*r.Float64()
+		}
+		for middle := netmodel.ASN(2000); middle < 2006; middle++ {
+			if r.Intn(2) == 0 {
+				middleTh[simplePath(c, middle, 0).Key()] = 30 + 40*r.Float64()
+			}
+		}
+	}
+	l := NewLocalizer(cfg, cloudASN, pathFunc(paths), StaticThresholds(cloudTh, middleTh))
+	if r.Intn(3) == 0 {
+		l.SetMiddleKeyFunc(func(path netmodel.Path, p netmodel.PrefixID) netmodel.MiddleKey {
+			return netmodel.MiddleKey(fmt.Sprintf("c%d/as%d/m%d", path.Cloud, path.Client, p%3))
+		})
+	}
+	return l
+}
+
+// TestLocalizeMatchesNaiveReference is the differential oracle: over
+// seeded random windows the localizer must return exactly the reference's
+// results, in its order, and move the verdict counters by exactly the
+// reference's counts.
+func TestLocalizeMatchesNaiveReference(t *testing.T) {
+	r := rand.New(rand.NewSource(15))
+	seen := make(map[Blame]int)
+	for trial := 0; trial < 2000; trial++ {
+		qs, paths := randomWindow(r, DefaultConfig())
+		l := randomLocalizer(r, paths)
+		reg := metrics.NewRegistry()
+		l.SetMetrics(reg)
+		want := naiveLocalize(l, qs)
+		got := l.Localize(qs)
+		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			for i := range want {
+				if i >= len(got) || !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("trial %d: result %d of %d differs from the reference (got %d results)\nwant %+v", trial, i, len(want), len(got), want[i])
+				}
+			}
+			t.Fatalf("trial %d: %d results, reference has %d", trial, len(got), len(want))
+		}
+		wantCounts := Summarize(want)
+		for b := Blame(0); b < numBlames; b++ {
+			if n := reg.Counter("core.verdicts." + b.String()).Value(); n != int64(wantCounts[b]) {
+				t.Fatalf("trial %d: core.verdicts.%v moved by %d, reference counts %d", trial, b, n, wantCounts[b])
+			}
+			seen[b] += wantCounts[b]
+		}
+		enough := 0
+		for _, q := range qs {
+			if q.Enough {
+				enough++
+			}
+		}
+		if n := reg.Counter("core.quartets.localized").Value(); n != int64(enough) {
+			t.Fatalf("trial %d: core.quartets.localized moved by %d, window has %d sampled quartets", trial, n, enough)
+		}
+	}
+	// The generator is only an oracle if every branch of Algorithm 1 fires.
+	for _, b := range Categories() {
+		if seen[b] == 0 {
+			t.Errorf("no random window produced a %v verdict", b)
+		}
+	}
+}
+
+// TestLocalizeConcurrentCalls shares one Localizer — and so the scratch
+// pool behind it — between many goroutines localizing different windows at
+// once; every call must still match the reference. Run under -race.
+func TestLocalizeConcurrentCalls(t *testing.T) {
+	r := rand.New(rand.NewSource(16))
+	// One route table and localizer, many windows over it.
+	all := make(map[pcKey]netmodel.Path)
+	for p := 0; p < 60; p++ {
+		for c := 0; c < 3; c++ {
+			all[pcKey{netmodel.PrefixID(p), netmodel.CloudID(c)}] = simplePath(c, netmodel.ASN(2000+(p+c)%5), netmodel.ASN(100+p%7))
+		}
+	}
+	l := randomLocalizer(r, all)
+	l.SetMetrics(metrics.NewRegistry())
+	const windows = 32
+	qss := make([][]quartet.Quartet, windows)
+	want := make([][]Result, windows)
+	for w := range qss {
+		for p := 0; p < 60; p++ {
+			for c := 0; c < 3; c++ {
+				if r.Intn(3) == 0 {
+					continue
+				}
+				rtt := 20 + 20*r.Float64()
+				if r.Intn(3) == 0 {
+					rtt = 60 + 40*r.Float64()
+				}
+				qss[w] = append(qss[w], mkQuartet(p, c, rtt, 50, r.Intn(60)))
+			}
+		}
+		want[w] = naiveLocalize(l, qss[w])
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				w := (g + round*5) % windows
+				if got := l.Localize(qss[w]); !reflect.DeepEqual(got, want[w]) && len(got)+len(want[w]) > 0 {
+					t.Errorf("goroutine %d round %d: window %d differs from the reference", g, round, w)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -75,13 +75,6 @@ func (r *reservoir) add(v float64, salt uint64) {
 	}
 }
 
-func (r *reservoir) median() (float64, bool) {
-	if len(r.vals) == 0 {
-		return 0, false
-	}
-	return stats.Median(r.vals), true
-}
-
 // Learner accumulates RTT observations over a learning window and produces
 // Thresholds. In production this runs over the trailing 14 days; the
 // reproduction feeds it warmup observations.
@@ -137,14 +130,21 @@ func (l *Learner) Snapshot() *Thresholds {
 		cloud:  make(map[cloudDevKey]float64, len(l.cloud)),
 		middle: make(map[middleDevKey]float64, len(l.middle)),
 	}
+	// A reservoir's order decides its later replacements, so the median is
+	// selected in a copy — one buffer serving every reservoir in turn.
+	buf := make([]float64, 0, reservoirCap)
+	median := func(r *reservoir) float64 {
+		buf = append(buf[:0], r.vals...)
+		return stats.MedianInPlace(buf)
+	}
 	for k, r := range l.cloud {
-		if m, ok := r.median(); ok {
-			t.cloud[k] = m
+		if len(r.vals) > 0 {
+			t.cloud[k] = median(r)
 		}
 	}
 	for k, r := range l.middle {
-		if m, ok := r.median(); ok {
-			t.middle[k] = m
+		if len(r.vals) > 0 {
+			t.middle[k] = median(r)
 		}
 	}
 	return t

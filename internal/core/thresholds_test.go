@@ -2,9 +2,11 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"blameit/internal/netmodel"
+	"blameit/internal/stats"
 )
 
 func TestLearnerMedian(t *testing.T) {
@@ -106,6 +108,45 @@ func TestStaticThresholdsCoverBothDevices(t *testing.T) {
 	for d := 0; d < netmodel.NumDeviceClasses; d++ {
 		if v, ok := th.CloudExpected(5, netmodel.DeviceClass(d)); !ok || v != 44 {
 			t.Errorf("device %d missing static threshold", d)
+		}
+	}
+}
+
+// Snapshot selects each median in one shared copy buffer; the value must be
+// stats.Median of the reservoir, bit for bit, and the reservoir itself — its
+// order decides later replacements — must come out untouched.
+func TestSnapshotMatchesMedianAndLeavesReservoirs(t *testing.T) {
+	r := rand.New(rand.NewSource(15))
+	l := NewLearner()
+	// Reservoirs of every shape: one element, odd, even, all equal, heavy
+	// ties, and past capacity (so replacement has happened).
+	sizes := []int{1, 2, 7, 100, 101, reservoirCap, reservoirCap + 500}
+	for c, n := range sizes {
+		for i := 0; i < n; i++ {
+			l.AddCloud(netmodel.CloudID(c), netmodel.NonMobile, r.NormFloat64()*30+90)
+			l.AddCloud(netmodel.CloudID(c), netmodel.Mobile, float64(r.Intn(3)))
+			l.AddMiddle(netmodel.MiddleKey("c1|2"), netmodel.DeviceClass(c%netmodel.NumDeviceClasses), 55)
+		}
+	}
+	before := make(map[cloudDevKey][]float64)
+	for k, res := range l.cloud {
+		before[k] = append([]float64(nil), res.vals...)
+	}
+	th := l.Snapshot()
+	for k, res := range l.cloud {
+		got, ok := th.CloudExpected(k.c, k.d)
+		if want := stats.Median(before[k]); !ok || math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("cloud %v: snapshot median %v (ok=%v), stats.Median %v", k, got, ok, want)
+		}
+		for i, v := range res.vals {
+			if v != before[k][i] {
+				t.Fatalf("cloud %v: Snapshot reordered the reservoir at %d", k, i)
+			}
+		}
+	}
+	for k := range l.middle {
+		if got, ok := th.MiddleExpected(k.k, k.d); !ok || got != 55 {
+			t.Errorf("middle %v: snapshot median %v (ok=%v), want 55", k, got, ok)
 		}
 	}
 }

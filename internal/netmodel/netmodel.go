@@ -233,14 +233,18 @@ type MiddleKey string
 
 // Key returns the MiddleKey for the path.
 func (p Path) Key() MiddleKey {
-	// One allocation, the key itself: the step loop and Algorithm 1 call
-	// this once per quartet.
-	buf := make([]byte, 0, 64)
+	// One allocation, the key itself. The per-quartet paths read the key
+	// the BGP table stored with the route instead (bgp.Table.RouteAt).
+	return MiddleKey(p.AppendKey(make([]byte, 0, 64)))
+}
+
+// AppendKey appends the bytes of the path's MiddleKey to buf.
+func (p Path) AppendKey(buf []byte) []byte {
 	buf = strconv.AppendInt(append(buf, 'c'), int64(p.Cloud), 10)
 	for _, a := range p.Middle {
 		buf = strconv.AppendInt(append(buf, '|'), int64(a), 10)
 	}
-	return MiddleKey(buf)
+	return buf
 }
 
 // FullKey encodes the complete AS-level path including the client AS. Two

@@ -130,12 +130,14 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// windowRun is one stepped bucket's classified quartets. Step appends
-// buckets in increasing order (the trackers enforce monotonicity), so a
-// window's runs are always sorted by bucket.
+// windowRun is one stepped bucket's classified quartets and, beside each
+// sufficiently sampled one, the route Step resolved for it (routes[i]
+// belongs to qs[i]). Step appends buckets in increasing order (the trackers
+// enforce monotonicity), so a window's runs are always sorted by bucket.
 type windowRun struct {
-	b  netmodel.Bucket
-	qs []quartet.Quartet
+	b      netmodel.Bucket
+	qs     []quartet.Quartet
+	routes []core.Route
 }
 
 // Report is the output of one Algorithm 1 job run.
@@ -342,10 +344,10 @@ type Pipeline struct {
 	// carries Obs.Bucket == b, so grouping happens incrementally at append
 	// time — the job consumes the runs directly instead of rescanning the
 	// whole window into a per-bucket map on every run. Runs (and their qs
-	// backing arrays) are recycled across jobs. windowFrom is the first
-	// bucket actually stepped into the current window (the job's Report.From
-	// is clamped to it, so a run starting on a bucket unaligned with
-	// RunEvery never reports buckets it did not step).
+	// and routes backing arrays) are recycled across jobs. windowFrom is the
+	// first bucket actually stepped into the current window (the job's
+	// Report.From is clamped to it, so a run starting on a bucket unaligned
+	// with RunEvery never reports buckets it did not step).
 	window       []windowRun
 	windowFrom   netmodel.Bucket
 	windowPrimed bool
@@ -520,7 +522,7 @@ func (p *Pipeline) WarmupContext(ctx context.Context, from, to netmodel.Bucket) 
 				continue
 			}
 			o := c.Observation(b)
-			mk := p.PathOf(o.Prefix, o.Cloud, o.Bucket).Key()
+			_, mk := p.Table.RouteAtForPrefix(o.Cloud, o.Prefix, o.Bucket)
 			p.Learner.AddObservation(o.Cloud, mk, o.Device, o.MeanRTT)
 			p.Clients.Record(mk, o.Bucket, o.Clients)
 		}
@@ -593,18 +595,28 @@ func (p *Pipeline) StepContext(ctx context.Context, b netmodel.Bucket) (*Report,
 		o := c.Observation(b)
 		q := quartet.Classify(o, p.World.TargetFor(o.Prefix, o.Cloud))
 		run.qs = append(run.qs, q)
-		if q.Enough && q.Bad {
+		if !q.Enough {
+			run.routes = append(run.routes, core.Route{})
+			continue
+		}
+		if q.Bad {
 			badKeys = append(badKeys, c.Key)
 		}
-		if q.Enough {
-			mk := p.PathOf(o.Prefix, o.Cloud, b).Key()
-			// Feed the client predictor continuously with normal traffic,
-			// and keep the expected-RTT learner current (subsampled).
-			p.Clients.Record(mk, b, o.Clients)
-			if feedLearner {
-				p.Learner.AddObservation(o.Cloud, mk, o.Device, o.MeanRTT)
-			}
+		// The quartet's route is resolved here, once: the table hands out
+		// the path with its stored key, the job's Algorithm 1 run reads
+		// both from the window.
+		path, mk := p.Table.RouteAtForPrefix(o.Cloud, o.Prefix, b)
+		// Feed the client predictor continuously with normal traffic,
+		// and keep the expected-RTT learner current (subsampled). Both
+		// go by the true path key, whatever the middle grouping.
+		p.Clients.Record(mk, b, o.Clients)
+		if feedLearner {
+			p.Learner.AddObservation(o.Cloud, mk, o.Device, o.MeanRTT)
 		}
+		if p.keyFunc != nil {
+			mk = p.keyFunc(path, o.Prefix)
+		}
+		run.routes = append(run.routes, core.Route{Path: path, Key: mk})
 	}
 	p.mStageClassify.Observe(msSince(classifyStart, time.Now()))
 	p.mBadQuartets.Add(int64(len(badKeys)))
@@ -635,11 +647,12 @@ func (p *Pipeline) windowRunFor(b netmodel.Bucket) *windowRun {
 		return &p.window[n-1]
 	}
 	if n := len(p.window); n < cap(p.window) {
-		// Recycle the parked run's qs backing array.
+		// Recycle the parked run's backing arrays.
 		p.window = p.window[:n+1]
 		r := &p.window[n]
 		r.b = b
 		r.qs = r.qs[:0]
+		r.routes = r.routes[:0]
 		return r
 	}
 	p.window = append(p.window, windowRun{b: b})
@@ -769,17 +782,16 @@ func (p *Pipeline) runJob(ctx context.Context, b netmodel.Bucket) (*Report, erro
 	// (in increasing bucket order), so the job consumes them directly — the
 	// old per-job rescan of every quartet into a fresh map is gone.
 	//
-	// The per-bucket Localize calls share only read-only state (localizer
-	// config, thresholds, BGP table), so the window's buckets run
-	// concurrently; per-run result slots are merged in bucket order to keep
-	// reports deterministic.
+	// The per-bucket calls share only read-only state (localizer config,
+	// thresholds), so the window's buckets run concurrently; per-run result
+	// slots are merged in bucket order to keep reports deterministic.
 	nb := int(rep.To-rep.From) + 1
 	p.mWindowBuckets.Observe(float64(nb))
 	localizeStart := time.Now()
 	perRun := make([][]core.Result, len(p.window))
 	err := parallel.ForEachCtx(ctx, len(p.window), parallel.Resolve(p.Cfg.Workers), func(i int) {
-		if qs := p.window[i].qs; len(qs) > 0 {
-			perRun[i] = p.Passive.Localize(qs)
+		if run := &p.window[i]; len(run.qs) > 0 {
+			perRun[i] = p.Passive.LocalizeRoutes(run.qs, run.routes)
 		}
 	})
 	if err != nil {

@@ -1,6 +1,9 @@
 package probe
 
 import (
+	"slices"
+	"strings"
+
 	"blameit/internal/bgp"
 	"blameit/internal/metrics"
 	"blameit/internal/netmodel"
@@ -47,9 +50,13 @@ type Baseliner struct {
 	table    *bgp.Table
 	listener *bgp.Listener
 
-	// reps maps each known middle key to a representative client prefix to
-	// probe, and its cloud location.
-	reps map[netmodel.MiddleKey]repTarget
+	// due[o] lists the registered paths whose periodic probe falls on the
+	// buckets b with b % PeriodBuckets == o, each with a representative
+	// client prefix to probe and its cloud location. Each list is sorted by
+	// key, so a bucket's probes are issued in the same order on every run.
+	// numPaths counts the registered paths whatever the period.
+	due      [][]repTarget
+	numPaths int
 	// baselines holds the recent traceroutes per middle key, oldest first.
 	baselines map[netmodel.MiddleKey][]Traceroute
 	// suppressed pauses periodic refreshes for paths with an ongoing
@@ -71,6 +78,7 @@ type Baseliner struct {
 }
 
 type repTarget struct {
+	key    netmodel.MiddleKey
 	cloud  netmodel.CloudID
 	prefix netmodel.PrefixID
 }
@@ -107,31 +115,42 @@ func newBaseliner(cfg BackgroundConfig, prober Prober, w *topology.World, table 
 		world:      w,
 		table:      table,
 		listener:   bgp.NewListener(table),
-		reps:       make(map[netmodel.MiddleKey]repTarget),
 		baselines:  make(map[netmodel.MiddleKey][]Traceroute),
 		suppressed: make(map[netmodel.MiddleKey]netmodel.Bucket),
 		prov:       prov,
 		filter:     filter,
 	}
+	periodic := cfg.PeriodBuckets > 0
+	if periodic {
+		bg.due = make([][]repTarget, cfg.PeriodBuckets)
+	}
+	registered := make(map[netmodel.MiddleKey]struct{})
 	for _, c := range w.Clouds {
 		if filter && c.Provider != prov {
 			continue
 		}
 		for _, bp := range w.BGPPrefixes {
-			path := table.PathAt(c.ID, bp.ID, 0)
-			mk := path.Key()
-			if _, ok := bg.reps[mk]; !ok {
-				kids := w.PrefixesOfBGP(bp.ID)
-				bg.reps[mk] = repTarget{cloud: c.ID, prefix: kids[0]}
+			_, mk := table.RouteAt(c.ID, bp.ID, 0)
+			if _, ok := registered[mk]; ok {
+				continue
+			}
+			registered[mk] = struct{}{}
+			if periodic {
+				o := offset(mk, cfg.PeriodBuckets)
+				bg.due[o] = append(bg.due[o], repTarget{key: mk, cloud: c.ID, prefix: w.PrefixesOfBGP(bp.ID)[0]})
 			}
 		}
+	}
+	bg.numPaths = len(registered)
+	for _, l := range bg.due {
+		slices.SortFunc(l, func(a, b repTarget) int { return strings.Compare(string(a.key), string(b.key)) })
 	}
 	return bg
 }
 
 // NumPaths returns the number of distinct (cloud, BGP path) baselines
 // being maintained.
-func (bg *Baseliner) NumPaths() int { return len(bg.reps) }
+func (bg *Baseliner) NumPaths() int { return bg.numPaths }
 
 // SetMetrics mirrors the baseliner's suppression and churn-dedup activity
 // into a metrics registry (probe.baseline.* counters).
@@ -143,7 +162,7 @@ func (bg *Baseliner) SetMetrics(reg *metrics.Registry) {
 }
 
 // offset staggers periodic probes across the period so they do not all
-// fire in one bucket.
+// fire in one bucket. It is computed once per path, at registration.
 func offset(mk netmodel.MiddleKey, period netmodel.Bucket) netmodel.Bucket {
 	var h uint64 = 1469598103934665603
 	for i := 0; i < len(mk); i++ {
@@ -193,12 +212,9 @@ func (bg *Baseliner) Suppress(keys []netmodel.MiddleKey, until netmodel.Bucket) 
 func (bg *Baseliner) Advance(b netmodel.Bucket) {
 	// Periodic refresh, staggered per path; suppressed paths keep their
 	// pre-incident picture.
-	if bg.cfg.PeriodBuckets > 0 {
-		for mk, rep := range bg.reps {
-			if b%bg.cfg.PeriodBuckets != offset(mk, bg.cfg.PeriodBuckets) {
-				continue
-			}
-			if until, ok := bg.suppressed[mk]; ok && b < until {
+	if bg.cfg.PeriodBuckets > 0 && b >= 0 {
+		for _, rep := range bg.due[b%bg.cfg.PeriodBuckets] {
+			if until, ok := bg.suppressed[rep.key]; ok && b < until {
 				bg.mSkipped.Inc()
 				continue
 			}
@@ -215,7 +231,7 @@ func (bg *Baseliner) Advance(b netmodel.Bucket) {
 			if bg.filter && bg.world.Clouds[ev.Cloud].Provider != bg.prov {
 				continue
 			}
-			nk := ev.NewPath.Key()
+			nk := ev.NewKey
 			if bg.cfg.ChurnDedupeBuckets > 0 {
 				if age, ok := bg.BaselineAge(nk, b); ok && age <= bg.cfg.ChurnDedupeBuckets {
 					bg.mChurnDeduped.Inc()

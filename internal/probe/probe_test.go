@@ -285,3 +285,109 @@ func TestComparePropertySelfDiff(t *testing.T) {
 		}
 	}
 }
+
+// recordingProber notes every probe requested of the engine, in order.
+type recordingProber struct {
+	*Engine
+	calls []probeCall
+}
+
+type probeCall struct {
+	c       netmodel.CloudID
+	p       netmodel.PrefixID
+	b       netmodel.Bucket
+	purpose Purpose
+}
+
+func (r *recordingProber) Traceroute(c netmodel.CloudID, p netmodel.PrefixID, b netmodel.Bucket, purpose Purpose) Traceroute {
+	r.calls = append(r.calls, probeCall{c, p, b, purpose})
+	return r.Engine.Traceroute(c, p, b, purpose)
+}
+
+// TestBaselinerPeriodicSchedule holds Advance's per-offset due lists to the
+// schedule they replaced — every registered path scanned every bucket, due
+// when b % period equals the hash offset of its key, skipped while
+// suppressed: bucket by bucket the periodic probes must be the same set
+// (so probe.traceroutes cannot move), and two runs must issue every probe,
+// periodic and churn-triggered, in the same order.
+func TestBaselinerPeriodicSchedule(t *testing.T) {
+	s := newSim(t, nil, bgp.DefaultChurnConfig(), 2)
+	cfg := DefaultBackgroundConfig()
+	horizon := netmodel.Bucket(2 * netmodel.BucketsPerDay)
+
+	// The scan's view: one representative per distinct key at bucket 0,
+	// the first (cloud, BGP prefix) to show it.
+	type rep struct {
+		key netmodel.MiddleKey
+		c   netmodel.CloudID
+		p   netmodel.PrefixID
+	}
+	var reps []rep
+	known := make(map[netmodel.MiddleKey]bool)
+	for _, c := range s.World.Clouds {
+		for _, bp := range s.World.BGPPrefixes {
+			if mk := s.Routes.PathAt(c.ID, bp.ID, 0).Key(); !known[mk] {
+				known[mk] = true
+				reps = append(reps, rep{mk, c.ID, s.World.PrefixesOfBGP(bp.ID)[0]})
+			}
+		}
+	}
+	suppressed := []netmodel.MiddleKey{reps[0].key, reps[len(reps)/2].key, reps[len(reps)-1].key}
+	const suppressUntil = 100
+
+	run := func() []probeCall {
+		rec := &recordingProber{Engine: NewEngine(s, 0)}
+		bg := NewBaselinerWith(cfg, rec, s.World, s.Routes)
+		if bg.NumPaths() != len(reps) {
+			t.Fatalf("NumPaths = %d, the table shows %d distinct keys at bucket 0", bg.NumPaths(), len(reps))
+		}
+		bg.Suppress(suppressed, suppressUntil)
+		for b := netmodel.Bucket(0); b < horizon; b++ {
+			bg.Advance(b)
+		}
+		return rec.calls
+	}
+	calls := run()
+
+	got := make(map[probeCall]int)
+	for _, c := range calls {
+		if c.purpose == Background {
+			got[c]++
+		}
+	}
+	want := make(map[probeCall]int)
+	for b := netmodel.Bucket(0); b < horizon; b++ {
+		for _, r := range reps {
+			if b%cfg.PeriodBuckets != offset(r.key, cfg.PeriodBuckets) {
+				continue
+			}
+			if b < suppressUntil && (r.key == suppressed[0] || r.key == suppressed[1] || r.key == suppressed[2]) {
+				continue
+			}
+			want[probeCall{r.c, r.p, b, Background}]++
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("the scan schedules no periodic probe")
+	}
+	for c, n := range want {
+		if got[c] != n {
+			t.Fatalf("periodic probe %+v issued %d times, the scan issues it %d times", c, got[c], n)
+		}
+	}
+	for c, n := range got {
+		if want[c] != n {
+			t.Fatalf("periodic probe %+v issued %d times, the scan issues it %d times", c, n, want[c])
+		}
+	}
+
+	again := run()
+	if len(again) != len(calls) {
+		t.Fatalf("second run issued %d probes, first %d", len(again), len(calls))
+	}
+	for i := range calls {
+		if calls[i] != again[i] {
+			t.Fatalf("probe %d differs between two runs: %+v then %+v", i, calls[i], again[i])
+		}
+	}
+}

@@ -30,6 +30,78 @@ func Median(xs []float64) float64 {
 	return Quantile(xs, 0.5)
 }
 
+// MedianInPlace returns Median(xs), reordering xs instead of copying and
+// sorting it: only the two middle order statistics are put in place
+// (expected linear time), and the same interpolation reads them, so the
+// result is bit-identical to Median's. For callers that take the median of
+// many samples and own a buffer to copy each into.
+func MedianInPlace(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	lo := (len(xs) - 1) / 2
+	selectKth(xs, lo)
+	if lo+1 < len(xs) {
+		// Everything after lo is no smaller: the next order statistic is
+		// the least of it.
+		m := lo + 1
+		for i := m + 1; i < len(xs); i++ {
+			if floatLess(xs[i], xs[m]) {
+				m = i
+			}
+		}
+		xs[lo+1], xs[m] = xs[m], xs[lo+1]
+	}
+	return sortedQuantile(xs, 0.5)
+}
+
+// floatLess orders floats as sort.Float64s does: NaNs before everything.
+func floatLess(a, b float64) bool { return a < b || (a != a && b == b) }
+
+// selectKth reorders xs so that xs[k] holds the value a full sort would
+// put there, with nothing greater before it and nothing smaller after it
+// (quickselect, median-of-three pivot).
+func selectKth(xs []float64, k int) {
+	lo, hi := 0, len(xs)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if floatLess(xs[mid], xs[lo]) {
+			xs[mid], xs[lo] = xs[lo], xs[mid]
+		}
+		if floatLess(xs[hi], xs[lo]) {
+			xs[hi], xs[lo] = xs[lo], xs[hi]
+		}
+		if floatLess(xs[hi], xs[mid]) {
+			xs[hi], xs[mid] = xs[mid], xs[hi]
+		}
+		pivot := xs[mid]
+		i, j := lo, hi
+		for i <= j {
+			for floatLess(xs[i], pivot) {
+				i++
+			}
+			for floatLess(pivot, xs[j]) {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// xs[lo..j] is no greater than the pivot, xs[i..hi] no smaller,
+		// and anything between them equals it.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
+}
+
 // Quantile returns the q'th empirical quantile of xs (q in [0,1]) using
 // linear interpolation between order statistics. The input is not modified.
 func Quantile(xs []float64, q float64) float64 {

@@ -300,3 +300,76 @@ func TestKSStatisticSymmetryProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// MedianInPlace selects where Median sorts; the float must be the same one,
+// bit for bit, on every shape of input the learner's reservoirs take.
+func TestMedianInPlaceMatchesMedian(t *testing.T) {
+	r := rand.New(rand.NewSource(15))
+	gens := map[string]func(n int) []float64{
+		"random": func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = r.NormFloat64()*40 + 80
+			}
+			return xs
+		},
+		"all equal": func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = 42.5
+			}
+			return xs
+		},
+		"heavy ties": func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(r.Intn(3))
+			}
+			return xs
+		},
+		"sorted": func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(i) / 3
+			}
+			return xs
+		},
+		"reversed": func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(n-i) / 3
+			}
+			return xs
+		},
+		"nan and inf": func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				switch r.Intn(5) {
+				case 0:
+					xs[i] = math.NaN()
+				case 1:
+					xs[i] = math.Inf(1 - 2*r.Intn(2))
+				default:
+					xs[i] = r.Float64()
+				}
+			}
+			return xs
+		},
+	}
+	sizes := []int{1, 2, 3, 4, 5, 8, 9, 100, 101, 2047, 2048}
+	for name, gen := range gens {
+		for _, n := range sizes {
+			for rep := 0; rep < 5; rep++ {
+				xs := gen(n)
+				want := Median(xs)
+				got := MedianInPlace(append([]float64(nil), xs...))
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s n=%d: MedianInPlace = %v, Median = %v", name, n, got, want)
+				}
+			}
+		}
+	}
+	if MedianInPlace(nil) != 0 {
+		t.Error("MedianInPlace(nil) != 0")
+	}
+}
