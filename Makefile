@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race chaos crash crash-smoke fleet multicloud fuzz bench-parallel bench-replay bench-json bench-service bench-service-smoke cover serve-smoke verify
+.PHONY: all build vet test race chaos crash crash-smoke fleet multicloud fuzz bench-service bench-service-smoke cover serve-smoke verify
 
 all: verify
 
@@ -17,10 +17,10 @@ test:
 
 # The packages that fan work out across goroutines (sharded observation
 # generation, the parallel Algorithm 1 job, the blameitd frontend/backend
-# split) plus the localizer they call concurrently and the ingestion
-# layer the pipeline reads through, under the race detector.
+# split) plus the localizer they call concurrently and the source seam
+# (internal/ingest) the pipeline reads through, under the race detector.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/pipeline/... ./internal/core/... ./internal/parallel/... ./internal/ingest/... ./internal/trace/... ./internal/probe/... ./internal/chaos/... ./internal/server/... ./internal/wal/... ./internal/fleet/... ./internal/multicloud/... ./internal/topology/...
+	$(GO) test -race ./internal/sim/... ./internal/pipeline/... ./internal/core/... ./internal/parallel/... ./internal/ingest/... ./internal/probe/... ./internal/chaos/... ./internal/server/... ./internal/wal/... ./internal/fleet/... ./internal/multicloud/... ./internal/topology/...
 
 # The crash-safety gate, under the race detector: every WAL-layer test
 # (framing, torn tails, compaction crash points) plus the service-level
@@ -72,23 +72,6 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzQuantileMonotonicity -fuzztime 10s ./internal/stats/
 	$(GO) test -run NONE -fuzz FuzzSummarizeOrdering -fuzztime 10s ./internal/stats/
 	$(GO) test -run NONE -fuzz FuzzCDFQuantileAgreement -fuzztime 10s ./internal/stats/
-
-# Sequential-vs-parallel full-day pipeline pair; on an N-core machine the
-# parallel variant should approach N x (output is identical either way).
-bench-parallel:
-	$(GO) test -run NONE -bench 'BenchmarkPipeline(Sequential|Parallel)$$' -benchtime 3x .
-
-# Ingestion-path comparison: live sim generation vs. the store-backed §6.1
-# scan path vs. streaming JSONL trace replay, half a day of records each.
-bench-replay:
-	$(GO) test -run NONE -bench 'BenchmarkIngest(LiveSim|StoreBacked|StreamReplay)$$' -benchtime 3x .
-
-# Perf-trajectory snapshot: run the blameit-bench harness and write the
-# schema-stable BENCH_<date>.json document (ingest throughput per source,
-# classification rate, Algorithm 1 wall time, per-record allocation
-# accounting; see DESIGN.md §11). CI uploads the file as an artifact.
-bench-json:
-	$(GO) run ./cmd/blameit-bench -o BENCH_$$(date -u +%Y-%m-%d).json
 
 # The whole-service benchmark (BENCHMARK.json, benchmark/README.md) on the
 # workload that exercises the journal: a real blameitd with -data-dir

@@ -524,7 +524,7 @@ func BenchmarkAblationBudgetMode(b *testing.B) {
 	b.ReportMetric(float64(asIssues), "per-as-issues")
 }
 
-// --- Ingestion-path benches (the bench-replay Makefile target) ---
+// --- Ingestion-path benches ---
 
 // benchIngestSim builds the fault-free small-world simulator the ingestion
 // benches share.
@@ -562,19 +562,7 @@ func benchDrainSource(b *testing.B, mk func() ingest.ObservationSource) {
 // the zero-storage upper bound on ingestion throughput.
 func BenchmarkIngestLiveSim(b *testing.B) {
 	s := benchIngestSim()
-	benchDrainSource(b, func() ingest.ObservationSource { return ingest.NewSimSource(s) })
-}
-
-// BenchmarkIngestStoreBacked drains through the full §6.1 path — write
-// into hourly-window storage buckets, read back via scan-everything — the
-// live pipeline's default wiring.
-func BenchmarkIngestStoreBacked(b *testing.B) {
-	s := benchIngestSim()
-	benchDrainSource(b, func() ingest.ObservationSource {
-		st := trace.NewStore(8)
-		st.SetRetention(pipeline.SimDepsRetention)
-		return ingest.NewStoreIngest(ingest.NewSimSource(s), st)
-	})
+	benchDrainSource(b, func() ingest.ObservationSource { return ingest.SourceFunc(s.ObservationsAt) })
 }
 
 // BenchmarkIngestStreamReplay drains a recorded JSONL trace through the

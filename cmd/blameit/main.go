@@ -179,7 +179,12 @@ func run(ctx context.Context, o options) error {
 	// a matching trace reproduces the live reports byte for byte.
 	deps := pipeline.SimDeps(s, cfg.ProbeNoiseMS)
 	var stream *ingest.StreamSource
-	if o.replayPath != "" {
+	var scan *ingest.ScanCost
+	if o.replayPath == "" {
+		// §6.1's layout: 8 storage buckets per hour-long ingestion window.
+		scan = ingest.NewScanCost(deps.Source, 8, netmodel.BucketsPerHour)
+		deps.Source = scan
+	} else {
 		var in io.Reader = os.Stdin
 		if o.replayPath != "-" {
 			f, err := os.Open(o.replayPath)
@@ -191,7 +196,6 @@ func run(ctx context.Context, o options) error {
 		}
 		stream = ingest.NewStreamSource(in)
 		deps.Source = stream
-		deps.Store = nil
 	}
 	// Chaos wraps whatever source/prober the run ended up with — live or
 	// replay — so the hardened consuming side (quarantine, retrying
@@ -265,9 +269,9 @@ func run(ctx context.Context, o options) error {
 	fmt.Printf("\nprobes: %d background, %d churn-triggered, %d on-demand (%d total)\n",
 		cnt.Count(probe.Background), cnt.Count(probe.ChurnTriggered), cnt.Count(probe.OnDemand), cnt.Total())
 	fmt.Printf("badness incidents tracked: %d; tickets filed: %d\n", len(incidents), ticketCount)
-	if p.Store != nil {
-		fmt.Printf("ingestion store: scanned %d storage buckets / %d records, %d windows resident (%d evicted)\n",
-			p.Store.ScannedBuckets(), p.Store.ScannedRecords(), p.Store.NumWindows(), p.Store.EvictedWindows())
+	if scan != nil {
+		fmt.Printf("ingestion store: scanned %d storage buckets / %d records\n",
+			scan.ScannedBuckets(), scan.ScannedRecords())
 	}
 	if stream != nil {
 		fmt.Printf("trace replay: consumed %d records\n", stream.Records())

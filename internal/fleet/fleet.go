@@ -4,7 +4,7 @@
 // space, pre-aggregate their slice's observations into per-bucket
 // quartet.Partial batches at the edge, and ship them to a Collector that
 // merges them — deduplicated by (agent, epoch, seq) — into the per-bucket
-// quartet.Aggregate the pipeline classifies from.
+// quartet.Aggregate whose canonical fold the pipeline reads.
 //
 // Delivery is where a real fleet hurts, so the Collector injects the
 // fleet fault classes off the existing chaos configuration: whole-partial

@@ -112,7 +112,7 @@ func TestFleetMatchesCentralized(t *testing.T) {
 	want := runReports(t, pipeline.Deps{
 		World:  central.World,
 		Table:  central.Routes,
-		Source: ingest.NewSimSource(central),
+		Source: ingest.SourceFunc(central.ObservationsAt),
 		Prober: probe.NewEngine(central, cfg.ProbeNoiseMS),
 	}, horizon)
 	if len(want) == 0 {

@@ -1,20 +1,16 @@
 // Package ingest is the data plane between telemetry collection and the
-// BlameIt pipeline. It defines the ObservationSource interface the pipeline
-// reads passive quartet observations through, with three implementations
-// mirroring the production architecture of §6.1 (collection → storage
-// buckets → periodic job):
+// BlameIt pipeline: the ObservationSource seam the pipeline reads passive
+// quartet observations through, the JSONL wire codecs of the daemon's two
+// POST routes, and the quarantine every read is validated by.
 //
-//   - SimSource: live generation straight from the simulator (the in-memory
-//     fast path used by tests and ablations).
-//   - StoreSource: windowed reads from a trace.Store — every read scans the
-//     storage buckets of each overlapped ingestion window, so the store's
-//     scan-cost accounting measures the real job.
-//   - StreamSource: a streaming JSONL reader that replays a recorded trace
-//     (blameit-tracegen output) bucket by bucket without loading it whole.
-//
-// StoreIngest composes the first two into the full production path: each
-// bucket's records are generated upstream, scattered into the store's
-// ingestion windows, and read back through the scan-everything window read.
+// The seam has one adapter and one reader here. SourceFunc lifts any
+// func(bucket, buf) that cannot fail — a simulator's ObservationsAt, a
+// closure over one provider's stream — into a source. StreamSource replays
+// a recorded trace (blameit-tracegen output) bucket by bucket without
+// loading it whole. The other implementations live with the state they
+// read: the daemon's ingest queue (internal/server), the fleet collector
+// (internal/fleet), the chaos injector (internal/chaos). ScanCost decorates
+// any of them with §6.1's scan accounting.
 //
 // Sources take a context.Context because real backends block on I/O; the
 // in-memory implementations only check for cancellation.
@@ -28,7 +24,6 @@ import (
 	"io"
 
 	"blameit/internal/netmodel"
-	"blameit/internal/sim"
 	"blameit/internal/trace"
 )
 
@@ -45,99 +40,18 @@ type ObservationSource interface {
 	ObservationsAt(ctx context.Context, b netmodel.Bucket, buf []trace.Observation) ([]trace.Observation, error)
 }
 
-// SimSource adapts the live simulator to the ObservationSource interface:
-// observations are generated on demand and never touch storage. This is the
-// lowest-latency path, but its reads cost nothing — use StoreIngest when
-// the §6.1 scan costs should be measured.
-type SimSource struct {
-	S *sim.Simulator
-}
+// SourceFunc adapts an in-memory generator to ObservationSource, as
+// http.HandlerFunc adapts a function to a handler: f appends bucket b's
+// observations to buf and cannot fail, so the only error is the context's.
+// ingest.SourceFunc(s.ObservationsAt) is the live simulator as a source.
+type SourceFunc func(b netmodel.Bucket, buf []trace.Observation) []trace.Observation
 
-// NewSimSource wraps a simulator as a live observation source.
-func NewSimSource(s *sim.Simulator) SimSource { return SimSource{S: s} }
-
-// ObservationsAt generates bucket b's observations.
-func (s SimSource) ObservationsAt(ctx context.Context, b netmodel.Bucket, buf []trace.Observation) ([]trace.Observation, error) {
+// ObservationsAt calls f unless ctx is already done.
+func (f SourceFunc) ObservationsAt(ctx context.Context, b netmodel.Bucket, buf []trace.Observation) ([]trace.Observation, error) {
 	if err := ctx.Err(); err != nil {
 		return buf, err
 	}
-	return s.S.ObservationsAt(b, buf), nil
-}
-
-// ProviderSimSource is SimSource scoped to one cloud provider of a
-// multi-provider world: each read generates the provider's own observation
-// stream (its served prefix population steered to its own edge locations)
-// off the shared simulated internet. Provider 0 of a single-provider world
-// reads exactly what SimSource reads.
-type ProviderSimSource struct {
-	S        *sim.Simulator
-	Provider netmodel.ProviderID
-}
-
-// NewProviderSimSource wraps a simulator as provider q's live observation
-// source.
-func NewProviderSimSource(s *sim.Simulator, q netmodel.ProviderID) ProviderSimSource {
-	return ProviderSimSource{S: s, Provider: q}
-}
-
-// ObservationsAt generates bucket b's observations for the provider.
-func (s ProviderSimSource) ObservationsAt(ctx context.Context, b netmodel.Bucket, buf []trace.Observation) ([]trace.Observation, error) {
-	if err := ctx.Err(); err != nil {
-		return buf, err
-	}
-	return s.S.ObservationsForProvider(s.Provider, b, buf), nil
-}
-
-// StoreSource reads observations out of a trace.Store with one windowed
-// read per bucket, exactly as the production 15-minute job reads the
-// analytics cluster's storage buckets. The store must already hold the
-// trace (preloaded from a file, or fed by a collector).
-type StoreSource struct {
-	St *trace.Store
-}
-
-// NewStoreSource wraps a store as an observation source.
-func NewStoreSource(st *trace.Store) StoreSource { return StoreSource{St: st} }
-
-// ObservationsAt reads bucket b's observations through the store's
-// scan-and-filter window read.
-func (s StoreSource) ObservationsAt(ctx context.Context, b netmodel.Bucket, buf []trace.Observation) ([]trace.Observation, error) {
-	if err := ctx.Err(); err != nil {
-		return buf, err
-	}
-	return s.St.ReadWindowAppend(b, b+1, buf), nil
-}
-
-// StoreIngest is the full §6.1 collection path: each requested bucket is
-// generated by the upstream source, written into the store (scattering the
-// records across the ingestion window's storage buckets), and read back
-// through the windowed scan. The pipeline's reads therefore pay — and the
-// store's ScannedBuckets/ScannedRecords account — the real job's ingestion
-// inefficiency, while the observation stream stays byte-identical to the
-// upstream source (the store restores arrival order on read).
-type StoreIngest struct {
-	up      ObservationSource
-	st      *trace.Store
-	scratch []trace.Observation
-}
-
-// NewStoreIngest routes an upstream source's records through a store.
-func NewStoreIngest(up ObservationSource, st *trace.Store) *StoreIngest {
-	return &StoreIngest{up: up, st: st}
-}
-
-// Store exposes the underlying store for scan-cost accounting.
-func (s *StoreIngest) Store() *trace.Store { return s.st }
-
-// ObservationsAt ingests bucket b upstream → store, then reads it back.
-func (s *StoreIngest) ObservationsAt(ctx context.Context, b netmodel.Bucket, buf []trace.Observation) ([]trace.Observation, error) {
-	gen, err := s.up.ObservationsAt(ctx, b, s.scratch[:0])
-	s.scratch = gen
-	if err != nil {
-		return buf, err
-	}
-	s.st.Write(gen)
-	return s.st.ReadWindowAppend(b, b+1, buf), nil
+	return f(b, buf), nil
 }
 
 // StreamSource replays a recorded JSONL observation trace (the output of

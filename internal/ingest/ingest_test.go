@@ -36,58 +36,52 @@ func equalObs(a, b []trace.Observation) bool {
 }
 
 // TestSourcesAgreeBucketForBucket is the interface contract: the live sim,
-// the store-ingesting path, a preloaded store, and a streaming trace reader
-// fed from the same telemetry must yield identical observation slices for
-// every bucket — the property replay determinism is built on.
+// a streaming trace reader fed from the same telemetry, and the ScanCost
+// decorator over either must yield identical observation slices for every
+// bucket — the property replay determinism is built on.
 func TestSourcesAgreeBucketForBucket(t *testing.T) {
 	s := testSim(t)
 	ctx := context.Background()
 	const horizon = 2 * netmodel.BucketsPerHour
 
 	// Reference stream straight from the simulator, also serialized to a
-	// JSONL trace and preloaded into a bare store.
+	// JSONL trace.
 	var file bytes.Buffer
-	preloaded := trace.NewStore(8)
 	var all []trace.Observation
 	var buf []trace.Observation
 	for b := netmodel.Bucket(0); b < horizon; b++ {
 		buf = s.ObservationsAt(b, buf[:0])
 		all = append(all, buf...)
-		preloaded.Write(buf)
 		if err := trace.WriteJSONL(&file, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	liveSim := NewSimSource(s)
-	ingesting := NewStoreIngest(NewSimSource(s), trace.NewStore(8))
-	stored := NewStoreSource(preloaded)
 	stream := NewStreamSource(bytes.NewReader(file.Bytes()))
+	counted := NewScanCost(NewStreamSource(bytes.NewReader(file.Bytes())), 8, netmodel.BucketsPerHour)
+	sources := map[string]ObservationSource{
+		"live": SourceFunc(s.ObservationsAt), "stream": stream, "scan-cost": counted,
+	}
 
-	var want, got []trace.Observation
+	var got []trace.Observation
 	for b := netmodel.Bucket(0); b < horizon; b++ {
-		var err error
-		want, err = liveSim.ObservationsAt(ctx, b, want[:0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, src := range map[string]ObservationSource{
-			"store-ingest": ingesting, "preloaded-store": stored, "stream": stream,
-		} {
+		want := s.ObservationsAt(b, nil)
+		for name, src := range sources {
+			var err error
 			got, err = src.ObservationsAt(ctx, b, got[:0])
 			if err != nil {
 				t.Fatalf("%s at bucket %d: %v", name, b, err)
 			}
 			if !equalObs(got, want) {
-				t.Fatalf("%s diverges from live sim at bucket %d (%d vs %d records)", name, b, len(got), len(want))
+				t.Fatalf("%s diverges from the simulator at bucket %d (%d vs %d records)", name, b, len(got), len(want))
 			}
 		}
 	}
 	if stream.Records() != int64(len(all)) {
 		t.Errorf("stream consumed %d records, trace holds %d", stream.Records(), len(all))
 	}
-	if ingesting.Store().ScannedBuckets() == 0 {
-		t.Error("store-ingest path did not account any storage-bucket scans")
+	if counted.ScannedBuckets() != 8*int(horizon) {
+		t.Errorf("decorator charged %d storage buckets for %d reads, want 8 each", counted.ScannedBuckets(), horizon)
 	}
 }
 
@@ -213,10 +207,9 @@ func TestSourcesHonorCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	sources := map[string]ObservationSource{
-		"sim":          NewSimSource(s),
-		"store":        NewStoreSource(trace.NewStore(8)),
-		"store-ingest": NewStoreIngest(NewSimSource(s), trace.NewStore(8)),
-		"stream":       NewStreamSource(strings.NewReader("")),
+		"live":      SourceFunc(s.ObservationsAt),
+		"stream":    NewStreamSource(strings.NewReader("")),
+		"scan-cost": NewScanCost(SourceFunc(s.ObservationsAt), 8, netmodel.BucketsPerHour),
 	}
 	for name, src := range sources {
 		if _, err := src.ObservationsAt(ctx, 0, nil); err != context.Canceled {

@@ -8,9 +8,9 @@
 // the same middle AS for the same incident — and should never blame each
 // other's cloud segments, which their own telemetry cannot see inside.
 // Each provider gets its own observation stream (its served prefixes
-// steered to its own anycast edges), its own ingestion store, probe
-// engine, baseliner, and metrics registry; only the world, the BGP fabric,
-// and the fault timeline are shared, exactly as in reality.
+// steered to its own anycast edges), its own probe engine, baseliner, and
+// metrics registry; only the world, the BGP fabric, and the fault timeline
+// are shared, exactly as in reality.
 package multicloud
 
 import (
@@ -41,10 +41,10 @@ type Runner struct {
 }
 
 // New assembles one pipeline per provider over the shared simulator. Each
-// provider's wiring mirrors pipeline.SimDeps — its own ingestion store and
-// traceroute engine over its own observation stream — plus a private
-// metrics registry so per-provider counters never mix. The pipeline
-// configuration is shared; cfg.Metrics is ignored.
+// provider's wiring mirrors pipeline.SimDeps — its own traceroute engine
+// over its own observation stream — plus a private metrics registry so
+// per-provider counters never mix. The pipeline configuration is shared;
+// cfg.Metrics is ignored.
 func New(s *sim.Simulator, cfg pipeline.Config) *Runner {
 	n := s.World.NumProviders()
 	r := &Runner{
@@ -52,18 +52,18 @@ func New(s *sim.Simulator, cfg pipeline.Config) *Runner {
 		Pipelines: make([]*pipeline.Pipeline, n),
 		Reports:   make([][]*pipeline.Report, n),
 	}
-	for q := 0; q < n; q++ {
-		st := trace.NewStore(8)
-		st.SetRetention(pipeline.SimDepsRetention)
+	for i := range r.Pipelines {
+		q := netmodel.ProviderID(i)
 		pcfg := cfg
 		pcfg.Metrics = metrics.NewRegistry()
-		r.Pipelines[q] = pipeline.New(pipeline.Deps{
-			World:    s.World,
-			Table:    s.Routes,
-			Source:   ingest.NewStoreIngest(ingest.NewProviderSimSource(s, netmodel.ProviderID(q)), st),
+		r.Pipelines[i] = pipeline.New(pipeline.Deps{
+			World: s.World,
+			Table: s.Routes,
+			Source: ingest.SourceFunc(func(b netmodel.Bucket, buf []trace.Observation) []trace.Observation {
+				return s.ObservationsForProvider(q, b, buf)
+			}),
 			Prober:   probe.NewEngine(s, cfg.ProbeNoiseMS),
-			Store:    st,
-			Provider: netmodel.ProviderID(q),
+			Provider: q,
 		}, pcfg)
 	}
 	return r

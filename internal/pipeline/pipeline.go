@@ -6,7 +6,8 @@
 //
 // The pipeline is decoupled from where its telemetry comes from: passive
 // observations arrive through an ingest.ObservationSource (live simulator,
-// store-backed windowed reads, or a streaming trace replay) and active
+// streaming trace replay, the daemon's queue, a fleet collector) and are
+// classified as read, with only the quarantine in between; active
 // measurements go through a probe.Prober (live traceroute engine or a
 // recorded-probe replay). The simulator is just one backend among several;
 // see NewSim for the conventional live wiring.
@@ -254,22 +255,16 @@ func ReportFromCanonical(data []byte) (*Report, error) {
 }
 
 // Deps are the pipeline's external dependencies: the topology and routing
-// views shared with the telemetry backends, the passive telemetry feed,
-// the active-phase prober, and optionally the storage layer behind the
-// source (for §6.1 scan-cost accounting). World, Table, Source, and Prober
-// are required. Source is the one telemetry feed, whoever produced the
-// observations — a trace, a simulator, the daemon's queue, a fleet
-// collector's merged edge partials: Step validates the bucket's stream and
-// classifies from its trivial one-agent aggregation.
+// views shared with the telemetry backends, the passive telemetry feed, and
+// the active-phase prober. World, Table, Source, and Prober are required.
+// Source is the one telemetry feed, whoever produced the observations — a
+// trace, a simulator, the daemon's queue, a fleet collector's merged edge
+// partials: Step validates the bucket's stream and classifies it.
 type Deps struct {
 	World  *topology.World
 	Table  *bgp.Table
 	Source ingest.ObservationSource
 	Prober probe.Prober
-	// Store, when non-nil, is the ingestion store the Source reads through;
-	// the pipeline exposes it for scan-cost reporting but never bypasses
-	// the Source to reach it.
-	Store *trace.Store
 	// Provider selects which of the world's cloud providers this pipeline
 	// operates for: its cloud ASN is the one Algorithm 1 treats as the
 	// cloud segment, and background baselines cover its edge locations.
@@ -277,26 +272,15 @@ type Deps struct {
 	Provider netmodel.ProviderID
 }
 
-// SimDepsRetention is the ingestion-store retention (in hour-long windows)
-// of the default sim-backed wiring: the job's 15-minute window never reads
-// more than one window behind the frontier, so two suffice for any run
-// length.
-const SimDepsRetention = 2
-
 // SimDeps is the conventional live wiring over a simulator: observations
-// are generated by the sim, scattered into an hourly-window ingestion store
-// and read back through the scan-everything window read (so scan-cost
-// accounting measures the real job), and probes are served by the live
-// traceroute engine. The store keeps SimDepsRetention windows.
+// are generated by the sim on demand and probes are served by the live
+// traceroute engine.
 func SimDeps(s *sim.Simulator, probeNoiseMS float64) Deps {
-	st := trace.NewStore(8)
-	st.SetRetention(SimDepsRetention)
 	return Deps{
 		World:  s.World,
 		Table:  s.Routes,
-		Source: ingest.NewStoreIngest(ingest.NewSimSource(s), st),
+		Source: ingest.SourceFunc(s.ObservationsAt),
 		Prober: probe.NewEngine(s, probeNoiseMS),
-		Store:  st,
 	}
 }
 
@@ -311,9 +295,6 @@ type Pipeline struct {
 	// Source feeds the passive phase; Prober serves the active phase.
 	Source ingest.ObservationSource
 	Prober probe.Prober
-	// Store is the ingestion store behind Source, when there is one (nil
-	// for direct live or streaming sources). Read-only accounting.
-	Store *trace.Store
 
 	// Metrics is the registry every stage of this pipeline reports into.
 	Metrics *metrics.Registry
@@ -340,10 +321,13 @@ type Pipeline struct {
 	lastRelearnDay int
 
 	// window accumulates classified quartets between job runs, one run per
-	// stepped bucket. The quarantine guarantees every record kept at Step(b)
-	// carries Obs.Bucket == b, so grouping happens incrementally at append
-	// time — the job consumes the runs directly instead of rescanning the
-	// whole window into a per-bucket map on every run. Runs (and their qs
+	// stepped bucket. obsBuf is the bucket being stepped: the source's read,
+	// filtered in place by the quarantine, which guarantees every record kept
+	// at Step(b) carries Bucket == b and a (prefix, cloud, device) key no
+	// other kept record has — so Step classifies the buffer as it stands and
+	// grouping happens incrementally at append time; the job consumes the
+	// runs directly instead of rescanning the whole window into a per-bucket
+	// map on every run. Runs (and their qs
 	// and routes backing arrays) are recycled across jobs. windowFrom is the
 	// first bucket actually stepped into the current window (the job's
 	// Report.From is clamped to it, so a run starting on a bucket unaligned
@@ -352,13 +336,6 @@ type Pipeline struct {
 	windowFrom   netmodel.Bucket
 	windowPrimed bool
 	obsBuf       []trace.Observation
-
-	// agg is the per-bucket merged aggregate Step classifies from: the
-	// bucket's observation stream, validated by the quarantine, is folded
-	// into aggPart, the trivial one-agent aggregation, and agg holds
-	// exactly that partial. Both are recycled across buckets.
-	agg     *quartet.Aggregate
-	aggPart *quartet.Partial
 
 	// Metric handles (fetched once in New; nil-safe no-ops never occur
 	// here since the pipeline always has a registry).
@@ -442,14 +419,11 @@ func New(deps Deps, cfg Config) *Pipeline {
 		Provider:  deps.Provider,
 		Source:    deps.Source,
 		Prober:    pr,
-		Store:     deps.Store,
 		Metrics:   reg,
 		Learner:   core.NewLearner(),
 		Durations: predict.NewDurationPredictor(3),
 		Clients:   predict.NewClientPredictor(),
 		Alerter:   alerting.NewAlerter(cfg.TopNAlerts),
-		agg:       quartet.NewAggregate(0),
-		aggPart:   quartet.NewPartial(quartet.PartialID{}, 0),
 	}
 	if m, ok := p.Prober.(interface{ SetMetrics(*metrics.Registry) }); ok {
 		m.SetMetrics(reg)
@@ -489,9 +463,8 @@ func New(deps Deps, cfg Config) *Pipeline {
 	return p
 }
 
-// NewSim assembles a pipeline over a live simulator, reading observations
-// through an ingestion store (SimDeps) and probing through the simulated
-// traceroute engine.
+// NewSim assembles a pipeline over a live simulator (SimDeps): observations
+// generated on demand, probes through the simulated traceroute engine.
 func NewSim(s *sim.Simulator, cfg Config) *Pipeline {
 	return New(SimDeps(s, cfg.ProbeNoiseMS), cfg)
 }
@@ -517,11 +490,10 @@ func (p *Pipeline) WarmupContext(ctx context.Context, from, to netmodel.Bucket) 
 		if err := p.readBucket(ctx, b); err != nil {
 			return err
 		}
-		for _, c := range p.agg.Cells() {
-			if c.Samples < quartet.MinSamples {
+		for _, o := range p.obsBuf {
+			if o.Samples < quartet.MinSamples {
 				continue
 			}
-			o := c.Observation(b)
 			_, mk := p.Table.RouteAtForPrefix(o.Cloud, o.Prefix, o.Bucket)
 			p.Learner.AddObservation(o.Cloud, mk, o.Device, o.MeanRTT)
 			p.Clients.Record(mk, o.Bucket, o.Clients)
@@ -579,8 +551,6 @@ func (p *Pipeline) StepContext(ctx context.Context, b netmodel.Bucket) (*Report,
 		p.lastSnap = p.Metrics.Snapshot()
 		p.lastSnapPrimed = true
 	}
-	// Passive collection and aggregation: the bucket's telemetry converges
-	// on p.agg's merged cells, which is what classification consumes.
 	collectStart := time.Now()
 	if err := p.readBucket(ctx, b); err != nil {
 		return nil, err
@@ -591,8 +561,7 @@ func (p *Pipeline) StepContext(ctx context.Context, b netmodel.Bucket) (*Report,
 	feedLearner := int(b)%p.Cfg.WarmupSampleEvery == 0
 	run := p.windowRunFor(b)
 	var badKeys []quartet.Key
-	for _, c := range p.agg.Cells() {
-		o := c.Observation(b)
+	for _, o := range p.obsBuf {
 		q := quartet.Classify(o, p.World.TargetFor(o.Prefix, o.Cloud))
 		run.qs = append(run.qs, q)
 		if !q.Enough {
@@ -600,7 +569,7 @@ func (p *Pipeline) StepContext(ctx context.Context, b netmodel.Bucket) (*Report,
 			continue
 		}
 		if q.Bad {
-			badKeys = append(badKeys, c.Key)
+			badKeys = append(badKeys, quartet.KeyOf(o))
 		}
 		// The quartet's route is resolved here, once: the table hands out
 		// the path with its stored key, the job's Algorithm 1 run reads
@@ -664,24 +633,22 @@ func msSince(from, to time.Time) float64 {
 	return float64(to.Sub(from)) / float64(time.Millisecond)
 }
 
-// readBucket fills p.obsBuf with bucket b's validated observation stream
-// and folds it into p.agg, the merged aggregate Step classifies from.
+// readBucket fills p.obsBuf with bucket b's validated observation stream,
+// which Step and Warmup classify as it stands.
 //
-// The stream passes through the quarantine (late, corrupt, and duplicate
-// records are diverted there instead of reaching the aggregates —
-// validation always precedes aggregation, so duplicates, chaos-injected or
-// two edge partials claiming one quartet, are quarantined, never silently
-// merged) and the survivors fold into the trivial one-agent aggregation. Transient read errors are retried up to Cfg.SourceRetries
-// times; when retries run out the bucket is declared dark — counted,
-// records lost, run continues. Fatal errors (cancellation, strict decode
-// failures) propagate.
+// The stream passes through the quarantine: late, corrupt, and duplicate
+// records — chaos-injected, or two edge partials claiming one quartet — are
+// diverted there, never silently merged. Transient read errors are retried
+// up to Cfg.SourceRetries times; when retries run out the bucket is declared
+// dark — counted, records lost, run continues. Fatal errors (cancellation,
+// strict decode failures) propagate.
 func (p *Pipeline) readBucket(ctx context.Context, b netmodel.Bucket) error {
 	for attempt := 0; ; attempt++ {
 		var err error
 		p.obsBuf, err = p.Source.ObservationsAt(ctx, b, p.obsBuf[:0])
 		if err == nil {
 			p.obsBuf = p.quar.Filter(b, p.obsBuf)
-			break
+			return nil
 		}
 		if ctx.Err() != nil || !ingest.IsTransient(err) {
 			return err
@@ -693,7 +660,7 @@ func (p *Pipeline) readBucket(ctx context.Context, b netmodel.Bucket) error {
 			}
 			p.mDarkBuckets.Inc()
 			p.obsBuf = p.obsBuf[:0]
-			break
+			return nil
 		}
 		p.srcRetries++
 		if p.mSourceRetries == nil {
@@ -701,18 +668,6 @@ func (p *Pipeline) readBucket(ctx context.Context, b netmodel.Bucket) error {
 		}
 		p.mSourceRetries.Inc()
 	}
-	// The trivial one-agent aggregation over the validated stream. The
-	// quarantine guarantees per-bucket key uniqueness, so the cells are
-	// exactly the validated observations in canonical order: they are
-	// appended as they come, with no index to find colliding keys by and no
-	// latency sketch, which nothing reads off this partial.
-	p.aggPart.Reset(quartet.PartialID{Seq: int64(b)}, b)
-	for _, o := range p.obsBuf {
-		p.aggPart.Cells = append(p.aggPart.Cells, quartet.Cell{Key: quartet.KeyOf(o), Samples: o.Samples, MeanRTT: o.MeanRTT, Clients: o.Clients})
-	}
-	p.agg.Reset(b)
-	p.agg.Add(p.aggPart)
-	return nil
 }
 
 // Quarantine exposes the ingestion quarantine for inspection (counts,

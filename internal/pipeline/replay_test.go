@@ -91,9 +91,7 @@ func writeReplayTrace(t *testing.T, scale topology.Scale) string {
 // replaying a recorded medium-scale JSONL trace through the streaming
 // source — with probes still served by the deterministic engine, as the
 // CLI does — must reproduce the live-sim run's report/ticket stream byte
-// for byte, at Workers 1 and 4. A store-backed replay (the trace preloaded
-// into an hourly-window store) must match too: all three ingestion paths
-// are interchangeable.
+// for byte, at Workers 1 and 4.
 func TestGoldenReplayEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("medium-scale replay equivalence in -short mode")
@@ -127,37 +125,6 @@ func TestGoldenReplayEquivalence(t *testing.T) {
 			t.Fatalf("streaming replay (workers=%d) diverged from the live run: %d vs %d canonical bytes",
 				workers, len(got), len(want))
 		}
-	}
-
-	// Store-backed replay: load the whole trace into a store up front and
-	// read it back through windowed scans.
-	f, err := os.Open(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	obs, err := trace.ReadJSONL(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := trace.NewStore(8)
-	st.Write(obs)
-	s := replaySim(scale, 1)
-	deps := Deps{
-		World:  s.World,
-		Table:  s.Routes,
-		Source: ingest.NewStoreSource(st),
-		Prober: probe.NewEngine(s, cfg.ProbeNoiseMS),
-		Store:  st,
-	}
-	rcfg := cfg
-	rcfg.Workers = 4
-	got := canonicalStream(t, New(deps, rcfg))
-	if !bytes.Equal(got, want) {
-		t.Fatalf("store-backed replay diverged from the live run: %d vs %d canonical bytes", len(got), len(want))
-	}
-	if st.ScannedBuckets() == 0 {
-		t.Error("store-backed replay accounted no storage-bucket scans")
 	}
 }
 
@@ -235,23 +202,5 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 	if reports != 2 {
 		t.Fatalf("callback ran %d times after cancellation at 2", reports)
-	}
-}
-
-// TestSimDepsBoundsStoreMemory: the default live wiring must not grow the
-// ingestion store with the run length (the month-long-run bound).
-func TestSimDepsBoundsStoreMemory(t *testing.T) {
-	p := buildPipeline(t, nil, 1, DefaultConfig())
-	if p.Store == nil {
-		t.Fatal("sim-backed pipeline has no ingestion store")
-	}
-	if err := p.Run(dayStart, dayStart+6*netmodel.BucketsPerHour, nil); err != nil {
-		t.Fatal(err)
-	}
-	if n := p.Store.NumWindows(); n > SimDepsRetention {
-		t.Errorf("store holds %d windows after 6 hours, retention is %d", n, SimDepsRetention)
-	}
-	if p.Store.EvictedWindows() == 0 {
-		t.Error("no windows were evicted over 6 hours")
 	}
 }

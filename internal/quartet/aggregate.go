@@ -11,7 +11,7 @@ import (
 
 // This file is the mergeable half of the quartet layer: the per-bucket
 // partial aggregates an edge-aggregating agent fleet ships upward instead
-// of raw observations, and the merged view Algorithm 1 classifies from.
+// of raw observations, and the merged view a collector serves the pipeline.
 //
 // The design keeps every classification-relevant field byte-exact under
 // any merge tree and any delivery order:

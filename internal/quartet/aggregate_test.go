@@ -347,8 +347,8 @@ func TestAggregateReset(t *testing.T) {
 	}
 }
 
-// TestPartialReset checks partial reuse (the pipeline's per-bucket
-// trivial aggregation recycles one Partial).
+// TestPartialReset checks partial reuse: a recycled partial forgets its
+// previous bucket.
 func TestPartialReset(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	p := NewPartial(PartialID{}, 1)

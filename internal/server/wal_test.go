@@ -676,7 +676,7 @@ func chaosWorld() (*topology.World, func() *sim.Simulator) {
 // survives the transport bit for bit.
 func chaosStreams(t *testing.T, w *topology.World, feed *sim.Simulator, ccfg chaos.Config, horizon int) ([][]trace.Observation, chaos.SourceStats) {
 	t.Helper()
-	src := chaos.NewSource(ingest.NewSimSource(feed), ccfg, netmodel.PrefixID(len(w.Prefixes)))
+	src := chaos.NewSource(ingest.SourceFunc(feed.ObservationsAt), ccfg, netmodel.PrefixID(len(w.Prefixes)))
 	streams := make([][]trace.Observation, horizon)
 	ctx := context.Background()
 	for b := range streams {

@@ -117,11 +117,9 @@ type Simulator struct {
 	weekendFactor map[netmodel.ASN]float64 // how much of the diurnal shape survives weekends
 	eveningPeak   map[netmodel.ASN]float64 // peak hour of the AS's congestion
 
-	// Reusable per-shard buffers for the parallel generation paths,
-	// checked out under mu so concurrent callers never share scratch.
-	mu         sync.Mutex
-	obsScratch [][]Observation
-	smpScratch [][]trace.Sample
+	// Reusable per-shard buffers for the parallel generation paths.
+	obsScratch scratchPool[Observation]
+	smpScratch scratchPool[trace.Sample]
 
 	// Metric handles (nil-safe no-ops when uninstrumented).
 	mObservations *metrics.Counter
@@ -393,6 +391,64 @@ func (s *Simulator) volumeFactor(p netmodel.PrefixID, b netmodel.Bucket) float64
 // not worth its goroutine overhead.
 const minParallelPrefixes = 64
 
+// scratchPool caches one set of per-shard buffers between sharded runs,
+// checked out under mu so concurrent callers never share scratch; a caller
+// that misses the cache simply allocates a fresh set.
+type scratchPool[T any] struct {
+	mu   sync.Mutex
+	bufs [][]T
+}
+
+func (p *scratchPool[T]) checkout(n int) [][]T {
+	p.mu.Lock()
+	bufs := p.bufs
+	p.bufs = nil
+	p.mu.Unlock()
+	if len(bufs) < n {
+		bufs = append(bufs, make([][]T, n-len(bufs))...)
+	}
+	return bufs[:n]
+}
+
+func (p *scratchPool[T]) checkin(bufs [][]T) {
+	p.mu.Lock()
+	p.bufs = bufs
+	p.mu.Unlock()
+}
+
+// sharded appends gen's output over the index space [0, n) to buf and
+// returns it with the fan-out used (0 = the sequential walk). When workers
+// resolves to more than one and n is worth it, [0, n) is split into
+// contiguous shards generated concurrently into pool's scratch and merged in
+// shard order, so the result is byte-identical to gen(0, n, buf).
+func sharded[T any](workers, n int, pool *scratchPool[T], buf []T, gen func(lo, hi int, buf []T) []T) ([]T, int) {
+	workers = parallel.Resolve(workers)
+	if workers <= 1 || n < minParallelPrefixes {
+		return gen(0, n, buf), 0
+	}
+	shards := parallel.Shards(n, workers)
+	bufs := pool.checkout(len(shards))
+	parallel.ForEach(len(shards), workers, func(i int) {
+		bufs[i] = gen(shards[i].Lo, shards[i].Hi, bufs[i][:0])
+	})
+	for _, sb := range bufs {
+		buf = append(buf, sb...)
+	}
+	pool.checkin(bufs)
+	return buf, len(shards)
+}
+
+// countObservations accounts one ObservationsAt/ObservationsForProvider run.
+func (s *Simulator) countObservations(generated, fanout int) {
+	if fanout == 0 {
+		s.mRunsSeq.Inc()
+	} else {
+		s.mRunsParallel.Inc()
+		s.mFanoutMax.SetMax(int64(fanout))
+	}
+	s.mObservations.Add(int64(generated))
+}
+
 // ObservationsAt generates the quartet-level observations of one bucket,
 // appending to buf (which may be nil) and returning the extended slice.
 // Quartets with zero samples are omitted.
@@ -402,27 +458,10 @@ const minParallelPrefixes = 64
 // merged in shard (= prefix) order, so the result is byte-identical to the
 // sequential walk.
 func (s *Simulator) ObservationsAt(b netmodel.Bucket, buf []Observation) []Observation {
-	n := len(s.World.Prefixes)
 	before := len(buf)
-	workers := parallel.Resolve(s.cfg.Workers)
-	if workers <= 1 || n < minParallelPrefixes {
-		buf = s.observationsRange(b, 0, n, buf)
-		s.mRunsSeq.Inc()
-		s.mObservations.Add(int64(len(buf) - before))
-		return buf
-	}
-	shards := parallel.Shards(n, workers)
-	bufs := s.checkoutObs(len(shards))
-	parallel.ForEach(len(shards), workers, func(i int) {
-		bufs[i] = s.observationsRange(b, shards[i].Lo, shards[i].Hi, bufs[i][:0])
-	})
-	for _, sb := range bufs {
-		buf = append(buf, sb...)
-	}
-	s.checkinObs(bufs)
-	s.mRunsParallel.Inc()
-	s.mFanoutMax.SetMax(int64(len(shards)))
-	s.mObservations.Add(int64(len(buf) - before))
+	buf, fanout := sharded(s.cfg.Workers, len(s.World.Prefixes), &s.obsScratch, buf,
+		func(lo, hi int, buf []Observation) []Observation { return s.observationsRange(b, lo, hi, buf) })
+	s.countObservations(len(buf)-before, fanout)
 	return buf
 }
 
@@ -484,27 +523,10 @@ func (s *Simulator) providerStreamSeed(q netmodel.ProviderID) uint64 {
 // stream is identical at any worker count.
 func (s *Simulator) ObservationsForProvider(q netmodel.ProviderID, b netmodel.Bucket, buf []Observation) []Observation {
 	pop := s.World.Population(q)
-	n := len(pop)
 	before := len(buf)
-	workers := parallel.Resolve(s.cfg.Workers)
-	if workers <= 1 || n < minParallelPrefixes {
-		buf = s.observationsPop(q, b, pop, buf)
-		s.mRunsSeq.Inc()
-		s.mObservations.Add(int64(len(buf) - before))
-		return buf
-	}
-	shards := parallel.Shards(n, workers)
-	bufs := s.checkoutObs(len(shards))
-	parallel.ForEach(len(shards), workers, func(i int) {
-		bufs[i] = s.observationsPop(q, b, pop[shards[i].Lo:shards[i].Hi], bufs[i][:0])
-	})
-	for _, sb := range bufs {
-		buf = append(buf, sb...)
-	}
-	s.checkinObs(bufs)
-	s.mRunsParallel.Inc()
-	s.mFanoutMax.SetMax(int64(len(shards)))
-	s.mObservations.Add(int64(len(buf) - before))
+	buf, fanout := sharded(s.cfg.Workers, len(pop), &s.obsScratch, buf,
+		func(lo, hi int, buf []Observation) []Observation { return s.observationsPop(q, b, pop[lo:hi], buf) })
+	s.countObservations(len(buf)-before, fanout)
 	return buf
 }
 
@@ -521,26 +543,6 @@ func (s *Simulator) observationsPop(q netmodel.ProviderID, b netmodel.Bucket, po
 		}
 	}
 	return buf
-}
-
-// checkoutObs hands the caller n per-shard scratch buffers, reusing the
-// cached set when one is available. Concurrent callers that miss the cache
-// simply allocate a fresh set.
-func (s *Simulator) checkoutObs(n int) [][]Observation {
-	s.mu.Lock()
-	bufs := s.obsScratch
-	s.obsScratch = nil
-	s.mu.Unlock()
-	if len(bufs) < n {
-		bufs = append(bufs, make([][]Observation, n-len(bufs))...)
-	}
-	return bufs[:n]
-}
-
-func (s *Simulator) checkinObs(bufs [][]Observation) {
-	s.mu.Lock()
-	s.obsScratch = bufs
-	s.mu.Unlock()
 }
 
 // Observe generates the observation of a single (prefix, cloud) quartet at
@@ -595,25 +597,11 @@ func (s *Simulator) observeSeeded(seed uint64, p netmodel.PrefixID, c netmodel.C
 // (here over the observation list) and merges per-shard buffers in order,
 // so the stream is identical at any worker count.
 func (s *Simulator) SamplesAt(b netmodel.Bucket, buf []trace.Sample) []trace.Sample {
-	var obs []Observation
-	obs = s.ObservationsAt(b, obs)
+	obs := s.ObservationsAt(b, nil)
 	before := len(buf)
-	workers := parallel.Resolve(s.cfg.Workers)
-	if workers <= 1 || len(obs) < minParallelPrefixes {
-		buf = s.samplesRange(b, obs, buf)
-		s.mSamples.Add(int64(len(buf) - before))
-		return buf
-	}
-	shards := parallel.Shards(len(obs), workers)
-	bufs := s.checkoutSamples(len(shards))
-	parallel.ForEach(len(shards), workers, func(i int) {
-		bufs[i] = s.samplesRange(b, obs[shards[i].Lo:shards[i].Hi], bufs[i][:0])
-	})
-	for _, sb := range bufs {
-		buf = append(buf, sb...)
-	}
-	s.checkinSamples(bufs)
-	s.mFanoutMax.SetMax(int64(len(shards)))
+	buf, fanout := sharded(s.cfg.Workers, len(obs), &s.smpScratch, buf,
+		func(lo, hi int, buf []trace.Sample) []trace.Sample { return s.samplesRange(b, obs[lo:hi], buf) })
+	s.mFanoutMax.SetMax(int64(fanout))
 	s.mSamples.Add(int64(len(buf) - before))
 	return buf
 }
@@ -643,23 +631,6 @@ func (s *Simulator) samplesRange(b netmodel.Bucket, obs []Observation, buf []tra
 		}
 	}
 	return buf
-}
-
-func (s *Simulator) checkoutSamples(n int) [][]trace.Sample {
-	s.mu.Lock()
-	bufs := s.smpScratch
-	s.smpScratch = nil
-	s.mu.Unlock()
-	if len(bufs) < n {
-		bufs = append(bufs, make([][]trace.Sample, n-len(bufs))...)
-	}
-	return bufs[:n]
-}
-
-func (s *Simulator) checkinSamples(bufs [][]trace.Sample) {
-	s.mu.Lock()
-	s.smpScratch = bufs
-	s.mu.Unlock()
 }
 
 // SampleRTTs draws n individual RTT samples for a quartet, for tests that

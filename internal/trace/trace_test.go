@@ -42,362 +42,11 @@ func TestReadJSONLRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestSplitJoinRoundTrip(t *testing.T) {
-	obs := sampleObs()
-	rtts, clients := Split(obs)
-	if len(rtts) != len(obs) || len(clients) != len(obs) {
-		t.Fatal("split sizes wrong")
-	}
-	joined := Join(rtts, clients)
-	if len(joined) != len(obs) {
-		t.Fatalf("join returned %d records", len(joined))
-	}
-	for i := range obs {
-		if joined[i] != obs[i] {
-			t.Errorf("record %d mismatch after split/join", i)
-		}
-	}
-}
-
-func TestJoinDropsOrphans(t *testing.T) {
-	obs := sampleObs()
-	rtts, clients := Split(obs)
-	joined := Join(rtts, clients[:1]) // only first client record survives
-	if len(joined) != 1 {
-		t.Fatalf("join with orphans returned %d records", len(joined))
-	}
-	if joined[0] != obs[0] {
-		t.Error("wrong record survived the join")
-	}
-}
-
-func TestStoreReadWindow(t *testing.T) {
-	s := NewStore(4)
-	var obs []Observation
-	// Two hours of records, one per bucket.
-	for b := netmodel.Bucket(0); b < 2*netmodel.BucketsPerHour; b++ {
-		obs = append(obs, Observation{Prefix: netmodel.PrefixID(b), Bucket: b, Samples: 10, MeanRTT: 1})
-	}
-	s.Write(obs)
-	got := s.ReadWindow(3, 6)
-	if len(got) != 3 {
-		t.Fatalf("window [3,6) returned %d records", len(got))
-	}
-	for _, o := range got {
-		if o.Bucket < 3 || o.Bucket >= 6 {
-			t.Errorf("record outside window: bucket %d", o.Bucket)
-		}
-	}
-}
-
-func TestStoreScansWholeHour(t *testing.T) {
-	// The §6.1 quirk: reading 15 minutes requires scanning every storage
-	// bucket of the hour.
-	s := NewStore(8)
-	var obs []Observation
-	for b := netmodel.Bucket(0); b < netmodel.BucketsPerHour; b++ {
-		for p := 0; p < 10; p++ {
-			obs = append(obs, Observation{Prefix: netmodel.PrefixID(p), Bucket: b, Samples: 10, MeanRTT: 1})
-		}
-	}
-	s.Write(obs)
-	before := s.ScannedBuckets()
-	s.ReadWindow(0, 3) // just 15 minutes
-	if scanned := s.ScannedBuckets() - before; scanned != 8 {
-		t.Errorf("15-minute read scanned %d storage buckets, want all 8", scanned)
-	}
-}
-
-func TestStoreWindowAcrossHours(t *testing.T) {
-	s := NewStore(4)
-	var obs []Observation
-	for b := netmodel.Bucket(0); b < 3*netmodel.BucketsPerHour; b++ {
-		obs = append(obs, Observation{Prefix: 1, Bucket: b, Samples: 10, MeanRTT: 1})
-	}
-	s.Write(obs)
-	got := s.ReadWindow(10, 26) // spans hours 0, 1, 2
-	if len(got) != 16 {
-		t.Fatalf("cross-hour window returned %d records, want 16", len(got))
-	}
-}
-
-func TestStoreEmptyWindow(t *testing.T) {
-	s := NewStore(4)
-	if got := s.ReadWindow(0, 12); len(got) != 0 {
-		t.Errorf("empty store returned %d records", len(got))
-	}
-}
-
-func TestNewStoreDefaultSize(t *testing.T) {
-	s := NewStore(0)
-	s.Write([]Observation{{Prefix: 1, Bucket: 1, Samples: 10, MeanRTT: 1}})
-	if got := s.ReadWindow(0, 12); len(got) != 1 {
-		t.Error("default-size store lost a record")
-	}
-}
-
-func TestFinerWindowsCutScanCost(t *testing.T) {
-	// §6.1 follow-up: with 15-minute ingestion windows, the 15-minute job
-	// scans far fewer storage buckets than with the hourly layout.
-	mkObs := func() []Observation {
-		var obs []Observation
-		for b := netmodel.Bucket(0); b < netmodel.BucketsPerHour; b++ {
-			for p := 0; p < 10; p++ {
-				obs = append(obs, Observation{Prefix: netmodel.PrefixID(p), Bucket: b, Samples: 10, MeanRTT: 1})
-			}
-		}
-		return obs
-	}
-	hourly := NewStoreWindow(8, netmodel.BucketsPerHour)
-	hourly.Write(mkObs())
-	fine := NewStoreWindow(8, 3) // 15-minute ingestion windows
-	fine.Write(mkObs())
-
-	a := hourly.ReadWindow(0, 3)
-	b := fine.ReadWindow(0, 3)
-	if len(a) != len(b) {
-		t.Fatalf("layouts disagree on results: %d vs %d", len(a), len(b))
-	}
-	// The hourly layout filters through the full hour's records (12
-	// buckets' worth) to answer a 15-minute query; the fine layout only
-	// touches the one ingestion window that matters.
-	if hourly.ScannedRecords() != 120 {
-		t.Errorf("hourly layout scanned %d records, want the whole hour (120)", hourly.ScannedRecords())
-	}
-	if fine.ScannedRecords() != 30 {
-		t.Errorf("fine layout scanned %d records, want one window (30)", fine.ScannedRecords())
-	}
-}
-
-func TestStoreWindowCrossBoundary(t *testing.T) {
-	s := NewStoreWindow(4, 3)
-	var obs []Observation
-	for b := netmodel.Bucket(0); b < 12; b++ {
-		obs = append(obs, Observation{Prefix: 1, Bucket: b, Samples: 10, MeanRTT: 1})
-	}
-	s.Write(obs)
-	got := s.ReadWindow(2, 8) // spans windows 0, 1, 2
-	if len(got) != 6 {
-		t.Fatalf("cross-window read returned %d records, want 6", len(got))
-	}
-}
-
-func TestReadWindowEdgeCases(t *testing.T) {
-	// Table-driven edge cases for the windowed read; the inverted and empty
-	// ranges used to underflow windowOf(to-1) and scan garbage windows.
-	mk := func() *Store {
-		s := NewStore(4)
-		var obs []Observation
-		for b := netmodel.Bucket(0); b < 2*netmodel.BucketsPerHour; b++ {
-			obs = append(obs, Observation{Prefix: netmodel.PrefixID(b), Bucket: b, Samples: 10, MeanRTT: 1})
-		}
-		s.Write(obs)
-		return s
-	}
-	cases := []struct {
-		name     string
-		from, to netmodel.Bucket
-		want     int
-	}{
-		{"empty range", 5, 5, 0},
-		{"inverted range", 6, 5, 0},
-		{"inverted at zero", 0, 0, 0},
-		{"to below zero", 3, -2, 0},
-		{"both negative", -8, -2, 0},
-		{"from negative to positive", -5, 3, 3},
-		{"single bucket", 7, 8, 1},
-		{"whole store", 0, 2 * netmodel.BucketsPerHour, 2 * netmodel.BucketsPerHour},
-		{"beyond the data", 100 * netmodel.BucketsPerHour, 101 * netmodel.BucketsPerHour, 0},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			s := mk()
-			before := s.ScannedBuckets()
-			got := s.ReadWindow(tc.from, tc.to)
-			if len(got) != tc.want {
-				t.Fatalf("ReadWindow(%d, %d) returned %d records, want %d", tc.from, tc.to, len(got), tc.want)
-			}
-			if tc.want == 0 && tc.to <= tc.from && s.ScannedBuckets() != before {
-				t.Errorf("degenerate range scanned %d storage buckets", s.ScannedBuckets()-before)
-			}
-			for _, o := range got {
-				if o.Bucket < tc.from || o.Bucket >= tc.to {
-					t.Errorf("record outside window: bucket %d", o.Bucket)
-				}
-			}
-		})
-	}
-}
-
-func TestReadWindowPreservesArrivalOrder(t *testing.T) {
-	// The scatter spreads records across storage buckets; reads must put
-	// them back in the exact order they were ingested — the pipeline's
-	// replay determinism rides on this. Interleave prefixes so consecutive
-	// records land in different storage buckets.
-	s := NewStore(8)
-	var written []Observation
-	for b := netmodel.Bucket(0); b < 6; b++ {
-		for p := 10; p >= 0; p-- { // deliberately non-sorted prefix order
-			written = append(written, Observation{Prefix: netmodel.PrefixID(p * 13), Bucket: b, Samples: 10, MeanRTT: float64(p)})
-		}
-	}
-	s.Write(written)
-	got := s.ReadWindow(0, 6)
-	if len(got) != len(written) {
-		t.Fatalf("read %d records, wrote %d", len(got), len(written))
-	}
-	for i := range written {
-		if got[i] != written[i] {
-			t.Fatalf("record %d out of arrival order: got %+v want %+v", i, got[i], written[i])
-		}
-	}
-	// Appending onto a caller buffer keeps the prior contents.
-	buf := []Observation{{Prefix: 999}}
-	buf = s.ReadWindowAppend(0, 2, buf)
-	if buf[0].Prefix != 999 || len(buf) != 1+2*11 {
-		t.Errorf("ReadWindowAppend clobbered or mis-sized the buffer: len=%d", len(buf))
-	}
-}
-
-func TestJoinFirstWinsOnDuplicateIDs(t *testing.T) {
-	// Duplicate request ids (collector retransmissions) must resolve
-	// deterministically: the first record wins on both streams.
-	rtts := []RTTRecord{
-		{RequestID: 1, Cloud: 1, Bucket: 5, Samples: 20, MeanRTT: 30},
-		{RequestID: 1, Cloud: 2, Bucket: 6, Samples: 99, MeanRTT: 99}, // dup rtt: dropped
-		{RequestID: 2, Cloud: 3, Bucket: 5, Samples: 10, MeanRTT: 40},
-	}
-	clients := []ClientRecord{
-		{RequestID: 1, Prefix: 11, Clients: 7},
-		{RequestID: 1, Prefix: 22, Clients: 8}, // dup client: dropped
-		{RequestID: 2, Prefix: 33, Clients: 9},
-	}
-	got := Join(rtts, clients)
-	if len(got) != 2 {
-		t.Fatalf("join returned %d records, want 2", len(got))
-	}
-	if got[0].Prefix != 11 || got[0].Cloud != 1 || got[0].MeanRTT != 30 {
-		t.Errorf("request 1 did not resolve first-wins: %+v", got[0])
-	}
-	if got[1].Prefix != 33 || got[1].Cloud != 3 {
-		t.Errorf("request 2 corrupted by duplicates: %+v", got[1])
-	}
-	// Order independence of the duplicate: reversing the client stream's
-	// duplicates changes which record is "first", but stays deterministic.
-	clients[0], clients[1] = clients[1], clients[0]
-	got2 := Join(rtts, clients)
-	if got2[0].Prefix != 22 {
-		t.Errorf("first-wins should now pick prefix 22, got %d", got2[0].Prefix)
-	}
-}
-
-func TestSplitStreamJSONLRoundTrip(t *testing.T) {
-	rtts, clients := Split(sampleObs())
-	var rb, cb bytes.Buffer
-	if err := WriteRTTJSONL(&rb, rtts); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteClientJSONL(&cb, clients); err != nil {
-		t.Fatal(err)
-	}
-	gotR, err := ReadRTTJSONL(&rb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotC, err := ReadClientJSONL(&cb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	joined := Join(gotR, gotC)
-	want := sampleObs()
-	if len(joined) != len(want) {
-		t.Fatalf("round trip returned %d records", len(joined))
-	}
-	for i := range want {
-		if joined[i] != want[i] {
-			t.Errorf("record %d mismatch: %+v", i, joined[i])
-		}
-	}
-}
-
-func TestSplitStreamDecodeErrorsNameRequestID(t *testing.T) {
-	// A good record followed by garbage: the error must carry the last good
-	// request id so the broken region of a huge stream can be located.
-	in := "{\"request_id\":41,\"cloud\":1,\"bucket\":2,\"device\":0,\"samples\":10,\"mean_rtt_ms\":5}\n{\"request_id\": }\n"
-	if _, err := ReadRTTJSONL(strings.NewReader(in)); err == nil {
-		t.Fatal("expected decode error")
-	} else if !strings.Contains(err.Error(), "request id 41") {
-		t.Errorf("rtt decode error lacks request id context: %v", err)
-	}
-	cin := "{\"request_id\":77,\"prefix\":3,\"clients\":4}\n{\"oops\": }\n"
-	if _, err := ReadClientJSONL(strings.NewReader(cin)); err == nil {
-		t.Fatal("expected decode error")
-	} else if !strings.Contains(err.Error(), "request id 77") {
-		t.Errorf("client decode error lacks request id context: %v", err)
-	}
-}
-
 func TestReadJSONLErrorIncludesOffset(t *testing.T) {
 	in := "{\"prefix\":1,\"cloud\":2,\"device\":0,\"bucket\":3,\"samples\":10,\"mean_rtt_ms\":5,\"clients\":1}\n{\"prefix\": }\n"
 	if _, err := ReadJSONL(strings.NewReader(in)); err == nil {
 		t.Fatal("expected decode error")
 	} else if !strings.Contains(err.Error(), "byte offset") || !strings.Contains(err.Error(), "observation 1") {
 		t.Errorf("decode error lacks position context: %v", err)
-	}
-}
-
-func TestStoreRetentionBoundsMemory(t *testing.T) {
-	// A 30-day run read at the job cadence must hold O(retention) windows,
-	// not O(days). This is the month-long -days 30 CLI scenario.
-	s := NewStore(8)
-	s.SetRetention(2)
-	days := 30
-	var buf []Observation
-	maxResident := 0
-	for b := netmodel.Bucket(0); b < netmodel.Bucket(days*netmodel.BucketsPerDay); b++ {
-		s.Write([]Observation{
-			{Prefix: 1, Bucket: b, Samples: 10, MeanRTT: 1},
-			{Prefix: 2, Bucket: b, Samples: 10, MeanRTT: 2},
-		})
-		got := s.ReadWindowAppend(b, b+1, buf[:0])
-		if len(got) != 2 {
-			t.Fatalf("bucket %d: read %d records, want 2", b, len(got))
-		}
-		if n := s.NumWindows(); n > maxResident {
-			maxResident = n
-		}
-	}
-	if maxResident > 2 {
-		t.Errorf("retention 2 let %d windows stay resident", maxResident)
-	}
-	wantEvicted := days*24 - 2 // hourly windows minus the retained tail
-	if got := s.EvictedWindows(); got != wantEvicted {
-		t.Errorf("evicted %d windows, want %d", got, wantEvicted)
-	}
-	// Reads behind the horizon find nothing; writes there are rejected.
-	if got := s.ReadWindow(0, 12); len(got) != 0 {
-		t.Errorf("evicted window still served %d records", len(got))
-	}
-	s.Write([]Observation{{Prefix: 9, Bucket: 0, Samples: 10, MeanRTT: 1}})
-	if got := s.ReadWindow(0, 1); len(got) != 0 {
-		t.Error("straggler write into an evicted window was accepted")
-	}
-}
-
-func TestStoreRetentionDisabledKeepsEverything(t *testing.T) {
-	s := NewStore(4) // no SetRetention: unbounded
-	var obs []Observation
-	for b := netmodel.Bucket(0); b < 10*netmodel.BucketsPerHour; b++ {
-		obs = append(obs, Observation{Prefix: 1, Bucket: b, Samples: 10, MeanRTT: 1})
-	}
-	s.Write(obs)
-	for b := netmodel.Bucket(0); b < 10*netmodel.BucketsPerHour; b++ {
-		s.ReadWindow(b, b+1)
-	}
-	if s.NumWindows() != 10 {
-		t.Errorf("unbounded store holds %d windows, want 10", s.NumWindows())
-	}
-	if got := s.ReadWindow(0, 12); len(got) != 12 {
-		t.Errorf("historical re-read returned %d records, want 12", len(got))
 	}
 }
