@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race chaos crash crash-smoke fleet multicloud fuzz bench-service bench-service-smoke cover serve-smoke verify
+.PHONY: all build vet test race crash crash-smoke fuzz bench-service bench-service-smoke cover serve-smoke verify
 
 all: verify
 
@@ -19,6 +19,10 @@ test:
 # generation, the parallel Algorithm 1 job, the blameitd frontend/backend
 # split) plus the localizer they call concurrently and the source seam
 # (internal/ingest) the pipeline reads through, under the race detector.
+# internal/chaos, internal/fleet and internal/multicloud run whole and
+# without -short, so this is also the 7-day heavy-profile chaos gate
+# (TestChaosEndToEnd), the fleet equivalence and fleet chaos gates
+# (TestFleet*) and the three-provider consistency gate (TestMulticloud*).
 race:
 	$(GO) test -race ./internal/sim/... ./internal/pipeline/... ./internal/core/... ./internal/parallel/... ./internal/ingest/... ./internal/probe/... ./internal/chaos/... ./internal/server/... ./internal/wal/... ./internal/fleet/... ./internal/multicloud/... ./internal/topology/...
 
@@ -38,27 +42,6 @@ crash:
 # uninterrupted in-memory control.
 crash-smoke:
 	bash scripts/crash_smoke.sh
-
-# The headline robustness gate: a 7-day A/B run under the heavy chaos
-# profile (20% probe failures, 5% corrupt records, bursty late delivery)
-# with the race detector on. Must finish with every injected fault
-# accounted for and no wrong localizations.
-chaos:
-	$(GO) test -race -run TestChaosEndToEnd -count=1 -timeout 10m ./internal/chaos/
-
-# The edge-aggregation gates: the fleet-vs-centralized byte-equivalence
-# property at several agent counts plus the 7-day fleet chaos run
-# (loss/lag/churn/duplication with exact delivery books and zero wrong
-# localizations), both under the race detector.
-fleet:
-	$(GO) test -race -run 'TestFleet' -count=1 -timeout 10m ./internal/fleet/
-
-# The multi-provider gate: three independent pipelines over one shared
-# internet with seeded transit faults, under the race detector. Must
-# finish with zero cross-provider disagreements on the blamed middle AS
-# and zero blame of another provider's cloud segment.
-multicloud:
-	$(GO) test -race -run TestMulticloud -count=1 -timeout 10m ./internal/multicloud/
 
 # Short fuzzing sweeps over every decoder and invariant-bearing routine
 # with a registered fuzz target (the corpora in testdata/fuzz grow as CI

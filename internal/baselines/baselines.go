@@ -173,18 +173,6 @@ func (cp *ContinuousProber) Culprit(mk netmodel.MiddleKey, b netmodel.Bucket) (n
 	return as, seg, ok
 }
 
-// CulpritForPrefix runs the ground-truth comparison for a specific client
-// prefix rather than the registered representative.
-func (cp *ContinuousProber) CulpritForPrefix(mk netmodel.MiddleKey, c netmodel.CloudID, p netmodel.PrefixID, b netmodel.Bucket) (netmodel.ASN, netmodel.Segment, bool) {
-	pn := cp.normals[mk]
-	if pn == nil {
-		return 0, 0, false
-	}
-	tr := cp.Engine.Traceroute(c, p, b, probe.OnDemand)
-	as, seg, _, ok := pn.culprit(tr)
-	return as, seg, ok
-}
-
 // offsetOf staggers probes across the period.
 func offsetOf(mk netmodel.MiddleKey, period netmodel.Bucket) netmodel.Bucket {
 	var h uint64 = 1469598103934665603

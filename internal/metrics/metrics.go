@@ -321,45 +321,6 @@ func (s Snapshot) Histogram(name string) (HistogramValue, bool) {
 	return HistogramValue{}, false
 }
 
-// Delta returns s minus prev: counters and histogram counts/sums are
-// subtracted (metrics absent from prev are taken whole), gauges keep their
-// current value. This is what per-job-run reporting needs — the activity of
-// one interval against the registry's cumulative state.
-func (s Snapshot) Delta(prev Snapshot) Snapshot {
-	d := Snapshot{Gauges: append([]NamedValue(nil), s.Gauges...)}
-	prevC := make(map[string]int64, len(prev.Counters))
-	for _, v := range prev.Counters {
-		prevC[v.Name] = v.Value
-	}
-	for _, v := range s.Counters {
-		d.Counters = append(d.Counters, NamedValue{Name: v.Name, Value: v.Value - prevC[v.Name]})
-	}
-	prevH := make(map[string]HistogramValue, len(prev.Histograms))
-	for _, v := range prev.Histograms {
-		prevH[v.Name] = v
-	}
-	for _, v := range s.Histograms {
-		hv := HistogramValue{
-			Name:      v.Name,
-			Count:     v.Count,
-			Sum:       v.Sum,
-			Bounds:    append([]float64(nil), v.Bounds...),
-			Counts:    append([]int64(nil), v.Counts...),
-			NonFinite: v.NonFinite,
-		}
-		if p, ok := prevH[v.Name]; ok && len(p.Counts) == len(hv.Counts) {
-			hv.Count -= p.Count
-			hv.Sum -= p.Sum
-			hv.NonFinite -= p.NonFinite
-			for i := range hv.Counts {
-				hv.Counts[i] -= p.Counts[i]
-			}
-		}
-		d.Histograms = append(d.Histograms, hv)
-	}
-	return d
-}
-
 // WriteText renders the snapshot as sorted "name value" lines grouped by
 // metric kind.
 func (s Snapshot) WriteText(w io.Writer) error {

@@ -155,33 +155,6 @@ func TestSnapshotDeterministicOrdering(t *testing.T) {
 	}
 }
 
-func TestSnapshotDelta(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("jobs")
-	h := r.Histogram("ms", []float64{10, 100})
-	c.Add(3)
-	h.Observe(5)
-	before := r.Snapshot()
-	c.Add(2)
-	h.Observe(50)
-	r.Counter("fresh").Inc() // appears only after the baseline snapshot
-	after := r.Snapshot()
-	d := after.Delta(before)
-	if v, _ := d.Counter("jobs"); v != 2 {
-		t.Errorf("delta jobs = %d, want 2", v)
-	}
-	if v, _ := d.Counter("fresh"); v != 1 {
-		t.Errorf("delta fresh = %d, want 1 (absent from prev taken whole)", v)
-	}
-	hv, _ := d.Histogram("ms")
-	if hv.Count != 1 || hv.Sum != 50 {
-		t.Errorf("delta histogram count=%d sum=%v, want 1/50", hv.Count, hv.Sum)
-	}
-	if hv.Counts[1] != 1 || hv.Counts[0] != 0 {
-		t.Errorf("delta buckets = %v, want [0 1 0]", hv.Counts)
-	}
-}
-
 func TestWriteText(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c.one").Add(4)

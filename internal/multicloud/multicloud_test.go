@@ -26,7 +26,7 @@ func buildRig(t testing.TB, providers int, fs []faults.Fault, horizon netmodel.B
 }
 
 // TestMulticloudConsistency is the multi-provider gate (run under -race by
-// `make multicloud`): three independent pipelines over one shared internet
+// `make race`): three independent pipelines over one shared internet
 // must agree on every seeded transit fault — zero disagreements on the
 // blamed middle AS, zero blame of another provider's cloud segment, and at
 // least one fault cross-confirmed by two or more providers.

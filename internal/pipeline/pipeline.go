@@ -151,12 +151,6 @@ type Report struct {
 	Verdicts []active.Verdict
 	// Tickets are the impact-ranked operator alerts.
 	Tickets []alerting.Ticket
-	// Metrics is the metric delta of this job interval — everything the
-	// pipeline's registry accumulated since the previous report (or since
-	// the run started, for the first report): collection and classification
-	// of the window's buckets plus the job itself. Experiments can assert
-	// on per-run counts without diffing registry snapshots themselves.
-	Metrics metrics.Snapshot
 	// Health grades the data plane over this job interval: what the
 	// ingestion and probing layers absorbed (quarantined records, retried
 	// reads, dark buckets, failed probes, open circuits) and the resulting
@@ -167,9 +161,8 @@ type Report struct {
 	// Final marks a report produced by Finalize (a drain's partial-window
 	// flush) rather than the job cadence. Excluded from CanonicalJSON —
 	// it describes how the run stopped, not what was observed. Durability
-	// layers use it: a replayed step loop regenerates cadence reports but
-	// not the drain flush, so a journaled final report is restored as-is
-	// and the replayed window discarded (see DiscardWindow).
+	// layers use it: a recovering step loop regenerates cadence reports on
+	// its own, and a journaled final report tells it where to flush again.
 	Final bool
 }
 
@@ -241,9 +234,9 @@ func (r *Report) CanonicalJSON() ([]byte, error) {
 }
 
 // ReportFromCanonical reconstructs a report from its CanonicalJSON bytes.
-// Metrics and Health are zero — the canonical form deliberately excludes
-// them. Restart recovery uses it to restore journaled reports whose
-// windows a replayed step loop does not regenerate (drain flushes).
+// Health is zero — the canonical form deliberately excludes it. Restart
+// recovery uses it to restore the journaled reports before the backend
+// regenerates them.
 func ReportFromCanonical(data []byte) (*Report, error) {
 	var c canonicalReport
 	if err := json.Unmarshal(data, &c); err != nil {
@@ -351,11 +344,6 @@ type Pipeline struct {
 	mRelearns      *metrics.Counter
 	mObsCollected  *metrics.Counter
 	mBadQuartets   *metrics.Counter
-
-	// lastSnap is the registry state at the end of the previous job run
-	// (or at the first Step), the baseline for Report.Metrics deltas.
-	lastSnap       metrics.Snapshot
-	lastSnapPrimed bool
 
 	// quar is the ingestion quarantine every observation read is validated
 	// through; srcRetries/darkBuckets account transient-read recovery.
@@ -546,10 +534,6 @@ func (p *Pipeline) StepContext(ctx context.Context, b netmodel.Bucket) (*Report,
 	if !p.windowPrimed {
 		p.windowFrom = b
 		p.windowPrimed = true
-	}
-	if !p.lastSnapPrimed {
-		p.lastSnap = p.Metrics.Snapshot()
-		p.lastSnapPrimed = true
 	}
 	collectStart := time.Now()
 	if err := p.readBucket(ctx, b); err != nil {
@@ -779,11 +763,6 @@ func (p *Pipeline) runJob(ctx context.Context, b netmodel.Bucket) (*Report, erro
 	p.mJobMS.Observe(msSince(jobStart, end))
 	p.mJobs.Inc()
 
-	// Attach the interval's metric delta: everything accumulated since the
-	// previous report (collect + classify of the window plus this job).
-	cur := p.Metrics.Snapshot()
-	rep.Metrics = cur.Delta(p.lastSnap)
-	p.lastSnap = cur
 	rep.Health = p.healthInterval(b, nb)
 	return rep, nil
 }
@@ -816,11 +795,6 @@ func (p *Pipeline) RunContext(ctx context.Context, from, to netmodel.Bucket, cb 
 	return nil
 }
 
-// Finalize runs FinalizeContext without cancellation.
-func (p *Pipeline) Finalize() (*Report, error) {
-	return p.FinalizeContext(context.Background())
-}
-
 // FinalizeContext flushes a partially accumulated window: when a run stops
 // off the job cadence (a daemon draining on SIGTERM mid-window), the
 // buckets stepped since the last job run have been classified but never
@@ -838,17 +812,6 @@ func (p *Pipeline) FinalizeContext(ctx context.Context) (*Report, error) {
 		rep.Final = true
 	}
 	return rep, err
-}
-
-// DiscardWindow drops the partially accumulated job window without
-// running a job over it. Restart recovery calls it after replaying a log
-// whose last journaled report was a drain flush: the replayed steps
-// re-accumulated the very buckets that report already covered, and
-// flushing them again would double-report the window. The next stepped
-// bucket starts a fresh window, exactly as after a real Finalize.
-func (p *Pipeline) DiscardWindow() {
-	p.window = p.window[:0]
-	p.windowPrimed = false
 }
 
 // Flush closes open incident runs at the end of a simulation.

@@ -336,12 +336,6 @@ func (a *Aggregate) Add(p *Partial) bool {
 	return true
 }
 
-// Has reports whether a partial with the given ID has been folded in.
-func (a *Aggregate) Has(id PartialID) bool {
-	_, ok := a.ids[id]
-	return ok
-}
-
 // Merge folds another aggregate for the same bucket in: the union of the
 // two partial sets, deduplicated by ID. Since union is associative and
 // commutative and every view folds the final set in canonical order,

@@ -152,9 +152,6 @@ func (t *Tracker) Flush() []Incident {
 	return t.closed
 }
 
-// Closed returns incidents that have already terminated.
-func (t *Tracker) Closed() []Incident { return t.closed }
-
 // OpenRun returns the length (in buckets) of the key's current bad run,
 // zero if the key is currently good. This feeds the duration predictor's
 // "has lasted t so far" input.

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sort"
 	"sync"
 
@@ -10,6 +11,7 @@ import (
 	"blameit/internal/netmodel"
 	"blameit/internal/quartet"
 	"blameit/internal/trace"
+	"blameit/internal/wal"
 )
 
 // Errors the frontend maps to HTTP status codes.
@@ -93,6 +95,10 @@ type cellAdmission struct {
 // interface a file replay or a live simulator feeds the pipeline through,
 // which is what keeps the daemon byte-equivalent to the batch CLI.
 //
+// A queue built over a journal (DESIGN.md §15) serves the journaled bucket
+// streams first, verbatim and in the order they were consumed: recovery is
+// the backend's first reads. Nothing new is readable until they are spent.
+//
 // A bucket becomes readable when it SEALS. In the streaming mode (the
 // default), a record for bucket X seals every bucket below X — the
 // watermark discipline of a bucket-ordered trace replay. SealThrough
@@ -120,10 +126,17 @@ type ingestQueue struct {
 	cond *sync.Cond
 
 	// jrn, when non-nil, journals accepted batches, seals, and consumed
-	// buckets. It is nil during recovery replay — replayed events are
-	// already in the journal — and installed via setJournal once the
-	// replay has caught up.
+	// buckets.
 	jrn queueJournal
+
+	// recovered holds the journaled bucket streams the backend has not yet
+	// read again. They are not journaled a second time.
+	recovered []wal.BucketStream
+	// caughtUp is closed when the backend first asks for a bucket with
+	// recovered empty. It asks for nothing before the previous step is
+	// published, so the journaled history has been re-stepped by then.
+	caughtUp     chan struct{}
+	caughtUpOnce sync.Once
 
 	pending map[netmodel.Bucket][]run
 	// partials holds the identity of every pending aggregate run, to drop
@@ -139,9 +152,6 @@ type ingestQueue struct {
 	// watermark is the lowest unsealed bucket: reads for b < watermark
 	// proceed, reads at or above it block.
 	watermark netmodel.Bucket
-	// stepped is the highest bucket the backend has fully stepped AND
-	// published (markStepped); recovery's replay barriers wait on it.
-	stepped netmodel.Bucket
 
 	records    int // pending + stale records, for backpressure
 	maxRecords int // 0 = unbounded
@@ -152,16 +162,64 @@ type ingestQueue struct {
 	pushed    int64 // records accepted over the queue's lifetime
 }
 
-func newIngestQueue(maxRecords int, manualSeal bool) *ingestQueue {
+// newIngestQueue builds the queue, over what a journal scan recovered when
+// rec is non-nil: the consumed streams to serve again, with the frontier and
+// the watermark already past them, and then — queued as they were when the
+// process died, neither capacity-checked nor journaled again — what each
+// journaled batch still had pending and the explicit seal.
+func newIngestQueue(maxRecords int, manualSeal bool, jrn queueJournal, rec *wal.Recovery) *ingestQueue {
 	q := &ingestQueue{
+		jrn:        jrn,
+		caughtUp:   make(chan struct{}),
 		pending:    make(map[netmodel.Bucket][]run),
 		partials:   make(map[partialKey]struct{}),
 		maxRecords: maxRecords,
 		manualSeal: manualSeal,
-		stepped:    -1,
 	}
 	q.cond = sync.NewCond(&q.mu)
+	if rec == nil {
+		return q
+	}
+	q.recovered = rec.Buckets
+	if n := len(rec.Buckets); n > 0 {
+		q.frontier = rec.Buckets[n-1].Bucket + 1
+		q.watermark = q.frontier
+	}
+	// In journal order, the records no later read settled (wal.Horizon has
+	// the rule). Settled records were served — the streams above restate
+	// them — or discarded by a read that jumped over their bucket, and must
+	// stay gone. A partial's cells share a bucket, so they stay or go
+	// together, and redeliveries among them are dropped as on arrival.
+	for _, batch := range rec.Batches {
+		var obs []trace.Observation
+		for _, o := range batch.Obs {
+			if !rec.Reads.Reached(batch.AfterBuckets, o.Bucket) {
+				obs = append(obs, o)
+			}
+		}
+		var cells []ingest.AggCell
+		for _, c := range batch.Cells {
+			if !rec.Reads.Reached(batch.AfterBuckets, c.Bucket) {
+				cells = append(cells, c)
+			}
+		}
+		q.pushLocked(obs)
+		q.pushRunsLocked(cellRuns(cells))
+	}
+	if rec.MaxSeal >= 0 {
+		q.sealThroughLocked(rec.MaxSeal)
+	}
 	return q
+}
+
+// replayingLocked reports whether journaled streams remain to be read
+// again; the first call that finds none closes caughtUp.
+func (q *ingestQueue) replayingLocked() bool {
+	if len(q.recovered) > 0 {
+		return true
+	}
+	q.caughtUpOnce.Do(func() { close(q.caughtUp) })
+	return false
 }
 
 // Push enqueues one decoded raw batch. The whole batch is accepted or
@@ -206,19 +264,6 @@ func (q *ingestQueue) admitLocked(n int) error {
 		return ErrBackpressure
 	}
 	return nil
-}
-
-// pushRecovered enqueues what is left of a batch replayed from the journal:
-// no capacity check (the records were accepted once already and must not be
-// dropped now) and no re-journaling.
-func (q *ingestQueue) pushRecovered(obs []trace.Observation, cells []ingest.AggCell) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return
-	}
-	q.pushLocked(obs)
-	q.pushRunsLocked(cellRuns(cells))
 }
 
 // pushLocked routes a raw batch into the queue, which takes the slice over:
@@ -286,40 +331,11 @@ func (q *ingestQueue) SealThrough(b netmodel.Bucket) {
 	q.sealThroughLocked(b)
 }
 
-// sealRecovered replays a journaled seal without re-journaling it.
-func (q *ingestQueue) sealRecovered(b netmodel.Bucket) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.sealThroughLocked(b)
-}
-
 func (q *ingestQueue) sealThroughLocked(b netmodel.Bucket) {
 	if b+1 > q.watermark {
 		q.watermark = b + 1
 	}
 	q.cond.Broadcast()
-}
-
-// setJournal installs the journal once recovery replay has caught up.
-func (q *ingestQueue) setJournal(j queueJournal) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.jrn = j
-}
-
-// awaitFrontier blocks until the backend has consumed every bucket below
-// b (or ctx is cancelled / the queue closed). Recovery replays one
-// journaled bucket at a time and waits for the backend to drain it before
-// feeding the next, so consumption order reproduces the journal exactly.
-func (q *ingestQueue) awaitFrontier(ctx context.Context, b netmodel.Bucket) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	stop := context.AfterFunc(ctx, q.cond.Broadcast)
-	defer stop()
-	for q.frontier < b && !q.closed && ctx.Err() == nil {
-		q.cond.Wait()
-	}
-	return q.frontier >= b
 }
 
 // Close stops ingestion and seals everything pending: Push fails with
@@ -389,7 +405,8 @@ func (q *ingestQueue) discardBelowLocked(b netmodel.Bucket) {
 	}
 }
 
-// awaitBucket blocks until bucket b is sealed (returns true: step it) or
+// awaitBucket blocks until bucket b is sealed — or is the next journaled
+// stream's (returns true: step it) — or
 // the queue is closed and nothing at or past b remains (returns false: the
 // drain is complete). After Close it keeps returning true while records at
 // or past b — or held stale records — remain, so a draining backend
@@ -404,7 +421,7 @@ func (q *ingestQueue) awaitBucket(ctx context.Context, b netmodel.Bucket) bool {
 		if ctx.Err() != nil {
 			return false
 		}
-		if b < q.watermark {
+		if q.replayingLocked() || b < q.watermark {
 			return true
 		}
 		if q.closed {
@@ -420,9 +437,21 @@ func (q *ingestQueue) awaitBucket(ctx context.Context, b netmodel.Bucket) bool {
 // those as late). It blocks until b seals,
 // the queue closes, or ctx is cancelled; the pipeline's warmup and step
 // loops call it with non-decreasing buckets, discarding skipped ones.
+// While journaled streams remain, the next of them is the answer instead: a
+// backend under the configuration that wrote the journal asks for exactly
+// the buckets it consumed before.
 func (q *ingestQueue) ObservationsAt(ctx context.Context, b netmodel.Bucket, buf []trace.Observation) ([]trace.Observation, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	if q.replayingLocked() {
+		bs := q.recovered[0]
+		if bs.Bucket != b {
+			return buf, fmt.Errorf("server: recovery: the backend reads bucket %d where the journal has bucket %d", b, bs.Bucket)
+		}
+		q.recovered[0] = wal.BucketStream{}
+		q.recovered = q.recovered[1:]
+		return append(buf, bs.Obs...), nil
+	}
 	q.discardBelowLocked(b)
 	stop := context.AfterFunc(ctx, q.cond.Broadcast)
 	defer stop()
@@ -459,30 +488,4 @@ func (q *ingestQueue) ObservationsAt(ctx context.Context, b netmodel.Bucket, buf
 	}
 	q.cond.Broadcast()
 	return buf, nil
-}
-
-// markStepped records that the backend finished the whole step for bucket
-// b — pipeline mutation AND report publication. awaitFrontier only proves
-// the read happened; recovery needs this stronger barrier before touching
-// pipeline state (DiscardWindow) between replayed buckets.
-func (q *ingestQueue) markStepped(b netmodel.Bucket) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if b > q.stepped {
-		q.stepped = b
-	}
-	q.cond.Broadcast()
-}
-
-// awaitStepped blocks until markStepped(b) (or ctx cancellation / queue
-// close). Returns whether the step completed.
-func (q *ingestQueue) awaitStepped(ctx context.Context, b netmodel.Bucket) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	stop := context.AfterFunc(ctx, q.cond.Broadcast)
-	defer stop()
-	for q.stepped < b && !q.closed && ctx.Err() == nil {
-		q.cond.Wait()
-	}
-	return q.stepped >= b
 }

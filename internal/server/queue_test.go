@@ -23,7 +23,7 @@ func obsAt(b netmodel.Bucket, n int) []trace.Observation {
 // TestQueueStreamingSeal: a record for bucket X seals every bucket below
 // X; reads serve sealed buckets in arrival order and block otherwise.
 func TestQueueStreamingSeal(t *testing.T) {
-	q := newIngestQueue(0, false)
+	q := newIngestQueue(0, false, nil, nil)
 	if err := q.Push(obsAt(0, 3)); err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestQueueStreamingSeal(t *testing.T) {
 // TestQueueBackpressureWholeBatch: admission is all-or-nothing against
 // MaxPendingRecords.
 func TestQueueBackpressureWholeBatch(t *testing.T) {
-	q := newIngestQueue(5, true)
+	q := newIngestQueue(5, true, nil, nil)
 	if err := q.Push(obsAt(0, 4)); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestQueueBackpressureWholeBatch(t *testing.T) {
 // held and delivered with the next read, ahead of the bucket's own
 // records, for the pipeline's late-record quarantine to reject.
 func TestQueueStaleServedOnNextRead(t *testing.T) {
-	q := newIngestQueue(0, true)
+	q := newIngestQueue(0, true, nil, nil)
 	q.SealThrough(0)
 	if _, err := q.ObservationsAt(context.Background(), 0, nil); err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestQueueStaleServedOnNextRead(t *testing.T) {
 // discard what the reader skipped (warmup subsampling), like a
 // streaming replay.
 func TestQueueSkippedBucketsDiscarded(t *testing.T) {
-	q := newIngestQueue(0, true)
+	q := newIngestQueue(0, true, nil, nil)
 	for b := netmodel.Bucket(0); b < 4; b++ {
 		if err := q.Push(obsAt(b, 2)); err != nil {
 			t.Fatal(err)
@@ -127,7 +127,7 @@ func TestQueueSkippedBucketsDiscarded(t *testing.T) {
 // while queued or stale records remain at or past the bucket, then
 // reports the drain complete; Push fails with ErrClosed.
 func TestQueueCloseDrains(t *testing.T) {
-	q := newIngestQueue(0, true)
+	q := newIngestQueue(0, true, nil, nil)
 	if err := q.Push(obsAt(2, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestQueueCloseDrains(t *testing.T) {
 // TestQueueContextCancellation: a cancelled context unblocks waiting
 // reads with the context error and awaitBucket with false.
 func TestQueueContextCancellation(t *testing.T) {
-	q := newIngestQueue(0, true)
+	q := newIngestQueue(0, true, nil, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
@@ -176,7 +176,7 @@ func TestQueueContextCancellation(t *testing.T) {
 // must not be appended into the memory of the second run, and interleaved
 // buckets must come out in arrival order.
 func TestQueueKeepsRunsApart(t *testing.T) {
-	q := newIngestQueue(0, true)
+	q := newIngestQueue(0, true, nil, nil)
 	batch := append(obsAt(0, 3), obsAt(1, 2)...)
 	batch = append(batch, obsAt(0, 1)...) // bucket 0 again, after bucket 1
 	for i := range batch {
@@ -219,7 +219,7 @@ func TestQueuePartialRuns(t *testing.T) {
 	cell := func(agent, samples int) ingest.AggCell {
 		return ingest.AggCell{Agent: agent, Seq: 1, Bucket: 0, Prefix: netmodel.PrefixID(samples), Samples: samples, MeanRTT: 50, Clients: 1}
 	}
-	q := newIngestQueue(0, true)
+	q := newIngestQueue(0, true, nil, nil)
 	adm, err := q.PushCells([]ingest.AggCell{cell(2, 20), cell(1, 10), cell(2, 21)})
 	if err != nil || adm != (cellAdmission{partials: 2, records: 3}) {
 		t.Fatalf("first batch admitted as %+v, %v; want 2 partials, 3 records", adm, err)

@@ -139,8 +139,8 @@ func (l *reportLog) add(rep *pipeline.Report, canonical []byte) int64 {
 
 // replace swaps the regenerated report into a restored entry, keeping
 // its seq and canonical bytes. Restart recovery uses it to graft the
-// Health and Metrics — which the canonical form excludes — back onto
-// reports restored from the WAL once the replay regenerates them.
+// Health — which the canonical form excludes — back onto reports restored
+// from the WAL once the backend regenerates them.
 func (l *reportLog) replace(seq int64, rep *pipeline.Report) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -259,15 +259,25 @@ func New(deps pipeline.Deps, cfg Config) (*Server, error) {
 	if cfg.MaxReports == 0 {
 		cfg.MaxReports = DefaultMaxReports
 	}
-	s := &Server{
-		cfg:  cfg,
-		q:    newIngestQueue(cfg.MaxPendingRecords, cfg.ManualSeal),
-		done: make(chan struct{}),
+	s := &Server{cfg: cfg, done: make(chan struct{})}
+	s.reports.max = cfg.MaxReports
+	// With a data directory, open the WAL and restore the journaled
+	// reports, then build the queue over the rest of what it recovered:
+	// the journal is live, and the journaled streams are what the backend
+	// reads first.
+	var jrn queueJournal
+	var rec *wal.Recovery
+	if cfg.DataDir != "" {
+		var err error
+		if rec, err = s.openWAL(cfg); err != nil {
+			return nil, err
+		}
+		jrn = s.wal
 	}
+	s.q = newIngestQueue(cfg.MaxPendingRecords, cfg.ManualSeal, jrn, rec)
 	deps.Source = s.q
 	s.pipe = pipeline.New(deps, cfg.Pipeline)
 	s.reg = s.pipe.Metrics
-	s.reports.max = cfg.MaxReports
 	s.frontQuar = ingest.NewQuarantine(netmodel.PrefixID(len(deps.World.Prefixes)), len(deps.World.Clouds))
 	s.frontQuar.SetMetrics(s.reg)
 	s.mBatches = s.reg.Counter("server.ingest.batches")
@@ -288,26 +298,26 @@ func New(deps pipeline.Deps, cfg Config) (*Server, error) {
 	s.mux = http.NewServeMux()
 	s.routes()
 	s.bctx, s.bcancel = context.WithCancel(context.Background())
-	// With a data directory, open the WAL and restore the journaled
-	// reports BEFORE the backend starts, then replay the consumed
-	// history through it before New returns: callers get a server whose
-	// state is already byte-equivalent to the pre-crash one.
-	var rec *wal.Recovery
-	if cfg.DataDir != "" {
-		var err error
-		if rec, err = s.openWAL(cfg); err != nil {
-			return nil, err
-		}
-	}
 	go s.run()
-	if rec != nil {
-		if err := s.replayRecovery(rec); err != nil {
-			s.q.Close()
-			s.bcancel()
-			<-s.done
+	// Wait until the backend asks for its first bucket past the journaled
+	// ones (at once, without a journal): callers get a server whose state
+	// is already byte-equivalent to the pre-crash one.
+	select {
+	case <-s.q.caughtUp:
+	case <-s.done:
+	}
+	if err := s.Err(); err != nil {
+		s.q.Close()
+		s.bcancel()
+		<-s.done
+		if s.wal != nil {
+			s.wal.stopCompacting()
 			s.wal.log.Close()
-			return nil, err
 		}
+		return nil, fmt.Errorf("server: recovery: %w", err)
+	}
+	if s.wal != nil {
+		s.wal.verifyRegenerated()
 	}
 	return s, nil
 }
@@ -373,10 +383,13 @@ func (s *Server) run() {
 			return
 		}
 		s.publish(rep)
-		// The step is fully done — pipeline mutation and publication.
-		// WAL replay synchronizes on this barrier before touching
-		// pipeline state between replayed buckets.
-		s.q.markStepped(b)
+		if s.wal != nil && s.wal.flushedAfter[b] {
+			// The journal has a drain flush here: an earlier incarnation
+			// stopped gracefully after this bucket.
+			if !s.flush(ctx) {
+				return
+			}
+		}
 		pending, _ := s.q.Depth()
 		s.gQueueDepth.Set(int64(pending))
 	}
@@ -386,18 +399,25 @@ func (s *Server) run() {
 	}
 	// Drain complete: flush the partial window so the records of a run
 	// that stopped off the job cadence still get localized and reported.
-	rep, err := s.pipe.FinalizeContext(context.Background())
+	s.flush(context.Background())
+}
+
+// flush runs the job over the partially accumulated window and publishes
+// its report, if there is one. It reports false when the backend failed.
+func (s *Server) flush(ctx context.Context) bool {
+	rep, err := s.pipe.FinalizeContext(ctx)
 	if err != nil {
 		s.setErr(fmt.Errorf("server: finalize: %w", err))
-		return
+		return false
 	}
 	s.publish(rep)
+	return true
 }
 
 // publish renders, retains, and journals one report. A nil report (a
-// step between job runs) is a no-op. During WAL replay a regenerated
-// report is already journaled and already restored into the log: it is
-// verified against the journaled bytes and grafted onto the restored
+// step between job runs) is a no-op. A report the recovering backend
+// regenerates is already journaled and already restored into the log: it
+// is verified against the journaled bytes and grafted onto the restored
 // entry instead of being appended again.
 func (s *Server) publish(rep *pipeline.Report) {
 	if rep == nil {

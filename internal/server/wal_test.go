@@ -117,11 +117,13 @@ func (e *walEnv) close(t *testing.T) {
 	e.alive = false
 }
 
-// quiesce blocks until the backend has fully consumed the feed through
-// sealed bucket b: the frontier has passed every bucket a read covers at
-// this watermark (during warmup only every WarmupSampleEvery'th bucket
-// is read), and — past warmup — bucket b's step and report publish have
-// retired.
+// quiesce polls until the backend has consumed the feed through sealed
+// bucket b: the frontier has passed every bucket a read covers at this
+// watermark (during warmup only every WarmupSampleEvery'th bucket is read)
+// and, where a job window ends at b, its report is out. The read of a
+// bucket follows the publish of the step before, so every report due
+// earlier is out as well; the step of an off-cadence b may still be
+// running.
 func (e *walEnv) quiesce(t *testing.T, b netmodel.Bucket) {
 	t.Helper()
 	cfg := e.srv.cfg
@@ -130,13 +132,21 @@ func (e *walEnv) quiesce(t *testing.T, b netmodel.Bucket) {
 		stride := netmodel.Bucket(cfg.Pipeline.WarmupSampleEvery)
 		want = b - b%stride + 1
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	if !e.srv.q.awaitFrontier(ctx, want) {
-		t.Fatalf("quiesce: frontier never reached %d (backend err: %v)", want, e.srv.Err())
-	}
-	if b >= cfg.WarmupBuckets && !e.srv.q.awaitStepped(ctx, b) {
-		t.Fatalf("quiesce: bucket %d never stepped (backend err: %v)", b, e.srv.Err())
+	reportDue := b >= cfg.WarmupBuckets && (int(b)+1)%e.srv.pipe.Cfg.RunEvery == 0
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		e.srv.q.mu.Lock()
+		frontier := e.srv.q.frontier
+		e.srv.q.mu.Unlock()
+		if frontier >= want {
+			if last, ok := e.srv.reports.latest(); !reportDue || ok && last.rep.To >= b {
+				return
+			}
+		}
+		if err := e.srv.Err(); err != nil || time.Now().After(deadline) {
+			t.Fatalf("quiesce: bucket %d never drained (frontier %d, backend err: %v)", b, frontier, err)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -1005,4 +1015,102 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 		t.Errorf("final daemon WAL health: %+v", h.WAL)
 	}
 	d.kill(t)
+}
+
+// TestWALRestartAfterDrainFlush covers the recovery branch a graceful stop
+// leaves behind: a Shutdown off the job cadence journals a Final report,
+// and every later incarnation must flush at that bucket again — report it
+// once, and carry the job's effects (ticket numbers among them) into the
+// windows after it. The daemon is fed to an off-cadence bucket, drained,
+// reopened, fed on, crashed, reopened and fed to the end; its reports and
+// index must equal an in-process pipeline stepped over the same streams
+// with FinalizeContext at the same bucket.
+func TestWALRestartAfterDrainFlush(t *testing.T) {
+	const warmup, flushAt, crashAt, horizon = 12, 22, 31, 40
+	streams := simStreams(newTestSim(1), horizon)
+	mkSim := func() *sim.Simulator { return newTestSim(1) }
+	mut := func(c *Config) { c.WarmupBuckets = warmup }
+
+	// The reference: one pipeline, never restarted, flushed at flushAt.
+	refSim := mkSim()
+	pcfg := pipeline.DefaultConfig()
+	pcfg.Workers = 1
+	p := pipeline.New(pipeline.Deps{
+		World: refSim.World, Table: refSim.Routes,
+		Prober: probe.NewEngine(refSim, pcfg.ProbeNoiseMS),
+		Source: ingest.SourceFunc(func(b netmodel.Bucket, buf []trace.Observation) []trace.Observation {
+			return append(buf, streams[b]...)
+		}),
+	}, pcfg)
+	ctx := context.Background()
+	if err := p.WarmupContext(ctx, 0, warmup); err != nil {
+		t.Fatalf("reference warmup: %v", err)
+	}
+	var want bytes.Buffer
+	wantIdx := []reportSummary{}
+	keep := func(rep *pipeline.Report, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("reference pipeline: %v", err)
+		}
+		if rep == nil {
+			return
+		}
+		canonical, err := rep.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Write(canonical)
+		want.WriteByte('\n')
+		wantIdx = append(wantIdx, reportSummary{
+			Seq: int64(len(wantIdx)), From: rep.From, To: rep.To,
+			Results: len(rep.Results), Verdicts: len(rep.Verdicts), Tickets: len(rep.Tickets),
+		})
+	}
+	for b := netmodel.Bucket(warmup); b < horizon; b++ {
+		keep(p.StepContext(ctx, b))
+		if b == flushAt {
+			rep, err := p.FinalizeContext(ctx)
+			if err == nil && rep == nil {
+				t.Fatal("reference flush produced no report: flushAt is on the cadence")
+			}
+			keep(rep, err)
+		}
+	}
+
+	dir := t.TempDir()
+	e := openEnv(t, dir, mkSim, mut)
+	feed := func(from, to netmodel.Bucket) {
+		t.Helper()
+		for b := from; b <= to; b++ {
+			postWithRetry(t, e.ts.Client(), e.ts.URL+"/v1/ingest", jsonlBody(t, streams[b]))
+			if st, body := postSeal(t, e.ts.Client(), e.ts.URL, b); st != http.StatusAccepted {
+				t.Fatalf("seal %d = %d (%s)", b, st, body)
+			}
+		}
+		e.quiesce(t, to)
+	}
+	feed(0, flushAt)
+	e.close(t) // journals the Final report over the off-cadence window
+
+	e = openEnv(t, dir, mkSim, mut)
+	checkRecoveryConsistent(t, e)
+	feed(flushAt+1, crashAt)
+	e.crash()
+
+	e = openEnv(t, dir, mkSim, mut)
+	defer e.close(t)
+	checkRecoveryConsistent(t, e)
+	feed(crashAt+1, horizon-1)
+
+	if got := collectCanonical(t, e.ts.Client(), e.ts.URL); !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("reports diverged from the in-process pipeline flushed at bucket %d: %d vs %d canonical bytes", flushAt, len(got), want.Len())
+	}
+	var gotIdx []reportSummary
+	if err := json.Unmarshal(reportsIndex(t, e.ts.Client(), e.ts.URL), &gotIdx); err != nil {
+		t.Fatalf("decoding /v1/reports: %v", err)
+	}
+	if fmt.Sprint(gotIdx) != fmt.Sprint(wantIdx) {
+		t.Errorf("report index diverged:\n got %+v\nwant %+v", gotIdx, wantIdx)
+	}
 }

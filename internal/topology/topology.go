@@ -852,11 +852,6 @@ func (w *World) CloudsInRegion(reg netmodel.Region) []netmodel.CloudID {
 	return w.cloudsByReg[0][reg]
 }
 
-// CloudsInRegionFor returns provider q's cloud location IDs of a region.
-func (w *World) CloudsInRegionFor(q netmodel.ProviderID, reg netmodel.Region) []netmodel.CloudID {
-	return w.cloudsByReg[q][reg]
-}
-
 // PrefixesOfBGP returns the /24 prefix IDs covered by a BGP prefix.
 func (w *World) PrefixesOfBGP(bp netmodel.BGPPrefixID) []netmodel.PrefixID {
 	return w.prefixesByBGP[bp]
@@ -944,12 +939,6 @@ func (w *World) Target(reg netmodel.Region, d netmodel.DeviceClass) float64 {
 	return w.targets[0][reg][d]
 }
 
-// TargetOf returns provider q's RTT badness threshold for a client region
-// and device class.
-func (w *World) TargetOf(q netmodel.ProviderID, reg netmodel.Region, d netmodel.DeviceClass) float64 {
-	return w.targets[q][reg][d]
-}
-
 // TargetForPrefix returns the badness threshold applying to a prefix at
 // its provider-0 primary cloud location.
 func (w *World) TargetForPrefix(p netmodel.PrefixID) float64 {
@@ -981,17 +970,6 @@ func (w *World) TargetFor(p netmodel.PrefixID, c netmodel.CloudID) float64 {
 func (w *World) ResolvePrefix(base uint32) (netmodel.PrefixID, bool) {
 	p, ok := w.byBase[base]
 	return p, ok
-}
-
-// PrefixCIDR renders a prefix's /24 in CIDR notation.
-func (w *World) PrefixCIDR(p netmodel.PrefixID) string {
-	return ipaddr.MakePrefix(ipaddr.Addr(w.Prefixes[p].Base), 24).String()
-}
-
-// BGPPrefixCIDR renders a BGP-announced prefix in CIDR notation.
-func (w *World) BGPPrefixCIDR(bp netmodel.BGPPrefixID) string {
-	b := w.BGPPrefixes[bp]
-	return ipaddr.MakePrefix(ipaddr.Addr(b.Base), b.MaskLen).String()
 }
 
 // PrefixRegion returns the region a prefix's metro belongs to.
