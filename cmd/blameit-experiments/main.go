@@ -6,9 +6,10 @@
 //	blameit-experiments [-scale small|medium] [-seed N] [-run all|<ids>]
 //	                    [-workers N] [-metrics] [-time]
 //
-// where <ids> is a comma-separated subset of: table1, table2, fig2, fig3,
-// fig4a, fig4b, fig5, fig6, fig8, fig9, fig10, cases, battery, fig11,
-// fig12, fig13, probes, tomo, reverse.
+// where <ids> is a comma-separated subset of the ids in the experiment
+// registry (internal/experiments; an unknown id lists them). Every
+// experiment has one size, the one EXPERIMENTS.json records; -scale medium
+// is the way to run bigger.
 package main
 
 import (
@@ -16,23 +17,12 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
-	"blameit/internal/bgp"
 	"blameit/internal/experiments"
-	"blameit/internal/faults"
 	"blameit/internal/metrics"
-	"blameit/internal/netmodel"
 	"blameit/internal/topology"
 )
-
-// expIDs lists the experiments in presentation order.
-var expIDs = []string{
-	"table1", "table2", "fig2", "fig3", "fig4a", "fig4b", "fig5", "fig6",
-	"fig8", "fig9", "fig10", "cases", "battery", "fig11", "fig12", "fig13",
-	"probes", "tomo", "reverse",
-}
 
 func main() {
 	var (
@@ -71,25 +61,17 @@ func main() {
 		os.Exit(1)
 	}
 
-	want := make(map[string]bool)
-	if *runList == "all" {
-		for _, id := range expIDs {
-			want[id] = true
-		}
-	} else {
-		for _, id := range strings.Split(*runList, ",") {
-			want[strings.TrimSpace(id)] = true
-		}
+	selected, err := experiments.Select(*runList)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "blameit-experiments:", err)
+		os.Exit(2)
 	}
-
-	for _, id := range expIDs {
-		if !want[id] {
-			continue
-		}
+	params := experiments.Params{Scale: scale, Seed: *seed}
+	for _, e := range selected {
 		startT := time.Now()
-		runOne(id, scale, *seed)
+		fmt.Print(e.Run(params).Text)
 		if *timing {
-			fmt.Printf("  [%s took %.1fs]\n\n", id, time.Since(startT).Seconds())
+			fmt.Printf("  [%s took %.1fs]\n\n", e.ID, time.Since(startT).Seconds())
 		}
 	}
 	if *dumpMetrics {
@@ -98,105 +80,5 @@ func main() {
 			fmt.Fprintln(os.Stderr, "blameit-experiments:", err)
 			os.Exit(1)
 		}
-	}
-}
-
-// envWithRandomFaults builds an environment with the default randomized
-// fault schedule over the given days.
-func envWithRandomFaults(scale topology.Scale, seed int64, days int) *experiments.Env {
-	w := topology.Generate(scale, seed)
-	horizon := netmodel.Bucket(days * netmodel.BucketsPerDay)
-	fs := faults.Generate(w, faults.DefaultGenerateConfig(), horizon, seed+11)
-	return experiments.NewEnv(experiments.EnvConfig{
-		Scale: scale, Seed: seed, Days: days, Churn: bgp.DefaultChurnConfig(), Faults: fs.Faults,
-	})
-}
-
-func runOne(id string, scale topology.Scale, seed int64) {
-	out := os.Stdout
-	// The middle-fault workload shared by the active-phase evaluations.
-	workload := experiments.DefaultMiddleWorkload(scale, seed, 40)
-
-	switch id {
-	case "table1":
-		experiments.Table1Properties().Render(out)
-	case "table2":
-		e := experiments.NewEnv(experiments.EnvConfig{Scale: scale, Seed: seed, Days: 1, Churn: bgp.DefaultChurnConfig()})
-		tbl, _ := experiments.Table2Dataset(e, 30)
-		tbl.Render(out)
-	case "fig2":
-		e := envWithRandomFaults(scale, seed, 1)
-		fig, _ := experiments.Figure2BadQuartets(e, 0, 1)
-		fig.Render(out)
-	case "fig3":
-		e := experiments.NewEnv(experiments.EnvConfig{Scale: scale, Seed: seed, Days: 7, Churn: bgp.DefaultChurnConfig()})
-		fig, _ := experiments.Figure3Diurnal(e)
-		fig.Render(out)
-	case "fig4a":
-		e := envWithRandomFaults(scale, seed, 2)
-		fig, _ := experiments.Figure4aPersistence(e, 0, 2)
-		fig.Render(out)
-	case "fig4b":
-		e := envWithRandomFaults(scale, seed, 2)
-		fig, _ := experiments.Figure4bImpactSkew(e, 0, 2)
-		fig.Render(out)
-	case "fig5":
-		experiments.Figure5Example().Render(out)
-	case "fig6":
-		e := experiments.NewEnv(experiments.EnvConfig{Scale: scale, Seed: seed, Days: 1, Churn: bgp.DefaultChurnConfig()})
-		fig, _ := experiments.Figure6Grouping(e)
-		fig.Render(out)
-	case "fig8":
-		days, maintenance := 30, 24
-		base := experiments.NewEnv(experiments.EnvConfig{Scale: scale, Seed: seed, Days: 1, Churn: bgp.DefaultChurnConfig()})
-		fs := experiments.Fig8Schedule(base, 1, days, maintenance, seed+13)
-		e := experiments.NewEnv(experiments.EnvConfig{Scale: scale, Seed: seed, Days: days + 1, Churn: bgp.DefaultChurnConfig(), Faults: fs})
-		fig, _ := experiments.Figure8BlameFractions(e, 1, days, maintenance)
-		fig.Render(out)
-	case "fig9":
-		base := experiments.NewEnv(experiments.EnvConfig{Scale: scale, Seed: seed, Days: 1, Churn: bgp.DefaultChurnConfig()})
-		fs := experiments.Fig9Schedule(base, 1, seed+17)
-		e := experiments.NewEnv(experiments.EnvConfig{Scale: scale, Seed: seed, Days: 2, Churn: bgp.DefaultChurnConfig(), Faults: fs})
-		fig, _ := experiments.Figure9RegionalBlame(e, 1)
-		fig.Render(out)
-	case "fig10":
-		e := envWithRandomFaults(scale, seed, 4)
-		fig, _ := experiments.Figure10DurationByCategory(e, 1, 3)
-		fig.Render(out)
-	case "cases":
-		tbl, _ := experiments.CaseStudySuite(scale, seed)
-		tbl.Render(out)
-	case "battery":
-		tbl, outcomes := experiments.IncidentBatterySuite(scale, seed, 88)
-		// The full per-incident table is long; print the summary note and
-		// the first few rows.
-		short := *tbl
-		if len(short.Rows) > 10 {
-			short.Rows = short.Rows[:10]
-			short.Notes = append([]string{"(first 10 of 88 incidents shown)"}, short.Notes...)
-		}
-		short.Render(out)
-		fmt.Fprintf(out, "  correct fraction: %.1f%%\n\n", experiments.CorrectFraction(outcomes)*100)
-	case "fig11":
-		fig, _ := experiments.Figure11Corroboration(workload)
-		fig.Render(out)
-	case "fig12":
-		fig, res := experiments.Figure12ClientTime(workload)
-		fig.Render(out)
-		fmt.Fprintf(out, "  spearman(estimate, oracle) = %.2f over %d episodes\n\n", res.Spearman, res.Episodes)
-	case "fig13":
-		fig, _ := experiments.Figure13FrequencySweep(workload)
-		fig.Render(out)
-	case "probes":
-		tbl, _ := experiments.ProbeOverhead(workload)
-		tbl.Render(out)
-	case "tomo":
-		tbl, _ := experiments.TomographyInfeasibility(5)
-		tbl.Render(out)
-	case "reverse":
-		tbl, _ := experiments.ReverseEval(scale, seed, 25)
-		tbl.Render(out)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", id)
 	}
 }

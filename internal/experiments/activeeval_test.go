@@ -5,11 +5,10 @@ import (
 
 	"blameit/internal/netmodel"
 	"blameit/internal/pipeline"
-	"blameit/internal/topology"
 )
 
 func smallWorkload(n int) MiddleWorkload {
-	return DefaultMiddleWorkload(topology.SmallScale(), 42, n)
+	return DefaultMiddleWorkload(small.Scale, small.Seed, n)
 }
 
 func TestMiddleWorkloadBuild(t *testing.T) {
@@ -67,10 +66,7 @@ func TestRunMiddleEvalAccuracy(t *testing.T) {
 }
 
 func TestFigure11Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fig11 in -short mode")
-	}
-	fig, res := Figure11Corroboration(smallWorkload(25))
+	res, out := result[Fig11Result](t, "fig11")
 	if len(res.BGPPathRatios) == 0 {
 		t.Fatal("no paths graded")
 	}
@@ -81,7 +77,7 @@ func TestFigure11Shape(t *testing.T) {
 	if res.PerfectFracBGPPath < 0.6 {
 		t.Errorf("BGP-path perfect corroboration = %.2f, want high", res.PerfectFracBGPPath)
 	}
-	if len(fig.Series) != 2 {
+	if seriesIn(out.Text) != 2 {
 		t.Error("want two series")
 	}
 	t.Logf("fig11: perfect bgp=%.2f asmetro=%.2f paths=%d/%d",
@@ -89,10 +85,7 @@ func TestFigure11Shape(t *testing.T) {
 }
 
 func TestFigure12Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fig12 in -short mode")
-	}
-	_, res := Figure12ClientTime(smallWorkload(25))
+	res, _ := result[Fig12Result](t, "fig12")
 	if len(res.OracleCoverage) == 0 {
 		t.Fatal("no episodes")
 	}
@@ -114,10 +107,7 @@ func TestFigure12Shape(t *testing.T) {
 }
 
 func TestFigure13Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fig13 sweep in -short mode")
-	}
-	_, res := Figure13FrequencySweep(smallWorkload(15))
+	res, _ := result[Fig13Result](t, "fig13")
 	if len(res.Points) != 10 {
 		t.Fatalf("points = %d", len(res.Points))
 	}
@@ -150,10 +140,7 @@ func TestFigure13Shape(t *testing.T) {
 }
 
 func TestProbeOverheadShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("probe overhead in -short mode")
-	}
-	tbl, res := ProbeOverhead(smallWorkload(12))
+	res, out := result[ProbeOverheadResult](t, "probes")
 	if res.BlameItPerDay <= 0 {
 		t.Fatal("no BlameIt probes")
 	}
@@ -166,7 +153,7 @@ func TestProbeOverheadShape(t *testing.T) {
 	if res.VsTrinocular >= res.VsActiveOnly {
 		t.Error("trinocular must be cheaper than blind continuous probing")
 	}
-	if len(tbl.Rows) != 3 {
+	if rowsIn(out.Text) != 3 {
 		t.Error("table rows")
 	}
 	t.Logf("probes/day: blameit=%.0f activeonly=%.0f trinocular=%.0f (%.0fx / %.0fx)",

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"blameit/internal/bgp"
 	"blameit/internal/faults"
 	"blameit/internal/netmodel"
 	"blameit/internal/topology"
@@ -18,7 +17,7 @@ func CaseStudySuite(scale topology.Scale, seed int64) (*Table, []CaseOutcome) {
 		fs = append(fs, scs[i].Fault)
 	}
 	days := int(scs[len(scs)-1].Fault.End())/netmodel.BucketsPerDay + 2
-	env := NewEnv(EnvConfig{Scale: scale, Seed: seed, Days: days, Churn: bgp.DefaultChurnConfig(), Faults: fs})
+	env := Params{scale, seed}.Env(days, fs)
 	outcomes := RunCases(env, scs, warmupDays)
 	return CasesTable(outcomes), outcomes
 }
@@ -35,7 +34,7 @@ func IncidentBatterySuite(scale topology.Scale, seed int64, n int) (*Table, []Ca
 		fs = append(fs, sc.Fault)
 	}
 	days := int(scs[len(scs)-1].Fault.End())/netmodel.BucketsPerDay + 2
-	env := NewEnv(EnvConfig{Scale: scale, Seed: seed, Days: days, Churn: bgp.DefaultChurnConfig(), Faults: fs})
+	env := Params{scale, seed}.Env(days, fs)
 	outcomes := RunCases(env, scs, warmupDays)
 	tbl := CasesTable(outcomes)
 	tbl.ID = "IncidentBattery"

@@ -53,6 +53,19 @@ func NewEnv(cfg EnvConfig) *Env {
 	return &Env{World: w, Table: tbl, Sched: s.Sched, Sim: s, Seed: cfg.Seed, Horizon: horizon, Workers: cfg.Workers}
 }
 
+// Env builds the environment registered experiments run against: the
+// params' world under default BGP churn, over the given days and schedule.
+func (p Params) Env(days int, fs []faults.Fault) *Env {
+	return NewEnv(EnvConfig{Scale: p.Scale, Seed: p.Seed, Days: days, Churn: bgp.DefaultChurnConfig(), Faults: fs})
+}
+
+// RandomFaultEnv is Env under the default randomized fault schedule.
+func (p Params) RandomFaultEnv(days int) *Env {
+	w := topology.Generate(p.Scale, p.Seed)
+	horizon := netmodel.Bucket(days * netmodel.BucketsPerDay)
+	return p.Env(days, faults.Generate(w, faults.DefaultGenerateConfig(), horizon, p.Seed+11).Faults)
+}
+
 // QuartetsAt classifies the observations of one bucket.
 func (e *Env) QuartetsAt(b netmodel.Bucket, buf []trace.Observation) ([]quartet.Quartet, []trace.Observation) {
 	buf = e.Sim.ObservationsAt(b, buf[:0])

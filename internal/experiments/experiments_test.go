@@ -3,28 +3,14 @@ package experiments
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
-	"blameit/internal/bgp"
 	"blameit/internal/core"
-	"blameit/internal/faults"
 	"blameit/internal/netmodel"
 	"blameit/internal/stats"
 	"blameit/internal/topology"
 )
-
-// smallEnv builds a small fault-free environment.
-func smallEnv(days int) *Env {
-	return NewEnv(EnvConfig{Scale: topology.SmallScale(), Seed: 42, Days: days, Churn: bgp.DefaultChurnConfig()})
-}
-
-// smallEnvWithRandomFaults adds the default randomized schedule.
-func smallEnvWithRandomFaults(days int, seed int64) *Env {
-	w := topology.Generate(topology.SmallScale(), 42)
-	horizon := netmodel.Bucket(days * netmodel.BucketsPerDay)
-	fs := faults.Generate(w, faults.DefaultGenerateConfig(), horizon, seed)
-	return NewEnv(EnvConfig{Scale: topology.SmallScale(), Seed: 42, Days: days, Churn: bgp.DefaultChurnConfig(), Faults: fs.Faults})
-}
 
 func TestTable1Renders(t *testing.T) {
 	tbl := Table1Properties()
@@ -47,8 +33,7 @@ func TestTable1Renders(t *testing.T) {
 }
 
 func TestTable2Dataset(t *testing.T) {
-	e := smallEnv(1)
-	tbl, ds := Table2Dataset(e, 7)
+	ds, out := result[DatasetStats](t, "table2")
 	if ds.RTTMeasurements <= 0 || ds.Client24s <= 0 || ds.BGPPrefixes <= 0 {
 		t.Fatalf("dataset stats %+v", ds)
 	}
@@ -58,15 +43,12 @@ func TestTable2Dataset(t *testing.T) {
 	if ds.RTTMeasurements < int64(ds.Client24s) {
 		t.Error("measurements must outnumber prefixes")
 	}
-	var buf bytes.Buffer
-	tbl.Render(&buf)
-	t.Logf("table2:\n%s", buf.String())
+	t.Logf("table2:\n%s", out.Text)
 }
 
 func TestFigure2Shape(t *testing.T) {
-	e := smallEnvWithRandomFaults(1, 7)
-	fig, res := Figure2BadQuartets(e, 0, 1)
-	if len(fig.Series) != netmodel.NumDeviceClasses {
+	res, out := result[Fig2Result](t, "fig2")
+	if seriesIn(out.Text) != netmodel.NumDeviceClasses {
 		t.Fatal("series count")
 	}
 	if res.Total == 0 {
@@ -83,23 +65,21 @@ func TestFigure2Shape(t *testing.T) {
 }
 
 func TestFigure3Shape(t *testing.T) {
-	e := smallEnv(7)
-	fig, res := Figure3Diurnal(e)
+	res, out := result[Fig3Result](t, "fig3")
 	if len(res.CountryHourly) != 168 {
 		t.Fatalf("hours = %d", len(res.CountryHourly))
 	}
 	if !res.NightHigherThanDay {
 		t.Error("night badness must exceed work-hours badness (paper §2.2)")
 	}
-	if len(fig.Series) != 3 {
+	if seriesIn(out.Text) != 3 {
 		t.Error("want USA + two ISPs")
 	}
-	t.Logf("fig3 notes: %v", fig.Notes)
+	t.Logf("fig3:\n%s", out.Text)
 }
 
 func TestFigure4aShape(t *testing.T) {
-	e := smallEnvWithRandomFaults(2, 11)
-	_, res := Figure4aPersistence(e, 1, 2)
+	res, _ := result[Fig4aResult](t, "fig4a")
 	if res.N == 0 {
 		t.Fatal("no incidents")
 	}
@@ -153,8 +133,7 @@ func assertSketchClose(t *testing.T, what string, exact, streamed stats.Summary)
 }
 
 func TestFigure4bShape(t *testing.T) {
-	e := smallEnvWithRandomFaults(2, 13)
-	_, res := Figure4bImpactSkew(e, 1, 2)
+	res, _ := result[Fig4bResult](t, "fig4b")
 	if len(res.Tuples) == 0 {
 		t.Fatal("no tuples")
 	}
@@ -174,19 +153,11 @@ func TestFigure5Example(t *testing.T) {
 }
 
 func TestFigure6Shape(t *testing.T) {
-	e := smallEnv(1)
-	_, res := Figure6Grouping(e)
-	if len(res.ByBGPPath) != len(e.World.Prefixes) {
+	res, _ := result[Fig6Result](t, "fig6")
+	if len(res.ByBGPPath) != len(topology.Generate(small.Scale, small.Seed).Prefixes) {
 		t.Fatal("missing prefixes")
 	}
-	mean := func(xs []float64) float64 {
-		var s float64
-		for _, x := range xs {
-			s += x
-		}
-		return s / float64(len(xs))
-	}
-	mp, ma, mpath := mean(res.ByBGPPrefix), mean(res.ByBGPAtom), mean(res.ByBGPPath)
+	mp, ma, mpath := stats.Mean(res.ByBGPPrefix), stats.Mean(res.ByBGPAtom), stats.Mean(res.ByBGPPath)
 	if mpath < ma || ma < mp {
 		t.Errorf("sharing must grow prefix(%.1f) <= atom(%.1f) <= path(%.1f)", mp, ma, mpath)
 	}
@@ -194,23 +165,16 @@ func TestFigure6Shape(t *testing.T) {
 }
 
 func TestFigure8Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-day pipeline in -short mode")
-	}
-	days := 4
-	base := smallEnv(1)
-	fs := Fig8Schedule(base, 1, days, 2, 17)
-	e := NewEnv(EnvConfig{Scale: topology.SmallScale(), Seed: 42, Days: days + 1, Churn: bgp.DefaultChurnConfig(), Faults: fs})
-	_, res := Figure8BlameFractions(e, 1, days, 2)
+	res, _ := result[Fig8Result](t, "fig8")
 	for _, cat := range core.Categories() {
-		if len(res.Daily[cat]) != days {
+		if len(res.Daily[cat]) != res.Days {
 			t.Fatal("missing days")
 		}
 	}
 	// Cloud fraction should spike on the maintenance day.
-	cloud := res.Daily[core.BlameCloud]
-	if cloud[2] <= cloud[1] && cloud[2] <= cloud[3] {
-		t.Errorf("maintenance day cloud fraction %.3f not elevated vs %.3f/%.3f", cloud[2], cloud[1], cloud[3])
+	cloud, m := res.Daily[core.BlameCloud], res.MaintenanceDay
+	if cloud[m] <= cloud[m-1] && cloud[m] <= cloud[m+1] {
+		t.Errorf("maintenance day cloud fraction %.3f not elevated vs %.3f/%.3f", cloud[m], cloud[m-1], cloud[m+1])
 	}
 	t.Logf("fig8 cloud=%v middle=%v client=%v insuff=%v ambig=%v",
 		res.Daily[core.BlameCloud], res.Daily[core.BlameMiddle], res.Daily[core.BlameClient],
@@ -218,13 +182,7 @@ func TestFigure8Shape(t *testing.T) {
 }
 
 func TestFigure9Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("pipeline day in -short mode")
-	}
-	base := smallEnv(1)
-	fs := Fig9Schedule(base, 1, 19)
-	e := NewEnv(EnvConfig{Scale: topology.SmallScale(), Seed: 42, Days: 2, Churn: bgp.DefaultChurnConfig(), Faults: fs})
-	_, res := Figure9RegionalBlame(e, 1)
+	res, _ := result[Fig9Result](t, "fig9")
 	boosted := res.Frac[netmodel.RegionIndia][core.BlameMiddle] +
 		res.Frac[netmodel.RegionChina][core.BlameMiddle] +
 		res.Frac[netmodel.RegionBrazil][core.BlameMiddle]
@@ -239,14 +197,7 @@ func TestFigure9Shape(t *testing.T) {
 }
 
 func TestFigure10Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("pipeline days in -short mode")
-	}
-	base := smallEnv(1)
-	horizon := netmodel.Bucket(3 * netmodel.BucketsPerDay)
-	fs := faults.Generate(base.World, faults.DefaultGenerateConfig(), horizon, 23)
-	e := NewEnv(EnvConfig{Scale: topology.SmallScale(), Seed: 42, Days: 3, Churn: bgp.DefaultChurnConfig(), Faults: fs.Faults})
-	_, res := Figure10DurationByCategory(e, 1, 2)
+	res, _ := result[Fig10Result](t, "fig10")
 	total := 0
 	for cat, counts := range res.Counts {
 		n := 0
@@ -267,21 +218,7 @@ func TestFigure10Shape(t *testing.T) {
 }
 
 func TestRunCasesFiveScenarios(t *testing.T) {
-	if testing.Short() {
-		t.Skip("case studies in -short mode")
-	}
-	w := topology.Generate(topology.SmallScale(), 42)
-	warmup := 1
-	// Shift scenarios to start after warmup.
-	scs := faults.CaseStudies(w, 3)
-	var fs []faults.Fault
-	for i := range scs {
-		scs[i].Fault.Start += netmodel.Bucket(warmup * netmodel.BucketsPerDay)
-		fs = append(fs, scs[i].Fault)
-	}
-	days := int(scs[len(scs)-1].Fault.End())/netmodel.BucketsPerDay + 2
-	e := NewEnv(EnvConfig{Scale: topology.SmallScale(), Seed: 42, Days: days, Churn: bgp.DefaultChurnConfig(), Faults: fs})
-	outcomes := RunCases(e, scs, warmup)
+	outcomes, _ := result[[]CaseOutcome](t, "cases")
 	if len(outcomes) != 5 {
 		t.Fatalf("outcomes = %d", len(outcomes))
 	}
@@ -299,7 +236,7 @@ func TestRunCasesFiveScenarios(t *testing.T) {
 }
 
 func TestTomographyInfeasibility(t *testing.T) {
-	tbl, res := TomographyInfeasibility(5)
+	res, out := result[TomoResult](t, "tomo")
 	if res.Rank >= res.Unknowns {
 		t.Error("system must be rank-deficient")
 	}
@@ -312,9 +249,7 @@ func TestTomographyInfeasibility(t *testing.T) {
 	if !res.BoolAmbig {
 		t.Error("boolean instance must be ambiguous")
 	}
-	var buf bytes.Buffer
-	tbl.Render(&buf)
-	if buf.Len() == 0 {
+	if out.Text == "" {
 		t.Error("empty render")
 	}
 }
@@ -341,15 +276,12 @@ func TestFigureRenderAndSparkline(t *testing.T) {
 }
 
 func TestIncidentBatterySuite(t *testing.T) {
-	if testing.Short() {
-		t.Skip("incident battery in -short mode")
-	}
-	tbl, outcomes := IncidentBatterySuite(topology.SmallScale(), 42, 20)
-	if len(outcomes) != 20 {
+	outcomes, out := result[[]CaseOutcome](t, "battery")
+	if len(outcomes) != 88 {
 		t.Fatalf("outcomes = %d", len(outcomes))
 	}
-	if len(tbl.Rows) != 20 {
-		t.Fatal("table rows")
+	if rowsIn(out.Text) != 10 || !strings.Contains(out.Text, "(first 10 of 88 incidents shown)") {
+		t.Fatalf("table rows:\n%s", out.Text)
 	}
 	frac := CorrectFraction(outcomes)
 	if frac < 0.85 {
@@ -361,14 +293,11 @@ func TestIncidentBatterySuite(t *testing.T) {
 		}
 		t.Errorf("battery correct fraction = %.2f (paper: 88/88)", frac)
 	}
-	t.Logf("battery: %d/%d correct", int(frac*20+0.5), 20)
+	t.Logf("battery: %d/%d correct", int(frac*88+0.5), 88)
 }
 
 func TestReverseEval(t *testing.T) {
-	if testing.Short() {
-		t.Skip("reverse eval in -short mode")
-	}
-	tbl, res := ReverseEval(topology.SmallScale(), 42, 15)
+	res, out := result[ReverseEvalResult](t, "reverse")
 	if res.Episodes != 15 {
 		t.Fatalf("episodes = %d", res.Episodes)
 	}
@@ -384,7 +313,7 @@ func TestReverseEval(t *testing.T) {
 	if res.CoveredAccuracy < 0.8 {
 		t.Errorf("accuracy within rich-client coverage = %.2f, want high", res.CoveredAccuracy)
 	}
-	if len(tbl.Rows) != 3 {
+	if rowsIn(out.Text) != 3 {
 		t.Error("table rows")
 	}
 	t.Logf("reverse eval: forward=%.2f reverse=%.2f covered=%.2f suspicious=%d/%d",

@@ -1,8 +1,11 @@
-// Package experiments contains one runner per table and figure of the
-// paper's evaluation, each regenerating the corresponding rows or series
-// from the synthetic substrate, plus the shared environment and rendering
-// helpers. The bench harness (bench_test.go) and the blameit-experiments
-// command are thin wrappers over this package.
+// Package experiments is the reproduction of the paper's evaluation: one
+// runner per table and figure, the shared environment and rendering
+// helpers, and the registry (registry.go) that lists every runner once
+// with its one size. The blameit-experiments command, BenchmarkExperiments
+// (bench_test.go) and this package's shape tests iterate the registry; its
+// scalars at small scale, seed 42 are committed as EXPERIMENTS.json, which
+// `go test ./internal/experiments -run TestExperimentsMatchCommitted
+// -update` regenerates and `make test` holds every run to.
 package experiments
 
 import (
