@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	blameit-experiments [-scale small|medium] [-seed N] [-run all|<ids>]
+//	blameit-experiments [-scale small|medium|large] [-seed N] [-run all|<ids>]
 //	                    [-workers N] [-metrics] [-time]
 //
 // where <ids> is a comma-separated subset of the ids in the experiment
@@ -26,7 +26,7 @@ import (
 
 func main() {
 	var (
-		scaleName   = flag.String("scale", "small", "world scale: small or medium")
+		scaleName   = flag.String("scale", "small", "world scale: small, medium or large")
 		seed        = flag.Int64("seed", 42, "deterministic seed")
 		runList     = flag.String("run", "all", "comma-separated experiment ids or 'all'")
 		timing      = flag.Bool("time", false, "print per-experiment wall time")
@@ -50,14 +50,9 @@ func main() {
 		runtime.GOMAXPROCS(*workers)
 	}
 
-	var scale topology.Scale
-	switch *scaleName {
-	case "small":
-		scale = topology.SmallScale()
-	case "medium":
-		scale = topology.MediumScale()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scaleName)
+	scale, err := topology.ScaleByName(*scaleName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "blameit-experiments:", err)
 		os.Exit(1)
 	}
 

@@ -231,16 +231,13 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var scale topology.Scale
-	switch *scaleName {
-	case "small":
-		scale = topology.SmallScale()
-	case "medium":
-		scale = topology.MediumScale()
-	case "large":
-		scale = topology.LargeScale()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scaleName)
+	scale, err := topology.ScaleByName(*scaleName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tracegen:", err)
+		os.Exit(1)
+	}
+	if *workload != "random" && *workload != "none" {
+		fmt.Fprintf(os.Stderr, "tracegen: unknown -faults %q (random|none)\n", *workload)
 		os.Exit(1)
 	}
 

@@ -42,19 +42,6 @@ import (
 	"blameit/internal/topology"
 )
 
-func scaleByName(name string) (topology.Scale, error) {
-	switch name {
-	case "small":
-		return topology.SmallScale(), nil
-	case "medium":
-		return topology.MediumScale(), nil
-	case "large":
-		return topology.LargeScale(), nil
-	default:
-		return topology.Scale{}, fmt.Errorf("unknown scale %q (small|medium|large)", name)
-	}
-}
-
 type options struct {
 	scaleName   string
 	seed        int64
@@ -100,7 +87,7 @@ func main() {
 }
 
 func run(ctx context.Context, o options) error {
-	scale, err := scaleByName(o.scaleName)
+	scale, err := topology.ScaleByName(o.scaleName)
 	if err != nil {
 		return err
 	}

@@ -11,17 +11,6 @@ import (
 	"blameit/internal/trace"
 )
 
-func TestScaleByName(t *testing.T) {
-	for _, name := range []string{"small", "medium", "large"} {
-		if _, err := scaleByName(name); err != nil {
-			t.Errorf("scaleByName(%q) = %v", name, err)
-		}
-	}
-	if _, err := scaleByName("galactic"); err == nil {
-		t.Error("unknown scale accepted")
-	}
-}
-
 // opts returns a small, fast option set tests tweak per case.
 func opts() options {
 	return options{

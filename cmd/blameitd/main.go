@@ -110,21 +110,8 @@ func main() {
 	}
 }
 
-func scaleByName(name string) (topology.Scale, error) {
-	switch name {
-	case "small":
-		return topology.SmallScale(), nil
-	case "medium":
-		return topology.MediumScale(), nil
-	case "large":
-		return topology.LargeScale(), nil
-	default:
-		return topology.Scale{}, fmt.Errorf("unknown scale %q (small|medium|large)", name)
-	}
-}
-
 func run(o options) error {
-	scale, err := scaleByName(o.scaleName)
+	scale, err := topology.ScaleByName(o.scaleName)
 	if err != nil {
 		return err
 	}

@@ -3,8 +3,8 @@
 // assumes. Agents own disjoint contiguous slices of the client prefix
 // space, pre-aggregate their slice's observations into per-bucket
 // quartet.Partial batches at the edge, and ship them to a Collector that
-// merges them — deduplicated by (agent, epoch, seq) — into the per-bucket
-// quartet.Aggregate whose canonical fold the pipeline reads.
+// gathers them — deduplicated by (agent, epoch, seq) — into the per-bucket
+// quartet.Aggregate whose PartialID-ordered cells the pipeline reads.
 //
 // Delivery is where a real fleet hurts, so the Collector injects the
 // fleet fault classes off the existing chaos configuration: whole-partial
@@ -17,10 +17,9 @@
 //
 // On a fault-free configuration the fleet is a reshuffling of the
 // centralized stream that changes nothing: slices partition the prefix
-// space, the canonical fold walks agents in slice order, and the merged
-// aggregate reconstructs byte-for-byte the observation stream the
-// simulator would have emitted centrally — at any agent count and any
-// delivery order.
+// space, the aggregate walks agents in slice order, and its cells
+// reconstruct byte-for-byte the observation stream the simulator would
+// have emitted centrally — at any agent count and any delivery order.
 package fleet
 
 import (
@@ -35,7 +34,6 @@ import (
 	"blameit/internal/parallel"
 	"blameit/internal/quartet"
 	"blameit/internal/sim"
-	"blameit/internal/stats"
 	"blameit/internal/trace"
 )
 
@@ -49,12 +47,6 @@ type Agent struct {
 	Epoch int
 	// Lo, Hi delimit the agent's half-open prefix slice.
 	Lo, Hi int
-
-	// Diag is the agent's lifetime RTT diagnostic summary (exact
-	// count/mean/min/max, P² quantiles). It stays at the edge — the wire
-	// carries the exactly-mergeable histogram sketch instead, because P²
-	// marker state cannot be merged.
-	Diag *stats.StreamingSummary
 
 	sim    *sim.Simulator
 	seq    int64
@@ -70,15 +62,13 @@ func (a *Agent) Restart() {
 }
 
 // Collect generates and pre-aggregates the agent's slice of bucket b:
-// one Partial with cells in prefix-ascending order, edge-classified
-// against the world's targets, carrying the mergeable latency sketch.
+// one Partial with cells in prefix-ascending order.
 func (a *Agent) Collect(b netmodel.Bucket) *quartet.Partial {
 	a.seq++
 	p := quartet.NewPartial(quartet.PartialID{Agent: a.ID, Epoch: a.Epoch, Seq: a.seq}, b)
 	a.obsBuf = a.sim.ObservationsRange(b, a.Lo, a.Hi, a.obsBuf[:0])
 	for _, o := range a.obsBuf {
-		p.ObserveClassified(o, a.sim.World.TargetFor(o.Prefix, o.Cloud))
-		a.Diag.Add(o.MeanRTT)
+		p.Observe(o)
 	}
 	return p
 }
@@ -99,11 +89,7 @@ func New(s *sim.Simulator, agents int) *Fleet {
 	shards := parallel.Shards(len(s.World.Prefixes), agents)
 	f := &Fleet{}
 	for i, sh := range shards {
-		f.Agents = append(f.Agents, &Agent{
-			ID: i, Lo: sh.Lo, Hi: sh.Hi,
-			Diag: stats.NewStreamingSummary(),
-			sim:  s,
-		})
+		f.Agents = append(f.Agents, &Agent{ID: i, Lo: sh.Lo, Hi: sh.Hi, sim: s})
 	}
 	return f
 }
@@ -115,7 +101,7 @@ type Stats struct {
 	// Attempted is agent-buckets: one potential partial per agent per
 	// collected bucket.
 	Attempted int64
-	// Merged is partials folded into their bucket's aggregate.
+	// Merged is partials added to their bucket's aggregate.
 	Merged int64
 	// ChurnEvents is agent restarts; ChurnDropped the partials they lost.
 	ChurnEvents, ChurnDropped int64
@@ -131,10 +117,11 @@ type Stats struct {
 	TransientErrs int64
 }
 
-// Collector merges the fleet's delivered partials into per-bucket
-// aggregates and serves each to the pipeline as its canonically folded
-// observation stream (it implements ingest.ObservationSource). Not safe
-// for concurrent use — the pipeline reads buckets serially.
+// Collector gathers the fleet's delivered partials into per-bucket
+// aggregates and serves each to the pipeline as its observation stream in
+// PartialID order (it implements ingest.ObservationSource); colliding
+// cells are the pipeline's quarantine's to refuse. Not safe for concurrent
+// use — the pipeline reads buckets serially.
 type Collector struct {
 	fleet *Fleet
 	cfg   chaos.Config
@@ -199,7 +186,7 @@ func (c *Collector) InFlight() int {
 }
 
 // deliver routes one partial toward its bucket's aggregate: stale if the
-// bucket already sealed, deduplicated if the ID was already folded in.
+// bucket already sealed, deduplicated if the ID is already in it.
 func (c *Collector) deliver(p *quartet.Partial) {
 	if p.Bucket < c.frontier {
 		c.stats.Stale++
@@ -223,7 +210,7 @@ func (c *Collector) deliver(p *quartet.Partial) {
 // ObservationsAt drives one bucket of the fleet: agents collect and
 // pre-aggregate their slices, the delivery fabric applies its faults,
 // lagged partials whose delivery time arrived are flushed, and the
-// bucket's merged aggregate is sealed and its observations appended to
+// bucket's aggregate is sealed and its observations appended to
 // buf — none when every partial of the bucket was lost.
 func (c *Collector) ObservationsAt(ctx context.Context, b netmodel.Bucket, buf []trace.Observation) ([]trace.Observation, error) {
 	if err := ctx.Err(); err != nil {

@@ -77,8 +77,8 @@ func runReports(t *testing.T, deps pipeline.Deps, horizon netmodel.Bucket) []byt
 }
 
 // shuffledCollector replays a fleet's per-bucket partials in a seeded
-// random delivery order — the adversarial permutation the set-union
-// merge must be insensitive to.
+// random delivery order — the adversarial permutation the aggregate
+// must be insensitive to.
 type shuffledCollector struct {
 	fleet *fleet.Fleet
 	rng   *rand.Rand
@@ -138,11 +138,6 @@ func TestFleetMatchesCentralized(t *testing.T) {
 		st := col.Stats()
 		if st.Merged != st.Attempted || st.Dropped+st.Held+st.Stale+st.Deduped+st.ChurnDropped != 0 {
 			t.Errorf("fault-free collector books off: %+v", st)
-		}
-		for _, ag := range f.Agents {
-			if ag.Diag.N() == 0 {
-				t.Errorf("agent %d collected nothing into its diagnostic summary", ag.ID)
-			}
 		}
 	}
 

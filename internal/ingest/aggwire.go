@@ -12,15 +12,13 @@ import (
 	"blameit/internal/trace"
 )
 
-// AggCell is one wire record of the edge-aggregate feed: a single merged
-// quartet cell tagged with the identity of the partial that carries it.
-// A fleet agent flattens each per-bucket quartet.Partial into its cells
-// and POSTs them as JSONL to /v1/aggregates; the server regroups cells
-// by (agent, epoch, seq) and merges the rebuilt partials — deduplicated
-// by that identity — into the bucket's aggregate. The wire carries cells
-// only: edge badness tallies and latency sketches are advisory
-// diagnostics and classification never reads them, so they stay at the
-// edge rather than widening every record.
+// AggCell is one wire record of the edge-aggregate feed: a single quartet
+// cell tagged with the identity of the partial that carries it. A fleet
+// agent flattens each per-bucket quartet.Partial into its cells and POSTs
+// them as JSONL to /v1/aggregates; the server regroups cells by (agent,
+// epoch, seq) into runs, deduplicated by that identity, and serves a
+// bucket's runs in PartialID order. A cell is everything a partial holds:
+// nothing else is computed at the edge.
 type AggCell struct {
 	Agent   int                  `json:"agent"`
 	Epoch   int                  `json:"epoch"`
@@ -39,7 +37,7 @@ func (c AggCell) ID() quartet.PartialID {
 	return quartet.PartialID{Agent: c.Agent, Epoch: c.Epoch, Seq: c.Seq}
 }
 
-// Observation reconstructs the merged observation the cell encodes.
+// Observation reconstructs the observation the cell encodes.
 func (c AggCell) Observation() trace.Observation {
 	return trace.Observation{
 		Prefix: c.Prefix, Cloud: c.Cloud, Device: c.Device, Bucket: c.Bucket,

@@ -96,9 +96,6 @@ func TestAggCellsOfRoundTrips(t *testing.T) {
 	if !reflect.DeepEqual(back.Cells, p.Cells) {
 		t.Fatalf("regrouped cells diverge:\n got %+v\nwant %+v", back.Cells, p.Cells)
 	}
-	if back.Samples() != p.Samples() {
-		t.Fatalf("regrouped samples %d, want %d", back.Samples(), p.Samples())
-	}
 }
 
 // Negative and boundary values must survive the fast path (a reborn

@@ -3,6 +3,8 @@ package ingest
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"testing"
 
 	"blameit/internal/netmodel"
@@ -65,4 +67,74 @@ func FuzzStreamSource(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzDecodeBatches throws arbitrary bytes at the two request-body
+// decoders — DecodeBatch behind POST /v1/ingest, DecodeAggBatch behind
+// POST /v1/aggregates — whose line loops and hand-rolled canonical
+// scanners StreamSource's fuzz target does not reach. The invariants, for
+// both: nothing panics; strict mode errors or succeeds, and what it decoded
+// before stopping is what salvage mode decoded too; salvage mode never
+// errors, and every non-blank line is either decoded or handed to onBad,
+// where it really is undecodable; a line the canonical scanner accepts
+// decodes to the same value, bit for bit, through encoding/json.
+//
+// The last property holds wherever encoding/json takes the line at all. The
+// scanners spell numbers as strconv does, so they also take "01", "+5",
+// ".5" and "1." (TestParseFloatMatchesStrconv pins that; seed
+// strconv-number-spellings shows it), which encoding/json refuses.
+func FuzzDecodeBatches(f *testing.F) {
+	f.Add([]byte(`{"prefix":1,"cloud":0,"device":0,"bucket":0,"samples":20,"mean_rtt_ms":40.5,"clients":9}` + "\n"))
+	f.Add([]byte(`{"agent":2,"epoch":1,"seq":7,"bucket":12,"prefix":1,"cloud":0,"device":2,"samples":20,"mean_rtt_ms":40.5,"clients":9}` + "\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkBatchDecoder(t, "DecodeBatch", data, DecodeBatch, decodeCanonical)
+		checkBatchDecoder(t, "DecodeAggBatch", data, DecodeAggBatch, decodeAggCanonical)
+	})
+}
+
+func checkBatchDecoder[T any](t *testing.T, name string, data []byte,
+	decode func([]byte, []T, func([]byte)) ([]T, error), canonical func([]byte, *T) bool) {
+	same := func(a, b T) bool { return fmt.Sprintf("%+v", a) == fmt.Sprintf("%+v", b) }
+
+	var bad [][]byte
+	salvaged, err := decode(data, nil, func(line []byte) { bad = append(bad, line) })
+	if err != nil {
+		t.Fatalf("%s: salvage mode returned an error: %v", name, err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	nonBlank := 0
+	for _, line := range lines {
+		if !isBlank(line) {
+			nonBlank++
+		}
+	}
+	if len(salvaged)+len(bad) != nonBlank {
+		t.Fatalf("%s: %d non-blank lines became %d records and %d refusals", name, nonBlank, len(salvaged), len(bad))
+	}
+	for _, line := range bad {
+		var v T
+		if canonical(line, &v) || json.Unmarshal(line, &v) == nil {
+			t.Fatalf("%s: refused a decodable line %q", name, line)
+		}
+	}
+
+	strict, err := decode(data, nil, nil)
+	if (err == nil) != (len(bad) == 0) {
+		t.Fatalf("%s: strict mode err = %v with %d undecodable lines", name, err, len(bad))
+	}
+	if len(strict) > len(salvaged) || (err == nil && len(strict) != len(salvaged)) {
+		t.Fatalf("%s: strict mode decoded %d records, salvage mode %d", name, len(strict), len(salvaged))
+	}
+	for i := range strict {
+		if !same(strict[i], salvaged[i]) {
+			t.Fatalf("%s: record %d is %+v in strict mode, %+v in salvage mode", name, i, strict[i], salvaged[i])
+		}
+	}
+
+	for _, line := range lines {
+		var fast, ref T
+		if canonical(line, &fast) && json.Unmarshal(line, &ref) == nil && !same(fast, ref) {
+			t.Fatalf("%s: the canonical scanner read %q as %+v, encoding/json as %+v", name, line, fast, ref)
+		}
+	}
 }

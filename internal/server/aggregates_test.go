@@ -142,23 +142,8 @@ func TestServiceAggregateEquivalence(t *testing.T) {
 	// Reference: the batch CLI's live run.
 	cfg := pipeline.DefaultConfig()
 	cfg.Workers = 1
-	p := pipeline.NewSim(aggReplaySimFor(1), cfg)
-	if err := p.Warmup(0, replayWarmup); err != nil {
-		t.Fatalf("batch warmup: %v", err)
-	}
-	var want bytes.Buffer
-	err := p.Run(replayWarmup, replayHorizon, func(rep *pipeline.Report) {
-		buf, err := rep.CanonicalJSON()
-		if err != nil {
-			t.Fatalf("canonicalize report: %v", err)
-		}
-		want.Write(buf)
-		want.WriteByte('\n')
-	})
-	if err != nil {
-		t.Fatalf("batch run: %v", err)
-	}
-	if want.Len() == 0 {
+	want := canonicalRun(t, pipeline.NewSim(aggReplaySimFor(1), cfg), replayWarmup, replayHorizon)
+	if len(want) == 0 {
 		t.Fatal("batch run produced no reports")
 	}
 
@@ -210,8 +195,8 @@ func TestServiceAggregateEquivalence(t *testing.T) {
 	e.shutdown(t)
 
 	got := collectCanonical(t, client, ts.URL)
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("shuffled fleet-over-HTTP reports diverged from the batch run: %d vs %d canonical bytes", len(got), want.Len())
+	if !bytes.Equal(got, want) {
+		t.Fatalf("shuffled fleet-over-HTTP reports diverged from the batch run: %d vs %d canonical bytes", len(got), len(want))
 	}
 	counters, _ := e.metricsSnapshot(t)
 	if got := counters["server.aggregates.deduped"]; got != int64(dups) {
@@ -391,6 +376,58 @@ func TestAggregateCollisionQuarantined(t *testing.T) {
 	}
 	if q := e.srv.Pipeline().Quarantine(); q.Total() != 2 {
 		t.Fatalf("pipeline quarantine total = %d (%s), want 2", q.Total(), q)
+	}
+}
+
+// TestFleetCollisionMatchesDaemon holds the two aggregate paths to one
+// collision rule. Two hostile partials claim a quartet an honest agent
+// already reported; the same partials go (a) through quartet.Aggregate into
+// an in-process pipeline, as fleet.Collector feeds one, and (b) over
+// /v1/aggregates into the daemon. Neither path settles the collision
+// itself: both hand the pipeline every cell in PartialID order, its
+// quarantine keeps the first, and the reports and the duplicate count agree.
+func TestFleetCollisionMatchesDaemon(t *testing.T) {
+	const hostile = feedWarmup + 4
+	partsOf := func(b netmodel.Bucket, obs []trace.Observation) []*quartet.Partial {
+		parts := quarterPartials(b, obs)
+		if b == hostile {
+			for agent := 4; agent <= 5; agent++ {
+				claim := obs[0]
+				claim.MeanRTT, claim.Samples = float64(agent)*claim.MeanRTT, claim.Samples+50*agent
+				parts = append(parts, partialOf(quartet.PartialID{Agent: agent, Seq: int64(b) + 1}, b, []trace.Observation{claim}))
+			}
+		}
+		return parts
+	}
+
+	feed, probeSim := newTestSim(1), newTestSim(1)
+	pcfg := pipeline.DefaultConfig()
+	pcfg.Workers = 1
+	p := pipeline.New(pipeline.Deps{
+		World: probeSim.World,
+		Table: probeSim.Routes,
+		Source: ingest.SourceFunc(func(b netmodel.Bucket, buf []trace.Observation) []trace.Observation {
+			agg := quartet.NewAggregate(b)
+			parts := partsOf(b, feed.ObservationsAt(b, nil))
+			for i := len(parts) - 1; i >= 0; i-- { // delivery order must not matter
+				agg.Add(parts[i])
+			}
+			return agg.Observations(buf)
+		}),
+		Prober: probe.NewEngine(probeSim, pcfg.ProbeNoiseMS),
+	}, pcfg)
+	want := canonicalRun(t, p, feedWarmup, feedHorizon)
+
+	e, got := runFeed(t, nil, func(e *testEnv, b netmodel.Bucket, obs []trace.Observation) {
+		e.mustPost(t, "/v1/aggregates", aggBody(t, partsOf(b, obs)...))
+	})
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the daemon and the in-process aggregate settled a collision differently: %d vs %d canonical bytes", len(got), len(want))
+	}
+	counters, _ := e.metricsSnapshot(t)
+	inProc := p.Quarantine().Count(ingest.ReasonDuplicate)
+	if daemon := counters["ingest.quarantine.duplicate"]; daemon != 2 || inProc != 2 {
+		t.Fatalf("ingest.quarantine.duplicate = %d in the daemon, %d in process; want the 2 hostile cells on both", daemon, inProc)
 	}
 }
 

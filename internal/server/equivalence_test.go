@@ -44,18 +44,16 @@ func replaySimFor(scale topology.Scale, workers int) *sim.Simulator {
 	return sim.New(w, tbl, faults.NewSchedule(fs), scfg)
 }
 
-// batchCanonicalStream is the reference: the batch CLI's live run over
-// the workload, reports concatenated as canonical JSON lines.
-func batchCanonicalStream(t *testing.T, scale topology.Scale) []byte {
+// canonicalRun warms p up over [0, warmup), runs it to horizon and returns
+// the reports as canonical JSON lines — the stream collectCanonical
+// rebuilds from a daemon's read APIs.
+func canonicalRun(t *testing.T, p *pipeline.Pipeline, warmup, horizon netmodel.Bucket) []byte {
 	t.Helper()
-	cfg := pipeline.DefaultConfig()
-	cfg.Workers = 1
-	p := pipeline.NewSim(replaySimFor(scale, 1), cfg)
-	if err := p.Warmup(0, replayWarmup); err != nil {
+	if err := p.Warmup(0, warmup); err != nil {
 		t.Fatalf("batch warmup: %v", err)
 	}
 	var out bytes.Buffer
-	err := p.Run(replayWarmup, replayHorizon, func(rep *pipeline.Report) {
+	err := p.Run(warmup, horizon, func(rep *pipeline.Report) {
 		buf, err := rep.CanonicalJSON()
 		if err != nil {
 			t.Fatalf("canonicalize report: %v", err)
@@ -67,6 +65,15 @@ func batchCanonicalStream(t *testing.T, scale topology.Scale) []byte {
 		t.Fatalf("batch run: %v", err)
 	}
 	return out.Bytes()
+}
+
+// batchCanonicalStream is the reference: the batch CLI's live run over
+// the workload, reports concatenated as canonical JSON lines.
+func batchCanonicalStream(t *testing.T, scale topology.Scale) []byte {
+	t.Helper()
+	cfg := pipeline.DefaultConfig()
+	cfg.Workers = 1
+	return canonicalRun(t, pipeline.NewSim(replaySimFor(scale, 1), cfg), replayWarmup, replayHorizon)
 }
 
 // writeServiceTrace records the workload's full observation trace

@@ -28,6 +28,7 @@ import (
 	"net/http"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"blameit/internal/ingest"
 	"blameit/internal/metrics"
@@ -244,6 +245,7 @@ type Server struct {
 // whole point of the daemon. World, Table, and Prober are required, as for
 // pipeline.New.
 func New(deps pipeline.Deps, cfg Config) (*Server, error) {
+	start := time.Now()
 	if deps.Source != nil {
 		return nil, fmt.Errorf("server: deps.Source must be nil; the server feeds the pipeline from its HTTP ingest queue")
 	}
@@ -317,7 +319,7 @@ func New(deps pipeline.Deps, cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: recovery: %w", err)
 	}
 	if s.wal != nil {
-		s.wal.verifyRegenerated()
+		s.wal.verifyRegenerated(start)
 	}
 	return s, nil
 }

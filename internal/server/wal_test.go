@@ -10,7 +10,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"log"
+	"log/slog"
 	"math"
 	"math/rand"
 	"net/http"
@@ -18,6 +21,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -27,6 +31,7 @@ import (
 	"blameit/internal/chaos"
 	"blameit/internal/faults"
 	"blameit/internal/ingest"
+	"blameit/internal/metrics"
 	"blameit/internal/netmodel"
 	"blameit/internal/pipeline"
 	"blameit/internal/probe"
@@ -1112,5 +1117,123 @@ func TestWALRestartAfterDrainFlush(t *testing.T) {
 	}
 	if fmt.Sprint(gotIdx) != fmt.Sprint(wantIdx) {
 		t.Errorf("report index diverged:\n got %+v\nwant %+v", gotIdx, wantIdx)
+	}
+}
+
+// TestWALDefaultFingerprintStable reopens one data directory under the
+// fingerprint New derives when Config.WAL.Meta is empty. What cannot change
+// a report — a fresh metrics registry, another worker count — must reopen;
+// what replay determinism depends on must still be refused.
+func TestWALDefaultFingerprintStable(t *testing.T) {
+	dir := t.TempDir()
+	open := func(mut func(*Config)) error {
+		t.Helper()
+		probeSim := newTestSim(1)
+		cfg := Config{Pipeline: pipeline.DefaultConfig(), DataDir: dir, WAL: wal.Config{Fsync: wal.SyncOff}}
+		cfg.Pipeline.Metrics = metrics.NewRegistry()
+		cfg.Pipeline.Workers = 1
+		if mut != nil {
+			mut(&cfg)
+		}
+		srv, err := New(pipeline.Deps{
+			World:  probeSim.World,
+			Table:  probeSim.Routes,
+			Prober: probe.NewEngine(probeSim, cfg.Pipeline.ProbeNoiseMS),
+		}, cfg)
+		if err != nil {
+			return err
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+		return nil
+	}
+	if err := open(nil); err != nil {
+		t.Fatalf("first open: %v", err)
+	}
+	if err := open(nil); err != nil {
+		t.Fatalf("reopen with a fresh metrics registry refused: %v", err)
+	}
+	if err := open(func(c *Config) { c.Pipeline.Workers = 2 }); err != nil {
+		t.Fatalf("reopen with Workers 1 -> 2 refused: %v", err)
+	}
+	for name, mut := range map[string]func(*Config){
+		"Core.Tau":      func(c *Config) { c.Pipeline.Core.Tau = 0.7 },
+		"RunEvery":      func(c *Config) { c.Pipeline.RunEvery = 4 },
+		"WarmupBuckets": func(c *Config) { c.WarmupBuckets = 12 },
+		"ManualSeal":    func(c *Config) { c.ManualSeal = true },
+	} {
+		if err := open(mut); !errors.Is(err, wal.ErrMetaMismatch) {
+			t.Errorf("reopen with a changed %s: err = %v, want ErrMetaMismatch", name, err)
+		}
+	}
+}
+
+// TestWALLogEvents captures the durability glue's structured log events
+// through a buffer handler: the recovery ones from a journal holding one
+// report whose canonical JSON does not decode, the rest from the walState
+// calls that raise them.
+func TestWALLogEvents(t *testing.T) {
+	var buf bytes.Buffer
+	oldLogger, oldOut, oldFlags := slog.Default(), log.Writer(), log.Flags()
+	slog.SetDefault(slog.New(slog.NewJSONHandler(&buf, nil)))
+	defer func() {
+		slog.SetDefault(oldLogger)
+		log.SetOutput(oldOut)
+		log.SetFlags(oldFlags)
+	}()
+
+	dir := t.TempDir()
+	wcfg := wal.Config{Fsync: wal.SyncOff, Meta: "log-events"}
+	lg, _, err := wal.Open(dir, wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.AppendReport(wal.Report{Seq: 1, From: 0, To: 2, Canonical: []byte("not json")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e := openEnv(t, dir, func() *sim.Simulator { return newTestSim(1) }, func(c *Config) { c.WAL = wcfg })
+	e.close(t)
+
+	ws := &walState{suppress: map[walWindow]suppressedReport{
+		{0, 2}: {seq: 1, canonical: "journaled"},
+		{3, 5}: {seq: 2, canonical: "never regenerated"},
+	}}
+	ws.consumeReplayed(&pipeline.Report{From: 0, To: 2}, []byte("regenerated"))
+	ws.verifyRegenerated(time.Now())
+	ws.absorb(errors.New("disk gone"))
+	ws.absorb(errors.New("said once"))
+
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var ev map[string]any
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("log line %q is not JSON: %v", line, err)
+		}
+		if d, ok := ev["duration_ms"].(float64); ok && d >= 0 {
+			ev["duration_ms"] = "ok"
+		}
+		delete(ev, "time")
+		delete(ev, "level")
+		if _, isErr := ev["err"]; isErr && ev["msg"] == "recovery.report_undecodable" {
+			ev["err"] = "set"
+		}
+		canon, _ := json.Marshal(ev)
+		got = append(got, string(canon))
+	}
+	want := []string{
+		`{"err":"set","msg":"recovery.report_undecodable","seq":1}`,
+		`{"batches":0,"buckets":0,"duration_ms":"ok","inconsistent":1,"msg":"recovery.complete","reports":1,"truncated_bytes":0}`,
+		`{"from":0,"msg":"recovery.report_mismatch","to":2}`,
+		`{"msg":"recovery.unregenerated","n":1}`,
+		`{"err":"disk gone","msg":"wal.degraded"}`,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("log events:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

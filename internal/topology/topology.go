@@ -100,6 +100,20 @@ func (s Scale) Validate() error {
 	return nil
 }
 
+// ScaleByName resolves the -scale flag every command takes.
+func ScaleByName(name string) (Scale, error) {
+	switch name {
+	case "small":
+		return SmallScale(), nil
+	case "medium":
+		return MediumScale(), nil
+	case "large":
+		return LargeScale(), nil
+	default:
+		return Scale{}, fmt.Errorf("unknown scale %q (small|medium|large)", name)
+	}
+}
+
 // SmallScale is sized for unit tests: a few hundred /24s.
 func SmallScale() Scale {
 	return Scale{

@@ -69,3 +69,28 @@ func TestPresetScalesValid(t *testing.T) {
 		}
 	}
 }
+
+// TestScaleByName is the -scale flag's table: the three presets by name,
+// anything else an error that lists them.
+func TestScaleByName(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Scale
+		ok   bool
+	}{
+		{"small", SmallScale(), true},
+		{"medium", MediumScale(), true},
+		{"large", LargeScale(), true},
+		{"", Scale{}, false},
+		{"Small", Scale{}, false},
+		{"huge", Scale{}, false},
+	} {
+		got, err := ScaleByName(tc.name)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ScaleByName(%q) = %+v, %v; want %+v, ok=%v", tc.name, got, err, tc.want, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "small|medium|large") {
+			t.Errorf("ScaleByName(%q) error %q does not list the valid names", tc.name, err)
+		}
+	}
+}
