@@ -44,8 +44,8 @@ crash-smoke:
 	bash scripts/crash_smoke.sh
 
 # Short fuzzing sweeps over every decoder and invariant-bearing routine
-# with a registered fuzz target (the corpora in testdata/fuzz grow as CI
-# finds new inputs).
+# with a registered fuzz target; also a CI job. A failing input lands in
+# the package's testdata/fuzz, where `go test` replays it from then on.
 fuzz:
 	$(GO) test -run NONE -fuzz FuzzStreamSource -fuzztime 20s ./internal/ingest/
 	$(GO) test -run NONE -fuzz FuzzDecodeBatches -fuzztime 20s ./internal/ingest/

@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,10 +14,10 @@ import (
 // AggCell is one wire record of the edge-aggregate feed: a single quartet
 // cell tagged with the identity of the partial that carries it. A fleet
 // agent flattens each per-bucket quartet.Partial into its cells and POSTs
-// them as JSONL to /v1/aggregates; the server regroups cells by (agent,
-// epoch, seq) into runs, deduplicated by that identity, and serves a
-// bucket's runs in PartialID order. A cell is everything a partial holds:
-// nothing else is computed at the edge.
+// them as JSONL to /v1/aggregates; the server regroups cells into their
+// partials (PartialsOf) and gathers each bucket's in a quartet.Aggregate,
+// deduplicated by (agent, epoch, seq) and served in PartialID order. A cell
+// is everything a partial holds: nothing else is computed at the edge.
 type AggCell struct {
 	Agent   int                  `json:"agent"`
 	Epoch   int                  `json:"epoch"`
@@ -57,6 +56,43 @@ func AggCellsOf(p *quartet.Partial, buf []AggCell) []AggCell {
 	return buf
 }
 
+// PartialsOf regroups decoded cells into the partials they flatten — the
+// inverse of AggCellsOf — one per (agent, epoch, seq, bucket) in order of
+// first appearance, each partial's cells in body order, whatever order the
+// body interleaves them in. A partial's cells normally sit together, and
+// its Cells are then a slice of the one array the batch was converted into.
+func PartialsOf(cells []AggCell) []*quartet.Partial {
+	all := make([]quartet.Cell, len(cells))
+	for i, c := range cells {
+		all[i] = quartet.Cell{
+			Key:     quartet.Key{Prefix: c.Prefix, Cloud: c.Cloud, Device: c.Device},
+			Samples: c.Samples, MeanRTT: c.MeanRTT, Clients: c.Clients,
+		}
+	}
+	type partialKey struct {
+		b  netmodel.Bucket
+		id quartet.PartialID
+	}
+	var parts []*quartet.Partial
+	index := make(map[partialKey]*quartet.Partial)
+	for i := 0; i < len(cells); {
+		k := partialKey{cells[i].Bucket, cells[i].ID()}
+		n := i + 1
+		for n < len(cells) && cells[n].Bucket == k.b && cells[n].ID() == k.id {
+			n++
+		}
+		if p := index[k]; p != nil {
+			p.Cells = append(p.Cells, all[i:n]...)
+		} else {
+			p = &quartet.Partial{ID: k.id, Bucket: k.b, Cells: all[i:n:n]}
+			index[k] = p
+			parts = append(parts, p)
+		}
+		i = n
+	}
+	return parts
+}
+
 // WriteAggJSONL writes cells as JSONL in the canonical shape, one record
 // per line — the aggregate-feed counterpart of trace.WriteJSONL.
 func WriteAggJSONL(w io.Writer, cells []AggCell) error {
@@ -70,140 +106,19 @@ func WriteAggJSONL(w io.Writer, cells []AggCell) error {
 	return bw.Flush()
 }
 
-// The canonical aggregate-cell shape is what WriteAggJSONL (a
-// json.Encoder over AggCell) emits: fields in declaration order, no
-// inter-token whitespace, plain decimal numbers. As with observation
-// batches, the hand-rolled scanner handles exactly that shape and
-// anything else falls back to encoding/json, so the accepted inputs are
-// unchanged — only the common case gets the alloc-free path.
-var (
-	aggKeyAgent   = []byte(`{"agent":`)
-	aggKeyEpoch   = []byte(`,"epoch":`)
-	aggKeySeq     = []byte(`,"seq":`)
-	aggKeyBucket  = []byte(`,"bucket":`)
-	aggKeyPrefix  = []byte(`,"prefix":`)
-	aggKeyCloud   = []byte(`,"cloud":`)
-	aggKeyDevice  = []byte(`,"device":`)
-	aggKeySamples = []byte(`,"samples":`)
-	aggKeyMeanRTT = []byte(`,"mean_rtt_ms":`)
-	aggKeyClients = []byte(`,"clients":`)
-)
-
-// decodeAggCanonical parses one canonical aggregate-cell line into c,
-// reporting whether it matched. On ok=false c is untouched and the
-// caller must re-decode the line with encoding/json.
-func decodeAggCanonical(line []byte, c *AggCell) bool {
-	b, ok := eat(line, aggKeyAgent)
-	if !ok {
-		return false
+// aggShape is AggCell's canonical line, as WriteAggJSONL writes it.
+var aggShape = newShape("aggregate cell", "mean_rtt_ms", func(n [maxKeys]int64, f float64) AggCell {
+	return AggCell{
+		Agent: int(n[0]), Epoch: int(n[1]), Seq: n[2], Bucket: netmodel.Bucket(n[3]),
+		Prefix: netmodel.PrefixID(n[4]), Cloud: netmodel.CloudID(n[5]), Device: netmodel.DeviceClass(n[6]),
+		Samples: int(n[7]), MeanRTT: f, Clients: int(n[9]),
 	}
-	var agent, epoch, seq, bucket, prefix, cloud, device, samples, clients int64
-	var mean float64
-	if agent, b, ok = parseInt(b); !ok {
-		return false
-	}
-	if b, ok = eat(b, aggKeyEpoch); !ok {
-		return false
-	}
-	if epoch, b, ok = parseInt(b); !ok {
-		return false
-	}
-	if b, ok = eat(b, aggKeySeq); !ok {
-		return false
-	}
-	if seq, b, ok = parseInt(b); !ok {
-		return false
-	}
-	if b, ok = eat(b, aggKeyBucket); !ok {
-		return false
-	}
-	if bucket, b, ok = parseInt(b); !ok {
-		return false
-	}
-	if b, ok = eat(b, aggKeyPrefix); !ok {
-		return false
-	}
-	if prefix, b, ok = parseInt(b); !ok {
-		return false
-	}
-	if b, ok = eat(b, aggKeyCloud); !ok {
-		return false
-	}
-	if cloud, b, ok = parseInt(b); !ok {
-		return false
-	}
-	if b, ok = eat(b, aggKeyDevice); !ok {
-		return false
-	}
-	if device, b, ok = parseInt(b); !ok {
-		return false
-	}
-	if b, ok = eat(b, aggKeySamples); !ok {
-		return false
-	}
-	if samples, b, ok = parseInt(b); !ok {
-		return false
-	}
-	if b, ok = eat(b, aggKeyMeanRTT); !ok {
-		return false
-	}
-	if mean, b, ok = parseFloat(b); !ok {
-		return false
-	}
-	if b, ok = eat(b, aggKeyClients); !ok {
-		return false
-	}
-	if clients, b, ok = parseInt(b); !ok {
-		return false
-	}
-	if len(b) == 0 || b[0] != '}' || !isBlank(b[1:]) {
-		return false
-	}
-	*c = AggCell{
-		Agent: int(agent), Epoch: int(epoch), Seq: seq,
-		Bucket: netmodel.Bucket(bucket),
-		Prefix: netmodel.PrefixID(prefix), Cloud: netmodel.CloudID(cloud),
-		Device:  netmodel.DeviceClass(device),
-		Samples: int(samples), MeanRTT: mean, Clients: int(clients),
-	}
-	return true
-}
+}, "agent", "epoch", "seq", "bucket", "prefix", "cloud", "device", "samples", "mean_rtt_ms", "clients")
 
 // DecodeAggBatch decodes one bounded JSONL aggregate-cell batch — the
-// request body of a blameitd POST /v1/aggregates — appending the cells
-// to buf and returning the extended slice. Decoding mirrors DecodeBatch:
-// canonical lines take the alloc-free scanner, anything else falls back
-// to encoding/json, blank lines are skipped, and onBad selects the
-// strict (nil: positioned error, reject the batch) or salvage (divert
-// the bad line, keep going) failure mode.
+// request body of a blameitd POST /v1/aggregates — appending the cells to
+// buf and returning the extended slice. It is DecodeBatch for the other
+// record shape: the same line decoder, the same strict/salvage split.
 func DecodeAggBatch(data []byte, buf []AggCell, onBad func(line []byte)) ([]AggCell, error) {
-	offset := 0
-	rec := 0
-	for len(data) > 0 {
-		var line []byte
-		if nl := bytes.IndexByte(data, '\n'); nl < 0 {
-			line, data = data, nil
-		} else {
-			line, data = data[:nl+1], data[nl+1:]
-		}
-		lineStart := offset
-		offset += len(line)
-		if isBlank(line) {
-			continue
-		}
-		var c AggCell
-		if !decodeAggCanonical(line, &c) {
-			c = AggCell{}
-			if err := json.Unmarshal(line, &c); err != nil {
-				if onBad == nil {
-					return buf, fmt.Errorf("ingest: decoding aggregate cell %d (byte offset %d): %w", rec, lineStart, err)
-				}
-				onBad(line)
-				continue
-			}
-		}
-		rec++
-		buf = append(buf, c)
-	}
-	return buf, nil
+	return aggShape.decodeBatch(data, buf, onBad)
 }

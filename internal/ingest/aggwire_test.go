@@ -35,7 +35,7 @@ func TestAggWireRoundTrip(t *testing.T) {
 	}
 	for i, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
 		var c AggCell
-		if !decodeAggCanonical(append(line, '\n'), &c) {
+		if !aggShape.scan(append(line, '\n'), &c) {
 			t.Errorf("line %d did not take the canonical fast path: %s", i, line)
 		} else if c != cells[i] {
 			t.Errorf("fast path decoded %+v, want %+v", c, cells[i])
@@ -49,7 +49,7 @@ func TestAggWireRoundTrip(t *testing.T) {
 func TestAggWireFallbackAndSalvage(t *testing.T) {
 	reordered := []byte(`{"bucket":5, "agent":1, "epoch":0, "seq":9, "prefix":3, "cloud":1, "device":0, "samples":12, "mean_rtt_ms":55.5, "clients":3}` + "\n")
 	var c AggCell
-	if decodeAggCanonical(reordered, &c) {
+	if aggShape.scan(reordered, &c) {
 		t.Fatal("reordered line should not match the canonical shape")
 	}
 	got, err := DecodeAggBatch(reordered, nil, nil)
@@ -72,29 +72,35 @@ func TestAggWireFallbackAndSalvage(t *testing.T) {
 	}
 }
 
-// TestAggCellsOfRoundTrips: flattening a partial to wire cells and
-// regrouping them reproduces the partial's cells and identity exactly.
+// TestAggCellsOfRoundTrips: flattening partials to wire cells and
+// regrouping them with PartialsOf reproduces each partial's identity and
+// cells exactly, in order of first appearance, even when the body
+// interleaves two partials' cells.
 func TestAggCellsOfRoundTrips(t *testing.T) {
-	id := quartet.PartialID{Agent: 2, Epoch: 1, Seq: 7}
-	p := quartet.NewPartial(id, 12)
-	for _, c := range sampleAggCells() {
-		o := c.Observation()
-		o.Bucket = 12
-		p.Observe(o)
+	var parts []*quartet.Partial
+	for _, id := range []quartet.PartialID{{Agent: 2, Epoch: 1, Seq: 7}, {Agent: 0, Epoch: 0, Seq: 7}} {
+		p := quartet.NewPartial(id, 12)
+		for _, c := range sampleAggCells() {
+			o := c.Observation()
+			o.Bucket = 12
+			p.Observe(o)
+		}
+		parts = append(parts, p)
 	}
-	cells := AggCellsOf(p, nil)
-	if len(cells) != len(p.Cells) {
-		t.Fatalf("flattened %d cells, partial has %d", len(cells), len(p.Cells))
+	cells := AggCellsOf(parts[0], nil)
+	if len(cells) != len(parts[0].Cells) {
+		t.Fatalf("flattened %d cells, partial has %d", len(cells), len(parts[0].Cells))
 	}
-	back := quartet.NewPartial(id, 12)
 	for _, c := range cells {
-		if c.ID() != id || c.Bucket != 12 {
+		if c.ID() != parts[0].ID || c.Bucket != 12 {
 			t.Fatalf("cell %+v lost its partial identity", c)
 		}
-		back.Observe(c.Observation())
 	}
-	if !reflect.DeepEqual(back.Cells, p.Cells) {
-		t.Fatalf("regrouped cells diverge:\n got %+v\nwant %+v", back.Cells, p.Cells)
+	other := AggCellsOf(parts[1], nil)
+	body := append(append(append([]AggCell{}, cells[:1]...), other...), cells[1:]...)
+	back := PartialsOf(body)
+	if len(back) != 2 || !reflect.DeepEqual(*back[0], *parts[0]) || !reflect.DeepEqual(*back[1], *parts[1]) {
+		t.Fatalf("regrouped partials diverge:\n got %+v\nwant %+v", back, parts)
 	}
 }
 

@@ -2,6 +2,9 @@ package ingest
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"slices"
 	"strconv"
 	"unsafe"
 
@@ -9,34 +12,157 @@ import (
 	"blameit/internal/trace"
 )
 
-// The canonical record shape is what trace.WriteJSONL (a json.Encoder over
-// trace.Observation) emits: the struct's fields in declaration order, no
-// inter-token whitespace, plain decimal numbers. Every trace writer in this
-// repo produces it, so the replay hot path decodes it with a hand-rolled
-// scanner that allocates nothing. Anything else — reordered or unknown
-// fields, quoted numbers, embedded whitespace — falls back to
-// encoding/json, so the set of accepted inputs is unchanged; the fast path
-// only changes how quickly the common case is parsed.
-var (
-	keyPrefix  = []byte(`{"prefix":`)
-	keyCloud   = []byte(`,"cloud":`)
-	keyDevice  = []byte(`,"device":`)
-	keyBucket  = []byte(`,"bucket":`)
-	keySamples = []byte(`,"samples":`)
-	keyMeanRTT = []byte(`,"mean_rtt_ms":`)
-	keyClients = []byte(`,"clients":`)
-)
+// One grammar, one decoder. Every JSONL reader here — DecodeBatch behind
+// POST /v1/ingest, DecodeAggBatch behind POST /v1/aggregates, StreamSource
+// behind blameit -replay — decodes a line with its record shape's decode:
+// the canonical scanner first, encoding/json for anything else. The
+// language accepted is encoding/json's (reordered keys, whitespace, unknown
+// fields included); the scanner only makes the common case fast, and it
+// accepts nothing encoding/json refuses and decodes nothing differently
+// (FuzzDecodeBatches holds it to that).
+//
+// The canonical form of a record is what a json.Encoder emits for it: the
+// struct's fields in declaration order, no inter-token whitespace, RFC 8259
+// numbers. Every writer in this repo produces it.
 
-// eat consumes an exact literal prefix.
-func eat(b, lit []byte) ([]byte, bool) {
-	if !bytes.HasPrefix(b, lit) {
-		return b, false
-	}
-	return b[len(lit):], true
+// maxKeys bounds a record shape's key count.
+const maxKeys = 10
+
+// recordShape is one canonical JSONL record layout: the literal before
+// each value, the one float-valued key among them, and how the scanned
+// numbers become a record.
+type recordShape[T any] struct {
+	what  string   // the record's name in positioned errors
+	lits  [][]byte // `{"k0":`, `,"k1":`, …
+	float int      // index of the float-valued key; every other is an int
+	build func(n [maxKeys]int64, f float64) T
 }
 
-// parseInt consumes a JSON integer (optional minus, decimal digits).
-// Overflow returns ok=false and lets encoding/json produce the error.
+// newShape builds a shape from the record's keys in declaration order,
+// exactly one of which, floatKey, holds a float.
+func newShape[T any](what, floatKey string, build func([maxKeys]int64, float64) T, keys ...string) *recordShape[T] {
+	s := &recordShape[T]{what: what, float: slices.Index(keys, floatKey), build: build}
+	if s.float < 0 || len(keys) > maxKeys {
+		panic(fmt.Sprintf("ingest: %s shape: want at most %d keys, %q among them; have %q", what, maxKeys, floatKey, keys))
+	}
+	for i, k := range keys {
+		sep := ","
+		if i == 0 {
+			sep = "{"
+		}
+		s.lits = append(s.lits, []byte(sep+`"`+k+`":`))
+	}
+	return s
+}
+
+// obsShape is trace.Observation's canonical line, as trace.WriteJSONL
+// writes it.
+var obsShape = newShape("record", "mean_rtt_ms", func(n [maxKeys]int64, f float64) trace.Observation {
+	return trace.Observation{
+		Prefix: netmodel.PrefixID(n[0]), Cloud: netmodel.CloudID(n[1]), Device: netmodel.DeviceClass(n[2]),
+		Bucket: netmodel.Bucket(n[3]), Samples: int(n[4]), MeanRTT: f, Clients: int(n[6]),
+	}
+}, "prefix", "cloud", "device", "bucket", "samples", "mean_rtt_ms", "clients")
+
+// scan parses one line of the shape's canonical form into *dst, reporting
+// whether it matched. It allocates nothing. On false *dst is untouched.
+func (s *recordShape[T]) scan(line []byte, dst *T) bool {
+	var n [maxKeys]int64
+	var f float64
+	b, ok := line, false
+	for i, lit := range s.lits {
+		if !bytes.HasPrefix(b, lit) {
+			return false
+		}
+		b = b[len(lit):]
+		if i == s.float {
+			f, b, ok = parseFloat(b)
+		} else {
+			n[i], b, ok = parseInt(b)
+		}
+		if !ok {
+			return false
+		}
+	}
+	if len(b) == 0 || b[0] != '}' || !isBlank(b[1:]) {
+		return false
+	}
+	*dst = s.build(n, f)
+	return true
+}
+
+// decode decodes one non-blank line into *dst: the canonical scanner, and
+// encoding/json for every line the scanner declines. dst must not be a
+// local the caller wants kept off the heap: it escapes into encoding/json.
+func (s *recordShape[T]) decode(line []byte, dst *T) error {
+	if s.scan(line, dst) {
+		return nil
+	}
+	var zero T
+	*dst = zero
+	return json.Unmarshal(line, dst)
+}
+
+// decodeBatch decodes one bounded JSONL body of the shape's records,
+// appending them to buf. Blank lines are skipped; a final line without a
+// trailing newline is still a complete record; a line that is half a
+// record is malformed. onBad selects the failure mode: when nil, the first
+// undecodable line aborts the batch with a positioned error (record index
+// and byte offset) and the caller should reject the whole batch; otherwise
+// each undecodable line is handed to onBad (quarantine it there) and
+// decoding continues on the next line.
+func (s *recordShape[T]) decodeBatch(data []byte, buf []T, onBad func(line []byte)) ([]T, error) {
+	offset, rec := 0, 0
+	for len(data) > 0 {
+		line := data
+		if nl := bytes.IndexByte(data, '\n'); nl >= 0 {
+			line = data[:nl+1]
+		}
+		data = data[len(line):]
+		lineStart := offset
+		offset += len(line)
+		if isBlank(line) {
+			continue
+		}
+		// Decoded in place: the slice is on the heap already.
+		buf = append(buf, *new(T))
+		if err := s.decode(line, &buf[len(buf)-1]); err != nil {
+			buf = buf[:len(buf)-1]
+			if onBad == nil {
+				return buf, fmt.Errorf("ingest: decoding %s %d (byte offset %d): %w", s.what, rec, lineStart, err)
+			}
+			onBad(line)
+			continue
+		}
+		rec++
+	}
+	return buf, nil
+}
+
+// DecodeBatch decodes one bounded JSONL observation batch — the request
+// body of a blameitd POST /v1/ingest — appending the records to buf and
+// returning the extended slice. Lines decode exactly as a streaming replay
+// decodes them; onBad selects strict (nil) or salvage mode, mirroring
+// StreamSource's split (see recordShape.decodeBatch).
+func DecodeBatch(data []byte, buf []trace.Observation, onBad func(line []byte)) ([]trace.Observation, error) {
+	return obsShape.decodeBatch(data, buf, onBad)
+}
+
+// isBlank reports whether a line holds only JSON whitespace; blank lines
+// are legal between records in both modes.
+func isBlank(line []byte) bool {
+	for _, c := range line {
+		if c != ' ' && c != '\t' && c != '\r' && c != '\n' {
+			return false
+		}
+	}
+	return true
+}
+
+// parseInt consumes an RFC 8259 integer: an optional minus, then 0 or a
+// nonzero digit and more digits. A leading zero before a digit, a fraction,
+// an exponent or an int64 overflow returns ok=false, leaving the line to
+// encoding/json.
 func parseInt(b []byte) (int64, []byte, bool) {
 	neg := false
 	if len(b) > 0 && b[0] == '-' {
@@ -55,8 +181,7 @@ func parseInt(b []byte) (int64, []byte, bool) {
 		}
 		v = v*10 + d
 	}
-	// A fraction or exponent means the field is not a plain integer.
-	if i < len(b) && (b[i] == '.' || b[i] == 'e' || b[i] == 'E') {
+	if (b[0] == '0' && i > 1) || (i < len(b) && (b[i] == '.' || b[i] == 'e' || b[i] == 'E')) {
 		return 0, b, false
 	}
 	if neg {
@@ -75,14 +200,16 @@ var pow10tab = [23]float64{
 	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 }
 
-// parseFloat consumes a JSON number. Fixed-point numbers — the
-// -?d+(.d+)? shape nearly every mean_rtt_ms value takes — are parsed
-// directly: the digits accumulate into an integer mantissa and one
-// correctly-rounded division by a power of ten recovers the value, so the
-// hot path runs no strconv at all. Everything outside the fast path's
-// exactness envelope (exponents, > 18 digits, mantissa ≥ 2^53, > 22
-// fractional digits) falls back to parseFloatSlow, keeping the accepted
-// inputs and every decoded bit identical to strconv's.
+// parseFloat consumes an RFC 8259 number. It refuses what encoding/json
+// refuses — a missing integer part, a leading zero before a digit, a bare
+// or trailing '.', a leading '+' — in the same walk that parses it.
+// Fixed-point numbers — the -?d+(.d+)? shape nearly every mean_rtt_ms value
+// takes — are parsed directly: the digits accumulate into an integer
+// mantissa and one correctly-rounded division by a power of ten recovers
+// the value, so the hot path runs no strconv at all. Everything outside the
+// fast path's exactness envelope (exponents, > 18 digits, mantissa ≥ 2^53,
+// > 22 fractional digits) falls back to parseFloatSlow, keeping every
+// decoded bit identical to strconv's.
 func parseFloat(b []byte) (float64, []byte, bool) {
 	i := 0
 	neg := false
@@ -101,8 +228,8 @@ func parseFloat(b []byte) (float64, []byte, bool) {
 			return parseFloatSlow(b)
 		}
 	}
-	if i == intStart {
-		return parseFloatSlow(b)
+	if i == intStart || (b[intStart] == '0' && i-intStart > 1) {
+		return 0, b, false
 	}
 	frac := 0
 	if i < len(b) && b[i] == '.' {
@@ -118,17 +245,11 @@ func parseFloat(b []byte) (float64, []byte, bool) {
 			}
 		}
 		if i == fracStart {
-			return parseFloatSlow(b)
+			return 0, b, false
 		}
 	}
-	if mant >= 1<<53 || frac > 22 {
+	if mant >= 1<<53 || frac > 22 || (i < len(b) && (b[i] == 'e' || b[i] == 'E')) {
 		return parseFloatSlow(b)
-	}
-	if i < len(b) {
-		switch b[i] {
-		case 'e', 'E', '.', '+', '-':
-			return parseFloatSlow(b)
-		}
 	}
 	f := float64(mant)
 	if frac > 0 {
@@ -140,22 +261,43 @@ func parseFloat(b []byte) (float64, []byte, bool) {
 	return f, b[i:], true
 }
 
-// parseFloatSlow is the general case: scan the maximal number-shaped span
-// and hand it to strconv.ParseFloat through an unsafe no-copy string —
+// parseFloatSlow is the general case: walk the RFC 8259 number at the head
+// of b, -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and hand exactly
+// that span to strconv.ParseFloat through an unsafe no-copy string —
 // ParseFloat neither mutates nor retains its argument — so the conversion
-// is exactly encoding/json's (correctly rounded, round-trip safe) without
-// the per-field allocation.
+// is exactly encoding/json's (correctly rounded, round-trip safe, out of
+// range refused) without the per-field allocation.
 func parseFloatSlow(b []byte) (float64, []byte, bool) {
-	i := 0
-	for ; i < len(b); i++ {
-		c := b[i]
-		if (c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E' {
-			continue
+	digitsFrom := func(i int) int {
+		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
+			i++
 		}
-		break
+		return i
 	}
-	if i == 0 {
+	i := 0
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	end := digitsFrom(i)
+	if end == i || (b[i] == '0' && end > i+1) {
 		return 0, b, false
+	}
+	i = end
+	if i < len(b) && b[i] == '.' {
+		if end = digitsFrom(i + 1); end == i+1 {
+			return 0, b, false
+		}
+		i = end
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		if end = digitsFrom(i); end == i {
+			return 0, b, false
+		}
+		i = end
 	}
 	seg := b[:i]
 	v, err := strconv.ParseFloat(unsafe.String(unsafe.SliceData(seg), len(seg)), 64)
@@ -163,68 +305,4 @@ func parseFloatSlow(b []byte) (float64, []byte, bool) {
 		return 0, b, false
 	}
 	return v, b[i:], true
-}
-
-// decodeCanonical parses one line of the canonical WriteJSONL shape into o,
-// reporting whether it matched. On ok=false o is untouched and the caller
-// must re-decode the line with encoding/json.
-func decodeCanonical(line []byte, o *trace.Observation) bool {
-	b, ok := eat(line, keyPrefix)
-	if !ok {
-		return false
-	}
-	var prefix, cloud, device, bucket, samples, clients int64
-	var mean float64
-	if prefix, b, ok = parseInt(b); !ok {
-		return false
-	}
-	if b, ok = eat(b, keyCloud); !ok {
-		return false
-	}
-	if cloud, b, ok = parseInt(b); !ok {
-		return false
-	}
-	if b, ok = eat(b, keyDevice); !ok {
-		return false
-	}
-	if device, b, ok = parseInt(b); !ok {
-		return false
-	}
-	if b, ok = eat(b, keyBucket); !ok {
-		return false
-	}
-	if bucket, b, ok = parseInt(b); !ok {
-		return false
-	}
-	if b, ok = eat(b, keySamples); !ok {
-		return false
-	}
-	if samples, b, ok = parseInt(b); !ok {
-		return false
-	}
-	if b, ok = eat(b, keyMeanRTT); !ok {
-		return false
-	}
-	if mean, b, ok = parseFloat(b); !ok {
-		return false
-	}
-	if b, ok = eat(b, keyClients); !ok {
-		return false
-	}
-	if clients, b, ok = parseInt(b); !ok {
-		return false
-	}
-	if len(b) == 0 || b[0] != '}' || !isBlank(b[1:]) {
-		return false
-	}
-	*o = trace.Observation{
-		Prefix:  netmodel.PrefixID(prefix),
-		Cloud:   netmodel.CloudID(cloud),
-		Device:  netmodel.DeviceClass(device),
-		Bucket:  netmodel.Bucket(bucket),
-		Samples: int(samples),
-		MeanRTT: mean,
-		Clients: int(clients),
-	}
-	return true
 }

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"blameit/internal/netmodel"
@@ -54,7 +57,7 @@ func TestDecodeCanonicalRoundTrip(t *testing.T) {
 			t.Fatalf("record %d: %v", n, err)
 		}
 		var got trace.Observation
-		if !decodeCanonical(line, &got) {
+		if !obsShape.scan(line, &got) {
 			t.Fatalf("record %d: canonical line rejected by fast path: %s", n, line)
 		}
 		if got != want {
@@ -69,7 +72,9 @@ func TestDecodeCanonicalRoundTrip(t *testing.T) {
 
 // TestDecodeCanonicalFallsBack pins the fast path's refusal set: every
 // valid-JSON deviation from the canonical shape must be declined (and left
-// to encoding/json) rather than misparsed, and o must stay untouched.
+// to encoding/json) rather than misparsed, every number spelling outside
+// RFC 8259 declined (for encoding/json to refuse), and o must stay
+// untouched.
 func TestDecodeCanonicalFallsBack(t *testing.T) {
 	reject := []string{
 		`{"cloud":1,"prefix":2,"device":0,"bucket":3,"samples":30,"mean_rtt_ms":5,"clients":7}`,                    // reordered
@@ -82,10 +87,23 @@ func TestDecodeCanonicalFallsBack(t *testing.T) {
 		`{"prefix":1,"cloud":2,"device":0,"bucket":3,"samples":30,"mean_rtt_ms":5,"clients":7} trailing`,
 		`[1,2,3]`,
 		`not json`,
+		// Number spellings strconv takes and RFC 8259 does not.
+		`{"prefix":01,"cloud":2,"device":0,"bucket":3,"samples":30,"mean_rtt_ms":5,"clients":7}`,
+		`{"prefix":-01,"cloud":2,"device":0,"bucket":3,"samples":30,"mean_rtt_ms":5,"clients":7}`,
+		`{"prefix":+1,"cloud":2,"device":0,"bucket":3,"samples":30,"mean_rtt_ms":5,"clients":7}`,
+		`{"prefix":1,"cloud":2,"device":0,"bucket":3,"samples":30,"mean_rtt_ms":01,"clients":7}`,
+		`{"prefix":1,"cloud":2,"device":0,"bucket":3,"samples":30,"mean_rtt_ms":+5,"clients":7}`,
+		`{"prefix":1,"cloud":2,"device":0,"bucket":3,"samples":30,"mean_rtt_ms":.5,"clients":7}`,
+		`{"prefix":1,"cloud":2,"device":0,"bucket":3,"samples":30,"mean_rtt_ms":-.5,"clients":7}`,
+		`{"prefix":1,"cloud":2,"device":0,"bucket":3,"samples":30,"mean_rtt_ms":1.,"clients":7}`,
+		`{"prefix":1,"cloud":2,"device":0,"bucket":3,"samples":30,"mean_rtt_ms":1e,"clients":7}`,
+		`{"prefix":1,"cloud":2,"device":0,"bucket":3,"samples":30,"mean_rtt_ms":01e5,"clients":7}`,
+		`{"prefix":1,"cloud":2,"device":0,"bucket":3,"samples":30,"mean_rtt_ms":1.e5,"clients":7}`,
+		`{"prefix":1,"cloud":2,"device":0,"bucket":3,"samples":30,"mean_rtt_ms":0000000000000000000001,"clients":7}`,
 	}
 	for _, line := range reject {
 		o := trace.Observation{Prefix: 42}
-		if decodeCanonical([]byte(line), &o) {
+		if obsShape.scan([]byte(line), &o) {
 			t.Errorf("fast path accepted non-canonical line: %s", line)
 		}
 		if o.Prefix != 42 {
@@ -104,7 +122,7 @@ func TestDecodeCanonicalFallsBack(t *testing.T) {
 	}
 	for line, want := range accept {
 		var got trace.Observation
-		if !decodeCanonical([]byte(line), &got) {
+		if !obsShape.scan([]byte(line), &got) {
 			t.Errorf("fast path rejected canonical line: %s", line)
 			continue
 		}
@@ -117,7 +135,8 @@ func TestDecodeCanonicalFallsBack(t *testing.T) {
 // TestParseFloatMatchesStrconv pins the fixed-point fast path to strconv
 // bit for bit, straddling every envelope edge: mantissas at and beyond
 // 2^53, 18- and 19-digit runs, deep fractions, negative zero, and the
-// exponent/сompound shapes that must fall back.
+// exponent/сompound shapes that must fall back. The spellings strconv
+// takes and RFC 8259 does not are refused, on the fast path and the slow.
 func TestParseFloatMatchesStrconv(t *testing.T) {
 	cases := []string{
 		"0", "-0", "5", "-2.5", "44.125", "55.123456789012345",
@@ -126,18 +145,24 @@ func TestParseFloatMatchesStrconv(t *testing.T) {
 		"999999999999999999", "1999999999999999999", // 18 and 19 digits
 		"0.1", "0.30000000000000004", "123.4567890123456",
 		"0.0000000000000000000001", "1.00000000000000000000001", // frac 22 and beyond
-		"1e+20", "5e-05", "1.5E3", "1e-308", // exponent forms: fallback
-		"00", "01.5", "+5", // degenerate shapes strconv accepts
+		"1e+20", "5e-05", "1.5E3", "1e-308", "0e0", "-0.5E-0", // exponent forms: fallback
+	}
+	refused := []string{
+		"00", "01.5", "-01", "+5", ".5", "-.5", "1.", "-", "", // fast path
+		"1e", "1e+", "01e5", "1.e5", "1E-", "0000000000000000000001", "1.0000000000000000000e", // slow path
+		"1e999", "NaN", "Inf", "0x10", // strconv's other extensions, and out of range
+	}
+	for _, s := range refused {
+		if v, rest, ok := parseFloat([]byte(s + ",")); ok && string(rest) == "," {
+			t.Errorf("parseFloat(%q) = %v; want it refused", s, v)
+		}
 	}
 	for _, s := range cases {
 		in := []byte(s + ",")
 		got, rest, ok := parseFloat(in)
 		want, err := strconv.ParseFloat(s, 64)
-		if (err == nil) != ok {
+		if err != nil || !ok {
 			t.Errorf("parseFloat(%q) ok=%v, strconv err=%v", s, ok, err)
-			continue
-		}
-		if !ok {
 			continue
 		}
 		if math.Float64bits(got) != math.Float64bits(want) {
@@ -188,4 +213,125 @@ func TestStreamSourceLongLineFallback(t *testing.T) {
 	if len(got) != 1 || got[0].Prefix != 2 || got[0].MeanRTT != 45 {
 		t.Fatalf("bucket 1 (long line): %+v", got)
 	}
+}
+
+// TestReadersAgreeLineByLine feeds each line to every reader of the one
+// grammar — DecodeBatch and StreamSource, strict and salvage, on the
+// observation shape, and DecodeAggBatch, strict and salvage, on its
+// aggregate-shaped twin. All of them take the line or all refuse it, as
+// encoding/json does, and what they take decodes to encoding/json's value,
+// bit for bit.
+func TestReadersAgreeLineByLine(t *testing.T) {
+	const (
+		obsLine = `{"prefix":%s,"cloud":1,"device":0,"bucket":3,"samples":20,"mean_rtt_ms":%s,"clients":9}`
+		aggLine = `{"agent":2,"epoch":0,"seq":7,"bucket":3,"prefix":%s,"cloud":1,"device":0,"samples":20,"mean_rtt_ms":%s,"clients":9}`
+	)
+	type twin struct {
+		name     string
+		obs, agg string
+		accept   bool
+	}
+	var cases []twin
+	// Each number spelling in an integer slot and in the float slot.
+	for _, n := range []struct {
+		spelling       string
+		asInt, asFloat bool
+	}{
+		{"0", true, true}, {"-0", true, true}, {"1e5", false, true}, {"-2.5E-3", false, true},
+		{"-9223372036854775808", true, true}, {"9223372036854775808", false, true}, // int64 overflow
+		{"01", false, false}, {"-01", false, false}, {"+5", false, false}, {".5", false, false},
+		{"1.", false, false}, {"1e", false, false}, {"01e5", false, false}, {"1e999", false, false},
+		{"NaN", false, false},
+	} {
+		cases = append(cases,
+			twin{n.spelling + " as an integer", fmt.Sprintf(obsLine, n.spelling, "40.5"), fmt.Sprintf(aggLine, n.spelling, "40.5"), n.asInt},
+			twin{n.spelling + " as a float", fmt.Sprintf(obsLine, "5", n.spelling), fmt.Sprintf(aggLine, "5", n.spelling), n.asFloat})
+	}
+	// Each departure from the canonical layout.
+	for _, s := range []struct {
+		name   string
+		f      func(string) string
+		accept bool
+	}{
+		{"canonical", func(l string) string { return l }, true},
+		{"reordered", func(l string) string {
+			kv := strings.Split(l[1:len(l)-1], ",")
+			slices.Reverse(kv)
+			return "{" + strings.Join(kv, ",") + "}"
+		}, true},
+		{"padded", func(l string) string { return " " + strings.NewReplacer(",", " ,\t", ":", ": ").Replace(l) + " \r" }, true},
+		{"unknown field", func(l string) string { return strings.Replace(l, "{", `{"x":[1,{"y":null}],`, 1) }, true},
+		{"truncated", func(l string) string { return l[:len(l)/2] }, false},
+	} {
+		cases = append(cases, twin{s.name, s.f(fmt.Sprintf(obsLine, "5", "40.5")), s.f(fmt.Sprintf(aggLine, "5", "40.5")), s.accept})
+	}
+
+	ctx := context.Background()
+	// A reader returns the records it made of one line and how many lines
+	// it refused (a strict error counts as one).
+	readers := map[string]func(obs, agg string) ([]trace.Observation, int){
+		"DecodeBatch strict": func(obs, _ string) ([]trace.Observation, int) {
+			got, err := DecodeBatch([]byte(obs+"\n"), nil, nil)
+			if err != nil {
+				return nil, 1
+			}
+			return got, 0
+		},
+		"DecodeBatch salvage": func(obs, _ string) ([]trace.Observation, int) {
+			refused := 0
+			got, _ := DecodeBatch([]byte(obs+"\n"), nil, func([]byte) { refused++ })
+			return got, refused
+		},
+		"StreamSource strict": func(obs, _ string) ([]trace.Observation, int) {
+			got, err := NewStreamSource(strings.NewReader(obs+"\n")).ObservationsAt(ctx, 3, nil)
+			if err != nil {
+				return nil, 1
+			}
+			return got, 0
+		},
+		"StreamSource salvage": func(obs, _ string) ([]trace.Observation, int) {
+			q := NewQuarantine(100, 4)
+			s := NewStreamSource(strings.NewReader(obs + "\n"))
+			s.SetQuarantine(q)
+			got, _ := s.ObservationsAt(ctx, 3, nil)
+			return got, int(q.Count(ReasonMalformed))
+		},
+		"DecodeAggBatch strict": func(_, agg string) ([]trace.Observation, int) {
+			cells, err := DecodeAggBatch([]byte(agg+"\n"), nil, nil)
+			if err != nil {
+				return nil, 1
+			}
+			return observationsOf(cells), 0
+		},
+		"DecodeAggBatch salvage": func(_, agg string) ([]trace.Observation, int) {
+			refused := 0
+			cells, _ := DecodeAggBatch([]byte(agg+"\n"), nil, func([]byte) { refused++ })
+			return observationsOf(cells), refused
+		},
+	}
+	for _, c := range cases {
+		var ref trace.Observation
+		if err := json.Unmarshal([]byte(c.obs), &ref); (err == nil) != c.accept {
+			t.Fatalf("%s: encoding/json err = %v on %s, the table says accept = %v", c.name, err, c.obs, c.accept)
+		}
+		for name, read := range readers {
+			got, refused := read(c.obs, c.agg)
+			switch {
+			case len(got)+refused != 1:
+				t.Errorf("%s: %s made %d records and %d refusals of one line", c.name, name, len(got), refused)
+			case (len(got) == 1) != c.accept:
+				t.Errorf("%s: %s took the line = %v, encoding/json = %v", c.name, name, len(got) == 1, c.accept)
+			case c.accept && (got[0] != ref || math.Float64bits(got[0].MeanRTT) != math.Float64bits(ref.MeanRTT)):
+				t.Errorf("%s: %s decoded %+v, encoding/json %+v", c.name, name, got[0], ref)
+			}
+		}
+	}
+}
+
+func observationsOf(cells []AggCell) []trace.Observation {
+	var out []trace.Observation
+	for _, c := range cells {
+		out = append(out, c.Observation())
+	}
+	return out
 }

@@ -71,24 +71,20 @@ func FuzzStreamSource(f *testing.F) {
 
 // FuzzDecodeBatches throws arbitrary bytes at the two request-body
 // decoders — DecodeBatch behind POST /v1/ingest, DecodeAggBatch behind
-// POST /v1/aggregates — whose line loops and hand-rolled canonical
-// scanners StreamSource's fuzz target does not reach. The invariants, for
-// both: nothing panics; strict mode errors or succeeds, and what it decoded
+// POST /v1/aggregates — whose line loops and canonical record shapes
+// StreamSource's fuzz target does not reach. The invariants, for both:
+// nothing panics; strict mode errors or succeeds, and what it decoded
 // before stopping is what salvage mode decoded too; salvage mode never
 // errors, and every non-blank line is either decoded or handed to onBad,
-// where it really is undecodable; a line the canonical scanner accepts
-// decodes to the same value, bit for bit, through encoding/json.
-//
-// The last property holds wherever encoding/json takes the line at all. The
-// scanners spell numbers as strconv does, so they also take "01", "+5",
-// ".5" and "1." (TestParseFloatMatchesStrconv pins that; seed
-// strconv-number-spellings shows it), which encoding/json refuses.
+// where it really is undecodable; and every line the canonical scanner
+// accepts, encoding/json accepts too, with a bit-identical value — one
+// language, whichever decoder a line reaches.
 func FuzzDecodeBatches(f *testing.F) {
 	f.Add([]byte(`{"prefix":1,"cloud":0,"device":0,"bucket":0,"samples":20,"mean_rtt_ms":40.5,"clients":9}` + "\n"))
 	f.Add([]byte(`{"agent":2,"epoch":1,"seq":7,"bucket":12,"prefix":1,"cloud":0,"device":2,"samples":20,"mean_rtt_ms":40.5,"clients":9}` + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkBatchDecoder(t, "DecodeBatch", data, DecodeBatch, decodeCanonical)
-		checkBatchDecoder(t, "DecodeAggBatch", data, DecodeAggBatch, decodeAggCanonical)
+		checkBatchDecoder(t, "DecodeBatch", data, DecodeBatch, obsShape.scan)
+		checkBatchDecoder(t, "DecodeAggBatch", data, DecodeAggBatch, aggShape.scan)
 	})
 }
 
@@ -133,7 +129,13 @@ func checkBatchDecoder[T any](t *testing.T, name string, data []byte,
 
 	for _, line := range lines {
 		var fast, ref T
-		if canonical(line, &fast) && json.Unmarshal(line, &ref) == nil && !same(fast, ref) {
+		if !canonical(line, &fast) {
+			continue
+		}
+		if err := json.Unmarshal(line, &ref); err != nil {
+			t.Fatalf("%s: the canonical scanner accepted %q, which encoding/json refuses: %v", name, line, err)
+		}
+		if !same(fast, ref) {
 			t.Fatalf("%s: the canonical scanner read %q as %+v, encoding/json as %+v", name, line, fast, ref)
 		}
 	}

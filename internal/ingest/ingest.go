@@ -19,7 +19,6 @@ package ingest
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -80,7 +79,7 @@ type StreamSource struct {
 	done       bool
 	quar       *Quarantine
 	long       []byte            // scratch for lines longer than the read buffer
-	slow       trace.Observation // encoding/json fallback target
+	dec        trace.Observation // decode target, on the heap with s
 }
 
 // NewStreamSource creates a streaming source over r. The reader is buffered
@@ -106,18 +105,6 @@ func (s *StreamSource) Exhausted() bool { return s.done && !s.hasPending }
 // bucket falls short of the run's horizon ended early.
 func (s *StreamSource) LastBucket() netmodel.Bucket { return s.prev }
 
-// isBlank reports whether a line holds only whitespace (the json.Decoder
-// this source replaced skipped inter-record whitespace, so blank lines
-// stay legal in both modes).
-func isBlank(line []byte) bool {
-	for _, c := range line {
-		if c != ' ' && c != '\t' && c != '\r' && c != '\n' {
-			return false
-		}
-	}
-	return true
-}
-
 // readLine returns the next line as a view into the read buffer (valid
 // until the next readLine call), falling back to an owned scratch buffer
 // for the rare line longer than the buffer. Unlike ReadBytes, the common
@@ -137,37 +124,32 @@ func (s *StreamSource) readLine() ([]byte, error) {
 
 // next decodes the next record, honoring the strict/salvage mode split.
 // It returns ok=false when the trace is exhausted (s.done) or, in strict
-// mode, on a positioned decode error. Canonical-shape lines (the only kind
-// this repo's writers produce) take the alloc-free scanner; anything else
-// is re-decoded by encoding/json so malformed input fails — and salvage
-// mode quarantines — exactly as before.
+// mode, on a positioned decode error. Lines decode as a request body's do
+// (obsShape.decode).
 func (s *StreamSource) next(at netmodel.Bucket) (o trace.Observation, ok bool, err error) {
 	for {
 		line, rerr := s.readLine()
 		lineStart := s.offset
 		s.offset += int64(len(line))
-		if len(line) == 0 || isBlank(line) {
+		if isBlank(line) {
 			if rerr != nil {
 				s.done = true
 				return o, false, nil
 			}
 			continue
 		}
-		if !decodeCanonical(line, &o) {
-			s.slow = trace.Observation{}
-			if uerr := json.Unmarshal(line, &s.slow); uerr != nil {
-				if s.quar == nil {
-					return o, false, fmt.Errorf("ingest: decoding trace record %d (byte offset %d): %w", s.records, lineStart, uerr)
-				}
-				s.quar.RejectLine(line, at)
-				if rerr != nil {
-					s.done = true
-					return o, false, nil
-				}
-				continue
+		if derr := obsShape.decode(line, &s.dec); derr != nil {
+			if s.quar == nil {
+				return o, false, fmt.Errorf("ingest: decoding trace record %d (byte offset %d): %w", s.records, lineStart, derr)
 			}
-			o = s.slow
+			s.quar.RejectLine(line, at)
+			if rerr != nil {
+				s.done = true
+				return o, false, nil
+			}
+			continue
 		}
+		o = s.dec
 		s.records++
 		if o.Bucket < s.prev {
 			if s.quar == nil {

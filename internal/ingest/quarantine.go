@@ -142,9 +142,6 @@ func (q *Quarantine) add(r Rejected) {
 		q.mCounts[r.Reason] = q.reg.Counter("ingest.quarantine." + r.Reason.String())
 	}
 	q.mCounts[r.Reason].Inc()
-	if len(r.Line) > maxRejectedLine {
-		r.Line = r.Line[:maxRejectedLine]
-	}
 	if len(q.recent) < recentCap {
 		q.recent = append(q.recent, r)
 	} else {
@@ -158,9 +155,11 @@ func (q *Quarantine) Reject(o trace.Observation, reason Reason, at netmodel.Buck
 	q.add(Rejected{Obs: o, Reason: reason, At: at})
 }
 
-// RejectLine quarantines one undecodable raw input line.
+// RejectLine quarantines one undecodable raw input line. Only its first
+// maxRejectedLine bytes are copied, so a rejected line of any length pins
+// no more than that.
 func (q *Quarantine) RejectLine(line []byte, at netmodel.Bucket) {
-	q.add(Rejected{Reason: ReasonMalformed, At: at, Line: string(line)})
+	q.add(Rejected{Reason: ReasonMalformed, At: at, Line: string(line[:min(len(line), maxRejectedLine)])})
 }
 
 // corrupt reports whether a record carries values no collector can emit.

@@ -1,8 +1,10 @@
 package ingest
 
 import (
+	"bytes"
 	"context"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -107,6 +109,29 @@ func TestQuarantineRecentRing(t *testing.T) {
 	}
 	if last := rec[len(rec)-1]; last.Obs.Prefix != netmodel.PrefixID((recentCap+4)%10) {
 		t.Errorf("Recent() last prefix = %d, want %d", last.Obs.Prefix, (recentCap+4)%10)
+	}
+}
+
+// TestQuarantineRejectLineBounded: a full ring of rejected 4 MiB lines —
+// salvage-mode POSTs can hand it lines up to the body limit — retains
+// their bounded prefixes, not the lines.
+func TestQuarantineRejectLineBounded(t *testing.T) {
+	q := NewQuarantine(10, 2)
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	for i := 0; i < recentCap; i++ {
+		q.RejectLine(bytes.Repeat([]byte{'x'}, 4<<20), 0)
+	}
+	if grew := heap() - before; grew > 1<<20 {
+		t.Fatalf("%d rejected 4 MiB lines retain %d bytes, want under 1 MiB", recentCap, grew)
+	}
+	if rec := q.Recent(); len(rec) != recentCap || len(rec[0].Line) != maxRejectedLine {
+		t.Fatalf("ring holds %d lines, the first %d bytes long; want %d of %d", len(rec), len(rec[0].Line), recentCap, maxRejectedLine)
 	}
 }
 

@@ -212,8 +212,8 @@ type Health struct {
 }
 
 // canonicalReport is the deterministic projection of a Report: everything
-// except Metrics, whose histograms record wall times and therefore differ
-// between runs.
+// except Health and Final, which describe the transport and how the run
+// stopped, not what was observed.
 type canonicalReport struct {
 	From     netmodel.Bucket   `json:"from"`
 	To       netmodel.Bucket   `json:"to"`
@@ -223,10 +223,10 @@ type canonicalReport struct {
 }
 
 // CanonicalJSON serializes the report's deterministic content — window,
-// results, verdicts, and tickets, excluding the wall-time-bearing Metrics
-// snapshot. Two runs over the same telemetry are equivalent exactly when
-// their reports' CanonicalJSON streams are byte-identical; the replay
-// golden test holds blameit -replay to that standard.
+// results, verdicts, and tickets, excluding Health and Final. Two runs over
+// the same telemetry are equivalent exactly when their reports'
+// CanonicalJSON streams are byte-identical; the replay golden test holds
+// blameit -replay to that standard.
 func (r *Report) CanonicalJSON() ([]byte, error) {
 	return json.Marshal(canonicalReport{
 		From: r.From, To: r.To, Results: r.Results, Verdicts: r.Verdicts, Tickets: r.Tickets,

@@ -3,7 +3,6 @@ package quartet
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"blameit/internal/netmodel"
 	"blameit/internal/trace"
@@ -21,11 +20,11 @@ import (
 //     MeanRTT directly (not a sum/count pair — (m*s)/s is not bit-exact in
 //     IEEE arithmetic), so a cell reconstructs its source observation
 //     exactly.
-//   - An Aggregate is a set of partials deduplicated by PartialID and kept
+//   - An Aggregate is a set of partials deduplicated by PartialID and read
 //     in PartialID order; its views are the partials' cells concatenated in
 //     that order. Delivery order and redelivery therefore cannot change a
-//     byte of what the pipeline reads — the same stream the daemon's ingest
-//     queue serves for the same partials.
+//     byte of what the pipeline reads. The fleet collector and the daemon's
+//     ingest queue both gather a bucket's partials in one.
 //   - Agents own disjoint contiguous slices of the prefix space, so on
 //     fault-free traces the concatenation walks per-agent cell runs in
 //     prefix order — exactly the order the centralized simulator emits.
@@ -105,17 +104,23 @@ func (p *Partial) Observe(o trace.Observation) {
 }
 
 // Aggregate is one bucket's delivered partials: a set deduplicated by
-// (agent, epoch, seq) and held in PartialID order, so its views do not
+// (agent, epoch, seq) and read in PartialID order, so its views do not
 // depend on delivery order or on how often a partial was redelivered.
+//
+// Add is amortised O(1) whatever order partials arrive in — one request
+// body can carry hundreds of thousands of them — and a read sorts once
+// (linear when they arrived in order). Reads therefore mutate the
+// aggregate; like Add, they need the caller's synchronization.
 type Aggregate struct {
 	Bucket netmodel.Bucket
 
-	parts []*Partial // ascending PartialID, no two equal
+	parts []*Partial             // arrival order until a read sorts it
+	ids   map[PartialID]struct{} // the IDs in parts
 }
 
 // NewAggregate creates an empty aggregate for one bucket.
 func NewAggregate(b netmodel.Bucket) *Aggregate {
-	return &Aggregate{Bucket: b}
+	return &Aggregate{Bucket: b, ids: make(map[PartialID]struct{})}
 }
 
 // Add puts one partial into the set, reporting whether it was new. A
@@ -126,18 +131,33 @@ func (a *Aggregate) Add(p *Partial) bool {
 	if p.Bucket != a.Bucket {
 		panic(fmt.Sprintf("quartet: Aggregate.Add bucket %d into aggregate for bucket %d", p.Bucket, a.Bucket))
 	}
-	i := sort.Search(len(a.parts), func(i int) bool { return !a.parts[i].ID.Less(p.ID) })
-	if i < len(a.parts) && a.parts[i].ID == p.ID {
+	if _, dup := a.ids[p.ID]; dup {
 		return false
 	}
-	a.parts = slices.Insert(a.parts, i, p)
+	a.ids[p.ID] = struct{}{}
+	a.parts = append(a.parts, p)
 	return true
+}
+
+// inOrder sorts the partials into ascending PartialID order and returns
+// them.
+func (a *Aggregate) inOrder() []*Partial {
+	slices.SortFunc(a.parts, func(x, y *Partial) int {
+		switch {
+		case x.ID.Less(y.ID):
+			return -1
+		case y.ID.Less(x.ID):
+			return 1
+		}
+		return 0
+	})
+	return a.parts
 }
 
 // Cells returns the partials' cells concatenated in PartialID order.
 func (a *Aggregate) Cells() []Cell {
 	n := 0
-	for _, p := range a.parts {
+	for _, p := range a.inOrder() {
 		n += len(p.Cells)
 	}
 	cells := make([]Cell, 0, n)
@@ -151,7 +171,7 @@ func (a *Aggregate) Cells() []Cell {
 // the order of Cells, to buf. An agent fleet over disjoint prefix slices
 // reproduces the centralized stream byte-for-byte.
 func (a *Aggregate) Observations(buf []trace.Observation) []trace.Observation {
-	for _, p := range a.parts {
+	for _, p := range a.inOrder() {
 		for _, c := range p.Cells {
 			buf = append(buf, c.Observation(a.Bucket))
 		}

@@ -379,13 +379,15 @@ func TestAggregateCollisionQuarantined(t *testing.T) {
 	}
 }
 
-// TestFleetCollisionMatchesDaemon holds the two aggregate paths to one
-// collision rule. Two hostile partials claim a quartet an honest agent
-// already reported; the same partials go (a) through quartet.Aggregate into
-// an in-process pipeline, as fleet.Collector feeds one, and (b) over
-// /v1/aggregates into the daemon. Neither path settles the collision
-// itself: both hand the pipeline every cell in PartialID order, its
-// quarantine keeps the first, and the reports and the duplicate count agree.
+// TestFleetCollisionMatchesDaemon checks one collision rule end to end. Two
+// hostile partials claim a quartet an honest agent already reported; the
+// same partials go (a) through quartet.Aggregate into an in-process
+// pipeline, as fleet.Collector feeds one, and (b) over /v1/aggregates into
+// the daemon, whose queue holds them in a quartet.Aggregate too. The order
+// is one implementation; what differs is the way in — wire encoding,
+// decode, regrouping, queueing. Neither path settles the collision itself:
+// the pipeline's quarantine keeps the first claim, and the reports and the
+// duplicate count agree.
 func TestFleetCollisionMatchesDaemon(t *testing.T) {
 	const hostile = feedWarmup + 4
 	partsOf := func(b netmodel.Bucket, obs []trace.Observation) []*quartet.Partial {

@@ -61,8 +61,9 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 
 // readBatch reads one request body bounded by limit (a *http.MaxBytesError
 // beyond it), into a buffer sized once from the declared Content-Length;
-// an undeclared length grows the buffer as io.ReadAll would. The buffer is
-// not pooled: salvage mode leaves lines of it with the quarantine.
+// an undeclared length grows the buffer as io.ReadAll would. Nothing keeps
+// a view into it: decoded records hold numbers, and the quarantine copies a
+// bounded prefix of each salvaged line.
 func readBatch(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
 	var buf bytes.Buffer
 	if n := r.ContentLength; n > 0 {

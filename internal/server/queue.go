@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"blameit/internal/ingest"
@@ -38,53 +37,21 @@ type queueJournal interface {
 	journalBucket(b netmodel.Bucket, obs []trace.Observation)
 }
 
-// run is one bucket's records from one body, in body order. A run of the
-// raw feed is anonymous; a run of the aggregate feed is one partial and
-// carries its identity.
-type run struct {
-	id  quartet.PartialID
-	agg bool
-	obs []trace.Observation
-}
-
-// partialKey identifies a pending aggregate run.
-type partialKey struct {
-	b  netmodel.Bucket
-	id quartet.PartialID
-}
-
-// cellRuns regroups a decoded aggregate batch into runs, one per (agent,
-// epoch, seq, bucket) in order of first appearance, each partial's cells in
-// body order. A partial's cells normally sit together, and its run is then
-// a slice of the one array the cells were converted into.
-func cellRuns(cells []ingest.AggCell) []run {
-	obs := make([]trace.Observation, len(cells))
-	for i, c := range cells {
-		obs[i] = c.Observation()
-	}
-	var runs []run
-	index := make(map[partialKey]int)
-	for i := 0; i < len(cells); {
-		k := partialKey{cells[i].Bucket, cells[i].ID()}
-		n := i + 1
-		for n < len(cells) && cells[n].Bucket == k.b && cells[n].ID() == k.id {
-			n++
-		}
-		if at, seen := index[k]; seen {
-			runs[at].obs = append(runs[at].obs, obs[i:n]...)
-		} else {
-			index[k] = len(runs)
-			runs = append(runs, run{id: k.id, agg: true, obs: obs[i:n:n]})
-		}
-		i = n
-	}
-	return runs
+// pendingBucket is one unread bucket's records: the raw feed's runs (a
+// body's stretch of the bucket) in arrival order, and the aggregate feed's
+// partials in a quartet.Aggregate — the set fleet.Collector gathers its
+// partials in, so PartialID order and (agent, epoch, seq) dedup have one
+// implementation.
+type pendingBucket struct {
+	raw     [][]trace.Observation
+	agg     *quartet.Aggregate // nil until a partial arrives
+	records int
 }
 
 // cellAdmission is what became of one accepted aggregate batch.
 type cellAdmission struct {
-	partials int // runs queued
-	deduped  int // runs dropped as redeliveries
+	partials int // partials queued
+	deduped  int // partials refused as redeliveries
 	records  int // cells queued
 }
 
@@ -107,13 +74,12 @@ type cellAdmission struct {
 // still pending, so a draining backend steps the remaining buckets and
 // stops.
 //
-// Ordering: a bucket is served as its runs concatenated — the raw feed's
-// runs first, in arrival order (the order-equivalence contract of
-// ObservationSource), then the aggregate feed's in PartialID order, which
-// is the canonical fold of quartet.Aggregate: a bucket's partials give the
-// same stream in whatever order, and split over whatever bodies, they
-// arrived. A partial redelivered while its bucket is still pending is
-// dropped by its (agent, epoch, seq) identity. Nothing is merged: two
+// Ordering: a bucket is served as the raw feed's runs in arrival order (the
+// order-equivalence contract of ObservationSource), then the bucket's
+// quartet.Aggregate: its partials in PartialID order, so they give the same
+// stream in whatever order, and split over whatever bodies, they arrived.
+// A partial redelivered while its bucket is still pending is refused by the
+// aggregate, by its (agent, epoch, seq) identity. Nothing is merged: two
 // partials (or two cells of one) claiming the same quartet both reach the
 // pipeline, whose quarantine keeps the first and counts the other as a
 // duplicate. Records arriving for a bucket the backend has already
@@ -138,10 +104,7 @@ type ingestQueue struct {
 	caughtUp     chan struct{}
 	caughtUpOnce sync.Once
 
-	pending map[netmodel.Bucket][]run
-	// partials holds the identity of every pending aggregate run, to drop
-	// redeliveries by.
-	partials map[partialKey]struct{}
+	pending map[netmodel.Bucket]*pendingBucket
 	// stale holds arrivals for already-consumed buckets until the next
 	// read flushes them into the pipeline's late-record quarantine path.
 	stale []trace.Observation
@@ -171,8 +134,7 @@ func newIngestQueue(maxRecords int, manualSeal bool, jrn queueJournal, rec *wal.
 	q := &ingestQueue{
 		jrn:        jrn,
 		caughtUp:   make(chan struct{}),
-		pending:    make(map[netmodel.Bucket][]run),
-		partials:   make(map[partialKey]struct{}),
+		pending:    make(map[netmodel.Bucket]*pendingBucket),
 		maxRecords: maxRecords,
 		manualSeal: manualSeal,
 	}
@@ -185,26 +147,16 @@ func newIngestQueue(maxRecords int, manualSeal bool, jrn queueJournal, rec *wal.
 		q.frontier = rec.Buckets[n-1].Bucket + 1
 		q.watermark = q.frontier
 	}
-	// In journal order, the records no later read settled (wal.Horizon has
-	// the rule). Settled records were served — the streams above restate
-	// them — or discarded by a read that jumped over their bucket, and must
-	// stay gone. A partial's cells share a bucket, so they stay or go
-	// together, and redeliveries among them are dropped as on arrival.
+	// In journal order, the runs no later read settled (wal.Horizon has the
+	// rule). Settled records were served — the streams above restate them —
+	// or discarded by a read that jumped over their bucket, and must stay
+	// gone. A run (a raw stretch, a partial) is one bucket's, so its records
+	// stay or go together, and redeliveries among the partials are refused
+	// as on arrival.
 	for _, batch := range rec.Batches {
-		var obs []trace.Observation
-		for _, o := range batch.Obs {
-			if !rec.Reads.Reached(batch.AfterBuckets, o.Bucket) {
-				obs = append(obs, o)
-			}
-		}
-		var cells []ingest.AggCell
-		for _, c := range batch.Cells {
-			if !rec.Reads.Reached(batch.AfterBuckets, c.Bucket) {
-				cells = append(cells, c)
-			}
-		}
-		q.pushLocked(obs)
-		q.pushRunsLocked(cellRuns(cells))
+		q.pushLocked(batch.Obs, ingest.PartialsOf(batch.Cells), func(b netmodel.Bucket) bool {
+			return !rec.Reads.Reached(batch.AfterBuckets, b)
+		})
 	}
 	if rec.MaxSeal >= 0 {
 		q.sealThroughLocked(rec.MaxSeal)
@@ -237,14 +189,14 @@ func (q *ingestQueue) Push(obs []trace.Observation) error {
 		// at least as durable as the fsync policy promises.
 		q.jrn.journalBatch(obs)
 	}
-	q.pushLocked(obs)
+	q.pushLocked(obs, nil, nil)
 	return nil
 }
 
 // PushCells is Push for one decoded aggregate batch. Admission is graded
 // on the whole batch, redeliveries included.
 func (q *ingestQueue) PushCells(cells []ingest.AggCell) (cellAdmission, error) {
-	runs := cellRuns(cells)
+	parts := ingest.PartialsOf(cells)
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if err := q.admitLocked(len(cells)); err != nil {
@@ -253,7 +205,7 @@ func (q *ingestQueue) PushCells(cells []ingest.AggCell) (cellAdmission, error) {
 	if q.jrn != nil {
 		q.jrn.journalAggBatch(cells)
 	}
-	return q.pushRunsLocked(runs), nil
+	return q.pushLocked(nil, parts, nil), nil
 }
 
 func (q *ingestQueue) admitLocked(n int) error {
@@ -266,27 +218,29 @@ func (q *ingestQueue) admitLocked(n int) error {
 	return nil
 }
 
-// pushLocked routes a raw batch into the queue, which takes the slice over:
-// a batch is mostly one bucket's records, so each stretch of equal buckets
-// becomes a run where it was decoded instead of being copied.
-func (q *ingestQueue) pushLocked(obs []trace.Observation) {
+// pushLocked routes a raw batch and a regrouped aggregate batch into the
+// queue, keeping only the runs whose bucket keep accepts (nil keeps all).
+// The queue takes the raw slice over: a batch is mostly one bucket's
+// records, so each stretch of equal buckets becomes a run where it was
+// decoded instead of being copied.
+func (q *ingestQueue) pushLocked(obs []trace.Observation, parts []*quartet.Partial, keep func(netmodel.Bucket) bool) (adm cellAdmission) {
 	for len(obs) > 0 {
 		n := 1
 		for n < len(obs) && obs[n].Bucket == obs[0].Bucket {
 			n++
 		}
-		q.pushRunLocked(run{obs: obs[:n]})
+		if keep == nil || keep(obs[0].Bucket) {
+			q.pushRunLocked(obs[:n])
+		}
 		obs = obs[n:]
 	}
-	q.cond.Broadcast()
-}
-
-func (q *ingestQueue) pushRunsLocked(runs []run) (adm cellAdmission) {
-	for _, r := range runs {
-		if q.pushRunLocked(r) {
+	for _, p := range parts {
+		switch {
+		case keep != nil && !keep(p.Bucket):
+		case q.pushPartialLocked(p):
 			adm.partials++
-			adm.records += len(r.obs)
-		} else {
+			adm.records += len(p.Cells)
+		default:
 			adm.deduped++
 		}
 	}
@@ -294,29 +248,56 @@ func (q *ingestQueue) pushRunsLocked(runs []run) (adm cellAdmission) {
 	return adm
 }
 
-// pushRunLocked queues one run under its bucket, or holds it as stale when
-// the bucket is already consumed. It reports false, queueing nothing, for
-// an aggregate run whose identity is already pending.
-func (q *ingestQueue) pushRunLocked(r run) bool {
-	b := r.obs[0].Bucket
-	if b < q.frontier {
-		q.stale = append(q.stale, r.obs...)
+// pushRunLocked queues one raw run under its bucket, or holds it as stale
+// when the bucket is already consumed.
+func (q *ingestQueue) pushRunLocked(run []trace.Observation) {
+	if b := run[0].Bucket; b < q.frontier {
+		q.stale = append(q.stale, run...)
 	} else {
-		if r.agg {
-			k := partialKey{b, r.id}
-			if _, dup := q.partials[k]; dup {
-				return false
-			}
-			q.partials[k] = struct{}{}
+		pb := q.bucketLocked(b)
+		pb.raw = append(pb.raw, run)
+		pb.records += len(run)
+	}
+	q.records += len(run)
+	q.pushed += int64(len(run))
+}
+
+// pushPartialLocked adds one partial to its bucket's aggregate, or holds its
+// cells as stale observations when the bucket is already consumed. It
+// reports false, queueing nothing, when the aggregate refuses the partial as
+// a redelivery.
+func (q *ingestQueue) pushPartialLocked(p *quartet.Partial) bool {
+	if p.Bucket < q.frontier {
+		for _, c := range p.Cells {
+			q.stale = append(q.stale, c.Observation(p.Bucket))
 		}
-		q.pending[b] = append(q.pending[b], r)
+	} else {
+		pb := q.bucketLocked(p.Bucket)
+		if pb.agg == nil {
+			pb.agg = quartet.NewAggregate(p.Bucket)
+		}
+		if !pb.agg.Add(p) {
+			return false
+		}
+		pb.records += len(p.Cells)
+	}
+	q.records += len(p.Cells)
+	q.pushed += int64(len(p.Cells))
+	return true
+}
+
+// bucketLocked returns pending bucket b, at or past the frontier, creating
+// it on first arrival — which, unsealed, seals every bucket below it.
+func (q *ingestQueue) bucketLocked(b netmodel.Bucket) *pendingBucket {
+	pb := q.pending[b]
+	if pb == nil {
+		pb = &pendingBucket{}
+		q.pending[b] = pb
 		if !q.manualSeal && b > q.watermark {
 			q.watermark = b
 		}
 	}
-	q.records += len(r.obs)
-	q.pushed += int64(len(r.obs))
-	return true
+	return pb
 }
 
 // SealThrough marks every bucket up to and including b as sealed, letting
@@ -369,18 +350,16 @@ func (q *ingestQueue) Watermark() netmodel.Bucket {
 	return q.watermark
 }
 
-// dropLocked forgets bucket b's pending runs and returns how many records
-// they held.
-func (q *ingestQueue) dropLocked(b netmodel.Bucket) (n int) {
-	for _, r := range q.pending[b] {
-		n += len(r.obs)
-		if r.agg {
-			delete(q.partials, partialKey{b, r.id})
-		}
+// dropLocked forgets bucket b's pending records and returns how many there
+// were.
+func (q *ingestQueue) dropLocked(b netmodel.Bucket) int {
+	pb := q.pending[b]
+	if pb == nil {
+		return 0
 	}
 	delete(q.pending, b)
-	q.records -= n
-	return n
+	q.records -= pb.records
+	return pb.records
 }
 
 // maxQueuedLocked returns the highest bucket with pending records, or -1.
@@ -432,8 +411,8 @@ func (q *ingestQueue) awaitBucket(ctx context.Context, b netmodel.Bucket) bool {
 }
 
 // ObservationsAt implements ingest.ObservationSource: it serves bucket b's
-// runs — raw ones in arrival order, then aggregate ones in PartialID order
-// — preceded by any held stale records (the pipeline's quarantine rejects
+// raw runs in arrival order, then its aggregate's partials in PartialID
+// order, preceded by any held stale records (the pipeline's quarantine rejects
 // those as late). It blocks until b seals,
 // the queue closes, or ctx is cancelled; the pipeline's warmup and step
 // loops call it with non-decreasing buckets, discarding skipped ones.
@@ -465,17 +444,15 @@ func (q *ingestQueue) ObservationsAt(ctx context.Context, b netmodel.Bucket, buf
 	buf = append(buf, q.stale...)
 	q.records -= len(q.stale)
 	q.stale = q.stale[:0]
-	runs := q.pending[b]
-	sort.SliceStable(runs, func(i, j int) bool {
-		if runs[i].agg != runs[j].agg {
-			return runs[j].agg
+	if pb := q.pending[b]; pb != nil {
+		for _, run := range pb.raw {
+			buf = append(buf, run...)
 		}
-		return runs[i].agg && runs[i].id.Less(runs[j].id)
-	})
-	for _, r := range runs {
-		buf = append(buf, r.obs...)
+		if pb.agg != nil {
+			buf = pb.agg.Observations(buf)
+		}
+		q.dropLocked(b)
 	}
-	q.dropLocked(b)
 	if q.jrn != nil {
 		// Journal the exact slice served — stale-first order and all, and
 		// empty reads too: replaying these streams in order IS how recovery

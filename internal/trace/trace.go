@@ -1,8 +1,8 @@
 // Package trace defines the passive measurement records that flow from the
 // cloud locations to the analytics cluster: Observation, the quartet-level
-// record every layer of the pipeline exchanges, with its JSON Lines codec
-// (this file), and Sample, the raw per-handshake record Observations are
-// aggregated from (samples.go).
+// record every layer of the pipeline exchanges, with its JSON Lines writer
+// (this file; internal/ingest reads the lines back), and Sample, the raw
+// per-handshake record Observations are aggregated from (samples.go).
 package trace
 
 import (
@@ -38,20 +38,4 @@ func WriteJSONL(w io.Writer, obs []Observation) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadJSONL reads observations from JSON Lines until EOF. Decode errors
-// identify the failing record by index and byte offset.
-func ReadJSONL(r io.Reader) ([]Observation, error) {
-	dec := json.NewDecoder(bufio.NewReader(r))
-	var out []Observation
-	for {
-		var o Observation
-		if err := dec.Decode(&o); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("trace: decoding observation %d (byte offset %d): %w", len(out), dec.InputOffset(), err)
-		}
-		out = append(out, o)
-	}
 }

@@ -61,9 +61,9 @@ func sealFrame(buf []byte, start int) {
 
 // frameLen reads a frame header's payload length; false marks a length no
 // record can have.
-func frameLen(hdr []byte, maxRecord int64) (int64, bool) {
+func frameLen(hdr []byte) (int64, bool) {
 	n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
-	return n, n != 0 && n <= maxRecord
+	return n, n != 0 && n <= maxRecordBytes
 }
 
 func crcMatches(hdr, payload []byte) bool {
@@ -84,14 +84,14 @@ type rawRecord struct {
 // offset where that prefix ends. Anything after the returned offset —
 // a torn frame, a CRC mismatch, an over-long length, an unknown type, or
 // an undecodable body — is the corrupt tail the caller truncates.
-func scanRecords(data []byte, maxRecord int64) (recs []rawRecord, valid int64) {
+func scanRecords(data []byte) (recs []rawRecord, valid int64) {
 	off := int64(0)
 	for {
 		rest := data[off:]
 		if len(rest) < frameHeader {
 			return recs, off
 		}
-		n, ok := frameLen(rest, maxRecord)
+		n, ok := frameLen(rest)
 		if !ok || n > int64(len(rest))-frameHeader {
 			return recs, off
 		}

@@ -131,7 +131,7 @@ func (l *Log) compactSegment(seg segment, ev evidence) (res segmentResult, err e
 	if err != nil {
 		return fail(err)
 	}
-	fr := newFrameReader(src, st.Size(), l.cfg.MaxRecordBytes)
+	fr := newFrameReader(src, st.Size())
 	head, err := fr.header()
 	if err != nil {
 		return fail(err)
@@ -230,14 +230,14 @@ var errBadFrame = errors.New("invalid record")
 // frameReader streams a segment's frames, accepting exactly the prefix
 // scanRecords accepts, without holding more than one frame in memory.
 type frameReader struct {
-	r         *bufio.Reader
-	size, max int64
-	off       int64 // bytes consumed as valid: the header and whole frames
-	buf       []byte
+	r    *bufio.Reader
+	size int64
+	off  int64 // bytes consumed as valid: the header and whole frames
+	buf  []byte
 }
 
-func newFrameReader(r io.Reader, size, maxRecord int64) *frameReader {
-	return &frameReader{r: bufio.NewReaderSize(r, 64<<10), size: size, max: maxRecord, buf: make([]byte, 4<<10)}
+func newFrameReader(r io.Reader, size int64) *frameReader {
+	return &frameReader{r: bufio.NewReaderSize(r, 64<<10), size: size, buf: make([]byte, 4<<10)}
 }
 
 // header reads and checks the segment header.
@@ -264,7 +264,7 @@ func (fr *frameReader) next() (frame []byte, typ byte, high netmodel.Bucket, err
 		}
 		return nil, 0, 0, err
 	}
-	n, ok := frameLen(hdr, fr.max)
+	n, ok := frameLen(hdr)
 	if !ok || n > fr.size-fr.off-frameHeader {
 		return nil, 0, 0, errBadFrame
 	}

@@ -51,13 +51,12 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(appendFrame(nil, []byte{0x02, 0, 1, 0}))                              // version 1's snapshot record: now an unknown type
 	withFlush := appendFrame(append([]byte(nil), rest...), []byte{0x08, 8, 10}) // version 2's agg-flush record: likewise
 	f.Add(appendFrame(withFlush, binary.AppendVarint([]byte{recSeal}, 9)))
-	if recs, valid := scanRecords(withFlush, 1<<20); len(recs) != 3 || valid != int64(len(rest)) {
+	if recs, valid := scanRecords(withFlush); len(recs) != 3 || valid != int64(len(rest)) {
 		f.Fatalf("scan accepted %d records / %d bytes of a log with a kind-0x08 record after %d bytes: the unknown kind must stop it", len(recs), valid, len(rest))
 	}
 
-	const maxRecord = 1 << 20
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, valid := scanRecords(data, maxRecord)
+		recs, valid := scanRecords(data)
 		if valid < 0 || valid > int64(len(data)) {
 			t.Fatalf("truncation offset %d out of range [0, %d]", valid, len(data))
 		}
@@ -73,7 +72,7 @@ func FuzzWALDecode(f *testing.F) {
 		if !bytes.Equal(re, data[:valid]) {
 			t.Fatalf("accepted records re-encode to %d bytes != consumed %d", len(re), valid)
 		}
-		fr := newFrameReader(bytes.NewReader(data), int64(len(data)), maxRecord)
+		fr := newFrameReader(bytes.NewReader(data), int64(len(data)))
 		for i := 0; ; i++ {
 			frame, typ, _, err := fr.next()
 			if err != nil {

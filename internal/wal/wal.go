@@ -77,9 +77,6 @@ type Config struct {
 	FsyncInterval time.Duration
 	// SegmentBytes rotates the active segment once it would exceed this.
 	SegmentBytes int64
-	// MaxRecordBytes bounds one record; larger appends fail and larger
-	// lengths found on disk are treated as corruption.
-	MaxRecordBytes int64
 	// Meta is the daemon's configuration fingerprint. It is journaled as
 	// the first record of every segment and must match on reopen: a WAL
 	// replayed under different pipeline flags would diverge silently, so
@@ -88,10 +85,13 @@ type Config struct {
 }
 
 const (
-	DefaultFsyncInterval  = 100 * time.Millisecond
-	DefaultSegmentBytes   = 64 << 20
-	DefaultMaxRecordBytes = 64 << 20
+	DefaultFsyncInterval = 100 * time.Millisecond
+	DefaultSegmentBytes  = 64 << 20
 )
+
+// maxRecordBytes bounds one record; larger appends fail and larger lengths
+// found on disk are treated as corruption.
+const maxRecordBytes = 64 << 20
 
 func (c Config) withDefaults() Config {
 	if c.Fsync == "" {
@@ -102,9 +102,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SegmentBytes <= 0 {
 		c.SegmentBytes = DefaultSegmentBytes
-	}
-	if c.MaxRecordBytes <= 0 {
-		c.MaxRecordBytes = DefaultMaxRecordBytes
 	}
 	return c
 }
@@ -145,9 +142,9 @@ type Report struct {
 	Final     bool
 	Canonical []byte
 	// AfterBuckets is how many consumed-bucket records preceded this
-	// report in the log. It is derived at scan time, not encoded:
-	// recovery uses it to re-apply a drain flush's window discard at the
-	// right point in the replayed consume sequence.
+	// report in the log. It is derived at scan time, not encoded: recovery
+	// uses it to run a final report's drain flush again after the same
+	// replayed read.
 	AfterBuckets int
 }
 
@@ -301,7 +298,7 @@ func Open(dir string, cfg Config) (*Log, *Recovery, error) {
 			return nil, nil, fmt.Errorf("wal: %s is in format version %d and this build reads only version %d: start from an empty data directory", path, v, segVersion)
 		}
 		seg := segment{seq: seq, reads: rec.Reads.Len()}
-		recs, valid := scanRecords(data[segHeader:], cfg.MaxRecordBytes)
+		recs, valid := scanRecords(data[segHeader:])
 		droppable, err := interpret(rec, recs, cfg.Meta)
 		if err != nil {
 			return nil, nil, err
@@ -464,8 +461,8 @@ func (l *Log) write(frame []byte) error {
 	if l.closed {
 		return errors.New("wal: log closed")
 	}
-	if n := int64(len(frame) - frameHeader); n > l.cfg.MaxRecordBytes {
-		return fmt.Errorf("wal: record %d bytes exceeds limit %d", n, l.cfg.MaxRecordBytes)
+	if n := len(frame) - frameHeader; n > maxRecordBytes {
+		return fmt.Errorf("wal: record %d bytes exceeds limit %d", n, maxRecordBytes)
 	}
 	sealFrame(frame, 0)
 	if l.size+int64(len(frame)) > l.cfg.SegmentBytes && l.size > l.freshSize() {
