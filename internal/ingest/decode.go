@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"strconv"
 	"unsafe"
@@ -69,22 +71,22 @@ var obsShape = newShape("record", "mean_rtt_ms", func(n [maxKeys]int64, f float6
 func (s *recordShape[T]) scan(line []byte, dst *T) bool {
 	var n [maxKeys]int64
 	var f float64
-	b, ok := line, false
+	p, ok := 0, false
 	for i, lit := range s.lits {
-		if !bytes.HasPrefix(b, lit) {
+		if !bytes.HasPrefix(line[p:], lit) {
 			return false
 		}
-		b = b[len(lit):]
+		p += len(lit)
 		if i == s.float {
-			f, b, ok = parseFloat(b)
+			f, p, ok = parseFloat(line, p)
 		} else {
-			n[i], b, ok = parseInt(b)
+			n[i], p, ok = parseInt(line, p)
 		}
 		if !ok {
 			return false
 		}
 	}
-	if len(b) == 0 || b[0] != '}' || !isBlank(b[1:]) {
+	if p == len(line) || line[p] != '}' || !isBlank(line[p+1:]) {
 		return false
 	}
 	*dst = s.build(n, f)
@@ -159,35 +161,38 @@ func isBlank(line []byte) bool {
 	return true
 }
 
-// parseInt consumes an RFC 8259 integer: an optional minus, then 0 or a
-// nonzero digit and more digits. A leading zero before a digit, a fraction,
-// an exponent or an int64 overflow returns ok=false, leaving the line to
-// encoding/json.
-func parseInt(b []byte) (int64, []byte, bool) {
+// parseInt parses the RFC 8259 integer at b[i:] — an optional minus, then
+// 0 or a nonzero digit and more digits — and returns it with the index
+// just past it. A leading zero before a digit, a fraction, an exponent or
+// an int64 overflow returns ok=false, leaving the line to encoding/json.
+// Eighteen digits cannot overflow an int64, so only the digits past them
+// pay the overflow check.
+func parseInt(b []byte, i int) (int64, int, bool) {
+	start := i
 	neg := false
-	if len(b) > 0 && b[0] == '-' {
+	if i < len(b) && b[i] == '-' {
 		neg = true
-		b = b[1:]
+		i++
 	}
-	if len(b) == 0 || b[0] < '0' || b[0] > '9' {
-		return 0, b, false
-	}
+	first := i
 	var v int64
-	i := 0
-	for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
-		d := int64(b[i] - '0')
-		if v > (1<<63-1-d)/10 {
-			return 0, b, false
+	for ; i < len(b); i++ {
+		d := b[i] - '0'
+		if d > 9 {
+			break
 		}
-		v = v*10 + d
+		if i-first >= 18 && v > (1<<63-1-int64(d))/10 {
+			return 0, start, false
+		}
+		v = v*10 + int64(d)
 	}
-	if (b[0] == '0' && i > 1) || (i < len(b) && (b[i] == '.' || b[i] == 'e' || b[i] == 'E')) {
-		return 0, b, false
+	if i == first || (b[first] == '0' && i-first > 1) || (i < len(b) && (b[i] == '.' || b[i] == 'e' || b[i] == 'E')) {
+		return 0, start, false
 	}
 	if neg {
 		v = -v
 	}
-	return v, b[i:], true
+	return v, i, true
 }
 
 // pow10tab holds the powers of ten that are exactly representable in a
@@ -200,92 +205,141 @@ var pow10tab = [23]float64{
 	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 }
 
-// parseFloat consumes an RFC 8259 number. It refuses what encoding/json
-// refuses — a missing integer part, a leading zero before a digit, a bare
+// pow10u64 holds the powers of ten that fit a uint64, the divisors of
+// fixedPointExact.
+var pow10u64 = [20]uint64{
+	1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
+}
+
+// parseFloat parses the RFC 8259 number at b[i:] and returns it with the
+// index just past it. It refuses what encoding/json refuses — a missing integer part, a leading zero before a digit, a bare
 // or trailing '.', a leading '+' — in the same walk that parses it.
 // Fixed-point numbers — the -?d+(.d+)? shape nearly every mean_rtt_ms value
-// takes — are parsed directly: the digits accumulate into an integer
-// mantissa and one correctly-rounded division by a power of ten recovers
-// the value, so the hot path runs no strconv at all. Everything outside the
-// fast path's exactness envelope (exponents, > 18 digits, mantissa ≥ 2^53,
-// > 22 fractional digits) falls back to parseFloatSlow, keeping every
-// decoded bit identical to strconv's.
-func parseFloat(b []byte) (float64, []byte, bool) {
-	i := 0
+// takes — are parsed directly: the significant digits accumulate into an
+// integer mantissa, and the value is that mantissa over a power of ten,
+// correctly rounded, so the hot path runs no strconv at all. A mantissa
+// below 2^53 over at most 10^22 is one IEEE division (Clinger's fast path);
+// a wider one of at most 18 digits over at most 10^19 is fixedPointExact.
+// Exponents, longer spellings and the refusals go to parseFloatSlow,
+// keeping every decoded bit identical to strconv's.
+func parseFloat(b []byte, i int) (float64, int, bool) {
+	start := i
 	neg := false
 	if i < len(b) && b[i] == '-' {
 		neg = true
 		i++
 	}
 	intStart := i
+	// Past 19 significant digits mant wraps; digits > 18 then sends the
+	// number to parseFloatSlow, so the wrapped value is never used.
 	var mant uint64
-	digits := 0
-	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-		mant = mant*10 + uint64(b[i]-'0')
-		digits++
-		i++
-		if digits > 18 {
-			return parseFloatSlow(b)
+	digits := 0 // significant: leading zeros leave mant at 0 and count for nothing
+	for ; i < len(b); i++ {
+		d := b[i] - '0'
+		if d > 9 {
+			break
+		}
+		if mant = mant*10 + uint64(d); mant != 0 {
+			digits++
 		}
 	}
 	if i == intStart || (b[intStart] == '0' && i-intStart > 1) {
-		return 0, b, false
+		return 0, start, false
 	}
 	frac := 0
 	if i < len(b) && b[i] == '.' {
 		i++
 		fracStart := i
-		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-			mant = mant*10 + uint64(b[i]-'0')
-			digits++
-			frac++
-			i++
-			if digits > 18 {
-				return parseFloatSlow(b)
+		for ; i < len(b); i++ {
+			d := b[i] - '0'
+			if d > 9 {
+				break
+			}
+			if mant = mant*10 + uint64(d); mant != 0 {
+				digits++
 			}
 		}
-		if i == fracStart {
-			return 0, b, false
+		if frac = i - fracStart; frac == 0 {
+			return 0, start, false
 		}
 	}
-	if mant >= 1<<53 || frac > 22 || (i < len(b) && (b[i] == 'e' || b[i] == 'E')) {
-		return parseFloatSlow(b)
+	if digits > 18 || (i < len(b) && (b[i] == 'e' || b[i] == 'E')) {
+		return parseFloatSlow(b, start)
 	}
-	f := float64(mant)
-	if frac > 0 {
-		f /= pow10tab[frac]
+	var f float64
+	switch {
+	case mant < 1<<53 && frac < len(pow10tab):
+		f = float64(mant) / pow10tab[frac]
+	case mant >= 1<<53 && frac < len(pow10u64):
+		f = fixedPointExact(mant, pow10u64[frac])
+	default:
+		return parseFloatSlow(b, start)
 	}
 	if neg {
 		f = -f
 	}
-	return f, b[i:], true
+	return f, i, true
 }
 
-// parseFloatSlow is the general case: walk the RFC 8259 number at the head
-// of b, -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and hand exactly
+// fixedPointExact returns mant/den correctly rounded (to nearest, ties to
+// even) for 2^53 <= mant < 2^63 and den a power of ten below 2^64. Both are
+// shifted until their top bit is set; one 128-by-64-bit division of the
+// mantissa, widened by 64 zero bits, then yields a 64-bit quotient whose
+// top bit is set, and its remainder is exactly the part of the value below
+// the quotient's last bit. Keeping the 53 high bits, the 11 dropped bits
+// and that remainder decide the rounding as an infinitely precise
+// division would. The result, between 2^53/10^19 and 2^63, is a normal
+// float64, so it is assembled from its bits.
+func fixedPointExact(mant, den uint64) float64 {
+	lm, ld := bits.LeadingZeros64(mant), bits.LeadingZeros64(den)
+	m, d := mant<<lm, den<<ld
+	// value = m/d · 2^(ld-lm); the quotient of (hi:lo)/d must fit 64 bits,
+	// so a numerator at or above d is halved first.
+	hi, lo, exp := m, uint64(0), ld-lm-64
+	if m >= d {
+		hi, lo, exp = m>>1, m<<63, exp+1
+	}
+	q, rem := bits.Div64(hi, lo, d) // value = (q + rem/d) · 2^exp, 2^63 <= q
+	kept, dropped := q>>11, q&(1<<11-1)
+	exp += 11
+	const half = 1 << 10
+	if dropped > half || (dropped == half && (rem != 0 || kept&1 == 1)) {
+		kept++
+		if kept == 1<<53 {
+			kept >>= 1
+			exp++
+		}
+	}
+	// kept is in [2^52, 2^53): the value is 1.f · 2^(exp+52).
+	return math.Float64frombits(uint64(exp+52+1023)<<52 | kept&(1<<52-1))
+}
+
+// parseFloatSlow is the general case: walk the RFC 8259 number at
+// b[start:], -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and hand exactly
 // that span to strconv.ParseFloat through an unsafe no-copy string —
 // ParseFloat neither mutates nor retains its argument — so the conversion
 // is exactly encoding/json's (correctly rounded, round-trip safe, out of
 // range refused) without the per-field allocation.
-func parseFloatSlow(b []byte) (float64, []byte, bool) {
+func parseFloatSlow(b []byte, start int) (float64, int, bool) {
 	digitsFrom := func(i int) int {
 		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
 			i++
 		}
 		return i
 	}
-	i := 0
+	i := start
 	if i < len(b) && b[i] == '-' {
 		i++
 	}
 	end := digitsFrom(i)
 	if end == i || (b[i] == '0' && end > i+1) {
-		return 0, b, false
+		return 0, start, false
 	}
 	i = end
 	if i < len(b) && b[i] == '.' {
 		if end = digitsFrom(i + 1); end == i+1 {
-			return 0, b, false
+			return 0, start, false
 		}
 		i = end
 	}
@@ -295,14 +349,14 @@ func parseFloatSlow(b []byte) (float64, []byte, bool) {
 			i++
 		}
 		if end = digitsFrom(i); end == i {
-			return 0, b, false
+			return 0, start, false
 		}
 		i = end
 	}
-	seg := b[:i]
+	seg := b[start:i]
 	v, err := strconv.ParseFloat(unsafe.String(unsafe.SliceData(seg), len(seg)), 64)
 	if err != nil {
-		return 0, b, false
+		return 0, start, false
 	}
-	return v, b[i:], true
+	return v, i, true
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -153,13 +154,15 @@ func TestParseFloatMatchesStrconv(t *testing.T) {
 		"1e999", "NaN", "Inf", "0x10", // strconv's other extensions, and out of range
 	}
 	for _, s := range refused {
-		if v, rest, ok := parseFloat([]byte(s + ",")); ok && string(rest) == "," {
+		in := []byte(s + ",")
+		if v, end, ok := parseFloat(in, 0); ok && string(in[end:]) == "," {
 			t.Errorf("parseFloat(%q) = %v; want it refused", s, v)
 		}
 	}
 	for _, s := range cases {
 		in := []byte(s + ",")
-		got, rest, ok := parseFloat(in)
+		got, end, ok := parseFloat(in, 0)
+		rest := in[end:]
 		want, err := strconv.ParseFloat(s, 64)
 		if err != nil || !ok {
 			t.Errorf("parseFloat(%q) ok=%v, strconv err=%v", s, ok, err)
@@ -176,11 +179,93 @@ func TestParseFloatMatchesStrconv(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 20000; i++ {
 		s := strconv.FormatFloat(math.Float64frombits(r.Uint64()>>12|0x3FF0000000000000)*float64(r.Intn(1000)+1), 'f', -1, 64)
-		got, _, ok := parseFloat([]byte(s))
+		got, _, ok := parseFloat([]byte(s), 0)
 		want, _ := strconv.ParseFloat(s, 64)
 		if !ok || math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("parseFloat(%q) = %v (ok=%v), strconv = %v", s, got, ok, want)
 		}
+	}
+}
+
+// TestFixedPointMatchesStrconv pins the wide fixed-point path — mantissas
+// of 2^53 and more, up to 18 significant digits over up to 10^19 — to
+// strconv bit for bit: a seeded sweep of a million spellings with 16–18
+// significant digits, 0–19 fractional digits and both signs, the exact
+// halfway cases between adjacent float64s (where rounding is ties to
+// even), the neighbours of powers of two, and the spellings on either side
+// of the path's 18-digit and 19-fractional-digit edges.
+func TestFixedPointMatchesStrconv(t *testing.T) {
+	check := func(s string) {
+		t.Helper()
+		in := []byte(s + "}")
+		got, end, ok := parseFloat(in, 0)
+		rest := in[end:]
+		want, err := strconv.ParseFloat(s, 64)
+		if err != nil || !ok || string(rest) != "}" || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("parseFloat(%q) = %v (ok=%v, rest %q), strconv = %v (%v)", s, got, ok, rest, want, err)
+		}
+	}
+	for _, s := range []string{
+		"9007199254740993", "4503599627370496.5", "-9007199254740993", // ties, to even
+		"9007199254740995", "4503599627370497.5", "2251799813685248.25", // ties, to odd's neighbour
+		"123456789012345678", "1234567890123456789", // 18 against 19 digits
+		"0.123456789012345678", "0.1234567890123456789",
+		"0.0123456789012345678", "0.00123456789012345678", // 19 against 20 fractional digits
+		"0.0900719925474099300", "0.09007199254740993",
+		"999999999999999999", "99999999999999999.9", "0.0999999999999999999",
+	} {
+		check(s)
+	}
+	// Halfway points between adjacent float64s in [2^51, 2^60), which have
+	// at most 18 significant digits, and the neighbours of each power of
+	// two: mant at 2^k plus or minus up to eight units in the last place.
+	r := rand.New(rand.NewSource(11))
+	exact := func(q *big.Rat) string {
+		for frac := 0; frac <= 19; frac++ {
+			s := q.FloatString(frac)
+			var back big.Rat
+			if _, ok := back.SetString(s); ok && back.Cmp(q) == 0 {
+				return s
+			}
+		}
+		return ""
+	}
+	for k := 51; k < 60; k++ {
+		for i := 0; i < 2000; i++ {
+			x := math.Ldexp(1+float64(r.Int63n(1<<52))/(1<<52), k)
+			lo, hi := new(big.Rat).SetFloat64(x), new(big.Rat).SetFloat64(math.Nextafter(x, math.Inf(1)))
+			if s := exact(lo.Add(lo, hi).Quo(lo, big.NewRat(2, 1))); s != "" {
+				check(s)
+			}
+		}
+		p2 := new(big.Rat).SetInt(new(big.Int).Lsh(big.NewInt(1), uint(k)))
+		for num := int64(-8); num <= 8; num++ {
+			for _, den := range []int64{1, 2, 4, 8, 10, 100} {
+				if s := exact(new(big.Rat).Add(p2, big.NewRat(num, den))); s != "" && len(strings.TrimLeft(strings.Replace(s, ".", "", 1), "0")) <= 18 {
+					check(s)
+				}
+			}
+		}
+	}
+	// The seeded sweep.
+	digits := make([]byte, 0, 40)
+	for i := 0; i < 1_000_000; i++ {
+		sig, frac := 16+r.Intn(3), r.Intn(20)
+		digits = digits[:0]
+		if r.Intn(2) == 0 {
+			digits = append(digits, '-')
+		}
+		sigDigits := strconv.AppendUint(nil, uint64(r.Int63n(9e17)+1e17), 10)[:sig]
+		switch {
+		case frac == 0:
+			digits = append(digits, sigDigits...)
+		case frac < sig:
+			digits = append(append(append(digits, sigDigits[:sig-frac]...), '.'), sigDigits[sig-frac:]...)
+		default:
+			digits = append(digits, "0."...)
+			digits = append(append(digits, strings.Repeat("0", frac-sig)...), sigDigits...)
+		}
+		check(string(digits))
 	}
 }
 

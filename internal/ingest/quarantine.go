@@ -43,7 +43,8 @@ const (
 	// ReasonMalformed is a trace line that did not decode as a record.
 	ReasonMalformed Reason = iota
 	// ReasonCorrupt is a decoded record with impossible field values
-	// (NaN/Inf/negative RTT, negative counts, unknown prefix or cloud).
+	// (NaN/Inf/negative RTT, negative counts, unknown prefix, cloud or
+	// device class).
 	ReasonCorrupt
 	// ReasonLate is a record whose bucket does not match the bucket being
 	// read — delivered out of its collection window.
@@ -104,31 +105,26 @@ type Quarantine struct {
 	recent []Rejected
 	next   int
 
-	// seen dedupes (prefix, cloud, device) within one bucket; it is
-	// cleared whenever Filter moves to a new bucket.
-	seen       map[obsIdentity]struct{}
-	seenBucket netmodel.Bucket
-	seenPrimed bool
+	// stamps dedupes (prefix, cloud, device) within one bucket: a record's
+	// slot holds the epoch of the last bucket that kept one like it, and
+	// each bucket Filter moves to gets a new epoch, so nothing is cleared
+	// per bucket. Epoch 0 means no bucket yet. The array (0.2 MB at
+	// SmallScale, 4.5 MB at LargeScale) is allocated by the first Filter,
+	// so a quarantine that only takes rejected lines never holds one.
+	stamps      []uint32
+	epoch       uint32
+	epochBucket netmodel.Bucket
 
 	reg     *metrics.Registry
 	mCounts [numReasons]*metrics.Counter
 }
 
-type obsIdentity struct {
-	prefix netmodel.PrefixID
-	cloud  netmodel.CloudID
-	device netmodel.DeviceClass
-}
-
 // NewQuarantine creates a quarantine that validates records against a
 // world with the given prefix and cloud counts (records referencing
-// entities outside those ranges are corrupt).
+// entities outside those ranges, or a device class outside
+// [0, netmodel.NumDeviceClasses), are corrupt).
 func NewQuarantine(numPrefixes netmodel.PrefixID, numClouds int) *Quarantine {
-	return &Quarantine{
-		numPrefixes: numPrefixes,
-		numClouds:   numClouds,
-		seen:        make(map[obsIdentity]struct{}),
-	}
+	return &Quarantine{numPrefixes: numPrefixes, numClouds: numClouds}
 }
 
 // SetMetrics attaches a registry. Counters are created lazily per reason
@@ -167,7 +163,13 @@ func (q *Quarantine) corrupt(o trace.Observation) bool {
 	return math.IsNaN(o.MeanRTT) || math.IsInf(o.MeanRTT, 0) || o.MeanRTT < 0 ||
 		o.Samples < 0 || o.Clients < 0 ||
 		o.Prefix < 0 || o.Prefix >= q.numPrefixes ||
-		o.Cloud < 0 || netmodel.CloudID(q.numClouds) <= o.Cloud
+		o.Cloud < 0 || netmodel.CloudID(q.numClouds) <= o.Cloud ||
+		o.Device < 0 || netmodel.DeviceClass(netmodel.NumDeviceClasses) <= o.Device
+}
+
+// slot is the stamp index of a record that is not corrupt.
+func (q *Quarantine) slot(o trace.Observation) int {
+	return (int(o.Prefix)*q.numClouds+int(o.Cloud))*netmodel.NumDeviceClasses + int(o.Device)
 }
 
 // Filter validates bucket b's records in place, quarantining the rejects
@@ -176,10 +178,16 @@ func (q *Quarantine) corrupt(o trace.Observation) bool {
 // counted under exactly one reason. Buckets must be filtered in
 // non-decreasing order (the ObservationSource contract).
 func (q *Quarantine) Filter(b netmodel.Bucket, obs []trace.Observation) []trace.Observation {
-	if !q.seenPrimed || b != q.seenBucket {
-		clear(q.seen)
-		q.seenBucket = b
-		q.seenPrimed = true
+	if q.stamps == nil {
+		q.stamps = make([]uint32, int(q.numPrefixes)*q.numClouds*netmodel.NumDeviceClasses)
+	}
+	if q.epoch == 0 || b != q.epochBucket {
+		if q.epoch == math.MaxUint32 {
+			clear(q.stamps)
+			q.epoch = 0
+		}
+		q.epoch++
+		q.epochBucket = b
 	}
 	kept := obs[:0]
 	for _, o := range obs {
@@ -188,13 +196,10 @@ func (q *Quarantine) Filter(b netmodel.Bucket, obs []trace.Observation) []trace.
 			q.Reject(o, ReasonLate, b)
 		case q.corrupt(o):
 			q.Reject(o, ReasonCorrupt, b)
+		case q.stamps[q.slot(o)] == q.epoch:
+			q.Reject(o, ReasonDuplicate, b)
 		default:
-			id := obsIdentity{o.Prefix, o.Cloud, o.Device}
-			if _, dup := q.seen[id]; dup {
-				q.Reject(o, ReasonDuplicate, b)
-				continue
-			}
-			q.seen[id] = struct{}{}
+			q.stamps[q.slot(o)] = q.epoch
 			kept = append(kept, o)
 		}
 	}

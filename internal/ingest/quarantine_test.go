@@ -30,10 +30,12 @@ func TestQuarantineFilterReasons(t *testing.T) {
 	negSamples.Samples = -3
 	unknownPrefix := obsAt(100, 0, 0, 5) // == numPrefixes, out of range
 	unknownCloud := obsAt(6, 4, 0, 5)
+	unknownDevice := obsAt(8, 0, netmodel.DeviceClass(netmodel.NumDeviceClasses), 5)
+	negDevice := obsAt(9, 0, -1, 5)
 	good := obsAt(7, 0, 0, 5)
 	dup := good // same identity, same bucket
 
-	in := []trace.Observation{late, nan, inf, neg, negSamples, unknownPrefix, unknownCloud, good, dup}
+	in := []trace.Observation{late, nan, inf, neg, negSamples, unknownPrefix, unknownCloud, unknownDevice, negDevice, good, dup}
 	out := q.Filter(5, in)
 	if len(out) != 1 || out[0].Prefix != 7 {
 		t.Fatalf("Filter kept %v, want only prefix 7", out)
@@ -41,17 +43,17 @@ func TestQuarantineFilterReasons(t *testing.T) {
 	if got := q.Count(ReasonLate); got != 1 {
 		t.Errorf("late count = %d, want 1", got)
 	}
-	if got := q.Count(ReasonCorrupt); got != 6 {
-		t.Errorf("corrupt count = %d, want 6", got)
+	if got := q.Count(ReasonCorrupt); got != 8 {
+		t.Errorf("corrupt count = %d, want 8", got)
 	}
 	if got := q.Count(ReasonDuplicate); got != 1 {
 		t.Errorf("duplicate count = %d, want 1", got)
 	}
-	if got := q.Total(); got != 8 {
-		t.Errorf("total = %d, want 8", got)
+	if got := q.Total(); got != 10 {
+		t.Errorf("total = %d, want 10", got)
 	}
-	if s := q.String(); !strings.Contains(s, "corrupt=6") {
-		t.Errorf("String() = %q, want corrupt=6", s)
+	if s := q.String(); !strings.Contains(s, "corrupt=8") {
+		t.Errorf("String() = %q, want corrupt=8", s)
 	}
 }
 
@@ -64,13 +66,64 @@ func TestQuarantineDedupeResetsPerBucket(t *testing.T) {
 	if out := q.Filter(2, []trace.Observation{obsAt(1, 0, 0, 2)}); len(out) != 1 {
 		t.Fatalf("bucket 2 rejected a record seen in bucket 1")
 	}
+	// A duplicate in bucket 2 does not make the record one in bucket 3.
+	if out := q.Filter(2, []trace.Observation{obsAt(1, 0, 0, 2)}); len(out) != 0 {
+		t.Fatalf("bucket 2 kept a duplicate")
+	}
+	if out := q.Filter(3, []trace.Observation{obsAt(1, 0, 0, 3)}); len(out) != 1 {
+		t.Fatalf("bucket 3 rejected a record duplicated in bucket 2")
+	}
 	// Different device classes are distinct identities.
-	out := q.Filter(3, []trace.Observation{obsAt(1, 0, 0, 3), obsAt(1, 0, 1, 3)})
+	out := q.Filter(4, []trace.Observation{obsAt(1, 0, 0, 4), obsAt(1, 0, 1, 4)})
 	if len(out) != 2 {
 		t.Fatalf("distinct device classes deduped: kept %d", len(out))
 	}
-	if q.Total() != 0 {
-		t.Fatalf("clean traffic quarantined: %s", q.String())
+	if q.Total() != 1 || q.Count(ReasonDuplicate) != 1 {
+		t.Fatalf("want only the one duplicate quarantined: %s", q.String())
+	}
+}
+
+// TestQuarantineEpochWraps: when the per-bucket epoch runs out, the stamp
+// array is cleared and numbering restarts, so a stamp left from the
+// previous round (here: epoch 1, which the restart reuses) is not taken
+// for a duplicate, and duplicates are still caught on both sides.
+func TestQuarantineEpochWraps(t *testing.T) {
+	q := NewQuarantine(10, 2)
+	x, y := obsAt(1, 0, 0, 0), obsAt(2, 1, 1, 0)
+	if out := q.Filter(0, []trace.Observation{x}); len(out) != 1 || q.epoch != 1 {
+		t.Fatalf("bucket 0: kept %d at epoch %d", len(out), q.epoch)
+	}
+	q.epoch = math.MaxUint32 - 1
+	y.Bucket = 1
+	if out := q.Filter(1, []trace.Observation{y, y}); len(out) != 1 || q.epoch != math.MaxUint32 {
+		t.Fatalf("bucket 1: kept %d of a record and its duplicate at epoch %d", len(out), q.epoch)
+	}
+	x.Bucket, y.Bucket = 2, 2
+	if out := q.Filter(2, []trace.Observation{x, y, y}); len(out) != 2 || q.epoch != 1 {
+		t.Fatalf("bucket 2 after the wrap: kept %v at epoch %d, want x and y at epoch 1", out, q.epoch)
+	}
+	for i, st := range q.stamps {
+		if want := i == q.slot(x) || i == q.slot(y); (st == 1) != want || (st != 0 && st != 1) {
+			t.Fatalf("stamp %d = %d after the wrap", i, st)
+		}
+	}
+	if q.Count(ReasonDuplicate) != 2 || q.Total() != 2 {
+		t.Fatalf("want the two duplicates quarantined: %s", q.String())
+	}
+}
+
+// TestQuarantineStampsLazy: the dedup array is the first Filter's to
+// allocate, so a quarantine that only ever takes rejected lines (the
+// daemon frontend's) holds none.
+func TestQuarantineStampsLazy(t *testing.T) {
+	q := NewQuarantine(1000, 8)
+	q.RejectLine([]byte("not json"), 0)
+	if q.stamps != nil {
+		t.Fatalf("stamps allocated before Filter: %d", len(q.stamps))
+	}
+	q.Filter(0, []trace.Observation{obsAt(1, 0, 0, 0)})
+	if want := 1000 * 8 * netmodel.NumDeviceClasses; len(q.stamps) != want {
+		t.Fatalf("stamps has %d slots after Filter, want %d", len(q.stamps), want)
 	}
 }
 

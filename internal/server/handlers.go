@@ -7,13 +7,17 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
+	"sync"
+	"unsafe"
 
 	"blameit/internal/active"
 	"blameit/internal/ingest"
 	"blameit/internal/metrics"
 	"blameit/internal/netmodel"
 	"blameit/internal/pipeline"
+	"blameit/internal/trace"
 )
 
 func (s *Server) routes() {
@@ -59,16 +63,57 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxPooledBytes bounds a buffer an ingest request returns to its pool: a
+// rare huge body is read into a buffer the collector takes back, rather
+// than one every later request keeps pinned.
+const maxPooledBytes = 4 << 20
+
+// poolable reports whether s is small enough to recycle.
+func poolable[T any](s []T) bool {
+	return uintptr(cap(s))*unsafe.Sizeof(*new(T)) <= maxPooledBytes
+}
+
+// bodyBufs recycles request-body buffers across ingest requests.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// recordBufs recycles one record type's decode destinations across ingest
+// requests. It holds pointers, so putting a slice back allocates nothing.
+type recordBufs[T any] struct{ p sync.Pool }
+
+var (
+	obsBufs  recordBufs[trace.Observation]
+	cellBufs recordBufs[ingest.AggCell]
+)
+
+func (rb *recordBufs[T]) get() *[]T {
+	if v, ok := rb.p.Get().(*[]T); ok {
+		return v
+	}
+	return new([]T)
+}
+
+func (rb *recordBufs[T]) put(v *[]T) {
+	if !poolable(*v) {
+		return
+	}
+	*v = (*v)[:0]
+	rb.p.Put(v)
+}
+
 // readBatch reads one request body bounded by limit (a *http.MaxBytesError
-// beyond it), into a buffer sized once from the declared Content-Length;
-// an undeclared length grows the buffer as io.ReadAll would. Nothing keeps
-// a view into it: decoded records hold numbers, and the quarantine copies a
-// bounded prefix of each salvaged line.
-func readBatch(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
-	var buf bytes.Buffer
+// beyond it) into buf, sized once from the declared Content-Length; an
+// undeclared length grows the buffer as io.ReadAll would. A declared
+// length beyond the limit is refused before anything is sized or read.
+// Nothing keeps a view into the bytes: decoded records hold numbers, and
+// the quarantine copies a bounded prefix of each salvaged line.
+func readBatch(w http.ResponseWriter, r *http.Request, limit int64, buf *bytes.Buffer) ([]byte, error) {
+	if r.ContentLength > limit {
+		return nil, &http.MaxBytesError{Limit: limit}
+	}
+	buf.Reset()
 	if n := r.ContentLength; n > 0 {
 		// MinRead of slack lets ReadFrom see the EOF without growing.
-		buf.Grow(int(min(n, limit)) + bytes.MinRead)
+		buf.Grow(int(n) + bytes.MinRead)
 	}
 	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
 	return buf.Bytes(), err
@@ -86,26 +131,35 @@ func batchLines(body []byte) int {
 // decode it — one undecodable line fails the whole batch with 400 unless
 // ?mode=salvage routes such lines to the ingestion quarantine — and push the
 // records into the queue, atomically and in body order (429 with
-// Retry-After when it is full, so clients back off). Unless ok it has
-// answered the request; rejected counts the feed's refused bodies.
-func admitBatch[T any](s *Server, w http.ResponseWriter, r *http.Request, rejected *metrics.Counter,
+// Retry-After when it is full, so clients back off). The body buffer and
+// the decode destination are borrowed from pools and returned once push
+// has returned, so push must copy what it keeps. Unless ok it has answered
+// the request; n counts the records pushed, rejected the feed's refused
+// bodies.
+func admitBatch[T any](s *Server, w http.ResponseWriter, r *http.Request, rejected *metrics.Counter, bufs *recordBufs[T],
 	decode func(body []byte, buf []T, onBad func(line []byte)) ([]T, error),
-	push func([]T) error) (recs []T, salvaged int, ok bool) {
+	push func([]T) error) (n, salvaged int, ok bool) {
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "draining: ingestion is closed")
-		return nil, 0, false
+		return 0, 0, false
 	}
-	body, err := readBatch(w, r, s.cfg.MaxBatchBytes)
+	bb := bodyBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if bb.Cap() <= maxPooledBytes {
+			bodyBufs.Put(bb)
+		}
+	}()
+	body, err := readBatch(w, r, s.cfg.MaxBatchBytes, bb)
 	if err != nil {
 		rejected.Inc()
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			s.mOversized.Inc()
 			writeError(w, http.StatusRequestEntityTooLarge, "batch exceeds %d bytes", tooLarge.Limit)
-			return nil, 0, false
+			return 0, 0, false
 		}
 		writeError(w, http.StatusBadRequest, "reading batch: %v", err)
-		return nil, 0, false
+		return 0, 0, false
 	}
 	var onBad func([]byte)
 	if r.URL.Query().Get("mode") == "salvage" {
@@ -117,26 +171,28 @@ func admitBatch[T any](s *Server, w http.ResponseWriter, r *http.Request, reject
 			s.frontMu.Unlock()
 		}
 	}
-	recs, err = decode(body, make([]T, 0, batchLines(body)), onBad)
+	recs := bufs.get()
+	defer bufs.put(recs)
+	*recs, err = decode(body, slices.Grow(*recs, batchLines(body)), onBad)
 	if err != nil {
 		rejected.Inc()
 		writeError(w, http.StatusBadRequest, "%v", err)
-		return nil, 0, false
+		return 0, 0, false
 	}
-	err = push(recs)
+	err = push(*recs)
 	pending, _ := s.q.Depth()
 	switch {
 	case errors.Is(err, ErrBackpressure):
 		s.mBackpress.Inc()
 		w.Header().Set("Retry-After", retryAfterSeconds(pending, s.cfg.MaxPendingRecords))
 		writeError(w, http.StatusTooManyRequests, "ingest queue full (%d records pending); retry after the backend drains", s.cfg.MaxPendingRecords)
-		return nil, 0, false
+		return 0, 0, false
 	case err != nil:
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return nil, 0, false
+		return 0, 0, false
 	}
 	s.gQueueDepth.Set(int64(pending))
-	return recs, salvaged, true
+	return len(*recs), salvaged, true
 }
 
 // ingestResponse summarizes one accepted batch.
@@ -148,13 +204,13 @@ type ingestResponse struct {
 
 // handleIngest accepts one JSONL observation batch (see admitBatch).
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	obs, salvaged, ok := admitBatch(s, w, r, s.mRejected, ingest.DecodeBatch, s.q.Push)
+	n, salvaged, ok := admitBatch(s, w, r, s.mRejected, &obsBufs, ingest.DecodeBatch, s.q.Push)
 	if !ok {
 		return
 	}
 	s.mBatches.Inc()
-	s.mRecords.Add(int64(len(obs)))
-	writeJSON(w, http.StatusAccepted, ingestResponse{Accepted: len(obs), Rejected: salvaged})
+	s.mRecords.Add(int64(n))
+	writeJSON(w, http.StatusAccepted, ingestResponse{Accepted: n, Rejected: salvaged})
 }
 
 // aggResponse summarizes one accepted aggregate batch.
@@ -175,7 +231,7 @@ type aggResponse struct {
 // partial's cells within one batch.
 func (s *Server) handleAggregates(w http.ResponseWriter, r *http.Request) {
 	var adm cellAdmission
-	cells, salvaged, ok := admitBatch(s, w, r, s.mAggRejected, ingest.DecodeAggBatch, func(cells []ingest.AggCell) (err error) {
+	n, salvaged, ok := admitBatch(s, w, r, s.mAggRejected, &cellBufs, ingest.DecodeAggBatch, func(cells []ingest.AggCell) (err error) {
 		adm, err = s.q.PushCells(cells)
 		return err
 	})
@@ -183,12 +239,12 @@ func (s *Server) handleAggregates(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mAggBatches.Inc()
-	s.mAggCells.Add(int64(len(cells)))
+	s.mAggCells.Add(int64(n))
 	s.mAggPartials.Add(int64(adm.partials))
 	s.mAggDeduped.Add(int64(adm.deduped))
 	s.mAggFlushed.Add(int64(adm.records))
 	writeJSON(w, http.StatusAccepted, aggResponse{
-		Cells: len(cells), Partials: adm.partials, Deduped: adm.deduped, Rejected: salvaged,
+		Cells: n, Partials: adm.partials, Deduped: adm.deduped, Rejected: salvaged,
 	})
 }
 

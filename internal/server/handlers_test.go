@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"blameit/internal/ingest"
 	"blameit/internal/netmodel"
 	"blameit/internal/quartet"
 	"blameit/internal/trace"
@@ -167,7 +168,7 @@ func TestReadBatchSizing(t *testing.T) {
 	read := func(declared, limit int64) ([]byte, error) {
 		r := httptest.NewRequest(http.MethodPost, "/v1/ingest", io.NopCloser(bytes.NewReader(body)))
 		r.ContentLength = declared
-		return readBatch(httptest.NewRecorder(), r, limit)
+		return readBatch(httptest.NewRecorder(), r, limit, new(bytes.Buffer))
 	}
 	for _, declared := range []int64{int64(len(body)), -1, 100} {
 		got, err := read(declared, 1<<20)
@@ -229,35 +230,42 @@ func TestIngestBackpressure(t *testing.T) {
 }
 
 // TestIngestCorruptRecordsQuarantined: records that decode but carry
-// values no collector can emit — the chaos corruption shapes — pass the
-// frontend and are quarantined as corrupt by the backend at step time,
-// without failing the step or fabricating an error.
+// values no collector can emit — the chaos corruption shapes, and a device
+// class outside the enum on either feed — pass the frontend and are
+// quarantined as corrupt by the backend at step time, without failing the
+// step or fabricating an error.
 func TestIngestCorruptRecordsQuarantined(t *testing.T) {
 	e := newTestEnv(t, nil)
 	obs := e.bucketObs(0)
-	if len(obs) < 4 {
-		t.Fatalf("bucket 0 has %d observations; need >= 4", len(obs))
+	if len(obs) < 6 {
+		t.Fatalf("bucket 0 has %d observations; need >= 6", len(obs))
 	}
 	numPrefixes := netmodel.PrefixID(len(e.feed.World.Prefixes))
-	corrupt := []trace.Observation{obs[0], obs[1], obs[2], obs[3]}
-	corrupt[0].MeanRTT = -5         // negative RTT
-	corrupt[1].Samples = -1         // negative sample count
-	corrupt[2].Clients = -3         // negative client count
-	corrupt[3].Prefix = numPrefixes // prefix outside the world
+	corrupt := []trace.Observation{obs[0], obs[1], obs[2], obs[3], obs[4]}
+	corrupt[0].MeanRTT = -5                                             // negative RTT
+	corrupt[1].Samples = -1                                             // negative sample count
+	corrupt[2].Clients = -3                                             // negative client count
+	corrupt[3].Prefix = numPrefixes                                     // prefix outside the world
+	corrupt[4].Device = netmodel.DeviceClass(netmodel.NumDeviceClasses) // device class outside the enum
 	batch := append(append([]trace.Observation{}, obs...), corrupt...)
 
 	if status, body := e.post(t, "/v1/ingest", jsonlBody(t, batch)); status != http.StatusAccepted {
 		t.Fatalf("POST = %d (%s), want 202", status, body)
 	}
+	cell := ingest.AggCell{Agent: 1, Bucket: 0, Prefix: obs[5].Prefix, Cloud: obs[5].Cloud, Device: -1,
+		Samples: obs[5].Samples, MeanRTT: obs[5].MeanRTT, Clients: obs[5].Clients}
+	if status, body := e.post(t, "/v1/aggregates", cellBody(t, []ingest.AggCell{cell})); status != http.StatusAccepted {
+		t.Fatalf("POST /v1/aggregates = %d (%s), want 202", status, body)
+	}
 	e.seal(t, 0)
 	e.shutdown(t) // drains: bucket 0 is stepped and the window flushed
 
 	counters, _ := e.metricsSnapshot(t)
-	if got := counters["ingest.quarantine.corrupt"]; got != 4 {
-		t.Errorf("ingest.quarantine.corrupt = %d, want 4", got)
+	if got := counters["ingest.quarantine.corrupt"]; got != 6 {
+		t.Errorf("ingest.quarantine.corrupt = %d, want 6", got)
 	}
-	if q := e.srv.Pipeline().Quarantine(); q.Total() != 4 {
-		t.Errorf("pipeline quarantine total = %d (%s), want 4", q.Total(), q)
+	if q := e.srv.Pipeline().Quarantine(); q.Total() != 6 {
+		t.Errorf("pipeline quarantine total = %d (%s), want 6", q.Total(), q)
 	}
 	if status, _ := e.get(t, "/v1/reports/0"); status != http.StatusOK {
 		t.Errorf("GET /v1/reports/0 after drain = %d, want 200", status)

@@ -37,16 +37,22 @@ type queueJournal interface {
 	journalBucket(b netmodel.Bucket, obs []trace.Observation)
 }
 
-// pendingBucket is one unread bucket's records: the raw feed's runs (a
-// body's stretch of the bucket) in arrival order, and the aggregate feed's
-// partials in a quartet.Aggregate — the set fleet.Collector gathers its
-// partials in, so PartialID order and (agent, epoch, seq) dedup have one
-// implementation.
+// pendingBucket is one unread bucket's records: the raw feed's records,
+// each body's stretch of the bucket copied in in arrival order, and the
+// aggregate feed's partials in a quartet.Aggregate — the set
+// fleet.Collector gathers its partials in, so PartialID order and (agent,
+// epoch, seq) dedup have one implementation.
 type pendingBucket struct {
-	raw     [][]trace.Observation
+	raw     []trace.Observation
 	agg     *quartet.Aggregate // nil until a partial arrives
 	records int
 }
+
+// maxFreeRaw bounds the queue's free list of raw slices: a pending bucket
+// takes one when it is created and gives it back when it is read or
+// dropped, and only the few buckets in flight at once need one each. A
+// slice beyond maxPooledBytes is left to the collector.
+const maxFreeRaw = 8
 
 // cellAdmission is what became of one accepted aggregate batch.
 type cellAdmission struct {
@@ -105,6 +111,8 @@ type ingestQueue struct {
 	caughtUpOnce sync.Once
 
 	pending map[netmodel.Bucket]*pendingBucket
+	// freeRaw recycles the raw slices of read and dropped buckets.
+	freeRaw [][]trace.Observation
 	// stale holds arrivals for already-consumed buckets until the next
 	// read flushes them into the pipeline's late-record quarantine path.
 	stale []trace.Observation
@@ -176,8 +184,8 @@ func (q *ingestQueue) replayingLocked() bool {
 
 // Push enqueues one decoded raw batch. The whole batch is accepted or
 // refused: over capacity returns ErrBackpressure (nothing enqueued), after
-// Close returns ErrClosed. An accepted batch belongs to the queue: the
-// caller must not write to obs afterwards.
+// Close returns ErrClosed. The queue copies what it accepts: obs is the
+// caller's again once Push returns.
 func (q *ingestQueue) Push(obs []trace.Observation) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -194,7 +202,9 @@ func (q *ingestQueue) Push(obs []trace.Observation) error {
 }
 
 // PushCells is Push for one decoded aggregate batch. Admission is graded
-// on the whole batch, redeliveries included.
+// on the whole batch, redeliveries included. Like Push it copies:
+// PartialsOf converts the cells into the partials' own array, and the
+// journal has encoded the batch before PushCells returns.
 func (q *ingestQueue) PushCells(cells []ingest.AggCell) (cellAdmission, error) {
 	parts := ingest.PartialsOf(cells)
 	q.mu.Lock()
@@ -220,9 +230,8 @@ func (q *ingestQueue) admitLocked(n int) error {
 
 // pushLocked routes a raw batch and a regrouped aggregate batch into the
 // queue, keeping only the runs whose bucket keep accepts (nil keeps all).
-// The queue takes the raw slice over: a batch is mostly one bucket's
-// records, so each stretch of equal buckets becomes a run where it was
-// decoded instead of being copied.
+// Each stretch of equal buckets in obs is one run, copied onto the end of
+// its bucket's records.
 func (q *ingestQueue) pushLocked(obs []trace.Observation, parts []*quartet.Partial, keep func(netmodel.Bucket) bool) (adm cellAdmission) {
 	for len(obs) > 0 {
 		n := 1
@@ -248,14 +257,14 @@ func (q *ingestQueue) pushLocked(obs []trace.Observation, parts []*quartet.Parti
 	return adm
 }
 
-// pushRunLocked queues one raw run under its bucket, or holds it as stale
+// pushRunLocked copies one raw run into its bucket, or holds it as stale
 // when the bucket is already consumed.
 func (q *ingestQueue) pushRunLocked(run []trace.Observation) {
 	if b := run[0].Bucket; b < q.frontier {
 		q.stale = append(q.stale, run...)
 	} else {
 		pb := q.bucketLocked(b)
-		pb.raw = append(pb.raw, run)
+		pb.raw = append(pb.raw, run...)
 		pb.records += len(run)
 	}
 	q.records += len(run)
@@ -292,6 +301,10 @@ func (q *ingestQueue) bucketLocked(b netmodel.Bucket) *pendingBucket {
 	pb := q.pending[b]
 	if pb == nil {
 		pb = &pendingBucket{}
+		if n := len(q.freeRaw); n > 0 {
+			pb.raw = q.freeRaw[n-1]
+			q.freeRaw = q.freeRaw[:n-1]
+		}
 		q.pending[b] = pb
 		if !q.manualSeal && b > q.watermark {
 			q.watermark = b
@@ -350,8 +363,8 @@ func (q *ingestQueue) Watermark() netmodel.Bucket {
 	return q.watermark
 }
 
-// dropLocked forgets bucket b's pending records and returns how many there
-// were.
+// dropLocked forgets bucket b's pending records, keeping their raw slice
+// for a later bucket, and returns how many there were.
 func (q *ingestQueue) dropLocked(b netmodel.Bucket) int {
 	pb := q.pending[b]
 	if pb == nil {
@@ -359,6 +372,9 @@ func (q *ingestQueue) dropLocked(b netmodel.Bucket) int {
 	}
 	delete(q.pending, b)
 	q.records -= pb.records
+	if cap(pb.raw) > 0 && poolable(pb.raw) && len(q.freeRaw) < maxFreeRaw {
+		q.freeRaw = append(q.freeRaw, pb.raw[:0])
+	}
 	return pb.records
 }
 
@@ -445,9 +461,7 @@ func (q *ingestQueue) ObservationsAt(ctx context.Context, b netmodel.Bucket, buf
 	q.records -= len(q.stale)
 	q.stale = q.stale[:0]
 	if pb := q.pending[b]; pb != nil {
-		for _, run := range pb.raw {
-			buf = append(buf, run...)
-		}
+		buf = append(buf, pb.raw...)
 		if pb.agg != nil {
 			buf = pb.agg.Observations(buf)
 		}
