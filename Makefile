@@ -19,12 +19,11 @@ test:
 # generation, the parallel Algorithm 1 job, the blameitd frontend/backend
 # split) plus the localizer they call concurrently and the source seam
 # (internal/ingest) the pipeline reads through, under the race detector.
-# internal/chaos, internal/fleet and internal/multicloud run whole and
-# without -short, so this is also the 7-day heavy-profile chaos gate
-# (TestChaosEndToEnd), the fleet equivalence and fleet chaos gates
-# (TestFleet*) and the three-provider consistency gate (TestMulticloud*).
+# internal/chaos and internal/fleet run whole and without -short, so this
+# is also the 7-day heavy-profile chaos gate (TestChaosEndToEnd) and the
+# fleet equivalence and fleet chaos gates (TestFleet*).
 race:
-	$(GO) test -race ./internal/sim/... ./internal/pipeline/... ./internal/core/... ./internal/parallel/... ./internal/ingest/... ./internal/probe/... ./internal/chaos/... ./internal/server/... ./internal/wal/... ./internal/fleet/... ./internal/multicloud/... ./internal/topology/...
+	$(GO) test -race ./internal/sim/... ./internal/pipeline/... ./internal/core/... ./internal/parallel/... ./internal/ingest/... ./internal/probe/... ./internal/chaos/... ./internal/server/... ./internal/wal/... ./internal/fleet/... ./internal/topology/...
 
 # The crash-safety gate, under the race detector: every WAL-layer test
 # (framing, torn tails, compaction crash points) plus the service-level

@@ -7,13 +7,8 @@
 //
 //	blameit-tracegen [-scale small|medium|large] [-seed N] [-days N]
 //	                 [-faults random|none] [-level quartet|sample]
-//	                 [-providers N] [-provider K]
 //	                 [-workers N] [-metrics] [-o FILE]
 //	                 [-post URL] [-batch N] [-seal=true] [-fleet N]
-//
-// With -providers N > 1 the world hosts N cloud providers over one shared
-// internet and the trace is provider -provider K's own observation stream
-// (its served prefixes steered to its anycast edges) — quartet level only.
 //
 // At -level quartet (default) each line is one aggregated quartet
 // observation; at -level sample each line is one raw handshake record with
@@ -211,10 +206,8 @@ func main() {
 	var (
 		scaleName   = flag.String("scale", "small", "world scale: small, medium or large")
 		seed        = flag.Int64("seed", 42, "deterministic seed")
-		days        = flag.Int("days", 1, "days of trace to generate")
+		days        = flag.Int("days", 1, "days of trace to generate; also the horizon of fault and routing generation (a blameitd fed this trace must run with the same -days)")
 		workload    = flag.String("faults", "random", "fault workload: random or none")
-		providers   = flag.Int("providers", 1, "cloud providers in the generated world (shared internet, per-provider anycast edges)")
-		provider    = flag.Int("provider", 0, "which provider's observation stream to emit when -providers > 1")
 		level       = flag.String("level", "quartet", "record granularity: quartet or sample")
 		workers     = flag.Int("workers", 0, "goroutines for observation/sample generation (0 = all cores, 1 = sequential; output is identical either way)")
 		dumpMetrics = flag.Bool("metrics", false, "dump the generation metrics snapshot as JSON on stderr at exit")
@@ -238,24 +231,6 @@ func main() {
 	}
 	if *workload != "random" && *workload != "none" {
 		fmt.Fprintf(os.Stderr, "tracegen: unknown -faults %q (random|none)\n", *workload)
-		os.Exit(1)
-	}
-
-	scale.Providers = *providers
-	if err := scale.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "tracegen:", err)
-		os.Exit(1)
-	}
-	if *provider < 0 || *provider >= *providers {
-		fmt.Fprintf(os.Stderr, "tracegen: -provider %d outside the world's %d providers\n", *provider, *providers)
-		os.Exit(1)
-	}
-	if *providers > 1 && *level != "quartet" {
-		fmt.Fprintln(os.Stderr, "tracegen: -providers > 1 supports only -level quartet (samples carry no provider scope)")
-		os.Exit(1)
-	}
-	if *providers > 1 && *fleetN > 0 {
-		fmt.Fprintln(os.Stderr, "tracegen: -fleet agents aggregate a single provider's edge; use -providers 1")
 		os.Exit(1)
 	}
 
@@ -348,11 +323,7 @@ func main() {
 		start := time.Now()
 		var buf []trace.Observation
 		for b := netmodel.Bucket(0); b < horizon && ctx.Err() == nil; b++ {
-			if *providers > 1 {
-				buf = s.ObservationsForProvider(netmodel.ProviderID(*provider), b, buf[:0])
-			} else {
-				buf = s.ObservationsAt(b, buf[:0])
-			}
+			buf = s.ObservationsAt(b, buf[:0])
 			if err := sink(buf); err != nil {
 				fmt.Fprintln(os.Stderr, "tracegen:", err)
 				os.Exit(1)

@@ -34,7 +34,6 @@ import (
 	"blameit/internal/faults"
 	"blameit/internal/ingest"
 	"blameit/internal/metrics"
-	"blameit/internal/multicloud"
 	"blameit/internal/netmodel"
 	"blameit/internal/pipeline"
 	"blameit/internal/probe"
@@ -47,7 +46,6 @@ type options struct {
 	seed        int64
 	days        int
 	warmup      int
-	providers   int
 	workload    string
 	budget      int
 	topN        int
@@ -61,7 +59,6 @@ type options struct {
 func main() {
 	var o options
 	flag.StringVar(&o.scaleName, "scale", "small", "world scale: small, medium or large")
-	flag.IntVar(&o.providers, "providers", 1, "cloud providers sharing the simulated internet; >1 runs one independent pipeline per provider and grades cross-provider consistency")
 	flag.Int64Var(&o.seed, "seed", 42, "deterministic seed for the world, faults and noise")
 	flag.IntVar(&o.days, "days", 2, "days to run after warmup")
 	flag.IntVar(&o.warmup, "warmup", 1, "warmup days for expected-RTT learning")
@@ -93,13 +90,6 @@ func run(ctx context.Context, o options) error {
 	}
 	if o.days < 1 || o.warmup < 1 {
 		return fmt.Errorf("days and warmup must be positive")
-	}
-	if o.providers < 0 {
-		return fmt.Errorf("providers must be positive, got %d", o.providers)
-	}
-	// 0 (the zero value) and 1 both mean the classic single-provider run.
-	if o.providers > 1 {
-		return runMulti(ctx, o, scale)
 	}
 	w := topology.Generate(scale, o.seed)
 	horizon := netmodel.Bucket((o.warmup + o.days) * netmodel.BucketsPerDay)
@@ -303,91 +293,5 @@ func run(ctx context.Context, o options) error {
 			return fmt.Errorf("replay: %d records quarantined (%s)", qt, quar)
 		}
 	}
-	return nil
-}
-
-// runMulti is the -providers N>1 mode: N independent pipelines over one
-// shared internet, fed seeded transit faults every provider's paths cross,
-// graded for cross-provider agreement. Exits non-zero on any disagreement
-// or cross-provider cloud blame.
-func runMulti(ctx context.Context, o options, scale topology.Scale) error {
-	if o.replayPath != "" {
-		return fmt.Errorf("-replay records a single provider's stream; it cannot drive -providers %d", o.providers)
-	}
-	if o.chaosName != "off" {
-		return fmt.Errorf("-chaos wraps a single pipeline's data plane; it cannot drive -providers %d", o.providers)
-	}
-	scale.Providers = o.providers
-	if err := scale.Validate(); err != nil {
-		return err
-	}
-	w := topology.Generate(scale, o.seed)
-	horizon := netmodel.Bucket((o.warmup + o.days) * netmodel.BucketsPerDay)
-	warmupEnd := netmodel.Bucket(o.warmup * netmodel.BucketsPerDay)
-
-	// Seeded unscoped transit faults are the incidents the grade is defined
-	// over: four per day on the most provider-shared middle ASes.
-	fs := multicloud.SeedMiddleFaults(w, 4*o.days, warmupEnd+2*netmodel.BucketsPerHour,
-		6*netmodel.BucketsPerHour, 3*netmodel.BucketsPerHour, 60)
-
-	st := w.Stats()
-	fmt.Printf("world: %d providers, %d clouds, %d metros, %d ASes, %d BGP prefixes, %d /24s, %d active clients\n",
-		st.Providers, st.Clouds, st.Metros, st.ASes, st.BGPPrefixes, st.Prefix24s, st.Clients)
-	fmt.Printf("workload: %d seeded transit faults, horizon %d days + %d warmup\n\n", len(fs), o.days, o.warmup)
-
-	tbl := bgp.NewTable(w, bgp.DefaultChurnConfig(), horizon, o.seed+2)
-	scfg := sim.DefaultConfig(o.seed + 3)
-	scfg.Workers = o.workers
-	if err := scfg.Validate(); err != nil {
-		return err
-	}
-	s := sim.New(w, tbl, faults.NewSchedule(fs), scfg)
-	cfg := pipeline.DefaultConfig()
-	cfg.BudgetPerCloudPerDay = o.budget
-	cfg.TopNAlerts = o.topN
-	cfg.Workers = o.workers
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-
-	r := multicloud.New(s, cfg)
-	fmt.Printf("running %d pipelines concurrently (%d warmup day(s) each)...\n", o.providers, o.warmup)
-	if err := r.Run(ctx, warmupEnd, horizon); err != nil {
-		if errors.Is(err, context.Canceled) {
-			fmt.Println("interrupted; nothing to grade")
-			return nil
-		}
-		return err
-	}
-	for q, reps := range r.Reports {
-		tickets := 0
-		for _, rep := range reps {
-			tickets += len(rep.Tickets)
-		}
-		fmt.Printf("  %-10s (AS%d): %d job runs, %d tickets\n",
-			w.Providers[q].Name, w.Providers[q].ASN, len(reps), tickets)
-	}
-
-	c := multicloud.Grade(w, s.Sched, warmupEnd, horizon, netmodel.Bucket(2*cfg.RunEvery), r.Reports)
-	fmt.Printf("\n=== consistency ===\n")
-	for _, f := range c.Faults {
-		status := "missed"
-		switch {
-		case f.CrossConfirmed:
-			status = "cross-confirmed"
-		case f.Localized:
-			status = "localized"
-		case len(f.Localizers) > 0:
-			status = fmt.Sprintf("DISAGREEMENT (blamed %v)", f.BlamedASes)
-		}
-		fmt.Printf("fault %d on AS%d @ bucket %d: %s by %d/%d providers\n",
-			f.FaultID, f.AS, f.Start, status, len(f.Localizers), c.Providers)
-	}
-	fmt.Println(c.String())
-	if !c.Consistent() {
-		return fmt.Errorf("providers are inconsistent: %d disagreements, %d cloud cross-blames, %d cross-confirmed",
-			c.Disagreements, c.CloudCrossBlame, c.CrossConfirmed)
-	}
-	fmt.Println("all providers agree")
 	return nil
 }

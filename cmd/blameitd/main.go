@@ -26,9 +26,10 @@
 // the trace producer's, exactly as for `blameit -replay`: the daemon
 // regenerates topology and routing from the seeds (configuration, not
 // telemetry) and serves active-phase probes from the deterministic engine
-// over that world. Feed it with the tracegen loadgen:
+// over that world. Feed it with the tracegen loadgen, both sides on one
+// -days so they regenerate one fault and routing history:
 //
-//	blameitd -addr :7031 &
+//	blameitd -addr :7031 -days 2 &
 //	blameit-tracegen -days 2 -post http://localhost:7031
 //
 // SIGTERM/SIGINT drain gracefully: ingestion stops with 503, every queued
@@ -89,7 +90,7 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 42, "deterministic seed for the world, faults and probe noise (must match the trace producer)")
 	flag.StringVar(&o.workload, "workload", "random", "fault workload behind the probe engine: random or none (must match the trace producer)")
 	flag.IntVar(&o.warmup, "warmup", 1, "warmup days of ingested telemetry used for expected-RTT learning before localization starts")
-	flag.IntVar(&o.days, "days", 30, "horizon in days for fault and routing generation (bounds how far the probe engine can serve)")
+	flag.IntVar(&o.days, "days", 30, "horizon in days for fault and routing generation (bounds how far the probe engine can serve; must match the trace producer)")
 	flag.IntVar(&o.budget, "budget", 50, "on-demand traceroutes per cloud location per day (0 = unlimited)")
 	flag.IntVar(&o.topN, "top", 10, "tickets per job run (0 = unlimited)")
 	flag.IntVar(&o.workers, "workers", 0, "goroutines for the Algorithm 1 job (0 = all cores)")

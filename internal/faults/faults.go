@@ -105,7 +105,7 @@ type GroundTruth struct {
 func (f Fault) Truth(w *topology.World) GroundTruth {
 	switch f.Kind {
 	case CloudFault:
-		return GroundTruth{Segment: netmodel.SegCloud, AS: w.CloudASNOf(f.Cloud)}
+		return GroundTruth{Segment: netmodel.SegCloud, AS: w.CloudASN()}
 	case MiddleASFault:
 		return GroundTruth{Segment: netmodel.SegMiddle, AS: f.AS}
 	case ClientASFault:

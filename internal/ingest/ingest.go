@@ -4,8 +4,8 @@
 // POST routes, and the quarantine every read is validated by.
 //
 // The seam has one adapter and one reader here. SourceFunc lifts any
-// func(bucket, buf) that cannot fail — a simulator's ObservationsAt, a
-// closure over one provider's stream — into a source. StreamSource replays
+// func(bucket, buf) that cannot fail — a simulator's ObservationsAt, for
+// one — into a source. StreamSource replays
 // a recorded trace (blameit-tracegen output) bucket by bucket without
 // loading it whole. The other implementations live with the state they
 // read: the daemon's ingest queue (internal/server), the fleet collector

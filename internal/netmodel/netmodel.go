@@ -167,21 +167,14 @@ type Metro struct {
 // CloudID identifies one cloud edge location.
 type CloudID int
 
-// ProviderID identifies one cloud provider in a multi-provider world.
-// Provider 0 is the "home" provider: a single-provider world contains
-// exactly provider 0 and behaves identically to the historical
-// single-cloud model.
-type ProviderID int
-
-// CloudLocation is one of a provider's network edge locations ("cloud
-// locations" in the paper). Clients reach the provider's nearest location
-// via anycast.
+// CloudLocation is one of the cloud's network edge locations ("cloud
+// locations" in the paper). Clients reach the nearest location via
+// anycast.
 type CloudLocation struct {
-	ID       CloudID
-	Name     string
-	Metro    MetroID
-	Region   Region
-	Provider ProviderID
+	ID     CloudID
+	Name   string
+	Metro  MetroID
+	Region Region
 }
 
 // PrefixID indexes a client /24 prefix within a World.

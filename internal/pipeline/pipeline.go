@@ -258,11 +258,6 @@ type Deps struct {
 	Table  *bgp.Table
 	Source ingest.ObservationSource
 	Prober probe.Prober
-	// Provider selects which of the world's cloud providers this pipeline
-	// operates for: its cloud ASN is the one Algorithm 1 treats as the
-	// cloud segment, and background baselines cover its edge locations.
-	// The zero value is provider 0 — the historical single-provider world.
-	Provider netmodel.ProviderID
 }
 
 // SimDeps is the conventional live wiring over a simulator: observations
@@ -282,8 +277,6 @@ type Pipeline struct {
 	World *topology.World
 	Table *bgp.Table
 	Cfg   Config
-	// Provider is the cloud provider this pipeline localizes for.
-	Provider netmodel.ProviderID
 
 	// Source feeds the passive phase; Prober serves the active phase.
 	Source ingest.ObservationSource
@@ -371,9 +364,6 @@ func New(deps Deps, cfg Config) *Pipeline {
 	if deps.World == nil || deps.Table == nil || deps.Source == nil || deps.Prober == nil {
 		panic("pipeline: Deps.World, Table, Source, and Prober are all required")
 	}
-	if deps.Provider < 0 || int(deps.Provider) >= deps.World.NumProviders() {
-		panic(fmt.Sprintf("pipeline: Deps.Provider %d outside the world's %d providers", deps.Provider, deps.World.NumProviders()))
-	}
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -404,7 +394,6 @@ func New(deps Deps, cfg Config) *Pipeline {
 		World:     deps.World,
 		Table:     deps.Table,
 		Cfg:       cfg,
-		Provider:  deps.Provider,
 		Source:    deps.Source,
 		Prober:    pr,
 		Metrics:   reg,
@@ -441,7 +430,7 @@ func New(deps Deps, cfg Config) *Pipeline {
 	for i := 0; i < 400; i++ {
 		p.Durations.Record("", int(faults.SampleDuration(prior)))
 	}
-	p.Baseliner = probe.NewBaselinerForProvider(cfg.Background, p.Prober, p.World, p.Table, p.Provider)
+	p.Baseliner = probe.NewBaselinerWith(cfg.Background, p.Prober, p.World, p.Table)
 	p.Baseliner.SetMetrics(reg)
 	p.Budget = probe.NewBudget(cfg.BudgetPerCloudPerDay)
 	p.Budget.SetMetrics(reg)
@@ -499,7 +488,7 @@ func (p *Pipeline) SetThresholds(th *core.Thresholds) {
 }
 
 func (p *Pipeline) rebuildPassive() {
-	p.Passive = core.NewLocalizer(p.Cfg.Core, p.World.ProviderASN(p.Provider), p.PathOf, p.Thresholds)
+	p.Passive = core.NewLocalizer(p.Cfg.Core, p.World.CloudASN(), p.PathOf, p.Thresholds)
 	p.Passive.SetMetrics(p.Metrics)
 	if p.keyFunc != nil {
 		p.Passive.SetMiddleKeyFunc(p.keyFunc)

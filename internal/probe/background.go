@@ -64,12 +64,6 @@ type Baseliner struct {
 	// incident measurements.
 	suppressed map[netmodel.MiddleKey]netmodel.Bucket
 
-	// prov/filter scope the baseliner to one provider's cloud locations in
-	// a multi-provider world. Unfiltered baseliners (NewBaselinerWith)
-	// cover every cloud, which is the historical behavior.
-	prov   netmodel.ProviderID
-	filter bool
-
 	mSuppressions *metrics.Counter
 	mSkipped      *metrics.Counter
 	mChurnDeduped *metrics.Counter
@@ -96,19 +90,6 @@ func NewBaseliner(cfg BackgroundConfig, engine *Engine, table *bgp.Table) *Basel
 // The world supplies the BGP-prefix → representative-/24 mapping; it must
 // describe the same topology the prober measures.
 func NewBaselinerWith(cfg BackgroundConfig, prober Prober, w *topology.World, table *bgp.Table) *Baseliner {
-	return newBaseliner(cfg, prober, w, table, 0, false)
-}
-
-// NewBaselinerForProvider builds the manager scoped to one provider: only
-// that provider's cloud locations are registered for periodic baselines,
-// and churn events at other providers' locations are ignored — a provider
-// cannot issue traceroutes from edges it does not own. In a
-// single-provider world this is identical to NewBaselinerWith.
-func NewBaselinerForProvider(cfg BackgroundConfig, prober Prober, w *topology.World, table *bgp.Table, prov netmodel.ProviderID) *Baseliner {
-	return newBaseliner(cfg, prober, w, table, prov, true)
-}
-
-func newBaseliner(cfg BackgroundConfig, prober Prober, w *topology.World, table *bgp.Table, prov netmodel.ProviderID, filter bool) *Baseliner {
 	bg := &Baseliner{
 		cfg:        cfg,
 		prober:     prober,
@@ -117,8 +98,6 @@ func newBaseliner(cfg BackgroundConfig, prober Prober, w *topology.World, table 
 		listener:   bgp.NewListener(table),
 		baselines:  make(map[netmodel.MiddleKey][]Traceroute),
 		suppressed: make(map[netmodel.MiddleKey]netmodel.Bucket),
-		prov:       prov,
-		filter:     filter,
 	}
 	periodic := cfg.PeriodBuckets > 0
 	if periodic {
@@ -126,9 +105,6 @@ func newBaseliner(cfg BackgroundConfig, prober Prober, w *topology.World, table 
 	}
 	registered := make(map[netmodel.MiddleKey]struct{})
 	for _, c := range w.Clouds {
-		if filter && c.Provider != prov {
-			continue
-		}
 		for _, bp := range w.BGPPrefixes {
 			_, mk := table.RouteAt(c.ID, bp.ID, 0)
 			if _, ok := registered[mk]; ok {
@@ -228,9 +204,6 @@ func (bg *Baseliner) Advance(b netmodel.Bucket) {
 	events := bg.listener.Poll(b + 1)
 	if bg.cfg.OnChurn {
 		for _, ev := range events {
-			if bg.filter && bg.world.Clouds[ev.Cloud].Provider != bg.prov {
-				continue
-			}
 			nk := ev.NewKey
 			if bg.cfg.ChurnDedupeBuckets > 0 {
 				if age, ok := bg.BaselineAge(nk, b); ok && age <= bg.cfg.ChurnDedupeBuckets {

@@ -68,7 +68,7 @@ type cellAdmission struct {
 // interface a file replay or a live simulator feeds the pipeline through,
 // which is what keeps the daemon byte-equivalent to the batch CLI.
 //
-// A queue built over a journal (DESIGN.md §15) serves the journaled bucket
+// A queue built over a journal (DESIGN.md §14) serves the journaled bucket
 // streams first, verbatim and in the order they were consumed: recovery is
 // the backend's first reads. Nothing new is readable until they are spent.
 //

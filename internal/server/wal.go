@@ -8,7 +8,7 @@ package server
 // reads are the journaled streams, through the unchanged
 // WarmupContext/StepContext path, before New returns: a restart — kill -9
 // mid-window included — answers /v1/reports byte-identical to an
-// uninterrupted run. See DESIGN.md §15.
+// uninterrupted run. See DESIGN.md §14.
 
 import (
 	"fmt"

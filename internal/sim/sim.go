@@ -361,22 +361,14 @@ func (s *Simulator) MeanRTT(p netmodel.PrefixID, c netmodel.CloudID, b netmodel.
 	return sum + s.ReverseExtra(p, c, b)
 }
 
-// attachmentsAt returns the provider-0 cloud attachments of a prefix at a
-// bucket, honouring traffic-shift faults (a shifted prefix connects only
-// to the shift target).
+// attachmentsAt returns the cloud attachments of a prefix at a bucket,
+// honouring traffic-shift faults (a shifted prefix connects only to the
+// shift target).
 func (s *Simulator) attachmentsAt(p netmodel.PrefixID, b netmodel.Bucket) []topology.CloudAttachment {
-	return s.attachmentsAtFor(0, p, b)
-}
-
-// attachmentsAtFor returns provider q's cloud attachments of a prefix at a
-// bucket. A traffic-shift fault redirects only the traffic of the provider
-// owning the shift-target location; other providers' steering is
-// untouched (their anycast does not follow another cloud's redirection).
-func (s *Simulator) attachmentsAtFor(q netmodel.ProviderID, p netmodel.PrefixID, b netmodel.Bucket) []topology.CloudAttachment {
-	if target, ok := s.Sched.ShiftTarget(p, b); ok && s.World.ProviderOf(target) == q {
+	if target, ok := s.Sched.ShiftTarget(p, b); ok {
 		return []topology.CloudAttachment{{Cloud: target, Weight: 1}}
 	}
-	return s.World.AttachmentsFor(q, p)
+	return s.World.Attachments(p)
 }
 
 // volumeFactor models diurnal connection volume: consumer traffic peaks in
@@ -438,17 +430,6 @@ func sharded[T any](workers, n int, pool *scratchPool[T], buf []T, gen func(lo, 
 	return buf, len(shards)
 }
 
-// countObservations accounts one ObservationsAt/ObservationsForProvider run.
-func (s *Simulator) countObservations(generated, fanout int) {
-	if fanout == 0 {
-		s.mRunsSeq.Inc()
-	} else {
-		s.mRunsParallel.Inc()
-		s.mFanoutMax.SetMax(int64(fanout))
-	}
-	s.mObservations.Add(int64(generated))
-}
-
 // ObservationsAt generates the quartet-level observations of one bucket,
 // appending to buf (which may be nil) and returning the extended slice.
 // Quartets with zero samples are omitted.
@@ -461,7 +442,13 @@ func (s *Simulator) ObservationsAt(b netmodel.Bucket, buf []Observation) []Obser
 	before := len(buf)
 	buf, fanout := sharded(s.cfg.Workers, len(s.World.Prefixes), &s.obsScratch, buf,
 		func(lo, hi int, buf []Observation) []Observation { return s.observationsRange(b, lo, hi, buf) })
-	s.countObservations(len(buf)-before, fanout)
+	if fanout == 0 {
+		s.mRunsSeq.Inc()
+	} else {
+		s.mRunsParallel.Inc()
+		s.mFanoutMax.SetMax(int64(fanout))
+	}
+	s.mObservations.Add(int64(len(buf) - before))
 	return buf
 }
 
@@ -499,65 +486,12 @@ func (s *Simulator) observationsRange(b netmodel.Bucket, lo, hi int, buf []Obser
 	return buf
 }
 
-// providerStreamSeed derives the measurement-noise seed of provider q's
-// observation stream. Provider 0 keeps the main seed, so its stream is
-// bit-identical to the historical single-provider ObservationsAt. The
-// underlying network reality (MeanRTT: faults, diurnal congestion, drift)
-// stays keyed to the main seed for every provider — independent vantage
-// points sample the same shared internet with independent noise.
-func (s *Simulator) providerStreamSeed(q netmodel.ProviderID) uint64 {
-	if q == 0 {
-		return uint64(s.cfg.Seed)
-	}
-	return mix(uint64(s.cfg.Seed), 0x9c, uint64(q))
-}
-
-// ObservationsForProvider generates provider q's quartet observations of
-// one bucket, appending to buf: the provider's served prefix population,
-// steered to the provider's own edge locations, with provider-specific
-// sampling noise over the shared ground-truth RTTs. For provider 0 of a
-// single-provider world the stream is byte-identical to ObservationsAt.
-//
-// Like ObservationsAt, the population is sharded across cfg.Workers
-// goroutines and the per-shard buffers merge in prefix order, so the
-// stream is identical at any worker count.
-func (s *Simulator) ObservationsForProvider(q netmodel.ProviderID, b netmodel.Bucket, buf []Observation) []Observation {
-	pop := s.World.Population(q)
-	before := len(buf)
-	buf, fanout := sharded(s.cfg.Workers, len(pop), &s.obsScratch, buf,
-		func(lo, hi int, buf []Observation) []Observation { return s.observationsPop(q, b, pop[lo:hi], buf) })
-	s.countObservations(len(buf)-before, fanout)
-	return buf
-}
-
-// observationsPop generates provider q's observations for one slice of its
-// served population.
-func (s *Simulator) observationsPop(q netmodel.ProviderID, b netmodel.Bucket, pop []netmodel.PrefixID, buf []Observation) []Observation {
-	seed := s.providerStreamSeed(q)
-	for _, pid := range pop {
-		for _, att := range s.attachmentsAtFor(q, pid, b) {
-			o, ok := s.observeSeeded(seed, pid, att.Cloud, att.Weight, b)
-			if ok {
-				buf = append(buf, o)
-			}
-		}
-	}
-	return buf
-}
-
 // Observe generates the observation of a single (prefix, cloud) quartet at
 // a bucket with the given traffic weight. It reports false when no clients
 // connected in the bucket.
 func (s *Simulator) Observe(p netmodel.PrefixID, c netmodel.CloudID, weight float64, b netmodel.Bucket) (Observation, bool) {
-	return s.observeSeeded(uint64(s.cfg.Seed), p, c, weight, b)
-}
-
-// observeSeeded is Observe with an explicit sampling-noise seed: the
-// client-arrival and noise draws hash from it, while the expected RTT and
-// diurnal volume remain functions of the shared world (cfg.Seed). Distinct
-// seeds give distinct providers independent views of the same reality.
-func (s *Simulator) observeSeeded(seed uint64, p netmodel.PrefixID, c netmodel.CloudID, weight float64, b netmodel.Bucket) (Observation, bool) {
 	pref := s.World.Prefixes[p]
+	seed := uint64(s.cfg.Seed)
 	h1 := mix(seed, uint64(p), uint64(c), uint64(b), 1)
 	h2 := mix(seed, uint64(p), uint64(c), uint64(b), 2)
 	h3 := mix(seed, uint64(p), uint64(c), uint64(b), 3)

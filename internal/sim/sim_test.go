@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"blameit/internal/bgp"
@@ -187,6 +188,9 @@ func TestObservationsDeterministic(t *testing.T) {
 	}
 	if len(a) == 0 {
 		t.Fatal("no observations generated")
+	}
+	if c := newRig(t, nil, 1).sim.ObservationsAt(10, nil); !reflect.DeepEqual(a, c) {
+		t.Fatal("identically built simulators generated different observations")
 	}
 }
 

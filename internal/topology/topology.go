@@ -4,15 +4,6 @@
 // their /24 blocks, AS-level routes from every cloud location to every BGP
 // prefix, and the static base-latency parameters of every network segment.
 //
-// The world can host several independent cloud providers over one shared
-// internet: each provider owns its cloud ASN and its own edge locations per
-// region (with anycast-style nearest-location steering for its clients),
-// while metros, client prefixes, transit and tier-1 ASes, and the AS-level
-// path fabric are shared — so the same middle-segment fault is visible to
-// every provider that routes through the faulty AS. Provider 0 is the
-// historical single-cloud world: a Scale with Providers <= 1 generates
-// exactly the world older seeds produced, bit for bit.
-//
 // Everything is generated deterministically from a seed so that every
 // experiment in the reproduction is replayable bit-for-bit.
 package topology
@@ -22,7 +13,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 
 	"blameit/internal/ipaddr"
 	"blameit/internal/netmodel"
@@ -33,11 +23,7 @@ import (
 // three presets (Small/Medium/Large); tests use Small, the experiment
 // harness uses Medium or Large.
 type Scale struct {
-	// Providers is the number of independent cloud providers sharing the
-	// world. 0 is treated as 1 so zero-value Scale literals keep meaning
-	// the historical single-provider world.
-	Providers         int
-	CloudsPerRegion   int // per provider
+	CloudsPerRegion   int
 	MetrosPerRegion   int
 	Tier1Count        int
 	TransitPerRegion  int
@@ -50,28 +36,13 @@ type Scale struct {
 	// predominantly behind home Wi-Fi (the §2.1 follow-up device class).
 	WiFiShare           float64
 	SecondaryCloudShare float64 // fraction of prefixes with a secondary cloud attachment
-	// OverlapShare is the probability that a prefix outside a provider's
-	// home population is nonetheless served by that provider too, giving
-	// multi-provider worlds overlapping vantage populations (every prefix
-	// always belongs to exactly one home provider). Single-provider worlds
-	// ignore it.
-	OverlapShare float64
 }
 
-// MaxProviders bounds Scale.Providers: provider ASNs are 8075 + 100*q and
-// must stay clear of the eyeball ASN range starting at 10000.
-const MaxProviders = 16
-
-// Validate reports whether the scale is generatable. The zero value of
-// Providers is accepted by Generate (it means 1); Validate is strict so
-// CLIs reject nonsense before paying for generation.
+// Validate reports whether the scale is generatable: every count Generate
+// divides or indexes by is positive and every share is a probability.
 func (s Scale) Validate() error {
 	bad01 := func(x float64) bool { return math.IsNaN(x) || x < 0 || x > 1 }
 	switch {
-	case s.Providers < 1:
-		return fmt.Errorf("topology: Providers %d must be >= 1", s.Providers)
-	case s.Providers > MaxProviders:
-		return fmt.Errorf("topology: Providers %d must be <= %d (provider ASNs 8075+100q must stay below the eyeball ASN range)", s.Providers, MaxProviders)
 	case s.CloudsPerRegion < 1:
 		return fmt.Errorf("topology: CloudsPerRegion %d must be >= 1", s.CloudsPerRegion)
 	case s.MetrosPerRegion < 1:
@@ -94,8 +65,6 @@ func (s Scale) Validate() error {
 		return fmt.Errorf("topology: WiFiShare %v must be in [0, 1]", s.WiFiShare)
 	case bad01(s.SecondaryCloudShare):
 		return fmt.Errorf("topology: SecondaryCloudShare %v must be in [0, 1]", s.SecondaryCloudShare)
-	case bad01(s.OverlapShare):
-		return fmt.Errorf("topology: OverlapShare %v must be in [0, 1]", s.OverlapShare)
 	}
 	return nil
 }
@@ -117,7 +86,6 @@ func ScaleByName(name string) (Scale, error) {
 // SmallScale is sized for unit tests: a few hundred /24s.
 func SmallScale() Scale {
 	return Scale{
-		Providers:           1,
 		CloudsPerRegion:     2,
 		MetrosPerRegion:     2,
 		Tier1Count:          4,
@@ -129,14 +97,12 @@ func SmallScale() Scale {
 		CellularASShare:     0.25,
 		WiFiShare:           0.35,
 		SecondaryCloudShare: 0.4,
-		OverlapShare:        0.5,
 	}
 }
 
 // MediumScale is sized for the experiment harness: a few thousand /24s.
 func MediumScale() Scale {
 	return Scale{
-		Providers:           1,
 		CloudsPerRegion:     3,
 		MetrosPerRegion:     4,
 		Tier1Count:          6,
@@ -148,14 +114,12 @@ func MediumScale() Scale {
 		CellularASShare:     0.25,
 		WiFiShare:           0.35,
 		SecondaryCloudShare: 0.4,
-		OverlapShare:        0.5,
 	}
 }
 
 // LargeScale is sized for stress benchmarks: tens of thousands of /24s.
 func LargeScale() Scale {
 	return Scale{
-		Providers:           1,
 		CloudsPerRegion:     5,
 		MetrosPerRegion:     6,
 		Tier1Count:          8,
@@ -167,42 +131,12 @@ func LargeScale() Scale {
 		CellularASShare:     0.25,
 		WiFiShare:           0.35,
 		SecondaryCloudShare: 0.4,
-		OverlapShare:        0.5,
 	}
 }
 
-// Provider is one cloud provider's identity in the shared world.
-type Provider struct {
-	ID   netmodel.ProviderID
-	ASN  netmodel.ASN
-	Name string
-}
-
-// providerNames supplies stable human names for the first few providers;
-// beyond the list, providers are named Cloud-<q+1>.
-var providerNames = []string{"CloudNet", "Skylift", "Nimbus", "Stratus", "Vapor", "Cirrus"}
-
-func providerName(q int) string {
-	if q < len(providerNames) {
-		return providerNames[q]
-	}
-	return fmt.Sprintf("Cloud-%d", q+1)
-}
-
-// providerASN returns provider q's cloud ASN. Provider 0 keeps the
-// historical 8075; the stride keeps the namespace disjoint from tier-1
-// (1000+), transit (2000–2699), and eyeball (10000+) ASNs for any
-// Providers <= MaxProviders.
-func providerASN(q int) netmodel.ASN {
-	return netmodel.ASN(8075 + 100*q)
-}
-
-// providerSeed derives the dedicated RNG stream seed of provider q's
-// world-generation draws (q >= 1; provider 0 uses the world's main stream
-// so single-provider worlds are bit-identical to historical ones).
-func providerSeed(seed int64, q int) int64 {
-	return seed + int64(q)*0x9E3779B9
-}
+// cloudASN is the cloud's own AS; it sits clear of the tier-1 (1000+),
+// transit (2000–2699) and eyeball (10000+) ASN ranges.
+const cloudASN netmodel.ASN = 8075
 
 // CloudAttachment records that a prefix's clients connect to a cloud
 // location with the given share of the prefix's traffic.
@@ -230,10 +164,6 @@ type World struct {
 	Seed  int64
 	Scale Scale
 
-	// Providers lists the cloud providers sharing the world, in ID order.
-	// Provider 0 is the historical single cloud (ASN 8075, "CloudNet").
-	Providers []Provider
-
 	ASes     map[netmodel.ASN]netmodel.AS
 	Tier1s   []netmodel.ASN
 	Transits map[netmodel.Region][]netmodel.ASN
@@ -247,22 +177,15 @@ type World struct {
 	// Derived lookups.
 	prefixesByBGP map[netmodel.BGPPrefixID][]netmodel.PrefixID
 	prefixesByAS  map[netmodel.ASN][]netmodel.PrefixID
-	cloudsByReg   []map[netmodel.Region][]netmodel.CloudID // per provider
-	byBase        map[uint32]netmodel.PrefixID             // /24 base address -> prefix
+	cloudsByReg   map[netmodel.Region][]netmodel.CloudID
+	byBase        map[uint32]netmodel.PrefixID // /24 base address -> prefix
 
 	// Routing: primary and alternate paths per (cloud, BGP prefix).
 	routes    map[routeKey]netmodel.Path
 	altRoutes map[routeKey][]netmodel.Path
 
-	// Cloud attachments per provider per client prefix.
-	attachments [][][]CloudAttachment
-
-	// Per-provider client populations: served[q][p] reports whether
-	// provider q serves prefix p, population[q] lists the served prefixes
-	// in ascending ID order. Provider 0 of a single-provider world serves
-	// everything.
-	served     [][]bool
-	population [][]netmodel.PrefixID
+	// Cloud attachments per client prefix.
+	attachments [][]CloudAttachment
 
 	// Static latency ground truth.
 	CloudBaseMS  map[netmodel.CloudID]float64
@@ -270,12 +193,12 @@ type World struct {
 	PrefixBaseMS []float64 // indexed by PrefixID
 	RegionPropMS [netmodel.NumRegions][netmodel.NumRegions]float64
 
-	// Region- and device-specific RTT badness targets (§2.1), per provider.
-	targets [][netmodel.NumRegions][netmodel.NumDeviceClasses]float64
-	// attachTargets[q][p][i] is TargetFor(p, attachments[q][p][i].Cloud),
-	// worked out once: the pipeline asks for it per observation, and the
-	// base path RTT behind it never changes.
-	attachTargets [][][]float64
+	// Region- and device-specific RTT badness targets (§2.1).
+	targets [netmodel.NumRegions][netmodel.NumDeviceClasses]float64
+	// attachTargets[p][i] is TargetFor(p, attachments[p][i].Cloud), worked
+	// out once: the pipeline asks for it per observation, and the base path
+	// RTT behind it never changes.
+	attachTargets [][]float64
 }
 
 var metroNames = map[netmodel.Region][]string{
@@ -288,65 +211,34 @@ var metroNames = map[netmodel.Region][]string{
 	netmodel.RegionEastAsia:  {"Tokyo", "Seoul", "Singapore", "HongKong", "Osaka", "Taipei"},
 }
 
-// Generate builds a world from a scale and seed.
-//
-// RNG discipline: provider 0's entities draw from the world's main seeded
-// stream in exactly the historical order, and every additional provider
-// draws from its own derived stream — so a Providers<=1 world is
-// bit-identical to the single-cloud generator of earlier versions, and
-// provider 0's entities (and the shared fabric) are bit-identical across
-// any provider count.
+// Generate builds a world from a scale and seed. Every random draw comes
+// from one stream seeded by seed, in a fixed order.
 func Generate(scale Scale, seed int64) *World {
-	if scale.Providers < 1 {
-		scale.Providers = 1 // zero-value Scale literals mean the single-provider world
-	}
-	nProv := scale.Providers
 	r := rand.New(rand.NewSource(seed))
 	w := &World{
 		Seed:          seed,
 		Scale:         scale,
-		Providers:     make([]Provider, nProv),
 		ASes:          make(map[netmodel.ASN]netmodel.AS),
 		Transits:      make(map[netmodel.Region][]netmodel.ASN),
 		Eyeballs:      make(map[netmodel.Region][]netmodel.ASN),
 		prefixesByBGP: make(map[netmodel.BGPPrefixID][]netmodel.PrefixID),
 		prefixesByAS:  make(map[netmodel.ASN][]netmodel.PrefixID),
-		cloudsByReg:   make([]map[netmodel.Region][]netmodel.CloudID, nProv),
+		cloudsByReg:   make(map[netmodel.Region][]netmodel.CloudID),
 		byBase:        make(map[uint32]netmodel.PrefixID),
 		routes:        make(map[routeKey]netmodel.Path),
 		altRoutes:     make(map[routeKey][]netmodel.Path),
-		attachments:   make([][][]CloudAttachment, nProv),
 		CloudBaseMS:   make(map[netmodel.CloudID]float64),
 		ASBaseMS:      make(map[netmodel.ASN]float64),
 	}
-
-	for q := 0; q < nProv; q++ {
-		pv := Provider{ID: netmodel.ProviderID(q), ASN: providerASN(q), Name: providerName(q)}
-		w.Providers[q] = pv
-		w.ASes[pv.ASN] = netmodel.AS{ASN: pv.ASN, Name: pv.Name, Type: netmodel.ASCloud, Region: netmodel.RegionUSA}
-		w.cloudsByReg[q] = make(map[netmodel.Region][]netmodel.CloudID)
-	}
+	w.ASes[cloudASN] = netmodel.AS{ASN: cloudASN, Name: "CloudNet", Type: netmodel.ASCloud, Region: netmodel.RegionUSA}
 
 	w.generateFabric(r, scale)
 	w.generateMetros(scale)
-	// Provider 0's edge locations exist before the client and latency
-	// draws so the main RNG stream is consumed in the historical order;
-	// generateLatencyParams assigns CloudBaseMS by ranging over w.Clouds,
-	// which at that point holds exactly provider 0's locations.
-	w.generateProviderClouds(0, nil, scale)
+	w.generateClouds(scale)
 	w.generateClients(r, scale)
 	w.generateLatencyParams(r)
-	for q := 1; q < nProv; q++ {
-		rq := rand.New(rand.NewSource(providerSeed(seed, q)))
-		w.generateProviderClouds(netmodel.ProviderID(q), rq, scale)
-	}
 	w.generateRoutes(r, scale)
-	w.generateAttachments(0, r, scale)
-	for q := 1; q < nProv; q++ {
-		rq := rand.New(rand.NewSource(providerSeed(seed, q) + 1))
-		w.generateAttachments(netmodel.ProviderID(q), rq, scale)
-	}
-	w.assignPopulations()
+	w.generateAttachments(r, scale)
 	w.deriveTargets()
 	return w
 }
@@ -383,34 +275,22 @@ func (w *World) generateMetros(scale Scale) {
 	}
 }
 
-// generateProviderClouds creates provider q's edge locations, one pass per
-// region. Provider 0 consumes no randomness (its base latencies come from
-// the main stream in generateLatencyParams, as they always have); every
-// later provider draws its CloudBaseMS from its own stream rq, and its
-// sites sit offset within the shared metro list so providers overlap but
-// do not mirror each other's footprints.
-func (w *World) generateProviderClouds(q netmodel.ProviderID, rq *rand.Rand, scale Scale) {
-	pname := strings.ToLower(w.Providers[q].Name)
+// generateClouds creates the cloud's edge locations, one pass per region,
+// cycling through the region's metros. It draws no randomness: the base
+// latencies come from generateLatencyParams.
+func (w *World) generateClouds(scale Scale) {
 	for _, reg := range netmodel.AllRegions() {
 		metros := w.MetrosInRegion(reg)
 		for i := 0; i < scale.CloudsPerRegion; i++ {
-			m := metros[(i+int(q))%len(metros)]
+			m := metros[i%len(metros)]
 			id := netmodel.CloudID(len(w.Clouds))
-			name := "edge-" + m.Name
-			if q > 0 {
-				name = pname + "-edge-" + m.Name
-			}
 			w.Clouds = append(w.Clouds, netmodel.CloudLocation{
-				ID:       id,
-				Name:     name,
-				Metro:    m.ID,
-				Region:   reg,
-				Provider: q,
+				ID:     id,
+				Name:   "edge-" + m.Name,
+				Metro:  m.ID,
+				Region: reg,
 			})
-			w.cloudsByReg[q][reg] = append(w.cloudsByReg[q][reg], id)
-			if rq != nil {
-				w.CloudBaseMS[id] = 1 + 4*rq.Float64() // 1-5ms inside the cloud
-			}
+			w.cloudsByReg[reg] = append(w.cloudsByReg[reg], id)
 		}
 	}
 }
@@ -677,15 +557,14 @@ func (w *World) candidatePaths(c netmodel.CloudLocation, bp netmodel.BGPPrefix) 
 	return uniq
 }
 
-// generateAttachments assigns provider q's anycast steering for every
-// prefix: the nearest in-region location by the deterministic
-// (metro, AS) hash, with an occasional secondary spillover location.
-func (w *World) generateAttachments(q netmodel.ProviderID, r *rand.Rand, scale Scale) {
-	regOf := w.cloudsByReg[q]
+// generateAttachments assigns the anycast steering of every prefix: the
+// nearest in-region location by the deterministic (metro, AS) hash, with
+// an occasional secondary spillover location.
+func (w *World) generateAttachments(r *rand.Rand, scale Scale) {
 	atts := make([][]CloudAttachment, len(w.Prefixes))
 	for i, p := range w.Prefixes {
 		reg := w.Metros[p.Metro].Region
-		regClouds := regOf[reg]
+		regClouds := w.cloudsByReg[reg]
 		primary := regClouds[(int(p.Metro)+int(p.AS))%len(regClouds)]
 		att := []CloudAttachment{{Cloud: primary, Weight: 1.0}}
 		if r.Float64() < scale.SecondaryCloudShare {
@@ -701,7 +580,7 @@ func (w *World) generateAttachments(q netmodel.ProviderID, r *rand.Rand, scale S
 				}
 			} else {
 				oreg := netmodel.Region((int(reg) + 1 + r.Intn(netmodel.NumRegions-1)) % netmodel.NumRegions)
-				oc := regOf[oreg]
+				oc := w.cloudsByReg[oreg]
 				sec = oc[r.Intn(len(oc))]
 			}
 			att[0].Weight = 0.85
@@ -709,87 +588,39 @@ func (w *World) generateAttachments(q netmodel.ProviderID, r *rand.Rand, scale S
 		}
 		atts[i] = att
 	}
-	w.attachments[q] = atts
-}
-
-// mix64 is a splitmix64-style hash chain used for the provider-population
-// assignment (kept local to avoid coupling to the simulator's identical
-// helper; the two need not produce related streams).
-func mix64(vals ...uint64) uint64 {
-	h := uint64(0x9E3779B97F4A7C15)
-	for _, v := range vals {
-		h ^= v
-		h *= 0xBF58476D1CE4E5B9
-		h ^= h >> 27
-		h *= 0x94D049BB133111EB
-		h ^= h >> 31
-	}
-	return h
-}
-
-// assignPopulations gives every prefix one home provider (uniform by hash)
-// plus membership in each other provider's population with probability
-// OverlapShare, modeling overlapping vantage populations across providers.
-// A single-provider world serves every prefix from provider 0.
-func (w *World) assignPopulations() {
-	n := len(w.Providers)
-	w.served = make([][]bool, n)
-	w.population = make([][]netmodel.PrefixID, n)
-	for q := range w.served {
-		w.served[q] = make([]bool, len(w.Prefixes))
-	}
-	for pid := range w.Prefixes {
-		home := int(mix64(uint64(w.Seed), uint64(pid), 0x70) % uint64(n))
-		for q := 0; q < n; q++ {
-			in := q == home
-			if !in && w.Scale.OverlapShare > 0 {
-				u := float64(mix64(uint64(w.Seed), uint64(pid), 0x71, uint64(q))>>11) / (1 << 53)
-				in = u < w.Scale.OverlapShare
-			}
-			if in {
-				w.served[q][pid] = true
-				w.population[q] = append(w.population[q], netmodel.PrefixID(pid))
-			}
-		}
-	}
+	w.attachments = atts
 }
 
 // deriveTargets sets region- and device-specific badness thresholds from
 // the generated base RTTs, mirroring the paper's note that targets track
 // regional RTT levels and that the USA's targets are comparatively
-// aggressive. Each provider derives its own targets from its own served
-// population and its own attachments.
+// aggressive, then works out every attachment's relaxed target.
 func (w *World) deriveTargets() {
-	w.targets = make([][netmodel.NumRegions][netmodel.NumDeviceClasses]float64, len(w.Providers))
-	w.attachTargets = make([][][]float64, len(w.Providers))
-	for q := range w.Providers {
-		w.deriveProviderTargets(netmodel.ProviderID(q))
-		w.attachTargets[q] = make([][]float64, len(w.attachments[q]))
-		for p, atts := range w.attachments[q] {
-			pref := w.Prefixes[p]
-			for _, att := range atts {
-				t := w.targets[q][w.Metros[pref.Metro].Region][pref.Device]
-				base := w.BasePathRTT(w.InitialPath(att.Cloud, pref.BGPPrefix), netmodel.PrefixID(p))
-				if adj := base*1.3 + 8; adj > t {
-					t = adj
-				}
-				w.attachTargets[q][p] = append(w.attachTargets[q][p], t)
+	w.deriveRegionTargets()
+	w.attachTargets = make([][]float64, len(w.attachments))
+	for p, atts := range w.attachments {
+		pref := w.Prefixes[p]
+		for _, att := range atts {
+			t := w.targets[w.Metros[pref.Metro].Region][pref.Device]
+			base := w.BasePathRTT(w.InitialPath(att.Cloud, pref.BGPPrefix), netmodel.PrefixID(p))
+			if adj := base*1.3 + 8; adj > t {
+				t = adj
 			}
+			w.attachTargets[p] = append(w.attachTargets[p], t)
 		}
 	}
 }
 
-func (w *World) deriveProviderTargets(q netmodel.ProviderID) {
+func (w *World) deriveRegionTargets() {
 	// Region targets reflect the normal (primary, in-region) connection
 	// experience; structurally distant pairs get per-pair relief in
 	// TargetFor instead, so no prefix is consistently above its threshold.
 	var samples [netmodel.NumRegions][netmodel.NumDeviceClasses][]float64
-	for _, pid := range w.population[q] {
-		p := w.Prefixes[pid]
+	for _, p := range w.Prefixes {
 		reg := w.Metros[p.Metro].Region
-		att := w.attachments[q][pid][0] // primary attachment
+		att := w.attachments[p.ID][0] // primary attachment
 		path := w.InitialPath(att.Cloud, p.BGPPrefix)
-		rtt := w.BasePathRTT(path, pid)
+		rtt := w.BasePathRTT(path, p.ID)
 		samples[reg][p.Device] = append(samples[reg][p.Device], rtt)
 	}
 	for _, reg := range netmodel.AllRegions() {
@@ -808,47 +639,22 @@ func (w *World) deriveProviderTargets(q netmodel.ProviderID) {
 			} else {
 				target = stats.Quantile(xs, 0.90) * 1.25
 			}
-			w.targets[q][reg][d] = target
+			w.targets[reg][d] = target
 		}
 		// Target looseness follows access-technology penalty: wired
 		// broadband <= Wi-Fi <= cellular. Never let sampling noise invert
 		// that ordering.
-		if w.targets[q][reg][netmodel.WiFi] < w.targets[q][reg][netmodel.NonMobile] {
-			w.targets[q][reg][netmodel.WiFi] = w.targets[q][reg][netmodel.NonMobile] * 1.1
+		if w.targets[reg][netmodel.WiFi] < w.targets[reg][netmodel.NonMobile] {
+			w.targets[reg][netmodel.WiFi] = w.targets[reg][netmodel.NonMobile] * 1.1
 		}
-		if w.targets[q][reg][netmodel.Mobile] < w.targets[q][reg][netmodel.WiFi] {
-			w.targets[q][reg][netmodel.Mobile] = w.targets[q][reg][netmodel.WiFi] * 1.15
-		}
-	}
-}
-
-// NumProviders returns the number of cloud providers in the world.
-func (w *World) NumProviders() int { return len(w.Providers) }
-
-// CloudASN returns provider 0's cloud ASN — the historical single-provider
-// identity.
-func (w *World) CloudASN() netmodel.ASN { return w.Providers[0].ASN }
-
-// ProviderASN returns provider q's cloud ASN.
-func (w *World) ProviderASN(q netmodel.ProviderID) netmodel.ASN { return w.Providers[q].ASN }
-
-// ProviderOf returns the provider owning a cloud location.
-func (w *World) ProviderOf(c netmodel.CloudID) netmodel.ProviderID { return w.Clouds[c].Provider }
-
-// CloudASNOf returns the cloud ASN of the provider owning a cloud location.
-func (w *World) CloudASNOf(c netmodel.CloudID) netmodel.ASN {
-	return w.Providers[w.Clouds[c].Provider].ASN
-}
-
-// ProviderByASN maps a cloud ASN back to its provider.
-func (w *World) ProviderByASN(asn netmodel.ASN) (netmodel.ProviderID, bool) {
-	for _, pv := range w.Providers {
-		if pv.ASN == asn {
-			return pv.ID, true
+		if w.targets[reg][netmodel.Mobile] < w.targets[reg][netmodel.WiFi] {
+			w.targets[reg][netmodel.Mobile] = w.targets[reg][netmodel.WiFi] * 1.15
 		}
 	}
-	return 0, false
 }
+
+// CloudASN returns the cloud's own AS number.
+func (w *World) CloudASN() netmodel.ASN { return cloudASN }
 
 // MetrosInRegion returns the metros of a region in ID order.
 func (w *World) MetrosInRegion(reg netmodel.Region) []netmodel.Metro {
@@ -861,9 +667,9 @@ func (w *World) MetrosInRegion(reg netmodel.Region) []netmodel.Metro {
 	return out
 }
 
-// CloudsInRegion returns provider 0's cloud location IDs of a region.
+// CloudsInRegion returns the cloud location IDs of a region.
 func (w *World) CloudsInRegion(reg netmodel.Region) []netmodel.CloudID {
-	return w.cloudsByReg[0][reg]
+	return w.cloudsByReg[reg]
 }
 
 // PrefixesOfBGP returns the /24 prefix IDs covered by a BGP prefix.
@@ -925,57 +731,39 @@ func (w *World) ReversePath(c netmodel.CloudID, bp netmodel.BGPPrefixID) netmode
 	return alts[int(asymHash(c, bp)>>10)%len(alts)]
 }
 
-// Attachments returns the provider-0 cloud locations a prefix's clients
-// connect to, with traffic weights summing to 1.
+// Attachments returns the cloud locations a prefix's clients connect to,
+// with traffic weights summing to 1.
 func (w *World) Attachments(p netmodel.PrefixID) []CloudAttachment {
-	return w.attachments[0][p]
+	return w.attachments[p]
 }
 
-// AttachmentsFor returns provider q's cloud attachments of a prefix.
-func (w *World) AttachmentsFor(q netmodel.ProviderID, p netmodel.PrefixID) []CloudAttachment {
-	return w.attachments[q][p]
-}
-
-// Population returns the prefixes served by provider q, in ascending ID
-// order. Callers must not mutate the returned slice.
-func (w *World) Population(q netmodel.ProviderID) []netmodel.PrefixID {
-	return w.population[q]
-}
-
-// ServedBy reports whether provider q serves prefix p.
-func (w *World) ServedBy(q netmodel.ProviderID, p netmodel.PrefixID) bool {
-	return w.served[q][p]
-}
-
-// Target returns provider 0's RTT badness threshold for a client region
-// and device class.
+// Target returns the RTT badness threshold for a client region and device
+// class.
 func (w *World) Target(reg netmodel.Region, d netmodel.DeviceClass) float64 {
-	return w.targets[0][reg][d]
+	return w.targets[reg][d]
 }
 
 // TargetForPrefix returns the badness threshold applying to a prefix at
-// its provider-0 primary cloud location.
+// its primary cloud location.
 func (w *World) TargetForPrefix(p netmodel.PrefixID) float64 {
-	return w.TargetFor(p, w.attachments[0][p][0].Cloud)
+	return w.TargetFor(p, w.attachments[p][0].Cloud)
 }
 
-// TargetFor returns the badness threshold for one (prefix, cloud) quartet,
-// under the cloud location's owning provider. It starts from the region-
-// and device-specific target and, for the prefix's normal attachments,
-// relaxes it so that a structurally distant pair (e.g. an in-region prefix
-// anycast onto a neighbouring region's location) is not consistently above
-// threshold — the paper's stated tuning criterion. Connections to
-// locations the prefix does not normally use (e.g. after a routing
-// accident) get no such relief.
+// TargetFor returns the badness threshold for one (prefix, cloud) quartet.
+// It starts from the region- and device-specific target and, for the
+// prefix's normal attachments, relaxes it so that a structurally distant
+// pair (e.g. an in-region prefix anycast onto a neighbouring region's
+// location) is not consistently above threshold — the paper's stated
+// tuning criterion. Connections to locations the prefix does not normally
+// use (e.g. after a routing accident) get no such relief.
 func (w *World) TargetFor(p netmodel.PrefixID, c netmodel.CloudID) float64 {
-	q := w.Clouds[c].Provider
-	for i, att := range w.attachments[q][p] {
+	for i, att := range w.attachments[p] {
 		if att.Cloud == c {
-			return w.attachTargets[q][p][i]
+			return w.attachTargets[p][i]
 		}
 	}
 	pref := w.Prefixes[p]
-	return w.targets[q][w.Metros[pref.Metro].Region][pref.Device]
+	return w.targets[w.Metros[pref.Metro].Region][pref.Device]
 }
 
 // ResolvePrefix maps a /24 base address back to its prefix (the
@@ -993,13 +781,13 @@ func (w *World) PrefixRegion(p netmodel.PrefixID) netmodel.Region {
 
 // BaseContributions returns the static per-AS base latency contributions of
 // a path serving the given prefix, ordered cloud → middle ASes → client.
-// The cloud segment is attributed to the owning provider's cloud ASN.
+// The cloud segment is attributed to the cloud ASN.
 // Inter-region propagation is attributed to the first middle AS (the one
 // carrying the long haul).
 func (w *World) BaseContributions(path netmodel.Path, p netmodel.PrefixID) []ASContribution {
 	out := make([]ASContribution, 0, len(path.Middle)+2)
 	cloud := w.Clouds[path.Cloud]
-	out = append(out, ASContribution{AS: w.CloudASNOf(path.Cloud), Segment: netmodel.SegCloud, MS: w.CloudBaseMS[path.Cloud]})
+	out = append(out, ASContribution{AS: cloudASN, Segment: netmodel.SegCloud, MS: w.CloudBaseMS[path.Cloud]})
 	clientReg := w.PrefixRegion(p)
 	prop := w.RegionPropMS[cloud.Region][clientReg]
 	for i, a := range path.Middle {
@@ -1040,7 +828,6 @@ func (w *World) AtomKey(bp netmodel.BGPPrefixID) string {
 
 // Stats summarizes entity counts for Table 2.
 type Stats struct {
-	Providers   int
 	Clouds      int
 	Metros      int
 	ASes        int
@@ -1053,7 +840,6 @@ type Stats struct {
 // Stats returns entity counts.
 func (w *World) Stats() Stats {
 	s := Stats{
-		Providers:   len(w.Providers),
 		Clouds:      len(w.Clouds),
 		Metros:      len(w.Metros),
 		ASes:        len(w.ASes),

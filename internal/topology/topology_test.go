@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"reflect"
 	"testing"
 
 	"blameit/internal/netmodel"
@@ -11,6 +12,9 @@ func small() *World { return Generate(SmallScale(), 42) }
 func TestGenerateDeterministic(t *testing.T) {
 	w1 := Generate(SmallScale(), 42)
 	w2 := Generate(SmallScale(), 42)
+	if !reflect.DeepEqual(w1, w2) {
+		t.Fatal("two Generate runs with the same seed differ")
+	}
 	if len(w1.Prefixes) != len(w2.Prefixes) || len(w1.BGPPrefixes) != len(w2.BGPPrefixes) {
 		t.Fatal("same seed produced different entity counts")
 	}

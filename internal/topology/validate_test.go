@@ -15,13 +15,9 @@ func TestScaleValidate(t *testing.T) {
 		wantErr string // substring; "" = valid
 	}{
 		{"small preset", func(s *Scale) {}, ""},
-		{"max providers", func(s *Scale) { s.Providers = MaxProviders }, ""},
 		{"share bounds", func(s *Scale) {
-			s.CellularASShare, s.WiFiShare, s.SecondaryCloudShare, s.OverlapShare = 0, 1, 0, 1
+			s.CellularASShare, s.WiFiShare, s.SecondaryCloudShare = 0, 1, 0
 		}, ""},
-		{"zero providers", func(s *Scale) { s.Providers = 0 }, "Providers"},
-		{"negative providers", func(s *Scale) { s.Providers = -2 }, "Providers"},
-		{"too many providers", func(s *Scale) { s.Providers = MaxProviders + 1 }, "Providers"},
 		{"zero clouds", func(s *Scale) { s.CloudsPerRegion = 0 }, "CloudsPerRegion"},
 		{"zero metros", func(s *Scale) { s.MetrosPerRegion = 0 }, "MetrosPerRegion"},
 		{"zero tier1", func(s *Scale) { s.Tier1Count = 0 }, "Tier1Count"},
@@ -35,9 +31,6 @@ func TestScaleValidate(t *testing.T) {
 		{"NaN cellular share", func(s *Scale) { s.CellularASShare = math.NaN() }, "CellularASShare"},
 		{"negative wifi share", func(s *Scale) { s.WiFiShare = -0.2 }, "WiFiShare"},
 		{"secondary share > 1", func(s *Scale) { s.SecondaryCloudShare = 2 }, "SecondaryCloudShare"},
-		{"overlap share > 1", func(s *Scale) { s.OverlapShare = 1.01 }, "OverlapShare"},
-		{"negative overlap share", func(s *Scale) { s.OverlapShare = -0.5 }, "OverlapShare"},
-		{"NaN overlap share", func(s *Scale) { s.OverlapShare = math.NaN() }, "OverlapShare"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sc := SmallScale()
