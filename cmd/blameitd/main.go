@@ -14,6 +14,7 @@
 //	         [-max-pending N] [-retain-reports N]
 //	         [-data-dir DIR] [-fsync always|interval|off]
 //	         [-fsync-interval-ms N] [-wal-segment-mb N] [-compact-every N]
+//	         [-pprof-addr ADDR]
 //
 // With -data-dir the daemon is crash-safe: ingested buckets and published
 // reports are journaled to a write-ahead log under DIR, and a restart
@@ -32,6 +33,14 @@
 //	blameitd -addr :7031 -days 2 &
 //	blameit-tracegen -days 2 -post http://localhost:7031
 //
+// -pprof-addr serves net/http/pprof (/debug/pprof/...) on a listener of
+// its own, so a live daemon can be profiled without patching it:
+//
+//	blameitd -pprof-addr 127.0.0.1:6060 &
+//	go tool pprof http://127.0.0.1:6060/debug/pprof/profile?seconds=30
+//
+// It is off by default, and the public address never serves /debug/.
+//
 // SIGTERM/SIGINT drain gracefully: ingestion stops with 503, every queued
 // bucket is stepped, the in-flight window is flushed as a final report,
 // and the process exits 0.
@@ -44,6 +53,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -81,6 +91,8 @@ type options struct {
 	fsyncIntervalMS int
 	walSegmentMB    int
 	compactEvery    int
+
+	pprofAddr string
 }
 
 func main() {
@@ -103,6 +115,7 @@ func main() {
 	flag.IntVar(&o.fsyncIntervalMS, "fsync-interval-ms", 100, "flush cadence in ms under -fsync interval")
 	flag.IntVar(&o.walSegmentMB, "wal-segment-mb", 64, "WAL segment rotation size in MiB")
 	flag.IntVar(&o.compactEvery, "compact-every", 0, "compact the WAL after every N journaled reports (0 = default, negative = never)")
+	flag.StringVar(&o.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this separate address (empty = off)")
 	flag.Parse()
 
 	if err := run(o); err != nil {
@@ -201,6 +214,18 @@ func run(o options) error {
 		srv.Shutdown(context.Background())
 		return err
 	}
+	if o.pprofAddr != "" {
+		pln, err := net.Listen("tcp", o.pprofAddr)
+		if err != nil {
+			ln.Close()
+			srv.Shutdown(context.Background())
+			return err
+		}
+		pprofSrv := &http.Server{Handler: pprofMux()}
+		go pprofSrv.Serve(pln)
+		defer pprofSrv.Close()
+		fmt.Printf("blameitd pprof on %s\n", pln.Addr())
+	}
 	fmt.Printf("blameitd listening on %s (warmup %d buckets, job every %d buckets, workload %s over %d days)\n",
 		ln.Addr(), cfg.WarmupBuckets, pcfg.RunEvery, o.workload, o.days)
 
@@ -238,4 +263,16 @@ func run(o options) error {
 		return err
 	}
 	return nil
+}
+
+// pprofMux routes the net/http/pprof handlers, which the package would
+// otherwise register on http.DefaultServeMux.
+func pprofMux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }

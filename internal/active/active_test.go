@@ -109,15 +109,17 @@ func TestPrioritizeOrdering(t *testing.T) {
 
 func TestEstimateUsesPredictors(t *testing.T) {
 	dp := predict.NewDurationPredictor(1)
-	cp := predict.NewClientPredictor()
 	k := netmodel.MiddleKey("c1|2001")
+	var keys netmodel.KeySpace
+	id := keys.Intern(k)
+	cp := predict.NewClientPredictor(&keys)
 	// Every historical issue on the path lasts 10 buckets.
 	for i := 0; i < 20; i++ {
 		dp.Record(k, 10)
 	}
 	// The same window yesterday carried 40 clients.
 	of := 100
-	cp.Record(k, netmodel.Bucket(of), 40)
+	cp.Record(id, netmodel.Bucket(of), 40)
 	l := &Localizer{Durations: dp, Clients: cp}
 	is := Issue{Key: k, Bucket: netmodel.Bucket(netmodel.BucketsPerDay + of)}
 	l.Estimate(&is, 4)
@@ -132,7 +134,7 @@ func TestEstimateUsesPredictors(t *testing.T) {
 
 func TestEstimateFallsBackToObservedClients(t *testing.T) {
 	dp := predict.NewDurationPredictor(1)
-	cp := predict.NewClientPredictor()
+	cp := predict.NewClientPredictor(nil)
 	l := &Localizer{Durations: dp, Clients: cp}
 	is := Issue{Key: "nohistory", Bucket: 5, ObservedClients: 17}
 	l.Estimate(&is, 1)
@@ -156,7 +158,7 @@ func TestProcessEndToEnd(t *testing.T) {
 		bg.Advance(b)
 	}
 	dp := predict.NewDurationPredictor(2)
-	cp := predict.NewClientPredictor()
+	cp := predict.NewClientPredictor(tbl.Keys())
 	loc := NewLocalizer(engine, bg, probe.NewBudget(0), dp, cp)
 	tr := NewTracker(dp)
 
@@ -219,7 +221,7 @@ func TestProcessRespectsBudget(t *testing.T) {
 	s := sim.New(w, tbl, faults.NewSchedule(nil), sim.DefaultConfig(99))
 	engine := probe.NewEngine(s, 0)
 	bg := probe.NewBaseliner(probe.BackgroundConfig{PeriodBuckets: 0, OnChurn: false}, engine, tbl)
-	loc := NewLocalizer(engine, bg, probe.NewBudget(1), predict.NewDurationPredictor(1), predict.NewClientPredictor())
+	loc := NewLocalizer(engine, bg, probe.NewBudget(1), predict.NewDurationPredictor(1), predict.NewClientPredictor(tbl.Keys()))
 	tr := NewTracker(nil)
 
 	// Three middle issues at the same cloud, budget of 1/day.

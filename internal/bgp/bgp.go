@@ -12,7 +12,6 @@ package bgp
 import (
 	"math/rand"
 	"sort"
-	"strings"
 
 	"blameit/internal/netmodel"
 	"blameit/internal/topology"
@@ -47,8 +46,8 @@ type Event struct {
 	BGPPrefix netmodel.BGPPrefixID
 	Kind      EventKind
 	NewPath   netmodel.Path
-	// NewKey is NewPath.Key(), stored when the table was built.
-	NewKey netmodel.MiddleKey
+	// NewID is the table's KeyID of NewPath.Key().
+	NewID netmodel.KeyID
 }
 
 // ChurnConfig parameterizes the synthetic churn process.
@@ -71,12 +70,12 @@ func DefaultChurnConfig() ChurnConfig {
 }
 
 // timedPath records that a routing entry uses Path from bucket From onward.
-// Key is Path.Key(), formatted once when the table is built: the passive
-// phase groups every quartet by it, every bucket.
+// ID is the KeyID of Path.Key(), interned once when the table is built: the
+// passive phase groups every quartet by it, every bucket.
 type timedPath struct {
 	From netmodel.Bucket
 	Path netmodel.Path
-	Key  netmodel.MiddleKey
+	ID   netmodel.KeyID
 }
 
 // Table is the simulated routing state over a fixed horizon of buckets. It
@@ -87,31 +86,11 @@ type Table struct {
 	nBGP    int
 	entries [][]timedPath // indexed cloud*nBGP + bgpPrefix, sorted by From
 	events  []Event       // all events sorted by bucket
-}
-
-// keyArena formats middle keys into shared chunks, so a table's thousands
-// of keys cost a handful of allocations rather than one each. Keys are not
-// deduplicated: nearly every routing entry has a path of its own.
-type keyArena struct {
-	chunk strings.Builder
-}
-
-// keyArenaChunk is the size of one arena chunk, a few thousand keys.
-const keyArenaChunk = 64 << 10
-
-// key returns p.Key() backed by the arena. A Builder only ever appends, so
-// the bytes under a string it has handed out never change; a full chunk is
-// left to the keys that point into it and a fresh one started.
-func (a *keyArena) key(p netmodel.Path) netmodel.MiddleKey {
-	var tmp [64]byte
-	k := p.AppendKey(tmp[:0])
-	if a.chunk.Cap()-a.chunk.Len() < len(k) {
-		a.chunk = strings.Builder{}
-		a.chunk.Grow(max(keyArenaChunk, len(k)))
-	}
-	off := a.chunk.Len()
-	a.chunk.Write(k)
-	return netmodel.MiddleKey(a.chunk.String()[off:])
+	// keys interns every distinct middle key of every segment, in build
+	// order: entries cloud by cloud and BGP prefix by BGP prefix, each
+	// entry's segments as the churn process draws them. The IDs are
+	// therefore a function of the world, the churn config and the seed.
+	keys netmodel.KeySpace
 }
 
 // NewTable builds the routing table for [0, horizon) buckets, generating a
@@ -124,7 +103,8 @@ func NewTable(w *topology.World, cfg ChurnConfig, horizon netmodel.Bucket, seed 
 		nBGP:    len(w.BGPPrefixes),
 		entries: make([][]timedPath, len(w.Clouds)*len(w.BGPPrefixes)),
 	}
-	var keys keyArena
+	var buf [64]byte
+	intern := func(p netmodel.Path) netmodel.KeyID { return t.keys.InternBytes(p.AppendKey(buf[:0])) }
 	// Every entry starts as one segment of this slab; an entry that churns
 	// outgrows its slot's capacity and moves to a slice of its own.
 	slab := make([]timedPath, len(t.entries))
@@ -138,7 +118,7 @@ func NewTable(w *topology.World, cfg ChurnConfig, horizon netmodel.Bucket, seed 
 		for _, bp := range w.BGPPrefixes {
 			idx := int(c.ID)*t.nBGP + int(bp.ID)
 			primary := w.InitialPath(c.ID, bp.ID)
-			slab[idx] = timedPath{From: 0, Path: primary, Key: keys.key(primary)}
+			slab[idx] = timedPath{From: 0, Path: primary, ID: intern(primary)}
 			entry := slab[idx : idx+1 : idx+1]
 			alts := w.AltPaths(c.ID, bp.ID)
 			if len(alts) > 0 {
@@ -159,14 +139,14 @@ func NewTable(w *topology.World, cfg ChurnConfig, horizon netmodel.Bucket, seed 
 					if r.Float64() < cfg.WithdrawShare {
 						kind = Withdraw
 					}
-					nextKey := keys.key(next)
-					entry = append(entry, timedPath{From: at, Path: next, Key: nextKey})
-					t.events = append(t.events, Event{Bucket: at, Cloud: c.ID, BGPPrefix: bp.ID, Kind: kind, NewPath: next, NewKey: nextKey})
+					nextID := intern(next)
+					entry = append(entry, timedPath{From: at, Path: next, ID: nextID})
+					t.events = append(t.events, Event{Bucket: at, Cloud: c.ID, BGPPrefix: bp.ID, Kind: kind, NewPath: next, NewID: nextID})
 					if r.Float64() < cfg.RevertProb {
 						back := at + netmodel.Bucket(1+r.Intn(netmodel.BucketsPerDay/2))
 						if back < horizon && back > at {
-							entry = append(entry, timedPath{From: back, Path: prev.Path, Key: prev.Key})
-							t.events = append(t.events, Event{Bucket: back, Cloud: c.ID, BGPPrefix: bp.ID, Kind: Announce, NewPath: prev.Path, NewKey: prev.Key})
+							entry = append(entry, timedPath{From: back, Path: prev.Path, ID: prev.ID})
+							t.events = append(t.events, Event{Bucket: back, Cloud: c.ID, BGPPrefix: bp.ID, Kind: Announce, NewPath: prev.Path, NewID: prev.ID})
 						}
 					}
 				}
@@ -209,11 +189,22 @@ func strictlyIncreasing(entry []timedPath) bool {
 // Horizon returns the exclusive upper bound of buckets the table covers.
 func (t *Table) Horizon() netmodel.Bucket { return t.horizon }
 
+// Keys returns the table's key space. It is complete once NewTable returns
+// and must not be interned into.
+func (t *Table) Keys() *netmodel.KeySpace { return &t.keys }
+
+// NumKeys returns the number of distinct middle keys: every KeyID the
+// table hands out is in [0, NumKeys).
+func (t *Table) NumKeys() int { return t.keys.Len() }
+
+// Key returns the middle key the table interned as id.
+func (t *Table) Key(id netmodel.KeyID) netmodel.MiddleKey { return t.keys.Key(id) }
+
 // RouteAt returns the AS-level path in effect from cloud c to BGP prefix bp
-// at the given bucket together with that path's MiddleKey. The key is the
-// one stored with the route, so the call allocates nothing, and an entry
-// that never churned is answered without a search.
-func (t *Table) RouteAt(c netmodel.CloudID, bp netmodel.BGPPrefixID, b netmodel.Bucket) (netmodel.Path, netmodel.MiddleKey) {
+// at the given bucket together with the KeyID of that path's MiddleKey.
+// The call allocates nothing, and an entry that never churned is answered
+// without a search.
+func (t *Table) RouteAt(c netmodel.CloudID, bp netmodel.BGPPrefixID, b netmodel.Bucket) (netmodel.Path, netmodel.KeyID) {
 	entry := t.entries[int(c)*t.nBGP+int(bp)]
 	// The last segment with From <= b, or the first when there is none.
 	lo, hi := 0, len(entry)-1
@@ -225,12 +216,12 @@ func (t *Table) RouteAt(c netmodel.CloudID, bp netmodel.BGPPrefixID, b netmodel.
 			hi = mid - 1
 		}
 	}
-	return entry[lo].Path, entry[lo].Key
+	return entry[lo].Path, entry[lo].ID
 }
 
 // RouteAtForPrefix is RouteAt for a client /24: it resolves the /24 to its
 // covering BGP prefix first.
-func (t *Table) RouteAtForPrefix(c netmodel.CloudID, p netmodel.PrefixID, b netmodel.Bucket) (netmodel.Path, netmodel.MiddleKey) {
+func (t *Table) RouteAtForPrefix(c netmodel.CloudID, p netmodel.PrefixID, b netmodel.Bucket) (netmodel.Path, netmodel.KeyID) {
 	return t.RouteAt(c, t.world.Prefixes[p].BGPPrefix, b)
 }
 
@@ -254,23 +245,72 @@ func (t *Table) Events(from, to netmodel.Bucket) []Event {
 	return t.events[lo:hi]
 }
 
-// TotalEvents returns the number of churn events over the horizon.
-func (t *Table) TotalEvents() int { return len(t.events) }
-
-// EntriesChurnedOnDay counts distinct (cloud, BGP prefix) entries with at
-// least one event on the given day.
-func (t *Table) EntriesChurnedOnDay(day int) int {
-	from := netmodel.Bucket(day * netmodel.BucketsPerDay)
-	to := from + netmodel.BucketsPerDay
-	seen := make(map[[2]int]bool)
-	for _, e := range t.Events(from, to) {
-		seen[[2]int{int(e.Cloud), int(e.BGPPrefix)}] = true
-	}
-	return len(seen)
+// Cursor follows the table bucket by bucket for one reader: Seek moves it
+// to a bucket, after which RouteForPrefix answers from two dense per-entry
+// columns where RouteAt searches the entry's segments on every call. A
+// forward Seek re-resolves only the entries the event log says change on
+// the way; a backward Seek starts over from the first segments. The table
+// behind a cursor stays shared and immutable; the cursor itself is not
+// safe for concurrent use.
+type Cursor struct {
+	t    *Table
+	at   netmodel.Bucket
+	next int // the first event after `at`
+	// Per entry, the segment in effect at `at`: its index, and its path
+	// and key ID as RouteForPrefix hands them out.
+	seg   []int32
+	paths []*netmodel.Path
+	ids   []netmodel.KeyID
 }
 
-// NumEntries returns the number of routing entries (clouds × BGP prefixes).
-func (t *Table) NumEntries() int { return len(t.entries) }
+// NewCursor returns a cursor over the table. Seek it before reading.
+func (t *Table) NewCursor() *Cursor {
+	n := len(t.entries)
+	c := &Cursor{t: t, seg: make([]int32, n), paths: make([]*netmodel.Path, n), ids: make([]netmodel.KeyID, n)}
+	c.rewind()
+	return c
+}
+
+// set puts entry idx on its segment i.
+func (c *Cursor) set(idx int, i int32) {
+	seg := &c.t.entries[idx][i]
+	c.seg[idx], c.paths[idx], c.ids[idx] = i, &seg.Path, seg.ID
+}
+
+// rewind puts every entry on its first segment, before any event.
+func (c *Cursor) rewind() {
+	for idx := range c.t.entries {
+		c.set(idx, 0)
+	}
+	c.at, c.next = -1, 0
+}
+
+// Seek moves the cursor to bucket b: every route then read is the one
+// RouteAt returns at b.
+func (c *Cursor) Seek(b netmodel.Bucket) {
+	if b < c.at {
+		c.rewind()
+	}
+	evs := c.t.events
+	for ; c.next < len(evs) && evs[c.next].Bucket <= b; c.next++ {
+		idx := int(evs[c.next].Cloud)*c.t.nBGP + int(evs[c.next].BGPPrefix)
+		entry := c.t.entries[idx]
+		i := c.seg[idx]
+		for int(i)+1 < len(entry) && entry[i+1].From <= b {
+			i++
+		}
+		c.set(idx, i)
+	}
+	c.at = b
+}
+
+// RouteForPrefix is RouteAtForPrefix at the cursor's bucket, without
+// reading the route: the path comes back as a pointer into the table,
+// which the caller must not modify.
+func (c *Cursor) RouteForPrefix(cl netmodel.CloudID, p netmodel.PrefixID) (*netmodel.Path, netmodel.KeyID) {
+	idx := int(cl)*c.t.nBGP + int(c.t.world.Prefixes[p].BGPPrefix)
+	return c.paths[idx], c.ids[idx]
+}
 
 // Listener consumes routing events incrementally, the way BlameIt's BGP
 // listener tails the border routers. It is a cursor over the table's event

@@ -10,12 +10,30 @@ import (
 
 func testWorld() *topology.World { return topology.Generate(topology.SmallScale(), 42) }
 
+// totalEvents returns the number of churn events over the horizon.
+func totalEvents(t *Table) int { return len(t.events) }
+
+// entriesChurnedOnDay counts distinct (cloud, BGP prefix) entries with at
+// least one event on the given day.
+func entriesChurnedOnDay(t *Table, day int) int {
+	from := netmodel.Bucket(day * netmodel.BucketsPerDay)
+	to := from + netmodel.BucketsPerDay
+	seen := make(map[[2]int]bool)
+	for _, e := range t.Events(from, to) {
+		seen[[2]int{int(e.Cloud), int(e.BGPPrefix)}] = true
+	}
+	return len(seen)
+}
+
+// numEntries returns the number of routing entries (clouds × BGP prefixes).
+func numEntries(t *Table) int { return len(t.entries) }
+
 func TestTableDeterministic(t *testing.T) {
 	w := testWorld()
 	horizon := netmodel.Bucket(2 * netmodel.BucketsPerDay)
 	t1 := NewTable(w, DefaultChurnConfig(), horizon, 9)
 	t2 := NewTable(w, DefaultChurnConfig(), horizon, 9)
-	if t1.TotalEvents() != t2.TotalEvents() {
+	if totalEvents(t1) != totalEvents(t2) {
 		t.Fatal("same seed produced different event counts")
 	}
 	for b := netmodel.Bucket(0); b < horizon; b += 37 {
@@ -57,9 +75,9 @@ func TestChurnRateMatchesPaper(t *testing.T) {
 	// nearly two-thirds see no churn in an entire day (§5.4).
 	w := topology.Generate(topology.SmallScale(), 5)
 	tbl := NewTable(w, DefaultChurnConfig(), 3*netmodel.BucketsPerDay, 11)
-	total := tbl.NumEntries()
+	total := numEntries(tbl)
 	for day := 0; day < 3; day++ {
-		churned := tbl.EntriesChurnedOnDay(day)
+		churned := entriesChurnedOnDay(tbl, day)
 		frac := float64(churned) / float64(total)
 		if frac < 0.15 || frac > 0.50 {
 			t.Errorf("day %d churned fraction %.2f outside [0.15, 0.50]", day, frac)
@@ -70,8 +88,8 @@ func TestChurnRateMatchesPaper(t *testing.T) {
 func TestNoChurnConfig(t *testing.T) {
 	w := testWorld()
 	tbl := NewTable(w, ChurnConfig{}, 2*netmodel.BucketsPerDay, 1)
-	if tbl.TotalEvents() != 0 {
-		t.Fatalf("zero churn config produced %d events", tbl.TotalEvents())
+	if totalEvents(tbl) != 0 {
+		t.Fatalf("zero churn config produced %d events", totalEvents(tbl))
 	}
 	for _, c := range w.Clouds {
 		for _, bp := range w.BGPPrefixes {
@@ -229,11 +247,11 @@ func TestEventNewPathsAreKnownAlternates(t *testing.T) {
 
 // TestRouteAtMatchesSegmentsAndKeys holds the route accessor to a naive
 // reading of the table — the last segment that started at or before the
-// bucket, found by the standard library's search — and the key it hands out
-// to the path's own Key(), for every entry, one bucket before, at and after
-// every segment boundary and at both ends of the horizon. The /24 form
-// must agree, every event must carry its new path's key, and none of it
-// may allocate.
+// bucket, found by the standard library's search — and the key its ID
+// stands for to the path's own Key(), for every entry, one bucket before,
+// at and after every segment boundary and at both ends of the horizon. The
+// /24 form must agree, every event must carry its new path's key ID, and
+// none of it may allocate.
 func TestRouteAtMatchesSegmentsAndKeys(t *testing.T) {
 	w := testWorld()
 	horizon := netmodel.Bucket(4 * netmodel.BucketsPerDay)
@@ -262,8 +280,8 @@ func TestRouteAtMatchesSegmentsAndKeys(t *testing.T) {
 					want = entry[i-1]
 				}
 				path, key := tbl.RouteAt(c.ID, bp.ID, b)
-				if !path.Equal(want.Path) || key != want.Path.Key() {
-					t.Fatalf("cloud %d bgp %d bucket %d: RouteAt = %v %q, want %v %q", c.ID, bp.ID, b, path, key, want.Path, want.Path.Key())
+				if !path.Equal(want.Path) || tbl.Key(key) != want.Path.Key() {
+					t.Fatalf("cloud %d bgp %d bucket %d: RouteAt = %v %q, want %v %q", c.ID, bp.ID, b, path, tbl.Key(key), want.Path, want.Path.Key())
 				}
 				if !tbl.PathAt(c.ID, bp.ID, b).Equal(want.Path) || !tbl.PathAtForPrefix(c.ID, kid, b).Equal(want.Path) {
 					t.Fatalf("cloud %d bgp %d bucket %d: PathAt disagrees with RouteAt", c.ID, bp.ID, b)
@@ -278,12 +296,94 @@ func TestRouteAtMatchesSegmentsAndKeys(t *testing.T) {
 		t.Fatal("no entry churned: the segment search went untested")
 	}
 	for _, e := range tbl.Events(0, horizon) {
-		if e.NewKey != e.NewPath.Key() {
-			t.Fatalf("event at bucket %d: NewKey %q, NewPath.Key() %q", e.Bucket, e.NewKey, e.NewPath.Key())
+		if tbl.Key(e.NewID) != e.NewPath.Key() {
+			t.Fatalf("event at bucket %d: NewID stands for %q, NewPath.Key() is %q", e.Bucket, tbl.Key(e.NewID), e.NewPath.Key())
 		}
 	}
 	c, p := w.Clouds[0].ID, w.Prefixes[0].ID
 	if n := testing.AllocsPerRun(100, func() { tbl.RouteAtForPrefix(c, p, horizon/2) }); n != 0 {
 		t.Errorf("RouteAtForPrefix allocates %v times a call", n)
+	}
+}
+
+// TestKeyIDsDenseAndCanonical pins the table's key space: every segment's
+// ID is in [0, NumKeys), two segments share an ID exactly when their paths
+// share a middle key, every ID is some segment's, Key(id) round-trips
+// through the space, and a second build from the same inputs assigns the
+// same IDs to the same segments.
+func TestKeyIDsDenseAndCanonical(t *testing.T) {
+	w := testWorld()
+	horizon := netmodel.Bucket(3 * netmodel.BucketsPerDay)
+	tbl := NewTable(w, DefaultChurnConfig(), horizon, 44)
+	again := NewTable(w, DefaultChurnConfig(), horizon, 44)
+	n := tbl.NumKeys()
+	if n == 0 || again.NumKeys() != n {
+		t.Fatalf("NumKeys %d, rebuilt %d", n, again.NumKeys())
+	}
+	idOf := make(map[netmodel.MiddleKey]netmodel.KeyID)
+	used := make([]bool, n)
+	for i, entry := range tbl.entries {
+		for j, seg := range entry {
+			if seg.ID < 0 || int(seg.ID) >= n {
+				t.Fatalf("entry %d segment %d: ID %d outside [0, %d)", i, j, seg.ID, n)
+			}
+			k := seg.Path.Key()
+			if id, seen := idOf[k]; seen && id != seg.ID {
+				t.Fatalf("key %q has IDs %d and %d", k, id, seg.ID)
+			}
+			idOf[k] = seg.ID
+			used[seg.ID] = true
+			if tbl.Key(seg.ID) != k {
+				t.Fatalf("Key(%d) = %q, segment key %q", seg.ID, tbl.Key(seg.ID), k)
+			}
+			if id, ok := tbl.Keys().ID(k); !ok || id != seg.ID {
+				t.Fatalf("Keys().ID(%q) = %d, %v; want %d", k, id, ok, seg.ID)
+			}
+			if other := again.entries[i][j]; other.ID != seg.ID || !other.Path.Equal(seg.Path) {
+				t.Fatalf("entry %d segment %d: rebuilt table assigns ID %d, first build %d", i, j, other.ID, seg.ID)
+			}
+		}
+	}
+	// Distinct keys got distinct IDs (idOf is injective on the way in),
+	// and no ID is left unused: the space is dense.
+	if len(idOf) != n {
+		t.Fatalf("%d distinct keys, %d IDs", len(idOf), n)
+	}
+	for id, ok := range used {
+		if !ok {
+			t.Fatalf("ID %d belongs to no segment", id)
+		}
+	}
+}
+
+// TestCursorMatchesRouteAt walks a cursor forward bucket by bucket over
+// the whole horizon, then seeks it back and forth, and holds every entry's
+// route to RouteAt at every position; reading a route must not allocate.
+func TestCursorMatchesRouteAt(t *testing.T) {
+	w := testWorld()
+	horizon := netmodel.Bucket(2 * netmodel.BucketsPerDay)
+	tbl := NewTable(w, DefaultChurnConfig(), horizon, 45)
+	cur := tbl.NewCursor()
+	check := func(b netmodel.Bucket) {
+		t.Helper()
+		cur.Seek(b)
+		for _, c := range w.Clouds {
+			for _, p := range w.Prefixes {
+				wantPath, wantID := tbl.RouteAtForPrefix(c.ID, p.ID, b)
+				if path, id := cur.RouteForPrefix(c.ID, p.ID); id != wantID || !path.Equal(wantPath) {
+					t.Fatalf("bucket %d cloud %d prefix %d: cursor %v #%d, RouteAt %v #%d", b, c.ID, p.ID, path, id, wantPath, wantID)
+				}
+			}
+		}
+	}
+	for b := netmodel.Bucket(0); b < horizon+3; b += 1 + b%5 {
+		check(b)
+	}
+	for _, b := range []netmodel.Bucket{40, 39, 400, 7, 7, horizon - 1, 0} {
+		check(b)
+	}
+	c, p := w.Clouds[0].ID, w.Prefixes[0].ID
+	if n := testing.AllocsPerRun(100, func() { cur.RouteForPrefix(c, p) }); n != 0 {
+		t.Errorf("RouteForPrefix allocates %v times a call", n)
 	}
 }

@@ -113,12 +113,16 @@ type Result struct {
 // Metro⟩ baseline of Fig. 11 substitutes a coarser key.
 type MiddleKeyFunc func(path netmodel.Path, p netmodel.PrefixID) netmodel.MiddleKey
 
-// Route is a quartet's resolved AS-level route and the key of the middle
-// aggregate the quartet is grouped into (the path's own MiddleKey unless a
-// coarser grouping is in force).
+// Route is a quartet's resolved AS-level route and the ID of the middle
+// aggregate the quartet is grouped into: the KeyID of the path's own
+// MiddleKey in the key space of the Localizer's thresholds (the BGP
+// table's), or, while a coarser grouping is in force, an ID in that
+// grouping's own space — which is never read against learned thresholds.
+// Path points at the route, read-only (the pipeline's point into the BGP
+// table), and is only dereferenced for a bad quartet's Result.
 type Route struct {
-	Path netmodel.Path
-	Key  netmodel.MiddleKey
+	Path *netmodel.Path
+	ID   netmodel.KeyID
 }
 
 // Localizer runs Algorithm 1 over one time window of quartets.
@@ -137,7 +141,7 @@ type Localizer struct {
 	cloudAS netmodel.ASN
 	pathOf  PathFunc
 	th      *Thresholds
-	keyOf   MiddleKeyFunc
+	keyOf   MiddleKeyFunc // nil: the path's own MiddleKey
 
 	// Verdict counters indexed by Blame; the counters themselves are
 	// atomic, so concurrent Localize calls may share them. Configuration,
@@ -150,14 +154,13 @@ type Localizer struct {
 // badness targets stand in for learned expected RTTs. pathOf is what
 // Localize resolves routes through; LocalizeRoutes does not call it.
 func NewLocalizer(cfg Config, cloudAS netmodel.ASN, pathOf PathFunc, th *Thresholds) *Localizer {
-	return &Localizer{
-		cfg: cfg, cloudAS: cloudAS, pathOf: pathOf, th: th,
-		keyOf: func(path netmodel.Path, _ netmodel.PrefixID) netmodel.MiddleKey { return path.Key() },
-	}
+	return &Localizer{cfg: cfg, cloudAS: cloudAS, pathOf: pathOf, th: th}
 }
 
-// SetMiddleKeyFunc overrides how Localize groups quartets into middle
-// aggregates (used by the ⟨AS, Metro⟩ grouping baseline).
+// SetMiddleKeyFunc overrides how quartets are grouped into middle
+// aggregates (used by the ⟨AS, Metro⟩ grouping baseline). While it is in
+// force the routes' IDs name coarse groups, and no middle aggregate is
+// compared against a learned threshold: those are learned per path.
 func (l *Localizer) SetMiddleKeyFunc(f MiddleKeyFunc) { l.keyOf = f }
 
 // SetMetrics mirrors verdict counts into a metrics registry
@@ -212,9 +215,9 @@ func (l *Localizer) expectedCloud(c netmodel.CloudID, d netmodel.DeviceClass, fa
 }
 
 // expectedMiddle returns the reference RTT for a middle aggregate.
-func (l *Localizer) expectedMiddle(k netmodel.MiddleKey, d netmodel.DeviceClass, fallback float64) float64 {
-	if l.cfg.UseExpectedRTT && l.th != nil {
-		if v, ok := l.th.MiddleExpected(k, d); ok {
+func (l *Localizer) expectedMiddle(id netmodel.KeyID, d netmodel.DeviceClass, fallback float64) float64 {
+	if l.cfg.UseExpectedRTT && l.th != nil && l.keyOf == nil {
+		if v, ok := l.th.middleExpected(id, d); ok {
 			return v
 		}
 	}
@@ -245,21 +248,28 @@ func (g goodSeen) elsewhere(c netmodel.CloudID) bool {
 }
 
 // scratch is the working state of one localize call. It is dense where the
-// IDs are (clouds, prefixes) and keeps its capacity from call to call; a
-// call leaves it cleared.
+// IDs are (clouds, prefixes, route KeyIDs) and keeps its capacity from call
+// to call; a call leaves it cleared, except midIdx, which a new stamp
+// invalidates instead.
 type scratch struct {
-	clouds  []aggregate                  // by CloudID
-	good    []goodSeen                   // by PrefixID
-	middles []aggregate                  // by middle index
-	midIdx  map[netmodel.MiddleKey]int32 // middle key -> index into middles
-	midOf   []int32                      // per quartet, its middle index
+	clouds  []aggregate // by CloudID
+	good    []goodSeen  // by PrefixID
+	middles []aggregate // by middle index, in first-seen order
+	midIdx  []midSlot   // by route KeyID
+	stamp   uint32      // this call's; midIdx slots of other calls are stale
+	midOf   []int32     // per quartet, its middle index
+}
+
+// midSlot maps a route KeyID to its index into middles, valid only while
+// its stamp is the call's.
+type midSlot struct {
+	stamp uint32
+	idx   int32
 }
 
 // scratchPool recycles scratches across calls: a window's buckets are
 // localized concurrently, each call holding one for its duration.
-var scratchPool = sync.Pool{
-	New: func() any { return &scratch{midIdx: make(map[netmodel.MiddleKey]int32)} },
-}
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // grown returns s with length at least n, the new tail zeroed.
 func grown[T any](s []T, n int) []T {
@@ -271,14 +281,38 @@ func grown[T any](s []T, n int) []T {
 
 // Localize assigns blame to every bad quartet in the window, resolving
 // each sufficiently sampled quartet's route through the PathFunc and its
-// middle key through the MiddleKeyFunc. See LocalizeRoutes.
+// middle key through the MiddleKeyFunc. A path key takes its ID from the
+// thresholds' key space, or is numbered past the end of that space when
+// the space does not hold it; coarse keys are numbered from 0 in a space
+// of their own, as the pipeline numbers them. See LocalizeRoutes.
 func (l *Localizer) Localize(qs []quartet.Quartet) []Result {
+	var keys *netmodel.KeySpace
+	if l.th != nil {
+		keys = l.th.keys
+	}
+	var local netmodel.KeySpace
 	routes := make([]Route, len(qs))
+	paths := make([]netmodel.Path, len(qs))
 	for i, q := range qs {
-		if q.Enough {
-			path := l.pathOf(q.Obs.Prefix, q.Obs.Cloud, q.Obs.Bucket)
-			routes[i] = Route{Path: path, Key: l.keyOf(path, q.Obs.Prefix)}
+		if !q.Enough {
+			continue
 		}
+		path := l.pathOf(q.Obs.Prefix, q.Obs.Cloud, q.Obs.Bucket)
+		paths[i] = path
+		var mk netmodel.MiddleKey
+		if l.keyOf != nil {
+			mk = l.keyOf(path, q.Obs.Prefix)
+		} else {
+			mk = path.Key()
+		}
+		id, ok := keys.ID(mk)
+		switch {
+		case l.keyOf != nil:
+			id = local.Intern(mk)
+		case !ok:
+			id = netmodel.KeyID(keys.Len()) + local.Intern(mk)
+		}
+		routes[i] = Route{Path: &paths[i], ID: id}
 	}
 	return l.LocalizeRoutes(qs, routes)
 }
@@ -292,6 +326,12 @@ func (l *Localizer) Localize(qs []quartet.Quartet) []Result {
 func (l *Localizer) LocalizeRoutes(qs []quartet.Quartet, routes []Route) []Result {
 	s := scratchPool.Get().(*scratch)
 	s.midOf = grown(s.midOf, len(qs))
+	if s.stamp++; s.stamp == 0 {
+		// The stamp wrapped: slots stamped 2^32 calls ago would read as
+		// current.
+		clear(s.midIdx)
+		s.stamp = 1
+	}
 
 	var enough, bad int
 	for i, q := range qs {
@@ -307,15 +347,15 @@ func (l *Localizer) LocalizeRoutes(qs []quartet.Quartet, routes []Route) []Resul
 		s.clouds = grown(s.clouds, int(o.Cloud)+1)
 		s.clouds[o.Cloud].add(o.MeanRTT >= l.expectedCloud(o.Cloud, o.Device, q.Target), o.Samples)
 		// Middle aggregate, keyed by the BGP path (or a coarser grouping).
-		mk := routes[i].Key
-		mi, ok := s.midIdx[mk]
-		if !ok {
-			mi = int32(len(s.middles))
-			s.midIdx[mk] = mi
+		id := routes[i].ID
+		s.midIdx = grown(s.midIdx, int(id)+1)
+		ms := &s.midIdx[id]
+		if ms.stamp != s.stamp {
+			*ms = midSlot{s.stamp, int32(len(s.middles))}
 			s.middles = append(s.middles, aggregate{})
 		}
-		s.midOf[i] = mi
-		s.middles[mi].add(o.MeanRTT >= l.expectedMiddle(mk, o.Device, q.Target), o.Samples)
+		s.midOf[i] = ms.idx
+		s.middles[ms.idx].add(o.MeanRTT >= l.expectedMiddle(id, o.Device, q.Target), o.Samples)
 		s.good = grown(s.good, int(o.Prefix)+1)
 		if q.Bad {
 			bad++
@@ -332,7 +372,7 @@ func (l *Localizer) LocalizeRoutes(qs []quartet.Quartet, routes []Route) []Resul
 			continue
 		}
 		o := q.Obs
-		res := Result{Q: q, Path: routes[i].Path}
+		res := Result{Q: q, Path: *routes[i].Path}
 		cloud, middle := &s.clouds[o.Cloud], &s.middles[s.midOf[i]]
 		switch {
 		// An aggregate with exactly MinAggregate quartets is decidable:
@@ -370,7 +410,6 @@ func (l *Localizer) LocalizeRoutes(qs []quartet.Quartet, routes []Route) []Resul
 		}
 	}
 	clear(s.clouds)
-	clear(s.midIdx)
 	s.middles = s.middles[:0]
 	scratchPool.Put(s)
 	return results

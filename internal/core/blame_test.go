@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -40,6 +41,21 @@ func mkQuartet(p int, c int, rtt float64, target float64, samples int) quartet.Q
 
 const cloudASN = netmodel.ASN(8075)
 
+// staticTh is StaticThresholds over a key space holding every middle key
+// it is given, standing in for the BGP table's.
+func staticTh(cloud map[netmodel.CloudID]float64, middle map[netmodel.MiddleKey]float64) *Thresholds {
+	var ks []netmodel.MiddleKey
+	for k := range middle {
+		ks = append(ks, k)
+	}
+	slices.Sort(ks)
+	keys := new(netmodel.KeySpace)
+	for _, k := range ks {
+		keys.Intern(k)
+	}
+	return StaticThresholds(keys, cloud, middle)
+}
+
 // simplePath gives every (prefix, cloud) a one-AS middle keyed by the given
 // transit, with client AS 100+prefix.
 func simplePath(c int, middle netmodel.ASN, client netmodel.ASN) netmodel.Path {
@@ -56,7 +72,7 @@ func TestBlameCloudWhenAllClientsBad(t *testing.T) {
 		paths[pcKey{netmodel.PrefixID(p), 1}] = simplePath(1, mid, netmodel.ASN(100+p))
 		qs = append(qs, mkQuartet(p, 1, 90, 50, 20))
 	}
-	th := StaticThresholds(map[netmodel.CloudID]float64{1: 40}, nil)
+	th := staticTh(map[netmodel.CloudID]float64{1: 40}, nil)
 	l := NewLocalizer(DefaultConfig(), cloudASN, pathFunc(paths), th)
 	rs := l.Localize(qs)
 	if len(rs) != 20 {
@@ -87,7 +103,7 @@ func TestBlameMiddleWhenOnePathBad(t *testing.T) {
 	}
 	badKey := simplePath(1, 2001, 0).Key()
 	goodKey := simplePath(1, 2002, 0).Key()
-	th := StaticThresholds(
+	th := staticTh(
 		map[netmodel.CloudID]float64{1: 35},
 		map[netmodel.MiddleKey]float64{badKey: 38, goodKey: 38},
 	)
@@ -106,6 +122,49 @@ func TestBlameMiddleWhenOnePathBad(t *testing.T) {
 	}
 }
 
+// TestCoarseGroupsReadNoMiddleThreshold pins the rule that keeps the two
+// key spaces apart: under a coarser grouping a middle aggregate is compared
+// against the static target, never against a learned threshold — not even
+// the one stored under the ID the coarse group happens to share. Six
+// quartets share one coarse group (ID 0) and one path, whose key is ID 0
+// of the thresholds' space with an expected RTT of 10 ms: read through the
+// coarse ID, that threshold would make all six bad and blame the middle;
+// against the 50 ms target only four are, short of τ, so each of the four
+// bad quartets is its client's fault.
+func TestCoarseGroupsReadNoMiddleThreshold(t *testing.T) {
+	paths := make(map[pcKey]netmodel.Path)
+	var qs []quartet.Quartet
+	for p := 0; p < 6; p++ {
+		paths[pcKey{netmodel.PrefixID(p), 1}] = simplePath(1, 2001, netmodel.ASN(100+p))
+		rtt := 60.0
+		if p >= 4 {
+			rtt = 40
+		}
+		qs = append(qs, mkQuartet(p, 1, rtt, 50, 20))
+	}
+	// Enough good quartets on another path that the cloud is not blamed.
+	for p := 6; p < 30; p++ {
+		paths[pcKey{netmodel.PrefixID(p), 1}] = simplePath(1, 2002, netmodel.ASN(100+p))
+		qs = append(qs, mkQuartet(p, 1, 30, 50, 20))
+	}
+	th := staticTh(nil, map[netmodel.MiddleKey]float64{simplePath(1, 2001, 0).Key(): 10})
+	l := NewLocalizer(DefaultConfig(), cloudASN, pathFunc(paths), th)
+	// Group by the middle AS: the six quartets on AS 2001 come first, so
+	// their group is coarse ID 0.
+	l.SetMiddleKeyFunc(func(path netmodel.Path, _ netmodel.PrefixID) netmodel.MiddleKey {
+		return netmodel.MiddleKey(fmt.Sprintf("as%d", path.Middle[0]))
+	})
+	rs := l.Localize(qs)
+	if len(rs) != 4 {
+		t.Fatalf("results = %d, want the 4 bad quartets", len(rs))
+	}
+	for _, r := range rs {
+		if r.Blame != BlameClient {
+			t.Errorf("prefix %d: blame = %v, want client", r.Q.Obs.Prefix, r.Blame)
+		}
+	}
+}
+
 func TestBlameClientWhenIsolated(t *testing.T) {
 	paths := make(map[pcKey]netmodel.Path)
 	var qs []quartet.Quartet
@@ -118,7 +177,7 @@ func TestBlameClientWhenIsolated(t *testing.T) {
 		}
 		qs = append(qs, mkQuartet(p, 1, rtt, 50, 20))
 	}
-	th := StaticThresholds(map[netmodel.CloudID]float64{1: 35},
+	th := staticTh(map[netmodel.CloudID]float64{1: 35},
 		map[netmodel.MiddleKey]float64{simplePath(1, 2001, 0).Key(): 35})
 	l := NewLocalizer(DefaultConfig(), cloudASN, pathFunc(paths), th)
 	rs := l.Localize(qs)
@@ -149,7 +208,7 @@ func TestBlameAmbiguousWhenGoodElsewhere(t *testing.T) {
 	qs = append(qs, mkQuartet(0, 2, 25, 50, 20))
 	// Cloud 2 needs company to pass its aggregate gate — irrelevant here
 	// since only cloud 1's bad quartet is localized.
-	th := StaticThresholds(map[netmodel.CloudID]float64{1: 35, 2: 35},
+	th := staticTh(map[netmodel.CloudID]float64{1: 35, 2: 35},
 		map[netmodel.MiddleKey]float64{simplePath(1, 2001, 0).Key(): 35})
 	l := NewLocalizer(DefaultConfig(), cloudASN, pathFunc(paths), th)
 	rs := l.Localize(qs)
@@ -189,7 +248,7 @@ func TestBlameInsufficientMiddleAggregate(t *testing.T) {
 		paths[pcKey{netmodel.PrefixID(p), 1}] = simplePath(1, 2001, netmodel.ASN(100+p))
 		qs = append(qs, mkQuartet(p, 1, 30, 50, 20))
 	}
-	th := StaticThresholds(map[netmodel.CloudID]float64{1: 35}, nil)
+	th := staticTh(map[netmodel.CloudID]float64{1: 35}, nil)
 	l := NewLocalizer(DefaultConfig(), cloudASN, pathFunc(paths), th)
 	rs := l.Localize(qs)
 	if len(rs) != 1 {
@@ -212,7 +271,7 @@ func TestExactlyMinAggregateCloudIsDecidable(t *testing.T) {
 			paths[pcKey{netmodel.PrefixID(p), 1}] = simplePath(1, netmodel.ASN(2000+p), netmodel.ASN(100+p))
 			qs = append(qs, mkQuartet(p, 1, 90, 50, 20))
 		}
-		th := StaticThresholds(map[netmodel.CloudID]float64{1: 40}, nil)
+		th := staticTh(map[netmodel.CloudID]float64{1: 40}, nil)
 		l := NewLocalizer(DefaultConfig(), cloudASN, pathFunc(paths), th)
 		return l.Localize(qs)
 	}
@@ -246,7 +305,7 @@ func TestExactlyMinAggregateMiddleIsDecidable(t *testing.T) {
 			paths[pcKey{netmodel.PrefixID(p), 1}] = simplePath(1, 2002, netmodel.ASN(100+p))
 			qs = append(qs, mkQuartet(p, 1, 30, 50, 20))
 		}
-		th := StaticThresholds(
+		th := staticTh(
 			map[netmodel.CloudID]float64{1: 35},
 			map[netmodel.MiddleKey]float64{
 				simplePath(1, 2001, 0).Key(): 38,
@@ -287,7 +346,7 @@ func TestEqualityAtExpectedRTTCountsBad(t *testing.T) {
 		paths[pcKey{netmodel.PrefixID(p), 1}] = simplePath(1, netmodel.ASN(2000+p%2), netmodel.ASN(100+p))
 		qs = append(qs, mkQuartet(p, 1, 45, 40, 20))
 	}
-	th := StaticThresholds(map[netmodel.CloudID]float64{1: 45}, nil)
+	th := staticTh(map[netmodel.CloudID]float64{1: 45}, nil)
 	l := NewLocalizer(DefaultConfig(), cloudASN, pathFunc(paths), th)
 	rs := l.Localize(qs)
 	if len(rs) != 10 {
@@ -315,7 +374,7 @@ func TestEqualityAtExpectedMiddleCountsBad(t *testing.T) {
 		paths[pcKey{netmodel.PrefixID(p), 1}] = simplePath(1, 2002, netmodel.ASN(100+p))
 		qs = append(qs, mkQuartet(p, 1, 20, 40, 20))
 	}
-	th := StaticThresholds(
+	th := staticTh(
 		map[netmodel.CloudID]float64{1: 50}, // cloud never looks bad
 		map[netmodel.MiddleKey]float64{
 			simplePath(1, 2001, 0).Key(): 45, // equality on the faulty middle
@@ -347,7 +406,7 @@ func TestWorkedExampleSection43(t *testing.T) {
 		rtt := 40 + 30*float64(p)/float64(n-1)
 		qs = append(qs, mkQuartet(p, 1, rtt, 50, 20))
 	}
-	th := StaticThresholds(map[netmodel.CloudID]float64{1: 40}, nil)
+	th := staticTh(map[netmodel.CloudID]float64{1: 40}, nil)
 
 	// With learned expected RTT: every bad quartet blames the cloud.
 	l := NewLocalizer(DefaultConfig(), cloudASN, pathFunc(paths), th)
@@ -388,7 +447,7 @@ func TestUnweightedBadFraction(t *testing.T) {
 		paths[pcKey{netmodel.PrefixID(p), 1}] = simplePath(1, 2002, netmodel.ASN(100+p))
 		qs = append(qs, mkQuartet(p, 1, 30, 50, 20))
 	}
-	th := StaticThresholds(map[netmodel.CloudID]float64{1: 35},
+	th := staticTh(map[netmodel.CloudID]float64{1: 35},
 		map[netmodel.MiddleKey]float64{
 			simplePath(1, 2001, 0).Key(): 38,
 			simplePath(1, 2002, 0).Key(): 38,
@@ -450,11 +509,31 @@ func TestBlameString(t *testing.T) {
 	}
 }
 
+// naiveKey is the middle key a quartet on path is grouped by.
+func naiveKey(l *Localizer, path netmodel.Path, p netmodel.PrefixID) netmodel.MiddleKey {
+	if l.keyOf != nil {
+		return l.keyOf(path, p)
+	}
+	return path.Key()
+}
+
+// naiveExpectedMiddle looks a middle aggregate's reference RTT up by its
+// key string, whatever the grouping.
+func naiveExpectedMiddle(l *Localizer, k netmodel.MiddleKey, d netmodel.DeviceClass, fallback float64) float64 {
+	if l.cfg.UseExpectedRTT && l.th != nil {
+		if v, ok := l.th.MiddleExpected(k, d); ok {
+			return v
+		}
+	}
+	return fallback
+}
+
 // naiveLocalize is the reference Algorithm 1: the paper's pseudocode over
 // per-call maps, re-deriving each quartet's path and key wherever it needs
-// them. It is what Localizer ran before routes were resolved once and the
-// working state became a pooled dense scratch; the differential tests below
-// hold LocalizeRoutes to it.
+// them and reading thresholds by key string. It is what Localizer ran
+// before routes were resolved once, carried dense key IDs and the working
+// state became a pooled dense scratch; the differential tests below hold
+// LocalizeRoutes to it.
 func naiveLocalize(l *Localizer, qs []quartet.Quartet) []Result {
 	clouds := make(map[netmodel.CloudID]*aggregate)
 	middles := make(map[netmodel.MiddleKey]*aggregate)
@@ -470,13 +549,13 @@ func naiveLocalize(l *Localizer, qs []quartet.Quartet) []Result {
 			clouds[o.Cloud] = ca
 		}
 		ca.add(o.MeanRTT >= l.expectedCloud(o.Cloud, o.Device, q.Target), o.Samples)
-		mk := l.keyOf(l.pathOf(o.Prefix, o.Cloud, o.Bucket), o.Prefix)
+		mk := naiveKey(l, l.pathOf(o.Prefix, o.Cloud, o.Bucket), o.Prefix)
 		ma := middles[mk]
 		if ma == nil {
 			ma = &aggregate{}
 			middles[mk] = ma
 		}
-		ma.add(o.MeanRTT >= l.expectedMiddle(mk, o.Device, q.Target), o.Samples)
+		ma.add(o.MeanRTT >= naiveExpectedMiddle(l, mk, o.Device, q.Target), o.Samples)
 		if !q.Bad {
 			goodClouds[o.Prefix] = append(goodClouds[o.Prefix], o.Cloud)
 		}
@@ -489,7 +568,7 @@ func naiveLocalize(l *Localizer, qs []quartet.Quartet) []Result {
 		o := q.Obs
 		path := l.pathOf(o.Prefix, o.Cloud, o.Bucket)
 		res := Result{Q: q, Path: path}
-		mk := l.keyOf(path, o.Prefix)
+		mk := naiveKey(l, path, o.Prefix)
 		goodElsewhere := false
 		for _, c := range goodClouds[o.Prefix] {
 			if c != o.Cloud {
@@ -584,7 +663,7 @@ func randomLocalizer(r *rand.Rand, paths map[pcKey]netmodel.Path) *Localizer {
 			}
 		}
 	}
-	l := NewLocalizer(cfg, cloudASN, pathFunc(paths), StaticThresholds(cloudTh, middleTh))
+	l := NewLocalizer(cfg, cloudASN, pathFunc(paths), staticTh(cloudTh, middleTh))
 	if r.Intn(3) == 0 {
 		l.SetMiddleKeyFunc(func(path netmodel.Path, p netmodel.PrefixID) netmodel.MiddleKey {
 			return netmodel.MiddleKey(fmt.Sprintf("c%d/as%d/m%d", path.Cloud, path.Client, p%3))

@@ -8,48 +8,77 @@ import (
 // Thresholds holds the learned expected RTTs of §4.3: per cloud location
 // and per middle segment (BGP path), split by device class. They are the
 // medians of the RTT values observed over the trailing learning window
-// (14 days in production).
+// (14 days in production). Middle entries are indexed by the KeyID of the
+// BGP table's key space, times the device classes, plus the device.
 type Thresholds struct {
-	cloud  map[cloudDevKey]float64
-	middle map[middleDevKey]float64
+	keys   *netmodel.KeySpace
+	cloud  []expected // by cloud*NumDeviceClasses + device
+	middle []expected // by KeyID*NumDeviceClasses + device
 }
 
-type cloudDevKey struct {
-	c netmodel.CloudID
-	d netmodel.DeviceClass
+// expected is one learned median; ok is false where nothing was learned.
+type expected struct {
+	v  float64
+	ok bool
 }
 
-type middleDevKey struct {
-	k netmodel.MiddleKey
-	d netmodel.DeviceClass
+// slot returns the flat index of (i, device).
+func slot(i int, d netmodel.DeviceClass) int { return i*netmodel.NumDeviceClasses + int(d) }
+
+// at reads entry i of a flat expected slice.
+func at(es []expected, i int) (float64, bool) {
+	if i < 0 || i >= len(es) {
+		return 0, false
+	}
+	return es[i].v, es[i].ok
 }
 
 // CloudExpected returns the learned expected RTT of clients connecting to
 // a cloud location.
 func (t *Thresholds) CloudExpected(c netmodel.CloudID, d netmodel.DeviceClass) (float64, bool) {
-	v, ok := t.cloud[cloudDevKey{c, d}]
-	return v, ok
+	return at(t.cloud, slot(int(c), d))
 }
 
 // MiddleExpected returns the learned expected RTT of connections
-// traversing a middle segment.
+// traversing a middle segment. A key outside the key space the thresholds
+// were learned in has none.
 func (t *Thresholds) MiddleExpected(k netmodel.MiddleKey, d netmodel.DeviceClass) (float64, bool) {
-	v, ok := t.middle[middleDevKey{k, d}]
-	return v, ok
+	id, ok := t.keys.ID(k)
+	if !ok {
+		return 0, false
+	}
+	return t.middleExpected(id, d)
+}
+
+// middleExpected is MiddleExpected by KeyID.
+func (t *Thresholds) middleExpected(id netmodel.KeyID, d netmodel.DeviceClass) (float64, bool) {
+	return at(t.middle, slot(int(id), d))
+}
+
+// count returns how many entries of es were learned.
+func count(es []expected) int {
+	n := 0
+	for _, e := range es {
+		if e.ok {
+			n++
+		}
+	}
+	return n
 }
 
 // NumCloudEntries returns how many (cloud, device) medians were learned.
-func (t *Thresholds) NumCloudEntries() int { return len(t.cloud) }
+func (t *Thresholds) NumCloudEntries() int { return count(t.cloud) }
 
 // NumMiddleEntries returns how many (middle, device) medians were learned.
-func (t *Thresholds) NumMiddleEntries() int { return len(t.middle) }
+func (t *Thresholds) NumMiddleEntries() int { return count(t.middle) }
 
 // reservoir is a deterministic fixed-capacity uniform sample (algorithm R
 // with a hash-derived random index), bounding the learner's memory while
 // keeping the median estimate unbiased.
 type reservoir struct {
 	vals []float64
-	n    int // values offered so far
+	n    int    // values offered so far
+	salt uint64 // mixed into every replacement decision, fixed per aggregate
 }
 
 const reservoirCap = 2048
@@ -63,13 +92,13 @@ func resMix(a, b uint64) uint64 {
 	return h
 }
 
-func (r *reservoir) add(v float64, salt uint64) {
+func (r *reservoir) add(v float64) {
 	r.n++
 	if len(r.vals) < reservoirCap {
 		r.vals = append(r.vals, v)
 		return
 	}
-	j := resMix(uint64(r.n), salt) % uint64(r.n)
+	j := resMix(uint64(r.n), r.salt) % uint64(r.n)
 	if j < reservoirCap {
 		r.vals[j] = v
 	}
@@ -77,94 +106,95 @@ func (r *reservoir) add(v float64, salt uint64) {
 
 // Learner accumulates RTT observations over a learning window and produces
 // Thresholds. In production this runs over the trailing 14 days; the
-// reproduction feeds it warmup observations.
+// reproduction feeds it warmup observations. Middle segments are named by
+// their KeyID in the key space the learner was made with; a reservoir is
+// allocated when its (key, device) pair is first offered a value.
 type Learner struct {
-	cloud  map[cloudDevKey]*reservoir
-	middle map[middleDevKey]*reservoir
+	keys   *netmodel.KeySpace
+	cloud  []*reservoir // by cloud*NumDeviceClasses + device
+	middle []*reservoir // by KeyID*NumDeviceClasses + device
 }
 
-// NewLearner creates an empty threshold learner.
-func NewLearner() *Learner {
-	return &Learner{
-		cloud:  make(map[cloudDevKey]*reservoir),
-		middle: make(map[middleDevKey]*reservoir),
-	}
+// NewLearner creates an empty threshold learner over a key space — the BGP
+// table's, whose IDs the pipeline's routes carry.
+func NewLearner(keys *netmodel.KeySpace) *Learner {
+	return &Learner{keys: keys, middle: make([]*reservoir, keys.Len()*netmodel.NumDeviceClasses)}
 }
 
 // AddCloud records one quartet-mean RTT for a cloud location.
 func (l *Learner) AddCloud(c netmodel.CloudID, d netmodel.DeviceClass, rtt float64) {
-	key := cloudDevKey{c, d}
-	r := l.cloud[key]
-	if r == nil {
-		r = &reservoir{}
-		l.cloud[key] = r
+	i := slot(int(c), d)
+	l.cloud = grown(l.cloud, i+1)
+	if l.cloud[i] == nil {
+		l.cloud[i] = &reservoir{salt: uint64(c)<<8 | uint64(d)}
 	}
-	r.add(rtt, uint64(c)<<8|uint64(d))
+	l.cloud[i].add(rtt)
 }
 
-// AddMiddle records one quartet-mean RTT for a middle segment.
-func (l *Learner) AddMiddle(k netmodel.MiddleKey, d netmodel.DeviceClass, rtt float64) {
-	key := middleDevKey{k, d}
-	r := l.middle[key]
-	if r == nil {
-		r = &reservoir{}
-		l.middle[key] = r
+// AddMiddle records one quartet-mean RTT for a middle segment. The
+// reservoir's salt is derived from the key's bytes, once, when the
+// reservoir is created.
+func (l *Learner) AddMiddle(id netmodel.KeyID, d netmodel.DeviceClass, rtt float64) {
+	i := slot(int(id), d)
+	l.middle = grown(l.middle, i+1)
+	if l.middle[i] == nil {
+		k := l.keys.Key(id)
+		var salt uint64
+		for j := 0; j < len(k); j++ {
+			salt = salt*131 + uint64(k[j])
+		}
+		l.middle[i] = &reservoir{salt: salt<<8 | uint64(d)}
 	}
-	var salt uint64
-	for i := 0; i < len(k); i++ {
-		salt = salt*131 + uint64(k[i])
-	}
-	r.add(rtt, salt<<8|uint64(d))
+	l.middle[i].add(rtt)
 }
 
 // AddObservation records a quartet-mean RTT into both the cloud and middle
 // aggregates it belongs to.
-func (l *Learner) AddObservation(c netmodel.CloudID, k netmodel.MiddleKey, d netmodel.DeviceClass, rtt float64) {
+func (l *Learner) AddObservation(c netmodel.CloudID, id netmodel.KeyID, d netmodel.DeviceClass, rtt float64) {
 	l.AddCloud(c, d, rtt)
-	l.AddMiddle(k, d, rtt)
+	l.AddMiddle(id, d, rtt)
 }
 
 // Snapshot computes the current medians.
 func (l *Learner) Snapshot() *Thresholds {
-	t := &Thresholds{
-		cloud:  make(map[cloudDevKey]float64, len(l.cloud)),
-		middle: make(map[middleDevKey]float64, len(l.middle)),
-	}
 	// A reservoir's order decides its later replacements, so the median is
 	// selected in a copy — one buffer serving every reservoir in turn.
 	buf := make([]float64, 0, reservoirCap)
-	median := func(r *reservoir) float64 {
-		buf = append(buf[:0], r.vals...)
-		return stats.MedianInPlace(buf)
-	}
-	for k, r := range l.cloud {
-		if len(r.vals) > 0 {
-			t.cloud[k] = median(r)
+	medians := func(rs []*reservoir) []expected {
+		out := make([]expected, len(rs))
+		for i, r := range rs {
+			if r != nil && len(r.vals) > 0 {
+				buf = append(buf[:0], r.vals...)
+				out[i] = expected{stats.MedianInPlace(buf), true}
+			}
 		}
+		return out
 	}
-	for k, r := range l.middle {
-		if len(r.vals) > 0 {
-			t.middle[k] = median(r)
-		}
-	}
-	return t
+	return &Thresholds{keys: l.keys, cloud: medians(l.cloud), middle: medians(l.middle)}
 }
 
 // StaticThresholds builds Thresholds directly from known expected values,
-// for tests and worked examples.
-func StaticThresholds(cloud map[netmodel.CloudID]float64, middle map[netmodel.MiddleKey]float64) *Thresholds {
-	t := &Thresholds{
-		cloud:  make(map[cloudDevKey]float64),
-		middle: make(map[middleDevKey]float64),
-	}
+// for tests and worked examples. Middle keys are resolved through keys, the
+// key space the localizer's routes come from; a key the space does not hold
+// names no route and is dropped.
+func StaticThresholds(keys *netmodel.KeySpace, cloud map[netmodel.CloudID]float64, middle map[netmodel.MiddleKey]float64) *Thresholds {
+	t := &Thresholds{keys: keys}
 	for c, v := range cloud {
 		for d := 0; d < netmodel.NumDeviceClasses; d++ {
-			t.cloud[cloudDevKey{c, netmodel.DeviceClass(d)}] = v
+			i := slot(int(c), netmodel.DeviceClass(d))
+			t.cloud = grown(t.cloud, i+1)
+			t.cloud[i] = expected{v, true}
 		}
 	}
 	for k, v := range middle {
+		id, ok := keys.ID(k)
+		if !ok {
+			continue
+		}
 		for d := 0; d < netmodel.NumDeviceClasses; d++ {
-			t.middle[middleDevKey{k, netmodel.DeviceClass(d)}] = v
+			i := slot(int(id), netmodel.DeviceClass(d))
+			t.middle = grown(t.middle, i+1)
+			t.middle[i] = expected{v, true}
 		}
 	}
 	return t

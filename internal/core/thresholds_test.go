@@ -10,7 +10,7 @@ import (
 )
 
 func TestLearnerMedian(t *testing.T) {
-	l := NewLearner()
+	l := NewLearner(nil)
 	for i := 0; i < 101; i++ {
 		l.AddCloud(1, netmodel.NonMobile, float64(i))
 	}
@@ -28,7 +28,7 @@ func TestLearnerMedian(t *testing.T) {
 }
 
 func TestLearnerDeviceSeparation(t *testing.T) {
-	l := NewLearner()
+	l := NewLearner(nil)
 	for i := 0; i < 50; i++ {
 		l.AddCloud(1, netmodel.NonMobile, 20)
 		l.AddCloud(1, netmodel.Mobile, 80)
@@ -42,10 +42,13 @@ func TestLearnerDeviceSeparation(t *testing.T) {
 }
 
 func TestLearnerMiddle(t *testing.T) {
-	l := NewLearner()
+	var keys netmodel.KeySpace
+	keys.Intern("c0|7")
 	k := netmodel.MiddleKey("c1|2001")
+	id := keys.Intern(k)
+	l := NewLearner(&keys)
 	for i := 0; i < 30; i++ {
-		l.AddMiddle(k, netmodel.NonMobile, 42)
+		l.AddMiddle(id, netmodel.NonMobile, 42)
 	}
 	th := l.Snapshot()
 	v, ok := th.MiddleExpected(k, netmodel.NonMobile)
@@ -58,14 +61,14 @@ func TestLearnerMiddle(t *testing.T) {
 }
 
 func TestLearnerReservoirBounded(t *testing.T) {
-	l := NewLearner()
+	l := NewLearner(nil)
 	// Feed far more values than the reservoir capacity; the median of a
 	// uniform stream must stay near the true median.
 	n := 50000
 	for i := 0; i < n; i++ {
 		l.AddCloud(1, netmodel.NonMobile, float64(i%1000))
 	}
-	r := l.cloud[cloudDevKey{1, netmodel.NonMobile}]
+	r := l.cloud[slot(1, netmodel.NonMobile)]
 	if len(r.vals) > reservoirCap {
 		t.Fatalf("reservoir grew to %d", len(r.vals))
 	}
@@ -78,7 +81,7 @@ func TestLearnerReservoirBounded(t *testing.T) {
 
 func TestLearnerDeterministic(t *testing.T) {
 	run := func() float64 {
-		l := NewLearner()
+		l := NewLearner(nil)
 		for i := 0; i < 10000; i++ {
 			l.AddCloud(3, netmodel.Mobile, float64((i*7)%500))
 		}
@@ -91,9 +94,10 @@ func TestLearnerDeterministic(t *testing.T) {
 }
 
 func TestAddObservation(t *testing.T) {
-	l := NewLearner()
+	var keys netmodel.KeySpace
 	k := netmodel.MiddleKey("c2|2001|1000")
-	l.AddObservation(2, k, netmodel.NonMobile, 33)
+	l := NewLearner(&keys)
+	l.AddObservation(2, keys.Intern(k), netmodel.NonMobile, 33)
 	th := l.Snapshot()
 	if v, ok := th.CloudExpected(2, netmodel.NonMobile); !ok || v != 33 {
 		t.Error("cloud side of AddObservation missing")
@@ -104,7 +108,7 @@ func TestAddObservation(t *testing.T) {
 }
 
 func TestStaticThresholdsCoverBothDevices(t *testing.T) {
-	th := StaticThresholds(map[netmodel.CloudID]float64{5: 44}, nil)
+	th := StaticThresholds(nil, map[netmodel.CloudID]float64{5: 44}, nil)
 	for d := 0; d < netmodel.NumDeviceClasses; d++ {
 		if v, ok := th.CloudExpected(5, netmodel.DeviceClass(d)); !ok || v != 44 {
 			t.Errorf("device %d missing static threshold", d)
@@ -117,7 +121,9 @@ func TestStaticThresholdsCoverBothDevices(t *testing.T) {
 // order decides later replacements — must come out untouched.
 func TestSnapshotMatchesMedianAndLeavesReservoirs(t *testing.T) {
 	r := rand.New(rand.NewSource(15))
-	l := NewLearner()
+	var keys netmodel.KeySpace
+	mid := keys.Intern("c1|2")
+	l := NewLearner(&keys)
 	// Reservoirs of every shape: one element, odd, even, all equal, heavy
 	// ties, and past capacity (so replacement has happened).
 	sizes := []int{1, 2, 7, 100, 101, reservoirCap, reservoirCap + 500}
@@ -125,28 +131,37 @@ func TestSnapshotMatchesMedianAndLeavesReservoirs(t *testing.T) {
 		for i := 0; i < n; i++ {
 			l.AddCloud(netmodel.CloudID(c), netmodel.NonMobile, r.NormFloat64()*30+90)
 			l.AddCloud(netmodel.CloudID(c), netmodel.Mobile, float64(r.Intn(3)))
-			l.AddMiddle(netmodel.MiddleKey("c1|2"), netmodel.DeviceClass(c%netmodel.NumDeviceClasses), 55)
+			l.AddMiddle(mid, netmodel.DeviceClass(c%netmodel.NumDeviceClasses), 55)
 		}
 	}
-	before := make(map[cloudDevKey][]float64)
-	for k, res := range l.cloud {
-		before[k] = append([]float64(nil), res.vals...)
+	before := make([][]float64, len(l.cloud))
+	for i, res := range l.cloud {
+		if res != nil {
+			before[i] = append([]float64(nil), res.vals...)
+		}
 	}
 	th := l.Snapshot()
-	for k, res := range l.cloud {
-		got, ok := th.CloudExpected(k.c, k.d)
-		if want := stats.Median(before[k]); !ok || math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("cloud %v: snapshot median %v (ok=%v), stats.Median %v", k, got, ok, want)
+	for i, res := range l.cloud {
+		c, d := netmodel.CloudID(i/netmodel.NumDeviceClasses), netmodel.DeviceClass(i%netmodel.NumDeviceClasses)
+		got, ok := th.CloudExpected(c, d)
+		if res == nil {
+			if ok {
+				t.Errorf("cloud %d device %v: nothing learned, snapshot has %v", c, d, got)
+			}
+			continue
 		}
-		for i, v := range res.vals {
-			if v != before[k][i] {
-				t.Fatalf("cloud %v: Snapshot reordered the reservoir at %d", k, i)
+		if want := stats.Median(before[i]); !ok || math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("cloud %d device %v: snapshot median %v (ok=%v), stats.Median %v", c, d, got, ok, want)
+		}
+		for j, v := range res.vals {
+			if v != before[i][j] {
+				t.Fatalf("cloud %d device %v: Snapshot reordered the reservoir at %d", c, d, j)
 			}
 		}
 	}
-	for k := range l.middle {
-		if got, ok := th.MiddleExpected(k.k, k.d); !ok || got != 55 {
-			t.Errorf("middle %v: snapshot median %v (ok=%v), want 55", k, got, ok)
+	for d := netmodel.DeviceClass(0); int(d) < netmodel.NumDeviceClasses; d++ {
+		if got, ok := th.MiddleExpected("c1|2", d); !ok || got != 55 {
+			t.Errorf("middle device %v: snapshot median %v (ok=%v), want 55", d, got, ok)
 		}
 	}
 }

@@ -224,10 +224,83 @@ type Path struct {
 // middle-segment blame, and the active phase groups probe targets by it.
 type MiddleKey string
 
+// KeyID is the dense index of a MiddleKey within one KeySpace. The
+// per-observation state (learned thresholds, client histories, baselines,
+// Algorithm 1's middle aggregates) lives in slices indexed by it.
+type KeyID int32
+
+// KeySpace interns MiddleKeys into dense KeyIDs 0, 1, 2, … in the order
+// they are first interned, so the IDs depend on that order alone. The BGP
+// table's space is filled once when the table is built and only read
+// after; a coarser middle grouping interns its keys into a space of its
+// own. A nil *KeySpace is an empty space; a KeySpace must not be copied
+// once used.
+type KeySpace struct {
+	ids  map[MiddleKey]KeyID
+	keys []MiddleKey
+	// arena backs the keys InternBytes copies in: a Builder only appends,
+	// so the bytes under a key it handed out never change, and a table's
+	// thousands of keys cost a handful of allocations rather than one each.
+	arena strings.Builder
+}
+
+// keyArenaChunk is the size of one arena chunk, a few thousand keys.
+const keyArenaChunk = 64 << 10
+
+// Intern returns k's ID, assigning the next one when k is new.
+func (s *KeySpace) Intern(k MiddleKey) KeyID {
+	if id, ok := s.ids[k]; ok {
+		return id
+	}
+	if s.ids == nil {
+		s.ids = make(map[MiddleKey]KeyID)
+	}
+	id := KeyID(len(s.keys))
+	s.ids[k] = id
+	s.keys = append(s.keys, k)
+	return id
+}
+
+// InternBytes is Intern for a key being formatted in a scratch buffer: a
+// key already interned costs a lookup, a new one a copy into the arena.
+func (s *KeySpace) InternBytes(b []byte) KeyID {
+	if id, ok := s.ids[MiddleKey(b)]; ok {
+		return id
+	}
+	if s.arena.Cap()-s.arena.Len() < len(b) {
+		// A full chunk is left to the keys that point into it.
+		s.arena = strings.Builder{}
+		s.arena.Grow(max(keyArenaChunk, len(b)))
+	}
+	off := s.arena.Len()
+	s.arena.Write(b)
+	return s.Intern(MiddleKey(s.arena.String()[off:]))
+}
+
+// ID returns k's ID and whether k has been interned.
+func (s *KeySpace) ID(k MiddleKey) (KeyID, bool) {
+	if s == nil {
+		return 0, false
+	}
+	id, ok := s.ids[k]
+	return id, ok
+}
+
+// Key returns the key interned as id.
+func (s *KeySpace) Key(id KeyID) MiddleKey { return s.keys[id] }
+
+// Len returns the number of interned keys: every ID is in [0, Len).
+func (s *KeySpace) Len() int {
+	if s == nil {
+		return 0
+	}
+	return len(s.keys)
+}
+
 // Key returns the MiddleKey for the path.
 func (p Path) Key() MiddleKey {
-	// One allocation, the key itself. The per-quartet paths read the key
-	// the BGP table stored with the route instead (bgp.Table.RouteAt).
+	// One allocation, the key itself. The per-quartet paths carry the
+	// KeyID the BGP table interned for the route instead.
 	return MiddleKey(p.AppendKey(make([]byte, 0, 64)))
 }
 

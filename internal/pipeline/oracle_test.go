@@ -233,6 +233,28 @@ func (r *refPipeline) localize(qs []quartet.Quartet) []core.Result {
 	return out
 }
 
+// checkThresholds holds the pipeline's learned thresholds to the
+// reference's: the same (cloud, device) and (path key, device) entries,
+// every median bit for bit.
+func (r *refPipeline) checkThresholds(t *testing.T, b netmodel.Bucket, p *Pipeline) {
+	t.Helper()
+	th := p.Thresholds
+	if th.NumCloudEntries() != len(r.thCloud) || th.NumMiddleEntries() != len(r.thMid) {
+		t.Fatalf("bucket %d: %d cloud and %d middle thresholds learned, reference has %d and %d",
+			b, th.NumCloudEntries(), th.NumMiddleEntries(), len(r.thCloud), len(r.thMid))
+	}
+	for k, want := range r.thCloud {
+		if got, ok := th.CloudExpected(k.c, k.d); !ok || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("bucket %d: cloud %d %v threshold %v (ok=%v), reference %v", b, k.c, k.d, got, ok, want)
+		}
+	}
+	for k, want := range r.thMid {
+		if got, ok := th.MiddleExpected(k.k, k.d); !ok || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("bucket %d: middle %q %v threshold %v (ok=%v), reference %v", b, k.k, k.d, got, ok, want)
+		}
+	}
+}
+
 // refIssue is the part of an active-phase issue the passive phase decides.
 type refIssue struct {
 	Key      netmodel.MiddleKey
@@ -369,6 +391,7 @@ func TestPipelineMatchesNaiveReference(t *testing.T) {
 					if !bytes.Equal(g, wi) {
 						t.Fatalf("job at bucket %d: issues differ from the reference\n got %s\nwant %s", b, g, wi)
 					}
+					ref.checkThresholds(t, b, p)
 					issues += len(wantIssues)
 					for _, r := range window {
 						seen[r.Blame]++
@@ -395,10 +418,12 @@ func TestPipelineMatchesNaiveReference(t *testing.T) {
 
 // TestCoarseKeysReadNoLearnedState pins the ⟨AS, Metro⟩ override's
 // contract with the learned state: the learner and the client predictor
-// are fed by the true path key whatever the grouping, so a coarse key —
-// what a middle aggregate and an active-phase issue are keyed by under the
-// override — finds no learned middle threshold and no client history,
-// while the true paths behind the same verdicts find both.
+// are fed by the true path key whatever the grouping. A twin pipeline
+// without the override, over the same feed, must end every job with the
+// same thresholds and the same client forecasts for every path key the
+// table holds; and a coarse key — what a middle aggregate and an
+// active-phase issue are keyed by under the override — finds no learned
+// middle threshold and no client history.
 func TestCoarseKeysReadNoLearnedState(t *testing.T) {
 	horizon := netmodel.Bucket(2 * netmodel.BucketsPerDay)
 	w := topology.Generate(tinyScale(), 3)
@@ -408,13 +433,25 @@ func TestCoarseKeysReadNoLearnedState(t *testing.T) {
 	s := sim.New(w, tbl, faults.Generate(w, gen, horizon, 5), sim.DefaultConfig(6))
 	cfg := DefaultConfig()
 	cfg.BudgetPerCloudPerDay = 0
-	p := NewSim(s, cfg)
+	p, twin := NewSim(s, cfg), NewSim(s, cfg)
 	p.SetMiddleKeyFunc(baselines.ASMetroKeyFunc(w))
-	if err := p.Warmup(0, dayStart); err != nil {
-		t.Fatal(err)
+	for _, q := range []*Pipeline{p, twin} {
+		if err := q.Warmup(0, dayStart); err != nil {
+			t.Fatal(err)
+		}
 	}
-	coarse, fine := 0, 0
-	err := p.Run(dayStart, horizon, func(rep *Report) {
+	coarse := 0
+	for b := dayStart; b < horizon; b++ {
+		rep, err := p.Step(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := twin.Step(b); err != nil {
+			t.Fatal(err)
+		}
+		if rep == nil {
+			continue
+		}
 		for _, v := range rep.Verdicts {
 			coarse++
 			for d := netmodel.DeviceClass(0); int(d) < netmodel.NumDeviceClasses; d++ {
@@ -426,20 +463,26 @@ func TestCoarseKeysReadNoLearnedState(t *testing.T) {
 				t.Fatalf("coarse key %q has client history: %v clients predicted", v.Issue.Key, c)
 			}
 		}
-		for _, r := range rep.Results {
-			if r.Blame != core.BlameMiddle {
-				continue
-			}
-			k := r.Path.Key()
-			if _, ok := p.Thresholds.MiddleExpected(k, r.Q.Obs.Device); ok && p.Clients.Predict(k, rep.To) > 0 {
-				fine++
+		if p.Thresholds.NumMiddleEntries() != twin.Thresholds.NumMiddleEntries() {
+			t.Fatalf("bucket %d: %d middle thresholds under the override, %d without", b, p.Thresholds.NumMiddleEntries(), twin.Thresholds.NumMiddleEntries())
+		}
+		for _, c := range w.Clouds {
+			for _, bp := range w.BGPPrefixes {
+				k := tbl.PathAt(c.ID, bp.ID, b).Key()
+				for d := netmodel.DeviceClass(0); int(d) < netmodel.NumDeviceClasses; d++ {
+					got, gotOK := p.Thresholds.MiddleExpected(k, d)
+					want, wantOK := twin.Thresholds.MiddleExpected(k, d)
+					if gotOK != wantOK || got != want {
+						t.Fatalf("bucket %d: %q %v threshold %v (ok=%v) under the override, %v (ok=%v) without", b, k, d, got, gotOK, want, wantOK)
+					}
+				}
+				if got, want := p.Clients.Predict(k, b+1), twin.Clients.Predict(k, b+1); got != want {
+					t.Fatalf("bucket %d: %q forecasts %v clients under the override, %v without", b, k, got, want)
+				}
 			}
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if coarse == 0 || fine == 0 {
-		t.Fatalf("%d coarse issues, %d middle verdicts on a learned path: the run exercised nothing", coarse, fine)
+	if coarse == 0 || twin.Thresholds.NumMiddleEntries() == 0 {
+		t.Fatalf("%d coarse issues, %d learned middle thresholds: the run exercised nothing", coarse, twin.Thresholds.NumMiddleEntries())
 	}
 }

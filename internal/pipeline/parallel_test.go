@@ -183,7 +183,7 @@ func TestRelearnChangesVerdictsAfterDrift(t *testing.T) {
 	for _, cl := range p.World.Clouds {
 		stale[cl.ID] = 10000
 	}
-	p.SetThresholds(core.StaticThresholds(stale, nil))
+	p.SetThresholds(core.StaticThresholds(p.Table.Keys(), stale, nil))
 	p.lastRelearnDay = 1 // day 1's organic refresh already happened
 
 	countCloud := func(from, to netmodel.Bucket) (cloud, total int) {

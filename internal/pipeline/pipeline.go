@@ -299,8 +299,15 @@ type Pipeline struct {
 	QuartetTracker *quartet.Tracker
 	MiddleTracker  *active.Tracker
 
-	// keyFunc is the optional middle-grouping override.
+	// keyFunc is the optional middle-grouping override; coarse is the key
+	// space its keys are interned into, apart from the table's, so a
+	// coarse ID can only ever name a coarse group.
 	keyFunc core.MiddleKeyFunc
+	coarse  netmodel.KeySpace
+
+	// routes follows the table bucket by bucket: Step and Warmup seek it
+	// once per bucket and read each observation's route with an index.
+	routes *bgp.Cursor
 
 	// lastRelearnDay tracks the daily expected-RTT refresh (production
 	// recomputes the trailing 14-day medians continuously).
@@ -397,10 +404,11 @@ func New(deps Deps, cfg Config) *Pipeline {
 		Source:    deps.Source,
 		Prober:    pr,
 		Metrics:   reg,
-		Learner:   core.NewLearner(),
+		Learner:   core.NewLearner(deps.Table.Keys()),
 		Durations: predict.NewDurationPredictor(3),
-		Clients:   predict.NewClientPredictor(),
+		Clients:   predict.NewClientPredictor(deps.Table.Keys()),
 		Alerter:   alerting.NewAlerter(cfg.TopNAlerts),
+		routes:    deps.Table.NewCursor(),
 	}
 	if m, ok := p.Prober.(interface{ SetMetrics(*metrics.Registry) }); ok {
 		m.SetMetrics(reg)
@@ -467,13 +475,14 @@ func (p *Pipeline) WarmupContext(ctx context.Context, from, to netmodel.Bucket) 
 		if err := p.readBucket(ctx, b); err != nil {
 			return err
 		}
+		p.routes.Seek(b)
 		for _, o := range p.obsBuf {
 			if o.Samples < quartet.MinSamples {
 				continue
 			}
-			_, mk := p.Table.RouteAtForPrefix(o.Cloud, o.Prefix, o.Bucket)
-			p.Learner.AddObservation(o.Cloud, mk, o.Device, o.MeanRTT)
-			p.Clients.Record(mk, o.Bucket, o.Clients)
+			_, id := p.routes.RouteForPrefix(o.Cloud, o.Prefix)
+			p.Learner.AddObservation(o.Cloud, id, o.Device, o.MeanRTT)
+			p.Clients.Record(id, o.Bucket, o.Clients)
 		}
 	}
 	p.Thresholds = p.Learner.Snapshot()
@@ -533,6 +542,7 @@ func (p *Pipeline) StepContext(ctx context.Context, b netmodel.Bucket) (*Report,
 	p.mObsCollected.Add(int64(len(p.obsBuf)))
 	feedLearner := int(b)%p.Cfg.WarmupSampleEvery == 0
 	run := p.windowRunFor(b)
+	p.routes.Seek(b)
 	var badKeys []quartet.Key
 	for _, o := range p.obsBuf {
 		q := quartet.Classify(o, p.World.TargetFor(o.Prefix, o.Cloud))
@@ -544,21 +554,21 @@ func (p *Pipeline) StepContext(ctx context.Context, b netmodel.Bucket) (*Report,
 		if q.Bad {
 			badKeys = append(badKeys, quartet.KeyOf(o))
 		}
-		// The quartet's route is resolved here, once: the table hands out
-		// the path with its stored key, the job's Algorithm 1 run reads
-		// both from the window.
-		path, mk := p.Table.RouteAtForPrefix(o.Cloud, o.Prefix, b)
+		// The quartet's route is resolved here, once: the cursor hands out
+		// the table's path and its key's ID, the job's Algorithm 1 run reads
+		// both from the window — the path only for bad quartets.
+		path, id := p.routes.RouteForPrefix(o.Cloud, o.Prefix)
 		// Feed the client predictor continuously with normal traffic,
 		// and keep the expected-RTT learner current (subsampled). Both
 		// go by the true path key, whatever the middle grouping.
-		p.Clients.Record(mk, b, o.Clients)
+		p.Clients.Record(id, b, o.Clients)
 		if feedLearner {
-			p.Learner.AddObservation(o.Cloud, mk, o.Device, o.MeanRTT)
+			p.Learner.AddObservation(o.Cloud, id, o.Device, o.MeanRTT)
 		}
 		if p.keyFunc != nil {
-			mk = p.keyFunc(path, o.Prefix)
+			id = p.coarse.Intern(p.keyFunc(*path, o.Prefix))
 		}
-		run.routes = append(run.routes, core.Route{Path: path, Key: mk})
+		run.routes = append(run.routes, core.Route{Path: path, ID: id})
 	}
 	p.mStageClassify.Observe(msSince(classifyStart, time.Now()))
 	p.mBadQuartets.Add(int64(len(badKeys)))

@@ -136,22 +136,29 @@ type clientHist struct {
 
 // ClientPredictor forecasts the clients connecting through a middle
 // segment in a 5-minute window as the average of the same window over the
-// previous days.
+// previous days. Paths are recorded by their KeyID in the key space the
+// predictor was made with; a history (3.4 KB) is allocated on a path's
+// first record, so the slice holds pointers, not histories.
 type ClientPredictor struct {
-	hist map[netmodel.MiddleKey]*clientHist
+	keys *netmodel.KeySpace
+	hist []*clientHist // by KeyID
 }
 
-// NewClientPredictor creates an empty client predictor.
-func NewClientPredictor() *ClientPredictor {
-	return &ClientPredictor{hist: make(map[netmodel.MiddleKey]*clientHist)}
+// NewClientPredictor creates an empty client predictor over a key space —
+// the BGP table's, whose IDs the pipeline's routes carry.
+func NewClientPredictor(keys *netmodel.KeySpace) *ClientPredictor {
+	return &ClientPredictor{keys: keys, hist: make([]*clientHist, keys.Len())}
 }
 
 // Record adds the observed client count of one bucket on a path.
-func (p *ClientPredictor) Record(k netmodel.MiddleKey, b netmodel.Bucket, clients int) {
-	h := p.hist[k]
+func (p *ClientPredictor) Record(id netmodel.KeyID, b netmodel.Bucket, clients int) {
+	if int(id) >= len(p.hist) {
+		p.hist = append(p.hist, make([]*clientHist, int(id)+1-len(p.hist))...)
+	}
+	h := p.hist[id]
 	if h == nil {
 		h = &clientHist{dayTag: [historyDays]int{-1, -1, -1}}
-		p.hist[k] = h
+		p.hist[id] = h
 	}
 	day := b.Day()
 	slot := day % historyDays
@@ -166,12 +173,14 @@ func (p *ClientPredictor) Record(k netmodel.MiddleKey, b netmodel.Bucket, client
 
 // Predict estimates the clients that will connect through path k in the
 // 5-minute window of bucket b: the average over the same window of the
-// previous days, falling back to the path's overall per-bucket mean.
+// previous days, falling back to the path's overall per-bucket mean. A key
+// outside the predictor's key space has no history.
 func (p *ClientPredictor) Predict(k netmodel.MiddleKey, b netmodel.Bucket) float64 {
-	h := p.hist[k]
-	if h == nil {
+	id, ok := p.keys.ID(k)
+	if !ok || int(id) >= len(p.hist) || p.hist[id] == nil {
 		return 0
 	}
+	h := p.hist[id]
 	day := b.Day()
 	of := b.OfDay()
 	var sum float64

@@ -123,13 +123,22 @@ func TestDurationClamping(t *testing.T) {
 	}
 }
 
+// clientPredictorFor returns an empty client predictor over a key space
+// holding k, and k's ID there.
+func clientPredictorFor(k netmodel.MiddleKey) (*ClientPredictor, netmodel.KeyID) {
+	var keys netmodel.KeySpace
+	keys.Intern("c0|1")
+	id := keys.Intern(k)
+	return NewClientPredictor(&keys), id
+}
+
 func TestClientPredictorSameWindowAverage(t *testing.T) {
-	p := NewClientPredictor()
+	p, id := clientPredictorFor(key)
 	of := 100 // bucket-of-day
 	// Days 0,1,2 saw 30, 60, 90 clients in this window.
 	for day := 0; day < 3; day++ {
 		b := netmodel.Bucket(day*netmodel.BucketsPerDay + of)
-		p.Record(key, b, 30*(day+1))
+		p.Record(id, b, 30*(day+1))
 	}
 	b := netmodel.Bucket(3*netmodel.BucketsPerDay + of)
 	if got := p.Predict(key, b); math.Abs(got-60) > 1e-9 {
@@ -138,10 +147,10 @@ func TestClientPredictorSameWindowAverage(t *testing.T) {
 }
 
 func TestClientPredictorIgnoresOtherWindows(t *testing.T) {
-	p := NewClientPredictor()
+	p, id := clientPredictorFor(key)
 	// Record a large count in a different window of the previous day.
-	p.Record(key, netmodel.Bucket(0*netmodel.BucketsPerDay+50), 1000)
-	p.Record(key, netmodel.Bucket(0*netmodel.BucketsPerDay+100), 20)
+	p.Record(id, netmodel.Bucket(0*netmodel.BucketsPerDay+50), 1000)
+	p.Record(id, netmodel.Bucket(0*netmodel.BucketsPerDay+100), 20)
 	got := p.Predict(key, netmodel.Bucket(1*netmodel.BucketsPerDay+100))
 	if math.Abs(got-20) > 1e-9 {
 		t.Errorf("predict = %v, want 20 (same window only)", got)
@@ -149,10 +158,10 @@ func TestClientPredictorIgnoresOtherWindows(t *testing.T) {
 }
 
 func TestClientPredictorAccumulatesWithinBucket(t *testing.T) {
-	p := NewClientPredictor()
+	p, id := clientPredictorFor(key)
 	b0 := netmodel.Bucket(100)
-	p.Record(key, b0, 10)
-	p.Record(key, b0, 15) // second record in the same bucket adds up
+	p.Record(id, b0, 10)
+	p.Record(id, b0, 15) // second record in the same bucket adds up
 	got := p.Predict(key, netmodel.Bucket(netmodel.BucketsPerDay+100))
 	if math.Abs(got-25) > 1e-9 {
 		t.Errorf("predict = %v, want 25", got)
@@ -160,13 +169,16 @@ func TestClientPredictorAccumulatesWithinBucket(t *testing.T) {
 }
 
 func TestClientPredictorFallbacks(t *testing.T) {
-	p := NewClientPredictor()
+	p, id := clientPredictorFor(key)
 	if p.Predict(key, 100) != 0 {
 		t.Error("unknown key must predict 0")
 	}
+	if p.Predict("am|c1|a2|m3", 100) != 0 {
+		t.Error("a key outside the key space must predict 0")
+	}
 	// Only current-day history: fall back to overall mean.
-	p.Record(key, 10, 40)
-	p.Record(key, 11, 20)
+	p.Record(id, 10, 40)
+	p.Record(id, 11, 20)
 	got := p.Predict(key, 12)
 	if math.Abs(got-30) > 1e-9 {
 		t.Errorf("fallback predict = %v, want 30", got)
@@ -174,11 +186,11 @@ func TestClientPredictorFallbacks(t *testing.T) {
 }
 
 func TestClientPredictorRingReuse(t *testing.T) {
-	p := NewClientPredictor()
+	p, id := clientPredictorFor(key)
 	of := 7
 	// Day 0 had 100 clients; day 3 overwrites slot 0 with 10.
-	p.Record(key, netmodel.Bucket(0*netmodel.BucketsPerDay+of), 100)
-	p.Record(key, netmodel.Bucket(3*netmodel.BucketsPerDay+of), 10)
+	p.Record(id, netmodel.Bucket(0*netmodel.BucketsPerDay+of), 100)
+	p.Record(id, netmodel.Bucket(3*netmodel.BucketsPerDay+of), 10)
 	// Predicting day 4 must use day 3 only (days 1,2 unrecorded, day 0 evicted).
 	got := p.Predict(key, netmodel.Bucket(4*netmodel.BucketsPerDay+of))
 	if math.Abs(got-10) > 1e-9 {

@@ -57,12 +57,14 @@ type Baseliner struct {
 	// numPaths counts the registered paths whatever the period.
 	due      [][]repTarget
 	numPaths int
-	// baselines holds the recent traceroutes per middle key, oldest first.
-	baselines map[netmodel.MiddleKey][]Traceroute
+	// baselines holds the recent traceroutes per middle key, oldest first,
+	// indexed by the routing table's KeyID.
+	baselines [][]Traceroute
 	// suppressed pauses periodic refreshes for paths with an ongoing
 	// latency issue, so the "normal picture" is not overwritten by
-	// incident measurements.
-	suppressed map[netmodel.MiddleKey]netmodel.Bucket
+	// incident measurements: a path's refreshes resume at the bucket held
+	// here, by KeyID (0, the zero value, suppresses nothing).
+	suppressed []netmodel.Bucket
 
 	mSuppressions *metrics.Counter
 	mSkipped      *metrics.Counter
@@ -72,7 +74,7 @@ type Baseliner struct {
 }
 
 type repTarget struct {
-	key    netmodel.MiddleKey
+	id     netmodel.KeyID
 	cloud  netmodel.CloudID
 	prefix netmodel.PrefixID
 }
@@ -96,30 +98,30 @@ func NewBaselinerWith(cfg BackgroundConfig, prober Prober, w *topology.World, ta
 		world:      w,
 		table:      table,
 		listener:   bgp.NewListener(table),
-		baselines:  make(map[netmodel.MiddleKey][]Traceroute),
-		suppressed: make(map[netmodel.MiddleKey]netmodel.Bucket),
+		baselines:  make([][]Traceroute, table.NumKeys()),
+		suppressed: make([]netmodel.Bucket, table.NumKeys()),
 	}
 	periodic := cfg.PeriodBuckets > 0
 	if periodic {
 		bg.due = make([][]repTarget, cfg.PeriodBuckets)
 	}
-	registered := make(map[netmodel.MiddleKey]struct{})
+	registered := make([]bool, table.NumKeys())
 	for _, c := range w.Clouds {
 		for _, bp := range w.BGPPrefixes {
-			_, mk := table.RouteAt(c.ID, bp.ID, 0)
-			if _, ok := registered[mk]; ok {
+			_, id := table.RouteAt(c.ID, bp.ID, 0)
+			if registered[id] {
 				continue
 			}
-			registered[mk] = struct{}{}
+			registered[id] = true
+			bg.numPaths++
 			if periodic {
-				o := offset(mk, cfg.PeriodBuckets)
-				bg.due[o] = append(bg.due[o], repTarget{key: mk, cloud: c.ID, prefix: w.PrefixesOfBGP(bp.ID)[0]})
+				o := offset(table.Key(id), cfg.PeriodBuckets)
+				bg.due[o] = append(bg.due[o], repTarget{id: id, cloud: c.ID, prefix: w.PrefixesOfBGP(bp.ID)[0]})
 			}
 		}
 	}
-	bg.numPaths = len(registered)
 	for _, l := range bg.due {
-		slices.SortFunc(l, func(a, b repTarget) int { return strings.Compare(string(a.key), string(b.key)) })
+		slices.SortFunc(l, func(a, b repTarget) int { return strings.Compare(string(table.Key(a.id)), string(table.Key(b.id))) })
 	}
 	return bg
 }
@@ -162,12 +164,27 @@ func (bg *Baseliner) store(tr Traceroute) {
 		bg.mFailed.Inc()
 		return
 	}
-	mk := tr.Path.Key()
-	h := append(bg.baselines[mk], tr)
+	id, ok := bg.pathID(tr)
+	if !ok {
+		return
+	}
+	h := append(bg.baselines[id], tr)
 	if len(h) > historyLen {
 		h = h[len(h)-historyLen:]
 	}
-	bg.baselines[mk] = h
+	bg.baselines[id] = h
+}
+
+// pathID returns the KeyID of the path a traceroute took. A probe follows
+// the route the table has in effect, whose ID is stored with it; only a
+// path that differs from that route is formatted and looked up, and one
+// the table has never held has no baseline slot.
+func (bg *Baseliner) pathID(tr Traceroute) (netmodel.KeyID, bool) {
+	path, id := bg.table.RouteAtForPrefix(tr.Cloud, tr.Prefix, tr.Bucket)
+	if tr.Path.Equal(path) {
+		return id, true
+	}
+	return bg.table.Keys().ID(tr.Path.Key())
 }
 
 // Suppress pauses periodic refreshes of the given paths until the given
@@ -175,8 +192,9 @@ func (bg *Baseliner) store(tr Traceroute) {
 // incident measurements never overwrite the pre-fault picture.
 func (bg *Baseliner) Suppress(keys []netmodel.MiddleKey, until netmodel.Bucket) {
 	for _, mk := range keys {
-		if bg.suppressed[mk] < until {
-			bg.suppressed[mk] = until
+		id, ok := bg.table.Keys().ID(mk)
+		if ok && bg.suppressed[id] < until {
+			bg.suppressed[id] = until
 			bg.mSuppressions.Inc()
 		}
 	}
@@ -190,7 +208,7 @@ func (bg *Baseliner) Advance(b netmodel.Bucket) {
 	// pre-incident picture.
 	if bg.cfg.PeriodBuckets > 0 && b >= 0 {
 		for _, rep := range bg.due[b%bg.cfg.PeriodBuckets] {
-			if until, ok := bg.suppressed[rep.key]; ok && b < until {
+			if b < bg.suppressed[rep.id] {
 				bg.mSkipped.Inc()
 				continue
 			}
@@ -204,9 +222,8 @@ func (bg *Baseliner) Advance(b netmodel.Bucket) {
 	events := bg.listener.Poll(b + 1)
 	if bg.cfg.OnChurn {
 		for _, ev := range events {
-			nk := ev.NewKey
 			if bg.cfg.ChurnDedupeBuckets > 0 {
-				if age, ok := bg.BaselineAge(nk, b); ok && age <= bg.cfg.ChurnDedupeBuckets {
+				if h := bg.baselines[ev.NewID]; len(h) > 0 && b-h[len(h)-1].Bucket <= bg.cfg.ChurnDedupeBuckets {
 					bg.mChurnDeduped.Inc()
 					continue
 				}
@@ -222,9 +239,17 @@ func (bg *Baseliner) Advance(b netmodel.Bucket) {
 	}
 }
 
+// history returns the retained baselines of a middle key, oldest first.
+func (bg *Baseliner) history(mk netmodel.MiddleKey) []Traceroute {
+	if id, ok := bg.table.Keys().ID(mk); ok {
+		return bg.baselines[id]
+	}
+	return nil
+}
+
 // Baseline returns the latest baseline traceroute for a middle key.
 func (bg *Baseliner) Baseline(mk netmodel.MiddleKey) (Traceroute, bool) {
-	h := bg.baselines[mk]
+	h := bg.history(mk)
 	if len(h) == 0 {
 		return Traceroute{}, false
 	}
@@ -236,7 +261,7 @@ func (bg *Baseliner) Baseline(mk netmodel.MiddleKey) (Traceroute, bool) {
 // needs. It falls back to the oldest retained baseline when every retained
 // entry postdates the cutoff.
 func (bg *Baseliner) BaselineBefore(mk netmodel.MiddleKey, cutoff netmodel.Bucket) (Traceroute, bool) {
-	h := bg.baselines[mk]
+	h := bg.history(mk)
 	if len(h) == 0 {
 		return Traceroute{}, false
 	}
