@@ -299,18 +299,13 @@ func (l *Localizer) Localize(qs []quartet.Quartet) []Result {
 		}
 		path := l.pathOf(q.Obs.Prefix, q.Obs.Cloud, q.Obs.Bucket)
 		paths[i] = path
-		var mk netmodel.MiddleKey
+		var id netmodel.KeyID
 		if l.keyOf != nil {
-			mk = l.keyOf(path, q.Obs.Prefix)
+			id = local.Intern(l.keyOf(path, q.Obs.Prefix))
+		} else if known, ok := keys.ID(path.Key()); ok {
+			id = known
 		} else {
-			mk = path.Key()
-		}
-		id, ok := keys.ID(mk)
-		switch {
-		case l.keyOf != nil:
-			id = local.Intern(mk)
-		case !ok:
-			id = netmodel.KeyID(keys.Len()) + local.Intern(mk)
+			id = netmodel.KeyID(keys.Len()) + local.Intern(path.Key())
 		}
 		routes[i] = Route{Path: &paths[i], ID: id}
 	}
