@@ -162,17 +162,27 @@ func NewTable(w *topology.World, cfg ChurnConfig, horizon netmodel.Bucket, seed 
 			t.entries[idx] = entry
 		}
 	}
-	sort.Slice(t.events, func(i, j int) bool {
-		a, b := &t.events[i], &t.events[j]
-		if a.Bucket != b.Bucket {
-			return a.Bucket < b.Bucket
-		}
-		if a.Cloud != b.Cloud {
-			return a.Cloud < b.Cloud
-		}
-		return a.BGPPrefix < b.BGPPrefix
-	})
+	sort.Sort(eventLog(t.events))
 	return t
+}
+
+// eventLog orders events by bucket, then cloud, then BGP prefix. sort.Sort
+// runs the pattern-defeating quicksort sort.Slice runs, move for move, so
+// ties land where sort.Slice put them; Swap is a plain assignment rather
+// than a reflective swap.
+type eventLog []Event
+
+func (l eventLog) Len() int      { return len(l) }
+func (l eventLog) Swap(i, j int) { l[i], l[j] = l[j], l[i] }
+func (l eventLog) Less(i, j int) bool {
+	a, b := &l[i], &l[j]
+	if a.Bucket != b.Bucket {
+		return a.Bucket < b.Bucket
+	}
+	if a.Cloud != b.Cloud {
+		return a.Cloud < b.Cloud
+	}
+	return a.BGPPrefix < b.BGPPrefix
 }
 
 // strictlyIncreasing reports whether every segment starts after the one

@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -385,5 +386,32 @@ func TestCursorMatchesRouteAt(t *testing.T) {
 	c, p := w.Clouds[0].ID, w.Prefixes[0].ID
 	if n := testing.AllocsPerRun(100, func() { cur.RouteForPrefix(c, p) }); n != 0 {
 		t.Errorf("RouteForPrefix allocates %v times a call", n)
+	}
+}
+
+// TestEventLogSortsLikeSortSlice holds sort.Sort over an eventLog to
+// sort.Slice with the same order over the same events, ties included:
+// events drawn from a few buckets, clouds and BGP prefixes tie often, and
+// each carries a distinct NewID, so a tie left in another order shows.
+func TestEventLogSortsLikeSortSlice(t *testing.T) {
+	r := rand.New(rand.NewSource(46))
+	for _, n := range []int{0, 1, 2, 7, 12, 13, 49, 50, 51, 300, 5000} {
+		evs := make([]Event, n)
+		for i := range evs {
+			evs[i] = Event{
+				Bucket:    netmodel.Bucket(r.Intn(1 + n/8)),
+				Cloud:     netmodel.CloudID(r.Intn(3)),
+				BGPPrefix: netmodel.BGPPrefixID(r.Intn(3)),
+				NewID:     netmodel.KeyID(i),
+			}
+		}
+		want := append([]Event(nil), evs...)
+		sort.Slice(want, func(i, j int) bool { return eventLog(want).Less(i, j) })
+		sort.Sort(eventLog(evs))
+		for i := range evs {
+			if evs[i].NewID != want[i].NewID {
+				t.Fatalf("n=%d: position %d holds event %d, sort.Slice put %d there", n, i, evs[i].NewID, want[i].NewID)
+			}
+		}
 	}
 }
