@@ -167,9 +167,9 @@ func NewTable(w *topology.World, cfg ChurnConfig, horizon netmodel.Bucket, seed 
 }
 
 // eventLog orders events by bucket, then cloud, then BGP prefix. sort.Sort
-// runs the pattern-defeating quicksort sort.Slice runs, move for move, so
-// ties land where sort.Slice put them; Swap is a plain assignment rather
-// than a reflective swap.
+// over it makes the same moves as sort.Slice with the same order (one
+// pattern-defeating quicksort), so ties land in the same places, with a
+// plain assignment where sort.Slice swaps through reflection.
 type eventLog []Event
 
 func (l eventLog) Len() int      { return len(l) }
