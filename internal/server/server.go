@@ -26,6 +26,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -138,18 +139,37 @@ func (l *reportLog) add(rep *pipeline.Report, canonical []byte) int64 {
 	return seq
 }
 
-// replace swaps the regenerated report into a restored entry, keeping
-// its seq and canonical bytes. Restart recovery uses it to graft the
-// Health — which the canonical form excludes — back onto reports restored
-// from the WAL once the backend regenerates them.
+// find returns the index of the entry with the given seq, or -1 when it
+// was evicted or removed. Seqs ascend through the log. Caller holds mu.
+func (l *reportLog) find(seq int64) int {
+	i := sort.Search(len(l.reports), func(i int) bool { return l.reports[i].seq >= seq })
+	if i < len(l.reports) && l.reports[i].seq == seq {
+		return i
+	}
+	return -1
+}
+
+// replace swaps a full report into a restored entry, keeping its seq and
+// canonical bytes. Restart recovery restores journaled reports as their
+// bytes under a header-only Report, and fills the rest in with the
+// backend's regeneration — Health included, which the canonical form
+// excludes — or, for a report never regenerated, with the decoded bytes.
 func (l *reportLog) replace(seq int64, rep *pipeline.Report) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for i := range l.reports {
-		if l.reports[i].seq == seq {
-			l.reports[i].rep = rep
-			return
-		}
+	if i := l.find(seq); i >= 0 {
+		l.reports[i].rep = rep
+	}
+}
+
+// remove drops an entry from the log; seqs are not reused.
+func (l *reportLog) remove(seq int64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if i := l.find(seq); i >= 0 {
+		copy(l.reports[i:], l.reports[i+1:])
+		l.reports[len(l.reports)-1] = storedReport{}
+		l.reports = l.reports[:len(l.reports)-1]
 	}
 }
 

@@ -27,8 +27,11 @@ import (
 	"testing"
 	"time"
 
+	"blameit/internal/active"
+	"blameit/internal/alerting"
 	"blameit/internal/bgp"
 	"blameit/internal/chaos"
+	"blameit/internal/core"
 	"blameit/internal/faults"
 	"blameit/internal/ingest"
 	"blameit/internal/metrics"
@@ -1174,7 +1177,8 @@ func TestWALDefaultFingerprintStable(t *testing.T) {
 // TestWALLogEvents captures the durability glue's structured log events
 // through a buffer handler: the recovery ones from a journal holding one
 // report whose canonical JSON does not decode, the rest from the walState
-// calls that raise them.
+// calls that raise them over two restored reports, one regenerated with
+// other bytes and one never regenerated.
 func TestWALLogEvents(t *testing.T) {
 	var buf bytes.Buffer
 	oldLogger, oldOut, oldFlags := slog.Default(), log.Writer(), log.Flags()
@@ -1200,10 +1204,14 @@ func TestWALLogEvents(t *testing.T) {
 	e := openEnv(t, dir, func() *sim.Simulator { return newTestSim(1) }, func(c *Config) { c.WAL = wcfg })
 	e.close(t)
 
-	ws := &walState{suppress: map[walWindow]suppressedReport{
-		{0, 2}: {seq: 1, canonical: "journaled"},
-		{3, 5}: {seq: 2, canonical: "never regenerated"},
-	}}
+	ws := &walState{reports: &reportLog{}, suppress: map[walWindow]int{}}
+	for seq, r := range []*pipeline.Report{{From: 0, To: 2}, {From: 3, To: 5}} {
+		canonical, err := r.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws.restore(wal.Report{Seq: int64(seq + 1), From: r.From, To: r.To, Canonical: canonical})
+	}
 	ws.consumeReplayed(&pipeline.Report{From: 0, To: 2}, []byte("regenerated"))
 	ws.verifyRegenerated(time.Now())
 	ws.absorb(errors.New("disk gone"))
@@ -1215,8 +1223,10 @@ func TestWALLogEvents(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &ev); err != nil {
 			t.Fatalf("log line %q is not JSON: %v", line, err)
 		}
-		if d, ok := ev["duration_ms"].(float64); ok && d >= 0 {
-			ev["duration_ms"] = "ok"
+		for _, k := range []string{"duration_ms", "open_ms", "restore_ms", "catchup_ms"} {
+			if d, ok := ev[k].(float64); ok && d >= 0 {
+				ev[k] = "ok"
+			}
 		}
 		delete(ev, "time")
 		delete(ev, "level")
@@ -1228,7 +1238,7 @@ func TestWALLogEvents(t *testing.T) {
 	}
 	want := []string{
 		`{"err":"set","msg":"recovery.report_undecodable","seq":1}`,
-		`{"batches":0,"buckets":0,"duration_ms":"ok","inconsistent":1,"msg":"recovery.complete","reports":1,"truncated_bytes":0}`,
+		`{"batches":0,"buckets":0,"catchup_ms":"ok","duration_ms":"ok","inconsistent":1,"msg":"recovery.complete","open_ms":"ok","reports":1,"restore_ms":"ok","truncated_bytes":0}`,
 		`{"from":0,"msg":"recovery.report_mismatch","to":2}`,
 		`{"msg":"recovery.unregenerated","n":1}`,
 		`{"err":"disk gone","msg":"wal.degraded"}`,
@@ -1236,4 +1246,100 @@ func TestWALLogEvents(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("log events:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
+}
+
+// TestWALLeftoverReportDecoded journals one report for a window the
+// backend never regenerates. Restored as bytes, it must still reach the
+// read APIs in full once catch-up is over, and count once against the
+// recovery; a journaled report whose bytes are not a report must reach
+// none of them, and count once as well.
+func TestWALLeftoverReportDecoded(t *testing.T) {
+	leftover := &pipeline.Report{
+		From: 90, To: 92,
+		Results:  make([]core.Result, 3),
+		Verdicts: []active.Verdict{{Probed: true, OK: true, AS: 8075, Segment: netmodel.SegMiddle}},
+		Tickets:  make([]alerting.Ticket, 2),
+	}
+	canonical, err := leftover.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wcfg := wal.Config{Fsync: wal.SyncOff, Meta: "leftover"}
+	restart := func(t *testing.T, jr wal.Report) *walEnv {
+		t.Helper()
+		dir := t.TempDir()
+		lg, _, err := wal.Open(dir, wcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := lg.AppendReport(jr); err != nil {
+			t.Fatal(err)
+		}
+		if err := lg.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return openEnv(t, dir, func() *sim.Simulator { return newTestSim(1) }, func(c *Config) { c.WAL = wcfg })
+	}
+	get := func(t *testing.T, e *walEnv, path string) (int, []byte) {
+		t.Helper()
+		resp, err := e.ts.Client().Get(e.ts.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		var body bytes.Buffer
+		if _, err := body.ReadFrom(resp.Body); err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		return resp.StatusCode, body.Bytes()
+	}
+
+	t.Run("decodable", func(t *testing.T) {
+		e := restart(t, wal.Report{Seq: 7, From: leftover.From, To: leftover.To, Canonical: canonical})
+		if got := e.srv.WALHealth().RecoveryInconsistent; got != 1 {
+			t.Errorf("recovery_inconsistent = %d, want 1 (one report never regenerated)", got)
+		}
+		wantVerdicts, _ := json.Marshal([]verdictWindow{{From: 90, To: 92, Verdicts: leftover.Verdicts}})
+		if _, body := get(t, e, "/v1/verdicts"); !bytes.Equal(bytes.TrimSpace(body), wantVerdicts) {
+			t.Errorf("/v1/verdicts = %s, want %s", body, wantVerdicts)
+		}
+		wantIndex, _ := json.Marshal([]reportSummary{{Seq: 0, From: 90, To: 92, Results: 3, Verdicts: 1, Tickets: 2}})
+		if _, body := get(t, e, "/v1/reports"); !bytes.Equal(bytes.TrimSpace(body), wantIndex) {
+			t.Errorf("/v1/reports = %s, want %s", body, wantIndex)
+		}
+		if code, body := get(t, e, "/v1/reports/91"); code != http.StatusOK || !bytes.Equal(body, append(canonical, '\n')) {
+			t.Errorf("/v1/reports/91 = %d %s, want the journaled bytes", code, body)
+		}
+	})
+
+	t.Run("undecodable", func(t *testing.T) {
+		e := restart(t, wal.Report{Seq: 7, From: leftover.From, To: leftover.To, Canonical: []byte(`{"From":90,`)})
+		if got := e.srv.WALHealth().RecoveryInconsistent; got != 1 {
+			t.Errorf("recovery_inconsistent = %d, want 1 (one undecodable report, counted once)", got)
+		}
+		if _, body := get(t, e, "/v1/verdicts"); string(bytes.TrimSpace(body)) != "[]" {
+			t.Errorf("/v1/verdicts = %s, want []", body)
+		}
+		if _, body := get(t, e, "/v1/reports"); string(bytes.TrimSpace(body)) != "[]" {
+			t.Errorf("/v1/reports = %s, want []", body)
+		}
+		if code, _ := get(t, e, "/v1/reports/91"); code != http.StatusNotFound {
+			t.Errorf("/v1/reports/91 = %d, want 404", code)
+		}
+	})
+
+	t.Run("undecodable regenerated", func(t *testing.T) {
+		ws := &walState{reports: &reportLog{}, suppress: map[walWindow]int{}}
+		ws.restore(wal.Report{Seq: 7, From: leftover.From, To: leftover.To, Canonical: []byte("not json")})
+		if seq, ok := ws.consumeReplayed(leftover, canonical); ok {
+			t.Errorf("regeneration of an undecodable report grafted onto entry %d; want it published anew", seq)
+		}
+		if n := len(ws.reports.snapshot()); n != 0 {
+			t.Errorf("report log keeps %d entries, want the undecodable one gone", n)
+		}
+		ws.verifyRegenerated(time.Now())
+		if got := ws.inconsistent.Load(); got != 1 {
+			t.Errorf("inconsistent = %d, want 1", got)
+		}
+	})
 }

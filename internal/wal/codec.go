@@ -7,6 +7,7 @@ import (
 
 	"blameit/internal/ingest"
 	"blameit/internal/netmodel"
+	"blameit/internal/parallel"
 	"blameit/internal/trace"
 )
 
@@ -84,89 +85,107 @@ type rawRecord struct {
 // offset where that prefix ends. Anything after the returned offset —
 // a torn frame, a CRC mismatch, an over-long length, an unknown type, or
 // an undecodable body — is the corrupt tail the caller truncates.
+//
+// Frames are checked in order, since each one's position depends on the
+// length before it. The bodies are independent once framed, so they decode
+// on every core, each into its own record; the prefix is then cut at the
+// first body that failed, as a sequential decode would have stopped there.
 func scanRecords(data []byte) (recs []rawRecord, valid int64) {
 	off := int64(0)
 	for {
 		rest := data[off:]
 		if len(rest) < frameHeader {
-			return recs, off
+			break
 		}
 		n, ok := frameLen(rest)
 		if !ok || n > int64(len(rest))-frameHeader {
-			return recs, off
+			break
 		}
 		payload := rest[frameHeader : frameHeader+n]
 		if !crcMatches(rest, payload) {
-			return recs, off
+			break
 		}
-		typ, body := payload[0], payload[1:]
-		val, _, ok := decodeBody(typ, body, true)
-		if !ok {
-			return recs, off
-		}
-		recs = append(recs, rawRecord{typ: typ, body: body, val: val})
+		recs = append(recs, rawRecord{typ: payload[0], body: payload[1:]})
 		off += frameHeader + n
 	}
+	ok := make([]bool, len(recs))
+	parallel.ForEach(len(recs), parallel.Resolve(0), func(i int) {
+		recs[i].val, _, ok[i] = decodeBody(recs[i].typ, recs[i].body, true)
+	})
+	for i := range recs {
+		if !ok[i] {
+			return recs[:i], valid
+		}
+		valid += frameHeader + 1 + int64(len(recs[i].body))
+	}
+	return recs, valid
 }
 
 // reader is a bounds-checked cursor over a record body. Any overrun sets
 // err and subsequent reads return zero values, so decoders can read the
-// whole shape and check err once.
+// whole shape and check err once. The cursor is an index into b rather
+// than a re-sliced b, so that advancing it stores no pointer: a decoder
+// reading through *reader pays no GC write barrier per field.
 type reader struct {
 	b   []byte
+	i   int
 	err bool
 }
+
+// left is how many body bytes the cursor has not consumed.
+func (r *reader) left() int { return len(r.b) - r.i }
 
 func (r *reader) varint() int64 {
 	// Most journaled integers fit one or two bytes; binary.Varint's general
 	// loop is kept for the rest and for every malformed case.
-	if b := r.b; len(b) >= 2 {
-		if b[0] < 0x80 {
-			r.b = b[1:]
-			return int64(b[0]>>1) ^ -int64(b[0]&1)
+	if i := r.i; i+1 < len(r.b) {
+		b0, b1 := r.b[i], r.b[i+1]
+		if b0 < 0x80 {
+			r.i = i + 1
+			return int64(b0>>1) ^ -int64(b0&1)
 		}
-		if b[1] < 0x80 {
-			r.b = b[2:]
-			ux := uint64(b[0]&0x7f) | uint64(b[1])<<7
+		if b1 < 0x80 {
+			r.i = i + 2
+			ux := uint64(b0&0x7f) | uint64(b1)<<7
 			return int64(ux>>1) ^ -int64(ux&1)
 		}
 	}
-	v, n := binary.Varint(r.b)
+	v, n := binary.Varint(r.b[r.i:])
 	if n <= 0 {
 		r.err = true
 		return 0
 	}
-	r.b = r.b[n:]
+	r.i += n
 	return v
 }
 
 func (r *reader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.b)
+	v, n := binary.Uvarint(r.b[r.i:])
 	if n <= 0 {
 		r.err = true
 		return 0
 	}
-	r.b = r.b[n:]
+	r.i += n
 	return v
 }
 
 func (r *reader) f64() float64 {
-	if len(r.b) < 8 {
+	if r.left() < 8 {
 		r.err = true
 		return 0
 	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
-	r.b = r.b[8:]
+	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.i:]))
+	r.i += 8
 	return v
 }
 
 func (r *reader) rest() []byte {
-	b := r.b
-	r.b = nil
+	b := r.b[r.i:]
+	r.i = len(r.b)
 	return b
 }
 
-func (r *reader) empty() bool { return len(r.b) == 0 }
+func (r *reader) empty() bool { return r.i == len(r.b) }
 
 // Observation codec: varints for the integer fields (chaos-corrupted
 // records can carry negative samples or clients, so everything is
@@ -195,7 +214,7 @@ func appendObs(buf []byte, obs []trace.Observation) []byte {
 func readObs(r *reader, build bool) ([]trace.Observation, netmodel.Bucket) {
 	high := noBucket
 	n := r.uvarint()
-	if r.err || n > uint64(len(r.b)/minObsBytes)+1 {
+	if r.err || n > uint64(r.left()/minObsBytes)+1 {
 		r.err = true
 		return nil, high
 	}
@@ -247,7 +266,7 @@ func appendCells(buf []byte, cells []ingest.AggCell) []byte {
 func readCells(r *reader, build bool) ([]ingest.AggCell, netmodel.Bucket) {
 	high := noBucket
 	n := r.uvarint()
-	if r.err || n > uint64(len(r.b)/minCellBytes)+1 {
+	if r.err || n > uint64(r.left()/minCellBytes)+1 {
 		r.err = true
 		return nil, high
 	}

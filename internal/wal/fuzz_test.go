@@ -54,6 +54,16 @@ func FuzzWALDecode(f *testing.F) {
 	if recs, valid := scanRecords(withFlush); len(recs) != 3 || valid != int64(len(rest)) {
 		f.Fatalf("scan accepted %d records / %d bytes of a log with a kind-0x08 record after %d bytes: the unknown kind must stop it", len(recs), valid, len(rest))
 	}
+	// A framed, CRC-valid batch whose body claims observations it does not
+	// hold, between good frames: bodies decode in parallel, and the prefix
+	// must still end at the first one that fails, whatever decodes after it.
+	badBody := appendFrame(append([]byte(nil), valid...), []byte{recBatch, 5})
+	badBody = appendFrame(badBody, binary.AppendVarint([]byte{recSeal}, 9))
+	badBody = appendFrame(badBody, appendObs([]byte{recBatch}, obsFor(3, 2)))
+	f.Add(badBody)
+	if recs, n := scanRecords(badBody); len(recs) != 3 || n != int64(len(valid)) {
+		f.Fatalf("scan accepted %d records / %d bytes of a log with an undecodable body after %d bytes: the bad body must stop it", len(recs), n, len(valid))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, valid := scanRecords(data)

@@ -358,8 +358,8 @@ func TestReaderVarint(t *testing.T) {
 		want, n := binary.Varint(enc)
 		r := &reader{b: append([]byte(nil), enc...)}
 		got := r.varint()
-		if (n <= 0) != r.err || (n > 0 && (got != want || len(r.b) != len(enc)-n)) {
-			t.Fatalf("varint(% x) = %d, %d left, err %v; binary.Varint = %d, n %d", enc, got, len(r.b), r.err, want, n)
+		if (n <= 0) != r.err || (n > 0 && (got != want || r.left() != len(enc)-n)) {
+			t.Fatalf("varint(% x) = %d, %d left, err %v; binary.Varint = %d, n %d", enc, got, r.left(), r.err, want, n)
 		}
 	}
 	for v := int64(-70000); v <= 70000; v++ {

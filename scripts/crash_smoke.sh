@@ -6,8 +6,8 @@
 # on drained sealed-bucket boundaries and some right after a seal ack
 # with the backend mid-flight. Every restart must replay its WAL cleanly
 # (no inconsistencies, no degraded durability) and the survivor must
-# serve a /v1/reports index and canonical report bodies byte-identical
-# to the control's. The seeded per-crash-point matrix lives in
+# serve a /v1/reports index, canonical report bodies and /v1/verdicts
+# byte-identical to the control's. The seeded per-crash-point matrix lives in
 # internal/server's TestCrashRecoverySIGKILL; this script is the
 # shell-level end-to-end proof against real processes and a real disk.
 set -euo pipefail
@@ -68,6 +68,7 @@ wait_up
 "$WORK/blameit-tracegen" "${TGEN[@]}" -post "$BASE" >/dev/null
 wait_drained 287
 curl -fsS "$BASE/v1/reports" > "$WORK/index-control.json"
+curl -fsS "$BASE/v1/verdicts" > "$WORK/verdicts-control.json"
 for b in 119 200 287; do
   curl -fsS "$BASE/v1/reports/$b" > "$WORK/report$b-control.json"
 done
@@ -140,6 +141,11 @@ recovered=$(healthz_field recovered_reports)
 curl -fsS "$BASE/v1/reports" > "$WORK/index-wal.json"
 cmp -s "$WORK/index-control.json" "$WORK/index-wal.json" || {
   echo "crash-smoke: report index diverges from control after kill -9 recovery" >&2; exit 1; }
+# /v1/verdicts is served from the report log's decoded entries, which a
+# restart restores from journaled bytes: it must match too.
+curl -fsS "$BASE/v1/verdicts" > "$WORK/verdicts-wal.json"
+cmp -s "$WORK/verdicts-control.json" "$WORK/verdicts-wal.json" || {
+  echo "crash-smoke: /v1/verdicts diverges from control after kill -9 recovery" >&2; exit 1; }
 for b in 119 200 287; do
   curl -fsS "$BASE/v1/reports/$b" > "$WORK/report$b-wal.json"
   cmp -s "$WORK/report$b-control.json" "$WORK/report$b-wal.json" || {
@@ -153,4 +159,4 @@ if ! wait "$DPID"; then
   exit 1
 fi
 DPID=""
-echo "crash-smoke: OK (4 kill -9 recoveries; index + 3 canonical reports byte-identical; recovered_reports=$recovered)"
+echo "crash-smoke: OK (4 kill -9 recoveries; index, verdicts + 3 canonical reports byte-identical; recovered_reports=$recovered)"
