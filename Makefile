@@ -46,7 +46,6 @@ crash-smoke:
 # with a registered fuzz target; also a CI job. A failing input lands in
 # the package's testdata/fuzz, where `go test` replays it from then on.
 fuzz:
-	$(GO) test -run NONE -fuzz FuzzStreamSource -fuzztime 20s ./internal/ingest/
 	$(GO) test -run NONE -fuzz FuzzDecodeBatches -fuzztime 20s ./internal/ingest/
 	$(GO) test -run NONE -fuzz FuzzParseFloat -fuzztime 20s ./internal/ingest/
 	$(GO) test -run NONE -fuzz FuzzWALDecode -fuzztime 20s ./internal/wal/

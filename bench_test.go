@@ -8,7 +8,6 @@
 package bench
 
 import (
-	"bytes"
 	"context"
 	"testing"
 
@@ -163,24 +162,4 @@ func benchDrainSource(b *testing.B, mk func() ingest.ObservationSource) {
 func BenchmarkIngestLiveSim(b *testing.B) {
 	s := benchIngestSim()
 	benchDrainSource(b, func() ingest.ObservationSource { return ingest.SourceFunc(s.ObservationsAt) })
-}
-
-// BenchmarkIngestStreamReplay drains a recorded JSONL trace through the
-// streaming reader, measuring replay (decode-bound) throughput.
-func BenchmarkIngestStreamReplay(b *testing.B) {
-	s := benchIngestSim()
-	horizon := netmodel.Bucket(netmodel.BucketsPerDay / 2)
-	var file bytes.Buffer
-	var buf []trace.Observation
-	for bk := netmodel.Bucket(0); bk < horizon; bk++ {
-		buf = s.ObservationsAt(bk, buf[:0])
-		if err := trace.WriteJSONL(&file, buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-	raw := file.Bytes()
-	b.SetBytes(int64(len(raw)))
-	benchDrainSource(b, func() ingest.ObservationSource {
-		return ingest.NewStreamSource(bytes.NewReader(raw))
-	})
 }

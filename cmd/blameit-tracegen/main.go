@@ -6,7 +6,7 @@
 // Usage:
 //
 //	blameit-tracegen [-scale small|medium|large] [-seed N] [-days N]
-//	                 [-faults random|none] [-level quartet|sample]
+//	                 [-workload random|none] [-level quartet|sample]
 //	                 [-workers N] [-metrics] [-o FILE]
 //	                 [-post URL] [-batch N] [-seal=true] [-fleet N]
 //
@@ -48,8 +48,6 @@ import (
 	"syscall"
 	"time"
 
-	"blameit/internal/bgp"
-	"blameit/internal/faults"
 	"blameit/internal/fleet"
 	"blameit/internal/ingest"
 	"blameit/internal/metrics"
@@ -93,26 +91,15 @@ func newPoster(ctx context.Context, base, path string, batchRecords int) *poster
 	}
 }
 
-// add appends one bucket's records, flushing complete batches.
-func (p *poster) add(obs []trace.Observation) error {
-	if err := trace.WriteJSONL(&p.buf, obs); err != nil {
+// put appends one part of the feed (a bucket's observations, or one
+// agent's partial for a bucket) through write, then flushes if the batch
+// is complete. A part lands whole in one body — the aggregate endpoint's
+// contract for a partial — because flushes only happen between parts.
+func (p *poster) put(n int, write func(io.Writer) error) error {
+	if err := write(&p.buf); err != nil {
 		return err
 	}
-	p.n += len(obs)
-	if p.n >= p.batchRecords {
-		return p.flush()
-	}
-	return nil
-}
-
-// addAgg appends one partial's aggregate cells. The whole partial lands
-// in one body — the aggregate endpoint's contract — because flushes only
-// happen between add calls.
-func (p *poster) addAgg(cells []ingest.AggCell) error {
-	if err := ingest.WriteAggJSONL(&p.buf, cells); err != nil {
-		return err
-	}
-	p.n += len(cells)
+	p.n += n
 	if p.n >= p.batchRecords {
 		return p.flush()
 	}
@@ -207,7 +194,7 @@ func main() {
 		scaleName   = flag.String("scale", "small", "world scale: small, medium or large")
 		seed        = flag.Int64("seed", 42, "deterministic seed")
 		days        = flag.Int("days", 1, "days of trace to generate; also the horizon of fault and routing generation (a blameitd fed this trace must run with the same -days)")
-		workload    = flag.String("faults", "random", "fault workload: random or none")
+		workload    = flag.String("workload", "random", "fault workload: random or none")
 		level       = flag.String("level", "quartet", "record granularity: quartet or sample")
 		workers     = flag.Int("workers", 0, "goroutines for observation/sample generation (0 = all cores, 1 = sequential; output is identical either way)")
 		dumpMetrics = flag.Bool("metrics", false, "dump the generation metrics snapshot as JSON on stderr at exit")
@@ -219,6 +206,10 @@ func main() {
 	)
 	flag.Parse()
 
+	fatal := func(err error) {
+		fmt.Fprintln(os.Stderr, "tracegen:", err)
+		os.Exit(1)
+	}
 	// SIGINT/SIGTERM stop generation at the next bucket boundary, leaving a
 	// valid (truncated) bucket-ordered trace behind.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -226,20 +217,29 @@ func main() {
 
 	scale, err := topology.ScaleByName(*scaleName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracegen:", err)
-		os.Exit(1)
+		fatal(err)
 	}
-	if *workload != "random" && *workload != "none" {
-		fmt.Fprintf(os.Stderr, "tracegen: unknown -faults %q (random|none)\n", *workload)
-		os.Exit(1)
+	if *level != "quartet" && *level != "sample" {
+		fatal(fmt.Errorf("unknown level %q (quartet|sample)", *level))
+	}
+	if *postURL != "" && *level != "quartet" {
+		fatal(fmt.Errorf("-post supports only -level quartet (the daemon ingests quartet observations)"))
+	}
+	if *fleetN > 0 && *level != "quartet" {
+		fatal(fmt.Errorf("-fleet supports only -level quartet (agents pre-aggregate quartet observations)"))
+	}
+	reg := metrics.NewRegistry()
+	horizon := netmodel.Bucket(*days * netmodel.BucketsPerDay)
+	s, err := sim.Seeded(scale, *seed, *workload, horizon, *workers, reg)
+	if err != nil {
+		fatal(err)
 	}
 
 	var out io.Writer = os.Stdout
 	if *outFile != "" {
 		f, err := os.Create(*outFile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		defer f.Close()
 		bw := bufio.NewWriterSize(f, 1<<20)
@@ -247,134 +247,96 @@ func main() {
 		out = bw
 	}
 
-	w := topology.Generate(scale, *seed)
-	horizon := netmodel.Bucket(*days * netmodel.BucketsPerDay)
-	var fs []faults.Fault
-	if *workload == "random" {
-		fs = faults.Generate(w, faults.DefaultGenerateConfig(), horizon, *seed+1).Faults
+	unit, path := "records", "/v1/ingest"
+	if *fleetN > 0 {
+		unit, path = "cells", "/v1/aggregates"
 	}
-	reg := metrics.NewRegistry()
-	tbl := bgp.NewTable(w, bgp.DefaultChurnConfig(), horizon, *seed+2)
-	scfg := sim.DefaultConfig(*seed + 3)
-	scfg.Workers = *workers
-	scfg.Metrics = reg
-	if err := scfg.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "tracegen:", err)
-		os.Exit(1)
+	var p *poster
+	if *postURL != "" {
+		p = newPoster(ctx, *postURL, path, *batchSize)
 	}
-	s := sim.New(w, tbl, faults.NewSchedule(fs), scfg)
-
-	if *postURL != "" && *level != "quartet" {
-		fmt.Fprintln(os.Stderr, "tracegen: -post supports only -level quartet (the daemon ingests quartet observations)")
-		os.Exit(1)
-	}
-	if *fleetN > 0 && *level != "quartet" {
-		fmt.Fprintln(os.Stderr, "tracegen: -fleet supports only -level quartet (agents pre-aggregate quartet observations)")
-		os.Exit(1)
-	}
-
 	var written int64
-	switch {
-	case *level == "quartet" && *fleetN > 0:
-		fl := fleet.New(s, *fleetN)
-		sink := func(cells []ingest.AggCell) error { return ingest.WriteAggJSONL(out, cells) }
-		var p *poster
-		if *postURL != "" {
-			p = newPoster(ctx, *postURL, "/v1/aggregates", *batchSize)
-			sink = p.addAgg
+	// put hands one part of the feed to the poster or the output.
+	put := func(n int, write func(io.Writer) error) error {
+		written += int64(n)
+		if p != nil {
+			return p.put(n, write)
 		}
-		start := time.Now()
+		return write(out)
+	}
+	// emit writes bucket b's records through put, one part at a time: the
+	// bucket's observations or samples, or each agent's partial.
+	var emit func(b netmodel.Bucket) error
+	switch {
+	case *fleetN > 0:
+		fl := fleet.New(s, *fleetN)
 		var cells []ingest.AggCell
-		for b := netmodel.Bucket(0); b < horizon && ctx.Err() == nil; b++ {
+		writeCells := func(w io.Writer) error { return ingest.WriteAggJSONL(w, cells) }
+		emit = func(b netmodel.Bucket) error {
 			for _, ag := range fl.Agents {
 				cells = ingest.AggCellsOf(ag.Collect(b), cells[:0])
-				if err := sink(cells); err != nil {
-					fmt.Fprintln(os.Stderr, "tracegen:", err)
-					os.Exit(1)
+				if err := put(len(cells), writeCells); err != nil {
+					return err
 				}
-				written += int64(len(cells))
 			}
-		}
-		if p != nil {
-			err := p.flush()
-			if err == nil && *sealFinal && ctx.Err() == nil {
-				err = p.seal(horizon - 1)
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "tracegen:", err)
-				os.Exit(1)
-			}
-			elapsed := time.Since(start).Seconds()
-			rate := float64(p.posted)
-			if elapsed > 0 {
-				rate /= elapsed
-			}
-			fmt.Fprintf(os.Stderr, "tracegen: replayed %d aggregate cells from %d agents over HTTP in %d batches (%.0f cells/sec, %d backpressure retries)\n",
-				p.posted, len(fl.Agents), p.batches, rate, p.retries)
-			p.summary("cells")
+			return nil
 		}
 	case *level == "quartet":
-		sink := func(obs []trace.Observation) error { return trace.WriteJSONL(out, obs) }
-		var p *poster
-		if *postURL != "" {
-			p = newPoster(ctx, *postURL, "/v1/ingest", *batchSize)
-			sink = p.add
-		}
-		start := time.Now()
-		var buf []trace.Observation
-		for b := netmodel.Bucket(0); b < horizon && ctx.Err() == nil; b++ {
-			buf = s.ObservationsAt(b, buf[:0])
-			if err := sink(buf); err != nil {
-				fmt.Fprintln(os.Stderr, "tracegen:", err)
-				os.Exit(1)
-			}
-			written += int64(len(buf))
-		}
-		if p != nil {
-			err := p.flush()
-			if err == nil && *sealFinal && ctx.Err() == nil {
-				err = p.seal(horizon - 1)
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "tracegen:", err)
-				os.Exit(1)
-			}
-			elapsed := time.Since(start).Seconds()
-			rate := float64(p.posted)
-			if elapsed > 0 {
-				rate /= elapsed
-			}
-			fmt.Fprintf(os.Stderr, "tracegen: replayed %d records over HTTP in %d batches (%.0f records/sec, %d backpressure retries)\n",
-				p.posted, p.batches, rate, p.retries)
-			p.summary("records")
-		}
-	case *level == "sample":
-		enc := json.NewEncoder(out)
-		var buf []trace.Sample
-		for b := netmodel.Bucket(0); b < horizon && ctx.Err() == nil; b++ {
-			buf = s.SamplesAt(b, buf[:0])
-			for i := range buf {
-				if err := enc.Encode(&buf[i]); err != nil {
-					fmt.Fprintln(os.Stderr, "tracegen:", err)
-					os.Exit(1)
-				}
-			}
-			written += int64(len(buf))
+		var obs []trace.Observation
+		writeObs := func(w io.Writer) error { return trace.WriteJSONL(w, obs) }
+		emit = func(b netmodel.Bucket) error {
+			obs = s.ObservationsAt(b, obs[:0])
+			return put(len(obs), writeObs)
 		}
 	default:
-		fmt.Fprintf(os.Stderr, "unknown level %q (quartet|sample)\n", *level)
-		os.Exit(1)
+		var smp []trace.Sample
+		writeSamples := func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			for i := range smp {
+				if err := enc.Encode(&smp[i]); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		emit = func(b netmodel.Bucket) error {
+			smp = s.SamplesAt(b, smp[:0])
+			return put(len(smp), writeSamples)
+		}
+	}
+
+	start := time.Now()
+	for b := netmodel.Bucket(0); b < horizon && ctx.Err() == nil; b++ {
+		if err := emit(b); err != nil {
+			fatal(err)
+		}
+	}
+	if p != nil {
+		err := p.flush()
+		if err == nil && *sealFinal && ctx.Err() == nil {
+			err = p.seal(horizon - 1)
+		}
+		if err != nil {
+			fatal(err)
+		}
+		elapsed := time.Since(start).Seconds()
+		rate := float64(p.posted)
+		if elapsed > 0 {
+			rate /= elapsed
+		}
+		fmt.Fprintf(os.Stderr, "tracegen: replayed %d %s over HTTP in %d batches (%.0f %s/sec, %d backpressure retries)\n",
+			p.posted, unit, p.batches, rate, unit, p.retries)
+		p.summary(unit)
 	}
 	kind := *level
 	if *fleetN > 0 {
 		kind = fmt.Sprintf("aggregate-cell (%d-agent fleet)", *fleetN)
 	}
-	fmt.Fprintf(os.Stderr, "tracegen: wrote %d %s records over %d day(s), %d faults\n", written, kind, *days, len(fs))
+	fmt.Fprintf(os.Stderr, "tracegen: wrote %d %s records over %d day(s), %d faults\n", written, kind, *days, len(s.Sched.Faults))
 	if *dumpMetrics {
 		// Metrics go to stderr so the trace stream on stdout stays clean.
 		if err := reg.Snapshot().WriteJSON(os.Stderr); err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 	}
 }

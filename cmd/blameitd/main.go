@@ -3,8 +3,8 @@
 // the Algorithm 1 localization job as buckets seal, and read APIs for
 // verdicts, reports, health, and metrics. It is the service-shaped
 // counterpart of the batch `blameit` CLI: the same pipeline, fed over HTTP
-// instead of from a file or a live simulator, producing byte-identical
-// reports for the same telemetry.
+// instead of from a live simulator, producing byte-identical reports for
+// the same telemetry.
 //
 // Usage:
 //
@@ -23,10 +23,10 @@
 // fingerprint of the world and pipeline flags; restarting over the same
 // DIR with different flags refuses to start rather than diverge.
 //
-// The world flags (-scale, -seed, -workload, -warmup, -days) must match
-// the trace producer's, exactly as for `blameit -replay`: the daemon
-// regenerates topology and routing from the seeds (configuration, not
-// telemetry) and serves active-phase probes from the deterministic engine
+// The world flags (-scale, -seed, -workload, -days) must match the trace
+// producer's: the daemon regenerates topology and routing from the seeds
+// through sim.Seeded, as blameit-tracegen does (configuration, not
+// telemetry), and serves active-phase probes from the deterministic engine
 // over that world. Feed it with the tracegen loadgen, both sides on one
 // -days so they regenerate one fault and routing history:
 //
@@ -59,8 +59,6 @@ import (
 	"syscall"
 	"time"
 
-	"blameit/internal/bgp"
-	"blameit/internal/faults"
 	"blameit/internal/metrics"
 	"blameit/internal/netmodel"
 	"blameit/internal/pipeline"
@@ -132,27 +130,13 @@ func run(o options) error {
 	if o.warmup < 0 || o.days < 1 {
 		return fmt.Errorf("warmup must be >= 0 and days >= 1")
 	}
-	w := topology.Generate(scale, o.seed)
 	horizon := netmodel.Bucket(o.days * netmodel.BucketsPerDay)
-
-	var fs []faults.Fault
-	switch o.workload {
-	case "random":
-		fs = faults.Generate(w, faults.DefaultGenerateConfig(), horizon, o.seed+1).Faults
-	case "none":
-	default:
-		return fmt.Errorf("unknown workload %q (random|none)", o.workload)
+	s, err := sim.Seeded(scale, o.seed, o.workload, horizon, o.workers, nil)
+	if err != nil {
+		return err
 	}
 
 	reg := metrics.NewRegistry()
-	tbl := bgp.NewTable(w, bgp.DefaultChurnConfig(), horizon, o.seed+2)
-	scfg := sim.DefaultConfig(o.seed + 3)
-	scfg.Workers = o.workers
-	if err := scfg.Validate(); err != nil {
-		return err
-	}
-	s := sim.New(w, tbl, faults.NewSchedule(fs), scfg)
-
 	pcfg := pipeline.DefaultConfig()
 	pcfg.BudgetPerCloudPerDay = o.budget
 	pcfg.TopNAlerts = o.topN
@@ -188,17 +172,17 @@ func run(o options) error {
 	}
 	// The daemon's pipeline reads observations from the HTTP ingest queue;
 	// only active-phase probes come from the deterministic engine over the
-	// regenerated world — the same split as `blameit -replay`.
+	// regenerated world.
 	srv, err := server.New(pipeline.Deps{
-		World:  w,
-		Table:  tbl,
+		World:  s.World,
+		Table:  s.Routes,
 		Prober: probe.NewEngine(s, pcfg.ProbeNoiseMS),
 	}, cfg)
 	if err != nil {
 		return err
 	}
 
-	st := w.Stats()
+	st := s.World.Stats()
 	fmt.Printf("world: %d clouds, %d metros, %d ASes, %d BGP prefixes, %d /24s, %d active clients\n",
 		st.Clouds, st.Metros, st.ASes, st.BGPPrefixes, st.Prefix24s, st.Clients)
 	if o.dataDir != "" {

@@ -81,7 +81,14 @@ func main() {
 	for as := range culprits {
 		asns = append(asns, as)
 	}
-	sort.Slice(asns, func(i, j int) bool { return culprits[asns[i]] > culprits[asns[j]] })
+	// Most votes first; tied counts in ASN order, so the listing does not
+	// follow map iteration.
+	sort.Slice(asns, func(i, j int) bool {
+		if culprits[asns[i]] != culprits[asns[j]] {
+			return culprits[asns[i]] > culprits[asns[j]]
+		}
+		return asns[i] < asns[j]
+	})
 	for _, as := range asns {
 		marker := ""
 		if as == faultyAS {

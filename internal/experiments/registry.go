@@ -89,7 +89,7 @@ func rendered(r interface{ Render(io.Writer) }, extra ...string) string {
 
 // registry is the one list of the reproduction's experiments and the one
 // place their sizes are set. The sizes are the ones EXPERIMENTS.md quotes;
-// -scale medium and examples/monthly-report are the ways to run bigger.
+// -scale medium is the way to run bigger.
 var registry = []Experiment{
 	{"table1", "Table 1: property comparison with prior solutions", func(Params) Outcome {
 		return Outcome{Text: rendered(Table1Properties())}

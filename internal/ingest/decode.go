@@ -14,10 +14,10 @@ import (
 	"blameit/internal/trace"
 )
 
-// One grammar, one decoder. Every JSONL reader here — DecodeBatch behind
-// POST /v1/ingest, DecodeAggBatch behind POST /v1/aggregates, StreamSource
-// behind blameit -replay — decodes a line with its record shape's decode:
-// the canonical scanner first, encoding/json for anything else. The
+// One grammar, one decoder. Both JSONL readers here — DecodeBatch behind
+// POST /v1/ingest and DecodeAggBatch behind POST /v1/aggregates — decode
+// a line with its record shape's decode: the canonical scanner first,
+// encoding/json for anything else. The
 // language accepted is encoding/json's (reordered keys, whitespace, unknown
 // fields included); the scanner only makes the common case fast, and it
 // accepts nothing encoding/json refuses and decodes nothing differently
@@ -143,9 +143,8 @@ func (s *recordShape[T]) decodeBatch(data []byte, buf []T, onBad func(line []byt
 
 // DecodeBatch decodes one bounded JSONL observation batch — the request
 // body of a blameitd POST /v1/ingest — appending the records to buf and
-// returning the extended slice. Lines decode exactly as a streaming replay
-// decodes them; onBad selects strict (nil) or salvage mode, mirroring
-// StreamSource's split (see recordShape.decodeBatch).
+// returning the extended slice. onBad selects strict (nil) or salvage mode
+// (see recordShape.decodeBatch).
 func DecodeBatch(data []byte, buf []trace.Observation, onBad func(line []byte)) ([]trace.Observation, error) {
 	return obsShape.decodeBatch(data, buf, onBad)
 }

@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -269,40 +268,9 @@ func TestFixedPointMatchesStrconv(t *testing.T) {
 	}
 }
 
-// TestStreamSourceLongLineFallback exercises the ReadSlice buffer-full
-// path: a record padded far beyond the 1MB read buffer still decodes (via
-// the owned-scratch reassembly plus encoding/json, which tolerates the
-// whitespace padding).
-func TestStreamSourceLongLineFallback(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteString(`{"prefix":1,"cloud":0,"device":0,"bucket":0,"samples":30,"mean_rtt_ms":44,"clients":5}`)
-	buf.WriteString("\n")
-	// 2MB of spaces inside the second record keeps it valid JSON but forces
-	// multiple ReadSlice rounds.
-	buf.WriteString(`{"prefix":2,"cloud":0,"device":0,"bucket":1,`)
-	buf.Write(bytes.Repeat([]byte(" "), 2<<20))
-	buf.WriteString(`"samples":30,"mean_rtt_ms":45,"clients":6}`)
-	buf.WriteString("\n")
-	src := NewStreamSource(&buf)
-	got, err := src.ObservationsAt(context.Background(), 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Prefix != 1 {
-		t.Fatalf("bucket 0: %+v", got)
-	}
-	got, err = src.ObservationsAt(context.Background(), 1, got[:0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Prefix != 2 || got[0].MeanRTT != 45 {
-		t.Fatalf("bucket 1 (long line): %+v", got)
-	}
-}
-
 // TestReadersAgreeLineByLine feeds each line to every reader of the one
-// grammar — DecodeBatch and StreamSource, strict and salvage, on the
-// observation shape, and DecodeAggBatch, strict and salvage, on its
+// grammar — DecodeBatch, strict and salvage, on the observation shape,
+// and DecodeAggBatch, strict and salvage, on its
 // aggregate-shaped twin. All of them take the line or all refuse it, as
 // encoding/json does, and what they take decodes to encoding/json's value,
 // bit for bit.
@@ -351,7 +319,6 @@ func TestReadersAgreeLineByLine(t *testing.T) {
 		cases = append(cases, twin{s.name, s.f(fmt.Sprintf(obsLine, "5", "40.5")), s.f(fmt.Sprintf(aggLine, "5", "40.5")), s.accept})
 	}
 
-	ctx := context.Background()
 	// A reader returns the records it made of one line and how many lines
 	// it refused (a strict error counts as one).
 	readers := map[string]func(obs, agg string) ([]trace.Observation, int){
@@ -366,20 +333,6 @@ func TestReadersAgreeLineByLine(t *testing.T) {
 			refused := 0
 			got, _ := DecodeBatch([]byte(obs+"\n"), nil, func([]byte) { refused++ })
 			return got, refused
-		},
-		"StreamSource strict": func(obs, _ string) ([]trace.Observation, int) {
-			got, err := NewStreamSource(strings.NewReader(obs+"\n")).ObservationsAt(ctx, 3, nil)
-			if err != nil {
-				return nil, 1
-			}
-			return got, 0
-		},
-		"StreamSource salvage": func(obs, _ string) ([]trace.Observation, int) {
-			q := NewQuarantine(100, 4)
-			s := NewStreamSource(strings.NewReader(obs + "\n"))
-			s.SetQuarantine(q)
-			got, _ := s.ObservationsAt(ctx, 3, nil)
-			return got, int(q.Count(ReasonMalformed))
 		},
 		"DecodeAggBatch strict": func(_, agg string) ([]trace.Observation, int) {
 			cells, err := DecodeAggBatch([]byte(agg+"\n"), nil, nil)

@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -10,73 +9,12 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"blameit/internal/netmodel"
-	"blameit/internal/trace"
 )
 
-// FuzzStreamSource throws arbitrary bytes at the JSONL trace decoder in
-// both modes. The invariants: salvage mode (with a quarantine) never
-// returns an error and never panics — every bad line lands in the
-// quarantine — and strict mode never panics (positioned errors are its
-// contract). The surviving records are additionally run through the
-// quarantine's Filter, so the full ingestion validation path is exercised
-// on hostile input.
-func FuzzStreamSource(f *testing.F) {
-	f.Add([]byte(`{"prefix":1,"cloud":0,"device":0,"bucket":0,"samples":20,"mean_rtt_ms":40,"clients":9}` + "\n"))
-	// Truncated line.
-	f.Add([]byte(`{"prefix":1,"cloud":0,"device":0,"bucket":0,"sam`))
-	// Out-of-range numeric literal (1e999 overflows float64).
-	f.Add([]byte(`{"prefix":1,"cloud":0,"device":0,"bucket":0,"samples":20,"mean_rtt_ms":1e999,"clients":9}` + "\n"))
-	// Bare NaN is not JSON.
-	f.Add([]byte(`{"prefix":1,"cloud":0,"device":0,"bucket":0,"samples":20,"mean_rtt_ms":NaN,"clients":9}` + "\n"))
-	// Bucket regression between two valid records.
-	f.Add([]byte(`{"prefix":1,"cloud":0,"device":0,"bucket":3,"samples":20,"mean_rtt_ms":40,"clients":9}` + "\n" +
-		`{"prefix":2,"cloud":0,"device":0,"bucket":1,"samples":20,"mean_rtt_ms":40,"clients":9}` + "\n"))
-	// Negative RTT and unknown prefix: decode fine, must be quarantined by Filter.
-	f.Add([]byte(`{"prefix":1,"cloud":0,"device":0,"bucket":0,"samples":20,"mean_rtt_ms":-5,"clients":9}` + "\n" +
-		`{"prefix":99999,"cloud":0,"device":0,"bucket":0,"samples":20,"mean_rtt_ms":40,"clients":9}` + "\n"))
-	f.Add([]byte("\n\n  \n"))
-	f.Add([]byte{0xff, 0xfe, 0x00, '{', '}'})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ctx := context.Background()
-		// Salvage mode: errors are a bug, everything quarantines.
-		q := NewQuarantine(1024, 16)
-		s := NewStreamSource(bytes.NewReader(data))
-		s.SetQuarantine(q)
-		var buf []trace.Observation
-		var decoded, kept int64
-		for b := netmodel.Bucket(0); b < 16; b++ {
-			var err error
-			buf, err = s.ObservationsAt(ctx, b, buf[:0])
-			if err != nil {
-				t.Fatalf("salvage mode returned error: %v", err)
-			}
-			decoded += int64(len(buf))
-			buf = q.Filter(b, buf)
-			kept += int64(len(buf))
-		}
-		if kept > decoded || kept > s.Records() {
-			t.Fatalf("kept %d of %d delivered (%d records consumed)", kept, decoded, s.Records())
-		}
-
-		// Strict mode: errors are fine, panics are not.
-		s2 := NewStreamSource(bytes.NewReader(data))
-		for b := netmodel.Bucket(0); b < 16; b++ {
-			var err error
-			buf, err = s2.ObservationsAt(ctx, b, buf[:0])
-			if err != nil {
-				break
-			}
-		}
-	})
-}
-
-// FuzzDecodeBatches throws arbitrary bytes at the two request-body
-// decoders — DecodeBatch behind POST /v1/ingest, DecodeAggBatch behind
-// POST /v1/aggregates — whose line loops and canonical record shapes
-// StreamSource's fuzz target does not reach. The invariants, for both:
+// FuzzDecodeBatches throws arbitrary bytes at the two JSONL readers —
+// DecodeBatch behind POST /v1/ingest, DecodeAggBatch behind POST
+// /v1/aggregates — and so at obsShape.decode and aggShape.decode. The
+// invariants, for both:
 // nothing panics; strict mode errors or succeeds, and what it decoded
 // before stopping is what salvage mode decoded too; salvage mode never
 // errors, and every non-blank line is either decoded or handed to onBad,

@@ -204,37 +204,3 @@ func TestTransientError(t *testing.T) {
 		t.Error("Transient(nil) != nil")
 	}
 }
-
-func TestStreamSourceQuarantineMode(t *testing.T) {
-	in := `{"prefix":1,"cloud":0,"device":0,"bucket":0,"samples":20,"mean_rtt_ms":40,"clients":9}
-this is not json
-{"prefix":2,"cloud":0,"device":0,"bucket":1,"samples":20,"mean_rtt_ms":41,"clients":9}
-{"prefix":3,"cloud":0,"device":0,"bucket":0,"samples":20,"mean_rtt_ms":42,"clients":9}
-{"prefix":4,"cloud":0,"device":0,"bucket":1,"samples":20,"mean_rtt_ms":43,"clients":9}`
-	q := NewQuarantine(100, 4)
-	s := NewStreamSource(strings.NewReader(in))
-	s.SetQuarantine(q)
-	ctx := context.Background()
-	b0, err := s.ObservationsAt(ctx, 0, nil)
-	if err != nil {
-		t.Fatalf("bucket 0: %v", err)
-	}
-	b1, err := s.ObservationsAt(ctx, 1, nil)
-	if err != nil {
-		t.Fatalf("bucket 1: %v", err)
-	}
-	if len(b0) != 1 || b0[0].Prefix != 1 {
-		t.Errorf("bucket 0 = %v, want [prefix 1]", b0)
-	}
-	// Prefix 3 regresses (bucket 1 → 0) and is quarantined as late; the
-	// malformed line is quarantined too; prefixes 2 and 4 survive.
-	if len(b1) != 2 || b1[0].Prefix != 2 || b1[1].Prefix != 4 {
-		t.Errorf("bucket 1 = %v, want [prefix 2, prefix 4]", b1)
-	}
-	if q.Count(ReasonMalformed) != 1 || q.Count(ReasonLate) != 1 {
-		t.Errorf("quarantine = %s, want malformed=1 late=1", q)
-	}
-	if !s.Exhausted() || s.LastBucket() != 1 {
-		t.Errorf("Exhausted=%v LastBucket=%d, want true/1", s.Exhausted(), s.LastBucket())
-	}
-}

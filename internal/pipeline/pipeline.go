@@ -225,8 +225,8 @@ type canonicalReport struct {
 // CanonicalJSON serializes the report's deterministic content — window,
 // results, verdicts, and tickets, excluding Health and Final. Two runs over
 // the same telemetry are equivalent exactly when their reports'
-// CanonicalJSON streams are byte-identical; the replay golden test holds
-// blameit -replay to that standard.
+// CanonicalJSON streams are byte-identical; the replay and service
+// equivalence tests hold trace replay to that standard.
 func (r *Report) CanonicalJSON() ([]byte, error) {
 	return json.Marshal(canonicalReport{
 		From: r.From, To: r.To, Results: r.Results, Verdicts: r.Verdicts, Tickets: r.Tickets,
@@ -365,8 +365,8 @@ type Pipeline struct {
 
 // New assembles a pipeline over explicit dependencies. The simulator is
 // not among them: any ObservationSource / Prober pair over a consistent
-// topology works, which is what lets blameit -replay re-run a recorded
-// trace. Use NewSim for the conventional live wiring.
+// topology works, which is what lets blameitd re-run a recorded trace
+// posted over HTTP. Use NewSim for the conventional live wiring.
 func New(deps Deps, cfg Config) *Pipeline {
 	if deps.World == nil || deps.Table == nil || deps.Source == nil || deps.Prober == nil {
 		panic("pipeline: Deps.World, Table, Source, and Prober are all required")

@@ -3,8 +3,6 @@ package pipeline
 import (
 	"bytes"
 	"context"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"blameit/internal/bgp"
@@ -18,10 +16,9 @@ import (
 )
 
 // replayWorkload pins the seeds and fault mix of the replay-equivalence
-// tests: the medium-scale world with a random workload plus the marker
-// cloud fault, over a half-day warmup and a half-day run — long enough for
-// quartet classification, middle issues, active probing, and alerting to
-// all fire, short enough for three full pipeline runs in one test.
+// test: a random workload plus the marker cloud fault, over a half-day
+// warmup and a half-day run — long enough for quartet classification,
+// middle issues, active probing, and alerting to all fire.
 const (
 	replayWarmup  = netmodel.Bucket(netmodel.BucketsPerDay / 2)
 	replayHorizon = netmodel.Bucket(netmodel.BucketsPerDay)
@@ -30,7 +27,7 @@ const (
 // replaySim builds one fresh simulator for the replay workload. Every call
 // returns an identical-but-independent instance; live and replay runs must
 // not share one (the engine's probe counters would interleave).
-func replaySim(scale topology.Scale, workers int) *sim.Simulator {
+func replaySim(scale topology.Scale) *sim.Simulator {
 	w := topology.Generate(scale, 7)
 	fs := faults.Generate(w, faults.DefaultGenerateConfig(), replayHorizon, 8).Faults
 	fs = append(fs, faults.Fault{
@@ -38,9 +35,7 @@ func replaySim(scale topology.Scale, workers int) *sim.Simulator {
 		Start: replayWarmup + 2*netmodel.BucketsPerHour, Duration: 12, ExtraMS: 80,
 	})
 	tbl := bgp.NewTable(w, bgp.DefaultChurnConfig(), replayHorizon, 9)
-	scfg := sim.DefaultConfig(10)
-	scfg.Workers = workers
-	return sim.New(w, tbl, faults.NewSchedule(fs), scfg)
+	return sim.New(w, tbl, faults.NewSchedule(fs), sim.DefaultConfig(10))
 }
 
 // canonicalStream runs a pipeline over the replay workload and returns the
@@ -66,72 +61,28 @@ func canonicalStream(t *testing.T, p *Pipeline) []byte {
 	return out.Bytes()
 }
 
-// writeReplayTrace generates the workload's full observation trace (warmup
-// included) as a JSONL file, exactly as blameit-tracegen would.
-func writeReplayTrace(t *testing.T, scale topology.Scale) string {
+// replayTrace generates the workload's full observation trace (warmup
+// included) as JSONL, exactly as blameit-tracegen -o would write it.
+func replayTrace(t *testing.T, scale topology.Scale) []byte {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "trace.jsonl")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	s := replaySim(scale, 1)
+	var out bytes.Buffer
+	s := replaySim(scale)
 	var buf []trace.Observation
 	for b := netmodel.Bucket(0); b < replayHorizon; b++ {
 		buf = s.ObservationsAt(b, buf[:0])
-		if err := trace.WriteJSONL(f, buf); err != nil {
+		if err := trace.WriteJSONL(&out, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return path
-}
-
-// TestGoldenReplayEquivalence is the acceptance gate for blameit -replay:
-// replaying a recorded medium-scale JSONL trace through the streaming
-// source — with probes still served by the deterministic engine, as the
-// CLI does — must reproduce the live-sim run's report/ticket stream byte
-// for byte, at Workers 1 and 4.
-func TestGoldenReplayEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("medium-scale replay equivalence in -short mode")
-	}
-	scale := topology.MediumScale()
-	cfg := DefaultConfig()
-	cfg.Workers = 1
-	want := canonicalStream(t, NewSim(replaySim(scale, 1), cfg))
-	if len(want) == 0 {
-		t.Fatal("live run produced no reports")
-	}
-	tracePath := writeReplayTrace(t, scale)
-
-	for _, workers := range []int{1, 4} {
-		f, err := os.Open(tracePath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := replaySim(scale, workers) // serves probes only
-		deps := Deps{
-			World:  s.World,
-			Table:  s.Routes,
-			Source: ingest.NewStreamSource(f),
-			Prober: probe.NewEngine(s, cfg.ProbeNoiseMS),
-		}
-		rcfg := cfg
-		rcfg.Workers = workers
-		got := canonicalStream(t, New(deps, rcfg))
-		f.Close()
-		if !bytes.Equal(got, want) {
-			t.Fatalf("streaming replay (workers=%d) diverged from the live run: %d vs %d canonical bytes",
-				workers, len(got), len(want))
-		}
-	}
+	return out.Bytes()
 }
 
 // TestFullDecouplingReplayWithoutSimulator closes the loop on the
 // refactor's goal: record a live run's probes, then replay the observation
 // trace AND the probe log through a pipeline that holds no simulator at
-// all (stream source + probe replayer) — output must stay byte-identical.
+// all — the trace decoded by DecodeBatch, the daemon's reader, and served
+// bucket by bucket; probes from the replayer — and the output must stay
+// byte-identical.
 func TestFullDecouplingReplayWithoutSimulator(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replay integration in -short mode")
@@ -141,7 +92,7 @@ func TestFullDecouplingReplayWithoutSimulator(t *testing.T) {
 	cfg.Workers = 1
 
 	// Live run with probe recording.
-	s := replaySim(scale, 1)
+	s := replaySim(scale)
 	deps := SimDeps(s, cfg.ProbeNoiseMS)
 	rec := probe.NewRecorder(deps.Prober)
 	deps.Prober = rec
@@ -153,7 +104,14 @@ func TestFullDecouplingReplayWithoutSimulator(t *testing.T) {
 	if err := rec.WriteJSONL(&probeLog); err != nil {
 		t.Fatal(err)
 	}
-	tracePath := writeReplayTrace(t, scale)
+	obs, err := ingest.DecodeBatch(replayTrace(t, scale), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byBucket := make(map[netmodel.Bucket][]trace.Observation)
+	for _, o := range obs {
+		byBucket[o.Bucket] = append(byBucket[o.Bucket], o)
+	}
 
 	// Replay without a simulator: world and routing are regenerated from
 	// their seeds (they are configuration, not telemetry), everything
@@ -163,17 +121,14 @@ func TestFullDecouplingReplayWithoutSimulator(t *testing.T) {
 		t.Fatal(err)
 	}
 	rp := probe.NewReplayer(recs)
-	f, err := os.Open(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
 	w := topology.Generate(scale, 7)
 	tbl := bgp.NewTable(w, bgp.DefaultChurnConfig(), replayHorizon, 9)
 	got := canonicalStream(t, New(Deps{
-		World:  w,
-		Table:  tbl,
-		Source: ingest.NewStreamSource(f),
+		World: w,
+		Table: tbl,
+		Source: ingest.SourceFunc(func(b netmodel.Bucket, buf []trace.Observation) []trace.Observation {
+			return append(buf, byBucket[b]...)
+		}),
 		Prober: rp,
 	}, cfg))
 	if !bytes.Equal(got, want) {

@@ -4,17 +4,16 @@
 // and a periodic localization job over the sealed buckets.
 //
 // The frontend accepts JSONL observation batches on POST /v1/ingest
-// (decoded by the same alloc-free canonical scanner the batch replay path
-// uses) and an edge-aggregating fleet's partial cells on POST
-// /v1/aggregates, with bounded request bodies and backpressure, into one
-// ingest queue. The backend
-// is one worker goroutine that owns the pipeline — which is not safe for
-// concurrent use and never needs to be — and steps it bucket by bucket as
-// buckets seal in the ingest queue. Because the backend drives the very
-// same WarmupContext/StepContext entry points the batch CLI drives, and
-// reads through the same ingest.ObservationSource seam, a trace replayed
-// over HTTP produces reports byte-identical to `blameit -replay` over the
-// same file.
+// (decoded by ingest.DecodeBatch's alloc-free canonical scanner) and an
+// edge-aggregating fleet's partial cells on POST /v1/aggregates, with
+// bounded request bodies and backpressure, into one ingest queue. The
+// backend is one worker goroutine that owns the pipeline — which is not
+// safe for concurrent use and never needs to be — and steps it bucket by
+// bucket as buckets seal in the ingest queue. Because the backend drives
+// the very same WarmupContext/StepContext entry points the batch CLI
+// drives, and reads through the same ingest.ObservationSource seam, a
+// trace replayed over HTTP produces reports byte-identical to an
+// in-process run over the simulator that generated it.
 //
 // Read APIs: GET /v1/verdicts (localizations across retained reports),
 // GET /v1/reports and /v1/reports/{bucket} (canonical report JSON),

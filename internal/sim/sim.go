@@ -181,6 +181,31 @@ func New(w *topology.World, routes *bgp.Table, sched *faults.Schedule, cfg Confi
 	return s
 }
 
+// Seeded builds the seeded world every entry point shares — blameit,
+// blameitd and blameit-tracegen — from one seed: the topology at seed,
+// the fault workload at seed+1, BGP churn at seed+2 and the simulator at
+// seed+3, with faults and churn generated over [0, horizon). A producer
+// and a daemon given the same arguments regenerate the same history.
+// workload is "random" (faults.Generate's default mix) or "none".
+func Seeded(scale topology.Scale, seed int64, workload string, horizon netmodel.Bucket, workers int, reg *metrics.Registry) (*Simulator, error) {
+	cfg := DefaultConfig(seed + 3)
+	cfg.Workers = workers
+	cfg.Metrics = reg
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if workload != "random" && workload != "none" {
+		return nil, fmt.Errorf("unknown workload %q (random|none)", workload)
+	}
+	w := topology.Generate(scale, seed)
+	sched := faults.NewSchedule(nil)
+	if workload == "random" {
+		sched = faults.Generate(w, faults.DefaultGenerateConfig(), horizon, seed+1)
+	}
+	tbl := bgp.NewTable(w, bgp.DefaultChurnConfig(), horizon, seed+2)
+	return New(w, tbl, sched, cfg), nil
+}
+
 // Config returns the simulator configuration.
 func (s *Simulator) Config() Config { return s.cfg }
 

@@ -416,3 +416,37 @@ func TestResolvePrefixCoversAllPrefixes(t *testing.T) {
 		t.Error("unknown base resolved")
 	}
 }
+
+// TestSeededFollowsSeedConvention pins the one seed convention producers
+// and the daemon share: Seeded must build exactly what the literal
+// derivation (faults at seed+1, churn at seed+2, simulator at seed+3)
+// builds, which is how the benchmark's reference world is written.
+func TestSeededFollowsSeedConvention(t *testing.T) {
+	const seed = 42
+	horizon := netmodel.Bucket(4 * netmodel.BucketsPerDay)
+	got, err := Seeded(topology.SmallScale(), seed, "random", horizon, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := topology.Generate(topology.SmallScale(), seed)
+	fs := faults.Generate(w, faults.DefaultGenerateConfig(), horizon, seed+1).Faults
+	tbl := bgp.NewTable(w, bgp.DefaultChurnConfig(), horizon, seed+2)
+	cfg := DefaultConfig(seed + 3)
+	cfg.Workers = 1
+	want := New(w, tbl, faults.NewSchedule(fs), cfg)
+
+	if len(want.Sched.Faults) == 0 || !reflect.DeepEqual(got.Sched.Faults, want.Sched.Faults) {
+		t.Fatalf("fault list: Seeded has %d faults, the literal build %d, or they differ",
+			len(got.Sched.Faults), len(want.Sched.Faults))
+	}
+	for _, b := range []netmodel.Bucket{0, 287, 1151} {
+		g, w := got.ObservationsAt(b, nil), want.ObservationsAt(b, nil)
+		if len(w) == 0 || !reflect.DeepEqual(g, w) {
+			t.Fatalf("bucket %d: Seeded yields %d observations, the literal build %d, or they differ", b, len(g), len(w))
+		}
+	}
+
+	if _, err := Seeded(topology.SmallScale(), seed, "cases", horizon, 1, nil); err == nil {
+		t.Error("unknown workload accepted")
+	}
+}

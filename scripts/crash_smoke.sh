@@ -29,7 +29,7 @@ go build -o "$WORK/blameit-tracegen" ./cmd/blameit-tracegen
 # World flags for both daemon arms and the matching trace producer.
 # -warmup 0 so a one-day trace localizes from bucket 0.
 WORLD=(-scale small -seed 42 -workload random -warmup 0 -days 1)
-TGEN=(-scale small -seed 42 -faults random -days 1)
+TGEN=(-scale small -seed 42 -workload random -days 1)
 
 wait_up() {
   local up=""
