@@ -6,13 +6,10 @@
 // Usage:
 //
 //	blameit-tracegen [-scale small|medium|large] [-seed N] [-days N]
-//	                 [-workload random|none] [-level quartet|sample]
-//	                 [-workers N] [-metrics] [-o FILE]
-//	                 [-post URL] [-batch N] [-seal=true] [-fleet N]
+//	                 [-workload random|none] [-workers N] [-metrics]
+//	                 [-o FILE] [-post URL] [-batch N] [-seal=true] [-fleet N]
 //
-// At -level quartet (default) each line is one aggregated quartet
-// observation; at -level sample each line is one raw handshake record with
-// a client IP, as the cloud servers log them.
+// By default each line is one aggregated quartet observation.
 //
 // With -post the tracegen becomes a load generator: instead of writing the
 // trace, it replays it over HTTP into a running blameitd, POSTing JSONL
@@ -37,7 +34,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -195,14 +191,13 @@ func main() {
 		seed        = flag.Int64("seed", 42, "deterministic seed")
 		days        = flag.Int("days", 1, "days of trace to generate; also the horizon of fault and routing generation (a blameitd fed this trace must run with the same -days)")
 		workload    = flag.String("workload", "random", "fault workload: random or none")
-		level       = flag.String("level", "quartet", "record granularity: quartet or sample")
-		workers     = flag.Int("workers", 0, "goroutines for observation/sample generation (0 = all cores, 1 = sequential; output is identical either way)")
+		workers     = flag.Int("workers", 0, "goroutines for observation generation (0 = all cores, 1 = sequential; output is identical either way)")
 		dumpMetrics = flag.Bool("metrics", false, "dump the generation metrics snapshot as JSON on stderr at exit")
 		outFile     = flag.String("o", "", "output file (default stdout)")
-		postURL     = flag.String("post", "", "replay the trace over HTTP into a blameitd at this base URL instead of writing it (quartet level only)")
+		postURL     = flag.String("post", "", "replay the trace over HTTP into a blameitd at this base URL instead of writing it")
 		batchSize   = flag.Int("batch", 5000, "records per POST batch in -post mode")
 		sealFinal   = flag.Bool("seal", true, "in -post mode, seal the final bucket after the replay so the daemon localizes it")
-		fleetN      = flag.Int("fleet", 0, "pre-aggregate at the edge with N fleet agents and emit aggregate cells instead of raw observations (quartet level only)")
+		fleetN      = flag.Int("fleet", 0, "pre-aggregate at the edge with N fleet agents and emit aggregate cells instead of raw observations")
 	)
 	flag.Parse()
 
@@ -218,15 +213,6 @@ func main() {
 	scale, err := topology.ScaleByName(*scaleName)
 	if err != nil {
 		fatal(err)
-	}
-	if *level != "quartet" && *level != "sample" {
-		fatal(fmt.Errorf("unknown level %q (quartet|sample)", *level))
-	}
-	if *postURL != "" && *level != "quartet" {
-		fatal(fmt.Errorf("-post supports only -level quartet (the daemon ingests quartet observations)"))
-	}
-	if *fleetN > 0 && *level != "quartet" {
-		fatal(fmt.Errorf("-fleet supports only -level quartet (agents pre-aggregate quartet observations)"))
 	}
 	reg := metrics.NewRegistry()
 	horizon := netmodel.Bucket(*days * netmodel.BucketsPerDay)
@@ -265,10 +251,9 @@ func main() {
 		return write(out)
 	}
 	// emit writes bucket b's records through put, one part at a time: the
-	// bucket's observations or samples, or each agent's partial.
+	// bucket's observations, or each agent's partial.
 	var emit func(b netmodel.Bucket) error
-	switch {
-	case *fleetN > 0:
+	if *fleetN > 0 {
 		fl := fleet.New(s, *fleetN)
 		var cells []ingest.AggCell
 		writeCells := func(w io.Writer) error { return ingest.WriteAggJSONL(w, cells) }
@@ -281,27 +266,12 @@ func main() {
 			}
 			return nil
 		}
-	case *level == "quartet":
+	} else {
 		var obs []trace.Observation
 		writeObs := func(w io.Writer) error { return trace.WriteJSONL(w, obs) }
 		emit = func(b netmodel.Bucket) error {
 			obs = s.ObservationsAt(b, obs[:0])
 			return put(len(obs), writeObs)
-		}
-	default:
-		var smp []trace.Sample
-		writeSamples := func(w io.Writer) error {
-			enc := json.NewEncoder(w)
-			for i := range smp {
-				if err := enc.Encode(&smp[i]); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		emit = func(b netmodel.Bucket) error {
-			smp = s.SamplesAt(b, smp[:0])
-			return put(len(smp), writeSamples)
 		}
 	}
 
@@ -328,7 +298,7 @@ func main() {
 			p.posted, unit, p.batches, rate, unit, p.retries)
 		p.summary(unit)
 	}
-	kind := *level
+	kind := "quartet"
 	if *fleetN > 0 {
 		kind = fmt.Sprintf("aggregate-cell (%d-agent fleet)", *fleetN)
 	}

@@ -152,19 +152,6 @@ func Heavy(seed int64) Config {
 	}
 }
 
-// Profile resolves a named chaos profile: "off", "light", or "heavy".
-func Profile(name string, seed int64) (Config, error) {
-	switch name {
-	case "off", "":
-		return Config{}, nil
-	case "light":
-		return Light(seed), nil
-	case "heavy":
-		return Heavy(seed), nil
-	}
-	return Config{}, fmt.Errorf("chaos: unknown profile %q (want off, light, or heavy)", name)
-}
-
 // hash64 mixes the seed, a fault-class tag, and the decision's identity
 // into a uniform 64-bit value (FNV-1a over the parts, finished with a
 // splitmix64 round).

@@ -297,24 +297,6 @@ func TestProberWrappedByRetrier(t *testing.T) {
 	}
 }
 
-func TestProfiles(t *testing.T) {
-	for _, name := range []string{"off", "light", "heavy", ""} {
-		cfg, err := Profile(name, 1)
-		if err != nil {
-			t.Fatalf("Profile(%q) = %v", name, err)
-		}
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("profile %q invalid: %v", name, err)
-		}
-		if (name == "light" || name == "heavy") != cfg.Enabled() {
-			t.Errorf("profile %q Enabled() = %v", name, cfg.Enabled())
-		}
-	}
-	if _, err := Profile("extreme", 1); err == nil || !strings.Contains(err.Error(), "extreme") {
-		t.Errorf("unknown profile error = %v, want it named", err)
-	}
-}
-
 func TestConfigValidate(t *testing.T) {
 	good := Heavy(1)
 	if err := good.Validate(); err != nil {

@@ -235,8 +235,9 @@ func (r *Report) CanonicalJSON() ([]byte, error) {
 
 // ReportFromCanonical reconstructs a report from its CanonicalJSON bytes.
 // Health is zero — the canonical form deliberately excludes it. Restart
-// recovery uses it to restore the journaled reports before the backend
-// regenerates them.
+// recovery uses it to tell a mismatched journaled report from bytes that
+// are not a report, and to serve a journaled report the backend never
+// regenerated.
 func ReportFromCanonical(data []byte) (*Report, error) {
 	var c canonicalReport
 	if err := json.Unmarshal(data, &c); err != nil {

@@ -301,16 +301,16 @@ func (s *Server) handleVerdicts(w http.ResponseWriter, r *http.Request) {
 		since = netmodel.Bucket(n)
 	}
 	out := []verdictWindow{}
-	for _, sr := range s.reports.snapshot() {
-		if sr.rep.To < since {
-			continue
+	s.reports.each(func(sr *storedReport) {
+		if sr.to < since {
+			return
 		}
-		vs := sr.rep.Verdicts
+		vs := sr.verdicts
 		if vs == nil {
 			vs = []active.Verdict{}
 		}
-		out = append(out, verdictWindow{From: sr.rep.From, To: sr.rep.To, Verdicts: vs})
-	}
+		out = append(out, verdictWindow{From: sr.from, To: sr.to, Verdicts: vs})
+	})
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -326,12 +326,12 @@ type reportSummary struct {
 
 func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 	out := []reportSummary{}
-	for _, sr := range s.reports.snapshot() {
+	s.reports.each(func(sr *storedReport) {
 		out = append(out, reportSummary{
-			Seq: sr.seq, From: sr.rep.From, To: sr.rep.To,
-			Results: len(sr.rep.Results), Verdicts: len(sr.rep.Verdicts), Tickets: len(sr.rep.Tickets),
+			Seq: sr.seq, From: sr.from, To: sr.to,
+			Results: sr.results, Verdicts: len(sr.verdicts), Tickets: sr.tickets,
 		})
-	}
+	})
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -398,8 +398,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp.FrontQuar = s.frontQuar.Total()
 	s.frontMu.Unlock()
 	if sr, ok := s.reports.latest(); ok {
-		h := sr.rep.Health
-		to := sr.rep.To
+		h := sr.health
+		to := sr.to
 		resp.Health = &h
 		resp.LastWindowTo = &to
 		switch {

@@ -25,11 +25,11 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"blameit/internal/active"
 	"blameit/internal/ingest"
 	"blameit/internal/metrics"
 	"blameit/internal/netmodel"
@@ -106,15 +106,20 @@ func DefaultConfig() Config {
 	}
 }
 
-// storedReport is one retained report with its canonical rendering
-// computed once at publish time.
+// storedReport is one retained report: its canonical bytes, rendered
+// once at publish, and the header the read APIs answer from. The full
+// Report is not kept.
 type storedReport struct {
-	seq       int64
-	rep       *pipeline.Report
-	canonical []byte
+	seq              int64
+	from, to         netmodel.Bucket
+	results, tickets int
+	verdicts         []active.Verdict
+	health           pipeline.Health
+	canonical        []byte
 }
 
-// reportLog retains the most recent reports for the read APIs.
+// reportLog retains the most recent reports for the read APIs. It only
+// appends; the oldest entries are evicted past max.
 type reportLog struct {
 	mu      sync.Mutex
 	reports []storedReport
@@ -126,7 +131,11 @@ func (l *reportLog) add(rep *pipeline.Report, canonical []byte) int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	seq := l.nextSeq
-	l.reports = append(l.reports, storedReport{seq: seq, rep: rep, canonical: canonical})
+	l.reports = append(l.reports, storedReport{
+		seq: seq, from: rep.From, to: rep.To,
+		results: len(rep.Results), tickets: len(rep.Tickets),
+		verdicts: rep.Verdicts, health: rep.Health, canonical: canonical,
+	})
 	l.nextSeq++
 	if l.max > 0 && len(l.reports) > l.max {
 		n := copy(l.reports, l.reports[len(l.reports)-l.max:])
@@ -138,47 +147,14 @@ func (l *reportLog) add(rep *pipeline.Report, canonical []byte) int64 {
 	return seq
 }
 
-// find returns the index of the entry with the given seq, or -1 when it
-// was evicted or removed. Seqs ascend through the log. Caller holds mu.
-func (l *reportLog) find(seq int64) int {
-	i := sort.Search(len(l.reports), func(i int) bool { return l.reports[i].seq >= seq })
-	if i < len(l.reports) && l.reports[i].seq == seq {
-		return i
-	}
-	return -1
-}
-
-// replace swaps a full report into a restored entry, keeping its seq and
-// canonical bytes. Restart recovery restores journaled reports as their
-// bytes under a header-only Report, and fills the rest in with the
-// backend's regeneration — Health included, which the canonical form
-// excludes — or, for a report never regenerated, with the decoded bytes.
-func (l *reportLog) replace(seq int64, rep *pipeline.Report) {
+// each calls f on every retained report, oldest first, under the log's
+// lock: readers take what they serve without copying the log.
+func (l *reportLog) each(f func(*storedReport)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if i := l.find(seq); i >= 0 {
-		l.reports[i].rep = rep
+	for i := range l.reports {
+		f(&l.reports[i])
 	}
-}
-
-// remove drops an entry from the log; seqs are not reused.
-func (l *reportLog) remove(seq int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if i := l.find(seq); i >= 0 {
-		copy(l.reports[i:], l.reports[i+1:])
-		l.reports[len(l.reports)-1] = storedReport{}
-		l.reports = l.reports[:len(l.reports)-1]
-	}
-}
-
-// snapshot returns the retained reports, oldest first.
-func (l *reportLog) snapshot() []storedReport {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]storedReport, len(l.reports))
-	copy(out, l.reports)
-	return out
 }
 
 // byBucket returns the retained report whose window covers b.
@@ -186,7 +162,7 @@ func (l *reportLog) byBucket(b netmodel.Bucket) (storedReport, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for i := range l.reports {
-		if r := l.reports[i]; r.rep.From <= b && b <= r.rep.To {
+		if r := l.reports[i]; r.from <= b && b <= r.to {
 			return r, true
 		}
 	}
@@ -282,10 +258,9 @@ func New(deps pipeline.Deps, cfg Config) (*Server, error) {
 	}
 	s := &Server{cfg: cfg, done: make(chan struct{})}
 	s.reports.max = cfg.MaxReports
-	// With a data directory, open the WAL and restore the journaled
-	// reports, then build the queue over the rest of what it recovered:
-	// the journal is live, and the journaled streams are what the backend
-	// reads first.
+	// With a data directory, open the WAL and build the queue over what it
+	// recovered: the journal is live, and the journaled streams are what
+	// the backend reads first.
 	var jrn queueJournal
 	var rec *wal.Recovery
 	if cfg.DataDir != "" {
@@ -436,10 +411,7 @@ func (s *Server) flush(ctx context.Context) bool {
 }
 
 // publish renders, retains, and journals one report. A nil report (a
-// step between job runs) is a no-op. A report the recovering backend
-// regenerates is already journaled and already restored into the log: it
-// is verified against the journaled bytes and grafted onto the restored
-// entry instead of being appended again.
+// step between job runs) is a no-op.
 func (s *Server) publish(rep *pipeline.Report) {
 	if rep == nil {
 		return
@@ -448,13 +420,6 @@ func (s *Server) publish(rep *pipeline.Report) {
 	if err != nil {
 		s.setErr(fmt.Errorf("server: canonicalize report [%d, %d]: %w", rep.From, rep.To, err))
 		return
-	}
-	if s.wal != nil {
-		if seq, replayed := s.wal.consumeReplayed(rep, canonical); replayed {
-			s.reports.replace(seq, rep)
-			s.mReportsPub.Inc()
-			return
-		}
 	}
 	seq := s.reports.add(rep, canonical)
 	s.mReportsPub.Inc()

@@ -51,17 +51,17 @@ func TestGracefulShutdownDrainsInFlightWindow(t *testing.T) {
 	if !ok {
 		t.Fatal("no final report retained")
 	}
-	if final.rep.From != warmup+3 || final.rep.To != last {
-		t.Errorf("flushed window = [%d, %d], want [%d, %d]", final.rep.From, final.rep.To, warmup+3, last)
+	if final.from != warmup+3 || final.to != last {
+		t.Errorf("flushed window = [%d, %d], want [%d, %d]", final.from, final.to, warmup+3, last)
 	}
-	for _, sr := range e.srv.reports.snapshot() {
-		for _, v := range sr.rep.Verdicts {
+	e.srv.reports.each(func(sr *storedReport) {
+		for _, v := range sr.verdicts {
 			if v.Degraded {
 				t.Errorf("report [%d, %d] carries a Degraded verdict fabricated during shutdown: %+v",
-					sr.rep.From, sr.rep.To, v)
+					sr.from, sr.to, v)
 			}
 		}
-	}
+	})
 	status, h := e.health(t)
 	if status != http.StatusOK || h.Backend != "stopped" {
 		t.Errorf("healthz after drain = %d backend=%q, want 200 stopped", status, h.Backend)
@@ -94,7 +94,7 @@ func TestShutdownOnCadenceBoundaryAddsNoReport(t *testing.T) {
 		t.Fatalf("reports after cadence-aligned drain = %d, want exactly 1", got)
 	}
 	final, _ := e.srv.reports.latest()
-	if final.rep.From != warmup || final.rep.To != warmup+2 {
-		t.Errorf("report window = [%d, %d], want [%d, %d]", final.rep.From, final.rep.To, warmup, warmup+2)
+	if final.from != warmup || final.to != warmup+2 {
+		t.Errorf("report window = [%d, %d], want [%d, %d]", final.from, final.to, warmup, warmup+2)
 	}
 }

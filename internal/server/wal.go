@@ -32,18 +32,6 @@ const DefaultCompactEveryReports = 32
 // walWindow keys a journaled report by its job window.
 type walWindow struct{ from, to netmodel.Bucket }
 
-// restoredReport is a journaled report put back into the report log as
-// its canonical bytes under a header-only Report (window and Final). The
-// recovering backend is expected to regenerate it: publish verifies the
-// regenerated bytes against the journaled ones and swaps the regeneration
-// into the entry, instead of re-journaling. An entry never regenerated is
-// decoded once catch-up is over (verifyRegenerated).
-type restoredReport struct {
-	seq       int64      // the entry's seq in the report log
-	journaled wal.Report // Canonical is the entry's bytes, shared
-	settled   bool       // regenerated or dropped; under walState.mu
-}
-
 // walState threads the write-ahead log through the server: it implements
 // queueJournal for the ingest queue's hooks, owns the publish-side
 // journaling and the compaction cadence, and carries the recovery
@@ -71,13 +59,20 @@ type walState struct {
 	// budget) that the next window's report depends on. Fixed at open.
 	flushedAfter map[netmodel.Bucket]bool
 
+	// verifying holds from open until verifyRegenerated: only then can a
+	// published report be the regeneration of a journaled one. After it,
+	// journalReport takes no recovery lock.
+	verifying atomic.Bool
+
 	mu sync.Mutex
-	// restored holds the journaled reports in publish order; suppress maps
-	// a window to the restored report its regeneration is still expected
-	// to match. Both are fixed at open but for the settled marks and
-	// suppress's deletions.
-	restored     []restoredReport
-	suppress     map[walWindow]int
+	// journaled holds the reports the journal held at open, in publish
+	// order: the evidence each regeneration is checked against, not
+	// entries of the report log. byWindow maps a window to the journaled
+	// report its regeneration is still expected to match — the later one,
+	// where the journal holds a window twice. A match deletes the window
+	// and releases the journaled bytes; verifyRegenerated drops both.
+	journaled    []wal.Report
+	byWindow     map[walWindow]int
 	sinceCompact int
 	compactEvery int // <= 0 disables
 
@@ -90,16 +85,14 @@ type walState struct {
 	stopOnce   sync.Once
 
 	// Recovery summary, fixed once New returns. The phases split New's
-	// recovery time: wal.Open, restoring the journaled reports (decoding
-	// the never-regenerated ones included), and the backend's catch-up
-	// over the journaled reads, which starts at restoredAt.
+	// recovery time: wal.Open, then the backend's catch-up over the
+	// journaled reads, which starts at openedAt.
 	recoveredBuckets int
 	recoveredBatches int
 	recoveredReports int
 	truncatedBytes   int64
 	openTime         time.Duration
-	restoreTime      time.Duration
-	restoredAt       time.Time
+	openedAt         time.Time
 	recoveryMS       int64
 }
 
@@ -143,52 +136,48 @@ func (ws *walState) absorb(err error) {
 	}
 }
 
-// consumeReplayed checks a just-published report against the journaled
-// reports the recovering backend is regenerating. It returns the restored
-// log entry's seq and true when the report was such a regeneration —
-// already journaled, already restored into the report log. A journaled
-// report whose bytes differ is decoded to tell a mismatch from bytes that
-// never were a report: the latter leaves the log, and its regeneration is
-// published as if it had not been journaled.
-func (ws *walState) consumeReplayed(rep *pipeline.Report, canonical []byte) (int64, bool) {
+// regenerated checks a just-published report against the journaled
+// report of its window, if any, and reports whether the journal already
+// holds it. Equal bytes are the rule. Other bytes that decode are a
+// divergence: counted and logged, and the log serves the regeneration
+// while the journal keeps what it has. Journaled bytes that are not a
+// report passed their CRC, so they are a bug, not disk corruption: they
+// are counted and logged too, and the regeneration is journaled anew.
+func (ws *walState) regenerated(rep *pipeline.Report, canonical []byte) bool {
 	win := walWindow{rep.From, rep.To}
 	ws.mu.Lock()
-	i, ok := ws.suppress[win]
+	i, ok := ws.byWindow[win]
+	var jr wal.Report
 	if ok {
-		delete(ws.suppress, win)
-		ws.restored[i].settled = true
+		delete(ws.byWindow, win)
+		jr = ws.journaled[i]
+		ws.journaled[i].Canonical = nil
 	}
 	ws.mu.Unlock()
-	if !ok {
-		return 0, false
-	}
-	r := &ws.restored[i]
-	if bytes.Equal(r.journaled.Canonical, canonical) {
-		return r.seq, true
-	}
-	if _, err := pipeline.ReportFromCanonical(r.journaled.Canonical); err != nil {
-		ws.dropUndecodable(r, err)
-		return 0, false
+	switch {
+	case !ok:
+		return false
+	case bytes.Equal(jr.Canonical, canonical):
+		return true
 	}
 	ws.inconsistent.Add(1)
+	if _, err := pipeline.ReportFromCanonical(jr.Canonical); err != nil {
+		slog.Error("recovery.report_undecodable", "seq", jr.Seq, "err", err)
+		return false
+	}
 	slog.Error("recovery.report_mismatch", "from", rep.From, "to", rep.To)
-	return r.seq, true
-}
-
-// dropUndecodable takes a restored report whose journaled bytes are not a
-// report out of the log. The record passed its CRC: undecodable canonical
-// JSON is a bug, not disk corruption. Surface it, keep the rest.
-func (ws *walState) dropUndecodable(r *restoredReport, err error) {
-	ws.inconsistent.Add(1)
-	slog.Error("recovery.report_undecodable", "seq", r.journaled.Seq, "err", err)
-	ws.reports.remove(r.seq)
+	return true
 }
 
 // journalReport appends a newly published report and drives the
 // compaction cadence: once a window's report is durable, the batches it
 // covers are redundant with the consumed-bucket records and compaction
-// drops them.
+// drops them. During recovery, a report the journal already holds is not
+// appended again.
 func (ws *walState) journalReport(seq int64, rep *pipeline.Report, canonical []byte) {
+	if ws.verifying.Load() && ws.regenerated(rep, canonical) {
+		return
+	}
 	if ws.degraded.Load() {
 		return
 	}
@@ -230,8 +219,8 @@ type WALHealth struct {
 	RecoveredReports     int   `json:"recovered_reports"`
 	TruncatedBytes       int64 `json:"truncated_bytes"`
 	RecoveryInconsistent int64 `json:"recovery_inconsistent"`
-	// RecoveryMS is how long New took over the journal: open, restore and
-	// catch-up (recovery.complete logs the split).
+	// RecoveryMS is how long New took over the journal: open, catch-up and
+	// the leftovers' decode (recovery.complete logs the split).
 	RecoveryMS  int64 `json:"recovery_ms"`
 	LagRecords  int64 `json:"lag_records"`
 	Segments    int   `json:"segments"`
@@ -261,11 +250,10 @@ func (ws *walState) health() *WALHealth {
 	}
 }
 
-// openWAL opens the data directory's log, restores the journaled reports
-// into the report log (publish order, bytes as journaled), and primes the
-// suppression map the regenerated reports will be verified against and the
-// positions of the drain flushes among the recovered reads. It runs before
-// the queue is built and the backend goroutine starts.
+// openWAL opens the data directory's log, keeps the journaled reports as
+// the evidence the regenerated ones will be checked against, and notes
+// the positions of the drain flushes among the recovered reads. It runs
+// before the queue is built and the backend goroutine starts.
 func (s *Server) openWAL(cfg Config) (*wal.Recovery, error) {
 	wcfg := cfg.WAL
 	if wcfg.Meta == "" {
@@ -286,8 +274,8 @@ func (s *Server) openWAL(cfg Config) (*wal.Recovery, error) {
 	ws := &walState{
 		log:              lg,
 		reports:          &s.reports,
-		restored:         make([]restoredReport, 0, len(rec.Reports)),
-		suppress:         make(map[walWindow]int, len(rec.Reports)),
+		journaled:        rec.Reports,
+		byWindow:         make(map[walWindow]int, len(rec.Reports)),
 		flushedAfter:     make(map[netmodel.Bucket]bool),
 		compacting:       make(chan struct{}, 1),
 		compactEvery:     cfg.CompactEveryReports,
@@ -299,70 +287,59 @@ func (s *Server) openWAL(cfg Config) (*wal.Recovery, error) {
 	if ws.compactEvery == 0 {
 		ws.compactEvery = DefaultCompactEveryReports
 	}
-	restoring := time.Now()
-	ws.openTime = restoring.Sub(opening)
-	for _, jr := range rec.Reports {
-		ws.restore(jr)
+	for i, jr := range rec.Reports {
+		ws.byWindow[walWindow{jr.From, jr.To}] = i
 		if jr.Final && jr.AfterBuckets > 0 {
 			// A flush follows the step of the last bucket read before it,
 			// and reads only move forward: the bucket names the position.
 			ws.flushedAfter[rec.Buckets[jr.AfterBuckets-1].Bucket] = true
 		}
 	}
-	ws.restoredAt = time.Now()
-	ws.restoreTime = ws.restoredAt.Sub(restoring)
+	rec.Reports = nil // the walState's now, released as they match
+	ws.verifying.Store(true)
+	ws.openedAt = time.Now()
+	ws.openTime = ws.openedAt.Sub(opening)
 	s.wal = ws
 	return rec, nil
 }
 
-// restore appends one journaled report to the report log as its bytes and
-// a header-only Report, and expects its regeneration.
-func (ws *walState) restore(jr wal.Report) {
-	seq := ws.reports.add(&pipeline.Report{From: jr.From, To: jr.To, Final: jr.Final}, jr.Canonical)
-	ws.suppress[walWindow{jr.From, jr.To}] = len(ws.restored)
-	ws.restored = append(ws.restored, restoredReport{seq: seq, journaled: jr})
-}
-
-// verifyRegenerated closes the recovery's books once the backend has stepped
-// past the journaled reads. Every journaled report should have regenerated
-// by now; the entries that did not are decoded, so the read APIs serve them
-// in full, and whatever is still expected marks divergence. A recovery that
-// had anything to read says what it read and how long New, entered at
-// start, took over it, phase by phase.
+// verifyRegenerated closes the recovery's books once the backend has
+// stepped past the journaled reads. Every journaled report should have
+// regenerated by now. The ones that did not are decoded and appended to
+// the report log, after the regenerated ones, so the read APIs serve
+// them; each counts as a divergence, and one that does not decode is
+// counted and takes no seq. A recovery that had anything to read says
+// what it read and how long New, entered at start, took over it.
 func (ws *walState) verifyRegenerated(start time.Time) {
 	caughtUp := time.Now()
 	ws.mu.Lock()
-	for i := range ws.restored {
-		r := &ws.restored[i]
-		if r.settled {
-			continue
-		}
-		rep, err := pipeline.ReportFromCanonical(r.journaled.Canonical)
-		if err != nil {
-			r.settled = true
-			win := walWindow{r.journaled.From, r.journaled.To}
-			if j, ok := ws.suppress[win]; ok && j == i {
-				delete(ws.suppress, win)
-			}
-			ws.dropUndecodable(r, err)
-			continue
-		}
-		rep.Final = r.journaled.Final
-		ws.reports.replace(r.seq, rep)
-	}
-	n := len(ws.suppress)
+	journaled, pending := ws.journaled, ws.byWindow
+	ws.journaled, ws.byWindow = nil, nil
+	ws.verifying.Store(false)
 	ws.mu.Unlock()
-	if n > 0 {
-		ws.inconsistent.Add(int64(n))
-		slog.Error("recovery.unregenerated", "n", n)
+	unregenerated := 0
+	for i, jr := range journaled {
+		if j, ok := pending[walWindow{jr.From, jr.To}]; !ok || j != i {
+			continue // regenerated, or superseded by a later report of its window
+		}
+		ws.inconsistent.Add(1)
+		rep, err := pipeline.ReportFromCanonical(jr.Canonical)
+		if err != nil {
+			slog.Error("recovery.report_undecodable", "seq", jr.Seq, "err", err)
+			continue
+		}
+		ws.reports.add(rep, jr.Canonical)
+		unregenerated++
 	}
-	ws.restoreTime += time.Since(caughtUp)
+	if unregenerated > 0 {
+		slog.Error("recovery.unregenerated", "n", unregenerated)
+	}
 	ws.recoveryMS = time.Since(start).Milliseconds()
 	if ws.recoveredBuckets+ws.recoveredBatches+ws.recoveredReports > 0 {
 		slog.Info("recovery.complete",
 			"buckets", ws.recoveredBuckets, "batches", ws.recoveredBatches, "reports", ws.recoveredReports,
 			"truncated_bytes", ws.truncatedBytes, "inconsistent", ws.inconsistent.Load(),
 			"duration_ms", ws.recoveryMS, "open_ms", ws.openTime.Milliseconds(),
-			"restore_ms", ws.restoreTime.Milliseconds(), "catchup_ms", caughtUp.Sub(ws.restoredAt).Milliseconds())
+			"catchup_ms", caughtUp.Sub(ws.openedAt).Milliseconds())
 	}
 }

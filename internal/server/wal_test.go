@@ -147,7 +147,7 @@ func (e *walEnv) quiesce(t *testing.T, b netmodel.Bucket) {
 		frontier := e.srv.q.frontier
 		e.srv.q.mu.Unlock()
 		if frontier >= want {
-			if last, ok := e.srv.reports.latest(); !reportDue || ok && last.rep.To >= b {
+			if last, ok := e.srv.reports.latest(); !reportDue || ok && last.to >= b {
 				return
 			}
 		}
@@ -1174,21 +1174,68 @@ func TestWALDefaultFingerprintStable(t *testing.T) {
 	}
 }
 
-// TestWALLogEvents captures the durability glue's structured log events
-// through a buffer handler: the recovery ones from a journal holding one
-// report whose canonical JSON does not decode, the rest from the walState
-// calls that raise them over two restored reports, one regenerated with
-// other bytes and one never regenerated.
-func TestWALLogEvents(t *testing.T) {
+// captureLog routes the process log through a JSON handler into the
+// returned buffer for the rest of the test.
+func captureLog(t *testing.T) *bytes.Buffer {
+	t.Helper()
 	var buf bytes.Buffer
 	oldLogger, oldOut, oldFlags := slog.Default(), log.Writer(), log.Flags()
 	slog.SetDefault(slog.New(slog.NewJSONHandler(&buf, nil)))
-	defer func() {
+	t.Cleanup(func() {
 		slog.SetDefault(oldLogger)
 		log.SetOutput(oldOut)
 		log.SetFlags(oldFlags)
-	}()
+	})
+	return &buf
+}
 
+// logEvents reads the captured log back as one canonical JSON object per
+// event: no time or level, durations and error texts only marked present.
+func logEvents(t *testing.T, buf *bytes.Buffer) []string {
+	t.Helper()
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		if line == "" {
+			continue
+		}
+		var ev map[string]any
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("log line %q is not JSON: %v", line, err)
+		}
+		for _, k := range []string{"duration_ms", "open_ms", "catchup_ms"} {
+			if d, ok := ev[k].(float64); ok && d >= 0 {
+				ev[k] = "ok"
+			}
+		}
+		delete(ev, "time")
+		delete(ev, "level")
+		if _, isErr := ev["err"]; isErr && ev["msg"] == "recovery.report_undecodable" {
+			ev["err"] = "set"
+		}
+		canon, _ := json.Marshal(ev)
+		got = append(got, string(canon))
+	}
+	return got
+}
+
+// verifyingState is the recovery side of a walState that opened over a
+// journal holding reports, without a log behind it.
+func verifyingState(reports ...wal.Report) *walState {
+	ws := &walState{reports: &reportLog{}, journaled: reports, byWindow: map[walWindow]int{}}
+	for i, jr := range reports {
+		ws.byWindow[walWindow{jr.From, jr.To}] = i
+	}
+	ws.verifying.Store(true)
+	return ws
+}
+
+// TestWALLogEvents captures the durability glue's structured log events:
+// the recovery ones from a journal holding one report whose canonical
+// JSON does not decode, the rest from the walState calls that raise them
+// over two journaled reports, one regenerated with other bytes and one
+// never regenerated.
+func TestWALLogEvents(t *testing.T) {
+	buf := captureLog(t)
 	dir := t.TempDir()
 	wcfg := wal.Config{Fsync: wal.SyncOff, Meta: "log-events"}
 	lg, _, err := wal.Open(dir, wcfg)
@@ -1204,55 +1251,40 @@ func TestWALLogEvents(t *testing.T) {
 	e := openEnv(t, dir, func() *sim.Simulator { return newTestSim(1) }, func(c *Config) { c.WAL = wcfg })
 	e.close(t)
 
-	ws := &walState{reports: &reportLog{}, suppress: map[walWindow]int{}}
+	var journaled []wal.Report
 	for seq, r := range []*pipeline.Report{{From: 0, To: 2}, {From: 3, To: 5}} {
 		canonical, err := r.CanonicalJSON()
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws.restore(wal.Report{Seq: int64(seq + 1), From: r.From, To: r.To, Canonical: canonical})
+		journaled = append(journaled, wal.Report{Seq: int64(seq + 1), From: r.From, To: r.To, Canonical: canonical})
 	}
-	ws.consumeReplayed(&pipeline.Report{From: 0, To: 2}, []byte("regenerated"))
+	ws := verifyingState(journaled...)
+	ws.journalReport(0, &pipeline.Report{From: 0, To: 2}, []byte("regenerated"))
 	ws.verifyRegenerated(time.Now())
 	ws.absorb(errors.New("disk gone"))
 	ws.absorb(errors.New("said once"))
 
-	var got []string
-	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-		var ev map[string]any
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("log line %q is not JSON: %v", line, err)
-		}
-		for _, k := range []string{"duration_ms", "open_ms", "restore_ms", "catchup_ms"} {
-			if d, ok := ev[k].(float64); ok && d >= 0 {
-				ev[k] = "ok"
-			}
-		}
-		delete(ev, "time")
-		delete(ev, "level")
-		if _, isErr := ev["err"]; isErr && ev["msg"] == "recovery.report_undecodable" {
-			ev["err"] = "set"
-		}
-		canon, _ := json.Marshal(ev)
-		got = append(got, string(canon))
-	}
 	want := []string{
 		`{"err":"set","msg":"recovery.report_undecodable","seq":1}`,
-		`{"batches":0,"buckets":0,"catchup_ms":"ok","duration_ms":"ok","inconsistent":1,"msg":"recovery.complete","open_ms":"ok","reports":1,"restore_ms":"ok","truncated_bytes":0}`,
+		`{"batches":0,"buckets":0,"catchup_ms":"ok","duration_ms":"ok","inconsistent":1,"msg":"recovery.complete","open_ms":"ok","reports":1,"truncated_bytes":0}`,
 		`{"from":0,"msg":"recovery.report_mismatch","to":2}`,
 		`{"msg":"recovery.unregenerated","n":1}`,
 		`{"err":"disk gone","msg":"wal.degraded"}`,
 	}
-	if !reflect.DeepEqual(got, want) {
+	if got := logEvents(t, buf); !reflect.DeepEqual(got, want) {
 		t.Fatalf("log events:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 
-// TestWALLeftoverReportDecoded journals one report for a window the
-// backend never regenerates. Restored as bytes, it must still reach the
-// read APIs in full once catch-up is over, and count once against the
-// recovery; a journaled report whose bytes are not a report must reach
-// none of them, and count once as well.
+// TestWALLeftoverReportDecoded restarts over journals whose reports the
+// backend does not regenerate byte for byte. A report for a window the
+// backend never regenerates must still reach the read APIs in full once
+// catch-up is over, and count once against the recovery; a journaled
+// report whose bytes are not a report must reach none of them, take no
+// seq, and count once as well. A report for a window the backend does
+// regenerate, with other bytes, is served as the regeneration; with
+// bytes that are not a report, the regeneration is journaled anew.
 func TestWALLeftoverReportDecoded(t *testing.T) {
 	leftover := &pipeline.Report{
 		From: 90, To: 92,
@@ -1265,20 +1297,37 @@ func TestWALLeftoverReportDecoded(t *testing.T) {
 		t.Fatal(err)
 	}
 	wcfg := wal.Config{Fsync: wal.SyncOff, Meta: "leftover"}
-	restart := func(t *testing.T, jr wal.Report) *walEnv {
+	makeSim := func() *sim.Simulator { return newTestSim(1) }
+	reopen := func(t *testing.T, dir string) *walEnv {
+		t.Helper()
+		return openEnv(t, dir, makeSim, func(c *Config) { c.WAL = wcfg })
+	}
+	// restart journals the first window's consumed buckets, when buckets
+	// is set, and then reports, and opens a daemon over the journal.
+	restart := func(t *testing.T, buckets bool, reports ...wal.Report) (*walEnv, string) {
 		t.Helper()
 		dir := t.TempDir()
 		lg, _, err := wal.Open(dir, wcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := lg.AppendReport(jr); err != nil {
-			t.Fatal(err)
+		if buckets {
+			feed := makeSim()
+			for b := netmodel.Bucket(0); b < 3; b++ {
+				if err := lg.AppendBucket(b, feed.ObservationsAt(b, nil)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, jr := range reports {
+			if err := lg.AppendReport(jr); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := lg.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return openEnv(t, dir, func() *sim.Simulator { return newTestSim(1) }, func(c *Config) { c.WAL = wcfg })
+		return reopen(t, dir), dir
 	}
 	get := func(t *testing.T, e *walEnv, path string) (int, []byte) {
 		t.Helper()
@@ -1293,9 +1342,42 @@ func TestWALLeftoverReportDecoded(t *testing.T) {
 		}
 		return resp.StatusCode, body.Bytes()
 	}
+	healthReports := func(t *testing.T, e *walEnv) int64 {
+		t.Helper()
+		_, body := get(t, e, "/healthz")
+		var h healthResponse
+		if err := json.Unmarshal(body, &h); err != nil {
+			t.Fatalf("/healthz: %v", err)
+		}
+		return h.Reports
+	}
+	// regeneration is what the read APIs serve for the first window when
+	// the journal holds its buckets and nothing else.
+	regeneration := func(t *testing.T) map[string][]byte {
+		t.Helper()
+		e, _ := restart(t, true)
+		checkRecoveryConsistent(t, e)
+		out := map[string][]byte{}
+		for _, path := range []string{"/v1/reports/1", "/v1/reports", "/v1/verdicts"} {
+			code, body := get(t, e, path)
+			if code != http.StatusOK {
+				t.Fatalf("GET %s = %d %s", path, code, body)
+			}
+			out[path] = body
+		}
+		return out
+	}
+	servesRegeneration := func(t *testing.T, e *walEnv, want map[string][]byte) {
+		t.Helper()
+		for path, body := range want {
+			if _, got := get(t, e, path); !bytes.Equal(got, body) {
+				t.Errorf("GET %s = %s, want the regeneration's %s", path, got, body)
+			}
+		}
+	}
 
 	t.Run("decodable", func(t *testing.T) {
-		e := restart(t, wal.Report{Seq: 7, From: leftover.From, To: leftover.To, Canonical: canonical})
+		e, _ := restart(t, false, wal.Report{Seq: 7, From: leftover.From, To: leftover.To, Canonical: canonical})
 		if got := e.srv.WALHealth().RecoveryInconsistent; got != 1 {
 			t.Errorf("recovery_inconsistent = %d, want 1 (one report never regenerated)", got)
 		}
@@ -1313,7 +1395,7 @@ func TestWALLeftoverReportDecoded(t *testing.T) {
 	})
 
 	t.Run("undecodable", func(t *testing.T) {
-		e := restart(t, wal.Report{Seq: 7, From: leftover.From, To: leftover.To, Canonical: []byte(`{"From":90,`)})
+		e, _ := restart(t, false, wal.Report{Seq: 7, From: leftover.From, To: leftover.To, Canonical: []byte(`{"From":90,`)})
 		if got := e.srv.WALHealth().RecoveryInconsistent; got != 1 {
 			t.Errorf("recovery_inconsistent = %d, want 1 (one undecodable report, counted once)", got)
 		}
@@ -1326,20 +1408,51 @@ func TestWALLeftoverReportDecoded(t *testing.T) {
 		if code, _ := get(t, e, "/v1/reports/91"); code != http.StatusNotFound {
 			t.Errorf("/v1/reports/91 = %d, want 404", code)
 		}
+		if got := healthReports(t, e); got != 0 {
+			t.Errorf("/healthz reports = %d, want 0 (an undecodable report takes no seq)", got)
+		}
+	})
+
+	t.Run("mismatch", func(t *testing.T) {
+		want := regeneration(t)
+		other := *leftover
+		other.From, other.To = 0, 2
+		otherBytes, err := other.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := captureLog(t)
+		e, _ := restart(t, true, wal.Report{Seq: 0, From: 0, To: 2, Canonical: otherBytes})
+		if got := e.srv.WALHealth().RecoveryInconsistent; got != 1 {
+			t.Errorf("recovery_inconsistent = %d, want 1 (one regeneration with other bytes)", got)
+		}
+		servesRegeneration(t, e, want)
+		mismatches := 0
+		for _, ev := range logEvents(t, buf) {
+			if strings.Contains(ev, `"msg":"recovery.report_mismatch"`) {
+				mismatches++
+			}
+		}
+		if mismatches != 1 {
+			t.Errorf("recovery.report_mismatch logged %d times, want once", mismatches)
+		}
 	})
 
 	t.Run("undecodable regenerated", func(t *testing.T) {
-		ws := &walState{reports: &reportLog{}, suppress: map[walWindow]int{}}
-		ws.restore(wal.Report{Seq: 7, From: leftover.From, To: leftover.To, Canonical: []byte("not json")})
-		if seq, ok := ws.consumeReplayed(leftover, canonical); ok {
-			t.Errorf("regeneration of an undecodable report grafted onto entry %d; want it published anew", seq)
+		want := regeneration(t)
+		e, dir := restart(t, true, wal.Report{Seq: 0, From: 0, To: 2, Canonical: []byte("not json")})
+		if got := e.srv.WALHealth().RecoveryInconsistent; got != 1 {
+			t.Errorf("recovery_inconsistent = %d, want 1 (one undecodable report, counted once)", got)
 		}
-		if n := len(ws.reports.snapshot()); n != 0 {
-			t.Errorf("report log keeps %d entries, want the undecodable one gone", n)
+		servesRegeneration(t, e, want)
+		if got := healthReports(t, e); got != 1 {
+			t.Errorf("/healthz reports = %d, want 1", got)
 		}
-		ws.verifyRegenerated(time.Now())
-		if got := ws.inconsistent.Load(); got != 1 {
-			t.Errorf("inconsistent = %d, want 1", got)
-		}
+		// The regeneration was journaled anew and supersedes the
+		// undecodable record: the next restart matches it.
+		e.close(t)
+		e = reopen(t, dir)
+		checkRecoveryConsistent(t, e)
+		servesRegeneration(t, e, want)
 	})
 }

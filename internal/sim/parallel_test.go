@@ -7,7 +7,6 @@ import (
 
 	"blameit/internal/faults"
 	"blameit/internal/netmodel"
-	"blameit/internal/trace"
 )
 
 // workerSweep is the set of fan-out widths every determinism test checks:
@@ -55,36 +54,6 @@ func TestObservationsIdenticalAcrossWorkerCounts(t *testing.T) {
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d: observation %d differs:\n got %+v\nwant %+v", workers, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestSamplesIdenticalAcrossWorkerCounts extends the guarantee to the raw
-// handshake sample stream.
-func TestSamplesIdenticalAcrossWorkerCounts(t *testing.T) {
-	base := newRig(t, nil, 1)
-	fs := sweepFaults(base)
-	b := netmodel.Bucket(12 * netmodel.BucketsPerHour)
-
-	var want []trace.Sample
-	for si, workers := range workerSweep() {
-		r := newRig(t, fs, 1)
-		r.sim.SetWorkers(workers)
-		got := r.sim.SamplesAt(b, nil)
-		if si == 0 {
-			want = got
-			if len(want) == 0 {
-				t.Fatal("no samples generated")
-			}
-			continue
-		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d samples, want %d", workers, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: sample %d differs", workers, i)
 			}
 		}
 	}

@@ -9,8 +9,8 @@
 // All stochastic values are derived from a hash of (seed, prefix, cloud,
 // bucket), so any observation can be regenerated at random access without
 // replaying the stream. That same property makes generation embarrassingly
-// parallel: ObservationsAt and SamplesAt shard the prefix space across a
-// worker pool and merge the per-shard buffers in prefix order, so output is
+// parallel: ObservationsAt shards the prefix space across a worker pool
+// and merges the per-shard buffers in prefix order, so output is
 // byte-identical to the sequential path at any worker count (see Config.
 // Workers).
 package sim
@@ -22,7 +22,6 @@ import (
 
 	"blameit/internal/bgp"
 	"blameit/internal/faults"
-	"blameit/internal/ipaddr"
 	"blameit/internal/metrics"
 	"blameit/internal/netmodel"
 	"blameit/internal/parallel"
@@ -105,7 +104,7 @@ type Observation = trace.Observation
 // are safe for concurrent use: the per-AS maps are built once in New and
 // only read afterwards, and the routing table and fault schedule are
 // likewise read-only at query time. The only mutable state is the scratch
-// buffers of the sharded generation paths, which are handed out under a
+// buffers of the sharded generation path, which are handed out under a
 // mutex.
 type Simulator struct {
 	World  *topology.World
@@ -117,13 +116,11 @@ type Simulator struct {
 	weekendFactor map[netmodel.ASN]float64 // how much of the diurnal shape survives weekends
 	eveningPeak   map[netmodel.ASN]float64 // peak hour of the AS's congestion
 
-	// Reusable per-shard buffers for the parallel generation paths.
-	obsScratch scratchPool[Observation]
-	smpScratch scratchPool[trace.Sample]
+	// Reusable per-shard buffers for the parallel generation path.
+	obsScratch scratchPool
 
 	// Metric handles (nil-safe no-ops when uninstrumented).
 	mObservations *metrics.Counter
-	mSamples      *metrics.Counter
 	mRunsParallel *metrics.Counter
 	mRunsSeq      *metrics.Counter
 	mFanoutMax    *metrics.Gauge
@@ -149,7 +146,9 @@ func New(w *topology.World, routes *bgp.Table, sched *faults.Schedule, cfg Confi
 		reg = metrics.Default()
 	}
 	s.mObservations = reg.Counter("sim.observations.generated")
-	s.mSamples = reg.Counter("sim.samples.generated")
+	// Registered at zero only because the golden pipeline fixture pins the
+	// registry's counter set; no generator counts samples.
+	reg.Counter("sim.samples.generated")
 	s.mRunsParallel = reg.Counter("sim.generation.runs.parallel")
 	s.mRunsSeq = reg.Counter("sim.generation.runs.sequential")
 	s.mFanoutMax = reg.Gauge("sim.generation.fanout.max")
@@ -411,23 +410,23 @@ const minParallelPrefixes = 64
 // scratchPool caches one set of per-shard buffers between sharded runs,
 // checked out under mu so concurrent callers never share scratch; a caller
 // that misses the cache simply allocates a fresh set.
-type scratchPool[T any] struct {
+type scratchPool struct {
 	mu   sync.Mutex
-	bufs [][]T
+	bufs [][]Observation
 }
 
-func (p *scratchPool[T]) checkout(n int) [][]T {
+func (p *scratchPool) checkout(n int) [][]Observation {
 	p.mu.Lock()
 	bufs := p.bufs
 	p.bufs = nil
 	p.mu.Unlock()
 	if len(bufs) < n {
-		bufs = append(bufs, make([][]T, n-len(bufs))...)
+		bufs = append(bufs, make([][]Observation, n-len(bufs))...)
 	}
 	return bufs[:n]
 }
 
-func (p *scratchPool[T]) checkin(bufs [][]T) {
+func (p *scratchPool) checkin(bufs [][]Observation) {
 	p.mu.Lock()
 	p.bufs = bufs
 	p.mu.Unlock()
@@ -438,7 +437,7 @@ func (p *scratchPool[T]) checkin(bufs [][]T) {
 // resolves to more than one and n is worth it, [0, n) is split into
 // contiguous shards generated concurrently into pool's scratch and merged in
 // shard order, so the result is byte-identical to gen(0, n, buf).
-func sharded[T any](workers, n int, pool *scratchPool[T], buf []T, gen func(lo, hi int, buf []T) []T) ([]T, int) {
+func sharded(workers, n int, pool *scratchPool, buf []Observation, gen func(lo, hi int, buf []Observation) []Observation) ([]Observation, int) {
 	workers = parallel.Resolve(workers)
 	if workers <= 1 || n < minParallelPrefixes {
 		return gen(0, n, buf), 0
@@ -545,64 +544,6 @@ func (s *Simulator) Observe(p netmodel.PrefixID, c netmodel.CloudID, weight floa
 		MeanRTT: mean * noise,
 		Clients: clients,
 	}, true
-}
-
-// SamplesAt expands one bucket's observations into the raw handshake
-// sample stream (trace.Sample records with per-sample RTT spread and
-// distinct client addresses), appending to buf. This is the record shape
-// the cloud servers log before quartet aggregation.
-//
-// Like ObservationsAt, the expansion shards across cfg.Workers goroutines
-// (here over the observation list) and merges per-shard buffers in order,
-// so the stream is identical at any worker count.
-func (s *Simulator) SamplesAt(b netmodel.Bucket, buf []trace.Sample) []trace.Sample {
-	obs := s.ObservationsAt(b, nil)
-	before := len(buf)
-	buf, fanout := sharded(s.cfg.Workers, len(obs), &s.smpScratch, buf,
-		func(lo, hi int, buf []trace.Sample) []trace.Sample { return s.samplesRange(b, obs[lo:hi], buf) })
-	s.mFanoutMax.SetMax(int64(fanout))
-	s.mSamples.Add(int64(len(buf) - before))
-	return buf
-}
-
-// samplesRange expands one shard of a bucket's observations into samples.
-func (s *Simulator) samplesRange(b netmodel.Bucket, obs []Observation, buf []trace.Sample) []trace.Sample {
-	for _, o := range obs {
-		base := s.World.Prefixes[o.Prefix].Base
-		clients := o.Clients
-		if clients < 1 {
-			clients = 1
-		}
-		if clients > 254 {
-			clients = 254
-		}
-		for i := 0; i < o.Samples; i++ {
-			h1 := mix(uint64(s.cfg.Seed), uint64(o.Prefix), uint64(o.Cloud), uint64(b), uint64(500+i), 1)
-			h2 := mix(uint64(s.cfg.Seed), uint64(o.Prefix), uint64(o.Cloud), uint64(b), uint64(500+i), 2)
-			rtt := o.MeanRTT * math.Exp(gauss(h1, h2)*s.cfg.NoiseSigma)
-			buf = append(buf, trace.Sample{
-				Client: ipaddr.Addr(base) | ipaddr.Addr(1+i%clients),
-				Cloud:  o.Cloud,
-				Device: o.Device,
-				Bucket: b,
-				RTTms:  rtt,
-			})
-		}
-	}
-	return buf
-}
-
-// SampleRTTs draws n individual RTT samples for a quartet, for tests that
-// need sample-level data (e.g. the K-S homogeneity validation of §2.1).
-func (s *Simulator) SampleRTTs(p netmodel.PrefixID, c netmodel.CloudID, b netmodel.Bucket, n int) []float64 {
-	mean := s.MeanRTT(p, c, b)
-	out := make([]float64, n)
-	for i := range out {
-		h1 := mix(uint64(s.cfg.Seed), uint64(p), uint64(c), uint64(b), uint64(100+i), 1)
-		h2 := mix(uint64(s.cfg.Seed), uint64(p), uint64(c), uint64(b), uint64(100+i), 2)
-		out[i] = mean * math.Exp(gauss(h1, h2)*s.cfg.NoiseSigma)
-	}
-	return out
 }
 
 // Inflation describes the ground-truth dominant cause of an RTT increase.

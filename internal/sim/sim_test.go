@@ -7,11 +7,9 @@ import (
 
 	"blameit/internal/bgp"
 	"blameit/internal/faults"
-	"blameit/internal/ipaddr"
 	"blameit/internal/netmodel"
 	"blameit/internal/stats"
 	"blameit/internal/topology"
-	"blameit/internal/trace"
 )
 
 // rig bundles a small world with a simulator over the given schedule.
@@ -256,18 +254,6 @@ func TestObservationNoiseShrinksWithSamples(t *testing.T) {
 	}
 }
 
-func TestSampleRTTsKSHomogeneity(t *testing.T) {
-	// §2.1: splitting a quartet's samples in half must pass the K-S
-	// same-distribution test.
-	r := newRig(t, nil, 1)
-	p := r.w.Prefixes[0]
-	c := r.w.Attachments(p.ID)[0].Cloud
-	xs := r.sim.SampleRTTs(p.ID, c, 10, 200)
-	if !stats.KSSameDistribution(xs[:100], xs[100:], 0.01) {
-		t.Error("K-S test rejected two halves of one quartet")
-	}
-}
-
 func TestDominantInflationCloudFault(t *testing.T) {
 	w := topology.Generate(topology.SmallScale(), 42)
 	c := w.Clouds[0]
@@ -359,48 +345,6 @@ func BenchmarkObservationsAt(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = s.ObservationsAt(netmodel.Bucket(i%netmodel.BucketsPerDay), buf[:0])
-	}
-}
-
-func TestSamplesAtRoundTripsThroughAggregation(t *testing.T) {
-	r := newRig(t, nil, 1)
-	b := netmodel.Bucket(20 * netmodel.BucketsPerHour)
-	raw := r.sim.SamplesAt(b, nil)
-	if len(raw) == 0 {
-		t.Fatal("no samples")
-	}
-	obs, dropped := trace.Aggregate(raw, func(base ipaddr.Addr) (netmodel.PrefixID, bool) {
-		return r.w.ResolvePrefix(uint32(base))
-	})
-	if dropped != 0 {
-		t.Fatalf("dropped %d samples", dropped)
-	}
-	direct := r.sim.ObservationsAt(b, nil)
-	if len(obs) != len(direct) {
-		t.Fatalf("aggregated %d quartets, direct %d", len(obs), len(direct))
-	}
-	// Index direct observations and compare counts and approximate means.
-	type key struct {
-		p netmodel.PrefixID
-		c netmodel.CloudID
-	}
-	byKey := make(map[key]trace.Observation)
-	for _, o := range direct {
-		byKey[key{o.Prefix, o.Cloud}] = o
-	}
-	for _, o := range obs {
-		d, ok := byKey[key{o.Prefix, o.Cloud}]
-		if !ok {
-			t.Fatal("aggregated quartet missing from direct stream")
-		}
-		if o.Samples != d.Samples {
-			t.Fatalf("sample count mismatch: %d vs %d", o.Samples, d.Samples)
-		}
-		// Per-sample noise averages out: the aggregated mean stays near the
-		// quartet mean.
-		if math.Abs(o.MeanRTT-d.MeanRTT)/d.MeanRTT > 0.2 {
-			t.Fatalf("aggregated mean %.1f far from quartet mean %.1f", o.MeanRTT, d.MeanRTT)
-		}
 	}
 }
 

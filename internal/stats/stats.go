@@ -1,8 +1,6 @@
 // Package stats implements the statistical primitives the reproduction
-// relies on: order statistics, empirical CDFs, the two-sample
-// Kolmogorov–Smirnov test used to validate quartet homogeneity (§2.1 of the
-// paper), streaming summaries, and the heavy-tailed random distributions
-// that drive the fault model.
+// relies on: order statistics, empirical CDFs, streaming summaries, and the
+// heavy-tailed random distributions that drive the fault model.
 package stats
 
 import (
@@ -245,53 +243,6 @@ func (c CDF) Points(n int) [][2]float64 {
 		out[i] = [2]float64{sortedQuantile(c.sorted, q), q}
 	}
 	return out
-}
-
-// KSStatistic returns the two-sample Kolmogorov–Smirnov statistic: the
-// maximum absolute difference between the empirical CDFs of a and b.
-func KSStatistic(a, b []float64) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	sa := append([]float64(nil), a...)
-	sb := append([]float64(nil), b...)
-	sort.Float64s(sa)
-	sort.Float64s(sb)
-	var d float64
-	i, j := 0, 0
-	for i < len(sa) && j < len(sb) {
-		x := sa[i]
-		if sb[j] < x {
-			x = sb[j]
-		}
-		for i < len(sa) && sa[i] == x {
-			i++
-		}
-		for j < len(sb) && sb[j] == x {
-			j++
-		}
-		diff := math.Abs(float64(i)/float64(len(sa)) - float64(j)/float64(len(sb)))
-		if diff > d {
-			d = diff
-		}
-	}
-	return d
-}
-
-// KSSameDistribution applies the two-sample K-S test at significance level
-// alpha and reports whether the null hypothesis (same distribution) is NOT
-// rejected. This mirrors the paper's validation that the two random halves
-// of a quartet's RTT samples come from one distribution.
-func KSSameDistribution(a, b []float64, alpha float64) bool {
-	if len(a) == 0 || len(b) == 0 {
-		return true
-	}
-	d := KSStatistic(a, b)
-	// c(alpha) for the large-sample critical value sqrt(-ln(alpha/2)/2).
-	cAlpha := math.Sqrt(-math.Log(alpha/2) / 2)
-	n, m := float64(len(a)), float64(len(b))
-	crit := cAlpha * math.Sqrt((n+m)/(n*m))
-	return d <= crit
 }
 
 // Histogram counts values into fixed-width bins over [min, max); finite

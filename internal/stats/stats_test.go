@@ -145,42 +145,6 @@ func TestCDFPoints(t *testing.T) {
 	}
 }
 
-func TestKSStatisticIdentical(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if d := KSStatistic(xs, xs); d != 0 {
-		t.Errorf("KS of identical samples = %v", d)
-	}
-}
-
-func TestKSStatisticDisjoint(t *testing.T) {
-	a := []float64{1, 2, 3}
-	b := []float64{10, 11, 12}
-	if d := KSStatistic(a, b); !almostEqual(d, 1, 1e-12) {
-		t.Errorf("KS of disjoint samples = %v", d)
-	}
-}
-
-func TestKSSameDistribution(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	a := make([]float64, 500)
-	b := make([]float64, 500)
-	c := make([]float64, 500)
-	for i := range a {
-		a[i] = r.NormFloat64()
-		b[i] = r.NormFloat64()
-		c[i] = r.NormFloat64() + 3 // shifted
-	}
-	if !KSSameDistribution(a, b, 0.05) {
-		t.Error("same-distribution samples rejected")
-	}
-	if KSSameDistribution(a, c, 0.05) {
-		t.Error("shifted samples accepted")
-	}
-	if !KSSameDistribution(nil, a, 0.05) {
-		t.Error("empty sample must not reject")
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h := NewHistogram(0, 10, 5)
 	for i := 0; i < 10; i++ {
@@ -284,20 +248,6 @@ func TestLogNormal(t *testing.T) {
 func TestClamp(t *testing.T) {
 	if Clamp(5, 0, 10) != 5 || Clamp(-1, 0, 10) != 0 || Clamp(11, 0, 10) != 10 {
 		t.Error("Clamp wrong")
-	}
-}
-
-func TestKSStatisticSymmetryProperty(t *testing.T) {
-	f := func(a, b []float64) bool {
-		for _, v := range append(append([]float64{}, a...), b...) {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return true
-			}
-		}
-		return almostEqual(KSStatistic(a, b), KSStatistic(b, a), 1e-12)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 

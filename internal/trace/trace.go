@@ -1,8 +1,7 @@
-// Package trace defines the passive measurement records that flow from the
+// Package trace defines the passive measurement record that flows from the
 // cloud locations to the analytics cluster: Observation, the quartet-level
 // record every layer of the pipeline exchanges, with its JSON Lines writer
-// (this file; internal/ingest reads the lines back), and Sample, the raw
-// per-handshake record Observations are aggregated from (samples.go).
+// (internal/ingest reads the lines back).
 package trace
 
 import (

@@ -5,7 +5,9 @@
 # bucket and is SIGKILLed (no drain, no warning) at several points, some
 # on drained sealed-bucket boundaries and some right after a seal ack
 # with the backend mid-flight. Every restart must replay its WAL cleanly
-# (no inconsistencies, no degraded durability) and the survivor must
+# (no inconsistencies, no degraded durability), a restart at a drained
+# boundary must read the /healthz it read before the kill (report count,
+# last window and the latest report's health), and the survivor must
 # serve a /v1/reports index, canonical report bodies and /v1/verdicts
 # byte-identical to the control's. The seeded per-crash-point matrix lives in
 # internal/server's TestCrashRecoverySIGKILL; this script is the
@@ -43,6 +45,13 @@ wait_up() {
 
 healthz_field() { # healthz_field <json-int-field>
   curl -fsS "$BASE/healthz" | sed -n "s/.*\"$1\":\([0-9-]*\).*/\1/p"
+}
+
+# healthz_reports: the part of /healthz the report log answers — the
+# report count, the last window's end and the latest report's health.
+healthz_reports() {
+  curl -fsS "$BASE/healthz" |
+    sed -n 's/.*\("reports":[0-9]*\).*\("last_window_to":[0-9-]*\).*\("health":{[^}]*}\).*/\1 \2 \3/p'
 }
 
 # wait_drained <bucket>: the queue is empty AND the report of the last job
@@ -119,17 +128,28 @@ feed_range() { # feed_range <from> <to-inclusive>
 start_wal_daemon
 next=0
 ki=0
-# Kill points: after bucket 40 and 230 the queue is drained first (a
-# sealed-bucket boundary); after 120 and 170 the seal is acked but the
-# backend is wherever the SIGKILL finds it.
+# Kill points: after bucket 40 and 170 the queue is drained first (a
+# sealed-bucket boundary), and the restart must read the same /healthz
+# report state; after 120 and 230 the seal is acked but the backend is
+# wherever the SIGKILL finds it.
 for kb in 40 120 170 230; do
   feed_range "$next" "$kb"
   next=$((kb + 1))
-  if [ $((ki % 2)) = 0 ]; then wait_drained "$kb"; fi
+  before=""
+  if [ $((ki % 2)) = 0 ]; then
+    wait_drained "$kb"
+    before=$(healthz_reports)
+    [ -n "$before" ] || { echo "crash-smoke: /healthz has no report state at bucket $kb" >&2; exit 1; }
+  fi
   ki=$((ki + 1))
   kill -9 "$DPID"; wait "$DPID" 2>/dev/null || true
   DPID=""
   start_wal_daemon
+  if [ -n "$before" ]; then
+    after=$(healthz_reports)
+    [ "$after" = "$before" ] || {
+      echo "crash-smoke: /healthz after the restart at bucket $kb reads '$after', before the kill '$before'" >&2; exit 1; }
+  fi
 done
 feed_range "$next" 287
 wait_drained 287
@@ -141,8 +161,8 @@ recovered=$(healthz_field recovered_reports)
 curl -fsS "$BASE/v1/reports" > "$WORK/index-wal.json"
 cmp -s "$WORK/index-control.json" "$WORK/index-wal.json" || {
   echo "crash-smoke: report index diverges from control after kill -9 recovery" >&2; exit 1; }
-# /v1/verdicts is served from the report log's decoded entries, which a
-# restart restores from journaled bytes: it must match too.
+# /v1/verdicts is served from the report log's headers, which a restart
+# takes from the regenerated reports: it must match too.
 curl -fsS "$BASE/v1/verdicts" > "$WORK/verdicts-wal.json"
 cmp -s "$WORK/verdicts-control.json" "$WORK/verdicts-wal.json" || {
   echo "crash-smoke: /v1/verdicts diverges from control after kill -9 recovery" >&2; exit 1; }
