@@ -26,7 +26,8 @@ race:
 	$(GO) test -race ./internal/sim/... ./internal/pipeline/... ./internal/core/... ./internal/parallel/... ./internal/ingest/... ./internal/probe/... ./internal/chaos/... ./internal/server/... ./internal/wal/... ./internal/fleet/... ./internal/topology/...
 
 # The crash-safety gate, under the race detector: every WAL-layer test
-# (framing, torn tails, compaction crash points) plus the service-level
+# (framing, torn tails of either family, compaction killed before its
+# history fsync, between its unlinks and after them) plus the service-level
 # kill-injection matrix — 20 seeded in-process crash points, 20 kill -9s
 # against the real binary, the 2-day restart-under-chaos run, and the
 # degraded-disk / corrupt-tail / Retry-After surfaces. Recovery must be

@@ -172,8 +172,8 @@ func (ws *walState) regenerated(rep *pipeline.Report, canonical []byte) bool {
 // journalReport appends a newly published report and drives the
 // compaction cadence: once a window's report is durable, the batches it
 // covers are redundant with the consumed-bucket records and compaction
-// drops them. During recovery, a report the journal already holds is not
-// appended again.
+// unlinks their segments. During recovery, a report the journal already
+// holds is not appended again.
 func (ws *walState) journalReport(seq int64, rep *pipeline.Report, canonical []byte) {
 	if ws.verifying.Load() && ws.regenerated(rep, canonical) {
 		return
@@ -198,10 +198,21 @@ func (ws *walState) journalReport(seq int64, rep *pipeline.Report, canonical []b
 	case ws.compacting <- struct{}{}:
 		go func() {
 			defer func() { <-ws.compacting }()
-			ws.absorb(ws.log.Compact())
+			ws.compact()
 		}()
 	default:
 	}
+}
+
+// compact runs one compaction pass and says what it did.
+func (ws *walState) compact() {
+	if err := ws.log.Compact(); err != nil {
+		ws.absorb(err)
+		return
+	}
+	p := ws.log.Stats().LastCompact
+	slog.Info("wal.compact", "segments", p.Segments, "bytes", p.Bytes,
+		"duration_ms", p.Duration.Milliseconds(), "reads", p.Reads, "report_to", p.ReportTo)
 }
 
 // stopCompacting waits for the compaction pass in flight and lets no
@@ -221,14 +232,14 @@ type WALHealth struct {
 	RecoveryInconsistent int64 `json:"recovery_inconsistent"`
 	// RecoveryMS is how long New took over the journal: open, catch-up and
 	// the leftovers' decode (recovery.complete logs the split).
-	RecoveryMS  int64 `json:"recovery_ms"`
-	LagRecords  int64 `json:"lag_records"`
+	RecoveryMS int64 `json:"recovery_ms"`
+	LagRecords int64 `json:"lag_records"`
+	// Segments counts the files of both journal families.
 	Segments    int   `json:"segments"`
 	Compactions int64 `json:"compactions"`
-	// What the latest compaction pass read and wrote: it should track the
-	// bytes journaled per cadence, not the size of the directory.
-	LastCompactRead    int64 `json:"last_compact_read_bytes"`
-	LastCompactWritten int64 `json:"last_compact_written_bytes"`
+	// What the latest compaction pass unlinked: about the batches
+	// journaled per cadence, once the log is past its first passes.
+	LastCompactUnlinked int64 `json:"last_compact_unlinked_bytes"`
 }
 
 func (ws *walState) health() *WALHealth {
@@ -245,8 +256,7 @@ func (ws *walState) health() *WALHealth {
 		LagRecords:           st.LagRecords,
 		Segments:             st.Segments,
 		Compactions:          st.Compactions,
-		LastCompactRead:      st.LastCompactReadBytes,
-		LastCompactWritten:   st.LastCompactWrittenBytes,
+		LastCompactUnlinked:  st.LastCompact.Bytes,
 	}
 }
 
@@ -280,7 +290,7 @@ func (s *Server) openWAL(cfg Config) (*wal.Recovery, error) {
 		compacting:       make(chan struct{}, 1),
 		compactEvery:     cfg.CompactEveryReports,
 		recoveredBuckets: len(rec.Buckets),
-		recoveredBatches: len(rec.Batches),
+		recoveredBatches: len(rec.Batches) + rec.Settled,
 		recoveredReports: len(rec.Reports),
 		truncatedBytes:   rec.TruncatedBytes,
 	}

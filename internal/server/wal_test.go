@@ -461,7 +461,8 @@ func TestWALRestartEquivalenceAggregates(t *testing.T) {
 }
 
 // TestWALHealthzRecoveryStats pins the exact recovery counters a
-// restart surfaces on /healthz.
+// restart surfaces on /healthz, and the compaction ones of the pass that
+// follows the restart's first new report.
 func TestWALHealthzRecoveryStats(t *testing.T) {
 	dir := t.TempDir()
 	mkSim := func() *sim.Simulator { return newTestSim(1) }
@@ -477,7 +478,7 @@ func TestWALHealthzRecoveryStats(t *testing.T) {
 	}
 	e.crash()
 
-	e = openEnv(t, dir, mkSim, nil)
+	e = openEnv(t, dir, mkSim, func(c *Config) { c.CompactEveryReports = 1 })
 	defer e.close(t)
 	wh := e.srv.WALHealth()
 	if wh.RecoveredBuckets != 9 || wh.RecoveredBatches != 9 || wh.RecoveredReports != 3 {
@@ -516,6 +517,19 @@ func TestWALHealthzRecoveryStats(t *testing.T) {
 	}
 	if n := e.srv.Reports(); n != 4 {
 		t.Fatalf("reports after restart+resume = %d, want 4", n)
+	}
+
+	// The new report's pass seals the accepted segment the restart went on
+	// appending to — every batch in it read and reported — and unlinks it:
+	// the history's one segment and a fresh accepted one are left.
+	waitFor(t, "the compaction pass", func() bool { return e.srv.WALHealth().Compactions == 1 })
+	wh = e.srv.WALHealth()
+	if _, err := os.Stat(filepath.Join(dir, "accepted-0000000001.log")); !os.IsNotExist(err) || wh.Segments != 2 || wh.LastCompactUnlinked <= 0 {
+		t.Fatalf("after the pass: %+v, accepted-0000000001.log stat err %v", wh, err)
+	}
+	_, body := (&testEnv{srv: e.srv, ts: e.ts}).get(t, "/healthz")
+	if want := fmt.Sprintf(`"segments":2,"compactions":1,"last_compact_unlinked_bytes":%d}`, wh.LastCompactUnlinked); !strings.Contains(string(body), want) {
+		t.Fatalf("/healthz = %s, want a wal section ending %s", body, want)
 	}
 }
 
@@ -564,6 +578,56 @@ func TestWALCorruptTailTruncated(t *testing.T) {
 	}
 	if got := collectCanonical(t, e.ts.Client(), e.ts.URL); !bytes.Equal(got, want) {
 		t.Fatal("reports diverged after corrupt-tail truncation")
+	}
+}
+
+// TestWALHistoryTruncatedBatchesRequeued cuts the history's tail — reads,
+// seals and a report — while the accepted family keeps every batch: the
+// restart re-queues the batches recorded past the reads that are left,
+// reads them again once sealed, and serves the same reports as before.
+func TestWALHistoryTruncatedBatchesRequeued(t *testing.T) {
+	dir := t.TempDir()
+	mkSim := func() *sim.Simulator { return newTestSim(1) }
+	streams := simStreams(newTestSim(1), 6)
+
+	e := openEnv(t, dir, mkSim, nil)
+	for b := range streams {
+		postWithRetry(t, e.ts.Client(), e.ts.URL+"/v1/ingest", jsonlBody(t, streams[b]))
+		if st, body := postSeal(t, e.ts.Client(), e.ts.URL, netmodel.Bucket(b)); st != http.StatusAccepted {
+			t.Fatalf("seal %d = %d (%s)", b, st, body)
+		}
+		e.quiesce(t, netmodel.Bucket(b))
+	}
+	want := collectCanonical(t, e.ts.Client(), e.ts.URL)
+	e.close(t)
+
+	path := filepath.Join(dir, "wal-0000000001.log")
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+
+	e = openEnv(t, dir, mkSim, nil)
+	defer e.close(t)
+	wh := e.srv.WALHealth()
+	if wh.TruncatedBytes == 0 || wh.RecoveredBuckets >= len(streams) || wh.RecoveredBatches != len(streams) {
+		t.Fatalf("after cutting the history in half: %+v, want fewer reads than the %d batches kept", wh, len(streams))
+	}
+	// The cut took the last seals with it; sealing again reads the
+	// re-queued batches.
+	last := netmodel.Bucket(len(streams) - 1)
+	if st, body := postSeal(t, e.ts.Client(), e.ts.URL, last); st != http.StatusAccepted {
+		t.Fatalf("seal %d = %d (%s)", last, st, body)
+	}
+	e.quiesce(t, last)
+	if got := collectCanonical(t, e.ts.Client(), e.ts.URL); !bytes.Equal(got, want) {
+		t.Fatal("reports diverged after the history lost its tail")
+	}
+	if wh := e.srv.WALHealth(); wh.RecoveryInconsistent != 0 {
+		t.Fatalf("the re-read flagged inconsistency: %+v", wh)
 	}
 }
 
@@ -1265,12 +1329,35 @@ func TestWALLogEvents(t *testing.T) {
 	ws.absorb(errors.New("disk gone"))
 	ws.absorb(errors.New("said once"))
 
+	// A compaction pass over a journal whose one batch is read and
+	// reported: it unlinks the accepted segment, the batch's 25-byte frame
+	// after a 31-byte header and meta record.
+	cl, _, err := wal.Open(t.TempDir(), wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := []trace.Observation{{Bucket: 1, Samples: 1, MeanRTT: 10, Clients: 1}}
+	if err := cl.AppendBatch(obs); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.AppendBucket(1, obs); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.AppendReport(wal.Report{From: 0, To: 2, Canonical: []byte("{}")}); err != nil {
+		t.Fatal(err)
+	}
+	(&walState{log: cl}).compact()
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
 	want := []string{
 		`{"err":"set","msg":"recovery.report_undecodable","seq":1}`,
 		`{"batches":0,"buckets":0,"catchup_ms":"ok","duration_ms":"ok","inconsistent":1,"msg":"recovery.complete","open_ms":"ok","reports":1,"truncated_bytes":0}`,
 		`{"from":0,"msg":"recovery.report_mismatch","to":2}`,
 		`{"msg":"recovery.unregenerated","n":1}`,
 		`{"err":"disk gone","msg":"wal.degraded"}`,
+		`{"bytes":56,"duration_ms":"ok","msg":"wal.compact","reads":1,"report_to":2,"segments":1}`,
 	}
 	if got := logEvents(t, buf); !reflect.DeepEqual(got, want) {
 		t.Fatalf("log events:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math"
+	"strings"
 
 	"blameit/internal/ingest"
 	"blameit/internal/netmodel"
@@ -34,14 +35,22 @@ const (
 	recReport   = 0x06 // one published report's canonical JSON
 	recAggBatch = 0x07 // one accepted /v1/aggregates cell batch, in queue push order
 	// 0x08 was format version 2's aggregate-flush marker.
+	recSkip = 0x09 // the position the next bucket read takes, past reads a truncation lost
+)
+
+// The record types each family's segments may hold.
+var (
+	historyKinds  = string([]byte{recMeta, recBucket, recSeal, recReport, recSkip})
+	acceptedKinds = string([]byte{recMeta, recBatch, recAggBatch})
 )
 
 // segment file header: magic + format version. Version 2 dropped the
 // snapshot record; version 3 dropped the agg-flush record, and an
-// agg-batch now settles by the reads, as a batch does.
+// agg-batch now settles by the reads, as a batch does. Version 4 moved
+// the batches into a family of their own, each carrying its position.
 const (
 	segMagic   = "BLAMEWAL"
-	segVersion = 3
+	segVersion = 4
 	segHeader  = len(segMagic) + 4
 )
 
@@ -73,24 +82,30 @@ func crcMatches(hdr, payload []byte) bool {
 
 // rawRecord is one CRC-valid record as scanned from a segment, with its
 // decoded body. The body slice aliases the scanned file buffer; decoded
-// values own their memory.
+// values own their memory. A batch of either feed also carries its
+// position and highest bucket.
 type rawRecord struct {
-	typ  byte
-	body []byte
-	val  any
+	typ   byte
+	body  []byte
+	val   any
+	after int
+	high  netmodel.Bucket
 }
 
 // scanRecords walks data (a segment's bytes after the header) and returns
-// the longest prefix of frame-valid, body-decodable records plus the byte
-// offset where that prefix ends. Anything after the returned offset —
-// a torn frame, a CRC mismatch, an over-long length, an unknown type, or
-// an undecodable body — is the corrupt tail the caller truncates.
+// the longest prefix of frame-valid, body-decodable records of the given
+// kinds plus the byte offset where that prefix ends. Anything after the
+// returned offset — a torn frame, a CRC mismatch, an over-long length, a
+// type the family does not hold, or an undecodable body — is the corrupt
+// tail the caller truncates. A batch that settled (if not nil) reports
+// settled by its position and highest bucket is checked but not decoded:
+// its val stays nil.
 //
 // Frames are checked in order, since each one's position depends on the
 // length before it. The bodies are independent once framed, so they decode
 // on every core, each into its own record; the prefix is then cut at the
 // first body that failed, as a sequential decode would have stopped there.
-func scanRecords(data []byte) (recs []rawRecord, valid int64) {
+func scanRecords(data []byte, kinds string, settled func(after int, high netmodel.Bucket) bool) (recs []rawRecord, valid int64) {
 	off := int64(0)
 	for {
 		rest := data[off:]
@@ -102,7 +117,7 @@ func scanRecords(data []byte) (recs []rawRecord, valid int64) {
 			break
 		}
 		payload := rest[frameHeader : frameHeader+n]
-		if !crcMatches(rest, payload) {
+		if !crcMatches(rest, payload) || strings.IndexByte(kinds, payload[0]) < 0 {
 			break
 		}
 		recs = append(recs, rawRecord{typ: payload[0], body: payload[1:]})
@@ -110,7 +125,7 @@ func scanRecords(data []byte) (recs []rawRecord, valid int64) {
 	}
 	ok := make([]bool, len(recs))
 	parallel.ForEach(len(recs), parallel.Resolve(0), func(i int) {
-		recs[i].val, _, ok[i] = decodeBody(recs[i].typ, recs[i].body, true)
+		ok[i] = recs[i].decode(settled)
 	})
 	for i := range recs {
 		if !ok[i] {
@@ -119,6 +134,25 @@ func scanRecords(data []byte) (recs []rawRecord, valid int64) {
 		valid += frameHeader + 1 + int64(len(recs[i].body))
 	}
 	return recs, valid
+}
+
+// decode checks the record's body and decodes it into val, except for a
+// batch settled reports settled.
+func (r *rawRecord) decode(settled func(int, netmodel.Bucket) bool) bool {
+	var ok bool
+	if r.typ == recBatch || r.typ == recAggBatch {
+		r.after = (&reader{b: r.body}).position()
+		// Only a batch some read came after can be settled: such a batch is
+		// checked first, and decoded only if it holds a bucket no read has
+		// reached.
+		if settled != nil && settled(r.after, noBucket) {
+			if _, r.high, ok = decodeBody(r.typ, r.body, false); !ok || settled(r.after, r.high) {
+				return ok
+			}
+		}
+	}
+	r.val, r.high, ok = decodeBody(r.typ, r.body, true)
+	return ok
 }
 
 // reader is a bounds-checked cursor over a record body. Any overrun sets
@@ -167,6 +201,16 @@ func (r *reader) uvarint() uint64 {
 	}
 	r.i += n
 	return v
+}
+
+// position reads a journal position: a count of bucket reads.
+func (r *reader) position() int {
+	v := r.uvarint()
+	if v > math.MaxInt32 {
+		r.err = true
+		return 0
+	}
+	return int(v)
 }
 
 func (r *reader) f64() float64 {
@@ -301,11 +345,12 @@ func readCells(r *reader, build bool) ([]ingest.AggCell, netmodel.Bucket) {
 const noBucket = netmodel.Bucket(math.MinInt)
 
 // decodeBody checks one record body by type and, with build, decodes it
-// into val (without, val is not to be used). high is what compaction
-// judges the record by: the highest bucket among a batch's observations or
-// an agg-batch's cells, the bucket of a seal. Open builds and compaction does not, but both go through
-// here, so they accept the same bytes. A false return marks the record —
-// and everything after it — as the corrupt tail.
+// into val (without, val is not to be used). high is the highest bucket
+// among a batch's observations or an agg-batch's cells: with the batch's
+// position, what the settle rule judges it by. A batch is built or only
+// checked, but both go through here, so they accept the same bytes. A
+// false return marks the record — and everything after it — as the
+// corrupt tail.
 func decodeBody(typ byte, body []byte, build bool) (val any, high netmodel.Bucket, ok bool) {
 	r := &reader{b: body}
 	high = noBucket
@@ -316,16 +361,17 @@ func decodeBody(typ byte, body []byte, build bool) (val any, high netmodel.Bucke
 		}
 		return val, high, true
 	case recBatch:
+		after := r.position()
 		var obs []trace.Observation
-		obs, high = readObs(r, build)
-		val = obs
+		if obs, high = readObs(r, build); build {
+			val = Batch{Obs: obs, AfterBuckets: after}
+		}
 	case recBucket:
 		b := netmodel.Bucket(r.varint())
 		obs, _ := readObs(r, build)
 		val = BucketStream{Bucket: b, Obs: obs}
 	case recSeal:
-		high = netmodel.Bucket(r.varint())
-		val = high
+		val = netmodel.Bucket(r.varint())
 	case recReport:
 		rep := Report{
 			Seq:  r.varint(),
@@ -338,9 +384,13 @@ func decodeBody(typ byte, body []byte, build bool) (val any, high netmodel.Bucke
 		}
 		return rep, high, !r.err
 	case recAggBatch:
+		after := r.position()
 		var cells []ingest.AggCell
-		cells, high = readCells(r, build)
-		val = cells
+		if cells, high = readCells(r, build); build {
+			val = Batch{Cells: cells, AfterBuckets: after}
+		}
+	case recSkip:
+		val = r.position()
 	default:
 		return nil, high, false
 	}

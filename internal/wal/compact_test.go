@@ -114,19 +114,62 @@ func checkProjectionsEqual(t *testing.T, got, want projection) {
 	}
 }
 
+// acceptedSegments lists the accepted family's segment files in dir, by
+// name, with what each is on disk.
+func acceptedSegments(t *testing.T, dir string) map[string]os.FileInfo {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "accepted-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := make(map[string]os.FileInfo, len(names))
+	for _, name := range names {
+		fi, err := os.Stat(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs[filepath.Base(name)] = fi
+	}
+	return segs
+}
+
+func sameNames(a, b map[string]os.FileInfo) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for name := range a {
+		if _, ok := b[name]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// smallSegments spreads populate's batches over several accepted
+// segments, so that a pass has more than one to unlink.
+var smallSegments = Config{Fsync: SyncOff, Meta: "m", SegmentBytes: 200}
+
+// reference is what a reopen recovers from populate's log, never
+// compacted.
+func reference(t *testing.T, cfg Config) *Recovery {
+	t.Helper()
+	dir := t.TempDir()
+	l, _, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	populate(t, l)
+	l.Close()
+	_, rec, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
 func TestCompactionPreservesRecovery(t *testing.T) {
-	dirRef := t.TempDir()
-	cfg := Config{Fsync: SyncOff, Meta: "m"}
-	lRef, _, err := Open(dirRef, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	populate(t, lRef)
-	lRef.Close()
-	_, recRef, err := Open(dirRef, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := smallSegments
+	recRef := reference(t, cfg)
 	want := project(recRef)
 
 	dir := t.TempDir()
@@ -138,12 +181,16 @@ func TestCompactionPreservesRecovery(t *testing.T) {
 	if err := l.Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
-	// Post-compaction appends must land in the new segment.
+	// Post-compaction appends must land in the new segments.
 	if err := l.AppendSeal(11); err != nil {
 		t.Fatal(err)
 	}
-	if st := l.Stats(); st.Compactions != 1 {
-		t.Fatalf("Compactions = %d, want 1", st.Compactions)
+	if err := l.AppendBatch(obsFor(9, 2)); err != nil {
+		t.Fatal(err)
+	}
+	st := l.Stats()
+	if st.Compactions != 1 || st.LastCompact.Segments == 0 {
+		t.Fatalf("Stats = %+v, want one pass that unlinked something", st)
 	}
 	l.Close()
 
@@ -152,37 +199,41 @@ func TestCompactionPreservesRecovery(t *testing.T) {
 		t.Fatalf("reopen after compaction: %v", err)
 	}
 	want.maxSeal = 11
+	want.leftovers = append(want.leftovers, Batch{Obs: obsFor(9, 2)})
 	checkProjectionsEqual(t, project(rec), want)
 
-	// The droppable records must actually be gone: the consumed batches of
-	// both feeds.
-	if len(rec.Batches) != 2 || len(rec.Batches[0].Cells) == 0 || len(rec.Batches[1].Obs) == 0 {
-		t.Fatalf("compaction kept %d batches; want the unconsumed one of each feed", len(rec.Batches))
+	// The droppable batches must actually be gone, and the unsettled ones
+	// of both feeds kept.
+	if rec.Settled >= recRef.Settled || len(rec.Batches) != 3 || len(rec.Batches[0].Cells) == 0 || len(rec.Batches[1].Obs) == 0 {
+		t.Fatalf("compaction kept %d settled of %d and %d unsettled batches; want fewer settled and the unconsumed one of each feed plus the new one",
+			rec.Settled, recRef.Settled, len(rec.Batches))
 	}
 }
 
 // TestCompactionCrashPoints kills the compaction at each phase of the
-// protocol — before any segment is touched, with a half-written .tmp on
-// disk, with the .tmp complete but not renamed, and with the rewrite in
-// place but the directory not yet synced — in the first segment of a pass
-// and in the second, and verifies a reopen recovers the same state as no
-// compaction at all.
+// protocol — before it starts, before the history fsync, between two
+// unlinks, and after the last — and verifies a reopen recovers the same
+// state as no compaction at all, and that a pass over the reopened log
+// leaves the accepted family as an uninterrupted pass does.
 func TestCompactionCrashPoints(t *testing.T) {
-	// Small segments, so that populate spreads over several and a pass
-	// has more than one to rewrite.
-	cfg := Config{Fsync: SyncOff, Meta: "m", SegmentBytes: 512}
-	dirRef := t.TempDir()
-	lRef, _, err := Open(dirRef, cfg)
+	cfg := smallSegments
+	want := project(reference(t, cfg))
+
+	// An uninterrupted pass, for the accepted segments it leaves.
+	clean := t.TempDir()
+	lc, _, err := Open(clean, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	populate(t, lRef)
-	lRef.Close()
-	_, recRef, err := Open(dirRef, cfg)
-	if err != nil {
+	populate(t, lc)
+	if err := lc.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	want := project(recRef)
+	unlinked := lc.Stats().LastCompact.Segments
+	lc.Close()
+	if unlinked < 2 {
+		t.Fatalf("an uninterrupted pass unlinked %d segments; the crash points need two or more", unlinked)
+	}
 
 	crash := func(t *testing.T, crashAt string, nth int) {
 		dir := t.TempDir()
@@ -191,6 +242,7 @@ func TestCompactionCrashPoints(t *testing.T) {
 			t.Fatal(err)
 		}
 		populate(t, l)
+		before := acceptedSegments(t, dir)
 		seen := 0
 		l.compactStep = func(phase string) bool {
 			if phase == crashAt {
@@ -202,12 +254,21 @@ func TestCompactionCrashPoints(t *testing.T) {
 			t.Fatalf("Compact: %v", err)
 		}
 		if seen != nth {
-			t.Fatalf("phase %s reached %d times, want %d: the pass rewrote too few segments for this crash point", crashAt, seen, nth)
+			t.Fatalf("phase %s reached %d times, want %d", crashAt, seen, nth)
 		}
 		l.Abandon() // the simulated kill
-		tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp"))
-		if leaves := crashAt == "pre-sync" || crashAt == "pre-rename"; leaves != (len(tmps) == 1) {
-			t.Fatalf("crash at %s left .tmp files %v", crashAt, tmps)
+		gone, after := 0, acceptedSegments(t, dir)
+		for name := range before {
+			if _, ok := after[name]; !ok {
+				gone++
+			}
+		}
+		wantGone := 0
+		if crashAt == "unlinked" {
+			wantGone = nth
+		}
+		if gone != wantGone {
+			t.Fatalf("crash at %s #%d: %d accepted segments gone, want %d", crashAt, nth, gone, wantGone)
 		}
 
 		l1, rec, err := Open(dir, cfg)
@@ -216,7 +277,7 @@ func TestCompactionCrashPoints(t *testing.T) {
 		}
 		checkProjectionsEqual(t, project(rec), want)
 		if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
-			t.Fatalf("open left %v behind", tmps)
+			t.Fatalf("crash left %v behind", tmps)
 		}
 		// And the directory must be fully usable: a second, untampered
 		// compaction still works.
@@ -229,68 +290,152 @@ func TestCompactionCrashPoints(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkProjectionsEqual(t, project(rec2), want)
-		if n := len(rec2.Batches); n != 2 {
-			t.Fatalf("%d batches survived the second compaction, want only the two unsettled ones", n)
+		if got, want := acceptedSegments(t, dir), acceptedSegments(t, clean); !sameNames(got, want) {
+			t.Fatalf("after crash at %s and a second pass the accepted family is %v, an uninterrupted pass leaves %v", crashAt, got, want)
 		}
 	}
-	for _, crashAt := range []string{"begin", "pre-sync", "pre-rename", "post-rename"} {
-		t.Run(crashAt, func(t *testing.T) { crash(t, crashAt, 1) })
-	}
-	for _, crashAt := range []string{"pre-sync", "pre-rename", "post-rename"} {
-		t.Run("second-segment-"+crashAt, func(t *testing.T) { crash(t, crashAt, 2) })
-	}
+	t.Run("begin", func(t *testing.T) { crash(t, "begin", 1) })
+	t.Run("pre-sync", func(t *testing.T) { crash(t, "pre-sync", 1) })
+	t.Run("between-unlinks", func(t *testing.T) { crash(t, "unlinked", 1) })
+	t.Run("after-unlinks", func(t *testing.T) { crash(t, "unlinked", unlinked) })
 }
 
-// TestCompactionAbortsOnCorruptSegment flips a bit in the middle of a
-// sealed segment: the pass must fail and leave every file as it was —
-// rewriting would keep only the frames before the flip and silently lose
-// the rest.
-func TestCompactionAbortsOnCorruptSegment(t *testing.T) {
-	dir := t.TempDir()
+// TestAcceptedTailTruncatedAlone corrupts each family's tail in turn. A
+// corrupt accepted tail truncates only that family: every read and report
+// stays. A truncated history keeps every batch, and a batch recorded past
+// the reads it lost is re-queued whole, byte for byte — in this recovery
+// and in the next, until a read after the recovery serves it.
+func TestAcceptedTailTruncatedAlone(t *testing.T) {
 	cfg := Config{Fsync: SyncOff, Meta: "m"}
-	l, _, err := Open(dir, cfg)
-	if err != nil {
-		t.Fatal(err)
+	write := func(t *testing.T) string {
+		dir := t.TempDir()
+		l, _, err := Open(dir, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		populate(t, l)
+		l.Close()
+		return dir
 	}
-	populate(t, l)
-	path := filepath.Join(dir, segName(1))
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mut := append([]byte(nil), before...)
-	mut[len(mut)/2] ^= 0x10
-	if err := os.WriteFile(path, mut, 0o666); err != nil {
-		t.Fatal(err)
+	garbage := bytes.Repeat([]byte{0xEE}, 37)
+	appendGarbage := func(t *testing.T, path string) {
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o666)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.Write(garbage); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	err = l.Compact()
-	if err == nil || !strings.Contains(err.Error(), "invalid record") {
-		t.Fatalf("Compact over a corrupt segment: err = %v, want an invalid-record error", err)
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(after, mut) {
-		t.Fatal("failed compaction changed the segment it could not validate")
-	}
-	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
-		t.Fatalf("failed compaction left %v behind", tmps)
-	}
-	if st := l.Stats(); st.Compactions != 0 {
-		t.Fatalf("failed pass counted as a compaction: %+v", st)
-	}
-	l.Close()
+	t.Run("accepted", func(t *testing.T) {
+		dir := write(t)
+		want := project(reference(t, cfg))
+		// Cut the last batch (bucket 7) in half and leave garbage after it.
+		path := filepath.Join(dir, "accepted-0000000001.log")
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(path, fi.Size()-20); err != nil {
+			t.Fatal(err)
+		}
+		appendGarbage(t, path)
+		l, rec, err := Open(dir, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		if rec.TruncatedBytes == 0 {
+			t.Fatal("a corrupt accepted tail truncated nothing")
+		}
+		want.leftovers = want.leftovers[:len(want.leftovers)-1]
+		checkProjectionsEqual(t, project(rec), want)
+		if len(rec.Reports) != 2 || len(rec.Buckets) != 6 {
+			t.Fatalf("a corrupt accepted tail cost the history: %d reports, %d reads", len(rec.Reports), len(rec.Buckets))
+		}
+	})
+
+	t.Run("history", func(t *testing.T) {
+		dir := write(t)
+		// A late record for bucket 4, accepted after all six reads: the
+		// queue held it stale, for the read after them.
+		l, _, err := Open(dir, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.AppendBatch(obsFor(4, 1)); err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+		// Cut the history after its fourth read, mid-frame: the reads of
+		// buckets 4 and 5, the seal and both reports go, and the batches
+		// recorded at positions 4 to 6 lie past what is left.
+		path := filepath.Join(dir, "wal-0000000001.log")
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, _ := scanRecords(data[segHeader:], historyKinds, nil)
+		cut := int64(segHeader)
+		for _, r := range recs[:1+4] { // the meta record, then four reads
+			cut += frameHeader + 1 + int64(len(r.body))
+		}
+		if err := os.Truncate(path, cut+3); err != nil {
+			t.Fatal(err)
+		}
+		cell4 := ingest.AggCell{Agent: 1, Seq: 1, Bucket: 4, Prefix: 9, Samples: 5, MeanRTT: 10, Clients: 1}
+		requeued := []Batch{
+			{Obs: obsFor(4, 4), AfterBuckets: 4},
+			{Cells: []ingest.AggCell{cell4}, AfterBuckets: 4},
+			{Obs: obsFor(5, 4), AfterBuckets: 5},
+			{Cells: pendingCells, AfterBuckets: 6},
+			{Obs: obsFor(7, 3), AfterBuckets: 6},
+			{Obs: obsFor(4, 1), AfterBuckets: 6},
+		}
+		// Twice: the second open reads the history the first one left.
+		for round := 0; round < 2; round++ {
+			l, rec, err := Open(dir, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rec.Buckets) != 4 || len(rec.Reports) != 0 || rec.MaxSeal != -1 || rec.Settled != 4 {
+				t.Fatalf("round %d: recovered %d reads, %d reports, seal %d, %d settled batches", round, len(rec.Buckets), len(rec.Reports), rec.MaxSeal, rec.Settled)
+			}
+			if !reflect.DeepEqual(rec.Batches, requeued) {
+				t.Fatalf("round %d: re-queued %+v, want %+v", round, rec.Batches, requeued)
+			}
+			if rec.Reads.Len() != 6 {
+				t.Fatalf("round %d: the next read takes position %d, want 6: past every recorded batch", round, rec.Reads.Len())
+			}
+			if round == 1 {
+				// The re-queued late record is pending under bucket 4 now,
+				// and the first read serves it: a later recovery must know.
+				if err := l.AppendBucket(4, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			l.Close()
+		}
+		_, rec, err := Open(dir, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rec.Batches, []Batch{requeued[2], requeued[3], requeued[4]}) {
+			t.Fatalf("after a read of bucket 4, %d batches re-queued, want those of buckets 5, 7 and 8", len(rec.Batches))
+		}
+	})
 }
 
-// TestCompactionCostTracksNewBytes pins the point of per-segment
-// compaction: a pass reads and writes about what was appended since the
-// pass before, however long the log has grown, and a segment left with
-// nothing droppable is never rewritten again.
-func TestCompactionCostTracksNewBytes(t *testing.T) {
+// TestCompactionUnlinksOnlySettled pins what a pass touches: it leaves
+// every history segment the same file at the same size, and it unlinks
+// exactly the accepted segments whose batches are all read and reported
+// — so the accepted family stays about two cadences long however long
+// the log grows.
+func TestCompactionUnlinksOnlySettled(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Fsync: SyncOff, Meta: "m"}
+	cfg := Config{Fsync: SyncOff, Meta: "m", SegmentBytes: 16 << 10}
 	l, _, err := Open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -298,11 +443,21 @@ func TestCompactionCostTracksNewBytes(t *testing.T) {
 	defer l.Close()
 
 	const cadences, perCadence = 10, 12
-	settled := map[string]os.FileInfo{} // segments with no batch left, as first seen
 	var next netmodel.Bucket
-	var lastDir int64
+	var reportTo netmodel.Bucket = -1
+	history := func() map[string]os.FileInfo {
+		names, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+		m := make(map[string]os.FileInfo)
+		for _, name := range names {
+			fi, err := os.Stat(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m[name] = fi
+		}
+		return m
+	}
 	for c := 0; c < cadences; c++ {
-		before := l.Stats().AppendedBytes
 		for i := 0; i < perCadence; i++ {
 			obs := obsFor(next, 200)
 			if err := l.AppendBatch(obs); err != nil {
@@ -314,68 +469,73 @@ func TestCompactionCostTracksNewBytes(t *testing.T) {
 			next++
 		}
 		// The report trails the reads, as the daemon's does while windows
-		// are in flight: the last buckets' batches stay for the next pass.
-		if err := l.AppendReport(Report{Seq: int64(c), From: next - perCadence, To: next - 3, Canonical: []byte("{}\n")}); err != nil {
+		// are in flight: the last buckets' batches stay for a later pass.
+		reportTo = next - 3
+		if err := l.AppendReport(Report{Seq: int64(c), From: next - perCadence, To: reportTo, Canonical: []byte("{}\n")}); err != nil {
 			t.Fatal(err)
-		}
-		appended := l.Stats().AppendedBytes - before
-		if err := l.Compact(); err != nil {
-			t.Fatal(err)
-		}
-		st := l.Stats()
-		if st.LastCompactReadBytes == 0 || st.LastCompactWrittenBytes == 0 {
-			t.Fatalf("cadence %d: pass read %d wrote %d bytes, want both > 0", c, st.LastCompactReadBytes, st.LastCompactWrittenBytes)
-		}
-		if st.LastCompactReadBytes > 2*appended || st.LastCompactWrittenBytes > 2*appended {
-			t.Fatalf("cadence %d: pass read %d wrote %d bytes with %d appended since the last one: cost is not O(new)",
-				c, st.LastCompactReadBytes, st.LastCompactWrittenBytes, appended)
 		}
 
-		// Segments the log no longer lists as dirty must be the same files
-		// ever after.
-		l.mu.Lock()
-		dirty := map[uint64]bool{l.active.seq: true}
-		for _, seg := range l.dirty {
-			dirty[seg.seq] = true
-		}
-		l.mu.Unlock()
-		for seq := uint64(1); seq <= uint64(st.Segments); seq++ {
-			name := segName(seq)
-			fi, err := os.Stat(filepath.Join(dir, name))
+		// Which accepted segments hold only batches that are read (every
+		// bucket before next is) and reported?
+		droppable := map[string]bool{}
+		for name := range acceptedSegments(t, dir) {
+			data, err := os.ReadFile(filepath.Join(dir, name))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if was, ok := settled[name]; ok {
-				if !os.SameFile(was, fi) || was.Size() != fi.Size() {
-					t.Fatalf("cadence %d: settled segment %s was rewritten", c, name)
-				}
-			} else if !dirty[seq] {
-				settled[name] = fi
+			high := noBucket
+			recs, _ := scanRecords(data[segHeader:], acceptedKinds, nil)
+			for _, r := range recs[1:] {
+				high = max(high, r.high)
+			}
+			droppable[name] = len(recs) > 1 && high <= reportTo
+		}
+		histBefore, accBefore := history(), acceptedSegments(t, dir)
+		if err := l.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		for name, was := range histBefore {
+			if fi, err := os.Stat(name); err != nil || !os.SameFile(was, fi) || was.Size() != fi.Size() {
+				t.Fatalf("cadence %d: the pass changed history segment %s", c, name)
 			}
 		}
-		lastDir = 0
-		for seq := uint64(1); seq <= uint64(st.Segments); seq++ {
-			fi, _ := os.Stat(filepath.Join(dir, segName(seq)))
-			lastDir += fi.Size()
+		accAfter := acceptedSegments(t, dir)
+		var unlinked int64
+		for name, was := range accBefore {
+			fi, kept := accAfter[name]
+			if kept == droppable[name] {
+				t.Fatalf("cadence %d: %s kept=%v, droppable=%v", c, name, kept, droppable[name])
+			}
+			if kept && !os.SameFile(was, fi) {
+				t.Fatalf("cadence %d: the pass rewrote %s", c, name)
+			}
+			if !kept {
+				unlinked += was.Size()
+			}
 		}
-	}
-	if len(settled) < cadences-2 {
-		t.Fatalf("only %d of %d cadences' segments settled", len(settled), cadences)
-	}
-	// What is left is about one copy of the consumed trace: well under the
-	// two copies (batch + bucket) that were appended.
-	if total := l.Stats().AppendedBytes; lastDir > total*6/10 {
-		t.Fatalf("directory holds %d of %d appended bytes after compaction", lastDir, total)
+		st := l.Stats()
+		if st.LastCompact.Bytes != unlinked || st.LastCompact.Reads != int(next) || st.LastCompact.ReportTo != reportTo {
+			t.Fatalf("cadence %d: pass %+v, want %d bytes unlinked judged by %d reads and reports to %d", c, st.LastCompact, unlinked, next, reportTo)
+		}
+		if c > 0 && unlinked == 0 {
+			t.Fatalf("cadence %d: the pass unlinked nothing", c)
+		}
+		if len(accAfter) > 2 {
+			t.Fatalf("cadence %d: %d accepted segments after the pass, want at most the unreported tail and the fresh one", c, len(accAfter))
+		}
+		if want := len(history()) + len(accAfter); st.Segments != want {
+			t.Fatalf("cadence %d: Stats.Segments = %d, %d files on disk", c, st.Segments, want)
+		}
 	}
 }
 
-// TestAppendsProceedDuringCompaction holds a pass in the middle of a
-// segment rewrite and requires appends — and a whole rotation — from
-// another goroutine to complete meanwhile: the rewrite does not hold the
-// append lock. Run with -race -count=10.
+// TestAppendsProceedDuringCompaction holds a pass between two unlinks and
+// requires appends — and a whole rotation of each family — from another
+// goroutine to complete meanwhile: the unlinks do not hold the append
+// lock. Run with -race -count=10.
 func TestAppendsProceedDuringCompaction(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Fsync: SyncOff, Meta: "m", SegmentBytes: 2048}
+	cfg := smallSegments
 	l, _, err := Open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -384,9 +544,9 @@ func TestAppendsProceedDuringCompaction(t *testing.T) {
 
 	held, release := make(chan struct{}), make(chan struct{})
 	l.compactStep = func(phase string) bool {
-		if phase == "pre-rename" {
+		if phase == "unlinked" {
 			select {
-			case <-held: // later segments pass straight through
+			case <-held: // later unlinks pass straight through
 			default:
 				close(held)
 				<-release
@@ -408,7 +568,7 @@ func TestAppendsProceedDuringCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := l.Stats(); st.Segments == segsBefore {
+	if st := l.Stats(); st.Segments < segsBefore+2 {
 		t.Fatal("appends during the held pass never rotated; raise the volume")
 	}
 	select {
@@ -419,6 +579,9 @@ func TestAppendsProceedDuringCompaction(t *testing.T) {
 	close(release)
 	if err := <-done; err != nil {
 		t.Fatalf("Compact: %v", err)
+	}
+	if err := l.AppendReport(Report{Seq: 2, From: 20, To: 39, Canonical: []byte("{}\n")}); err != nil {
+		t.Fatal(err)
 	}
 	if err := l.Compact(); err != nil { // picks up what was appended meanwhile
 		t.Fatal(err)
@@ -432,23 +595,20 @@ func TestAppendsProceedDuringCompaction(t *testing.T) {
 	if len(rec.Buckets) != 6+20 {
 		t.Fatalf("recovered %d bucket streams, want 26", len(rec.Buckets))
 	}
-	for _, b := range rec.Batches {
-		for _, o := range b.Obs {
-			if rec.Reads.Reached(b.AfterBuckets, o.Bucket) && o.Bucket <= 5 {
-				t.Fatalf("a settled, reported batch (bucket %d) survived two passes", o.Bucket)
-			}
-		}
+	// Reads up to bucket 39, reported: every batch is settled and gone.
+	if len(rec.Batches) != 0 || rec.Settled != 0 {
+		t.Fatalf("%d unsettled and %d settled batches survived two passes", len(rec.Batches), rec.Settled)
 	}
 }
 
 // TestCompactionDropsSkippedWarmupBatches: warm-up sampling reads every
 // k'th bucket, and the batches of the buckets it jumps over are discarded
 // by the queue, never served. Once the reads have passed them and a report
-// covers them they are as settled as served ones, and compaction drops
+// covers them they are as settled as served ones, and compaction unlinks
 // them.
 func TestCompactionDropsSkippedWarmupBatches(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Fsync: SyncOff, Meta: "m"}
+	cfg := Config{Fsync: SyncOff, Meta: "m", SegmentBytes: 64} // a batch a segment
 	l, _, err := Open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -469,6 +629,9 @@ func TestCompactionDropsSkippedWarmupBatches(t *testing.T) {
 	if err := l.Compact(); err != nil {
 		t.Fatal(err)
 	}
+	if n := l.Stats().LastCompact.Segments; n != 5 {
+		t.Fatalf("the pass unlinked %d segments, want the five of buckets 0..4", n)
+	}
 	l.Close()
 	_, rec, err := Open(dir, cfg)
 	if err != nil {
@@ -480,8 +643,8 @@ func TestCompactionDropsSkippedWarmupBatches(t *testing.T) {
 	for _, b := range rec.Batches {
 		kept = append(kept, b.Obs[0].Bucket)
 	}
-	if !reflect.DeepEqual(kept, []netmodel.Bucket{5, 6, 7}) {
-		t.Fatalf("batches kept for buckets %v, want [5 6 7]", kept)
+	if !reflect.DeepEqual(kept, []netmodel.Bucket{5, 6, 7}) || rec.Settled != 0 {
+		t.Fatalf("batches kept for buckets %v and %d settled, want [5 6 7] and none", kept, rec.Settled)
 	}
 	if left := project(rec).leftovers; len(left) != 3 {
 		t.Fatalf("%d leftover batches, want 3", len(left))
@@ -515,16 +678,29 @@ func TestHorizon(t *testing.T) {
 	if h.Len() != 3 {
 		t.Errorf("Len = %d, want 3", h.Len())
 	}
+	// Positions a truncated history lost: batches recorded there are after
+	// every read so far, and the next read is after them.
+	h.skipTo(5)
+	h.skipTo(4) // never back
+	if h.Len() != 5 || h.Reached(3, 9) || !h.Reached(2, 9) {
+		t.Fatalf("after skipTo(5): Len = %d, Reached(3, 9) = %v, Reached(2, 9) = %v", h.Len(), h.Reached(3, 9), h.Reached(2, 9))
+	}
+	h.add(10)
+	if h.Len() != 6 || !h.Reached(5, 10) || h.Reached(6, 10) {
+		t.Fatalf("the read after the skip: Len = %d, Reached(5, 10) = %v, Reached(6, 10) = %v", h.Len(), h.Reached(5, 10), h.Reached(6, 10))
+	}
 }
 
 // TestOpenRefusesFormatVersion1 pins what happens to a data directory
 // written in an earlier format — testdata/format-v1 before per-segment
 // compaction (snapshot record included), testdata/format-v2 by the commit
 // before the aggregate feed joined the ingest queue (agg-flush record
-// included), each by the code of its day: the open fails and says which
-// version it found, rather than misreading or dropping the old records.
+// included), testdata/format-v3 by the commit before batches moved into a
+// family of their own (batches between the reads, without positions),
+// each by the code of its day: the open fails and says which version it
+// found, rather than misreading or dropping the old records.
 func TestOpenRefusesFormatVersion1(t *testing.T) {
-	for version, seg := range map[int]string{1: segName(2), 2: segName(1)} {
+	for version, seg := range map[int]string{1: "wal-0000000002.log", 2: "wal-0000000001.log", 3: "wal-0000000001.log"} {
 		dir := t.TempDir()
 		old, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("format-v%d", version), seg))
 		if err != nil {

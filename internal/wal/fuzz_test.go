@@ -3,10 +3,11 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
-	"io"
+	"reflect"
 	"testing"
 
 	"blameit/internal/ingest"
+	"blameit/internal/netmodel"
 )
 
 // appendFrame frames one payload (type byte first) onto buf.
@@ -17,20 +18,30 @@ func appendFrame(buf, payload []byte) []byte {
 	return buf
 }
 
-// FuzzWALDecode drives the segment record scanner over arbitrary bytes.
-// The scanner sits on the recovery path of every daemon restart, so it
-// must uphold, for ANY input: no panic, no out-of-bounds, a valid offset
-// (the truncation point never exceeds the input), and prefix consistency
-// (the records it accepts re-encode to exactly the bytes it consumed —
-// what recovery replays is what was on disk). Compaction's streaming
-// scanner, which checks bodies without decoding them, must accept exactly
-// the same prefix frame for frame: it rewrites what recovery will read.
+// batchBody is a batch record's payload of either feed: type, position,
+// then the observations or cells.
+func batchBody(after int, obs []byte) []byte {
+	return append(binary.AppendUvarint([]byte{obs[0]}, uint64(after)), obs[1:]...)
+}
+
+// FuzzWALDecode drives the segment record scanner over arbitrary bytes,
+// as each family reads them. The scanner sits on the recovery path of
+// every daemon restart, so it must uphold, for ANY input: no panic, no
+// out-of-bounds, a valid offset (the truncation point never exceeds the
+// input), and prefix consistency (the records it accepts re-encode to
+// exactly the bytes it consumed — what recovery replays is what was on
+// disk). A batch the reads have settled is only checked, not decoded;
+// the check must accept exactly the bytes the decode accepts, record for
+// record, or a settled batch could hide a corrupt tail.
 func FuzzWALDecode(f *testing.F) {
-	// Seed corpus: a valid log, a torn tail, a bit flip, a zero-length
-	// record, and a giant-length record.
-	valid := appendFrame(nil, append([]byte{recMeta}, "m"...))
-	valid = appendFrame(valid, appendObs([]byte{recBatch}, obsFor(3, 2)))
-	valid = appendFrame(valid, binary.AppendVarint([]byte{recSeal}, 7))
+	// Seed corpus: a valid accepted segment of both feeds' batches, a torn
+	// tail, a bit flip, a zero-length record, and a giant-length record.
+	cells := []ingest.AggCell{{Agent: 1, Seq: 2, Bucket: 4, Samples: 9, MeanRTT: 55.25, Clients: 2}}
+	meta := appendFrame(nil, append([]byte{recMeta}, "m"...))
+	valid := append([]byte(nil), meta...)
+	valid = appendFrame(valid, batchBody(0, appendObs([]byte{recBatch}, obsFor(3, 2))))
+	valid = appendFrame(valid, batchBody(2, appendCells([]byte{recAggBatch}, cells)))
+	valid = appendFrame(valid, batchBody(300, appendObs([]byte{recBatch}, obsFor(9, 1))))
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3]) // torn tail
 	flipped := append([]byte(nil), valid...)
@@ -43,67 +54,97 @@ func FuzzWALDecode(f *testing.F) {
 	giant = binary.LittleEndian.AppendUint32(giant, 0)
 	f.Add(giant)
 	f.Add([]byte{})
-	// One of every other record type, for the body walkers.
-	rest := appendFrame(nil, appendObs(binary.AppendVarint([]byte{recBucket}, 3), obsFor(3, 2)))
-	rest = appendFrame(rest, append([]byte{recReport, 0, 0, 4, 1}, "{}\n"...))
-	rest = appendFrame(rest, appendCells([]byte{recAggBatch}, []ingest.AggCell{{Agent: 1, Seq: 2, Bucket: 4, Samples: 9, MeanRTT: 55.25, Clients: 2}}))
-	f.Add(rest)
+	// A history segment: one of each of its record types.
+	hist := append([]byte(nil), meta...)
+	hist = appendFrame(hist, appendObs(binary.AppendVarint([]byte{recBucket}, 3), obsFor(3, 2)))
+	hist = appendFrame(hist, binary.AppendVarint([]byte{recSeal}, 7))
+	hist = appendFrame(hist, append([]byte{recReport, 0, 0, 4, 1}, "{}\n"...))
+	hist = appendFrame(hist, binary.AppendUvarint([]byte{recSkip}, 5))
+	f.Add(hist)
 	f.Add(appendFrame(nil, []byte{0x02, 0, 1, 0}))                              // version 1's snapshot record: now an unknown type
-	withFlush := appendFrame(append([]byte(nil), rest...), []byte{0x08, 8, 10}) // version 2's agg-flush record: likewise
+	withFlush := appendFrame(append([]byte(nil), hist...), []byte{0x08, 8, 10}) // version 2's agg-flush record: likewise
 	f.Add(appendFrame(withFlush, binary.AppendVarint([]byte{recSeal}, 9)))
-	if recs, valid := scanRecords(withFlush); len(recs) != 3 || valid != int64(len(rest)) {
-		f.Fatalf("scan accepted %d records / %d bytes of a log with a kind-0x08 record after %d bytes: the unknown kind must stop it", len(recs), valid, len(rest))
+	if recs, n := scanRecords(withFlush, historyKinds, nil); len(recs) != 5 || n != int64(len(hist)) {
+		f.Fatalf("scan accepted %d records / %d bytes of a log with a kind-0x08 record after %d bytes: the unknown kind must stop it", len(recs), n, len(hist))
+	}
+	// Version 3's batch body, without a position: its count of
+	// observations is read as one.
+	f.Add(appendFrame(append([]byte(nil), valid[:len(valid)/3]...), appendObs([]byte{recBatch}, obsFor(3, 2))))
+	// A family stops at the other's records.
+	mixed := append(append([]byte(nil), valid...), hist[len(meta):]...)
+	f.Add(mixed)
+	if recs, n := scanRecords(mixed, acceptedKinds, nil); len(recs) != 4 || n != int64(len(valid)) {
+		f.Fatalf("the accepted family accepted %d records / %d bytes past its own %d", len(recs), n, len(valid))
 	}
 	// A framed, CRC-valid batch whose body claims observations it does not
 	// hold, between good frames: bodies decode in parallel, and the prefix
 	// must still end at the first one that fails, whatever decodes after it.
-	badBody := appendFrame(append([]byte(nil), valid...), []byte{recBatch, 5})
-	badBody = appendFrame(badBody, binary.AppendVarint([]byte{recSeal}, 9))
-	badBody = appendFrame(badBody, appendObs([]byte{recBatch}, obsFor(3, 2)))
+	badBody := appendFrame(append([]byte(nil), valid...), []byte{recBatch, 0, 5})
+	badBody = appendFrame(badBody, batchBody(1, appendObs([]byte{recBatch}, obsFor(3, 2))))
 	f.Add(badBody)
-	if recs, n := scanRecords(badBody); len(recs) != 3 || n != int64(len(valid)) {
+	if recs, n := scanRecords(badBody, acceptedKinds, nil); len(recs) != 4 || n != int64(len(valid)) {
 		f.Fatalf("scan accepted %d records / %d bytes of a log with an undecodable body after %d bytes: the bad body must stop it", len(recs), n, len(valid))
 	}
 
+	// settledOdd settles the batches at odd positions, reached by the
+	// horizon or not, so both paths run on every input.
+	settledOdd := func(after int, _ netmodel.Bucket) bool { return after%2 == 1 }
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, valid := scanRecords(data)
-		if valid < 0 || valid > int64(len(data)) {
-			t.Fatalf("truncation offset %d out of range [0, %d]", valid, len(data))
-		}
-		// Prefix consistency: re-encoding the accepted records must
-		// reproduce the consumed bytes exactly.
-		var re []byte
-		for _, r := range recs {
-			payload := make([]byte, 0, 1+len(r.body))
-			payload = append(payload, r.typ)
-			payload = append(payload, r.body...)
-			re = appendFrame(re, payload)
-		}
-		if !bytes.Equal(re, data[:valid]) {
-			t.Fatalf("accepted records re-encode to %d bytes != consumed %d", len(re), valid)
-		}
-		fr := newFrameReader(bytes.NewReader(data), int64(len(data)))
-		for i := 0; ; i++ {
-			frame, typ, _, err := fr.next()
-			if err != nil {
-				if wantEOF := valid == int64(len(data)); (err == io.EOF) != wantEOF || (err != io.EOF && err != errBadFrame) {
-					t.Fatalf("streaming scanner ended with %v at %d; scanRecords accepted %d of %d bytes", err, fr.off, valid, len(data))
+		for _, k := range []string{historyKinds, acceptedKinds} {
+			recs, valid := scanRecords(data, k, nil)
+			if valid < 0 || valid > int64(len(data)) {
+				t.Fatalf("truncation offset %d out of range [0, %d]", valid, len(data))
+			}
+			// Prefix consistency: re-encoding the accepted records must
+			// reproduce the consumed bytes exactly.
+			var re []byte
+			for _, r := range recs {
+				re = appendFrame(re, append([]byte{r.typ}, r.body...))
+			}
+			if !bytes.Equal(re, data[:valid]) {
+				t.Fatalf("accepted records re-encode to %d bytes != consumed %d", len(re), valid)
+			}
+			// Checking without decoding accepts the same prefix, and the
+			// batches it decodes anyway are the same.
+			checked, n := scanRecords(data, k, settledOdd)
+			if len(checked) != len(recs) || n != valid {
+				t.Fatalf("with settled batches the scan accepted %d records / %d bytes, without %d / %d", len(checked), n, len(recs), valid)
+			}
+			for i, r := range checked {
+				if settledOdd(r.after, r.high) && (r.typ == recBatch || r.typ == recAggBatch) {
+					if r.val != nil {
+						t.Fatalf("record %d: a settled batch was decoded", i)
+					}
+					continue
 				}
-				if i != len(recs) || fr.off != valid {
-					t.Fatalf("streaming scanner accepted %d frames / %d bytes, scanRecords %d / %d", i, fr.off, len(recs), valid)
+				if !reflect.DeepEqual(r.val, recs[i].val) && !hasNaN(r.val) {
+					t.Fatalf("record %d: decoded %+v, without settling %+v", i, r.val, recs[i].val)
 				}
-				break
 			}
-			if i >= len(recs) {
-				t.Fatalf("streaming scanner accepted frame %d past scanRecords' %d", i, len(recs))
-			}
-			if typ != recs[i].typ || !bytes.Equal(frame[frameHeader+1:], recs[i].body) {
-				t.Fatalf("frame %d: streaming scanner and scanRecords disagree on the record", i)
-			}
+			// Interpretation must not panic either (decodeBody already ran
+			// in scanRecords; fold the records as recovery would).
+			rec := &Recovery{MaxSeal: -1}
+			_ = interpret(rec, recs, "m")
 		}
-		// Interpretation must not panic either (decodeBody already ran in
-		// scanRecords; fold the records as recovery would).
-		rec := &Recovery{MaxSeal: -1}
-		_, _ = interpret(rec, recs, "m")
 	})
+}
+
+// hasNaN reports whether a decoded batch holds a NaN, which DeepEqual
+// never finds equal to itself.
+func hasNaN(val any) bool {
+	b, ok := val.(Batch)
+	if !ok {
+		return false
+	}
+	for _, o := range b.Obs {
+		if o.MeanRTT != o.MeanRTT {
+			return true
+		}
+	}
+	for _, c := range b.Cells {
+		if c.MeanRTT != c.MeanRTT {
+			return true
+		}
+	}
+	return false
 }

@@ -9,6 +9,12 @@
 // path reconstructs the backend exactly, and a restart (including kill -9
 // mid-window) serves /v1/reports byte-identical to an uninterrupted run.
 //
+// The log is two families of segments. The history (wal-*.log) holds the
+// consumed buckets, seals and reports, and is never rewritten. The
+// accepted family (accepted-*.log) holds the batches, each stamped with
+// the number of bucket reads journaled before it; compaction (Compact)
+// unlinks its sealed segments once the history has made them redundant.
+//
 // Durability semantics by fsync policy:
 //
 //	always    every append reaches the disk before the caller proceeds —
@@ -24,13 +30,9 @@
 // from dead processes. fsync only moves the power-loss line.
 //
 // Torn and corrupt tails: the scanner validates every record's CRC and
-// body on open, truncates the log at the last valid record, deletes any
-// later segments, and reports the discarded byte count so the daemon can
-// surface it in /healthz.
-//
-// Replay-from-zero keeps every consumed bucket and report for good; what
-// compaction (Compact) removes is the second copy — the accepted batches,
-// once later history has settled them (Horizon).
+// body on open, truncates each family at its last valid record, deletes
+// the family's later segments, and reports the discarded byte count so
+// the daemon can surface it in /healthz.
 package wal
 
 import (
@@ -39,7 +41,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -75,7 +78,8 @@ type Config struct {
 	Fsync Policy
 	// FsyncInterval is the flush cadence under SyncInterval.
 	FsyncInterval time.Duration
-	// SegmentBytes rotates the active segment once it would exceed this.
+	// SegmentBytes rotates a family's active segment once it would exceed
+	// this.
 	SegmentBytes int64
 	// Meta is the daemon's configuration fingerprint. It is journaled as
 	// the first record of every segment and must match on reopen: a WAL
@@ -117,14 +121,24 @@ type Stats struct {
 	Syncs           int64
 	// LagRecords counts appended records not yet fsynced — the window a
 	// power loss (not a process death) could lose.
-	LagRecords  int64
+	LagRecords int64
+	// Segments counts the segment files of both families.
 	Segments    int
 	Compactions int64
-	// LastCompactReadBytes and LastCompactWrittenBytes are the segment
-	// bytes the most recent compaction pass read and wrote: a pass costs
-	// the bytes appended since the one before, not the log's length.
-	LastCompactReadBytes    int64
-	LastCompactWrittenBytes int64
+	// LastCompact is the most recent compaction pass.
+	LastCompact CompactPass
+}
+
+// CompactPass is what one compaction pass judged by and what it unlinked.
+type CompactPass struct {
+	// Reads is how many bucket reads the history held, and ReportTo the
+	// highest window end among its reports (-1 for none).
+	Reads    int
+	ReportTo netmodel.Bucket
+	// Segments and Bytes are the accepted segments the pass unlinked.
+	Segments int
+	Bytes    int64
+	Duration time.Duration
 }
 
 // BucketStream is one consumed bucket: the exact observation stream —
@@ -142,9 +156,9 @@ type Report struct {
 	Final     bool
 	Canonical []byte
 	// AfterBuckets is how many consumed-bucket records preceded this
-	// report in the log. It is derived at scan time, not encoded: recovery
-	// uses it to run a final report's drain flush again after the same
-	// replayed read.
+	// report in the history. It is derived at scan time, not encoded:
+	// recovery uses it to run a final report's drain flush again after the
+	// same replayed read.
 	AfterBuckets int
 }
 
@@ -153,11 +167,10 @@ type Report struct {
 type Batch struct {
 	Obs   []trace.Observation
 	Cells []ingest.AggCell
-	// AfterBuckets is how many consumed-bucket records preceded this
-	// batch in the log — i.e. which reads had already happened when it
-	// arrived. Derived at scan time, like Report.AfterBuckets: it is the
-	// position Recovery.Reads judges the batch's records from (served or
-	// discarded by a later read, or still queued).
+	// AfterBuckets is the position the batch was journaled at: how many
+	// bucket reads the history held when it arrived. It is the position
+	// Recovery.Reads judges the batch's records from (served or discarded
+	// by a later read, or still queued).
 	AfterBuckets int
 }
 
@@ -165,10 +178,13 @@ type Batch struct {
 type Recovery struct {
 	// Buckets are the consumed per-bucket streams, in consumption order.
 	Buckets []BucketStream
-	// Batches are the accepted-but-possibly-unconsumed ingest batches in
+	// Batches are the journaled batches the reads have not settled, in
 	// push order. Recovery re-pushes what the consumed streams did not
 	// already settle.
 	Batches []Batch
+	// Settled counts the journaled batches the reads had settled whole:
+	// checked like the rest, but not decoded.
+	Settled int
 	// Reports are the journaled published reports in publish order.
 	Reports []Report
 	// MaxSeal is the highest explicitly sealed bucket, or -1.
@@ -179,33 +195,66 @@ type Recovery struct {
 	Reads Horizon
 	// TruncatedBytes is how much corrupt tail the open discarded.
 	TruncatedBytes int64
-	Segments       int
 
-	// The rest of what compaction judges by; see evidence.
-	reportTo netmodel.Bucket
-}
-
-// evidence is the journaled history compaction may act on. The log keeps
-// it current as it appends; a compaction pass copies it right after
-// sealing the active segment, when all of it is in fsynced files.
-type evidence struct {
-	reads Horizon
 	// reportTo is the highest window end among journaled reports, or -1.
 	reportTo netmodel.Bucket
-	maxSeal  netmodel.Bucket
 }
 
-// segment is one segment file as compaction sees it.
-type segment struct {
-	seq uint64
-	// reads counts the bucket records journaled before the segment's first
-	// record: the position its batches are judged from.
-	reads int
+// evidence is the journaled history compaction judges by. The log keeps
+// it current as it appends; a compaction pass copies it and fsyncs the
+// history before acting on it.
+type evidence struct {
+	reads    Horizon
+	reportTo netmodel.Bucket
+}
+
+// batchSeg is an accepted-family segment as compaction sees it: every
+// batch in it is settled once the reads after its last batch's position
+// reached its highest bucket.
+type batchSeg struct {
+	seq   uint64
+	size  int64
+	after int             // the position of its last batch
+	high  netmodel.Bucket // the highest bucket among its batches
+}
+
+// droppable reports whether the evidence has settled every batch in the
+// segment and a report covers them all.
+func (s batchSeg) droppable(ev evidence) bool {
+	return ev.reads.Reached(s.after, s.high) && s.high <= ev.reportTo
 }
 
 // Empty reports whether the scan found nothing to replay.
 func (r *Recovery) Empty() bool {
-	return len(r.Buckets) == 0 && len(r.Batches) == 0 && len(r.Reports) == 0 && r.MaxSeal < 0
+	return len(r.Buckets) == 0 && len(r.Batches) == 0 && r.Settled == 0 && len(r.Reports) == 0 && r.MaxSeal < 0
+}
+
+// family is one series of segment files, appended to at its last.
+type family struct {
+	prefix string // file names are prefix-%010d.log
+	kinds  string // the record types its segments may hold
+	f      *os.File
+	seq    uint64 // the active segment's
+	size   int64  // the active segment's
+	lag    int64  // records appended since the last fsync
+}
+
+func (fam *family) segName(seq uint64) string { return fmt.Sprintf("%s-%010d.log", fam.prefix, seq) }
+
+// segSeqs lists the family's segment numbers among entries, in order.
+func (fam *family) segSeqs(entries []os.DirEntry) []uint64 {
+	var seqs []uint64
+	for _, e := range entries {
+		name := e.Name()
+		if !strings.HasPrefix(name, fam.prefix+"-") || !strings.HasSuffix(name, ".log") {
+			continue
+		}
+		if seq, err := strconv.ParseUint(name[len(fam.prefix)+1:len(name)-len(".log")], 10, 64); err == nil {
+			seqs = append(seqs, seq)
+		}
+	}
+	slices.Sort(seqs)
+	return seqs
 }
 
 // Log is the append side. All methods are safe for concurrent use.
@@ -215,20 +264,19 @@ type Log struct {
 
 	// compactMu serializes compaction passes. It is taken before mu and
 	// held for the whole pass; mu is held only while the pass seals the
-	// active segment and while it books its result.
+	// accepted family and books its result.
 	compactMu sync.Mutex
 
 	mu     sync.Mutex
-	f      *os.File
-	active segment
-	size   int64 // active segment size
+	hist   family
+	acc    family
 	stats  Stats
 	closed bool
 	ev     evidence
-	// dirty lists, oldest first, the sealed segments that may still hold a
-	// record compaction can drop. A segment leaves the list for good once
-	// a pass finds no batch left in it.
-	dirty []segment
+	// sealed lists, oldest first, the accepted family's sealed segments:
+	// the ones compaction may unlink. cur is the active one.
+	sealed []batchSeg
+	cur    batchSeg
 
 	buf []byte // frame buffer, reused under mu
 
@@ -241,8 +289,6 @@ type Log struct {
 	// compaction at that point, files as they are, as a kill would.
 	compactStep func(phase string) bool
 }
-
-func segName(seq uint64) string { return fmt.Sprintf("wal-%010d.log", seq) }
 
 // Open scans dir (created if missing), recovers its contents, truncates
 // any corrupt tail, and returns the log opened for append plus the
@@ -257,107 +303,54 @@ func Open(dir string, cfg Config) (*Log, *Recovery, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	var seqs []uint64
-	for _, e := range entries {
-		name := e.Name()
-		if strings.HasSuffix(name, ".tmp") {
-			// A compaction that died before its rename; its contents are
-			// not part of the log.
-			if err := os.Remove(filepath.Join(dir, name)); err != nil {
-				return nil, nil, fmt.Errorf("wal: %w", err)
-			}
-			continue
-		}
-		var seq uint64
-		if _, err := fmt.Sscanf(name, "wal-%d.log", &seq); err == nil {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-
 	rec := &Recovery{MaxSeal: -1, reportTo: -1}
-	l := &Log{dir: dir, cfg: cfg}
+	l := &Log{
+		dir:  dir,
+		cfg:  cfg,
+		hist: family{prefix: "wal", kinds: historyKinds},
+		acc:  family{prefix: "accepted", kinds: acceptedKinds},
+	}
+	// The history first: its reads are what the batches are judged by, and
+	// a batch they settled is checked but never decoded.
+	err = l.openFamily(&l.hist, l.hist.segSeqs(entries), rec, nil, func(_ batchSeg, recs []rawRecord) error {
+		return interpret(rec, recs, cfg.Meta)
+	})
+	lastAfter := 0 // the position of the family's last batch
+	if err == nil {
+		err = l.openFamily(&l.acc, l.acc.segSeqs(entries), rec, rec.Reads.Reached, func(seg batchSeg, recs []rawRecord) error {
+			for _, r := range recs {
+				if r.typ == recBatch || r.typ == recAggBatch {
+					seg.after, seg.high = r.after, max(seg.high, r.high)
+					lastAfter = r.after
+				}
+			}
+			l.sealed = append(l.sealed, seg)
+			return interpret(rec, recs, cfg.Meta)
+		})
+	}
+	if err != nil {
+		l.closeFiles()
+		return nil, nil, err
+	}
+	// The last accepted segment goes on taking appends; it is not sealed.
+	l.cur, l.sealed = l.sealed[len(l.sealed)-1], l.sealed[:len(l.sealed)-1]
 
-	// Scan segments in order. The first corruption truncates: the file is
-	// cut back to its last valid record and every later segment is
-	// discarded — replay needs a consistent prefix, and anything after a
-	// corrupt record has no trustworthy ordering against it.
-	var segs []segment
-	truncatedFrom := -1
-	for i, seq := range seqs {
-		path := filepath.Join(dir, segName(seq))
-		data, err := os.ReadFile(path)
+	// Batches recorded past the recovered reads arrived after reads a
+	// corrupt history tail lost. They are re-queued whole, and every read
+	// from here on comes after them: the history says so before it takes
+	// another read, so that a later recovery judges them the same way.
+	if lastAfter > rec.Reads.Len() {
+		err := l.write(&l.hist, binary.AppendUvarint(l.frame(recSkip), uint64(lastAfter)))
+		if err == nil {
+			err = l.syncLocked(&l.hist)
+		}
 		if err != nil {
-			return nil, nil, fmt.Errorf("wal: %w", err)
-		}
-		if len(data) < segHeader || string(data[:len(segMagic)]) != segMagic {
-			truncatedFrom = i
-			break
-		}
-		if v := binary.LittleEndian.Uint32(data[len(segMagic):]); v != segVersion {
-			return nil, nil, fmt.Errorf("wal: %s is in format version %d and this build reads only version %d: start from an empty data directory", path, v, segVersion)
-		}
-		seg := segment{seq: seq, reads: rec.Reads.Len()}
-		recs, valid := scanRecords(data[segHeader:])
-		droppable, err := interpret(rec, recs, cfg.Meta)
-		if err != nil {
+			l.closeFiles()
 			return nil, nil, err
 		}
-		segs = append(segs, seg)
-		if droppable {
-			l.dirty = append(l.dirty, seg)
-		}
-		if int(valid) < len(data)-segHeader {
-			rec.TruncatedBytes += int64(len(data)-segHeader) - valid
-			if err := os.Truncate(path, int64(segHeader)+valid); err != nil {
-				return nil, nil, fmt.Errorf("wal: truncating corrupt tail: %w", err)
-			}
-			truncatedFrom = i + 1
-			break
-		}
+		rec.Reads.skipTo(lastAfter)
 	}
-	if truncatedFrom >= 0 {
-		for _, seq := range seqs[truncatedFrom:] {
-			path := filepath.Join(dir, segName(seq))
-			if st, err := os.Stat(path); err == nil {
-				rec.TruncatedBytes += st.Size()
-			}
-			// A discarded segment that stayed would be read as live history
-			// by the next open.
-			if err := os.Remove(path); err != nil {
-				return nil, nil, fmt.Errorf("wal: discarding segment after corruption: %w", err)
-			}
-		}
-	}
-	rec.Segments = len(segs)
-	l.ev = evidence{reads: rec.Reads, reportTo: rec.reportTo, maxSeal: rec.MaxSeal}
-
-	if len(segs) == 0 {
-		f, err := l.createSegment(1)
-		if err != nil {
-			return nil, nil, err
-		}
-		l.f, l.size, l.active = f, l.freshSize(), segment{seq: 1}
-		l.stats.Segments = 1
-	} else {
-		// The last segment goes on taking appends; it is not sealed.
-		l.active = segs[len(segs)-1]
-		if n := len(l.dirty); n > 0 && l.dirty[n-1].seq == l.active.seq {
-			l.dirty = l.dirty[:n-1]
-		}
-		path := filepath.Join(dir, segName(l.active.seq))
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o666)
-		if err != nil {
-			return nil, nil, fmt.Errorf("wal: %w", err)
-		}
-		st, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("wal: %w", err)
-		}
-		l.f, l.size = f, st.Size()
-		l.stats.Segments = len(segs)
-	}
+	l.ev = evidence{reads: rec.Reads, reportTo: rec.reportTo}
 
 	if cfg.Fsync == SyncInterval {
 		l.stop = make(chan struct{})
@@ -367,19 +360,88 @@ func Open(dir string, cfg Config) (*Log, *Recovery, error) {
 	return l, rec, nil
 }
 
-// interpret folds one segment's scanned records into the recovery state,
-// and reports whether the segment holds records compaction could drop one
-// day: batches of either feed.
-func interpret(rec *Recovery, recs []rawRecord, wantMeta string) (droppable bool, err error) {
+// openFamily scans one family's segments in order, hands fold each one's
+// valid records with its number and size, and opens the last for append;
+// a family with none starts one, which fold sees empty. The first
+// corruption truncates the family: the file is cut back to its last valid
+// record and every later segment of the family is removed — replay needs
+// a consistent prefix of each family, and anything after a corrupt record
+// has no trustworthy order against it. settled is scanRecords'.
+func (l *Log) openFamily(fam *family, seqs []uint64, rec *Recovery, settled func(int, netmodel.Bucket) bool, fold func(batchSeg, []rawRecord) error) error {
+	n := 0 // segments kept
+	for ; n < len(seqs); n++ {
+		path := filepath.Join(l.dir, fam.segName(seqs[n]))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return fmt.Errorf("wal: %w", err)
+		}
+		if len(data) < segHeader || string(data[:len(segMagic)]) != segMagic {
+			break
+		}
+		if v := binary.LittleEndian.Uint32(data[len(segMagic):]); v != segVersion {
+			return fmt.Errorf("wal: %s is in format version %d and this build reads only version %d: start from an empty data directory", path, v, segVersion)
+		}
+		recs, valid := scanRecords(data[segHeader:], fam.kinds, settled)
+		if err := fold(batchSeg{seq: seqs[n], size: int64(segHeader) + valid, high: noBucket}, recs); err != nil {
+			return err
+		}
+		if tail := int64(len(data)-segHeader) - valid; tail > 0 {
+			rec.TruncatedBytes += tail
+			if err := os.Truncate(path, int64(segHeader)+valid); err != nil {
+				return fmt.Errorf("wal: truncating corrupt tail: %w", err)
+			}
+			n++
+			break
+		}
+	}
+	for _, seq := range seqs[n:] {
+		path := filepath.Join(l.dir, fam.segName(seq))
+		if st, err := os.Stat(path); err == nil {
+			rec.TruncatedBytes += st.Size()
+		}
+		// A discarded segment that stayed would be read as live history by
+		// the next open.
+		if err := os.Remove(path); err != nil {
+			return fmt.Errorf("wal: discarding segment after corruption: %w", err)
+		}
+	}
+	l.stats.Segments += max(n, 1)
+	if n == 0 {
+		f, err := l.createSegment(fam, 1)
+		if err != nil {
+			return err
+		}
+		fam.f, fam.seq, fam.size = f, 1, l.freshSize()
+		return fold(batchSeg{seq: 1, size: fam.size, high: noBucket}, nil)
+	}
+	fam.seq = seqs[n-1]
+	f, err := os.OpenFile(filepath.Join(l.dir, fam.segName(fam.seq)), os.O_WRONLY|os.O_APPEND, 0o666)
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	fam.f = f
+	st, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	fam.size = st.Size()
+	return nil
+}
+
+// interpret folds one segment's scanned records into the recovery state.
+func interpret(rec *Recovery, recs []rawRecord, wantMeta string) error {
 	for _, r := range recs {
 		switch r.typ {
 		case recMeta:
 			if got := r.val.(string); got != wantMeta {
-				return false, fmt.Errorf("%w: log written under %q, reopened under %q", ErrMetaMismatch, got, wantMeta)
+				return fmt.Errorf("%w: log written under %q, reopened under %q", ErrMetaMismatch, got, wantMeta)
 			}
-		case recBatch:
-			droppable = true
-			rec.Batches = append(rec.Batches, Batch{Obs: r.val.([]trace.Observation), AfterBuckets: len(rec.Buckets)})
+		case recBatch, recAggBatch:
+			if r.val == nil {
+				rec.Settled++
+			} else {
+				rec.Batches = append(rec.Batches, r.val.(Batch))
+			}
 		case recBucket:
 			bs := r.val.(BucketStream)
 			rec.Buckets = append(rec.Buckets, bs)
@@ -395,12 +457,11 @@ func interpret(rec *Recovery, recs []rawRecord, wantMeta string) (droppable bool
 			if rep.To > rec.reportTo {
 				rec.reportTo = rep.To
 			}
-		case recAggBatch:
-			droppable = true
-			rec.Batches = append(rec.Batches, Batch{Cells: r.val.([]ingest.AggCell), AfterBuckets: len(rec.Buckets)})
+		case recSkip:
+			rec.Reads.skipTo(r.val.(int))
 		}
 	}
-	return droppable, nil
+	return nil
 }
 
 // freshSize is the size of a segment holding nothing but its header and
@@ -409,10 +470,10 @@ func (l *Log) freshSize() int64 {
 	return int64(segHeader + frameHeader + 1 + len(l.cfg.Meta))
 }
 
-// createSegment writes a fresh segment file: header and meta record. The
-// file and directory are fsynced before it is trusted.
-func (l *Log) createSegment(seq uint64) (*os.File, error) {
-	path := filepath.Join(l.dir, segName(seq))
+// createSegment writes a fresh segment file of the family: header and
+// meta record. The file and directory are fsynced before it is trusted.
+func (l *Log) createSegment(fam *family, seq uint64) (*os.File, error) {
+	path := filepath.Join(l.dir, fam.segName(seq))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
@@ -437,7 +498,7 @@ func (l *Log) createSegment(seq uint64) (*os.File, error) {
 	return f, nil
 }
 
-// syncDir makes the directory's entries — a created or renamed segment —
+// syncDir makes the directory's entries — a created or unlinked segment —
 // durable.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
@@ -453,10 +514,10 @@ func syncDir(dir string) error {
 // result to write. Caller holds mu.
 func (l *Log) frame(typ byte) []byte { return beginFrame(l.buf[:0], typ) }
 
-// write completes the frame begun by frame and writes it as one write(2)
-// under the configured fsync policy, rotating the active segment first
-// when it would overflow. Caller holds mu.
-func (l *Log) write(frame []byte) error {
+// write completes the frame begun by frame and writes it to the family
+// as one write(2) under the configured fsync policy, rotating the
+// family's active segment first when it would overflow. Caller holds mu.
+func (l *Log) write(fam *family, frame []byte) error {
 	l.buf = frame[:0]
 	if l.closed {
 		return errors.New("wal: log closed")
@@ -465,53 +526,89 @@ func (l *Log) write(frame []byte) error {
 		return fmt.Errorf("wal: record %d bytes exceeds limit %d", n, maxRecordBytes)
 	}
 	sealFrame(frame, 0)
-	if l.size+int64(len(frame)) > l.cfg.SegmentBytes && l.size > l.freshSize() {
-		if err := l.rotateLocked(); err != nil {
+	if fam.size+int64(len(frame)) > l.cfg.SegmentBytes && fam.size > l.freshSize() {
+		if err := l.rotateLocked(fam); err != nil {
 			return err
 		}
 	}
-	if _, err := l.f.Write(frame); err != nil {
+	if _, err := fam.f.Write(frame); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	l.size += int64(len(frame))
+	fam.size += int64(len(frame))
 	l.stats.AppendedRecords++
 	l.stats.AppendedBytes += int64(len(frame))
 	if l.cfg.Fsync == SyncAlways {
-		if err := l.f.Sync(); err != nil {
+		if err := fam.f.Sync(); err != nil {
 			return fmt.Errorf("wal: %w", err)
 		}
 		l.stats.Syncs++
 	} else {
-		l.stats.LagRecords++
+		fam.lag++
 	}
 	return nil
 }
 
-// rotateLocked seals the active segment — fsynced under every policy, so
-// whatever is in a sealed segment is durable — and starts the next one.
-func (l *Log) rotateLocked() error {
-	if err := l.f.Sync(); err != nil {
+// rotateLocked seals the family's active segment — fsynced under every
+// policy, so whatever is in a sealed segment is durable — and starts the
+// next one.
+func (l *Log) rotateLocked(fam *family) error {
+	if err := fam.f.Sync(); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 	l.stats.Syncs++
-	l.stats.LagRecords = 0
-	l.f.Close()
-	next := segment{seq: l.active.seq + 1, reads: l.ev.reads.Len()}
-	f, err := l.createSegment(next.seq)
+	fam.lag = 0
+	fam.f.Close()
+	f, err := l.createSegment(fam, fam.seq+1)
 	if err != nil {
 		return err
 	}
-	l.dirty = append(l.dirty, l.active)
-	l.f, l.size, l.active = f, l.freshSize(), next
+	if fam == &l.acc {
+		l.cur.size = fam.size
+		l.sealed = append(l.sealed, l.cur)
+		l.cur = batchSeg{seq: fam.seq + 1, high: noBucket}
+	}
+	fam.f, fam.seq, fam.size = f, fam.seq+1, l.freshSize()
 	l.stats.Segments++
 	return nil
 }
 
+// writeBatch journals one batch frame to the accepted family and books its
+// position and highest bucket for compaction. Caller holds mu.
+func (l *Log) writeBatch(frame []byte, high netmodel.Bucket) error {
+	err := l.write(&l.acc, frame)
+	if err == nil {
+		l.cur.after, l.cur.high = l.ev.reads.Len(), max(l.cur.high, high)
+	}
+	return err
+}
+
+// batchFrame starts a batch record of either feed: its type, then the
+// position it is journaled at. Caller holds mu.
+func (l *Log) batchFrame(typ byte) []byte {
+	return binary.AppendUvarint(l.frame(typ), uint64(l.ev.reads.Len()))
+}
+
 // AppendBatch journals one accepted ingest batch in queue push order.
 func (l *Log) AppendBatch(obs []trace.Observation) error {
+	high := noBucket
+	for i := range obs {
+		high = max(high, obs[i].Bucket)
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.write(appendObs(l.frame(recBatch), obs))
+	return l.writeBatch(appendObs(l.batchFrame(recBatch), obs), high)
+}
+
+// AppendAggBatch journals one accepted aggregate cell batch in queue push
+// order.
+func (l *Log) AppendAggBatch(cells []ingest.AggCell) error {
+	high := noBucket
+	for i := range cells {
+		high = max(high, cells[i].Bucket)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.writeBatch(appendCells(l.batchFrame(recAggBatch), cells), high)
 }
 
 // AppendBucket journals the exact stream served to the pipeline for one
@@ -520,7 +617,7 @@ func (l *Log) AppendBatch(obs []trace.Observation) error {
 func (l *Log) AppendBucket(b netmodel.Bucket, obs []trace.Observation) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	err := l.write(appendObs(binary.AppendVarint(l.frame(recBucket), int64(b)), obs))
+	err := l.write(&l.hist, appendObs(binary.AppendVarint(l.frame(recBucket), int64(b)), obs))
 	if err == nil {
 		l.ev.reads.add(b)
 	}
@@ -531,11 +628,7 @@ func (l *Log) AppendBucket(b netmodel.Bucket, obs []trace.Observation) error {
 func (l *Log) AppendSeal(b netmodel.Bucket) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	err := l.write(binary.AppendVarint(l.frame(recSeal), int64(b)))
-	if err == nil && b > l.ev.maxSeal {
-		l.ev.maxSeal = b
-	}
-	return err
+	return l.write(&l.hist, binary.AppendVarint(l.frame(recSeal), int64(b)))
 }
 
 // AppendReport journals one published report's canonical JSON.
@@ -550,37 +643,37 @@ func (l *Log) AppendReport(rep Report) error {
 		final = 1
 	}
 	buf = binary.AppendVarint(buf, final)
-	err := l.write(append(buf, rep.Canonical...))
+	err := l.write(&l.hist, append(buf, rep.Canonical...))
 	if err == nil && rep.To > l.ev.reportTo {
 		l.ev.reportTo = rep.To
 	}
 	return err
 }
 
-// AppendAggBatch journals one accepted aggregate cell batch in queue push
-// order.
-func (l *Log) AppendAggBatch(cells []ingest.AggCell) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.write(appendCells(l.frame(recAggBatch), cells))
-}
-
 // Sync forces everything appended so far to disk.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.syncLocked()
-}
-
-func (l *Log) syncLocked() error {
-	if l.closed || l.f == nil {
+	if l.closed {
 		return nil
 	}
-	if err := l.f.Sync(); err != nil {
+	if err := l.syncLocked(&l.hist); err != nil {
+		return err
+	}
+	return l.syncLocked(&l.acc)
+}
+
+// syncLocked fsyncs the family's active segment if anything appended to
+// it is not yet on disk. Caller holds mu.
+func (l *Log) syncLocked(fam *family) error {
+	if fam.lag == 0 {
+		return nil
+	}
+	if err := fam.f.Sync(); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 	l.stats.Syncs++
-	l.stats.LagRecords = 0
+	fam.lag = 0
 	return nil
 }
 
@@ -588,27 +681,25 @@ func (l *Log) syncLocked() error {
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.stats
+	st := l.stats
+	st.LagRecords = l.hist.lag + l.acc.lag
+	return st
 }
 
-// Close syncs and closes the active segment and stops the flusher.
+// Close syncs and closes the active segments and stops the flusher.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return nil
 	}
-	err := l.syncLocked()
-	l.closed = true
-	if l.f != nil {
-		l.f.Close()
+	err := l.syncLocked(&l.hist)
+	if err2 := l.syncLocked(&l.acc); err == nil {
+		err = err2
 	}
-	stop := l.stop
+	l.closeFiles()
 	l.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-l.syncDone
-	}
+	l.stopFlusher()
 	return err
 }
 
@@ -616,14 +707,25 @@ func (l *Log) Close() error {
 // path for tests: whatever the OS has is whatever a kill -9 would leave.
 func (l *Log) Abandon() {
 	l.mu.Lock()
-	l.closed = true
-	if l.f != nil {
-		l.f.Close()
-	}
-	stop := l.stop
+	l.closeFiles()
 	l.mu.Unlock()
-	if stop != nil {
-		close(stop)
+	l.stopFlusher()
+}
+
+// closeFiles marks the log closed and closes the active segments it has
+// open. Caller holds mu, or has the log to itself.
+func (l *Log) closeFiles() {
+	l.closed = true
+	for _, fam := range []*family{&l.hist, &l.acc} {
+		if fam.f != nil {
+			fam.f.Close()
+		}
+	}
+}
+
+func (l *Log) stopFlusher() {
+	if l.stop != nil {
+		close(l.stop)
 		<-l.syncDone
 	}
 }
@@ -642,24 +744,26 @@ func (l *Log) flusher() {
 	}
 }
 
-// syncBehind is the interval flusher's sync: it fsyncs the active segment
-// without holding mu, so that an fsync — several milliseconds of disk time
-// for an interval's worth of records — never stalls an append. Records
-// appended while it runs wait for the next tick.
+// syncBehind is the interval flusher's sync: it fsyncs each family's
+// active segment without holding mu, so that an fsync — several
+// milliseconds of disk time for an interval's worth of records — never
+// stalls an append. Records appended while it runs wait for the next tick.
 func (l *Log) syncBehind() {
-	l.mu.Lock()
-	f, lag := l.f, l.stats.LagRecords
-	l.mu.Unlock()
-	if lag == 0 || f.Sync() != nil {
-		// Nothing to do, or the segment was sealed or closed under the
-		// fsync: sealing and closing sync it themselves, and a failing disk
-		// surfaces on the next append.
-		return
+	for _, fam := range []*family{&l.hist, &l.acc} {
+		l.mu.Lock()
+		f, lag := fam.f, fam.lag
+		l.mu.Unlock()
+		if lag == 0 || f.Sync() != nil {
+			// Nothing to do, or the segment was sealed or closed under the
+			// fsync: sealing and closing sync it themselves, and a failing
+			// disk surfaces on the next append.
+			continue
+		}
+		l.mu.Lock()
+		if fam.f == f {
+			l.stats.Syncs++
+			fam.lag -= lag
+		}
+		l.mu.Unlock()
 	}
-	l.mu.Lock()
-	if l.f == f {
-		l.stats.Syncs++
-		l.stats.LagRecords -= lag
-	}
-	l.mu.Unlock()
 }

@@ -43,17 +43,20 @@ func writeSample(t *testing.T, dir string, cfg Config) *Recovery {
 	}
 	want := &Recovery{MaxSeal: -1}
 
-	batch0 := obsFor(0, 5)
 	// Exercise the exact-bits paths: NaN, Inf, negative counts (chaos
 	// corruption shapes that must survive the round-trip bit for bit).
-	batch0[1].MeanRTT = math.NaN()
-	batch0[2].MeanRTT = math.Inf(1)
-	batch0[3].Samples = -4
-	batch0[4].Clients = -1
+	withOddValues := func(obs []trace.Observation) []trace.Observation {
+		obs[1].MeanRTT = math.NaN()
+		obs[2].MeanRTT = math.Inf(1)
+		obs[3].Samples = -4
+		obs[4].Clients = -1
+		return obs
+	}
+	batch0 := withOddValues(obsFor(0, 5))
 	if err := l.AppendBatch(batch0); err != nil {
 		t.Fatalf("AppendBatch: %v", err)
 	}
-	want.Batches = append(want.Batches, Batch{Obs: batch0, AfterBuckets: 0})
+	want.Settled++ // the read of bucket 0 below serves it whole
 
 	if err := l.AppendBucket(0, batch0); err != nil {
 		t.Fatalf("AppendBucket: %v", err)
@@ -80,6 +83,11 @@ func writeSample(t *testing.T, dir string, cfg Config) *Recovery {
 		t.Fatalf("AppendAggBatch: %v", err)
 	}
 	want.Batches = append(want.Batches, Batch{Cells: cells, AfterBuckets: 2})
+	late := withOddValues(obsFor(5, 5))
+	if err := l.AppendBatch(late); err != nil {
+		t.Fatalf("AppendBatch: %v", err)
+	}
+	want.Batches = append(want.Batches, Batch{Obs: late, AfterBuckets: 2})
 
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -125,6 +133,9 @@ func checkRecovered(t *testing.T, got, want *Recovery) {
 	}
 	if got.MaxSeal != want.MaxSeal {
 		t.Errorf("MaxSeal = %d, want %d", got.MaxSeal, want.MaxSeal)
+	}
+	if got.Settled != want.Settled {
+		t.Errorf("Settled = %d, want %d", got.Settled, want.Settled)
 	}
 }
 
@@ -175,91 +186,119 @@ func TestMetaMismatchRefusesOpen(t *testing.T) {
 	}
 }
 
-// TestTornTailTruncation cuts the log at every byte offset and reopens:
-// recovery must always succeed with a strict prefix of the records, count
-// the discarded bytes, and leave the file appendable.
+// families are the log's two segment families, by the file name of their
+// first segment.
+var families = []string{"wal-0000000001.log", "accepted-0000000001.log"}
+
+// withSegment copies dir's segments into a fresh directory, with data as
+// the named one.
+func withSegment(t *testing.T, dir, name string, data []byte) string {
+	t.Helper()
+	dir2 := t.TempDir()
+	for _, fam := range families {
+		b, err := os.ReadFile(filepath.Join(dir, fam))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fam == name {
+			b = data
+		}
+		if err := os.WriteFile(filepath.Join(dir2, fam), b, 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir2
+}
+
+// TestTornTailTruncation cuts each family's segment at every byte offset
+// and reopens: recovery must always succeed with a strict prefix of the
+// records, keep the other family whole, count the discarded bytes, and
+// leave both families appendable.
 func TestTornTailTruncation(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Fsync: SyncOff, Meta: "m"}
 	want := writeSample(t, dir, cfg)
-	path := filepath.Join(dir, segName(1))
-	full, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	stride := 1
 	if testing.Short() {
 		stride = 37
 	}
-	for cut := len(full) - 1; cut >= 0; cut -= stride {
-		dir2 := t.TempDir()
-		path2 := filepath.Join(dir2, segName(1))
-		if err := os.WriteFile(path2, full[:cut], 0o666); err != nil {
+	for _, name := range families {
+		full, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
 			t.Fatal(err)
 		}
-		l, rec, err := Open(dir2, cfg)
-		if err != nil {
-			t.Fatalf("cut=%d: Open: %v", cut, err)
+		for cut := len(full) - 1; cut >= 0; cut -= stride {
+			dir2 := withSegment(t, dir, name, full[:cut])
+			l, rec, err := Open(dir2, cfg)
+			if err != nil {
+				t.Fatalf("%s cut=%d: Open: %v", name, cut, err)
+			}
+			if len(rec.Buckets) > len(want.Buckets) || len(rec.Reports) > len(want.Reports) || len(rec.Batches)+rec.Settled > len(want.Batches)+want.Settled {
+				t.Fatalf("%s cut=%d: recovered more than was written", name, cut)
+			}
+			if name == families[0] && len(rec.Batches)+rec.Settled != len(want.Batches)+want.Settled ||
+				name == families[1] && (len(rec.Buckets) != len(want.Buckets) || len(rec.Reports) != len(want.Reports)) {
+				t.Fatalf("%s cut=%d: the other family lost records", name, cut)
+			}
+			// Both families must remain appendable after tail truncation.
+			if err := l.AppendSeal(9); err != nil {
+				t.Fatalf("%s cut=%d: append after truncation: %v", name, cut, err)
+			}
+			if err := l.AppendBatch(obsFor(9, 1)); err != nil {
+				t.Fatalf("%s cut=%d: append after truncation: %v", name, cut, err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatalf("%s cut=%d: close: %v", name, cut, err)
+			}
+			l2, rec2, err := Open(dir2, cfg)
+			if err != nil {
+				t.Fatalf("%s cut=%d: reopen: %v", name, cut, err)
+			}
+			if n := len(rec2.Batches); rec2.MaxSeal != 9 || n == 0 || rec2.Batches[n-1].Obs[0].Bucket != 9 {
+				t.Fatalf("%s cut=%d: post-truncation appends lost: MaxSeal=%d, %d batches", name, cut, rec2.MaxSeal, n)
+			}
+			l2.Close()
 		}
-		if len(rec.Buckets) > len(want.Buckets) || len(rec.Reports) > len(want.Reports) {
-			t.Fatalf("cut=%d: recovered more than was written", cut)
-		}
-		// The log must remain appendable after tail truncation.
-		if err := l.AppendSeal(9); err != nil {
-			t.Fatalf("cut=%d: append after truncation: %v", cut, err)
-		}
-		if err := l.Close(); err != nil {
-			t.Fatalf("cut=%d: close: %v", cut, err)
-		}
-		l2, rec2, err := Open(dir2, cfg)
-		if err != nil {
-			t.Fatalf("cut=%d: reopen: %v", cut, err)
-		}
-		if rec2.MaxSeal != 9 {
-			t.Fatalf("cut=%d: post-truncation append lost: MaxSeal=%d", cut, rec2.MaxSeal)
-		}
-		l2.Close()
 	}
 }
 
-// TestBitFlipTruncation flips each byte in turn: the scanner must never
-// panic, must recover a prefix, and must report the truncated tail.
+// TestBitFlipTruncation flips each byte of each family in turn: the
+// scanner must never panic, must recover a prefix, and must report the
+// truncated tail.
 func TestBitFlipTruncation(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Fsync: SyncOff, Meta: "m"}
 	writeSample(t, dir, cfg)
-	path := filepath.Join(dir, segName(1))
-	full, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	stride := 1
 	if testing.Short() {
 		stride = 23
 	}
-	for off := segHeader; off < len(full); off += stride {
-		mut := append([]byte(nil), full...)
-		mut[off] ^= 0x40
-		dir2 := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir2, segName(1)), mut, 0o666); err != nil {
+	for _, name := range families {
+		full, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
 			t.Fatal(err)
 		}
-		l, rec, err := Open(dir2, cfg)
-		if err != nil {
-			// A flip inside the meta record legitimately fails the
-			// fingerprint check rather than truncating.
-			continue
+		for off := segHeader; off < len(full); off += stride {
+			mut := append([]byte(nil), full...)
+			mut[off] ^= 0x40
+			dir2 := withSegment(t, dir, name, mut)
+			l, rec, err := Open(dir2, cfg)
+			if err != nil {
+				// A flip inside the meta record legitimately fails the
+				// fingerprint check rather than truncating.
+				continue
+			}
+			if rec.TruncatedBytes == 0 && !sameSegment(dir2, dir, name) {
+				t.Fatalf("%s off=%d: corruption neither truncated nor preserved the log", name, off)
+			}
+			l.Close()
 		}
-		if rec.TruncatedBytes == 0 && !recEqualBytes(dir2, dir) {
-			t.Fatalf("off=%d: corruption neither truncated nor preserved the log", off)
-		}
-		l.Close()
 	}
 }
 
-func recEqualBytes(dirA, dirB string) bool {
-	a, errA := os.ReadFile(filepath.Join(dirA, segName(1)))
-	b, errB := os.ReadFile(filepath.Join(dirB, segName(1)))
+func sameSegment(dirA, dirB, name string) bool {
+	a, errA := os.ReadFile(filepath.Join(dirA, name))
+	b, errB := os.ReadFile(filepath.Join(dirB, name))
 	return errA == nil && errB == nil && bytes.Equal(a, b)
 }
 
@@ -279,8 +318,8 @@ func TestSegmentRotation(t *testing.T) {
 		want = append(want, BucketStream{Bucket: b, Obs: obs})
 	}
 	st := l.Stats()
-	if st.Segments < 2 {
-		t.Fatalf("Segments = %d, want rotation past 1 segment", st.Segments)
+	if st.Segments < 3 {
+		t.Fatalf("Segments = %d, want the history rotated past 1 segment beside the accepted one", st.Segments)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)

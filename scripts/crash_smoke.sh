@@ -5,7 +5,9 @@
 # bucket and is SIGKILLed (no drain, no warning) at several points, some
 # on drained sealed-bucket boundaries and some right after a seal ack
 # with the backend mid-flight. Every restart must replay its WAL cleanly
-# (no inconsistencies, no degraded durability), a restart at a drained
+# (no inconsistencies, no degraded durability, no *.tmp left in the data
+# directory: compaction only unlinks), the incarnation killed last must
+# have compacted and unlinked something first, a restart at a drained
 # boundary must read the /healthz it read before the kill (report count,
 # last window and the latest report's health), and the survivor must
 # serve a /v1/reports index, canonical report bodies and /v1/verdicts
@@ -106,6 +108,24 @@ start_wal_daemon() {
   if curl -fsS "$BASE/healthz" | grep -q '"degraded_durability":true'; then
     echo "crash-smoke: durability degraded after restart" >&2; exit 1
   fi
+  if compgen -G "$DATA/*.tmp" >/dev/null; then
+    echo "crash-smoke: *.tmp files in the data directory after restart" >&2; exit 1
+  fi
+}
+
+# wait_unlinked: this incarnation's compaction has run and unlinked
+# accepted segments. A pass starts on a goroutine once a report is
+# journaled, so give it a moment.
+wait_unlinked() {
+  local passes="" unlinked=""
+  for _ in $(seq 1 100); do
+    passes=$(healthz_field compactions)
+    unlinked=$(healthz_field last_compact_unlinked_bytes)
+    [ "${passes:-0}" -gt 0 ] && [ "${unlinked:-0}" -gt 0 ] && return 0
+    sleep 0.1
+  done
+  echo "crash-smoke: compactions=$passes last_compact_unlinked_bytes=$unlinked before the last kill: compaction unlinks nothing" >&2
+  exit 1
 }
 
 feed_range() { # feed_range <from> <to-inclusive>
@@ -142,6 +162,7 @@ for kb in 40 120 170 230; do
     [ -n "$before" ] || { echo "crash-smoke: /healthz has no report state at bucket $kb" >&2; exit 1; }
   fi
   ki=$((ki + 1))
+  [ "$kb" = 230 ] && wait_unlinked
   kill -9 "$DPID"; wait "$DPID" 2>/dev/null || true
   DPID=""
   start_wal_daemon
