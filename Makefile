@@ -17,13 +17,15 @@ test:
 
 # The packages that fan work out across goroutines (sharded observation
 # generation, the parallel Algorithm 1 job, the blameitd frontend/backend
-# split) plus the localizer they call concurrently and the source seam
-# (internal/ingest) the pipeline reads through, under the race detector.
+# split, route generation over clouds) plus the localizer they call
+# concurrently, the source seam (internal/ingest) the pipeline reads
+# through and the BGP table built over the parallel routes, under the race
+# detector.
 # internal/chaos and internal/fleet run whole and without -short, so this
 # is also the 7-day heavy-profile chaos gate (TestChaosEndToEnd) and the
 # fleet equivalence and fleet chaos gates (TestFleet*).
 race:
-	$(GO) test -race ./internal/sim/... ./internal/pipeline/... ./internal/core/... ./internal/parallel/... ./internal/ingest/... ./internal/probe/... ./internal/chaos/... ./internal/server/... ./internal/wal/... ./internal/fleet/... ./internal/topology/...
+	$(GO) test -race ./internal/sim/... ./internal/pipeline/... ./internal/core/... ./internal/parallel/... ./internal/ingest/... ./internal/probe/... ./internal/chaos/... ./internal/server/... ./internal/wal/... ./internal/fleet/... ./internal/topology/... ./internal/bgp/...
 
 # The crash-safety gate, under the race detector: every WAL-layer test
 # (framing, torn tails of either family, compaction killed before its

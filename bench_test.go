@@ -9,6 +9,7 @@ package bench
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"blameit/internal/bgp"
@@ -102,6 +103,31 @@ func BenchmarkPipelineSequential(b *testing.B) { benchPipelineFullDay(b, 1) }
 // BenchmarkPipelineParallel runs the same full-day window with the default
 // fan-out (all cores). Compare against BenchmarkPipelineSequential.
 func BenchmarkPipelineParallel(b *testing.B) { benchPipelineFullDay(b, 0) }
+
+// BenchmarkSeeded measures building the seeded world every entry point
+// starts from (sim.Seeded: topology, faults, BGP table, simulator) at the
+// daemon's cold-start sizes. A warm loop reuses the heap, so a fresh
+// process pays more; the world.built log event gives that split.
+func BenchmarkSeeded(b *testing.B) {
+	for _, bc := range []struct {
+		scale string
+		days  int
+	}{{"small", 4}, {"small", 30}, {"large", 30}} {
+		b.Run(fmt.Sprintf("%s/%d", bc.scale, bc.days), func(b *testing.B) {
+			scale, err := topology.ScaleByName(bc.scale)
+			if err != nil {
+				b.Fatal(err)
+			}
+			horizon := netmodel.Bucket(bc.days * netmodel.BucketsPerDay)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sim.Seeded(scale, benchSeed, "random", horizon, 0, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
 
 // BenchmarkQuartetClassify measures the quartet classifier.
 func BenchmarkQuartetClassify(b *testing.B) {

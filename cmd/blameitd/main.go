@@ -51,6 +51,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -135,6 +136,7 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
+	logWorldBuilt(o.scaleName, o.days, s.Build)
 
 	reg := metrics.NewRegistry()
 	pcfg := pipeline.DefaultConfig()
@@ -251,6 +253,14 @@ func run(o options) error {
 
 // pprofMux routes the net/http/pprof handlers, which the package would
 // otherwise register on http.DefaultServeMux.
+// logWorldBuilt logs the world's build time part by part: without a data
+// directory, that is most of a cold start.
+func logWorldBuilt(scale string, days int, bt sim.BuildTimes) {
+	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+	slog.Info("world.built", "scale", scale, "days", days,
+		"topology_ms", ms(bt.Topology), "faults_ms", ms(bt.Faults), "table_ms", ms(bt.Table), "total_ms", ms(bt.Total))
+}
+
 func pprofMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

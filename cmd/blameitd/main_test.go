@@ -2,14 +2,22 @@ package main
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"blameit/internal/netmodel"
+	"blameit/internal/sim"
+	"blameit/internal/topology"
 )
 
 // TestPprofOnlyOnItsOwnListener starts the real binary with -pprof-addr:
@@ -78,5 +86,48 @@ func TestPprofOnlyOnItsOwnListener(t *testing.T) {
 	}
 	if code, body := get(prof + "/debug/pprof/profile?seconds=1"); code != http.StatusOK || len(body) == 0 {
 		t.Errorf("pprof profile = %d with %d bytes, want 200 and a profile", code, len(body))
+	}
+}
+
+// TestWorldBuiltLogEvent pins the world.built event's keys and values: the
+// scale and days it was started with, and the times sim.Seeded recorded,
+// in milliseconds, the total at least the sum of its parts.
+func TestWorldBuiltLogEvent(t *testing.T) {
+	s, err := sim.Seeded(topology.SmallScale(), 42, "random", netmodel.BucketsPerDay, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	old := slog.Default()
+	slog.SetDefault(slog.New(slog.NewJSONHandler(&buf, nil)))
+	t.Cleanup(func() { slog.SetDefault(old) })
+	logWorldBuilt("small", 1, s.Build)
+
+	var ev map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &ev); err != nil {
+		t.Fatalf("log %q is not one JSON event: %v", buf.String(), err)
+	}
+	keys := make([]string, 0, len(ev))
+	for k := range ev {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	want := []string{"days", "faults_ms", "level", "msg", "scale", "table_ms", "time", "topology_ms", "total_ms"}
+	if !slices.Equal(keys, want) {
+		t.Fatalf("world.built keys %v, want %v", keys, want)
+	}
+	if ev["msg"] != "world.built" || ev["level"] != "INFO" || ev["scale"] != "small" || ev["days"] != 1.0 {
+		t.Errorf("world.built = %v", ev)
+	}
+	sum := 0.0
+	for _, k := range []string{"topology_ms", "faults_ms", "table_ms"} {
+		ms, _ := ev[k].(float64)
+		if ms <= 0 {
+			t.Errorf("%s = %v, want a positive time", k, ev[k])
+		}
+		sum += ms
+	}
+	if total, _ := ev["total_ms"].(float64); total < sum-1e-9 {
+		t.Errorf("total_ms %v is less than its parts, %v", total, sum)
 	}
 }

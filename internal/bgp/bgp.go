@@ -11,6 +11,7 @@ package bgp
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 
 	"blameit/internal/netmodel"
@@ -39,15 +40,16 @@ func (k EventKind) String() string {
 	}
 }
 
-// Event is one BGP routing event observed at a border router.
+// Event is one BGP routing event observed at a border router. It holds
+// no pointer: Table.EventPath gives the path it moves to.
 type Event struct {
 	Bucket    netmodel.Bucket
 	Cloud     netmodel.CloudID
 	BGPPrefix netmodel.BGPPrefixID
 	Kind      EventKind
-	NewPath   netmodel.Path
-	// NewID is the table's KeyID of NewPath.Key().
+	// NewID is the table's KeyID of the new path's Key().
 	NewID netmodel.KeyID
+	route int32 // the new path's index in the world's Routes of the entry
 }
 
 // ChurnConfig parameterizes the synthetic churn process.
@@ -69,13 +71,14 @@ func DefaultChurnConfig() ChurnConfig {
 	return ChurnConfig{DailyChurnFraction: 1.0 / 3.0, WithdrawShare: 0.15, RevertProb: 0.5}
 }
 
-// timedPath records that a routing entry uses Path from bucket From onward.
-// ID is the KeyID of Path.Key(), interned once when the table is built: the
-// passive phase groups every quartet by it, every bucket.
-type timedPath struct {
-	From netmodel.Bucket
-	Path netmodel.Path
-	ID   netmodel.KeyID
+// segment records that a routing entry uses one of its routes from bucket
+// From onward. ID is the KeyID of the path's Key(), interned once when the
+// table is built: the passive phase groups every quartet by it, every
+// bucket.
+type segment struct {
+	From  netmodel.Bucket
+	ID    netmodel.KeyID
+	route int32 // the path's index in the world's Routes of the entry
 }
 
 // Table is the simulated routing state over a fixed horizon of buckets. It
@@ -84,8 +87,8 @@ type Table struct {
 	world   *topology.World
 	horizon netmodel.Bucket
 	nBGP    int
-	entries [][]timedPath // indexed cloud*nBGP + bgpPrefix, sorted by From
-	events  []Event       // all events sorted by bucket
+	entries [][]segment // indexed cloud*nBGP + bgpPrefix, sorted by From
+	events  []Event     // all events sorted by bucket
 	// keys interns every distinct middle key of every segment, in build
 	// order: entries cloud by cloud and BGP prefix by BGP prefix, each
 	// entry's segments as the churn process draws them. The IDs are
@@ -101,27 +104,44 @@ func NewTable(w *topology.World, cfg ChurnConfig, horizon netmodel.Bucket, seed 
 		world:   w,
 		horizon: horizon,
 		nBGP:    len(w.BGPPrefixes),
-		entries: make([][]timedPath, len(w.Clouds)*len(w.BGPPrefixes)),
+		entries: make([][]segment, len(w.Clouds)*len(w.BGPPrefixes)),
 	}
 	var buf [64]byte
-	intern := func(p netmodel.Path) netmodel.KeyID { return t.keys.InternBytes(p.AppendKey(buf[:0])) }
-	// Every entry starts as one segment of this slab; an entry that churns
-	// outgrows its slot's capacity and moves to a slice of its own.
-	slab := make([]timedPath, len(t.entries))
+	// ids caches the KeyID of each route of the entry being built, -1 until
+	// the entry first reaches the route. Interning a key again returns the
+	// ID it already has, so the IDs are those interning every segment gives.
+	var ids []netmodel.KeyID
+	id := func(routes []netmodel.Path, i int32) netmodel.KeyID {
+		if ids[i] < 0 {
+			ids[i] = t.keys.InternBytes(routes[i].AppendKey(buf[:0]))
+		}
+		return ids[i]
+	}
+	// Every entry's segments are appended to one slab, entry after entry;
+	// ends[idx] is where entry idx's stop. An event is the segment it
+	// starts: keys holds each one's place in the log, sorted once at the
+	// end, and the index of its segment. Both are sized for the expected
+	// number of events, which overshoots by 10–35 %; they hold no pointer,
+	// so in a fresh process the capacity never filled is never touched.
 	days := (int(horizon) + netmodel.BucketsPerDay - 1) / netmodel.BucketsPerDay
-	// Room for the expected number of events, so the log is not copied
-	// over and over as it doubles.
-	if expect := float64(len(t.entries)*days) * cfg.DailyChurnFraction * (1 + cfg.RevertProb); expect > 0 {
-		t.events = make([]Event, 0, int(expect))
+	expect := max(0, int(float64(len(t.entries)*days)*cfg.DailyChurnFraction*(1+cfg.RevertProb)))
+	segs := make([]segment, 0, len(t.entries)+expect)
+	ends := make([]int, len(t.entries))
+	keys := make(eventKeys, 0, expect)
+	event := func(idx int, withdraw bool) {
+		seg := segs[len(segs)-1]
+		keys = append(keys, eventKey{key: uint64(seg.From)*uint64(len(t.entries)) + uint64(idx), seg: int32(len(segs) - 1), withdraw: withdraw})
 	}
 	for _, c := range w.Clouds {
 		for _, bp := range w.BGPPrefixes {
 			idx := int(c.ID)*t.nBGP + int(bp.ID)
-			primary := w.InitialPath(c.ID, bp.ID)
-			slab[idx] = timedPath{From: 0, Path: primary, ID: intern(primary)}
-			entry := slab[idx : idx+1 : idx+1]
-			alts := w.AltPaths(c.ID, bp.ID)
-			if len(alts) > 0 {
+			routes := w.Routes(c.ID, bp.ID)
+			ids = slices.Grow(ids[:0], len(routes))[:len(routes)]
+			for i := range ids {
+				ids[i] = -1
+			}
+			segs = append(segs, segment{From: 0, ID: id(routes, 0)})
+			if len(routes) > 1 {
 				for day := 0; day < days; day++ {
 					if r.Float64() >= cfg.DailyChurnFraction {
 						continue
@@ -130,64 +150,79 @@ func NewTable(w *topology.World, cfg ChurnConfig, horizon netmodel.Bucket, seed 
 					if at >= horizon {
 						continue
 					}
-					prev := entry[len(entry)-1]
-					next := alts[r.Intn(len(alts))]
-					if next.Equal(prev.Path) {
+					prev := segs[len(segs)-1]
+					next := int32(1 + r.Intn(len(routes)-1)) // an alternate
+					if routes[next].Equal(routes[prev.route]) {
 						continue
 					}
-					kind := Announce
-					if r.Float64() < cfg.WithdrawShare {
-						kind = Withdraw
-					}
-					nextID := intern(next)
-					entry = append(entry, timedPath{From: at, Path: next, ID: nextID})
-					t.events = append(t.events, Event{Bucket: at, Cloud: c.ID, BGPPrefix: bp.ID, Kind: kind, NewPath: next, NewID: nextID})
+					withdraw := r.Float64() < cfg.WithdrawShare
+					segs = append(segs, segment{From: at, ID: id(routes, next), route: next})
+					event(idx, withdraw)
 					if r.Float64() < cfg.RevertProb {
 						back := at + netmodel.Bucket(1+r.Intn(netmodel.BucketsPerDay/2))
 						if back < horizon && back > at {
-							entry = append(entry, timedPath{From: back, Path: prev.Path, ID: prev.ID})
-							t.events = append(t.events, Event{Bucket: back, Cloud: c.ID, BGPPrefix: bp.ID, Kind: Announce, NewPath: prev.Path, NewID: prev.ID})
+							segs = append(segs, segment{From: back, ID: prev.ID, route: prev.route})
+							event(idx, false)
 						}
 					}
 				}
 			}
-			// Segments are appended in day order, so most entries are
-			// already strictly increasing by From — sorted, with no tie a
-			// sort could settle either way — and skip the reflective sort;
-			// only a revert that lands on or after the next day's change
-			// needs it.
-			if !strictlyIncreasing(entry) {
-				sort.Slice(entry, func(i, j int) bool { return entry[i].From < entry[j].From })
-			}
-			t.entries[idx] = entry
+			ends[idx] = len(segs)
 		}
 	}
-	sort.Sort(eventLog(t.events))
+	t.events = keys.events(segs, len(t.entries), t.nBGP)
+	start := 0
+	for idx, end := range ends {
+		entry := segs[start:end:end]
+		// Segments are appended in day order, so most entries are already
+		// strictly increasing by From — sorted, with no tie a sort could
+		// settle either way — and skip the reflective sort; only a revert
+		// that lands on or after the next day's change needs it.
+		if !strictlyIncreasing(entry) {
+			sort.Slice(entry, func(i, j int) bool { return entry[i].From < entry[j].From })
+		}
+		t.entries[idx] = entry
+		start = end
+	}
 	return t
 }
 
-// eventLog orders events by bucket, then cloud, then BGP prefix. sort.Sort
-// over it makes the same moves as sort.Slice with the same order (one
-// pattern-defeating quicksort), so ties land in the same places, with a
-// plain assignment where sort.Slice swaps through reflection.
-type eventLog []Event
-
-func (l eventLog) Len() int      { return len(l) }
-func (l eventLog) Swap(i, j int) { l[i], l[j] = l[j], l[i] }
-func (l eventLog) Less(i, j int) bool {
-	a, b := &l[i], &l[j]
-	if a.Bucket != b.Bucket {
-		return a.Bucket < b.Bucket
-	}
-	if a.Cloud != b.Cloud {
-		return a.Cloud < b.Cloud
-	}
-	return a.BGPPrefix < b.BGPPrefix
+// eventKey is an event's place in the log — its bucket, then its routing
+// entry, as one number — the index of the segment it starts and its kind.
+type eventKey struct {
+	key      uint64
+	seg      int32
+	withdraw bool
 }
+
+// eventKeys orders events by bucket, then cloud, then BGP prefix. sort.Sort
+// over it makes the same moves as sort.Slice over the events with the same
+// order (one pattern-defeating quicksort), so ties land in the same places,
+// each move a 16-byte copy.
+type eventKeys []eventKey
+
+// events sorts the keys and returns the event log they stand for, over
+// the segments they index in a table of nEntries entries.
+func (l eventKeys) events(segs []segment, nEntries, nBGP int) []Event {
+	sort.Sort(l)
+	out := make([]Event, len(l))
+	for i, k := range l {
+		seg, entry := segs[k.seg], int(k.key%uint64(nEntries))
+		out[i] = Event{Bucket: seg.From, Cloud: netmodel.CloudID(entry / nBGP), BGPPrefix: netmodel.BGPPrefixID(entry % nBGP), NewID: seg.ID, route: seg.route}
+		if k.withdraw {
+			out[i].Kind = Withdraw
+		}
+	}
+	return out
+}
+
+func (l eventKeys) Len() int           { return len(l) }
+func (l eventKeys) Swap(i, j int)      { l[i], l[j] = l[j], l[i] }
+func (l eventKeys) Less(i, j int) bool { return l[i].key < l[j].key }
 
 // strictlyIncreasing reports whether every segment starts after the one
 // before it.
-func strictlyIncreasing(entry []timedPath) bool {
+func strictlyIncreasing(entry []segment) bool {
 	for i := 1; i < len(entry); i++ {
 		if entry[i].From <= entry[i-1].From {
 			return false
@@ -226,7 +261,7 @@ func (t *Table) RouteAt(c netmodel.CloudID, bp netmodel.BGPPrefixID, b netmodel.
 			hi = mid - 1
 		}
 	}
-	return entry[lo].Path, entry[lo].ID
+	return t.world.Routes(c, bp)[entry[lo].route], entry[lo].ID
 }
 
 // RouteAtForPrefix is RouteAt for a client /24: it resolves the /24 to its
@@ -246,6 +281,11 @@ func (t *Table) PathAt(c netmodel.CloudID, bp netmodel.BGPPrefixID, b netmodel.B
 // returns the path in effect.
 func (t *Table) PathAtForPrefix(c netmodel.CloudID, p netmodel.PrefixID, b netmodel.Bucket) netmodel.Path {
 	return t.PathAt(c, t.world.Prefixes[p].BGPPrefix, b)
+}
+
+// EventPath returns the path an event moves its entry to.
+func (t *Table) EventPath(e Event) netmodel.Path {
+	return t.world.Routes(e.Cloud, e.BGPPrefix)[e.route]
 }
 
 // Events returns all events with from <= bucket < to, in order.
@@ -283,8 +323,9 @@ func (t *Table) NewCursor() *Cursor {
 
 // set puts entry idx on its segment i.
 func (c *Cursor) set(idx int, i int32) {
-	seg := &c.t.entries[idx][i]
-	c.seg[idx], c.paths[idx], c.ids[idx] = i, &seg.Path, seg.ID
+	seg := c.t.entries[idx][i]
+	routes := c.t.world.Routes(netmodel.CloudID(idx/c.t.nBGP), netmodel.BGPPrefixID(idx%c.t.nBGP))
+	c.seg[idx], c.paths[idx], c.ids[idx] = i, &routes[seg.route], seg.ID
 }
 
 // rewind puts every entry on its first segment, before any event.

@@ -29,6 +29,11 @@ func entriesChurnedOnDay(t *Table, day int) int {
 // numEntries returns the number of routing entries (clouds × BGP prefixes).
 func numEntries(t *Table) int { return len(t.entries) }
 
+// segPath returns the path of a segment of entry idx.
+func segPath(t *Table, idx int, seg segment) netmodel.Path {
+	return t.world.Routes(netmodel.CloudID(idx/t.nBGP), netmodel.BGPPrefixID(idx%t.nBGP))[seg.route]
+}
+
 func TestTableDeterministic(t *testing.T) {
 	w := testWorld()
 	horizon := netmodel.Bucket(2 * netmodel.BucketsPerDay)
@@ -112,8 +117,8 @@ func TestPathChangesAfterEvent(t *testing.T) {
 	}
 	for _, e := range evs[:min(len(evs), 50)] {
 		got := tbl.PathAt(e.Cloud, e.BGPPrefix, e.Bucket)
-		if !got.Equal(e.NewPath) {
-			t.Fatalf("path at event bucket %d is %v, event says %v", e.Bucket, got, e.NewPath)
+		if !got.Equal(tbl.EventPath(e)) {
+			t.Fatalf("path at event bucket %d is %v, event says %v", e.Bucket, got, tbl.EventPath(e))
 		}
 	}
 }
@@ -219,7 +224,7 @@ func TestPathAtMatchesEventLogProperty(t *testing.T) {
 				want := w.InitialPath(c.ID, bp.ID)
 				for _, e := range evs {
 					if e.Cloud == c.ID && e.BGPPrefix == bp.ID && e.Bucket <= probe {
-						want = e.NewPath
+						want = tbl.EventPath(e)
 					}
 				}
 				if got := tbl.PathAt(c.ID, bp.ID, probe); !got.Equal(want) {
@@ -234,14 +239,14 @@ func TestEventNewPathsAreKnownAlternates(t *testing.T) {
 	w := topology.Generate(topology.SmallScale(), 5)
 	tbl := NewTable(w, DefaultChurnConfig(), 2*netmodel.BucketsPerDay, 13)
 	for _, e := range tbl.Events(0, tbl.Horizon()) {
-		valid := e.NewPath.Equal(w.InitialPath(e.Cloud, e.BGPPrefix))
+		valid := tbl.EventPath(e).Equal(w.InitialPath(e.Cloud, e.BGPPrefix))
 		for _, alt := range w.AltPaths(e.Cloud, e.BGPPrefix) {
-			if e.NewPath.Equal(alt) {
+			if tbl.EventPath(e).Equal(alt) {
 				valid = true
 			}
 		}
 		if !valid {
-			t.Fatalf("event switched to a route that is neither primary nor alternate: %v", e.NewPath)
+			t.Fatalf("event switched to a route that is neither primary nor alternate: %v", tbl.EventPath(e))
 		}
 	}
 }
@@ -260,7 +265,8 @@ func TestRouteAtMatchesSegmentsAndKeys(t *testing.T) {
 	multi := 0
 	for _, c := range w.Clouds {
 		for _, bp := range w.BGPPrefixes {
-			entry := tbl.entries[int(c.ID)*tbl.nBGP+int(bp.ID)]
+			idx := int(c.ID)*tbl.nBGP + int(bp.ID)
+			entry := tbl.entries[idx]
 			if !sort.SliceIsSorted(entry, func(i, j int) bool { return entry[i].From < entry[j].From }) {
 				t.Fatalf("cloud %d bgp %d: segments out of order", c.ID, bp.ID)
 			}
@@ -280,11 +286,12 @@ func TestRouteAtMatchesSegmentsAndKeys(t *testing.T) {
 				if i := sort.Search(len(entry), func(i int) bool { return entry[i].From > b }); i > 0 {
 					want = entry[i-1]
 				}
+				wantPath := segPath(tbl, idx, want)
 				path, key := tbl.RouteAt(c.ID, bp.ID, b)
-				if !path.Equal(want.Path) || tbl.Key(key) != want.Path.Key() {
-					t.Fatalf("cloud %d bgp %d bucket %d: RouteAt = %v %q, want %v %q", c.ID, bp.ID, b, path, tbl.Key(key), want.Path, want.Path.Key())
+				if !path.Equal(wantPath) || tbl.Key(key) != wantPath.Key() {
+					t.Fatalf("cloud %d bgp %d bucket %d: RouteAt = %v %q, want %v %q", c.ID, bp.ID, b, path, tbl.Key(key), wantPath, wantPath.Key())
 				}
-				if !tbl.PathAt(c.ID, bp.ID, b).Equal(want.Path) || !tbl.PathAtForPrefix(c.ID, kid, b).Equal(want.Path) {
+				if !tbl.PathAt(c.ID, bp.ID, b).Equal(wantPath) || !tbl.PathAtForPrefix(c.ID, kid, b).Equal(wantPath) {
 					t.Fatalf("cloud %d bgp %d bucket %d: PathAt disagrees with RouteAt", c.ID, bp.ID, b)
 				}
 				if p2, k2 := tbl.RouteAtForPrefix(c.ID, kid, b); !p2.Equal(path) || k2 != key {
@@ -297,8 +304,8 @@ func TestRouteAtMatchesSegmentsAndKeys(t *testing.T) {
 		t.Fatal("no entry churned: the segment search went untested")
 	}
 	for _, e := range tbl.Events(0, horizon) {
-		if tbl.Key(e.NewID) != e.NewPath.Key() {
-			t.Fatalf("event at bucket %d: NewID stands for %q, NewPath.Key() is %q", e.Bucket, tbl.Key(e.NewID), e.NewPath.Key())
+		if tbl.Key(e.NewID) != tbl.EventPath(e).Key() {
+			t.Fatalf("event at bucket %d: NewID stands for %q, NewPath.Key() is %q", e.Bucket, tbl.Key(e.NewID), tbl.EventPath(e).Key())
 		}
 	}
 	c, p := w.Clouds[0].ID, w.Prefixes[0].ID
@@ -328,7 +335,7 @@ func TestKeyIDsDenseAndCanonical(t *testing.T) {
 			if seg.ID < 0 || int(seg.ID) >= n {
 				t.Fatalf("entry %d segment %d: ID %d outside [0, %d)", i, j, seg.ID, n)
 			}
-			k := seg.Path.Key()
+			k := segPath(tbl, i, seg).Key()
 			if id, seen := idOf[k]; seen && id != seg.ID {
 				t.Fatalf("key %q has IDs %d and %d", k, id, seg.ID)
 			}
@@ -340,7 +347,7 @@ func TestKeyIDsDenseAndCanonical(t *testing.T) {
 			if id, ok := tbl.Keys().ID(k); !ok || id != seg.ID {
 				t.Fatalf("Keys().ID(%q) = %d, %v; want %d", k, id, ok, seg.ID)
 			}
-			if other := again.entries[i][j]; other.ID != seg.ID || !other.Path.Equal(seg.Path) {
+			if other := again.entries[i][j]; other.ID != seg.ID || !segPath(again, i, other).Equal(segPath(tbl, i, seg)) {
 				t.Fatalf("entry %d segment %d: rebuilt table assigns ID %d, first build %d", i, j, other.ID, seg.ID)
 			}
 		}
@@ -389,28 +396,46 @@ func TestCursorMatchesRouteAt(t *testing.T) {
 	}
 }
 
-// TestEventLogSortsLikeSortSlice holds sort.Sort over an eventLog to
-// sort.Slice with the same order over the same events, ties included:
-// events drawn from a few buckets, clouds and BGP prefixes tie often, and
-// each carries a distinct NewID, so a tie left in another order shows.
+// TestEventLogSortsLikeSortSlice holds the event log eventKeys builds to
+// sort.Slice over the same events by bucket, then cloud, then BGP prefix,
+// ties included: events drawn from a few buckets, clouds and BGP prefixes
+// tie often, and each carries a distinct NewID, so a tie left in another
+// order shows.
 func TestEventLogSortsLikeSortSlice(t *testing.T) {
+	const nClouds, nBGP = 3, 3
 	r := rand.New(rand.NewSource(46))
 	for _, n := range []int{0, 1, 2, 7, 12, 13, 49, 50, 51, 300, 5000} {
-		evs := make([]Event, n)
-		for i := range evs {
-			evs[i] = Event{
+		want := make([]Event, n)
+		segs := make([]segment, n)
+		keys := make(eventKeys, n)
+		for i := range want {
+			e := Event{
 				Bucket:    netmodel.Bucket(r.Intn(1 + n/8)),
-				Cloud:     netmodel.CloudID(r.Intn(3)),
-				BGPPrefix: netmodel.BGPPrefixID(r.Intn(3)),
+				Cloud:     netmodel.CloudID(r.Intn(nClouds)),
+				BGPPrefix: netmodel.BGPPrefixID(r.Intn(nBGP)),
 				NewID:     netmodel.KeyID(i),
 			}
+			if r.Intn(2) == 0 {
+				e.Kind = Withdraw
+			}
+			want[i], segs[i] = e, segment{From: e.Bucket, ID: e.NewID}
+			entry := int(e.Cloud)*nBGP + int(e.BGPPrefix)
+			keys[i] = eventKey{key: uint64(e.Bucket)*nClouds*nBGP + uint64(entry), seg: int32(i), withdraw: e.Kind == Withdraw}
 		}
-		want := append([]Event(nil), evs...)
-		sort.Slice(want, func(i, j int) bool { return eventLog(want).Less(i, j) })
-		sort.Sort(eventLog(evs))
-		for i := range evs {
-			if evs[i].NewID != want[i].NewID {
-				t.Fatalf("n=%d: position %d holds event %d, sort.Slice put %d there", n, i, evs[i].NewID, want[i].NewID)
+		sort.Slice(want, func(i, j int) bool {
+			a, b := &want[i], &want[j]
+			if a.Bucket != b.Bucket {
+				return a.Bucket < b.Bucket
+			}
+			if a.Cloud != b.Cloud {
+				return a.Cloud < b.Cloud
+			}
+			return a.BGPPrefix < b.BGPPrefix
+		})
+		got := keys.events(segs, nClouds*nBGP, nBGP)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d: position %d holds %+v, sort.Slice put %+v there", n, i, got[i], want[i])
 			}
 		}
 	}

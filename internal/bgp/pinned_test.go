@@ -74,7 +74,7 @@ func tableDigest(t *Table) string {
 		put(int64(i), int64(len(entry)))
 		for _, seg := range entry {
 			put(int64(seg.From))
-			path(seg.Path)
+			path(segPath(t, i, seg))
 			put(int64(seg.ID))
 		}
 		b.Write(buf)
@@ -86,7 +86,7 @@ func tableDigest(t *Table) string {
 	for _, e := range evs {
 		buf = buf[:0]
 		put(int64(e.Bucket), int64(e.Cloud), int64(e.BGPPrefix), int64(e.Kind))
-		path(e.NewPath)
+		path(t.EventPath(e))
 		put(int64(e.NewID))
 		b.Write(buf)
 	}

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"time"
 
 	"blameit/internal/bgp"
 	"blameit/internal/faults"
@@ -110,7 +111,10 @@ type Simulator struct {
 	World  *topology.World
 	Routes *bgp.Table
 	Sched  *faults.Schedule
-	cfg    Config
+	// Build is how long Seeded took over each part of the world; zero for
+	// a simulator made by New.
+	Build BuildTimes
+	cfg   Config
 
 	diurnalAmp    map[netmodel.ASN]float64 // evening congestion amplitude per eyeball AS
 	weekendFactor map[netmodel.ASN]float64 // how much of the diurnal shape survives weekends
@@ -180,6 +184,12 @@ func New(w *topology.World, routes *bgp.Table, sched *faults.Schedule, cfg Confi
 	return s
 }
 
+// BuildTimes is the wall time Seeded spent on each part of the world, so a
+// cold start can be attributed from the process's own log.
+type BuildTimes struct {
+	Topology, Faults, Table, Total time.Duration
+}
+
 // Seeded builds the seeded world every entry point shares — blameit,
 // blameitd and blameit-tracegen — from one seed: the topology at seed,
 // the fault workload at seed+1, BGP churn at seed+2 and the simulator at
@@ -196,13 +206,24 @@ func Seeded(scale topology.Scale, seed int64, workload string, horizon netmodel.
 	if workload != "random" && workload != "none" {
 		return nil, fmt.Errorf("unknown workload %q (random|none)", workload)
 	}
+	start := time.Now()
 	w := topology.Generate(scale, seed)
+	topo := time.Now()
 	sched := faults.NewSchedule(nil)
 	if workload == "random" {
 		sched = faults.Generate(w, faults.DefaultGenerateConfig(), horizon, seed+1)
 	}
+	flt := time.Now()
 	tbl := bgp.NewTable(w, bgp.DefaultChurnConfig(), horizon, seed+2)
-	return New(w, tbl, sched, cfg), nil
+	tblDone := time.Now()
+	s := New(w, tbl, sched, cfg)
+	s.Build = BuildTimes{
+		Topology: topo.Sub(start),
+		Faults:   flt.Sub(topo),
+		Table:    tblDone.Sub(flt),
+		Total:    time.Since(start),
+	}
+	return s, nil
 }
 
 // Config returns the simulator configuration.

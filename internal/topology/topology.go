@@ -12,10 +12,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"blameit/internal/ipaddr"
 	"blameit/internal/netmodel"
+	"blameit/internal/parallel"
 	"blameit/internal/stats"
 )
 
@@ -152,12 +154,6 @@ type ASContribution struct {
 	MS      float64
 }
 
-// routeKey identifies a (cloud location, BGP prefix) routing entry.
-type routeKey struct {
-	cloud netmodel.CloudID
-	bp    netmodel.BGPPrefixID
-}
-
 // World is the generated environment: entities, routing, and static latency
 // ground truth.
 type World struct {
@@ -180,9 +176,10 @@ type World struct {
 	cloudsByReg   map[netmodel.Region][]netmodel.CloudID
 	byBase        map[uint32]netmodel.PrefixID // /24 base address -> prefix
 
-	// Routing: primary and alternate paths per (cloud, BGP prefix).
-	routes    map[routeKey]netmodel.Path
-	altRoutes map[routeKey][]netmodel.Path
+	// Routing: per (cloud, BGP prefix) entry, indexed
+	// cloud*len(BGPPrefixes)+bgp, the primary path followed by the
+	// alternates.
+	routes [][]netmodel.Path
 
 	// Cloud attachments per client prefix.
 	attachments [][]CloudAttachment
@@ -225,8 +222,6 @@ func Generate(scale Scale, seed int64) *World {
 		prefixesByAS:  make(map[netmodel.ASN][]netmodel.PrefixID),
 		cloudsByReg:   make(map[netmodel.Region][]netmodel.CloudID),
 		byBase:        make(map[uint32]netmodel.PrefixID),
-		routes:        make(map[routeKey]netmodel.Path),
-		altRoutes:     make(map[routeKey][]netmodel.Path),
 		CloudBaseMS:   make(map[netmodel.CloudID]float64),
 		ASBaseMS:      make(map[netmodel.ASN]float64),
 	}
@@ -237,7 +232,7 @@ func Generate(scale Scale, seed int64) *World {
 	w.generateClouds(scale)
 	w.generateClients(r, scale)
 	w.generateLatencyParams(r)
-	w.generateRoutes(r, scale)
+	w.generateRoutes()
 	w.generateAttachments(r, scale)
 	w.deriveTargets()
 	return w
@@ -400,27 +395,37 @@ func (w *World) generateLatencyParams(r *rand.Rand) {
 	}
 }
 
-// providersOf returns the deterministic upstream transit providers of an
-// eyeball AS: two or three transits in its region, chosen by ASN.
-func (w *World) providersOf(asn netmodel.ASN) []netmodel.ASN {
+// providersOf appends the deterministic upstream transit providers of an
+// eyeball AS to out: two or three transits in its region, chosen by ASN.
+func (w *World) providersOf(asn netmodel.ASN, out []netmodel.ASN) []netmodel.ASN {
 	as := w.ASes[asn]
 	transits := w.Transits[as.Region]
 	n := 2 + int(asn)%2
 	if n > len(transits) {
 		n = len(transits)
 	}
-	out := make([]netmodel.ASN, n)
 	for i := 0; i < n; i++ {
-		out[i] = transits[(int(asn)+i*3)%len(transits)]
+		out = append(out, transits[(int(asn)+i*3)%len(transits)])
 	}
 	return out
 }
 
-func (w *World) generateRoutes(r *rand.Rand, scale Scale) {
-	for _, c := range w.Clouds {
+// generateRoutes works out every entry's primary and alternate routes. It
+// draws no randomness, so it fans out over clouds: each cloud writes only
+// its own entries.
+func (w *World) generateRoutes() {
+	nBGP := len(w.BGPPrefixes)
+	w.routes = make([][]netmodel.Path, len(w.Clouds)*nBGP)
+	parallel.ForEach(len(w.Clouds), parallel.Resolve(0), func(i int) {
+		c := w.Clouds[i]
+		// The cloud's routes are carved from two slabs, sized for four
+		// candidates of up to two middle ASes and a detour of up to three
+		// per entry.
+		s := routeSlabs{paths: make([]netmodel.Path, 0, 5*nBGP), asns: make([]netmodel.ASN, 0, 11*nBGP)}
 		for _, bp := range w.BGPPrefixes {
-			key := routeKey{c.ID, bp.ID}
-			paths := w.candidatePaths(c, bp)
+			start := len(s.paths)
+			w.candidatePaths(&s, c, bp)
+			paths := s.paths[start:]
 			// Deterministic per-prefix primary selection: an AS's prefixes
 			// spread across its first two candidate paths (so no single
 			// client AS dominates a middle segment's aggregate — Insight-2
@@ -440,26 +445,35 @@ func (w *World) generateRoutes(r *rand.Rand, scale Scale) {
 			}
 			// Primaries stay on the shortest candidate paths; longer
 			// detours exist only as churn alternates, so middle aggregates
-			// are not fragmented across rarely-used AS sequences.
-			pool := primaryPool(paths)
-			primary := paths[idx%pool]
-			w.routes[key] = primary
-			alts := make([]netmodel.Path, 0, len(paths))
-			for _, p := range paths {
-				if !p.Equal(primary) {
-					alts = append(alts, p)
-				}
-			}
+			// are not fragmented across rarely-used AS sequences. The
+			// primary moves to the front; the other candidates, none equal
+			// to it, keep their order as its alternates.
+			k := idx % primaryPool(paths)
+			primary := paths[k]
+			copy(paths[1:k+1], paths[:k])
+			paths[0] = primary
 			// A prefix-specific detour: route churn frequently lands on an
 			// AS sequence nobody else is using, which is what makes stale
 			// background baselines useless until the path is re-probed
 			// (the Fig. 13 periodic-only decline).
-			if d, ok := w.detourPath(primary, bp); ok {
-				alts = append(alts, d)
-			}
-			w.altRoutes[key] = alts
+			w.detourPath(&s, primary, bp)
+			w.routes[int(c.ID)*nBGP+int(bp.ID)] = s.paths[start:len(s.paths):len(s.paths)]
 		}
-	}
+	})
+}
+
+// routeSlabs holds the paths and middle AS sequences of one cloud's
+// routes, each handed out as a slice capped at its own length.
+type routeSlabs struct {
+	paths []netmodel.Path
+	asns  []netmodel.ASN
+}
+
+// middle copies an AS sequence into the slab.
+func (s *routeSlabs) middle(asns ...netmodel.ASN) []netmodel.ASN {
+	n := len(s.asns)
+	s.asns = append(s.asns, asns...)
+	return s.asns[n:len(s.asns):len(s.asns)]
 }
 
 // primaryPool returns the number of leading candidates with the minimal
@@ -485,51 +499,51 @@ func primaryPool(paths []netmodel.Path) int {
 	return n
 }
 
-// detourPath derives a prefix-specific alternate of a path by inserting an
-// extra regional transit hop before the client's provider.
-func (w *World) detourPath(primary netmodel.Path, bp netmodel.BGPPrefix) (netmodel.Path, bool) {
+// detourPath appends a prefix-specific alternate of a path to the slab's
+// paths, when there is one: the path with an extra regional transit hop
+// inserted before the client's provider.
+func (w *World) detourPath(s *routeSlabs, primary netmodel.Path, bp netmodel.BGPPrefix) {
 	clientReg := w.ASes[bp.AS].Region
 	transits := w.Transits[clientReg]
 	if len(transits) < 2 || len(primary.Middle) == 0 {
-		return netmodel.Path{}, false
+		return
 	}
-	provider := primary.Middle[len(primary.Middle)-1]
+	last := len(primary.Middle) - 1
+	provider := primary.Middle[last]
 	t := transits[(int(provider)+int(bp.ID))%len(transits)]
 	if t == provider {
 		t = transits[(int(provider)+int(bp.ID)+1)%len(transits)]
 	}
-	if t == provider {
-		return netmodel.Path{}, false
+	if t == provider || slices.Contains(primary.Middle, t) {
+		return // no other transit, or already on path
 	}
-	d := primary.Clone()
-	d.Middle = append(d.Middle[:len(d.Middle)-1:len(d.Middle)-1], t, provider)
-	for _, m := range primary.Middle {
-		if m == t {
-			return netmodel.Path{}, false // already on path
-		}
-	}
-	return d, true
+	var buf [8]netmodel.ASN
+	d := primary
+	d.Middle = s.middle(append(append(buf[:0], primary.Middle[:last]...), t, provider)...)
+	s.paths = append(s.paths, d)
 }
 
-// candidatePaths enumerates the plausible AS-level routes from a cloud
-// location to a BGP prefix.
-func (w *World) candidatePaths(c netmodel.CloudLocation, bp netmodel.BGPPrefix) []netmodel.Path {
+// candidatePaths appends the plausible AS-level routes from a cloud
+// location to a BGP prefix to the slab's paths, shortest first and without
+// duplicates.
+func (w *World) candidatePaths(s *routeSlabs, c netmodel.CloudLocation, bp netmodel.BGPPrefix) {
 	clientAS := bp.AS
 	clientReg := w.ASes[clientAS].Region
-	providers := w.providersOf(clientAS)
-	var out []netmodel.Path
+	var buf [3]netmodel.ASN
+	providers := w.providersOf(clientAS, buf[:0])
+	out, from := s.paths, len(s.paths)
 	if c.Region == clientReg {
 		// Intra-region: cloud peers directly with the regional transits.
 		// Single-transit paths come first; the rarer two-transit detour is
 		// last so the weighted primary selection keeps it a minority.
 		for _, p := range providers {
-			out = append(out, netmodel.Path{Cloud: c.ID, Middle: []netmodel.ASN{p}, Client: clientAS})
+			out = append(out, netmodel.Path{Cloud: c.ID, Middle: s.middle(p), Client: clientAS})
 		}
 		if len(w.Transits[clientReg]) > 1 {
 			p0 := providers[0]
 			other := w.Transits[clientReg][(int(p0)+1)%len(w.Transits[clientReg])]
 			if other != p0 {
-				out = append(out, netmodel.Path{Cloud: c.ID, Middle: []netmodel.ASN{other, p0}, Client: clientAS})
+				out = append(out, netmodel.Path{Cloud: c.ID, Middle: s.middle(other, p0), Client: clientAS})
 			}
 		}
 	} else {
@@ -539,22 +553,19 @@ func (w *World) candidatePaths(c netmodel.CloudLocation, bp netmodel.BGPPrefix) 
 		// traffic through one location shares middle segments.
 		for i, p := range providers {
 			t1 := w.Tier1s[(int(c.ID)+i)%len(w.Tier1s)]
-			out = append(out, netmodel.Path{Cloud: c.ID, Middle: []netmodel.ASN{t1, p}, Client: clientAS})
+			out = append(out, netmodel.Path{Cloud: c.ID, Middle: s.middle(t1, p), Client: clientAS})
 		}
 		t1b := w.Tier1s[(int(c.ID)+int(clientAS))%len(w.Tier1s)]
-		out = append(out, netmodel.Path{Cloud: c.ID, Middle: []netmodel.ASN{t1b, providers[0]}, Client: clientAS})
+		out = append(out, netmodel.Path{Cloud: c.ID, Middle: s.middle(t1b, providers[0]), Client: clientAS})
 	}
 	// Deduplicate while preserving order.
-	seen := make(map[string]bool, len(out))
-	uniq := out[:0]
-	for _, p := range out {
-		k := p.FullKey()
-		if !seen[k] {
-			seen[k] = true
+	uniq := out[:from]
+	for _, p := range out[from:] {
+		if !slices.ContainsFunc(uniq[from:], p.Equal) {
 			uniq = append(uniq, p)
 		}
 	}
-	return uniq
+	s.paths = uniq
 }
 
 // generateAttachments assigns the anycast steering of every prefix: the
@@ -682,15 +693,22 @@ func (w *World) PrefixesOfAS(asn netmodel.ASN) []netmodel.PrefixID {
 	return w.prefixesByAS[asn]
 }
 
+// Routes returns every route from a cloud location to a BGP prefix: the
+// primary first, then the alternates churn may move to. The slice is the
+// world's own; callers must not modify it.
+func (w *World) Routes(c netmodel.CloudID, bp netmodel.BGPPrefixID) []netmodel.Path {
+	return w.routes[int(c)*len(w.BGPPrefixes)+int(bp)]
+}
+
 // InitialPath returns the primary route from a cloud location to a BGP
 // prefix at simulation start.
 func (w *World) InitialPath(c netmodel.CloudID, bp netmodel.BGPPrefixID) netmodel.Path {
-	return w.routes[routeKey{c, bp}]
+	return w.Routes(c, bp)[0]
 }
 
 // AltPaths returns alternate routes available for churn events.
 func (w *World) AltPaths(c netmodel.CloudID, bp netmodel.BGPPrefixID) []netmodel.Path {
-	return w.altRoutes[routeKey{c, bp}]
+	return w.Routes(c, bp)[1:]
 }
 
 // asymHash drives the deterministic routing-asymmetry decision.
@@ -711,7 +729,7 @@ const asymmetricShare = 0.35
 // Asymmetric reports whether the reverse route of (cloud, BGP prefix)
 // differs from the forward route.
 func (w *World) Asymmetric(c netmodel.CloudID, bp netmodel.BGPPrefixID) bool {
-	if len(w.altRoutes[routeKey{c, bp}]) == 0 {
+	if len(w.Routes(c, bp)) == 1 {
 		return false
 	}
 	return asymHash(c, bp)%1000 < uint64(asymmetricShare*1000)
@@ -727,7 +745,7 @@ func (w *World) ReversePath(c netmodel.CloudID, bp netmodel.BGPPrefixID) netmode
 	if !w.Asymmetric(c, bp) {
 		return w.InitialPath(c, bp)
 	}
-	alts := w.altRoutes[routeKey{c, bp}]
+	alts := w.AltPaths(c, bp)
 	return alts[int(asymHash(c, bp)>>10)%len(alts)]
 }
 

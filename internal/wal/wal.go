@@ -312,12 +312,13 @@ func Open(dir string, cfg Config) (*Log, *Recovery, error) {
 	}
 	// The history first: its reads are what the batches are judged by, and
 	// a batch they settled is checked but never decoded.
-	err = l.openFamily(&l.hist, l.hist.segSeqs(entries), rec, nil, func(_ batchSeg, recs []rawRecord) error {
+	changed, err := l.openFamily(&l.hist, l.hist.segSeqs(entries), rec, nil, func(_ batchSeg, recs []rawRecord) error {
 		return interpret(rec, recs, cfg.Meta)
 	})
 	lastAfter := 0 // the position of the family's last batch
 	if err == nil {
-		err = l.openFamily(&l.acc, l.acc.segSeqs(entries), rec, rec.Reads.Reached, func(seg batchSeg, recs []rawRecord) error {
+		var accChanged bool
+		accChanged, err = l.openFamily(&l.acc, l.acc.segSeqs(entries), rec, rec.Reads.Reached, func(seg batchSeg, recs []rawRecord) error {
 			for _, r := range recs {
 				if r.typ == recBatch || r.typ == recAggBatch {
 					seg.after, seg.high = r.after, max(seg.high, r.high)
@@ -327,6 +328,14 @@ func Open(dir string, cfg Config) (*Log, *Recovery, error) {
 			l.sealed = append(l.sealed, seg)
 			return interpret(rec, recs, cfg.Meta)
 		})
+		changed = changed || accChanged
+	}
+	// A segment either family started, or discarded, counts once the
+	// directory entry is durable: one directory fsync covers both.
+	if err == nil && changed {
+		if err = syncDir(dir); err != nil {
+			err = fmt.Errorf("wal: %w", err)
+		}
 	}
 	if err != nil {
 		l.closeFiles()
@@ -366,29 +375,31 @@ func Open(dir string, cfg Config) (*Log, *Recovery, error) {
 // corruption truncates the family: the file is cut back to its last valid
 // record and every later segment of the family is removed — replay needs
 // a consistent prefix of each family, and anything after a corrupt record
-// has no trustworthy order against it. settled is scanRecords'.
-func (l *Log) openFamily(fam *family, seqs []uint64, rec *Recovery, settled func(int, netmodel.Bucket) bool, fold func(batchSeg, []rawRecord) error) error {
+// has no trustworthy order against it. settled is scanRecords'. It reports
+// whether it created or removed a segment: syncing the directory is the
+// caller's.
+func (l *Log) openFamily(fam *family, seqs []uint64, rec *Recovery, settled func(int, netmodel.Bucket) bool, fold func(batchSeg, []rawRecord) error) (bool, error) {
 	n := 0 // segments kept
 	for ; n < len(seqs); n++ {
 		path := filepath.Join(l.dir, fam.segName(seqs[n]))
 		data, err := os.ReadFile(path)
 		if err != nil {
-			return fmt.Errorf("wal: %w", err)
+			return false, fmt.Errorf("wal: %w", err)
 		}
 		if len(data) < segHeader || string(data[:len(segMagic)]) != segMagic {
 			break
 		}
 		if v := binary.LittleEndian.Uint32(data[len(segMagic):]); v != segVersion {
-			return fmt.Errorf("wal: %s is in format version %d and this build reads only version %d: start from an empty data directory", path, v, segVersion)
+			return false, fmt.Errorf("wal: %s is in format version %d and this build reads only version %d: start from an empty data directory", path, v, segVersion)
 		}
 		recs, valid := scanRecords(data[segHeader:], fam.kinds, settled)
 		if err := fold(batchSeg{seq: seqs[n], size: int64(segHeader) + valid, high: noBucket}, recs); err != nil {
-			return err
+			return false, err
 		}
 		if tail := int64(len(data)-segHeader) - valid; tail > 0 {
 			rec.TruncatedBytes += tail
 			if err := os.Truncate(path, int64(segHeader)+valid); err != nil {
-				return fmt.Errorf("wal: truncating corrupt tail: %w", err)
+				return false, fmt.Errorf("wal: truncating corrupt tail: %w", err)
 			}
 			n++
 			break
@@ -402,30 +413,31 @@ func (l *Log) openFamily(fam *family, seqs []uint64, rec *Recovery, settled func
 		// A discarded segment that stayed would be read as live history by
 		// the next open.
 		if err := os.Remove(path); err != nil {
-			return fmt.Errorf("wal: discarding segment after corruption: %w", err)
+			return false, fmt.Errorf("wal: discarding segment after corruption: %w", err)
 		}
 	}
+	removed := len(seqs) > n
 	l.stats.Segments += max(n, 1)
 	if n == 0 {
 		f, err := l.createSegment(fam, 1)
 		if err != nil {
-			return err
+			return false, err
 		}
 		fam.f, fam.seq, fam.size = f, 1, l.freshSize()
-		return fold(batchSeg{seq: 1, size: fam.size, high: noBucket}, nil)
+		return true, fold(batchSeg{seq: 1, size: fam.size, high: noBucket}, nil)
 	}
 	fam.seq = seqs[n-1]
 	f, err := os.OpenFile(filepath.Join(l.dir, fam.segName(fam.seq)), os.O_WRONLY|os.O_APPEND, 0o666)
 	if err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return false, fmt.Errorf("wal: %w", err)
 	}
 	fam.f = f
 	st, err := f.Stat()
 	if err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return false, fmt.Errorf("wal: %w", err)
 	}
 	fam.size = st.Size()
-	return nil
+	return removed, nil
 }
 
 // interpret folds one segment's scanned records into the recovery state.
@@ -470,8 +482,8 @@ func (l *Log) freshSize() int64 {
 	return int64(segHeader + frameHeader + 1 + len(l.cfg.Meta))
 }
 
-// createSegment writes a fresh segment file of the family: header and
-// meta record. The file and directory are fsynced before it is trusted.
+// createSegment writes a fresh segment file of the family, header and meta
+// record, and fsyncs it. The caller syncs the directory before trusting it.
 func (l *Log) createSegment(fam *family, seq uint64) (*os.File, error) {
 	path := filepath.Join(l.dir, fam.segName(seq))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
@@ -486,9 +498,6 @@ func (l *Log) createSegment(fam *family, seq uint64) (*os.File, error) {
 	_, err = f.Write(buf)
 	if err == nil {
 		err = f.Sync()
-	}
-	if err == nil {
-		err = syncDir(l.dir)
 	}
 	if err != nil {
 		f.Close()
@@ -561,6 +570,11 @@ func (l *Log) rotateLocked(fam *family) error {
 	f, err := l.createSegment(fam, fam.seq+1)
 	if err != nil {
 		return err
+	}
+	if err := syncDir(l.dir); err != nil {
+		f.Close()
+		os.Remove(f.Name())
+		return fmt.Errorf("wal: %w", err)
 	}
 	if fam == &l.acc {
 		l.cur.size = fam.size
