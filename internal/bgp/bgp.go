@@ -41,7 +41,7 @@ func (k EventKind) String() string {
 }
 
 // Event is one BGP routing event observed at a border router. It holds
-// no pointer: Table.EventPath gives the path it moves to.
+// no pointer: NewID names the path the entry moves to.
 type Event struct {
 	Bucket    netmodel.Bucket
 	Cloud     netmodel.CloudID
@@ -49,7 +49,6 @@ type Event struct {
 	Kind      EventKind
 	// NewID is the table's KeyID of the new path's Key().
 	NewID netmodel.KeyID
-	route int32 // the new path's index in the world's Routes of the entry
 }
 
 // ChurnConfig parameterizes the synthetic churn process.
@@ -208,7 +207,7 @@ func (l eventKeys) events(segs []segment, nEntries, nBGP int) []Event {
 	out := make([]Event, len(l))
 	for i, k := range l {
 		seg, entry := segs[k.seg], int(k.key%uint64(nEntries))
-		out[i] = Event{Bucket: seg.From, Cloud: netmodel.CloudID(entry / nBGP), BGPPrefix: netmodel.BGPPrefixID(entry % nBGP), NewID: seg.ID, route: seg.route}
+		out[i] = Event{Bucket: seg.From, Cloud: netmodel.CloudID(entry / nBGP), BGPPrefix: netmodel.BGPPrefixID(entry % nBGP), NewID: seg.ID}
 		if k.withdraw {
 			out[i].Kind = Withdraw
 		}
@@ -281,11 +280,6 @@ func (t *Table) PathAt(c netmodel.CloudID, bp netmodel.BGPPrefixID, b netmodel.B
 // returns the path in effect.
 func (t *Table) PathAtForPrefix(c netmodel.CloudID, p netmodel.PrefixID, b netmodel.Bucket) netmodel.Path {
 	return t.PathAt(c, t.world.Prefixes[p].BGPPrefix, b)
-}
-
-// EventPath returns the path an event moves its entry to.
-func (t *Table) EventPath(e Event) netmodel.Path {
-	return t.world.Routes(e.Cloud, e.BGPPrefix)[e.route]
 }
 
 // Events returns all events with from <= bucket < to, in order.

@@ -86,7 +86,7 @@ func tableDigest(t *Table) string {
 	for _, e := range evs {
 		buf = buf[:0]
 		put(int64(e.Bucket), int64(e.Cloud), int64(e.BGPPrefix), int64(e.Kind))
-		path(t.EventPath(e))
+		path(eventPath(t, e))
 		put(int64(e.NewID))
 		b.Write(buf)
 	}
