@@ -51,6 +51,7 @@ crash-smoke:
 fuzz:
 	$(GO) test -run NONE -fuzz FuzzDecodeBatches -fuzztime 20s ./internal/ingest/
 	$(GO) test -run NONE -fuzz FuzzParseFloat -fuzztime 20s ./internal/ingest/
+	$(GO) test -run NONE -fuzz FuzzParseInt -fuzztime 20s ./internal/ingest/
 	$(GO) test -run NONE -fuzz FuzzWALDecode -fuzztime 20s ./internal/wal/
 	$(GO) test -run NONE -fuzz FuzzParseAddr -fuzztime 10s ./internal/ipaddr/
 	$(GO) test -run NONE -fuzz FuzzParsePrefix -fuzztime 10s ./internal/ipaddr/

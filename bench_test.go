@@ -8,6 +8,7 @@
 package bench
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -127,6 +128,105 @@ func BenchmarkSeeded(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkDecodeBatch measures the daemon's JSONL readers over one
+// seeded day of the small world, one body per bucket as a producer posts
+// it: DecodeBatch on the observation lines /v1/ingest takes, and
+// DecodeAggBatch on the same records as the aggregate cells /v1/aggregates
+// takes. An op decodes the whole day; ns/record is the per-record cost.
+func BenchmarkDecodeBatch(b *testing.B) {
+	s, err := sim.Seeded(benchParams.Scale, benchSeed, "random", netmodel.BucketsPerDay, 0, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var obsBodies, aggBodies [][]byte
+	var obs []trace.Observation
+	var cells []ingest.AggCell
+	records := 0
+	for bk := netmodel.Bucket(0); bk < netmodel.BucketsPerDay; bk++ {
+		obs = s.ObservationsAt(bk, obs[:0])
+		cells = cells[:0]
+		for _, o := range obs {
+			cells = append(cells, ingest.AggCell{
+				Agent: int(o.Prefix) % 16, Seq: int64(bk), Bucket: o.Bucket, Prefix: o.Prefix, Cloud: o.Cloud,
+				Device: o.Device, Samples: o.Samples, MeanRTT: o.MeanRTT, Clients: o.Clients,
+			})
+		}
+		var ob, ab bytes.Buffer
+		if err := trace.WriteJSONL(&ob, obs); err != nil {
+			b.Fatal(err)
+		}
+		if err := ingest.WriteAggJSONL(&ab, cells); err != nil {
+			b.Fatal(err)
+		}
+		obsBodies, aggBodies = append(obsBodies, ob.Bytes()), append(aggBodies, ab.Bytes())
+		records += len(obs)
+	}
+	run := func(b *testing.B, bodies [][]byte, decode func(body []byte) (int, error)) {
+		size := 0
+		for _, body := range bodies {
+			size += len(body)
+		}
+		b.SetBytes(int64(size))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			n := 0
+			for _, body := range bodies {
+				got, err := decode(body)
+				if err != nil {
+					b.Fatal(err)
+				}
+				n += got
+			}
+			if n != records {
+				b.Fatalf("decoded %d records of %d", n, records)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(records), "ns/record")
+	}
+	b.Run("observations", func(b *testing.B) {
+		var buf []trace.Observation
+		run(b, obsBodies, func(body []byte) (n int, err error) {
+			buf, err = ingest.DecodeBatch(body, buf[:0], nil)
+			return len(buf), err
+		})
+	})
+	b.Run("aggregates", func(b *testing.B) {
+		var buf []ingest.AggCell
+		run(b, aggBodies, func(body []byte) (n int, err error) {
+			buf, err = ingest.DecodeAggBatch(body, buf[:0], nil)
+			return len(buf), err
+		})
+	})
+}
+
+// BenchmarkCanonicalJSON measures rendering the reports of one evaluated
+// day (after a warmup day) as the canonical bytes blameitd serves and
+// journals. An op renders them all; B/report is the mean report size.
+func BenchmarkCanonicalJSON(b *testing.B) {
+	e := benchParams.RandomFaultEnv(2)
+	p := e.NewPipeline(pipeline.DefaultConfig())
+	p.Warmup(0, netmodel.BucketsPerDay)
+	var reps []*pipeline.Report
+	if err := p.Run(netmodel.BucketsPerDay, 2*netmodel.BucketsPerDay, func(r *pipeline.Report) { reps = append(reps, r) }); err != nil {
+		b.Fatal(err)
+	}
+	size := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		size = 0
+		for _, r := range reps {
+			out, err := r.CanonicalJSON()
+			if err != nil {
+				b.Fatal(err)
+			}
+			size += len(out)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(reps))/1e3, "us/report")
+	b.ReportMetric(float64(size)/float64(len(reps)), "B/report")
 }
 
 // BenchmarkQuartetClassify measures the quartet classifier.

@@ -107,13 +107,8 @@ func WriteAggJSONL(w io.Writer, cells []AggCell) error {
 }
 
 // aggShape is AggCell's canonical line, as WriteAggJSONL writes it.
-var aggShape = newShape("aggregate cell", "mean_rtt_ms", func(n [maxKeys]int64, f float64) AggCell {
-	return AggCell{
-		Agent: int(n[0]), Epoch: int(n[1]), Seq: n[2], Bucket: netmodel.Bucket(n[3]),
-		Prefix: netmodel.PrefixID(n[4]), Cloud: netmodel.CloudID(n[5]), Device: netmodel.DeviceClass(n[6]),
-		Samples: int(n[7]), MeanRTT: f, Clients: int(n[9]),
-	}
-}, "agent", "epoch", "seq", "bucket", "prefix", "cloud", "device", "samples", "mean_rtt_ms", "clients")
+var aggShape = newShape[AggCell]("aggregate cell", "mean_rtt_ms",
+	"agent", "epoch", "seq", "bucket", "prefix", "cloud", "device", "samples", "mean_rtt_ms", "clients")
 
 // DecodeAggBatch decodes one bounded JSONL aggregate-cell batch — the
 // request body of a blameitd POST /v1/aggregates — appending the cells to

@@ -35,7 +35,7 @@ func TestAggWireRoundTrip(t *testing.T) {
 	}
 	for i, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
 		var c AggCell
-		if !aggShape.scan(append(line, '\n'), &c) {
+		if !aggShape.scanLine(append(line, '\n'), &c) {
 			t.Errorf("line %d did not take the canonical fast path: %s", i, line)
 		} else if c != cells[i] {
 			t.Errorf("fast path decoded %+v, want %+v", c, cells[i])
@@ -49,7 +49,7 @@ func TestAggWireRoundTrip(t *testing.T) {
 func TestAggWireFallbackAndSalvage(t *testing.T) {
 	reordered := []byte(`{"bucket":5, "agent":1, "epoch":0, "seq":9, "prefix":3, "cloud":1, "device":0, "samples":12, "mean_rtt_ms":55.5, "clients":3}` + "\n")
 	var c AggCell
-	if aggShape.scan(reordered, &c) {
+	if aggShape.scanLine(reordered, &c) {
 		t.Fatal("reordered line should not match the canonical shape")
 	}
 	got, err := DecodeAggBatch(reordered, nil, nil)

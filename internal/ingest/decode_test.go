@@ -57,7 +57,7 @@ func TestDecodeCanonicalRoundTrip(t *testing.T) {
 			t.Fatalf("record %d: %v", n, err)
 		}
 		var got trace.Observation
-		if !obsShape.scan(line, &got) {
+		if !obsShape.scanLine(line, &got) {
 			t.Fatalf("record %d: canonical line rejected by fast path: %s", n, line)
 		}
 		if got != want {
@@ -103,7 +103,7 @@ func TestDecodeCanonicalFallsBack(t *testing.T) {
 	}
 	for _, line := range reject {
 		o := trace.Observation{Prefix: 42}
-		if obsShape.scan([]byte(line), &o) {
+		if obsShape.scanLine([]byte(line), &o) {
 			t.Errorf("fast path accepted non-canonical line: %s", line)
 		}
 		if o.Prefix != 42 {
@@ -119,10 +119,15 @@ func TestDecodeCanonicalFallsBack(t *testing.T) {
 			Prefix: 1, Cloud: 2, Bucket: 3, Samples: 30, MeanRTT: 1e20, Clients: 7},
 		`{"prefix":-1,"cloud":2,"device":0,"bucket":3,"samples":-5,"mean_rtt_ms":-2.5,"clients":0}`: {
 			Prefix: -1, Cloud: 2, Bucket: 3, Samples: -5, MeanRTT: -2.5, Clients: 0},
+		// The longest record: every number at its longest spelling.
+		`{"prefix":-9223372036854775808,"cloud":-9223372036854775808,"device":-9223372036854775808,"bucket":-9223372036854775808,` +
+			`"samples":-9223372036854775808,"mean_rtt_ms":-0.0000012345678901234567,"clients":-9223372036854775808}`: {
+			Prefix: math.MinInt64, Cloud: math.MinInt64, Device: math.MinInt64, Bucket: math.MinInt64,
+			Samples: math.MinInt64, MeanRTT: -0.0000012345678901234567, Clients: math.MinInt64},
 	}
 	for line, want := range accept {
 		var got trace.Observation
-		if !obsShape.scan([]byte(line), &got) {
+		if !obsShape.scanLine([]byte(line), &got) {
 			t.Errorf("fast path rejected canonical line: %s", line)
 			continue
 		}
@@ -153,15 +158,12 @@ func TestParseFloatMatchesStrconv(t *testing.T) {
 		"1e999", "NaN", "Inf", "0x10", // strconv's other extensions, and out of range
 	}
 	for _, s := range refused {
-		in := []byte(s + ",")
-		if v, end, ok := parseFloat(in, 0); ok && string(in[end:]) == "," {
+		if v, rest, ok := parseFloatIn(s + ","); ok && rest == "," {
 			t.Errorf("parseFloat(%q) = %v; want it refused", s, v)
 		}
 	}
 	for _, s := range cases {
-		in := []byte(s + ",")
-		got, end, ok := parseFloat(in, 0)
-		rest := in[end:]
+		got, rest, ok := parseFloatIn(s + ",")
 		want, err := strconv.ParseFloat(s, 64)
 		if err != nil || !ok {
 			t.Errorf("parseFloat(%q) ok=%v, strconv err=%v", s, ok, err)
@@ -170,7 +172,7 @@ func TestParseFloatMatchesStrconv(t *testing.T) {
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Errorf("parseFloat(%q) = %b, strconv = %b", s, got, want)
 		}
-		if string(rest) != "," {
+		if rest != "," {
 			t.Errorf("parseFloat(%q) left %q unconsumed", s, rest)
 		}
 	}
@@ -178,12 +180,28 @@ func TestParseFloatMatchesStrconv(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 20000; i++ {
 		s := strconv.FormatFloat(math.Float64frombits(r.Uint64()>>12|0x3FF0000000000000)*float64(r.Intn(1000)+1), 'f', -1, 64)
-		got, _, ok := parseFloat([]byte(s), 0)
+		got, _, ok := parseFloatIn(s)
 		want, _ := strconv.ParseFloat(s, 64)
 		if !ok || math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("parseFloat(%q) = %v (ok=%v), strconv = %v", s, got, ok, want)
 		}
 	}
+}
+
+// windowOf is s at the start of a scan window, followed by spaces: bytes
+// that continue no number or record.
+func windowOf(s string) *window {
+	var w window
+	copy(w[:], strings.Repeat(" ", windowLen))
+	copy(w[:], s)
+	return &w
+}
+
+// parseFloatIn runs parseFloat over s in a window and returns what of s it
+// left. s must be shorter than windowSpan.
+func parseFloatIn(s string) (float64, string, bool) {
+	v, end, ok := parseFloat(windowOf(s), 0)
+	return v, s[end:], ok
 }
 
 // TestFixedPointMatchesStrconv pins the wide fixed-point path — mantissas
@@ -196,11 +214,9 @@ func TestParseFloatMatchesStrconv(t *testing.T) {
 func TestFixedPointMatchesStrconv(t *testing.T) {
 	check := func(s string) {
 		t.Helper()
-		in := []byte(s + "}")
-		got, end, ok := parseFloat(in, 0)
-		rest := in[end:]
+		got, rest, ok := parseFloatIn(s + "}")
 		want, err := strconv.ParseFloat(s, 64)
-		if err != nil || !ok || string(rest) != "}" || math.Float64bits(got) != math.Float64bits(want) {
+		if err != nil || !ok || rest != "}" || math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("parseFloat(%q) = %v (ok=%v, rest %q), strconv = %v (%v)", s, got, ok, rest, want, err)
 		}
 	}

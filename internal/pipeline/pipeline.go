@@ -213,24 +213,14 @@ type Health struct {
 
 // canonicalReport is the deterministic projection of a Report: everything
 // except Health and Final, which describe the transport and how the run
-// stopped, not what was observed.
+// stopped, not what was observed. CanonicalJSON writes its json.Marshal
+// bytes (canonical.go); ReportFromCanonical reads them back through it.
 type canonicalReport struct {
 	From     netmodel.Bucket   `json:"from"`
 	To       netmodel.Bucket   `json:"to"`
 	Results  []core.Result     `json:"results"`
 	Verdicts []active.Verdict  `json:"verdicts"`
 	Tickets  []alerting.Ticket `json:"tickets"`
-}
-
-// CanonicalJSON serializes the report's deterministic content — window,
-// results, verdicts, and tickets, excluding Health and Final. Two runs over
-// the same telemetry are equivalent exactly when their reports'
-// CanonicalJSON streams are byte-identical; the replay and service
-// equivalence tests hold trace replay to that standard.
-func (r *Report) CanonicalJSON() ([]byte, error) {
-	return json.Marshal(canonicalReport{
-		From: r.From, To: r.To, Results: r.Results, Verdicts: r.Verdicts, Tickets: r.Tickets,
-	})
 }
 
 // ReportFromCanonical reconstructs a report from its CanonicalJSON bytes.

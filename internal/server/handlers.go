@@ -288,8 +288,11 @@ type verdictWindow struct {
 }
 
 // handleVerdicts returns the AS-level localizations of every retained
-// report, oldest first. ?since=BUCKET keeps only windows ending at or
-// after the bucket.
+// report, oldest first, a window without verdicts holding [] rather than
+// null. The windows are gathered under the report log's lock and rendered
+// after it, by the canonical report's own verdict encoder, so they read
+// exactly as in /v1/reports/{bucket}. ?since=BUCKET keeps only windows
+// ending at or after the bucket.
 func (s *Server) handleVerdicts(w http.ResponseWriter, r *http.Request) {
 	since := netmodel.Bucket(-1)
 	if v := r.URL.Query().Get("since"); v != "" {
@@ -300,19 +303,47 @@ func (s *Server) handleVerdicts(w http.ResponseWriter, r *http.Request) {
 		}
 		since = netmodel.Bucket(n)
 	}
-	out := []verdictWindow{}
+	var wins []verdictWindow
 	s.reports.each(func(sr *storedReport) {
-		if sr.to < since {
+		if sr.to >= since {
+			wins = append(wins, verdictWindow{From: sr.from, To: sr.to, Verdicts: sr.verdicts})
+		}
+	})
+	bp := verdictBufs.Get().(*[]byte)
+	defer func() {
+		if cap(*bp) <= maxPooledBytes {
+			verdictBufs.Put(bp)
+		}
+	}()
+	body := append((*bp)[:0], '[')
+	var err error
+	for i, win := range wins {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = strconv.AppendInt(append(body, `{"from":`...), int64(win.From), 10)
+		body = strconv.AppendInt(append(body, `,"to":`...), int64(win.To), 10)
+		if win.Verdicts == nil {
+			win.Verdicts = []active.Verdict{}
+		}
+		if body, err = pipeline.AppendVerdictsJSON(append(body, `,"verdicts":`...), win.Verdicts); err != nil {
+			// Unreachable: a retained report was rendered canonically,
+			// so its floats are finite.
+			writeError(w, http.StatusInternalServerError, "rendering verdicts: %v", err)
 			return
 		}
-		vs := sr.verdicts
-		if vs == nil {
-			vs = []active.Verdict{}
-		}
-		out = append(out, verdictWindow{From: sr.from, To: sr.to, Verdicts: vs})
-	})
-	writeJSON(w, http.StatusOK, out)
+		body = append(body, '}')
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	*bp = append(body, "]\n"...)
+	_, _ = w.Write(*bp)
 }
+
+// verdictBufs recycles GET /v1/verdicts response bodies: a client that
+// polls verdicts asks for one beside every report, and a body built fresh
+// each time is garbage enough to lift the daemon's peak RSS.
+var verdictBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // reportSummary is one retained report's index entry.
 type reportSummary struct {

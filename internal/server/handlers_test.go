@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"blameit/internal/active"
 	"blameit/internal/ingest"
 	"blameit/internal/netmodel"
 	"blameit/internal/quartet"
@@ -324,6 +325,54 @@ func TestReadEndpointErrors(t *testing.T) {
 	for _, body := range []string{`{bad json`, `{"through":-3}`, ``} {
 		if status, resp := e.post(t, "/v1/seal", []byte(body)); status != http.StatusBadRequest {
 			t.Errorf("POST /v1/seal %q = %d (%s), want 400", body, status, resp)
+		}
+	}
+}
+
+// TestVerdictsMatchEncodingJSON holds GET /v1/verdicts, appended by the
+// canonical report's verdict encoder, to the bytes a json.Encoder writes
+// for the same windows — every retained report's, and a ?since= subset —
+// over half a day of a faulted world, which makes verdicts of every kind.
+func TestVerdictsMatchEncodingJSON(t *testing.T) {
+	e := newTestEnv(t, nil)
+	var batch bytes.Buffer
+	for b := netmodel.Bucket(0); b < netmodel.BucketsPerDay/2; b++ {
+		batch.Write(jsonlBody(t, e.bucketObs(b)))
+	}
+	e.mustPost(t, "/v1/ingest", batch.Bytes())
+	e.seal(t, netmodel.BucketsPerDay/2-1)
+	e.shutdown(t)
+
+	for _, since := range []netmodel.Bucket{-1, netmodel.BucketsPerDay / 4} {
+		want := []verdictWindow{}
+		verdicts := 0
+		e.srv.reports.each(func(sr *storedReport) {
+			if sr.to < since {
+				return
+			}
+			vs := sr.verdicts
+			if vs == nil {
+				vs = []active.Verdict{}
+			}
+			want = append(want, verdictWindow{From: sr.from, To: sr.to, Verdicts: vs})
+			verdicts += len(vs)
+		})
+		var wantBody bytes.Buffer
+		if err := json.NewEncoder(&wantBody).Encode(want); err != nil {
+			t.Fatal(err)
+		}
+		path := "/v1/verdicts"
+		if since >= 0 {
+			path = fmt.Sprintf("/v1/verdicts?since=%d", since)
+		}
+		status, body := e.get(t, path)
+		switch {
+		case status != http.StatusOK:
+			t.Fatalf("GET %s = %d (%s)", path, status, body)
+		case verdicts == 0:
+			t.Fatalf("GET %s: no verdicts in %d windows; the check needs some", path, len(want))
+		case !bytes.Equal(body, wantBody.Bytes()):
+			t.Fatalf("GET %s served\n%s\nencoding/json writes\n%s", path, body, wantBody.Bytes())
 		}
 	}
 }
