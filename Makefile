@@ -21,9 +21,11 @@ test:
 # concurrently, the source seam (internal/ingest) the pipeline reads
 # through and the BGP table built over the parallel routes, under the race
 # detector.
-# internal/chaos and internal/fleet run whole and without -short, so this
-# is also the 7-day heavy-profile chaos gate (TestChaosEndToEnd) and the
-# fleet equivalence and fleet chaos gates (TestFleet*).
+# internal/chaos, internal/fleet and internal/server run whole and without
+# -short, so this is also the 7-day heavy-profile chaos gate
+# (TestChaosEndToEnd), the fleet equivalence gate
+# (TestFleetMatchesCentralized) and the 7-day fleet chaos gate on the
+# daemon's aggregate path (internal/server's TestFleetChaosEndToEnd).
 race:
 	$(GO) test -race ./internal/sim/... ./internal/pipeline/... ./internal/core/... ./internal/parallel/... ./internal/ingest/... ./internal/probe/... ./internal/chaos/... ./internal/server/... ./internal/wal/... ./internal/fleet/... ./internal/topology/... ./internal/bgp/...
 

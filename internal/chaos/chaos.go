@@ -61,8 +61,9 @@ type Config struct {
 	// AgentChurnProb restarts a fleet agent before it delivers a bucket's
 	// partial aggregate: the partial is lost, the agent's epoch bumps and
 	// its sequence counter restarts (exercising epoch-scoped dedup). Only
-	// the fleet delivery layer reads it; the observation Source ignores
-	// it, so raw-path chaos runs are untouched.
+	// the fleet chaos gate reads it, feeding the daemon's ingest queue
+	// (internal/server); the observation Source ignores it, so raw-path
+	// chaos runs are untouched.
 	AgentChurnProb float64
 
 	// ProbeFailProb fails one traceroute attempt (per attempt, so a
@@ -184,9 +185,9 @@ func hash64(seed int64, tag string, parts ...int64) uint64 {
 func roll(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 
 // Decider is the seeded deterministic dice every injector in this package
-// rolls, exported for fault layers built outside it (the fleet delivery
-// fabric). Each fault class hashes under its own tag, so deciders sharing
-// a seed make independent decisions per class.
+// rolls, exported for fault layers built outside it (the fleet chaos
+// gate's delivery faults). Each fault class hashes under its own tag, so
+// deciders sharing a seed make independent decisions per class.
 type Decider struct {
 	Seed int64
 }

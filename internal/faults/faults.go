@@ -277,17 +277,6 @@ func (s *Schedule) ShiftTarget(p netmodel.PrefixID, b netmodel.Bucket) (netmodel
 	return 0, false
 }
 
-// ActiveAt returns the faults in effect during a bucket.
-func (s *Schedule) ActiveAt(b netmodel.Bucket) []Fault {
-	var out []Fault
-	for _, f := range s.Faults {
-		if f.ActiveAt(b) {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // GenerateConfig controls the randomized incident generator.
 type GenerateConfig struct {
 	Rates Rates

@@ -127,19 +127,6 @@ func TestShiftTarget(t *testing.T) {
 	}
 }
 
-func TestActiveAtList(t *testing.T) {
-	s := NewSchedule([]Fault{
-		{Kind: CloudFault, Cloud: 1, Start: 0, Duration: 5},
-		{Kind: CloudFault, Cloud: 2, Start: 10, Duration: 5},
-	})
-	if got := len(s.ActiveAt(2)); got != 1 {
-		t.Errorf("active at 2 = %d", got)
-	}
-	if got := len(s.ActiveAt(7)); got != 0 {
-		t.Errorf("active at 7 = %d", got)
-	}
-}
-
 func TestTruth(t *testing.T) {
 	w := testWorld()
 	cloudF := Fault{Kind: CloudFault, Cloud: w.Clouds[0].ID}

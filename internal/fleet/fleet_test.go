@@ -2,12 +2,10 @@ package fleet_test
 
 import (
 	"bytes"
-	"context"
 	"math/rand"
 	"testing"
 
 	"blameit/internal/bgp"
-	"blameit/internal/chaos"
 	"blameit/internal/faults"
 	"blameit/internal/fleet"
 	"blameit/internal/ingest"
@@ -21,8 +19,8 @@ import (
 	"blameit/internal/trace"
 )
 
-// buildSim constructs the shared deterministic world for one arm. Every
-// arm rebuilds it from the same seeds so no state leaks between runs.
+// buildSim constructs the shared deterministic world for one run. Every
+// run rebuilds it from the same seeds so no state leaks between runs.
 func buildSim(days int, fs []faults.Fault) (*sim.Simulator, netmodel.Bucket) {
 	w := topology.Generate(topology.SmallScale(), 42)
 	horizon := netmodel.Bucket((days + 1) * netmodel.BucketsPerDay)
@@ -76,25 +74,25 @@ func runReports(t *testing.T, deps pipeline.Deps, horizon netmodel.Bucket) []byt
 	return out.Bytes()
 }
 
-// shuffledCollector replays a fleet's per-bucket partials in a seeded
-// random delivery order — the adversarial permutation the aggregate
-// must be insensitive to.
-type shuffledCollector struct {
-	fleet *fleet.Fleet
-	rng   *rand.Rand
-}
-
-func (sc *shuffledCollector) ObservationsAt(_ context.Context, b netmodel.Bucket, buf []trace.Observation) ([]trace.Observation, error) {
-	parts := make([]*quartet.Partial, 0, len(sc.fleet.Agents))
-	for _, ag := range sc.fleet.Agents {
-		parts = append(parts, ag.Collect(b))
+// aggregateSource serves each bucket as the fleet's partials gathered in a
+// quartet.Aggregate, the set the daemon's ingest queue holds a bucket's
+// partials in. A non-nil rng delivers them in a seeded random order — the
+// adversarial permutation the aggregate must be insensitive to.
+func aggregateSource(f *fleet.Fleet, rng *rand.Rand) ingest.SourceFunc {
+	return func(b netmodel.Bucket, buf []trace.Observation) []trace.Observation {
+		parts := make([]*quartet.Partial, 0, len(f.Agents))
+		for _, ag := range f.Agents {
+			parts = append(parts, ag.Collect(b))
+		}
+		if rng != nil {
+			rng.Shuffle(len(parts), func(i, j int) { parts[i], parts[j] = parts[j], parts[i] })
+		}
+		agg := quartet.NewAggregate(b)
+		for _, p := range parts {
+			agg.Add(p)
+		}
+		return agg.Observations(buf)
 	}
-	sc.rng.Shuffle(len(parts), func(i, j int) { parts[i], parts[j] = parts[j], parts[i] })
-	agg := quartet.NewAggregate(b)
-	for _, p := range parts {
-		agg.Add(p)
-	}
-	return agg.Observations(buf), nil
 }
 
 // TestFleetMatchesCentralized is the tentpole equivalence property end
@@ -125,29 +123,23 @@ func TestFleetMatchesCentralized(t *testing.T) {
 		if agents <= len(s.World.Prefixes) && len(f.Agents) != agents {
 			t.Fatalf("fleet.New(%d) built %d agents", agents, len(f.Agents))
 		}
-		col := fleet.NewCollector(f, chaos.Config{Seed: int64(agents)})
 		got := runReports(t, pipeline.Deps{
 			World:  s.World,
 			Table:  s.Routes,
-			Source: col,
+			Source: aggregateSource(f, nil),
 			Prober: probe.NewEngine(s, cfg.ProbeNoiseMS),
 		}, horizon)
 		if !bytes.Equal(got, want) {
 			t.Errorf("%d-agent fleet reports diverge from centralized (%d vs %d bytes)", agents, len(got), len(want))
 		}
-		st := col.Stats()
-		if st.Merged != st.Attempted || st.Dropped+st.Held+st.Stale+st.Deduped+st.ChurnDropped != 0 {
-			t.Errorf("fault-free collector books off: %+v", st)
-		}
 	}
 
 	// Same property under an adversarial delivery order.
 	s, _ := buildSim(days, fs)
-	sc := &shuffledCollector{fleet: fleet.New(s, 16), rng: rand.New(rand.NewSource(7))}
 	got := runReports(t, pipeline.Deps{
 		World:  s.World,
 		Table:  s.Routes,
-		Source: sc,
+		Source: aggregateSource(fleet.New(s, 16), rand.New(rand.NewSource(7))),
 		Prober: probe.NewEngine(s, cfg.ProbeNoiseMS),
 	}, horizon)
 	if !bytes.Equal(got, want) {

@@ -6,10 +6,11 @@
 // The seam has one adapter here. SourceFunc lifts any func(bucket, buf)
 // that cannot fail — a simulator's ObservationsAt, for one — into a
 // source. The other implementations live with the state they read: the
-// daemon's ingest queue (internal/server), the fleet collector
-// (internal/fleet), the chaos injector (internal/chaos). ScanCost decorates
-// any of them with §6.1's scan accounting. A recorded trace reaches the
-// system the way live telemetry does, as request bodies for DecodeBatch.
+// daemon's ingest queue (internal/server), raw records and edge partials
+// alike, and the fault injector the chaos tests wrap around any source
+// (internal/chaos). ScanCost decorates any of them with §6.1's scan
+// accounting. A recorded trace reaches the system the way live telemetry
+// does, as request bodies for DecodeBatch.
 //
 // Sources take a context.Context because real backends block on I/O; the
 // in-memory implementations only check for cancellation.

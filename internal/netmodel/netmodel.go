@@ -65,17 +65,6 @@ func AllRegions() []Region {
 	return out
 }
 
-// ParseRegion maps a region name (as produced by Region.String) back to its
-// value. It reports false when the name is unknown.
-func ParseRegion(name string) (Region, bool) {
-	for i, n := range regionNames {
-		if strings.EqualFold(n, name) {
-			return Region(i), true
-		}
-	}
-	return 0, false
-}
-
 // DeviceClass distinguishes mobile (cellular) clients from non-mobile
 // (broadband) clients. The paper's quartet definition and badness thresholds
 // both key on this distinction.

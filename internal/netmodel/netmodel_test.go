@@ -27,25 +27,6 @@ func TestRegionString(t *testing.T) {
 	}
 }
 
-func TestParseRegionRoundTrip(t *testing.T) {
-	for _, r := range AllRegions() {
-		got, ok := ParseRegion(r.String())
-		if !ok || got != r {
-			t.Errorf("ParseRegion(%q) = %v,%v, want %v,true", r.String(), got, ok, r)
-		}
-	}
-	if _, ok := ParseRegion("Atlantis"); ok {
-		t.Error("ParseRegion accepted unknown region")
-	}
-}
-
-func TestParseRegionCaseInsensitive(t *testing.T) {
-	r, ok := ParseRegion("usa")
-	if !ok || r != RegionUSA {
-		t.Errorf("ParseRegion(usa) = %v,%v", r, ok)
-	}
-}
-
 func TestAllRegionsCount(t *testing.T) {
 	if len(AllRegions()) != NumRegions {
 		t.Fatalf("AllRegions() has %d entries, want %d", len(AllRegions()), NumRegions)

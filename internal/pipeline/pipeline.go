@@ -6,11 +6,11 @@
 //
 // The pipeline is decoupled from where its telemetry comes from: passive
 // observations arrive through an ingest.ObservationSource (live simulator,
-// streaming trace replay, the daemon's queue, a fleet collector) and are
-// classified as read, with only the quarantine in between; active
-// measurements go through a probe.Prober (live traceroute engine or a
-// recorded-probe replay). The simulator is just one backend among several;
-// see NewSim for the conventional live wiring.
+// streaming trace replay, the daemon's queue of raw records and edge
+// partials) and are classified as read, with only the quarantine in
+// between; active measurements go through a probe.Prober (live traceroute
+// engine or a recorded-probe replay). The simulator is just one backend
+// among several; see NewSim for the conventional live wiring.
 package pipeline
 
 import (
@@ -242,8 +242,8 @@ func ReportFromCanonical(data []byte) (*Report, error) {
 // views shared with the telemetry backends, the passive telemetry feed, and
 // the active-phase prober. World, Table, Source, and Prober are required.
 // Source is the one telemetry feed, whoever produced the observations — a
-// trace, a simulator, the daemon's queue, a fleet collector's merged edge
-// partials: Step validates the bucket's stream and classifies it.
+// trace, a simulator, the daemon's queue over raw records and edge
+// partials alike: Step validates the bucket's stream and classifies it.
 type Deps struct {
 	World  *topology.World
 	Table  *bgp.Table

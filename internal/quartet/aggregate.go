@@ -10,10 +10,10 @@ import (
 
 // This file is the edge half of the quartet layer: the per-bucket
 // partial aggregates an edge-aggregating agent fleet ships upward instead
-// of raw observations, and the per-bucket set a collector serves the
-// pipeline. It holds exactly what crosses the wire (ingest.AggCell): per
-// quartet a sample count, a mean RTT and a client count, under a partial
-// identity.
+// of raw observations, and the per-bucket set the daemon's ingest queue
+// serves the pipeline. It holds exactly what crosses the wire
+// (ingest.AggCell): per quartet a sample count, a mean RTT and a client
+// count, under a partial identity.
 //
 //   - A Partial is one agent's pre-aggregated batch for one bucket,
 //     identified by (agent, epoch, seq). Its cells keep the contribution's
@@ -23,8 +23,8 @@ import (
 //   - An Aggregate is a set of partials deduplicated by PartialID and read
 //     in PartialID order; its views are the partials' cells concatenated in
 //     that order. Delivery order and redelivery therefore cannot change a
-//     byte of what the pipeline reads. The fleet collector and the daemon's
-//     ingest queue both gather a bucket's partials in one.
+//     byte of what the pipeline reads. The daemon's ingest queue gathers
+//     each bucket's partials from POST /v1/aggregates in one.
 //   - Agents own disjoint contiguous slices of the prefix space, so on
 //     fault-free traces the concatenation walks per-agent cell runs in
 //     prefix order — exactly the order the centralized simulator emits.

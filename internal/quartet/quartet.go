@@ -40,10 +40,6 @@ type Quartet struct {
 	Bad bool
 }
 
-// TargetFunc supplies the badness threshold for a prefix (the world's
-// region/device targets in production use).
-type TargetFunc func(p netmodel.PrefixID) float64
-
 // Classify applies the badness test to one observation. A mean RTT exactly
 // at the target counts as bad — the >= convention every threshold
 // comparison in the system follows (core.Localize applies the same
@@ -55,34 +51,6 @@ func Classify(o trace.Observation, target float64) Quartet {
 		q.Bad = o.MeanRTT >= target
 	}
 	return q
-}
-
-// ClassifyAll classifies a batch of observations.
-func ClassifyAll(obs []trace.Observation, target TargetFunc) []Quartet {
-	out := make([]Quartet, len(obs))
-	for i, o := range obs {
-		out[i] = Classify(o, target(o.Prefix))
-	}
-	return out
-}
-
-// BadFraction returns the fraction of sufficiently-sampled quartets that
-// are bad, and the number of quartets that passed the sample gate.
-func BadFraction(qs []Quartet) (float64, int) {
-	var bad, enough int
-	for _, q := range qs {
-		if !q.Enough {
-			continue
-		}
-		enough++
-		if q.Bad {
-			bad++
-		}
-	}
-	if enough == 0 {
-		return 0, 0
-	}
-	return float64(bad) / float64(enough), enough
 }
 
 // Incident is a maximal run of consecutive bad buckets for one key.
@@ -157,13 +125,4 @@ func (t *Tracker) Flush() []Incident {
 // "has lasted t so far" input.
 func (t *Tracker) OpenRun(k Key) int {
 	return t.open[k].Buckets
-}
-
-// Durations extracts the run lengths of a set of incidents, in buckets.
-func Durations(incs []Incident) []float64 {
-	out := make([]float64, len(incs))
-	for i, inc := range incs {
-		out[i] = float64(inc.Buckets)
-	}
-	return out
 }

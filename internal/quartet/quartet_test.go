@@ -32,41 +32,6 @@ func TestClassify(t *testing.T) {
 	}
 }
 
-func TestClassifyAllAndBadFraction(t *testing.T) {
-	in := []trace.Observation{
-		obs(1, 20, 80), obs(2, 20, 30), obs(3, 20, 90), obs(4, 3, 200),
-	}
-	qs := ClassifyAll(in, func(netmodel.PrefixID) float64 { return 50 })
-	frac, n := BadFraction(qs)
-	if n != 3 {
-		t.Errorf("enough count = %d", n)
-	}
-	if frac < 0.66 || frac > 0.67 {
-		t.Errorf("bad fraction = %v", frac)
-	}
-	// Per-prefix targets must be honoured.
-	qs = ClassifyAll(in, func(p netmodel.PrefixID) float64 {
-		if p == 2 {
-			return 10
-		}
-		return 50
-	})
-	if !qs[1].Bad {
-		t.Error("per-prefix target not applied")
-	}
-}
-
-func TestBadFractionEmpty(t *testing.T) {
-	frac, n := BadFraction(nil)
-	if frac != 0 || n != 0 {
-		t.Error("empty BadFraction must be 0,0")
-	}
-	frac, n = BadFraction([]Quartet{{Enough: false}})
-	if frac != 0 || n != 0 {
-		t.Error("all-insufficient BadFraction must be 0,0")
-	}
-}
-
 func TestTrackerSingleRun(t *testing.T) {
 	tr := NewTracker()
 	k := Key{Prefix: 1, Cloud: 2, Device: netmodel.NonMobile}
@@ -147,13 +112,6 @@ func TestTrackerPanicsOnRewind(t *testing.T) {
 		}
 	}()
 	tr.Advance(5, nil)
-}
-
-func TestDurations(t *testing.T) {
-	ds := Durations([]Incident{{Buckets: 1}, {Buckets: 24}})
-	if len(ds) != 2 || ds[0] != 1 || ds[1] != 24 {
-		t.Errorf("durations = %v", ds)
-	}
 }
 
 func TestKeyOf(t *testing.T) {

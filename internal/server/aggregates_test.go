@@ -381,60 +381,6 @@ func TestAggregateCollisionQuarantined(t *testing.T) {
 	}
 }
 
-// TestFleetCollisionMatchesDaemon checks one collision rule end to end. Two
-// hostile partials claim a quartet an honest agent already reported; the
-// same partials go (a) through quartet.Aggregate into an in-process
-// pipeline, as fleet.Collector feeds one, and (b) over /v1/aggregates into
-// the daemon, whose queue holds them in a quartet.Aggregate too. The order
-// is one implementation; what differs is the way in — wire encoding,
-// decode, regrouping, queueing. Neither path settles the collision itself:
-// the pipeline's quarantine keeps the first claim, and the reports and the
-// duplicate count agree.
-func TestFleetCollisionMatchesDaemon(t *testing.T) {
-	const hostile = feedWarmup + 4
-	partsOf := func(b netmodel.Bucket, obs []trace.Observation) []*quartet.Partial {
-		parts := quarterPartials(b, obs)
-		if b == hostile {
-			for agent := 4; agent <= 5; agent++ {
-				claim := obs[0]
-				claim.MeanRTT, claim.Samples = float64(agent)*claim.MeanRTT, claim.Samples+50*agent
-				parts = append(parts, partialOf(quartet.PartialID{Agent: agent, Seq: int64(b) + 1}, b, []trace.Observation{claim}))
-			}
-		}
-		return parts
-	}
-
-	feed, probeSim := newTestSim(1), newTestSim(1)
-	pcfg := pipeline.DefaultConfig()
-	pcfg.Workers = 1
-	p := pipeline.New(pipeline.Deps{
-		World: probeSim.World,
-		Table: probeSim.Routes,
-		Source: ingest.SourceFunc(func(b netmodel.Bucket, buf []trace.Observation) []trace.Observation {
-			agg := quartet.NewAggregate(b)
-			parts := partsOf(b, feed.ObservationsAt(b, nil))
-			for i := len(parts) - 1; i >= 0; i-- { // delivery order must not matter
-				agg.Add(parts[i])
-			}
-			return agg.Observations(buf)
-		}),
-		Prober: probe.NewEngine(probeSim, pcfg.ProbeNoiseMS),
-	}, pcfg)
-	want := canonicalRun(t, p, feedWarmup, feedHorizon)
-
-	e, got := runFeed(t, nil, func(e *testEnv, b netmodel.Bucket, obs []trace.Observation) {
-		e.mustPost(t, "/v1/aggregates", aggBody(t, partsOf(b, obs)...))
-	})
-	if !bytes.Equal(got, want) {
-		t.Fatalf("the daemon and the in-process aggregate settled a collision differently: %d vs %d canonical bytes", len(got), len(want))
-	}
-	counters, _ := e.metricsSnapshot(t)
-	inProc := p.Quarantine().Count(ingest.ReasonDuplicate)
-	if daemon := counters["ingest.quarantine.duplicate"]; daemon != 2 || inProc != 2 {
-		t.Fatalf("ingest.quarantine.duplicate = %d in the daemon, %d in process; want the 2 hostile cells on both", daemon, inProc)
-	}
-}
-
 // TestAggregateFeedJournaledOnce reads back the log of a daemon fed only
 // through /v1/aggregates: each cell is journaled once on arrival, in an
 // agg-batch record, and once on consumption, in its bucket's record — no

@@ -39,9 +39,8 @@ type queueJournal interface {
 
 // pendingBucket is one unread bucket's records: the raw feed's records,
 // each body's stretch of the bucket copied in in arrival order, and the
-// aggregate feed's partials in a quartet.Aggregate — the set
-// fleet.Collector gathers its partials in, so PartialID order and (agent,
-// epoch, seq) dedup have one implementation.
+// aggregate feed's partials in a quartet.Aggregate, which owns PartialID
+// order and (agent, epoch, seq) dedup.
 type pendingBucket struct {
 	raw     []trace.Observation
 	agg     *quartet.Aggregate // nil until a partial arrives

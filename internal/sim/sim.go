@@ -226,9 +226,6 @@ func Seeded(scale topology.Scale, seed int64, workload string, horizon netmodel.
 	return s, nil
 }
 
-// Config returns the simulator configuration.
-func (s *Simulator) Config() Config { return s.cfg }
-
 // SetWorkers adjusts the generation fan-out after construction (benchmarks
 // and the CLI -workers flag). It only changes how work is scheduled, never
 // what is generated. Not safe to call concurrently with generation.

@@ -348,19 +348,6 @@ func BenchmarkObservationsAt(b *testing.B) {
 	}
 }
 
-func TestResolvePrefixCoversAllPrefixes(t *testing.T) {
-	r := newRig(t, nil, 1)
-	for _, p := range r.w.Prefixes {
-		got, ok := r.w.ResolvePrefix(p.Base)
-		if !ok || got != p.ID {
-			t.Fatalf("ResolvePrefix(%08x) = %v,%v want %v", p.Base, got, ok, p.ID)
-		}
-	}
-	if _, ok := r.w.ResolvePrefix(0xDEADBEEF); ok {
-		t.Error("unknown base resolved")
-	}
-}
-
 // TestSeededFollowsSeedConvention pins the one seed convention producers
 // and the daemon share: Seeded must build exactly what the literal
 // derivation (faults at seed+1, churn at seed+2, simulator at seed+3)

@@ -6,52 +6,6 @@ import (
 	"testing"
 )
 
-// TestHistogramNonFinite pins the NaN/±Inf fix: int(NaN) is
-// platform-defined, so before the NonFinite counter a NaN landed in an
-// arbitrary clamped bin. Now every non-finite observation is diverted and
-// the bins, Total, and Fraction stay untouched.
-func TestHistogramNonFinite(t *testing.T) {
-	cases := []struct {
-		name string
-		x    float64
-	}{
-		{"nan", math.NaN()},
-		{"neg-nan", math.Float64frombits(0xFFF8000000000001)},
-		{"+inf", math.Inf(1)},
-		{"-inf", math.Inf(-1)},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			h := NewHistogram(0, 10, 5)
-			h.Add(3)
-			h.Add(c.x)
-			if h.NonFinite != 1 {
-				t.Errorf("NonFinite = %d, want 1", h.NonFinite)
-			}
-			if h.Total() != 1 {
-				t.Errorf("Total = %d, want 1 (non-finite must not bin)", h.Total())
-			}
-			sum := 0
-			for _, n := range h.Counts {
-				sum += n
-			}
-			if sum != 1 {
-				t.Errorf("bin mass = %d, want 1", sum)
-			}
-			if h.Fraction(1) != 1 {
-				t.Errorf("Fraction(1) = %v, want 1 (denominator must exclude rejects)", h.Fraction(1))
-			}
-		})
-	}
-	// Finite extremes still clamp into the edge bins as before.
-	h := NewHistogram(0, 10, 5)
-	h.Add(-math.MaxFloat64)
-	h.Add(math.MaxFloat64)
-	if h.Counts[0] != 1 || h.Counts[4] != 1 || h.NonFinite != 0 {
-		t.Errorf("finite extremes misrouted: %+v", h)
-	}
-}
-
 // TestBoundedParetoInvEndpoints audits the inverse CDF at its algebraic
 // endpoints and in the regimes where the standard form escapes numerically.
 func TestBoundedParetoInvEndpoints(t *testing.T) {

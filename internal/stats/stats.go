@@ -245,81 +245,16 @@ func (c CDF) Points(n int) [][2]float64 {
 	return out
 }
 
-// Histogram counts values into fixed-width bins over [min, max); finite
-// values outside the range are clamped into the edge bins. NaN and ±Inf
-// cannot be binned — int(NaN) is platform-defined, so before the NonFinite
-// counter existed a NaN silently landed in an arbitrary clamped bin — and
-// are counted separately instead.
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-	// NonFinite counts NaN and ±Inf observations, which no bin receives.
-	NonFinite int
-	total     int
-}
-
-// NewHistogram creates a histogram with n bins spanning [min, max). It
-// panics when n <= 0 or max <= min, which indicates a caller bug.
-func NewHistogram(min, max float64, n int) *Histogram {
-	if n <= 0 || max <= min {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{Min: min, Max: max, Counts: make([]int, n)}
-}
-
-// Add records one observation. Non-finite values are diverted to the
-// NonFinite counter: they carry no position on the axis, and converting
-// them to a bin index is platform-defined.
-func (h *Histogram) Add(x float64) {
-	if math.IsNaN(x) || math.IsInf(x, 0) {
-		h.NonFinite++
-		return
-	}
-	// Clamp in float space before the int conversion: converting a float
-	// beyond int range is platform-defined (amd64 yields math.MinInt64, so a
-	// huge positive value would land in the FIRST bin via the negative
-	// clamp).
-	f := (x - h.Min) / (h.Max - h.Min) * float64(len(h.Counts))
-	i := 0
-	switch {
-	case f >= float64(len(h.Counts)):
-		i = len(h.Counts) - 1
-	case f > 0:
-		i = int(f)
-		if i >= len(h.Counts) { // f just below len rounds up in conversion
-			i = len(h.Counts) - 1
-		}
-	}
-	h.Counts[i]++
-	h.total++
-}
-
-// Total returns the number of binned observations; NonFinite rejects are
-// not included (Fraction denominators stay consistent with the bins).
-func (h *Histogram) Total() int { return h.total }
-
-// Fraction returns the share of observations in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}
-
-// Welford implements a numerically stable streaming mean/variance
-// accumulator.
+// Welford implements a numerically stable streaming mean accumulator.
 type Welford struct {
 	n    int
 	mean float64
-	m2   float64
 }
 
 // Add records one observation.
 func (w *Welford) Add(x float64) {
 	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
+	w.mean += (x - w.mean) / float64(w.n)
 }
 
 // N returns the number of observations.
@@ -327,17 +262,6 @@ func (w *Welford) N() int { return w.n }
 
 // Mean returns the running mean.
 func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the running sample variance.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Stddev returns the running sample standard deviation.
-func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) }
 
 // BoundedPareto draws from a bounded Pareto distribution with shape alpha
 // (> 0) on [lo, hi]. The paper's badness durations are long-tailed (§2.3);

@@ -145,36 +145,6 @@ func TestCDFPoints(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i))
-	}
-	h.Add(-5) // clamps to first bin
-	h.Add(99) // clamps to last bin
-	if h.Total() != 12 {
-		t.Errorf("total = %d", h.Total())
-	}
-	if h.Counts[0] != 3 { // 0, 1, -5
-		t.Errorf("bin0 = %d", h.Counts[0])
-	}
-	if h.Counts[4] != 3 { // 8, 9, 99
-		t.Errorf("bin4 = %d", h.Counts[4])
-	}
-	if !almostEqual(h.Fraction(0), 0.25, 1e-12) {
-		t.Errorf("fraction = %v", h.Fraction(0))
-	}
-}
-
-func TestHistogramPanicsOnBadShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewHistogram(5, 5, 3)
-}
-
 func TestWelford(t *testing.T) {
 	var w Welford
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
@@ -187,16 +157,9 @@ func TestWelford(t *testing.T) {
 	if !almostEqual(w.Mean(), 5, 1e-12) {
 		t.Errorf("mean = %v", w.Mean())
 	}
-	// Sample variance of this classic dataset is 32/7.
-	if !almostEqual(w.Variance(), 32.0/7.0, 1e-9) {
-		t.Errorf("variance = %v", w.Variance())
-	}
-	if !almostEqual(w.Stddev(), math.Sqrt(32.0/7.0), 1e-9) {
-		t.Errorf("stddev = %v", w.Stddev())
-	}
 	var empty Welford
-	if empty.Variance() != 0 {
-		t.Error("variance of empty accumulator")
+	if empty.N() != 0 || empty.Mean() != 0 {
+		t.Error("empty accumulator not zero")
 	}
 }
 
@@ -233,15 +196,20 @@ func TestBoundedParetoSkew(t *testing.T) {
 
 func TestLogNormal(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	var w Welford
-	for i := 0; i < 50000; i++ {
-		w.Add(math.Log(LogNormal(r, 2, 0.5)))
+	const n = 50000
+	var sum, sq float64
+	for i := 0; i < n; i++ {
+		x := math.Log(LogNormal(r, 2, 0.5))
+		sum += x
+		sq += x * x
 	}
-	if !almostEqual(w.Mean(), 2, 0.02) {
-		t.Errorf("log-mean = %v", w.Mean())
+	mean := sum / n
+	sd := math.Sqrt(sq/n - mean*mean)
+	if !almostEqual(mean, 2, 0.02) {
+		t.Errorf("log-mean = %v", mean)
 	}
-	if !almostEqual(w.Stddev(), 0.5, 0.02) {
-		t.Errorf("log-stddev = %v", w.Stddev())
+	if !almostEqual(sd, 0.5, 0.02) {
+		t.Errorf("log-stddev = %v", sd)
 	}
 }
 

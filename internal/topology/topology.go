@@ -15,7 +15,6 @@ import (
 	"slices"
 	"sort"
 
-	"blameit/internal/ipaddr"
 	"blameit/internal/netmodel"
 	"blameit/internal/parallel"
 	"blameit/internal/stats"
@@ -172,9 +171,7 @@ type World struct {
 
 	// Derived lookups.
 	prefixesByBGP map[netmodel.BGPPrefixID][]netmodel.PrefixID
-	prefixesByAS  map[netmodel.ASN][]netmodel.PrefixID
 	cloudsByReg   map[netmodel.Region][]netmodel.CloudID
-	byBase        map[uint32]netmodel.PrefixID // /24 base address -> prefix
 
 	// Routing: per (cloud, BGP prefix) entry, indexed
 	// cloud*len(BGPPrefixes)+bgp, the primary path followed by the
@@ -219,9 +216,7 @@ func Generate(scale Scale, seed int64) *World {
 		Transits:      make(map[netmodel.Region][]netmodel.ASN),
 		Eyeballs:      make(map[netmodel.Region][]netmodel.ASN),
 		prefixesByBGP: make(map[netmodel.BGPPrefixID][]netmodel.PrefixID),
-		prefixesByAS:  make(map[netmodel.ASN][]netmodel.PrefixID),
 		cloudsByReg:   make(map[netmodel.Region][]netmodel.CloudID),
-		byBase:        make(map[uint32]netmodel.PrefixID),
 		CloudBaseMS:   make(map[netmodel.CloudID]float64),
 		ASBaseMS:      make(map[netmodel.ASN]float64),
 	}
@@ -295,7 +290,7 @@ func (w *World) generateClients(r *rand.Rand, scale Scale) {
 	// distinct chunk of a region-specific /8-ish space.
 	nextBlock := make(map[netmodel.Region]uint32)
 	for _, reg := range netmodel.AllRegions() {
-		nextBlock[reg] = uint32(ipaddr.Make(byte(10+int(reg)), 0, 0, 0))
+		nextBlock[reg] = uint32(10+int(reg)) << 24
 	}
 	for _, reg := range netmodel.AllRegions() {
 		metros := w.MetrosInRegion(reg)
@@ -349,8 +344,6 @@ func (w *World) generateClients(r *rand.Rand, scale Scale) {
 						Device:        device,
 					})
 					w.prefixesByBGP[bpID] = append(w.prefixesByBGP[bpID], pid)
-					w.prefixesByAS[asn] = append(w.prefixesByAS[asn], pid)
-					w.byBase[base+uint32(k)<<8] = pid
 				}
 			}
 		}
@@ -688,11 +681,6 @@ func (w *World) PrefixesOfBGP(bp netmodel.BGPPrefixID) []netmodel.PrefixID {
 	return w.prefixesByBGP[bp]
 }
 
-// PrefixesOfAS returns the /24 prefix IDs announced by an AS.
-func (w *World) PrefixesOfAS(asn netmodel.ASN) []netmodel.PrefixID {
-	return w.prefixesByAS[asn]
-}
-
 // Routes returns every route from a cloud location to a BGP prefix: the
 // primary first, then the alternates churn may move to. The slice is the
 // world's own; callers must not modify it.
@@ -782,14 +770,6 @@ func (w *World) TargetFor(p netmodel.PrefixID, c netmodel.CloudID) float64 {
 	}
 	pref := w.Prefixes[p]
 	return w.targets[w.Metros[pref.Metro].Region][pref.Device]
-}
-
-// ResolvePrefix maps a /24 base address back to its prefix (the
-// production system resolves clients against the BGP table; the synthetic
-// world keeps an exact index).
-func (w *World) ResolvePrefix(base uint32) (netmodel.PrefixID, bool) {
-	p, ok := w.byBase[base]
-	return p, ok
 }
 
 // PrefixRegion returns the region a prefix's metro belongs to.

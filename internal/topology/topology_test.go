@@ -382,19 +382,6 @@ func TestMetrosAndCloudsRegionConsistent(t *testing.T) {
 	}
 }
 
-func TestPrefixesOfAS(t *testing.T) {
-	w := small()
-	for _, reg := range netmodel.AllRegions() {
-		for _, asn := range w.Eyeballs[reg] {
-			for _, pid := range w.PrefixesOfAS(asn) {
-				if w.Prefixes[pid].AS != asn {
-					t.Fatal("PrefixesOfAS returned a foreign prefix")
-				}
-			}
-		}
-	}
-}
-
 func TestMediumScaleGenerates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("medium world in -short mode")
@@ -419,13 +406,13 @@ func TestWiFiDeviceClass(t *testing.T) {
 		t.Fatalf("device mix missing a class: %v", counts)
 	}
 	// Cellular ASes carry only Mobile prefixes; broadband ASes never do.
+	cellular := make(map[netmodel.ASN]bool)
 	for _, p := range w.Prefixes {
-		cellular := p.Device == netmodel.Mobile
-		for _, q := range w.PrefixesOfAS(p.AS) {
-			if (w.Prefixes[q].Device == netmodel.Mobile) != cellular {
-				t.Fatal("mixed cellular/broadband prefixes within one AS")
-			}
+		mobile := p.Device == netmodel.Mobile
+		if seen, ok := cellular[p.AS]; ok && seen != mobile {
+			t.Fatal("mixed cellular/broadband prefixes within one AS")
 		}
+		cellular[p.AS] = mobile
 	}
 	// Target looseness must follow access technology per region.
 	for _, reg := range netmodel.AllRegions() {
