@@ -14,25 +14,27 @@ import (
 // fails this test until it is argued for. The daemon still builds the
 // simulator (sim, faults, bgp) to answer traceroutes in process; the
 // trace producer links neither the fault injectors (chaos) nor the
-// traceroute engine (probe).
+// traceroute engine (probe). Every command links ckpt, the daemon's state
+// checkpoint codec: each stateful type (quartet and ingest among them)
+// carries its own append/restore pair, and ckpt imports only netmodel.
 var commandDeps = map[string][]string{
 	"blameit/cmd/blameit": {
-		"active", "alerting", "bgp", "core", "faults", "ingest", "metrics",
+		"active", "alerting", "bgp", "ckpt", "core", "faults", "ingest", "metrics",
 		"netmodel", "parallel", "pipeline", "predict", "probe", "quartet",
 		"sim", "stats", "topology", "trace",
 	},
 	"blameit/cmd/blameit-experiments": {
-		"active", "alerting", "baselines", "bgp", "core", "experiments",
+		"active", "alerting", "baselines", "bgp", "ckpt", "core", "experiments",
 		"faults", "ingest", "metrics", "netmodel", "parallel", "pipeline",
 		"predict", "probe", "quartet", "reverse", "sim", "stats",
 		"tomography", "topology", "trace",
 	},
 	"blameit/cmd/blameit-tracegen": {
-		"bgp", "faults", "fleet", "ingest", "metrics", "netmodel",
+		"bgp", "ckpt", "faults", "fleet", "ingest", "metrics", "netmodel",
 		"parallel", "quartet", "sim", "stats", "topology", "trace",
 	},
 	"blameit/cmd/blameitd": {
-		"active", "alerting", "bgp", "core", "faults", "ingest", "metrics",
+		"active", "alerting", "bgp", "ckpt", "core", "faults", "ingest", "metrics",
 		"netmodel", "parallel", "pipeline", "predict", "probe", "quartet",
 		"server", "sim", "stats", "topology", "trace", "wal",
 	},

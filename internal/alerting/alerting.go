@@ -6,9 +6,11 @@ package alerting
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"blameit/internal/active"
+	"blameit/internal/ckpt"
 	"blameit/internal/core"
 	"blameit/internal/metrics"
 	"blameit/internal/netmodel"
@@ -162,3 +164,9 @@ func (a *Alerter) Generate(b netmodel.Bucket, results []core.Result, verdicts []
 	a.mEmitted.Add(int64(len(tickets)))
 	return tickets
 }
+
+// AppendCheckpoint encodes the ticket counter; TopN is configuration.
+func (a *Alerter) AppendCheckpoint(e *ckpt.Encoder) { e.Int(a.nextID) }
+
+// RestoreCheckpoint restores the ticket counter.
+func (a *Alerter) RestoreCheckpoint(d *ckpt.Decoder) { a.nextID = d.Range(0, math.MaxInt32) }

@@ -370,6 +370,20 @@ func NewListener(t *Table) *Listener {
 	return &Listener{table: t}
 }
 
+// Position returns how many events of the log the listener has returned.
+func (l *Listener) Position() int { return l.next }
+
+// SetPosition moves the listener past the log's first n events, as if
+// it had returned them; it reports false, moving nothing, when the log
+// holds fewer.
+func (l *Listener) SetPosition(n int) bool {
+	if n < 0 || n > len(l.table.events) {
+		return false
+	}
+	l.next = n
+	return true
+}
+
 // Poll returns all events with bucket < upTo that have not been returned
 // before, advancing the cursor.
 func (l *Listener) Poll(upTo netmodel.Bucket) []Event {

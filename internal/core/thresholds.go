@@ -1,6 +1,7 @@
 package core
 
 import (
+	"blameit/internal/ckpt"
 	"blameit/internal/netmodel"
 	"blameit/internal/stats"
 )
@@ -195,6 +196,111 @@ func StaticThresholds(keys *netmodel.KeySpace, cloud map[netmodel.CloudID]float6
 			i := slot(int(id), netmodel.DeviceClass(d))
 			t.middle = grown(t.middle, i+1)
 			t.middle[i] = expected{v, true}
+		}
+	}
+	return t
+}
+
+// AppendCheckpoint encodes the learner's reservoirs, cloud then middle:
+// each slice's length, then its allocated reservoirs sparsely (index gap,
+// values offered, salt, and the min(offered, capacity) values in order —
+// the order decides later replacements).
+func (l *Learner) AppendCheckpoint(e *ckpt.Encoder) {
+	for _, rs := range [][]*reservoir{l.cloud, l.middle} {
+		e.Len(len(rs))
+		n := 0
+		for _, r := range rs {
+			if r != nil {
+				n++
+			}
+		}
+		e.Len(n)
+		prev := -1
+		for i, r := range rs {
+			if r == nil {
+				continue
+			}
+			e.Gap(prev, i)
+			prev = i
+			e.Varint(int64(r.n))
+			e.Uvarint(r.salt)
+			e.F64s(r.vals)
+		}
+	}
+}
+
+// RestoreCheckpoint replaces the learner's reservoirs with what
+// AppendCheckpoint wrote. clouds bounds the cloud IDs; the middle slice
+// must span the learner's key space exactly.
+func (l *Learner) RestoreCheckpoint(d *ckpt.Decoder, clouds int) {
+	l.cloud = restoreReservoirs(d, clouds*netmodel.NumDeviceClasses, -1)
+	l.middle = restoreReservoirs(d, len(l.middle), len(l.middle))
+}
+
+// restoreReservoirs reads one reservoir slice no longer than limit (of
+// exactly want entries, unless want < 0).
+func restoreReservoirs(d *ckpt.Decoder, limit, want int) []*reservoir {
+	size := d.Bound(limit)
+	if want >= 0 && size != want {
+		d.Failf("reservoir slice of %d entries, want %d", size, want)
+		return nil
+	}
+	rs := make([]*reservoir, size)
+	prev := -1
+	for n := d.Bound(size); n > 0 && d.Err() == nil; n-- {
+		i := d.Gap(prev, size)
+		prev = i
+		r := &reservoir{n: int(d.Varint())}
+		r.salt = d.Uvarint()
+		if r.n < 1 {
+			d.Failf("reservoir with %d values offered", r.n)
+			return nil
+		}
+		k := min(r.n, reservoirCap)
+		if k > d.Left()/8 {
+			d.Failf("reservoir of %d values exceeds the input", k)
+			return nil
+		}
+		r.vals = make([]float64, k)
+		d.F64s(r.vals)
+		rs[i] = r
+	}
+	return rs
+}
+
+// AppendCheckpoint encodes the thresholds: for the cloud and the middle
+// slices, the length and the learned entries sparsely.
+func (t *Thresholds) AppendCheckpoint(e *ckpt.Encoder) {
+	for _, es := range [][]expected{t.cloud, t.middle} {
+		e.Len(len(es))
+		e.Len(count(es))
+		prev := -1
+		for i, x := range es {
+			if x.ok {
+				e.Gap(prev, i)
+				prev = i
+				e.F64(x.v)
+			}
+		}
+	}
+}
+
+// RestoreThresholds reads what Thresholds.AppendCheckpoint wrote, over
+// the key space the thresholds are learned in and clouds locations.
+func RestoreThresholds(d *ckpt.Decoder, keys *netmodel.KeySpace, clouds int) *Thresholds {
+	t := &Thresholds{keys: keys}
+	for j, limit := range []int{clouds * netmodel.NumDeviceClasses, keys.Len() * netmodel.NumDeviceClasses} {
+		es := make([]expected, d.Bound(limit))
+		prev := -1
+		for n := d.Bound(len(es)); n > 0 && d.Err() == nil; n-- {
+			i := d.Gap(prev, len(es))
+			prev = i
+			es[i] = expected{d.F64(), true}
+		}
+		if j == 0 {
+			t.cloud = es
+		} else {
+			t.middle = es
 		}
 	}
 	return t

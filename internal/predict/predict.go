@@ -7,6 +7,10 @@
 package predict
 
 import (
+	"math"
+	"slices"
+
+	"blameit/internal/ckpt"
 	"blameit/internal/netmodel"
 )
 
@@ -203,4 +207,122 @@ func (p *ClientPredictor) Predict(k netmodel.MiddleKey, b netmodel.Bucket) float
 		return h.sum / float64(h.n)
 	}
 	return 0
+}
+
+// appendSurvival encodes a histogram: its non-zero counts sparsely. The
+// total is their sum, so it is not encoded.
+func appendSurvival(e *ckpt.Encoder, s *survival) {
+	n := 0
+	for _, c := range s.counts {
+		if c != 0 {
+			n++
+		}
+	}
+	e.Len(n)
+	prev := -1
+	for d, c := range s.counts {
+		if c != 0 {
+			e.Gap(prev, d)
+			prev = d
+			e.Int(c)
+		}
+	}
+}
+
+func restoreSurvival(d *ckpt.Decoder, s *survival) {
+	*s = survival{}
+	prev := -1
+	for n := d.Bound(maxDuration + 1); n > 0 && d.Err() == nil; n-- {
+		i := d.Gap(prev, maxDuration+1)
+		prev = i
+		c := d.Range(1, math.MaxInt32)
+		s.counts[i] = c
+		s.total += c
+	}
+}
+
+// AppendCheckpoint encodes the predictor's histograms: the global one,
+// then each path's, by key in sorted order.
+func (p *DurationPredictor) AppendCheckpoint(e *ckpt.Encoder) {
+	appendSurvival(e, &p.global)
+	keys := make([]netmodel.MiddleKey, 0, len(p.perKey))
+	for k := range p.perKey {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	e.Len(len(keys))
+	for _, k := range keys {
+		e.String(string(k))
+		appendSurvival(e, p.perKey[k])
+	}
+}
+
+// RestoreCheckpoint replaces the predictor's histograms with what
+// AppendCheckpoint wrote.
+func (p *DurationPredictor) RestoreCheckpoint(d *ckpt.Decoder) {
+	restoreSurvival(d, &p.global)
+	p.perKey = make(map[netmodel.MiddleKey]*survival)
+	var prev string
+	for n := d.Len(2); n > 0 && d.Err() == nil; n-- {
+		k := d.String()
+		if len(p.perKey) > 0 && k <= prev {
+			d.Failf("path %q out of order", k)
+			return
+		}
+		prev = k
+		s := &survival{}
+		restoreSurvival(d, s)
+		p.perKey[netmodel.MiddleKey(k)] = s
+	}
+}
+
+// AppendCheckpoint encodes the client histories: the slice's length, then
+// each allocated history sparsely — its day tags, each tagged day's
+// counts, and the running sum and count behind the fallback average.
+func (p *ClientPredictor) AppendCheckpoint(e *ckpt.Encoder) {
+	e.Len(len(p.hist))
+	n := 0
+	for _, h := range p.hist {
+		if h != nil {
+			n++
+		}
+	}
+	e.Len(n)
+	prev := -1
+	for i, h := range p.hist {
+		if h == nil {
+			continue
+		}
+		e.Gap(prev, i)
+		prev = i
+		for s, tag := range h.dayTag {
+			e.Int(tag)
+			if tag != -1 {
+				e.F32s(h.days[s][:])
+			}
+		}
+		e.F64(h.sum)
+		e.Varint(int64(h.n))
+	}
+}
+
+// RestoreCheckpoint replaces the client histories with what
+// AppendCheckpoint wrote; the slice spans at most the key space.
+func (p *ClientPredictor) RestoreCheckpoint(d *ckpt.Decoder) {
+	p.hist = make([]*clientHist, d.Bound(p.keys.Len()))
+	prev := -1
+	for n := d.Bound(len(p.hist)); n > 0 && d.Err() == nil; n-- {
+		i := d.Gap(prev, len(p.hist))
+		prev = i
+		h := &clientHist{}
+		for s := range h.dayTag {
+			h.dayTag[s] = d.Range(-1, math.MaxInt32)
+			if h.dayTag[s] != -1 {
+				d.F32s(h.days[s][:])
+			}
+		}
+		h.sum = d.F64()
+		h.n = int(d.Varint())
+		p.hist[i] = h
+	}
 }

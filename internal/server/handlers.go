@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
 	"strconv"
 	"sync"
 	"unsafe"
@@ -119,13 +118,6 @@ func readBatch(w http.ResponseWriter, r *http.Request, limit int64, buf *bytes.B
 	return buf.Bytes(), err
 }
 
-// batchLines bounds how many records a body can decode to, for sizing the
-// decode destination: at most one per line, and no line shorter than
-// "{}\n" decodes to one.
-func batchLines(body []byte) int {
-	return min(bytes.Count(body, []byte{'\n'})+1, len(body)/3+1)
-}
-
 // admitBatch is the front half the two ingestion handlers share: refuse
 // while draining (503), read the bounded body (413 beyond MaxBatchBytes),
 // decode it — one undecodable line fails the whole batch with 400 unless
@@ -173,7 +165,9 @@ func admitBatch[T any](s *Server, w http.ResponseWriter, r *http.Request, reject
 	}
 	recs := bufs.get()
 	defer bufs.put(recs)
-	*recs, err = decode(body, slices.Grow(*recs, batchLines(body)), onBad)
+	// The pooled destination grows as the decoder appends: past the first
+	// requests it holds a batch's records without growing again.
+	*recs, err = decode(body, *recs, onBad)
 	if err != nil {
 		rejected.Inc()
 		writeError(w, http.StatusBadRequest, "%v", err)

@@ -186,12 +186,6 @@ func TestReadBatchSizing(t *testing.T) {
 	if !errors.As(err, &tooLarge) || cap(got) > 1024+2*bytes.MinRead {
 		t.Fatalf("over the limit: err %v with a %d-byte buffer, want MaxBytesError and about 1 KiB", err, cap(got))
 	}
-	if n := batchLines([]byte("\n\n\n\n\n\n\n\n\n")); n > 4 {
-		t.Errorf("batchLines of nine blank lines = %d, want at most 4", n)
-	}
-	if n := batchLines([]byte("{\"a\":1}\n{\"a\":2}")); n != 2 {
-		t.Errorf("batchLines of two records = %d, want 2", n)
-	}
 }
 
 // TestIngestBackpressure: a batch that would overflow MaxPendingRecords

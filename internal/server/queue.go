@@ -128,32 +128,47 @@ type ingestQueue struct {
 	manualSeal bool
 	closed     bool
 
+	// reads counts the bucket reads served, journaled ones and those a
+	// restored checkpoint folds in included: the history's position.
+	reads int
+
 	discarded int64 // records dropped for skipped (subsampled) buckets
 	pushed    int64 // records accepted over the queue's lifetime
 }
 
 // newIngestQueue builds the queue, over what a journal scan recovered when
-// rec is non-nil: the consumed streams to serve again, with the frontier and
-// the watermark already past them, and then — queued as they were when the
-// process died, neither capacity-checked nor journaled again — what each
-// journaled batch still had pending and the explicit seal.
+// rec is non-nil (see recover).
 func newIngestQueue(maxRecords int, manualSeal bool, jrn queueJournal, rec *wal.Recovery) *ingestQueue {
 	q := &ingestQueue{
-		jrn:        jrn,
 		caughtUp:   make(chan struct{}),
 		pending:    make(map[netmodel.Bucket]*pendingBucket),
 		maxRecords: maxRecords,
 		manualSeal: manualSeal,
 	}
 	q.cond = sync.NewCond(&q.mu)
-	if rec == nil {
-		return q
+	if rec != nil {
+		q.recover(jrn, rec)
 	}
+	return q
+}
+
+// recover installs the journal and what its scan recovered, before the
+// queue serves anything: the consumed streams after the checkpoint to
+// serve again, with the frontier and the watermark already past them (or
+// past the checkpoint), and then — queued as they were when the process
+// died, neither capacity-checked nor journaled again — what each journaled
+// batch still had pending and the explicit seal.
+func (q *ingestQueue) recover(jrn queueJournal, rec *wal.Recovery) {
+	q.jrn = jrn
 	q.recovered = rec.Buckets
+	if ck := rec.Checkpoint; ck != nil {
+		q.reads = ck.Reads
+		q.frontier = ck.Bucket + 1
+	}
 	if n := len(rec.Buckets); n > 0 {
 		q.frontier = rec.Buckets[n-1].Bucket + 1
-		q.watermark = q.frontier
 	}
+	q.watermark = q.frontier
 	// In journal order, the runs no later read settled (wal.Horizon has the
 	// rule). Settled records were served — the streams above restate them —
 	// or discarded by a read that jumped over their bucket, and must stay
@@ -168,7 +183,22 @@ func newIngestQueue(maxRecords int, manualSeal bool, jrn queueJournal, rec *wal.
 	if rec.MaxSeal >= 0 {
 		q.sealThroughLocked(rec.MaxSeal)
 	}
-	return q
+}
+
+// replaysThrough reports whether the journaled streams not yet read again
+// reach bucket b.
+func (q *ingestQueue) replaysThrough(b netmodel.Bucket) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	n := len(q.recovered)
+	return n > 0 && q.recovered[n-1].Bucket >= b
+}
+
+// readCount returns how many bucket reads the queue has served.
+func (q *ingestQueue) readCount() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.reads
 }
 
 // replayingLocked reports whether journaled streams remain to be read
@@ -348,13 +378,6 @@ func (q *ingestQueue) Depth() (pending int, pushed int64) {
 	return q.records, q.pushed
 }
 
-// Discarded reports records dropped for buckets the backend skipped.
-func (q *ingestQueue) Discarded() int64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.discarded
-}
-
 // Watermark returns the lowest unsealed bucket.
 func (q *ingestQueue) Watermark() netmodel.Bucket {
 	q.mu.Lock()
@@ -444,6 +467,7 @@ func (q *ingestQueue) ObservationsAt(ctx context.Context, b netmodel.Bucket, buf
 		}
 		q.recovered[0] = wal.BucketStream{}
 		q.recovered = q.recovered[1:]
+		q.reads++
 		return append(buf, bs.Obs...), nil
 	}
 	q.discardBelowLocked(b)
@@ -473,6 +497,7 @@ func (q *ingestQueue) ObservationsAt(ctx context.Context, b netmodel.Bucket, buf
 		// consumption, not just the non-empty ones.
 		q.jrn.journalBucket(b, buf[start:])
 	}
+	q.reads++
 	if b+1 > q.frontier {
 		q.frontier = b + 1
 	}

@@ -118,7 +118,7 @@ func TestQueueSkippedBucketsDiscarded(t *testing.T) {
 	if err != nil || len(got) != 2 {
 		t.Fatalf("read bucket 3 = %d records, %v; want 2, nil", len(got), err)
 	}
-	if d := q.Discarded(); d != 4 {
+	if d := q.discarded; d != 4 {
 		t.Fatalf("discarded = %d, want 4 (buckets 1 and 2)", d)
 	}
 }

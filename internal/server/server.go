@@ -25,6 +25,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,6 +75,10 @@ type Config struct {
 	// reports. 0 takes DefaultCompactEveryReports; negative disables
 	// compaction.
 	CompactEveryReports int
+
+	// checkpointAt, when set (tests), also cuts a checkpoint after the job
+	// that ends at each bucket it names, beside the day-end ones.
+	checkpointAt func(netmodel.Bucket) bool
 }
 
 // Defaults for the zero-valued Config fields.
@@ -98,14 +103,6 @@ func (c Config) Validate() error {
 	return c.Pipeline.Validate()
 }
 
-// DefaultConfig returns the production-like service configuration.
-func DefaultConfig() Config {
-	return Config{
-		Pipeline:      pipeline.DefaultConfig(),
-		WarmupBuckets: netmodel.BucketsPerDay,
-	}
-}
-
 // storedReport is one retained report: its canonical bytes, rendered
 // once at publish, and the header the read APIs answer from. The full
 // Report is not kept.
@@ -118,8 +115,18 @@ type storedReport struct {
 	canonical        []byte
 }
 
+// stored renders the header of a report published with seq.
+func stored(seq int64, rep *pipeline.Report, canonical []byte) storedReport {
+	return storedReport{
+		seq: seq, from: rep.From, to: rep.To,
+		results: len(rep.Results), tickets: len(rep.Tickets),
+		verdicts: rep.Verdicts, health: rep.Health, canonical: canonical,
+	}
+}
+
 // reportLog retains the most recent reports for the read APIs. It only
-// appends; the oldest entries are evicted past max.
+// appends; the oldest entries are evicted past max. Only the backend
+// appends.
 type reportLog struct {
 	mu      sync.Mutex
 	reports []storedReport
@@ -127,16 +134,12 @@ type reportLog struct {
 	max     int
 }
 
-func (l *reportLog) add(rep *pipeline.Report, canonical []byte) int64 {
+// add appends a report, which takes the next seq.
+func (l *reportLog) add(sr storedReport) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	seq := l.nextSeq
-	l.reports = append(l.reports, storedReport{
-		seq: seq, from: rep.From, to: rep.To,
-		results: len(rep.Results), tickets: len(rep.Tickets),
-		verdicts: rep.Verdicts, health: rep.Health, canonical: canonical,
-	})
-	l.nextSeq++
+	l.reports = append(l.reports, sr)
+	l.nextSeq = sr.seq + 1
 	if l.max > 0 && len(l.reports) > l.max {
 		n := copy(l.reports, l.reports[len(l.reports)-l.max:])
 		for i := n; i < len(l.reports); i++ {
@@ -144,7 +147,19 @@ func (l *reportLog) add(rep *pipeline.Report, canonical []byte) int64 {
 		}
 		l.reports = l.reports[:n]
 	}
-	return seq
+}
+
+// retainedWith returns the entries the log would retain once sr is added,
+// oldest first, without adding it. The backend, the log's one writer,
+// calls it: the entries it copies cannot change under it.
+func (l *reportLog) retainedWith(sr storedReport) []storedReport {
+	l.mu.Lock()
+	kept := l.reports
+	l.mu.Unlock()
+	if l.max > 0 && len(kept) >= l.max {
+		kept = kept[len(kept)-l.max+1:]
+	}
+	return append(slices.Clip(kept), sr)
 }
 
 // each calls f on every retained report, oldest first, under the log's
@@ -258,21 +273,23 @@ func New(deps pipeline.Deps, cfg Config) (*Server, error) {
 	}
 	s := &Server{cfg: cfg, done: make(chan struct{})}
 	s.reports.max = cfg.MaxReports
-	// With a data directory, open the WAL and build the queue over what it
-	// recovered: the journal is live, and the journaled streams are what
-	// the backend reads first.
-	var jrn queueJournal
-	var rec *wal.Recovery
+	s.q = newIngestQueue(cfg.MaxPendingRecords, cfg.ManualSeal, nil, nil)
+	deps.Source = s.q
+	// With a data directory, open the WAL — restoring the pipeline and the
+	// report log from its checkpoint, if it has one recovery can use — and
+	// fill the queue with what it recovered: the journal is live, and the
+	// journaled streams after the checkpoint are what the backend reads
+	// first.
 	if cfg.DataDir != "" {
-		var err error
-		if rec, err = s.openWAL(cfg); err != nil {
+		rec, err := s.openWAL(cfg, deps)
+		if err != nil {
 			return nil, err
 		}
-		jrn = s.wal
+		s.q.recover(s.wal, rec)
 	}
-	s.q = newIngestQueue(cfg.MaxPendingRecords, cfg.ManualSeal, jrn, rec)
-	deps.Source = s.q
-	s.pipe = pipeline.New(deps, cfg.Pipeline)
+	if s.pipe == nil {
+		s.pipe = pipeline.New(deps, cfg.Pipeline)
+	}
 	s.reg = s.pipe.Metrics
 	s.frontQuar = ingest.NewQuarantine(netmodel.PrefixID(len(deps.World.Prefixes)), len(deps.World.Clouds))
 	s.frontQuar.SetMetrics(s.reg)
@@ -361,15 +378,20 @@ func (s *Server) setErr(err error) {
 func (s *Server) run() {
 	defer close(s.done)
 	ctx := s.bctx
-	if s.cfg.WarmupBuckets > 0 {
+	first := s.cfg.WarmupBuckets
+	switch {
+	case s.wal != nil && s.wal.restored != nil:
+		// The checkpoint holds the warmed-up pipeline after this bucket.
+		first = s.wal.restored.Bucket + 1
+	case s.cfg.WarmupBuckets > 0:
 		if err := s.pipe.WarmupContext(ctx, 0, s.cfg.WarmupBuckets); err != nil {
 			s.setErr(fmt.Errorf("server: warmup: %w", err))
 			return
 		}
-	} else {
+	default:
 		s.pipe.SetThresholds(s.pipe.Learner.Snapshot())
 	}
-	for b := s.cfg.WarmupBuckets; ; b++ {
+	for b := first; ; b++ {
 		if !s.q.awaitBucket(ctx, b) {
 			break
 		}
@@ -378,7 +400,7 @@ func (s *Server) run() {
 			s.setErr(fmt.Errorf("server: step bucket %d: %w", b, err))
 			return
 		}
-		s.publish(rep)
+		s.publish(rep, rep != nil && s.checkpointDue(b))
 		if s.wal != nil && s.wal.flushedAfter[b] {
 			// The journal has a drain flush here: an earlier incarnation
 			// stopped gracefully after this bucket.
@@ -406,13 +428,14 @@ func (s *Server) flush(ctx context.Context) bool {
 		s.setErr(fmt.Errorf("server: finalize: %w", err))
 		return false
 	}
-	s.publish(rep)
+	s.publish(rep, false)
 	return true
 }
 
-// publish renders, retains, and journals one report. A nil report (a
-// step between job runs) is a no-op.
-func (s *Server) publish(rep *pipeline.Report) {
+// publish renders, retains, and journals one report, cutting a checkpoint
+// after it when checkpoint is set. A nil report (a step between job runs)
+// is a no-op.
+func (s *Server) publish(rep *pipeline.Report, checkpoint bool) {
 	if rep == nil {
 		return
 	}
@@ -421,11 +444,21 @@ func (s *Server) publish(rep *pipeline.Report) {
 		s.setErr(fmt.Errorf("server: canonicalize report [%d, %d]: %w", rep.From, rep.To, err))
 		return
 	}
-	seq := s.reports.add(rep, canonical)
-	s.mReportsPub.Inc()
-	if s.wal != nil {
-		s.wal.journalReport(seq, rep, canonical)
+	sr := stored(s.reports.count(), rep, canonical)
+	switch {
+	case s.wal != nil && checkpoint:
+		// The report's record and the checkpoint holding it reach the
+		// kernel before the report is served.
+		s.wal.journalReport(sr.seq, rep, canonical)
+		s.checkpoint(sr)
+		s.reports.add(sr)
+	case s.wal != nil:
+		s.reports.add(sr)
+		s.wal.journalReport(sr.seq, rep, canonical)
+	default:
+		s.reports.add(sr)
 	}
+	s.mReportsPub.Inc()
 }
 
 // Shutdown drains the daemon gracefully: ingestion stops (new batches get

@@ -3,12 +3,14 @@ package server
 // blameitd's durability glue. When Config.DataDir is set, a wal.Log
 // journals the ingest queue's externally visible events (accepted
 // batches of either feed, explicit seals, the exact per-bucket streams the
-// pipeline consumed) plus every published report's canonical JSON. On the
-// next start the queue is built over that journal and the backend's first
-// reads are the journaled streams, through the unchanged
-// WarmupContext/StepContext path, before New returns: a restart — kill -9
-// mid-window included — answers /v1/reports byte-identical to an
-// uninterrupted run. See DESIGN.md §14.
+// pipeline consumed) plus every published report's canonical JSON, and
+// once a stepped day the backend's folded state as a checkpoint. On the
+// next start the pipeline and the report log are restored from the newest
+// usable checkpoint, the queue is built over the journal after it, and the
+// backend's first reads are the journaled streams, through the unchanged
+// StepContext path, before New returns: a restart — kill -9 mid-window
+// included — answers /v1/reports byte-identical to an uninterrupted run.
+// See DESIGN.md §14.
 
 import (
 	"bytes"
@@ -18,6 +20,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"blameit/internal/ckpt"
 	"blameit/internal/ingest"
 	"blameit/internal/netmodel"
 	"blameit/internal/pipeline"
@@ -76,6 +79,15 @@ type walState struct {
 	sinceCompact int
 	compactEvery int // <= 0 disables
 
+	// Backend only. reportRecords counts the history's report records, the
+	// first journaledFrom of them before journaled[0]; lastRecord is the
+	// one (by that count) holding the latest published report, or -1 when
+	// the history holds none of it. A checkpoint is cut only where it is
+	// the report's seq: then seqs name the history's reports.
+	reportRecords int
+	journaledFrom int
+	lastRecord    int
+
 	// compacting is held by the compaction pass in flight, if any. A pass
 	// runs on a goroutine of its own, so that neither the backend's next
 	// step nor the frontend's appends wait for it; a cadence that comes due
@@ -84,14 +96,21 @@ type walState struct {
 	compacting chan struct{}
 	stopOnce   sync.Once
 
+	// restored is the position of the checkpoint recovery continued from,
+	// or nil; the backend steps on from the bucket after it.
+	restored *wal.Checkpoint
+
 	// Recovery summary, fixed once New returns. The phases split New's
-	// recovery time: wal.Open, then the backend's catch-up over the
-	// journaled reads, which starts at openedAt.
+	// recovery time: wal.Open (restoreTime of it restoring the checkpoint),
+	// then the backend's catch-up over the journaled reads after the
+	// checkpoint, which starts at openedAt.
 	recoveredBuckets int
+	replayedBuckets  int
 	recoveredBatches int
 	recoveredReports int
 	truncatedBytes   int64
 	openTime         time.Duration
+	restoreTime      time.Duration
 	openedAt         time.Time
 	recoveryMS       int64
 }
@@ -138,12 +157,13 @@ func (ws *walState) absorb(err error) {
 
 // regenerated checks a just-published report against the journaled
 // report of its window, if any, and reports whether the journal already
-// holds it. Equal bytes are the rule. Other bytes that decode are a
-// divergence: counted and logged, and the log serves the regeneration
-// while the journal keeps what it has. Journaled bytes that are not a
-// report passed their CRC, so they are a bug, not disk corruption: they
-// are counted and logged too, and the regeneration is journaled anew.
-func (ws *walState) regenerated(rep *pipeline.Report, canonical []byte) bool {
+// holds it, and which report record holds its bytes (-1 for none). Equal
+// bytes are the rule. Other bytes that decode are a divergence: counted
+// and logged, and the log serves the regeneration while the journal keeps
+// what it has. Journaled bytes that are not a report passed their CRC, so
+// they are a bug, not disk corruption: they are counted and logged too,
+// and the regeneration is journaled anew.
+func (ws *walState) regenerated(rep *pipeline.Report, canonical []byte) (held bool, record int) {
 	win := walWindow{rep.From, rep.To}
 	ws.mu.Lock()
 	i, ok := ws.byWindow[win]
@@ -156,17 +176,17 @@ func (ws *walState) regenerated(rep *pipeline.Report, canonical []byte) bool {
 	ws.mu.Unlock()
 	switch {
 	case !ok:
-		return false
+		return false, -1
 	case bytes.Equal(jr.Canonical, canonical):
-		return true
+		return true, ws.journaledFrom + i
 	}
 	ws.inconsistent.Add(1)
 	if _, err := pipeline.ReportFromCanonical(jr.Canonical); err != nil {
 		slog.Error("recovery.report_undecodable", "seq", jr.Seq, "err", err)
-		return false
+		return false, -1
 	}
 	slog.Error("recovery.report_mismatch", "from", rep.From, "to", rep.To)
-	return true
+	return true, -1
 }
 
 // journalReport appends a newly published report and drives the
@@ -175,15 +195,24 @@ func (ws *walState) regenerated(rep *pipeline.Report, canonical []byte) bool {
 // unlinks their segments. During recovery, a report the journal already
 // holds is not appended again.
 func (ws *walState) journalReport(seq int64, rep *pipeline.Report, canonical []byte) {
-	if ws.verifying.Load() && ws.regenerated(rep, canonical) {
-		return
+	ws.lastRecord = -1
+	if ws.verifying.Load() {
+		if held, record := ws.regenerated(rep, canonical); held {
+			ws.lastRecord = record
+			return
+		}
 	}
 	if ws.degraded.Load() {
 		return
 	}
-	ws.absorb(ws.log.AppendReport(wal.Report{
+	err := ws.log.AppendReport(wal.Report{
 		Seq: seq, From: rep.From, To: rep.To, Final: rep.Final, Canonical: canonical,
-	}))
+	})
+	ws.absorb(err)
+	if err == nil {
+		ws.lastRecord = ws.reportRecords
+		ws.reportRecords++
+	}
 	ws.mu.Lock()
 	ws.sinceCompact++
 	due := ws.compactEvery > 0 && ws.sinceCompact >= ws.compactEvery
@@ -233,7 +262,10 @@ type WALHealth struct {
 	// RecoveryMS is how long New took over the journal: open, catch-up and
 	// the leftovers' decode (recovery.complete logs the split).
 	RecoveryMS int64 `json:"recovery_ms"`
-	LagRecords int64 `json:"lag_records"`
+	// CheckpointBucket is the bucket of the newest checkpoint, written or
+	// restored, or -1.
+	CheckpointBucket int64 `json:"checkpoint_bucket"`
+	LagRecords       int64 `json:"lag_records"`
 	// Segments counts the files of both journal families.
 	Segments    int   `json:"segments"`
 	Compactions int64 `json:"compactions"`
@@ -253,6 +285,7 @@ func (ws *walState) health() *WALHealth {
 		TruncatedBytes:       ws.truncatedBytes,
 		RecoveryInconsistent: ws.inconsistent.Load(),
 		RecoveryMS:           ws.recoveryMS,
+		CheckpointBucket:     int64(st.LastCheckpoint.Bucket),
 		LagRecords:           st.LagRecords,
 		Segments:             st.Segments,
 		Compactions:          st.Compactions,
@@ -260,11 +293,13 @@ func (ws *walState) health() *WALHealth {
 	}
 }
 
-// openWAL opens the data directory's log, keeps the journaled reports as
-// the evidence the regenerated ones will be checked against, and notes
-// the positions of the drain flushes among the recovered reads. It runs
-// before the queue is built and the backend goroutine starts.
-func (s *Server) openWAL(cfg Config) (*wal.Recovery, error) {
+// openWAL opens the data directory's log — restoring the pipeline and the
+// report log from the newest checkpoint recovery can use — keeps the
+// journaled reports after the checkpoint as the evidence the regenerated
+// ones will be checked against, and notes the positions of the drain
+// flushes among the reads to replay. It runs before the backend goroutine
+// starts.
+func (s *Server) openWAL(cfg Config, deps pipeline.Deps) (*wal.Recovery, error) {
 	wcfg := cfg.WAL
 	if wcfg.Meta == "" {
 		// The fingerprint pins everything replay determinism depends on:
@@ -276,33 +311,54 @@ func (s *Server) openWAL(cfg Config) (*wal.Recovery, error) {
 		pc.Metrics, pc.Workers = nil, 0
 		wcfg.Meta = fmt.Sprintf("pipe=%+v|warmup=%d|manual=%v", pc, cfg.WarmupBuckets, cfg.ManualSeal)
 	}
+	var restoreTime time.Duration
+	wcfg.Restore = func(ck wal.Checkpoint, rec *wal.Recovery) error {
+		start := time.Now()
+		defer func() { restoreTime = time.Since(start) }()
+		return s.restore(deps, cfg, ck, rec)
+	}
 	opening := time.Now()
 	lg, rec, err := wal.Open(cfg.DataDir, wcfg)
 	if err != nil {
 		return nil, fmt.Errorf("server: opening WAL in %s: %w", cfg.DataDir, err)
 	}
+	for _, why := range rec.Rejected {
+		slog.Error("recovery.checkpoint_rejected", "err", why)
+	}
 	ws := &walState{
 		log:              lg,
 		reports:          &s.reports,
-		journaled:        rec.Reports,
-		byWindow:         make(map[walWindow]int, len(rec.Reports)),
+		byWindow:         make(map[walWindow]int),
 		flushedAfter:     make(map[netmodel.Bucket]bool),
 		compacting:       make(chan struct{}, 1),
 		compactEvery:     cfg.CompactEveryReports,
+		restored:         rec.Checkpoint,
 		recoveredBuckets: len(rec.Buckets),
+		replayedBuckets:  len(rec.Buckets),
 		recoveredBatches: len(rec.Batches) + rec.Settled,
 		recoveredReports: len(rec.Reports),
+		reportRecords:    len(rec.Reports),
 		truncatedBytes:   rec.TruncatedBytes,
+		restoreTime:      restoreTime,
 	}
 	if ws.compactEvery == 0 {
 		ws.compactEvery = DefaultCompactEveryReports
 	}
+	reads := 0 // the reads before rec.Buckets
+	if ck := rec.Checkpoint; ck != nil {
+		reads = ck.Reads
+		ws.recoveredBuckets += reads
+		// The reports up to the checkpoint are the restored log's own.
+		rec.Reports = rec.Reports[ck.Reports:]
+		ws.journaledFrom = ck.Reports
+	}
+	ws.journaled = rec.Reports
 	for i, jr := range rec.Reports {
 		ws.byWindow[walWindow{jr.From, jr.To}] = i
-		if jr.Final && jr.AfterBuckets > 0 {
+		if jr.Final && jr.AfterBuckets > reads {
 			// A flush follows the step of the last bucket read before it,
 			// and reads only move forward: the bucket names the position.
-			ws.flushedAfter[rec.Buckets[jr.AfterBuckets-1].Bucket] = true
+			ws.flushedAfter[rec.Buckets[jr.AfterBuckets-reads-1].Bucket] = true
 		}
 	}
 	rec.Reports = nil // the walState's now, released as they match
@@ -311,6 +367,78 @@ func (s *Server) openWAL(cfg Config) (*wal.Recovery, error) {
 	ws.openTime = ws.openedAt.Sub(opening)
 	s.wal = ws
 	return rec, nil
+}
+
+// restore is wal.Config.Restore: it rebuilds the pipeline and the report
+// log from checkpoint ck, and is all or nothing — on an error neither is
+// touched, and recovery falls back to an older checkpoint or to zero. The
+// restored log's entries take their canonical bytes from the journaled
+// reports, which must hold each entry's window at its seq. A checkpoint
+// retaining fewer reports than this daemon would (-retain-reports was
+// raised) is refused: replay serves the older ones too.
+func (s *Server) restore(deps pipeline.Deps, cfg Config, ck wal.Checkpoint, rec *wal.Recovery) error {
+	pipe := pipeline.New(deps, cfg.Pipeline)
+	headers, err := restoreState(ckpt.NewDecoder(ck.Body), pipe)
+	if err != nil {
+		return err
+	}
+	if want := min(ck.Reports, s.reports.max); len(headers) < want {
+		return fmt.Errorf("holds %d reports, the log retains %d", len(headers), want)
+	}
+	headers = headers[len(headers)-min(len(headers), s.reports.max):]
+	for i := range headers {
+		h := &headers[i]
+		if h.seq >= int64(ck.Reports) {
+			return fmt.Errorf("report %d past the cut", h.seq)
+		}
+		if jr := rec.Reports[h.seq]; jr.From != h.from || jr.To != h.to {
+			return fmt.Errorf("report %d is window [%d, %d], the history's [%d, %d]", h.seq, h.from, h.to, jr.From, jr.To)
+		}
+	}
+	for i := range headers {
+		headers[i].canonical = rec.Reports[headers[i].seq].Canonical
+	}
+	for i := range rec.Reports[:ck.Reports] {
+		rec.Reports[i].Canonical = nil
+	}
+	s.pipe = pipe
+	s.reports.reports, s.reports.nextSeq = headers, int64(ck.Reports)
+	return nil
+}
+
+// checkpointDue reports whether the report of the job ending at bucket b
+// cuts a checkpoint: at each day's end. While the backend catches up,
+// only the last day end of the journaled reads is checkpointed: the ones
+// before it would be superseded at once.
+func (s *Server) checkpointDue(b netmodel.Bucket) bool {
+	if s.wal == nil || (b+1)%netmodel.BucketsPerDay != 0 && (s.cfg.checkpointAt == nil || !s.cfg.checkpointAt(b)) {
+		return false
+	}
+	return !s.q.replaysThrough(b + netmodel.BucketsPerDay)
+}
+
+// checkpoint writes the backend's state after the report latest, whose
+// job has just run and which has just been journaled, into the data
+// directory — unless the log is degraded or inconsistent, or does not
+// hold latest as report record latest.seq: the restored log names the
+// history's reports by seq. A failure loses nothing — the history holds
+// every record — and is only logged.
+func (s *Server) checkpoint(latest storedReport) {
+	ws := s.wal
+	if ws.degraded.Load() || ws.inconsistent.Load() > 0 || int64(ws.lastRecord) != latest.seq {
+		return
+	}
+	headers := s.reports.retainedWith(latest)
+	pos := wal.Checkpoint{Reads: s.q.readCount(), Bucket: latest.to, Reports: ws.lastRecord + 1}
+	n, err := s.wal.log.WriteCheckpoint(pos, func(e *ckpt.Encoder) error {
+		return appendState(e, s.pipe, headers)
+	})
+	if err != nil {
+		slog.Error("wal.checkpoint_failed", "bucket", pos.Bucket, "err", err)
+		return
+	}
+	p := s.wal.log.Stats().LastCheckpoint
+	slog.Info("wal.checkpoint", "bucket", pos.Bucket, "bytes", n, "ms", float64(p.Duration.Microseconds())/1000)
 }
 
 // verifyRegenerated closes the recovery's books once the backend has
@@ -338,7 +466,7 @@ func (ws *walState) verifyRegenerated(start time.Time) {
 			slog.Error("recovery.report_undecodable", "seq", jr.Seq, "err", err)
 			continue
 		}
-		ws.reports.add(rep, jr.Canonical)
+		ws.reports.add(stored(ws.reports.count(), rep, jr.Canonical))
 		unregenerated++
 	}
 	if unregenerated > 0 {
@@ -346,10 +474,16 @@ func (ws *walState) verifyRegenerated(start time.Time) {
 	}
 	ws.recoveryMS = time.Since(start).Milliseconds()
 	if ws.recoveredBuckets+ws.recoveredBatches+ws.recoveredReports > 0 {
+		ckBucket := netmodel.Bucket(-1)
+		if ws.restored != nil {
+			ckBucket = ws.restored.Bucket
+		}
 		slog.Info("recovery.complete",
 			"buckets", ws.recoveredBuckets, "batches", ws.recoveredBatches, "reports", ws.recoveredReports,
 			"truncated_bytes", ws.truncatedBytes, "inconsistent", ws.inconsistent.Load(),
+			"checkpoint_bucket", ckBucket, "replayed_buckets", ws.replayedBuckets,
 			"duration_ms", ws.recoveryMS, "open_ms", ws.openTime.Milliseconds(),
+			"restore_ms", ws.restoreTime.Milliseconds(),
 			"catchup_ms", caughtUp.Sub(ws.openedAt).Milliseconds())
 	}
 }

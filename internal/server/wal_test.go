@@ -1102,9 +1102,28 @@ func TestWALRestartAfterDrainFlush(t *testing.T) {
 	streams := simStreams(newTestSim(1), horizon)
 	mkSim := func() *sim.Simulator { return newTestSim(1) }
 	mut := func(c *Config) { c.WarmupBuckets = warmup }
+	want, wantIdx := flushedReference(t, streams, warmup, flushAt)
 
-	// The reference: one pipeline, never restarted, flushed at flushAt.
-	refSim := mkSim()
+	e := runDrainFlush(t, t.TempDir(), mkSim, mut, streams, flushAt, crashAt)
+	defer e.close(t)
+	if got := collectCanonical(t, e.ts.Client(), e.ts.URL); !bytes.Equal(got, want) {
+		t.Errorf("reports diverged from the in-process pipeline flushed at bucket %d: %d vs %d canonical bytes", flushAt, len(got), len(want))
+	}
+	var gotIdx []reportSummary
+	if err := json.Unmarshal(reportsIndex(t, e.ts.Client(), e.ts.URL), &gotIdx); err != nil {
+		t.Fatalf("decoding /v1/reports: %v", err)
+	}
+	if fmt.Sprint(gotIdx) != fmt.Sprint(wantIdx) {
+		t.Errorf("report index diverged:\n got %+v\nwant %+v", gotIdx, wantIdx)
+	}
+}
+
+// flushedReference runs streams through one in-process pipeline, never
+// restarted, flushed after bucket flushAt: the reports a daemon drained
+// there and restarted must serve, canonical bytes and index.
+func flushedReference(t *testing.T, streams [][]trace.Observation, warmup, flushAt netmodel.Bucket) ([]byte, []reportSummary) {
+	t.Helper()
+	refSim := newTestSim(1)
 	pcfg := pipeline.DefaultConfig()
 	pcfg.Workers = 1
 	p := pipeline.New(pipeline.Deps{
@@ -1139,7 +1158,7 @@ func TestWALRestartAfterDrainFlush(t *testing.T) {
 			Results: len(rep.Results), Verdicts: len(rep.Verdicts), Tickets: len(rep.Tickets),
 		})
 	}
-	for b := netmodel.Bucket(warmup); b < horizon; b++ {
+	for b := warmup; b < netmodel.Bucket(len(streams)); b++ {
 		keep(p.StepContext(ctx, b))
 		if b == flushAt {
 			rep, err := p.FinalizeContext(ctx)
@@ -1149,8 +1168,16 @@ func TestWALRestartAfterDrainFlush(t *testing.T) {
 			keep(rep, err)
 		}
 	}
+	return want.Bytes(), wantIdx
+}
 
-	dir := t.TempDir()
+// runDrainFlush feeds streams to a daemon over dir bucket by bucket,
+// drains it gracefully after bucket flushAt (journaling the final report
+// of its off-cadence window), restarts it, crashes it after crashAt,
+// restarts it again and feeds it the rest. It returns the last
+// incarnation, still serving.
+func runDrainFlush(t *testing.T, dir string, mkSim func() *sim.Simulator, mut func(*Config), streams [][]trace.Observation, flushAt, crashAt netmodel.Bucket) *walEnv {
+	t.Helper()
 	e := openEnv(t, dir, mkSim, mut)
 	feed := func(from, to netmodel.Bucket) {
 		t.Helper()
@@ -1171,20 +1198,9 @@ func TestWALRestartAfterDrainFlush(t *testing.T) {
 	e.crash()
 
 	e = openEnv(t, dir, mkSim, mut)
-	defer e.close(t)
 	checkRecoveryConsistent(t, e)
-	feed(crashAt+1, horizon-1)
-
-	if got := collectCanonical(t, e.ts.Client(), e.ts.URL); !bytes.Equal(got, want.Bytes()) {
-		t.Errorf("reports diverged from the in-process pipeline flushed at bucket %d: %d vs %d canonical bytes", flushAt, len(got), want.Len())
-	}
-	var gotIdx []reportSummary
-	if err := json.Unmarshal(reportsIndex(t, e.ts.Client(), e.ts.URL), &gotIdx); err != nil {
-		t.Fatalf("decoding /v1/reports: %v", err)
-	}
-	if fmt.Sprint(gotIdx) != fmt.Sprint(wantIdx) {
-		t.Errorf("report index diverged:\n got %+v\nwant %+v", gotIdx, wantIdx)
-	}
+	feed(crashAt+1, netmodel.Bucket(len(streams)-1))
+	return e
 }
 
 // TestWALDefaultFingerprintStable reopens one data directory under the
@@ -1266,7 +1282,7 @@ func logEvents(t *testing.T, buf *bytes.Buffer) []string {
 		if err := json.Unmarshal([]byte(line), &ev); err != nil {
 			t.Fatalf("log line %q is not JSON: %v", line, err)
 		}
-		for _, k := range []string{"duration_ms", "open_ms", "catchup_ms"} {
+		for _, k := range []string{"duration_ms", "open_ms", "restore_ms", "catchup_ms", "ms"} {
 			if d, ok := ev[k].(float64); ok && d >= 0 {
 				ev[k] = "ok"
 			}
@@ -1353,7 +1369,7 @@ func TestWALLogEvents(t *testing.T) {
 
 	want := []string{
 		`{"err":"set","msg":"recovery.report_undecodable","seq":1}`,
-		`{"batches":0,"buckets":0,"catchup_ms":"ok","duration_ms":"ok","inconsistent":1,"msg":"recovery.complete","open_ms":"ok","reports":1,"truncated_bytes":0}`,
+		`{"batches":0,"buckets":0,"catchup_ms":"ok","checkpoint_bucket":-1,"duration_ms":"ok","inconsistent":1,"msg":"recovery.complete","open_ms":"ok","replayed_buckets":0,"reports":1,"restore_ms":"ok","truncated_bytes":0}`,
 		`{"from":0,"msg":"recovery.report_mismatch","to":2}`,
 		`{"msg":"recovery.unregenerated","n":1}`,
 		`{"err":"disk gone","msg":"wal.degraded"}`,

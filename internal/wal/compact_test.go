@@ -377,7 +377,7 @@ func TestAcceptedTailTruncatedAlone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs, _ := scanRecords(data[segHeader:], historyKinds, nil)
+		recs, _ := scanRecords(data[segHeader:], historyKinds, decodeRule{})
 		cut := int64(segHeader)
 		for _, r := range recs[:1+4] { // the meta record, then four reads
 			cut += frameHeader + 1 + int64(len(r.body))
@@ -484,7 +484,7 @@ func TestCompactionUnlinksOnlySettled(t *testing.T) {
 				t.Fatal(err)
 			}
 			high := noBucket
-			recs, _ := scanRecords(data[segHeader:], acceptedKinds, nil)
+			recs, _ := scanRecords(data[segHeader:], acceptedKinds, decodeRule{})
 			for _, r := range recs[1:] {
 				high = max(high, r.high)
 			}

@@ -64,7 +64,7 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(appendFrame(nil, []byte{0x02, 0, 1, 0}))                              // version 1's snapshot record: now an unknown type
 	withFlush := appendFrame(append([]byte(nil), hist...), []byte{0x08, 8, 10}) // version 2's agg-flush record: likewise
 	f.Add(appendFrame(withFlush, binary.AppendVarint([]byte{recSeal}, 9)))
-	if recs, n := scanRecords(withFlush, historyKinds, nil); len(recs) != 5 || n != int64(len(hist)) {
+	if recs, n := scanRecords(withFlush, historyKinds, decodeRule{}); len(recs) != 5 || n != int64(len(hist)) {
 		f.Fatalf("scan accepted %d records / %d bytes of a log with a kind-0x08 record after %d bytes: the unknown kind must stop it", len(recs), n, len(hist))
 	}
 	// Version 3's batch body, without a position: its count of
@@ -73,7 +73,7 @@ func FuzzWALDecode(f *testing.F) {
 	// A family stops at the other's records.
 	mixed := append(append([]byte(nil), valid...), hist[len(meta):]...)
 	f.Add(mixed)
-	if recs, n := scanRecords(mixed, acceptedKinds, nil); len(recs) != 4 || n != int64(len(valid)) {
+	if recs, n := scanRecords(mixed, acceptedKinds, decodeRule{}); len(recs) != 4 || n != int64(len(valid)) {
 		f.Fatalf("the accepted family accepted %d records / %d bytes past its own %d", len(recs), n, len(valid))
 	}
 	// A framed, CRC-valid batch whose body claims observations it does not
@@ -82,7 +82,7 @@ func FuzzWALDecode(f *testing.F) {
 	badBody := appendFrame(append([]byte(nil), valid...), []byte{recBatch, 0, 5})
 	badBody = appendFrame(badBody, batchBody(1, appendObs([]byte{recBatch}, obsFor(3, 2))))
 	f.Add(badBody)
-	if recs, n := scanRecords(badBody, acceptedKinds, nil); len(recs) != 4 || n != int64(len(valid)) {
+	if recs, n := scanRecords(badBody, acceptedKinds, decodeRule{}); len(recs) != 4 || n != int64(len(valid)) {
 		f.Fatalf("scan accepted %d records / %d bytes of a log with an undecodable body after %d bytes: the bad body must stop it", len(recs), n, len(valid))
 	}
 
@@ -91,7 +91,7 @@ func FuzzWALDecode(f *testing.F) {
 	settledOdd := func(after int, _ netmodel.Bucket) bool { return after%2 == 1 }
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, k := range []string{historyKinds, acceptedKinds} {
-			recs, valid := scanRecords(data, k, nil)
+			recs, valid := scanRecords(data, k, decodeRule{})
 			if valid < 0 || valid > int64(len(data)) {
 				t.Fatalf("truncation offset %d out of range [0, %d]", valid, len(data))
 			}
@@ -105,15 +105,22 @@ func FuzzWALDecode(f *testing.F) {
 				t.Fatalf("accepted records re-encode to %d bytes != consumed %d", len(re), valid)
 			}
 			// Checking without decoding accepts the same prefix, and the
-			// batches it decodes anyway are the same.
-			checked, n := scanRecords(data, k, settledOdd)
+			// records it decodes anyway are the same: here the batches at
+			// odd positions and the first two bucket records are checked.
+			checked, n := scanRecords(data, k, decodeRule{settled: settledOdd, checked: 2})
 			if len(checked) != len(recs) || n != valid {
-				t.Fatalf("with settled batches the scan accepted %d records / %d bytes, without %d / %d", len(checked), n, len(recs), valid)
+				t.Fatalf("with checked records the scan accepted %d records / %d bytes, without %d / %d", len(checked), n, len(recs), valid)
 			}
 			for i, r := range checked {
 				if settledOdd(r.after, r.high) && (r.typ == recBatch || r.typ == recAggBatch) {
 					if r.val != nil {
 						t.Fatalf("record %d: a settled batch was decoded", i)
+					}
+					continue
+				}
+				if r.checked {
+					if got, want := r.val.(BucketStream), recs[i].val.(BucketStream); got.Obs != nil || got.Bucket != want.Bucket {
+						t.Fatalf("record %d: a checked bucket record decoded to %+v, want bucket %d alone", i, got, want.Bucket)
 					}
 					continue
 				}

@@ -38,7 +38,7 @@ func writeSample(t *testing.T, dir string, cfg Config) *Recovery {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if !rec.Empty() {
+	if len(rec.Buckets) > 0 || len(rec.Batches) > 0 || rec.Settled > 0 || len(rec.Reports) > 0 || rec.MaxSeal >= 0 {
 		t.Fatalf("fresh dir recovered non-empty state: %+v", rec)
 	}
 	want := &Recovery{MaxSeal: -1}
