@@ -162,7 +162,7 @@ func run(ctx context.Context, o options) error {
 	cnt := p.Prober.Counters()
 	fmt.Printf("\nprobes: %d background, %d churn-triggered, %d on-demand (%d total)\n",
 		cnt.Count(probe.Background), cnt.Count(probe.ChurnTriggered), cnt.Count(probe.OnDemand), cnt.Total())
-	fmt.Printf("badness incidents tracked: %d; tickets filed: %d\n", len(incidents), ticketCount)
+	fmt.Printf("badness incidents tracked: %d; tickets filed: %d\n", incidents, ticketCount)
 	fmt.Printf("ingestion store: scanned %d storage buckets / %d records\n",
 		scan.ScannedBuckets(), scan.ScannedRecords())
 	// Data-plane health, printed only when something actually went wrong so

@@ -203,6 +203,7 @@ type Fig4aResult struct {
 // stayed bad.
 func Figure4aPersistence(e *Env, fromDay, toDay int) (*Figure, Fig4aResult) {
 	tr := quartet.NewTracker()
+	var incidents []quartet.Incident
 	var buf []trace.Observation
 	for b := netmodel.Bucket(fromDay * netmodel.BucketsPerDay); b < netmodel.Bucket(toDay*netmodel.BucketsPerDay); b++ {
 		qs, nbuf := e.QuartetsAt(b, buf)
@@ -213,11 +214,11 @@ func Figure4aPersistence(e *Env, fromDay, toDay int) (*Figure, Fig4aResult) {
 				bad = append(bad, quartet.KeyOf(q.Obs))
 			}
 		}
-		tr.Advance(b, bad)
+		incidents = append(incidents, tr.Advance(b, bad)...)
 	}
 	dd := newDurationDist()
 	var one, long int
-	for _, inc := range tr.Flush() {
+	for _, inc := range append(incidents, tr.Flush()...) {
 		dd.add(inc.Buckets)
 		if inc.Buckets <= 1 {
 			one++

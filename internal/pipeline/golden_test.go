@@ -79,7 +79,7 @@ func TestGoldenMediumReport(t *testing.T) {
 	got := goldenReport{
 		Verdicts:  make(map[string]int),
 		Tickets:   tickets,
-		Incidents: len(incidents),
+		Incidents: incidents,
 		Counters:  make(map[string]int64),
 	}
 	for _, cat := range core.Categories() {

@@ -304,6 +304,10 @@ type Pipeline struct {
 	// recomputes the trailing 14-day medians continuously).
 	lastRelearnDay int
 
+	// incidents counts the badness incidents QuartetTracker has closed:
+	// Flush's summary, which needs no incident itself.
+	incidents int
+
 	// window accumulates classified quartets between job runs, one run per
 	// stepped bucket. obsBuf is the bucket being stepped: the source's read,
 	// filtered in place by the quarantine, which guarantees every record kept
@@ -571,7 +575,7 @@ func (p *Pipeline) StepContext(ctx context.Context, b netmodel.Bucket) (*Report,
 		p.rebuildPassive()
 		p.mRelearns.Inc()
 	}
-	p.QuartetTracker.Advance(b, badKeys)
+	p.incidents += len(p.QuartetTracker.Advance(b, badKeys))
 	// Background baselines advance every bucket.
 	p.Baseliner.Advance(b)
 
@@ -804,8 +808,10 @@ func (p *Pipeline) FinalizeContext(ctx context.Context) (*Report, error) {
 	return rep, err
 }
 
-// Flush closes open incident runs at the end of a simulation.
-func (p *Pipeline) Flush() []quartet.Incident {
+// Flush closes open incident runs at the end of a simulation and returns
+// how many badness incidents the run closed.
+func (p *Pipeline) Flush() int {
 	p.MiddleTracker.Flush()
-	return p.QuartetTracker.Flush()
+	p.incidents += len(p.QuartetTracker.Flush())
+	return p.incidents
 }

@@ -234,9 +234,26 @@ func TestFlushClosesIncidents(t *testing.T) {
 	f := faults.Fault{Kind: faults.CloudFault, Cloud: c, ScopeCloud: faults.NoCloud, Start: dayStart, Duration: 6, ExtraMS: 80}
 	p := buildPipeline(t, []faults.Fault{f}, 2, DefaultConfig())
 	p.Run(dayStart, dayStart+6, nil)
-	incs := p.Flush()
-	if len(incs) == 0 {
+	if p.Flush() == 0 {
 		t.Error("no incidents tracked")
+	}
+}
+
+// TestTrackerHoldsOnlyOpenRuns steps two days and finds every incident the
+// pipeline still holds open through the last bucket: the closed ones were
+// counted and let go.
+func TestTrackerHoldsOnlyOpenRuns(t *testing.T) {
+	const days = 2
+	p := buildPipeline(t, nil, days, DefaultConfig())
+	last := dayStart + days*netmodel.BucketsPerDay - 1
+	p.Run(dayStart, last+1, nil)
+	if p.incidents == 0 {
+		t.Fatal("two stepped days closed no incident")
+	}
+	for _, inc := range p.QuartetTracker.Flush() {
+		if inc.End() != last+1 {
+			t.Fatalf("the tracker held %+v, closed before bucket %d", inc, last)
+		}
 	}
 }
 

@@ -14,9 +14,7 @@ func compareKeys(a, b Key) int {
 }
 
 // AppendCheckpoint encodes the open runs, by key in order, and the last
-// advance. Closed incidents are the end-of-run summary Flush returns and
-// no step reads them, so they are not encoded: after a restore Flush
-// returns the incidents closed since.
+// advance. The tracker holds no closed incident.
 func (t *Tracker) AppendCheckpoint(e *ckpt.Encoder) {
 	keys := make([]Key, 0, len(t.open))
 	for k := range t.open {
@@ -37,10 +35,9 @@ func (t *Tracker) AppendCheckpoint(e *ckpt.Encoder) {
 }
 
 // RestoreCheckpoint replaces the open runs and the last advance with
-// what AppendCheckpoint wrote, and forgets the closed incidents.
+// what AppendCheckpoint wrote.
 func (t *Tracker) RestoreCheckpoint(d *ckpt.Decoder) {
 	t.open = make(map[Key]Incident)
-	t.closed = nil
 	var prev Key
 	for n := d.Len(5); n > 0 && d.Err() == nil; n-- {
 		k := Key{Prefix: netmodel.PrefixID(d.Int()), Cloud: netmodel.CloudID(d.Int()), Device: netmodel.DeviceClass(d.Int())}

@@ -66,10 +66,10 @@ func (i Incident) End() netmodel.Bucket { return i.Start + netmodel.Bucket(i.Buc
 
 // Tracker measures badness persistence: how many consecutive 5-minute
 // buckets each ⟨prefix, cloud, device⟩ tuple stays bad (§2.3). Feed it one
-// bucket at a time via Advance.
+// bucket at a time via Advance, which returns the runs each bucket ends;
+// the tracker keeps only the open ones.
 type Tracker struct {
 	open   map[Key]Incident
-	closed []Incident
 	last   netmodel.Bucket
 	primed bool
 }
@@ -79,9 +79,10 @@ func NewTracker() *Tracker {
 	return &Tracker{open: make(map[Key]Incident)}
 }
 
-// Advance records the set of bad keys of bucket b. Buckets must be fed in
+// Advance records the set of bad keys of bucket b and returns the
+// incidents it closed, in no particular order. Buckets must be fed in
 // strictly increasing order; skipped buckets terminate all open runs.
-func (t *Tracker) Advance(b netmodel.Bucket, bad []Key) {
+func (t *Tracker) Advance(b netmodel.Bucket, bad []Key) (closed []Incident) {
 	if t.primed && b <= t.last {
 		panic("quartet: Tracker.Advance called with non-increasing bucket")
 	}
@@ -93,7 +94,7 @@ func (t *Tracker) Advance(b netmodel.Bucket, bad []Key) {
 	// Close runs that did not continue.
 	for k, inc := range t.open {
 		if gap || !badSet[k] {
-			t.closed = append(t.closed, inc)
+			closed = append(closed, inc)
 			delete(t.open, k)
 		}
 	}
@@ -108,16 +109,17 @@ func (t *Tracker) Advance(b netmodel.Bucket, bad []Key) {
 	}
 	t.last = b
 	t.primed = true
+	return closed
 }
 
-// Flush closes all open runs (end of simulation) and returns every closed
-// incident.
+// Flush closes all open runs (end of simulation) and returns them.
 func (t *Tracker) Flush() []Incident {
+	closed := make([]Incident, 0, len(t.open))
 	for k, inc := range t.open {
-		t.closed = append(t.closed, inc)
+		closed = append(closed, inc)
 		delete(t.open, k)
 	}
-	return t.closed
+	return closed
 }
 
 // OpenRun returns the length (in buckets) of the key's current bad run,

@@ -33,7 +33,7 @@ func TestClassify(t *testing.T) {
 }
 
 func TestTrackerSingleRun(t *testing.T) {
-	tr := NewTracker()
+	tr := newRecorder()
 	k := Key{Prefix: 1, Cloud: 2, Device: netmodel.NonMobile}
 	tr.Advance(10, []Key{k})
 	tr.Advance(11, []Key{k})
@@ -49,7 +49,7 @@ func TestTrackerSingleRun(t *testing.T) {
 }
 
 func TestTrackerInterleavedKeys(t *testing.T) {
-	tr := NewTracker()
+	tr := newRecorder()
 	a := Key{Prefix: 1}
 	b := Key{Prefix: 2}
 	tr.Advance(0, []Key{a, b})
@@ -76,7 +76,7 @@ func TestTrackerInterleavedKeys(t *testing.T) {
 }
 
 func TestTrackerGapClosesRuns(t *testing.T) {
-	tr := NewTracker()
+	tr := newRecorder()
 	k := Key{Prefix: 1}
 	tr.Advance(0, []Key{k})
 	tr.Advance(5, []Key{k}) // gap: buckets 1-4 missing
@@ -87,7 +87,7 @@ func TestTrackerGapClosesRuns(t *testing.T) {
 }
 
 func TestTrackerOpenRun(t *testing.T) {
-	tr := NewTracker()
+	tr := newRecorder()
 	k := Key{Prefix: 1}
 	if tr.OpenRun(k) != 0 {
 		t.Error("open run before any badness")
@@ -104,7 +104,7 @@ func TestTrackerOpenRun(t *testing.T) {
 }
 
 func TestTrackerPanicsOnRewind(t *testing.T) {
-	tr := NewTracker()
+	tr := newRecorder()
 	tr.Advance(5, nil)
 	defer func() {
 		if recover() == nil {
@@ -126,7 +126,7 @@ func TestTrackerConservationProperty(t *testing.T) {
 	// Property: the sum of closed-run lengths equals the total number of
 	// (bucket, key) bad marks fed to the tracker.
 	f := func(pattern []uint8) bool {
-		tr := NewTracker()
+		tr := newRecorder()
 		total := 0
 		for i, m := range pattern {
 			var bad []Key
@@ -153,7 +153,7 @@ func TestTrackerConservationProperty(t *testing.T) {
 func TestTrackerRunsAreMaximalProperty(t *testing.T) {
 	// Property: no two closed runs of the same key are adjacent.
 	f := func(pattern []bool) bool {
-		tr := NewTracker()
+		tr := newRecorder()
 		k := Key{Prefix: 1}
 		for i, bad := range pattern {
 			var keys []Key
@@ -176,3 +176,18 @@ func TestTrackerRunsAreMaximalProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// recorder is a Tracker that keeps what it closes, so that Flush returns
+// every incident of the run.
+type recorder struct {
+	*Tracker
+	closed []Incident
+}
+
+func newRecorder() *recorder { return &recorder{Tracker: NewTracker()} }
+
+func (r *recorder) Advance(b netmodel.Bucket, bad []Key) {
+	r.closed = append(r.closed, r.Tracker.Advance(b, bad)...)
+}
+
+func (r *recorder) Flush() []Incident { return append(r.closed, r.Tracker.Flush()...) }

@@ -185,13 +185,11 @@ func (q *ingestQueue) recover(jrn queueJournal, rec *wal.Recovery) {
 	}
 }
 
-// replaysThrough reports whether the journaled streams not yet read again
-// reach bucket b.
-func (q *ingestQueue) replaysThrough(b netmodel.Bucket) bool {
+// replaying reports whether journaled streams remain to be read again.
+func (q *ingestQueue) replaying() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	n := len(q.recovered)
-	return n > 0 && q.recovered[n-1].Bucket >= b
+	return len(q.recovered) > 0
 }
 
 // readCount returns how many bucket reads the queue has served.

@@ -79,6 +79,11 @@ type Config struct {
 	// checkpointAt, when set (tests), also cuts a checkpoint after the job
 	// that ends at each bucket it names, beside the day-end ones.
 	checkpointAt func(netmodel.Bucket) bool
+	// killAt, when set (tests), stops the backend dead at each checkpoint
+	// phase it names — "cut" once the seam is started, "checkpointed" once
+	// the file is written, both before the report is served — as a kill
+	// -9 there would.
+	killAt func(phase string) bool
 }
 
 // Defaults for the zero-valued Config fields.
@@ -450,7 +455,9 @@ func (s *Server) publish(rep *pipeline.Report, checkpoint bool) {
 		// The report's record and the checkpoint holding it reach the
 		// kernel before the report is served.
 		s.wal.journalReport(sr.seq, rep, canonical)
-		s.checkpoint(sr)
+		if !s.checkpoint(sr) || s.killed("checkpointed") {
+			return
+		}
 		s.reports.add(sr)
 	case s.wal != nil:
 		s.reports.add(sr)
@@ -459,6 +466,16 @@ func (s *Server) publish(rep *pipeline.Report, checkpoint bool) {
 		s.reports.add(sr)
 	}
 	s.mReportsPub.Inc()
+}
+
+// killed reports whether Config.killAt stops the backend at phase, and if
+// so cancels it: nothing after this point reaches the disk or a reader.
+func (s *Server) killed(phase string) bool {
+	if s.cfg.killAt == nil || !s.cfg.killAt(phase) {
+		return false
+	}
+	s.bcancel()
+	return true
 }
 
 // Shutdown drains the daemon gracefully: ingestion stops (new batches get

@@ -79,13 +79,12 @@ type walState struct {
 	sinceCompact int
 	compactEvery int // <= 0 disables
 
-	// Backend only. reportRecords counts the history's report records, the
-	// first journaledFrom of them before journaled[0]; lastRecord is the
-	// one (by that count) holding the latest published report, or -1 when
-	// the history holds none of it. A checkpoint is cut only where it is
-	// the report's seq: then seqs name the history's reports.
+	// Backend only. reportRecords is the index the next journaled report
+	// takes; lastRecord is the index of the one holding the latest
+	// published report, or -1 when the journal holds none of it. A
+	// checkpoint is cut only where it is the report's seq: then seqs name
+	// the journal's reports.
 	reportRecords int
-	journaledFrom int
 	lastRecord    int
 
 	// compacting is held by the compaction pass in flight, if any. A pass
@@ -103,7 +102,8 @@ type walState struct {
 	// Recovery summary, fixed once New returns. The phases split New's
 	// recovery time: wal.Open (restoreTime of it restoring the checkpoint),
 	// then the backend's catch-up over the journaled reads after the
-	// checkpoint, which starts at openedAt.
+	// checkpoint, which starts at openedAt. historySegments and
+	// historyBytes are what the open read of the history.
 	recoveredBuckets int
 	replayedBuckets  int
 	recoveredBatches int
@@ -113,6 +113,8 @@ type walState struct {
 	restoreTime      time.Duration
 	openedAt         time.Time
 	recoveryMS       int64
+	historySegments  int
+	historyBytes     int64
 }
 
 // The queueJournal hooks. Append errors degrade durability instead of
@@ -178,7 +180,7 @@ func (ws *walState) regenerated(rep *pipeline.Report, canonical []byte) (held bo
 	case !ok:
 		return false, -1
 	case bytes.Equal(jr.Canonical, canonical):
-		return true, ws.journaledFrom + i
+		return true, jr.Index
 	}
 	ws.inconsistent.Add(1)
 	if _, err := pipeline.ReportFromCanonical(jr.Canonical); err != nil {
@@ -337,9 +339,11 @@ func (s *Server) openWAL(cfg Config, deps pipeline.Deps) (*wal.Recovery, error) 
 		replayedBuckets:  len(rec.Buckets),
 		recoveredBatches: len(rec.Batches) + rec.Settled,
 		recoveredReports: len(rec.Reports),
-		reportRecords:    len(rec.Reports),
+		reportRecords:    rec.NextReport,
 		truncatedBytes:   rec.TruncatedBytes,
 		restoreTime:      restoreTime,
+		historySegments:  rec.HistorySegments,
+		historyBytes:     rec.HistoryBytes,
 	}
 	if ws.compactEvery == 0 {
 		ws.compactEvery = DefaultCompactEveryReports
@@ -349,8 +353,9 @@ func (s *Server) openWAL(cfg Config, deps pipeline.Deps) (*wal.Recovery, error) 
 		reads = ck.Reads
 		ws.recoveredBuckets += reads
 		// The reports up to the checkpoint are the restored log's own.
-		rec.Reports = rec.Reports[ck.Reports:]
-		ws.journaledFrom = ck.Reports
+		for len(rec.Reports) > 0 && rec.Reports[0].Index < ck.Reports {
+			rec.Reports = rec.Reports[1:]
+		}
 	}
 	ws.journaled = rec.Reports
 	for i, jr := range rec.Reports {
@@ -391,15 +396,21 @@ func (s *Server) restore(deps pipeline.Deps, cfg Config, ck wal.Checkpoint, rec 
 		if h.seq >= int64(ck.Reports) {
 			return fmt.Errorf("report %d past the cut", h.seq)
 		}
-		if jr := rec.Reports[h.seq]; jr.From != h.from || jr.To != h.to {
-			return fmt.Errorf("report %d is window [%d, %d], the history's [%d, %d]", h.seq, h.from, h.to, jr.From, jr.To)
+		jr := rec.Report(int(h.seq))
+		switch {
+		case jr == nil:
+			return fmt.Errorf("report %d is no longer journaled", h.seq)
+		case jr.From != h.from || jr.To != h.to:
+			return fmt.Errorf("report %d is window [%d, %d], the journal's [%d, %d]", h.seq, h.from, h.to, jr.From, jr.To)
 		}
 	}
 	for i := range headers {
-		headers[i].canonical = rec.Reports[headers[i].seq].Canonical
+		headers[i].canonical = rec.Report(int(headers[i].seq)).Canonical
 	}
-	for i := range rec.Reports[:ck.Reports] {
-		rec.Reports[i].Canonical = nil
+	for i := range rec.Reports {
+		if rec.Reports[i].Index < ck.Reports {
+			rec.Reports[i].Canonical = nil
+		}
 	}
 	s.pipe = pipe
 	s.reports.reports, s.reports.nextSeq = headers, int64(ck.Reports)
@@ -407,38 +418,54 @@ func (s *Server) restore(deps pipeline.Deps, cfg Config, ck wal.Checkpoint, rec 
 }
 
 // checkpointDue reports whether the report of the job ending at bucket b
-// cuts a checkpoint: at each day's end. While the backend catches up,
-// only the last day end of the journaled reads is checkpointed: the ones
-// before it would be superseded at once.
+// cuts a checkpoint: at each day's end. While the backend catches up the
+// history is ahead of it, and a checkpoint is cut only at the journal's
+// last read.
 func (s *Server) checkpointDue(b netmodel.Bucket) bool {
 	if s.wal == nil || (b+1)%netmodel.BucketsPerDay != 0 && (s.cfg.checkpointAt == nil || !s.cfg.checkpointAt(b)) {
 		return false
 	}
-	return !s.q.replaysThrough(b + netmodel.BucketsPerDay)
+	return !s.q.replaying()
 }
 
-// checkpoint writes the backend's state after the report latest, whose
-// job has just run and which has just been journaled, into the data
-// directory — unless the log is degraded or inconsistent, or does not
-// hold latest as report record latest.seq: the restored log names the
-// history's reports by seq. A failure loses nothing — the history holds
-// every record — and is only logged.
-func (s *Server) checkpoint(latest storedReport) {
+// checkpoint cuts the history after the report latest, whose job has
+// just run and which has just been journaled, and writes the backend's
+// state there into the data directory — unless the log is degraded or
+// inconsistent, or does not hold latest as its last report record, of
+// index latest.seq: the restored log names the journal's reports by seq,
+// and a catch-up can regenerate a report the journal holds more after.
+// The cut seals the history's active segment; its failure degrades
+// durability like any append's. A failed write loses nothing — the
+// history holds every record — and is only logged. It reports false when
+// Config.killAt stopped the backend.
+func (s *Server) checkpoint(latest storedReport) bool {
 	ws := s.wal
-	if ws.degraded.Load() || ws.inconsistent.Load() > 0 || int64(ws.lastRecord) != latest.seq {
-		return
+	if ws.degraded.Load() || ws.inconsistent.Load() > 0 || int64(ws.lastRecord) != latest.seq || ws.lastRecord+1 != ws.reportRecords {
+		return true
 	}
 	headers := s.reports.retainedWith(latest)
-	pos := wal.Checkpoint{Reads: s.q.readCount(), Bucket: latest.to, Reports: ws.lastRecord + 1}
-	n, err := s.wal.log.WriteCheckpoint(pos, func(e *ckpt.Encoder) error {
+	pos := wal.Checkpoint{Reads: s.q.readCount(), Bucket: latest.to, Reports: ws.lastRecord + 1, Keep: ws.lastRecord + 1}
+	if len(headers) > 0 {
+		pos.Keep = int(headers[0].seq)
+	}
+	start := time.Now()
+	pos, err := ws.log.Cut(pos)
+	if err != nil {
+		ws.absorb(err)
+		return true
+	}
+	if s.killed("cut") {
+		return false
+	}
+	n, err := ws.log.WriteCheckpoint(pos, func(e *ckpt.Encoder) error {
 		return appendState(e, s.pipe, headers)
 	})
 	if err != nil {
 		slog.Error("wal.checkpoint_failed", "bucket", pos.Bucket, "err", err)
-		return
+		return true
 	}
-	p := s.wal.log.Stats().LastCheckpoint
-	slog.Info("wal.checkpoint", "bucket", pos.Bucket, "bytes", n, "ms", float64(p.Duration.Microseconds())/1000)
+	slog.Info("wal.checkpoint", "bucket", pos.Bucket, "bytes", n, "ms", float64(time.Since(start).Microseconds())/1000)
+	return true
 }
 
 // verifyRegenerated closes the recovery's books once the backend has
@@ -482,6 +509,7 @@ func (ws *walState) verifyRegenerated(start time.Time) {
 			"buckets", ws.recoveredBuckets, "batches", ws.recoveredBatches, "reports", ws.recoveredReports,
 			"truncated_bytes", ws.truncatedBytes, "inconsistent", ws.inconsistent.Load(),
 			"checkpoint_bucket", ckBucket, "replayed_buckets", ws.replayedBuckets,
+			"history_segments", ws.historySegments, "history_bytes", ws.historyBytes,
 			"duration_ms", ws.recoveryMS, "open_ms", ws.openTime.Milliseconds(),
 			"restore_ms", ws.restoreTime.Milliseconds(),
 			"catchup_ms", caughtUp.Sub(ws.openedAt).Milliseconds())

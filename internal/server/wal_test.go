@@ -61,23 +61,7 @@ type walEnv struct {
 // from zero. dir == "" runs without durability (the seed behavior).
 func openEnv(t *testing.T, dir string, makeSim func() *sim.Simulator, mut func(*Config)) *walEnv {
 	t.Helper()
-	probeSim := makeSim()
-	pcfg := pipeline.DefaultConfig()
-	pcfg.Workers = 1
-	cfg := Config{Pipeline: pcfg}
-	if dir != "" {
-		cfg.DataDir = dir
-		cfg.WAL = wal.Config{Fsync: wal.SyncOff}
-		cfg.CompactEveryReports = 8
-	}
-	if mut != nil {
-		mut(&cfg)
-	}
-	srv, err := New(pipeline.Deps{
-		World:  probeSim.World,
-		Table:  probeSim.Routes,
-		Prober: probe.NewEngine(probeSim, cfg.Pipeline.ProbeNoiseMS),
-	}, cfg)
+	srv, err := newEnvServer(dir, makeSim, mut)
 	if err != nil {
 		t.Fatalf("server.New: %v", err)
 	}
@@ -93,6 +77,27 @@ func openEnv(t *testing.T, dir string, makeSim func() *sim.Simulator, mut func(*
 		e.alive = false
 	})
 	return e
+}
+
+// newEnvServer is the server openEnv starts, or New's error.
+func newEnvServer(dir string, makeSim func() *sim.Simulator, mut func(*Config)) (*Server, error) {
+	probeSim := makeSim()
+	pcfg := pipeline.DefaultConfig()
+	pcfg.Workers = 1
+	cfg := Config{Pipeline: pcfg}
+	if dir != "" {
+		cfg.DataDir = dir
+		cfg.WAL = wal.Config{Fsync: wal.SyncOff}
+		cfg.CompactEveryReports = 8
+	}
+	if mut != nil {
+		mut(&cfg)
+	}
+	return New(pipeline.Deps{
+		World:  probeSim.World,
+		Table:  probeSim.Routes,
+		Prober: probe.NewEngine(probeSim, cfg.Pipeline.ProbeNoiseMS),
+	}, cfg)
 }
 
 // crash kills the incarnation: the backend's context is cancelled (it
@@ -314,6 +319,11 @@ func TestWALRestartEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("crashes-%d", run), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000*run + 7)))
 			points := seededPoints(rng, horizon, pointsPerRun)
+			if testing.Short() {
+				// One kill in warm-up, one in the first stepped window and
+				// one after the first report, as the checks below assume.
+				points = []crashPoint{{bucket: 21, mode: "midbatch"}, {bucket: 44, mode: "afterseal"}, {bucket: 61, mode: "boundary"}}
+			}
 			t.Logf("crash points: %+v", points)
 			e := runServiceFeed(t, t.TempDir(), mkSim, mut, streams, points, false)
 			defer e.close(t)
@@ -521,14 +531,15 @@ func TestWALHealthzRecoveryStats(t *testing.T) {
 
 	// The new report's pass seals the accepted segment the restart went on
 	// appending to — every batch in it read and reported — and unlinks it:
-	// the history's one segment and a fresh accepted one are left.
+	// the history's and the reports' one segment each and a fresh accepted
+	// one are left.
 	waitFor(t, "the compaction pass", func() bool { return e.srv.WALHealth().Compactions == 1 })
 	wh = e.srv.WALHealth()
-	if _, err := os.Stat(filepath.Join(dir, "accepted-0000000001.log")); !os.IsNotExist(err) || wh.Segments != 2 || wh.LastCompactUnlinked <= 0 {
+	if _, err := os.Stat(filepath.Join(dir, "accepted-0000000001.log")); !os.IsNotExist(err) || wh.Segments != 3 || wh.LastCompactUnlinked <= 0 {
 		t.Fatalf("after the pass: %+v, accepted-0000000001.log stat err %v", wh, err)
 	}
 	_, body := (&testEnv{srv: e.srv, ts: e.ts}).get(t, "/healthz")
-	if want := fmt.Sprintf(`"segments":2,"compactions":1,"last_compact_unlinked_bytes":%d}`, wh.LastCompactUnlinked); !strings.Contains(string(body), want) {
+	if want := fmt.Sprintf(`"segments":3,"compactions":1,"last_compact_unlinked_bytes":%d}`, wh.LastCompactUnlinked); !strings.Contains(string(body), want) {
 		t.Fatalf("/healthz = %s, want a wal section ending %s", body, want)
 	}
 }
@@ -1369,7 +1380,7 @@ func TestWALLogEvents(t *testing.T) {
 
 	want := []string{
 		`{"err":"set","msg":"recovery.report_undecodable","seq":1}`,
-		`{"batches":0,"buckets":0,"catchup_ms":"ok","checkpoint_bucket":-1,"duration_ms":"ok","inconsistent":1,"msg":"recovery.complete","open_ms":"ok","replayed_buckets":0,"reports":1,"restore_ms":"ok","truncated_bytes":0}`,
+		`{"batches":0,"buckets":0,"catchup_ms":"ok","checkpoint_bucket":-1,"duration_ms":"ok","history_bytes":46,"history_segments":1,"inconsistent":1,"msg":"recovery.complete","open_ms":"ok","replayed_buckets":0,"reports":1,"restore_ms":"ok","truncated_bytes":0}`,
 		`{"from":0,"msg":"recovery.report_mismatch","to":2}`,
 		`{"msg":"recovery.unregenerated","n":1}`,
 		`{"err":"disk gone","msg":"wal.degraded"}`,

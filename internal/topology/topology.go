@@ -615,6 +615,14 @@ func (w *World) deriveTargets() {
 	}
 }
 
+// fallbackClass names, per device class, the class whose RTT samples set
+// a region's target when the class has none of its own.
+var fallbackClass = [netmodel.NumDeviceClasses]netmodel.DeviceClass{
+	netmodel.NonMobile: netmodel.Mobile,
+	netmodel.Mobile:    netmodel.NonMobile,
+	netmodel.WiFi:      netmodel.NonMobile,
+}
+
 func (w *World) deriveRegionTargets() {
 	// Region targets reflect the normal (primary, in-region) connection
 	// experience; structurally distant pairs get per-pair relief in
@@ -631,8 +639,10 @@ func (w *World) deriveRegionTargets() {
 		for d := 0; d < netmodel.NumDeviceClasses; d++ {
 			xs := samples[reg][d]
 			if len(xs) == 0 {
-				// Fall back to the other device class or a generic level.
-				xs = samples[reg][1-d]
+				// Fall back to the other device class or a generic level:
+				// wired and cellular stand in for each other, and Wi-Fi
+				// rides on a wired uplink.
+				xs = samples[reg][fallbackClass[d]]
 			}
 			var target float64
 			if len(xs) == 0 {

@@ -87,3 +87,27 @@ func TestScaleByName(t *testing.T) {
 		}
 	}
 }
+
+// TestGenerateTinyScale builds worlds at a scale Validate accepts but so
+// small that some region has prefixes of too few device classes (seed 0
+// panicked indexing the samples of class -1): every class must still get
+// a target, taken from a class that has samples.
+func TestGenerateTinyScale(t *testing.T) {
+	sc := SmallScale()
+	sc.CloudsPerRegion, sc.MetrosPerRegion = 1, 1
+	sc.Tier1Count, sc.TransitPerRegion, sc.EyeballsPerRegion = 2, 2, 2
+	sc.MinBGPPerAS, sc.MaxBGPPerAS = 1, 1
+	if err := sc.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(0); seed < 8; seed++ {
+		w := Generate(sc, seed)
+		for reg := range w.targets {
+			for d, target := range w.targets[reg] {
+				if !(target > 0) || math.IsInf(target, 0) {
+					t.Errorf("seed %d, region %d, class %d: target %v", seed, reg, d, target)
+				}
+			}
+		}
+	}
+}

@@ -12,7 +12,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"time"
 
 	"blameit/internal/ckpt"
 	"blameit/internal/netmodel"
@@ -20,17 +19,19 @@ import (
 
 // Checkpoint files (checkpoint-%010d.ckpt, numbered by their Reads) sit
 // beside the segments. Each holds the daemon's folded state at one point
-// of the history, so that recovery replays only the history after it:
+// of the history, so that recovery reads only the history after it:
 //
-//	"BLAMECKP" | version | reads | bucket | reports | body | CRC-32C
+//	"BLAMECKP" | version | reads | bucket | reports | keep | seam | body | CRC-32C
 //
 // with the integers as varints and the CRC, little-endian, over everything
-// before it. A checkpoint only saves time — the history keeps every record
-// — so it is written in place, without fsync: its CRC and its position
-// decide at open whether it is used.
+// before it. Cut starts the checkpoint's seam, the history segment whose
+// base is its position, and WriteCheckpoint writes the file in place,
+// without fsync: its CRC and its seam decide at open whether it is used,
+// and compaction fsyncs the kept ones before it unlinks the history
+// before them.
 const (
 	ckptMagic   = "BLAMECKP"
-	ckptVersion = 1
+	ckptVersion = 2
 	ckptPrefix  = "checkpoint-"
 	ckptSuffix  = ".ckpt"
 	// ckptKeep is how many checkpoints a directory keeps: the newest, and
@@ -45,11 +46,27 @@ type Checkpoint struct {
 	// last one's bucket.
 	Reads  int
 	Bucket netmodel.Bucket
-	// Reports is how many report records the history held.
+	// Reports is how many report records the reports family held, and Keep
+	// the index of the first one the body names: the reports before it
+	// are not needed to restore it.
 	Reports int
+	Keep    int
 	// Body is the state the daemon encoded. Open hands it to
 	// Config.Restore; it is not kept past that.
 	Body []byte
+
+	// seam is the history segment Cut started at the checkpoint.
+	seam uint64
+}
+
+// ckptFile is a kept checkpoint as compaction judges by it: its position,
+// its seam and the first report it needs. seam is 0 until the file has
+// been read (a checkpoint an earlier process wrote and this one did not
+// restore).
+type ckptFile struct {
+	reads int
+	seam  uint64
+	keep  int
 }
 
 func ckptName(reads int) string { return fmt.Sprintf("%s%010d%s", ckptPrefix, reads, ckptSuffix) }
@@ -79,6 +96,8 @@ func EncodeCheckpoint(w io.Writer, pos Checkpoint, body func(*ckpt.Encoder) erro
 	e.Len(pos.Reads)
 	e.Int(int(pos.Bucket))
 	e.Len(pos.Reports)
+	e.Len(pos.Keep)
+	e.Uvarint(pos.seam)
 	if err := body(e); err != nil {
 		return 0, err
 	}
@@ -104,6 +123,8 @@ func DecodeCheckpoint(data []byte) (Checkpoint, error) {
 		return Checkpoint{}, fmt.Errorf("format version %d, this build reads %d", v, ckptVersion)
 	}
 	ck := Checkpoint{Reads: d.Bound(math.MaxInt32), Bucket: netmodel.Bucket(d.Int()), Reports: d.Bound(math.MaxInt32)}
+	ck.Keep = d.Bound(ck.Reports)
+	ck.seam = d.Uvarint()
 	if d.Err() == nil && ck.Reads < 1 {
 		d.Failf("checkpoint before any read")
 	}
@@ -114,14 +135,58 @@ func DecodeCheckpoint(data []byte) (Checkpoint, error) {
 	return ck, nil
 }
 
-// WriteCheckpoint writes a checkpoint cut at pos, with the body body
-// encodes, and unlinks the directory's older checkpoints but one. It
-// returns the bytes written. The state is encoded straight into the file
-// through the encoder's bounded buffer; a failed write leaves no file.
-// pos must stay the history's position while it runs: the caller appends
-// no bucket or report record meanwhile (seals may go on).
+// readCheckpoint reads and decodes the checkpoint file numbered reads.
+func readCheckpoint(dir string, reads int) (*Checkpoint, error) {
+	data, err := os.ReadFile(filepath.Join(dir, ckptName(reads)))
+	if err != nil {
+		return nil, err
+	}
+	ck, err := DecodeCheckpoint(data)
+	if err != nil {
+		return nil, err
+	}
+	if ck.Reads != reads {
+		return nil, fmt.Errorf("position %d under another name", ck.Reads)
+	}
+	return &ck, nil
+}
+
+// Cut starts the history segment a checkpoint at pos will be restored
+// from, its seam: the active segment is sealed, and the next one opens
+// with the log's position as its base. pos must be that position — its
+// reads, the last one's bucket, its reports — and Keep no more than
+// Reports. It returns pos with the seam, for WriteCheckpoint.
+func (l *Log) Cut(pos Checkpoint) (Checkpoint, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return pos, errors.New("wal: log closed")
+	}
+	at := l.pos
+	if pos.Reads < 1 || pos.Reads != at.reads || pos.Bucket != at.horizon.last || pos.Reports != at.reports || pos.Keep > pos.Reports || pos.Keep < 0 {
+		return pos, fmt.Errorf("wal: checkpoint at read %d, bucket %d, report %d: the log is at read %d, bucket %d, report %d",
+			pos.Reads, pos.Bucket, pos.Reports, at.reads, at.horizon.last, at.reports)
+	}
+	if err := l.rotateLocked(&l.hist); err != nil {
+		return pos, err
+	}
+	pos.seam = l.hist.seq
+	return pos, nil
+}
+
+// WriteCheckpoint writes a checkpoint cut at pos, as Cut returned it,
+// with the body body encodes, and unlinks the directory's older
+// checkpoints but one. It returns the bytes written. The state is encoded
+// straight into the file through the encoder's bounded buffer; a failed
+// write leaves no file. No bucket or report record may be appended
+// between the Cut and the write (seals may).
 func (l *Log) WriteCheckpoint(pos Checkpoint, body func(*ckpt.Encoder) error) (int64, error) {
-	start := time.Now()
+	l.mu.Lock()
+	moved := pos.seam == 0 || l.pos.reads != pos.Reads || l.pos.reports != pos.Reports
+	l.mu.Unlock()
+	if moved {
+		return 0, fmt.Errorf("wal: checkpoint at read %d, report %d was not cut where the log is", pos.Reads, pos.Reports)
+	}
 	path := filepath.Join(l.dir, ckptName(pos.Reads))
 	f, err := os.Create(path)
 	if err != nil {
@@ -136,83 +201,26 @@ func (l *Log) WriteCheckpoint(pos Checkpoint, body func(*ckpt.Encoder) error) (i
 		return 0, fmt.Errorf("wal: checkpoint: %w", err)
 	}
 	l.mu.Lock()
-	if !slices.Contains(l.ckpts, pos.Reads) {
-		l.ckpts = append(l.ckpts, pos.Reads)
-		slices.Sort(l.ckpts)
-	}
-	var doomed []int
+	l.ckpts = slices.DeleteFunc(l.ckpts, func(c ckptFile) bool { return c.reads == pos.Reads })
+	l.ckpts = append(l.ckpts, ckptFile{reads: pos.Reads, seam: pos.seam, keep: pos.Keep})
+	slices.SortFunc(l.ckpts, func(a, b ckptFile) int { return a.reads - b.reads })
+	var doomed []ckptFile
 	if k := len(l.ckpts) - ckptKeep; k > 0 {
 		doomed = slices.Clone(l.ckpts[:k])
 		l.ckpts = slices.Delete(l.ckpts, 0, k)
 	}
-	l.stats.LastCheckpoint = CheckpointPass{Bucket: pos.Bucket, Bytes: n, Duration: time.Since(start)}
+	l.stats.LastCheckpoint = CheckpointPass{Bucket: pos.Bucket, Bytes: n}
 	l.mu.Unlock()
-	for _, seq := range doomed {
-		if err := os.Remove(filepath.Join(l.dir, ckptName(seq))); err != nil && !errors.Is(err, os.ErrNotExist) {
+	for _, c := range doomed {
+		if err := os.Remove(filepath.Join(l.dir, ckptName(c.reads))); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return n, fmt.Errorf("wal: %w", err)
 		}
 	}
 	return n, nil
 }
 
-// CheckpointPass is one written checkpoint: its bucket, its size, and how
-// long encoding and writing it took.
+// CheckpointPass is one written checkpoint: its bucket and its size.
 type CheckpointPass struct {
-	Bucket   netmodel.Bucket
-	Bytes    int64
-	Duration time.Duration
-}
-
-// pickCheckpoint returns the newest of the directory's checkpoints that
-// decodes, rejecting (unlinking, and noting in rec) every newer one, and
-// reports whether it rejected any. It fails if a rejected one cannot be
-// unlinked.
-func (l *Log) pickCheckpoint(rec *Recovery) (*Checkpoint, bool, error) {
-	changed := false
-	for i := len(l.ckpts) - 1; i >= 0; i-- {
-		name := ckptName(l.ckpts[i])
-		data, err := os.ReadFile(filepath.Join(l.dir, name))
-		if err == nil {
-			var ck Checkpoint
-			if ck, err = DecodeCheckpoint(data); err == nil && ck.Reads == l.ckpts[i] {
-				l.ckpts = l.ckpts[:i+1]
-				return &ck, changed, nil
-			} else if err == nil {
-				err = fmt.Errorf("position %d under another name", ck.Reads)
-			}
-		}
-		if err := l.rejectCheckpoint(name, err, rec); err != nil {
-			return nil, changed, err
-		}
-		changed = true
-	}
-	l.ckpts = nil
-	return nil, changed, nil
-}
-
-// rejectCheckpoint unlinks a checkpoint recovery will not use, so that no
-// later open can take it over a history that has moved on, and notes why.
-// A checkpoint that stays is an error: recovery must not go on past it.
-// The caller syncs the directory.
-func (l *Log) rejectCheckpoint(name string, why error, rec *Recovery) error {
-	rec.Rejected = append(rec.Rejected, fmt.Errorf("%s: %w", name, why))
-	if err := os.Remove(filepath.Join(l.dir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("wal: rejected checkpoint: %w", err)
-	}
-	return nil
-}
-
-// reaches reports why the scanned history cannot continue from ck, or
-// nil when it can: it must hold the reads ck was cut after, the last of
-// them at ck's bucket, and the reports.
-func (rec *Recovery) reaches(ck *Checkpoint) error {
-	switch {
-	case rec.reads < ck.Reads:
-		return fmt.Errorf("cut after read %d, the history holds %d", ck.Reads, rec.reads)
-	case rec.cutBucket != ck.Bucket:
-		return fmt.Errorf("cut after bucket %d, the history's read %d is bucket %d", ck.Bucket, ck.Reads, rec.cutBucket)
-	case len(rec.Reports) < ck.Reports:
-		return fmt.Errorf("cut after report %d, the history holds %d", ck.Reports, len(rec.Reports))
-	}
-	return nil
+	Bucket netmodel.Bucket
+	Bytes  int64
 }

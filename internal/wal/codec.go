@@ -32,15 +32,17 @@ const (
 	recBatch    = 0x03 // one accepted ingest batch, in queue push order
 	recBucket   = 0x04 // one consumed bucket: the exact stream served to the pipeline
 	recSeal     = 0x05 // one explicit watermark advance
-	recReport   = 0x06 // one published report's canonical JSON
+	recReport   = 0x06 // one published report: its index, the reads before it, its canonical JSON
 	recAggBatch = 0x07 // one accepted /v1/aggregates cell batch, in queue push order
 	// 0x08 was format version 2's aggregate-flush marker.
 	recSkip = 0x09 // the position the next bucket read takes, past reads a truncation lost
+	recBase = 0x0a // the folded history at a history segment's start: its second record
 )
 
 // The record types each family's segments may hold.
 var (
-	historyKinds  = string([]byte{recMeta, recBucket, recSeal, recReport, recSkip})
+	historyKinds  = string([]byte{recMeta, recBase, recBucket, recSeal, recSkip})
+	reportKinds   = string([]byte{recMeta, recReport})
 	acceptedKinds = string([]byte{recMeta, recBatch, recAggBatch})
 )
 
@@ -48,9 +50,12 @@ var (
 // snapshot record; version 3 dropped the agg-flush record, and an
 // agg-batch now settles by the reads, as a batch does. Version 4 moved
 // the batches into a family of their own, each carrying its position.
+// Version 5 moved the reports into a family of their own, each carrying
+// its index and the reads before it, and opens every history segment
+// with a base record, so that recovery starts at a checkpoint's segment.
 const (
 	segMagic   = "BLAMEWAL"
-	segVersion = 4
+	segVersion = 5
 	segHeader  = len(segMagic) + 4
 )
 
@@ -83,26 +88,14 @@ func crcMatches(hdr, payload []byte) bool {
 // rawRecord is one CRC-valid record as scanned from a segment, with its
 // decoded body. The body slice aliases the scanned file buffer; decoded
 // values own their memory. A batch of either feed also carries its
-// position and highest bucket. A record only checked, not decoded, is a
-// settled batch (val nil) or a bucket record a checkpoint holds (checked:
-// val names its bucket, without the observations).
+// position and highest bucket. A settled batch is only checked, not
+// decoded: its val is nil.
 type rawRecord struct {
-	typ     byte
-	body    []byte
-	val     any
-	after   int
-	high    netmodel.Bucket
-	checked bool
-}
-
-// decodeRule says which records a scan checks without decoding them.
-type decodeRule struct {
-	// settled, if not nil, reports a batch settled by its position and
-	// highest bucket.
-	settled func(after int, high netmodel.Bucket) bool
-	// checked is how many of the scanned bucket records lead the history
-	// up to a restored checkpoint, which holds what they fold into.
-	checked int
+	typ   byte
+	body  []byte
+	val   any
+	after int
+	high  netmodel.Bucket
 }
 
 // scanRecords walks data (a segment's bytes after the header) and returns
@@ -110,16 +103,15 @@ type decodeRule struct {
 // kinds plus the byte offset where that prefix ends. Anything after the
 // returned offset — a torn frame, a CRC mismatch, an over-long length, a
 // type the family does not hold, or an undecodable body — is the corrupt
-// tail the caller truncates. The records rule names are checked but not
-// decoded.
+// tail the caller truncates. A batch settled, if not nil, reports settled
+// by its position and highest bucket is checked but not decoded.
 //
 // Frames are checked in order, since each one's position depends on the
 // length before it. The bodies are independent once framed, so they decode
 // on every core, each into its own record; the prefix is then cut at the
 // first body that failed, as a sequential decode would have stopped there.
-func scanRecords(data []byte, kinds string, rule decodeRule) (recs []rawRecord, valid int64) {
+func scanRecords(data []byte, kinds string, settled func(after int, high netmodel.Bucket) bool) (recs []rawRecord, valid int64) {
 	off := int64(0)
-	reads := 0
 	for {
 		rest := data[off:]
 		if len(rest) < frameHeader {
@@ -133,17 +125,12 @@ func scanRecords(data []byte, kinds string, rule decodeRule) (recs []rawRecord, 
 		if !crcMatches(rest, payload) || strings.IndexByte(kinds, payload[0]) < 0 {
 			break
 		}
-		r := rawRecord{typ: payload[0], body: payload[1:]}
-		if r.typ == recBucket {
-			r.checked = reads < rule.checked
-			reads++
-		}
-		recs = append(recs, r)
+		recs = append(recs, rawRecord{typ: payload[0], body: payload[1:]})
 		off += frameHeader + n
 	}
 	ok := make([]bool, len(recs))
 	parallel.ForEach(len(recs), parallel.Resolve(0), func(i int) {
-		ok[i] = recs[i].decode(rule.settled)
+		ok[i] = recs[i].decode(settled)
 	})
 	for i := range recs {
 		if !ok[i] {
@@ -155,7 +142,7 @@ func scanRecords(data []byte, kinds string, rule decodeRule) (recs []rawRecord, 
 }
 
 // decode checks the record's body and decodes it into val, except for a
-// batch settled reports settled and a checked bucket record.
+// batch settled reports settled.
 func (r *rawRecord) decode(settled func(int, netmodel.Bucket) bool) bool {
 	var ok bool
 	if r.typ == recBatch || r.typ == recAggBatch {
@@ -169,7 +156,7 @@ func (r *rawRecord) decode(settled func(int, netmodel.Bucket) bool) bool {
 			}
 		}
 	}
-	r.val, r.high, ok = decodeBody(r.typ, r.body, !r.checked)
+	r.val, r.high, ok = decodeBody(r.typ, r.body, true)
 	return ok
 }
 
@@ -359,6 +346,32 @@ func readCells(r *reader, build bool) ([]ingest.AggCell, netmodel.Bucket) {
 	return cells, high
 }
 
+// appendPosition encodes a base record's body: the bucket records, the
+// read horizon, the highest seal and the report records.
+func appendPosition(buf []byte, p position) []byte {
+	buf = binary.AppendUvarint(buf, uint64(p.reads))
+	buf = binary.AppendUvarint(buf, uint64(p.horizon.n))
+	buf = binary.AppendUvarint(buf, uint64(p.horizon.reached))
+	buf = binary.AppendVarint(buf, int64(p.horizon.last))
+	buf = binary.AppendVarint(buf, int64(p.maxSeal))
+	return binary.AppendUvarint(buf, uint64(p.reports))
+}
+
+// readPosition reads what appendPosition wrote. A horizon no history can
+// fold to — reads or a latest read past its next position — is an error.
+func readPosition(r *reader) position {
+	p := position{reads: r.position()}
+	p.horizon.n = r.position()
+	p.horizon.reached = r.position()
+	p.horizon.last = netmodel.Bucket(r.varint())
+	p.maxSeal = netmodel.Bucket(r.varint())
+	p.reports = r.position()
+	if p.reads > p.horizon.n || p.horizon.reached > p.horizon.n {
+		r.err = true
+	}
+	return p
+}
+
 // noBucket is the high bucket of a record that names none.
 const noBucket = netmodel.Bucket(math.MinInt)
 
@@ -390,12 +403,13 @@ func decodeBody(typ byte, body []byte, build bool) (val any, high netmodel.Bucke
 		val = BucketStream{Bucket: b, Obs: obs}
 	case recSeal:
 		val = netmodel.Bucket(r.varint())
+	case recBase:
+		val = readPosition(r)
 	case recReport:
-		rep := Report{
-			Seq:  r.varint(),
-			From: netmodel.Bucket(r.varint()),
-			To:   netmodel.Bucket(r.varint()),
-		}
+		rep := Report{Index: r.position(), AfterBuckets: r.position()}
+		rep.Seq = r.varint()
+		rep.From = netmodel.Bucket(r.varint())
+		rep.To = netmodel.Bucket(r.varint())
 		rep.Final = r.varint() != 0
 		if build {
 			rep.Canonical = append([]byte(nil), r.rest()...)

@@ -244,7 +244,7 @@ func TestCompactionCrashPoints(t *testing.T) {
 		populate(t, l)
 		before := acceptedSegments(t, dir)
 		seen := 0
-		l.compactStep = func(phase string) bool {
+		l.testStep = func(phase string) bool {
 			if phase == crashAt {
 				seen++
 			}
@@ -370,18 +370,16 @@ func TestAcceptedTailTruncatedAlone(t *testing.T) {
 		}
 		l.Close()
 		// Cut the history after its fourth read, mid-frame: the reads of
-		// buckets 4 and 5, the seal and both reports go, and the batches
-		// recorded at positions 4 to 6 lie past what is left.
+		// buckets 4 and 5 and the seal go, and the batches recorded at
+		// positions 4 to 6 lie past what is left. Both reports followed
+		// the lost reads: the reports family is cut back with them.
 		path := filepath.Join(dir, "wal-0000000001.log")
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs, _ := scanRecords(data[segHeader:], historyKinds, decodeRule{})
-		cut := int64(segHeader)
-		for _, r := range recs[:1+4] { // the meta record, then four reads
-			cut += frameHeader + 1 + int64(len(r.body))
-		}
+		recs, _ := scanRecords(data[segHeader:], historyKinds, nil)
+		cut := int64(segHeader) + framedBytes(recs[:2+4]) // the meta and base records, then four reads
 		if err := os.Truncate(path, cut+3); err != nil {
 			t.Fatal(err)
 		}
@@ -484,7 +482,7 @@ func TestCompactionUnlinksOnlySettled(t *testing.T) {
 				t.Fatal(err)
 			}
 			high := noBucket
-			recs, _ := scanRecords(data[segHeader:], acceptedKinds, decodeRule{})
+			recs, _ := scanRecords(data[segHeader:], acceptedKinds, nil)
 			for _, r := range recs[1:] {
 				high = max(high, r.high)
 			}
@@ -523,7 +521,8 @@ func TestCompactionUnlinksOnlySettled(t *testing.T) {
 		if len(accAfter) > 2 {
 			t.Fatalf("cadence %d: %d accepted segments after the pass, want at most the unreported tail and the fresh one", c, len(accAfter))
 		}
-		if want := len(history()) + len(accAfter); st.Segments != want {
+		reports, _ := filepath.Glob(filepath.Join(dir, "reports-*.log"))
+		if want := len(history()) + len(reports) + len(accAfter); st.Segments != want {
 			t.Fatalf("cadence %d: Stats.Segments = %d, %d files on disk", c, st.Segments, want)
 		}
 	}
@@ -543,7 +542,7 @@ func TestAppendsProceedDuringCompaction(t *testing.T) {
 	populate(t, l)
 
 	held, release := make(chan struct{}), make(chan struct{})
-	l.compactStep = func(phase string) bool {
+	l.testStep = func(phase string) bool {
 		if phase == "unlinked" {
 			select {
 			case <-held: // later unlinks pass straight through
@@ -697,10 +696,12 @@ func TestHorizon(t *testing.T) {
 // before the aggregate feed joined the ingest queue (agg-flush record
 // included), testdata/format-v3 by the commit before batches moved into a
 // family of their own (batches between the reads, without positions),
-// each by the code of its day: the open fails and says which version it
-// found, rather than misreading or dropping the old records.
+// testdata/format-v4 by the commit before reports moved into a family of
+// their own (reports between the reads, no base records), each by the
+// code of its day: the open fails and says which version it found,
+// rather than misreading or dropping the old records.
 func TestOpenRefusesFormatVersion1(t *testing.T) {
-	for version, seg := range map[int]string{1: "wal-0000000002.log", 2: "wal-0000000001.log", 3: "wal-0000000001.log"} {
+	for version, seg := range map[int]string{1: "wal-0000000002.log", 2: "wal-0000000001.log", 3: "wal-0000000001.log", 4: "wal-0000000001.log"} {
 		dir := t.TempDir()
 		old, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("format-v%d", version), seg))
 		if err != nil {

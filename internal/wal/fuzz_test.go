@@ -25,14 +25,17 @@ func batchBody(after int, obs []byte) []byte {
 }
 
 // FuzzWALDecode drives the segment record scanner over arbitrary bytes,
-// as each family reads them. The scanner sits on the recovery path of
-// every daemon restart, so it must uphold, for ANY input: no panic, no
-// out-of-bounds, a valid offset (the truncation point never exceeds the
-// input), and prefix consistency (the records it accepts re-encode to
-// exactly the bytes it consumed — what recovery replays is what was on
-// disk). A batch the reads have settled is only checked, not decoded;
-// the check must accept exactly the bytes the decode accepts, record for
-// record, or a settled batch could hide a corrupt tail.
+// as each family — history, reports, accepted — reads them. The scanner
+// sits on the recovery path of every daemon restart, so it must uphold,
+// for ANY input: no panic, no out-of-bounds, a valid offset (the
+// truncation point never exceeds the input), and prefix consistency (the
+// records it accepts re-encode to exactly the bytes it consumed — what
+// recovery replays is what was on disk). A batch the reads have settled
+// is only checked, not decoded; the check must accept exactly the bytes
+// the decode accepts, record for record, or a settled batch could hide a
+// corrupt tail. The fold over the accepted records — base records held to
+// the history folded before them, report indices to the one before —
+// takes a prefix of them and never panics.
 func FuzzWALDecode(f *testing.F) {
 	// Seed corpus: a valid accepted segment of both feeds' batches, a torn
 	// tail, a bit flip, a zero-length record, and a giant-length record.
@@ -54,17 +57,36 @@ func FuzzWALDecode(f *testing.F) {
 	giant = binary.LittleEndian.AppendUint32(giant, 0)
 	f.Add(giant)
 	f.Add([]byte{})
-	// A history segment: one of each of its record types.
+	// A history segment: one of each of its record types, the base second.
 	hist := append([]byte(nil), meta...)
+	hist = appendFrame(hist, appendPosition([]byte{recBase}, origin))
 	hist = appendFrame(hist, appendObs(binary.AppendVarint([]byte{recBucket}, 3), obsFor(3, 2)))
 	hist = appendFrame(hist, binary.AppendVarint([]byte{recSeal}, 7))
-	hist = appendFrame(hist, append([]byte{recReport, 0, 0, 4, 1}, "{}\n"...))
 	hist = appendFrame(hist, binary.AppendUvarint([]byte{recSkip}, 5))
 	f.Add(hist)
+	// A later history segment, opening at the position the first folds to
+	// — and one opening elsewhere.
+	at := position{reads: 1, horizon: Horizon{n: 5, reached: 1, last: 3}, maxSeal: 7, reports: 2}
+	f.Add(appendFrame(append([]byte(nil), meta...), appendPosition([]byte{recBase}, at)))
+	at.reads = 2
+	f.Add(appendFrame(append([]byte(nil), meta...), appendPosition([]byte{recBase}, at)))
+	// A reports segment: two reports in index order, and one out of it.
+	report := func(index, after int, to int64) []byte {
+		body := binary.AppendUvarint([]byte{recReport}, uint64(index))
+		body = binary.AppendUvarint(body, uint64(after))
+		for _, v := range []int64{int64(index), to - 2, to, 0} { // seq, from, to, final
+			body = binary.AppendVarint(body, v)
+		}
+		return append(body, "{}\n"...)
+	}
+	reports := appendFrame(append([]byte(nil), meta...), report(4, 10, 12))
+	reports = appendFrame(reports, report(5, 12, 15))
+	f.Add(reports)
+	f.Add(appendFrame(append([]byte(nil), reports...), report(7, 13, 18)))
 	f.Add(appendFrame(nil, []byte{0x02, 0, 1, 0}))                              // version 1's snapshot record: now an unknown type
 	withFlush := appendFrame(append([]byte(nil), hist...), []byte{0x08, 8, 10}) // version 2's agg-flush record: likewise
 	f.Add(appendFrame(withFlush, binary.AppendVarint([]byte{recSeal}, 9)))
-	if recs, n := scanRecords(withFlush, historyKinds, decodeRule{}); len(recs) != 5 || n != int64(len(hist)) {
+	if recs, n := scanRecords(withFlush, historyKinds, nil); len(recs) != 5 || n != int64(len(hist)) {
 		f.Fatalf("scan accepted %d records / %d bytes of a log with a kind-0x08 record after %d bytes: the unknown kind must stop it", len(recs), n, len(hist))
 	}
 	// Version 3's batch body, without a position: its count of
@@ -73,7 +95,7 @@ func FuzzWALDecode(f *testing.F) {
 	// A family stops at the other's records.
 	mixed := append(append([]byte(nil), valid...), hist[len(meta):]...)
 	f.Add(mixed)
-	if recs, n := scanRecords(mixed, acceptedKinds, decodeRule{}); len(recs) != 4 || n != int64(len(valid)) {
+	if recs, n := scanRecords(mixed, acceptedKinds, nil); len(recs) != 4 || n != int64(len(valid)) {
 		f.Fatalf("the accepted family accepted %d records / %d bytes past its own %d", len(recs), n, len(valid))
 	}
 	// A framed, CRC-valid batch whose body claims observations it does not
@@ -82,7 +104,7 @@ func FuzzWALDecode(f *testing.F) {
 	badBody := appendFrame(append([]byte(nil), valid...), []byte{recBatch, 0, 5})
 	badBody = appendFrame(badBody, batchBody(1, appendObs([]byte{recBatch}, obsFor(3, 2))))
 	f.Add(badBody)
-	if recs, n := scanRecords(badBody, acceptedKinds, decodeRule{}); len(recs) != 4 || n != int64(len(valid)) {
+	if recs, n := scanRecords(badBody, acceptedKinds, nil); len(recs) != 4 || n != int64(len(valid)) {
 		f.Fatalf("scan accepted %d records / %d bytes of a log with an undecodable body after %d bytes: the bad body must stop it", len(recs), n, len(valid))
 	}
 
@@ -90,8 +112,8 @@ func FuzzWALDecode(f *testing.F) {
 	// horizon or not, so both paths run on every input.
 	settledOdd := func(after int, _ netmodel.Bucket) bool { return after%2 == 1 }
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, k := range []string{historyKinds, acceptedKinds} {
-			recs, valid := scanRecords(data, k, decodeRule{})
+		for _, k := range []string{historyKinds, reportKinds, acceptedKinds} {
+			recs, valid := scanRecords(data, k, nil)
 			if valid < 0 || valid > int64(len(data)) {
 				t.Fatalf("truncation offset %d out of range [0, %d]", valid, len(data))
 			}
@@ -106,8 +128,8 @@ func FuzzWALDecode(f *testing.F) {
 			}
 			// Checking without decoding accepts the same prefix, and the
 			// records it decodes anyway are the same: here the batches at
-			// odd positions and the first two bucket records are checked.
-			checked, n := scanRecords(data, k, decodeRule{settled: settledOdd, checked: 2})
+			// odd positions are checked.
+			checked, n := scanRecords(data, k, settledOdd)
 			if len(checked) != len(recs) || n != valid {
 				t.Fatalf("with checked records the scan accepted %d records / %d bytes, without %d / %d", len(checked), n, len(recs), valid)
 			}
@@ -118,20 +140,19 @@ func FuzzWALDecode(f *testing.F) {
 					}
 					continue
 				}
-				if r.checked {
-					if got, want := r.val.(BucketStream), recs[i].val.(BucketStream); got.Obs != nil || got.Bucket != want.Bucket {
-						t.Fatalf("record %d: a checked bucket record decoded to %+v, want bucket %d alone", i, got, want.Bucket)
-					}
-					continue
-				}
 				if !reflect.DeepEqual(r.val, recs[i].val) && !hasNaN(r.val) {
 					t.Fatalf("record %d: decoded %+v, without settling %+v", i, r.val, recs[i].val)
 				}
 			}
-			// Interpretation must not panic either (decodeBody already ran
-			// in scanRecords; fold the records as recovery would).
-			rec := &Recovery{MaxSeal: -1}
-			_ = interpret(rec, recs, "m")
+			// The fold must not panic either, and takes a prefix: from
+			// zero, and from the position a seam would seed.
+			for _, seed := range []position{origin, at} {
+				rec := &Recovery{MaxSeal: -1}
+				rec.seed(seed)
+				if n, _ := interpret(rec, recs, "m"); n < 0 || n > len(recs) {
+					t.Fatalf("the fold took %d of %d records", n, len(recs))
+				}
+			}
 		}
 	})
 }

@@ -76,6 +76,7 @@ func writeSample(t *testing.T, dir string, cfg Config) *Recovery {
 	if err := l.AppendReport(rep); err != nil {
 		t.Fatalf("AppendReport: %v", err)
 	}
+	rep.AfterBuckets = 2
 	want.Reports = append(want.Reports, rep)
 
 	cells := []ingest.AggCell{{Agent: 1, Epoch: 2, Seq: 3, Bucket: 4, Prefix: 5, Cloud: 1, Device: 1, Samples: 9, MeanRTT: 55.25, Clients: 2}}
@@ -127,7 +128,8 @@ func checkRecovered(t *testing.T, got, want *Recovery) {
 	}
 	for i := range want.Reports {
 		g, w := got.Reports[i], want.Reports[i]
-		if g.Seq != w.Seq || g.From != w.From || g.To != w.To || g.Final != w.Final || !bytes.Equal(g.Canonical, w.Canonical) {
+		if g.Seq != w.Seq || g.From != w.From || g.To != w.To || g.Final != w.Final || !bytes.Equal(g.Canonical, w.Canonical) ||
+			g.Index != w.Index || g.AfterBuckets != w.AfterBuckets {
 			t.Errorf("report %d: got %+v want %+v", i, g, w)
 		}
 	}
@@ -186,9 +188,9 @@ func TestMetaMismatchRefusesOpen(t *testing.T) {
 	}
 }
 
-// families are the log's two segment families, by the file name of their
-// first segment.
-var families = []string{"wal-0000000001.log", "accepted-0000000001.log"}
+// families are the log's three segment families, by the file name of
+// their first segment.
+var families = []string{"wal-0000000001.log", "reports-0000000001.log", "accepted-0000000001.log"}
 
 // withSegment copies dir's segments into a fresh directory, with data as
 // the named one.
@@ -212,8 +214,8 @@ func withSegment(t *testing.T, dir, name string, data []byte) string {
 
 // TestTornTailTruncation cuts each family's segment at every byte offset
 // and reopens: recovery must always succeed with a strict prefix of the
-// records, keep the other family whole, count the discarded bytes, and
-// leave both families appendable.
+// records, keep the other families whole, count the discarded bytes, and
+// leave every family appendable.
 func TestTornTailTruncation(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Fsync: SyncOff, Meta: "m"}
@@ -236,15 +238,26 @@ func TestTornTailTruncation(t *testing.T) {
 			if len(rec.Buckets) > len(want.Buckets) || len(rec.Reports) > len(want.Reports) || len(rec.Batches)+rec.Settled > len(want.Batches)+want.Settled {
 				t.Fatalf("%s cut=%d: recovered more than was written", name, cut)
 			}
-			if name == families[0] && len(rec.Batches)+rec.Settled != len(want.Batches)+want.Settled ||
-				name == families[1] && (len(rec.Buckets) != len(want.Buckets) || len(rec.Reports) != len(want.Reports)) {
-				t.Fatalf("%s cut=%d: the other family lost records", name, cut)
+			// A cut history takes the reports after its lost reads along.
+			reports := 0
+			for _, r := range want.Reports {
+				if r.AfterBuckets <= len(rec.Buckets) {
+					reports++
+				}
 			}
-			// Both families must remain appendable after tail truncation.
+			if name != families[0] && len(rec.Buckets) != len(want.Buckets) ||
+				name != families[1] && len(rec.Reports) != reports ||
+				name != families[2] && len(rec.Batches)+rec.Settled != len(want.Batches)+want.Settled {
+				t.Fatalf("%s cut=%d: another family lost records", name, cut)
+			}
+			// Every family must remain appendable after tail truncation.
 			if err := l.AppendSeal(9); err != nil {
 				t.Fatalf("%s cut=%d: append after truncation: %v", name, cut, err)
 			}
 			if err := l.AppendBatch(obsFor(9, 1)); err != nil {
+				t.Fatalf("%s cut=%d: append after truncation: %v", name, cut, err)
+			}
+			if err := l.AppendReport(Report{Seq: 9, From: 9, To: 9, Canonical: []byte("{}")}); err != nil {
 				t.Fatalf("%s cut=%d: append after truncation: %v", name, cut, err)
 			}
 			if err := l.Close(); err != nil {
@@ -254,8 +267,8 @@ func TestTornTailTruncation(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s cut=%d: reopen: %v", name, cut, err)
 			}
-			if n := len(rec2.Batches); rec2.MaxSeal != 9 || n == 0 || rec2.Batches[n-1].Obs[0].Bucket != 9 {
-				t.Fatalf("%s cut=%d: post-truncation appends lost: MaxSeal=%d, %d batches", name, cut, rec2.MaxSeal, n)
+			if n, r := len(rec2.Batches), len(rec2.Reports); rec2.MaxSeal != 9 || n == 0 || rec2.Batches[n-1].Obs[0].Bucket != 9 || r == 0 || rec2.Reports[r-1].Seq != 9 {
+				t.Fatalf("%s cut=%d: post-truncation appends lost: MaxSeal=%d, %d batches, %d reports", name, cut, rec2.MaxSeal, n, r)
 			}
 			l2.Close()
 		}
@@ -318,8 +331,8 @@ func TestSegmentRotation(t *testing.T) {
 		want = append(want, BucketStream{Bucket: b, Obs: obs})
 	}
 	st := l.Stats()
-	if st.Segments < 3 {
-		t.Fatalf("Segments = %d, want the history rotated past 1 segment beside the accepted one", st.Segments)
+	if st.Segments < 4 {
+		t.Fatalf("Segments = %d, want the history rotated past 1 segment beside the reports and the accepted one", st.Segments)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
