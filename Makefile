@@ -17,7 +17,9 @@ test:
 
 # The packages that fan work out across goroutines (sharded observation
 # generation, the parallel Algorithm 1 job, the blameitd frontend/backend
-# split, route generation over clouds) plus the localizer they call
+# split, route generation over clouds, the world built beside the journal
+# read at blameitd's start, whose test builds the binary under -race too,
+# the checkpoint restored section by section) plus the localizer they call
 # concurrently, the source seam (internal/ingest) the pipeline reads
 # through and the BGP table built over the parallel routes, under the race
 # detector.
@@ -27,7 +29,7 @@ test:
 # (TestFleetMatchesCentralized) and the 7-day fleet chaos gate on the
 # daemon's aggregate path (internal/server's TestFleetChaosEndToEnd).
 race:
-	$(GO) test -race -timeout 20m ./internal/sim/... ./internal/pipeline/... ./internal/core/... ./internal/parallel/... ./internal/ingest/... ./internal/probe/... ./internal/chaos/... ./internal/server/... ./internal/wal/... ./internal/fleet/... ./internal/topology/... ./internal/bgp/...
+	$(GO) test -race -timeout 20m ./cmd/blameitd/ ./internal/sim/... ./internal/pipeline/... ./internal/core/... ./internal/parallel/... ./internal/ingest/... ./internal/probe/... ./internal/chaos/... ./internal/server/... ./internal/wal/... ./internal/fleet/... ./internal/topology/... ./internal/bgp/...
 
 # The crash-safety gate, under the race detector: every WAL-layer test
 # (framing, torn tails of either family, compaction killed before its

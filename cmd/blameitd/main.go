@@ -57,6 +57,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"syscall"
 	"time"
 
@@ -131,12 +132,27 @@ func run(o options) error {
 	if o.warmup < 0 || o.days < 1 {
 		return fmt.Errorf("warmup must be >= 0 and days >= 1")
 	}
+	// The world is built on a goroutine of its own while the server reads
+	// its journal, which needs none of it; the server waits for it only to
+	// restore a checkpoint, or to start. The collector is paused until it
+	// is built: the build keeps nearly all it allocates (4.1 of 5.4 MB at
+	// small scale, 52 of 66 MB at large), so collecting the young heap
+	// then only slows the build and the journal read beside it.
 	horizon := netmodel.Bucket(o.days * netmodel.BucketsPerDay)
-	s, err := sim.Seeded(scale, o.seed, o.workload, horizon, o.workers, nil)
-	if err != nil {
-		return err
+	type built struct {
+		s   *sim.Simulator
+		err error
 	}
-	logWorldBuilt(o.scaleName, o.days, s.Build)
+	worldc := make(chan built, 1)
+	gcPercent := debug.SetGCPercent(-1)
+	go func() {
+		s, err := sim.Seeded(scale, o.seed, o.workload, horizon, o.workers, nil)
+		debug.SetGCPercent(gcPercent)
+		if err == nil {
+			logWorldBuilt(o.scaleName, o.days, s.Build)
+		}
+		worldc <- built{s, err}
+	}()
 
 	reg := metrics.NewRegistry()
 	pcfg := pipeline.DefaultConfig()
@@ -175,10 +191,14 @@ func run(o options) error {
 	// The daemon's pipeline reads observations from the HTTP ingest queue;
 	// only active-phase probes come from the deterministic engine over the
 	// regenerated world.
-	srv, err := server.New(pipeline.Deps{
-		World:  s.World,
-		Table:  s.Routes,
-		Prober: probe.NewEngine(s, pcfg.ProbeNoiseMS),
+	var s *sim.Simulator
+	srv, err := server.NewDeferred(func() (pipeline.Deps, error) {
+		w := <-worldc
+		if w.err != nil {
+			return pipeline.Deps{}, w.err
+		}
+		s = w.s
+		return pipeline.Deps{World: s.World, Table: s.Routes, Prober: probe.NewEngine(s, pcfg.ProbeNoiseMS)}, nil
 	}, cfg)
 	if err != nil {
 		return err

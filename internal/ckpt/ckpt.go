@@ -9,6 +9,10 @@
 // tells them apart. The Decoder accepts nothing else, and the types decode
 // their maps in the order they encode them (sorted), so a state restored
 // from a checkpoint re-encodes to the bytes it came from.
+//
+// A body may be cut into sections (Mark, EndSections) that restore
+// independently of one another: a trailer after the last one gives each
+// section's offset, so that a reader can hand them to several goroutines.
 package ckpt
 
 import (
@@ -38,6 +42,8 @@ type Encoder struct {
 	crc uint32
 	n   int64
 	err error
+	// marks are the offsets of the sections Mark started.
+	marks []int64
 }
 
 // NewEncoder returns an encoder writing to w.
@@ -70,6 +76,69 @@ func (e *Encoder) flush() {
 func (e *Encoder) Flush() (n int64, crc uint32, err error) {
 	e.flush()
 	return e.n, e.crc, e.err
+}
+
+// Mark starts a section: what is appended from here to the next Mark, or
+// to EndSections, is one section of the body the first Mark starts.
+func (e *Encoder) Mark() { e.marks = append(e.marks, e.n+int64(len(e.buf))) }
+
+// EndSections closes the sections marked with their trailer: each one's
+// offset from the first, then their count, every one a little-endian
+// uint32. The Encoder streams what it is given, so the sections' lengths
+// cannot be written ahead of them.
+func (e *Encoder) EndSections() {
+	if len(e.marks) == 0 {
+		return
+	}
+	if end := e.n + int64(len(e.buf)) - e.marks[0]; end > math.MaxUint32 && e.err == nil {
+		e.err = fmt.Errorf("ckpt: sections of %d bytes", end)
+	}
+	for _, m := range e.marks {
+		e.put(binary.LittleEndian.AppendUint32(e.buf, uint32(m-e.marks[0])))
+	}
+	e.put(binary.LittleEndian.AppendUint32(e.buf, uint32(len(e.marks))))
+	e.marks = e.marks[:0]
+}
+
+// Sections splits a body EndSections closed into its n sections. The
+// trailer must be the one the Encoder writes: a count of n, at least one,
+// and n offsets, the first 0 and each past the one before, the last
+// before the trailer. The sections alias body.
+func Sections(body []byte, n int) ([][]byte, error) {
+	fail := func(format string, args ...any) ([][]byte, error) {
+		return nil, fmt.Errorf("%w: section trailer: %s", ErrMalformed, fmt.Sprintf(format, args...))
+	}
+	if len(body) < 4 {
+		return fail("%d bytes", len(body))
+	}
+	count := binary.LittleEndian.Uint32(body[len(body)-4:])
+	if n < 1 || count != uint32(n) {
+		return fail("%d sections, want %d", count, n)
+	}
+	if 4*(n+1) > len(body) {
+		return fail("%d sections in %d bytes", n, len(body))
+	}
+	end := len(body) - 4*(n+1) // the trailer's start
+	offs := body[end:]
+	secs := make([][]byte, n)
+	prev := -1
+	for i := range secs {
+		off := binary.LittleEndian.Uint32(offs[4*i:])
+		switch {
+		case i == 0 && off != 0:
+			return fail("the first section at %d", off)
+		case int64(off) >= int64(end):
+			return fail("section %d at %d, past the %d bytes of sections", i, off, end)
+		case int(off) <= prev:
+			return fail("section %d at %d, not after %d", i, off, prev)
+		}
+		if i > 0 {
+			secs[i-1] = body[prev:off:off]
+		}
+		prev = int(off)
+	}
+	secs[n-1] = body[prev:end:end]
+	return secs, nil
 }
 
 // Raw appends bytes as they are, unprefixed.
@@ -326,16 +395,44 @@ func (d *Decoder) F32s(vs []float32) {
 func (d *Decoder) String() string { return string(d.Raw(d.Len(1))) }
 
 // Path reads a route.
-func (d *Decoder) Path() netmodel.Path {
+func (d *Decoder) Path() netmodel.Path { return d.SlabPath(nil) }
+
+// SlabPath reads a route whose middle is cut from asns.
+func (d *Decoder) SlabPath(asns *Slab[netmodel.ASN]) netmodel.Path {
 	p := netmodel.Path{Cloud: netmodel.CloudID(d.Int())}
 	if n, isNil := d.NilLen(1); !isNil {
-		p.Middle = make([]netmodel.ASN, n)
+		p.Middle = asns.Take(n)
 		for i := range p.Middle {
 			p.Middle[i] = netmodel.ASN(d.Int())
 		}
 	}
 	p.Client = netmodel.ASN(d.Int())
 	return p
+}
+
+// slabBytes is the size of the blocks a Slab cuts from.
+const slabBytes = 64 << 10
+
+// Slab cuts the many small slices a restore makes from a few large
+// blocks, so that the garbage collector has fewer objects to track and
+// less reason to run. Each piece is capped at its length: appending to one
+// reallocates it rather than running into the next. The zero Slab is ready
+// to use; it is not safe for concurrent use.
+type Slab[T any] struct{ free []T }
+
+// Take returns n zeroed elements, never nil. A nil Slab allocates each
+// piece on its own.
+func (s *Slab[T]) Take(n int) []T {
+	if s == nil {
+		return make([]T, n)
+	}
+	if n > len(s.free) || s.free == nil {
+		var zero T
+		s.free = make([]T, max(n, slabBytes/max(1, int(unsafe.Sizeof(zero)))))
+	}
+	t := s.free[:n:n]
+	s.free = s.free[n:]
+	return t
 }
 
 // A sparse array is encoded as the count of its present entries, then

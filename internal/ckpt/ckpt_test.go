@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"math"
@@ -104,5 +105,97 @@ func TestDecoderRefusesOtherEncodings(t *testing.T) {
 		if err := d.Done(); !errors.Is(err, ErrMalformed) {
 			t.Errorf("%s: %v, want ErrMalformed", tc.name, err)
 		}
+	}
+}
+
+// TestSections writes three sections through a buffer smaller than the
+// body, so that the marks fall in different writes, splits them back, and
+// holds the split to the trailer the encoder writes: offsets swapped, one
+// past the sections, two equal, a first section not at 0, and counts of
+// zero or other than asked are each refused.
+func TestSections(t *testing.T) {
+	var out bytes.Buffer
+	e := NewEncoder(&out)
+	e.Raw([]byte("header"))
+	want := [][]byte{bytes.Repeat([]byte{1}, bufBytes), {2, 2}, bytes.Repeat([]byte{3}, bufBytes/3)}
+	for _, sec := range want {
+		e.Mark()
+		e.Raw(sec)
+	}
+	e.EndSections()
+	if _, _, err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	body := out.Bytes()[len("header"):]
+	got, err := Sections(body, len(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("section %d: %d bytes, want %d", i, len(got[i]), len(want[i]))
+		}
+		if cap(got[i]) != len(got[i]) {
+			t.Errorf("section %d is not capped", i)
+		}
+	}
+	trailer := len(body) - 4*(len(want)+1)
+	offset := func(b []byte, i int) []byte { return b[trailer+4*i : trailer+4*i+4] }
+	for _, tc := range []struct {
+		name   string
+		n      int
+		damage func(b []byte)
+	}{
+		{"out of order", 3, func(b []byte) {
+			x := binary.LittleEndian.Uint32(offset(b, 1))
+			copy(offset(b, 1), offset(b, 2))
+			binary.LittleEndian.PutUint32(offset(b, 2), x)
+		}},
+		{"past the body", 3, func(b []byte) { binary.LittleEndian.PutUint32(offset(b, 2), uint32(len(b))) }},
+		{"overlapping", 3, func(b []byte) { copy(offset(b, 2), offset(b, 1)) }},
+		{"first not at 0", 3, func(b []byte) { binary.LittleEndian.PutUint32(offset(b, 0), 1) }},
+		{"zero count", 0, func(b []byte) { binary.LittleEndian.PutUint32(offset(b, 3), 0) }},
+		{"another count", 2, func(b []byte) {}},
+	} {
+		b := bytes.Clone(body)
+		tc.damage(b)
+		if _, err := Sections(b, tc.n); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: %v, want ErrMalformed", tc.name, err)
+		}
+	}
+	for _, short := range [][]byte{nil, {0, 0, 0}, {1, 0, 0, 0}} {
+		if _, err := Sections(short, 1); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%d bytes: %v, want ErrMalformed", len(short), err)
+		}
+	}
+}
+
+// TestSlab holds a slab's pieces apart: each is zeroed and capped, so an
+// append to one reallocates it and leaves the next as it was; an empty
+// piece is not nil, and a nil slab allocates each piece alone.
+func TestSlab(t *testing.T) {
+	var s Slab[int]
+	a, b := s.Take(3), s.Take(2)
+	if len(a) != 3 || cap(a) != 3 || len(b) != 2 || cap(b) != 2 {
+		t.Fatalf("pieces of len/cap %d/%d and %d/%d", len(a), cap(a), len(b), cap(b))
+	}
+	b[0] = 7
+	a = append(a, 9)
+	if b[0] != 7 || a[3] != 9 {
+		t.Errorf("an append to one piece reached the next: %v %v", a, b)
+	}
+	if e := s.Take(0); e == nil {
+		t.Error("an empty piece is nil")
+	}
+	big := s.Take(slabBytes) // larger than a block
+	if len(big) != slabBytes || big[slabBytes-1] != 0 {
+		t.Errorf("a piece larger than a block: %d elements", len(big))
+	}
+	var none *Slab[int]
+	if p := none.Take(2); len(p) != 2 || cap(p) != 2 {
+		t.Errorf("a nil slab's piece: len %d cap %d", len(p), cap(p))
+	}
+	if p := none.Take(0); p == nil {
+		t.Error("a nil slab's empty piece is nil")
 	}
 }

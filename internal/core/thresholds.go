@@ -233,13 +233,21 @@ func (l *Learner) AppendCheckpoint(e *ckpt.Encoder) {
 // AppendCheckpoint wrote. clouds bounds the cloud IDs; the middle slice
 // must span the learner's key space exactly.
 func (l *Learner) RestoreCheckpoint(d *ckpt.Decoder, clouds int) {
-	l.cloud = restoreReservoirs(d, clouds*netmodel.NumDeviceClasses, -1)
-	l.middle = restoreReservoirs(d, len(l.middle), len(l.middle))
+	var sl reservoirSlabs
+	l.cloud = sl.restore(d, clouds*netmodel.NumDeviceClasses, -1)
+	l.middle = sl.restore(d, len(l.middle), len(l.middle))
 }
 
-// restoreReservoirs reads one reservoir slice no longer than limit (of
-// exactly want entries, unless want < 0).
-func restoreReservoirs(d *ckpt.Decoder, limit, want int) []*reservoir {
+// reservoirSlabs cut a restore's reservoirs and their values from a few
+// blocks.
+type reservoirSlabs struct {
+	rs   ckpt.Slab[reservoir]
+	vals ckpt.Slab[float64]
+}
+
+// restore reads one reservoir slice no longer than limit (of exactly want
+// entries, unless want < 0).
+func (sl *reservoirSlabs) restore(d *ckpt.Decoder, limit, want int) []*reservoir {
 	size := d.Bound(limit)
 	if want >= 0 && size != want {
 		d.Failf("reservoir slice of %d entries, want %d", size, want)
@@ -250,7 +258,8 @@ func restoreReservoirs(d *ckpt.Decoder, limit, want int) []*reservoir {
 	for n := d.Bound(size); n > 0 && d.Err() == nil; n-- {
 		i := d.Gap(prev, size)
 		prev = i
-		r := &reservoir{n: int(d.Varint())}
+		r := &sl.rs.Take(1)[0]
+		r.n = int(d.Varint())
 		r.salt = d.Uvarint()
 		if r.n < 1 {
 			d.Failf("reservoir with %d values offered", r.n)
@@ -261,7 +270,7 @@ func restoreReservoirs(d *ckpt.Decoder, limit, want int) []*reservoir {
 			d.Failf("reservoir of %d values exceeds the input", k)
 			return nil
 		}
-		r.vals = make([]float64, k)
+		r.vals = sl.vals.Take(k)
 		d.F64s(r.vals)
 		rs[i] = r
 	}

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -30,6 +31,7 @@ func encodeCheckpoint(t *testing.T, p *Pipeline) []byte {
 	if err := p.AppendCheckpoint(e); err != nil {
 		t.Fatalf("AppendCheckpoint: %v", err)
 	}
+	e.EndSections()
 	if _, _, err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +41,8 @@ func encodeCheckpoint(t *testing.T, p *Pipeline) []byte {
 // TestCheckpointRestoresState cuts a checkpoint between two jobs, restores
 // it into a pipeline built afresh over the same world, and steps both on
 // across a day boundary (a relearn): every report must be the same, bytes
-// and health, and the restored state must re-encode to the same bytes.
+// and health, and the restored state must re-encode to the same bytes,
+// restored on one goroutine or several.
 func TestCheckpointRestoresState(t *testing.T) {
 	cut, end := netmodel.Bucket(2*netmodel.BucketsPerDay-37), netmodel.Bucket(2*netmodel.BucketsPerDay+36)
 	if testing.Short() {
@@ -56,18 +59,23 @@ func TestCheckpointRestoresState(t *testing.T) {
 	body := encodeCheckpoint(t, live)
 	encoded := time.Since(start)
 
-	restored := NewSim(checkpointSim(), cfg)
-	start = time.Now()
-	d := ckpt.NewDecoder(body)
-	if err := restored.RestoreCheckpoint(d); err != nil {
-		t.Fatalf("RestoreCheckpoint: %v", err)
-	}
-	if err := d.Done(); err != nil {
+	sections, err := ckpt.Sections(body, CheckpointSections)
+	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("checkpoint at bucket %d: %d bytes, encoded in %v, restored in %v", cut, len(body), encoded, time.Since(start))
-	if again := encodeCheckpoint(t, restored); !bytes.Equal(again, body) {
-		t.Fatalf("restored state re-encodes to %d bytes, not the %d it came from", len(again), len(body))
+	var restored *Pipeline
+	for _, workers := range []int{4, 1} {
+		rcfg := cfg
+		rcfg.Workers = workers
+		restored = NewSim(checkpointSim(), rcfg)
+		start = time.Now()
+		if err := restored.RestoreCheckpoint(sections); err != nil {
+			t.Fatalf("RestoreCheckpoint at %d workers: %v", workers, err)
+		}
+		t.Logf("checkpoint at bucket %d: %d bytes, encoded in %v, restored at %d workers in %v", cut, len(body), encoded, workers, time.Since(start))
+		if again := encodeCheckpoint(t, restored); !bytes.Equal(again, body) {
+			t.Fatalf("state restored at %d workers re-encodes to %d bytes, not the %d it came from", workers, len(again), len(body))
+		}
 	}
 	if live.Quarantine().String() != restored.Quarantine().String() {
 		t.Errorf("quarantine books %s, want %s", restored.Quarantine(), live.Quarantine())
@@ -98,6 +106,36 @@ func TestCheckpointRestoresState(t *testing.T) {
 	}
 	if reports == 0 {
 		t.Fatal("no report after the cut")
+	}
+}
+
+// TestCheckpointSectionErrorsInOrder damages two sections of a checkpoint
+// and restores it on several goroutines: the error names both, in section
+// order, whichever finished first.
+func TestCheckpointSectionErrorsInOrder(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	live := NewSim(checkpointSim(), cfg)
+	live.Warmup(0, 12)
+	if err := live.Run(12, 24, nil); err != nil {
+		t.Fatal(err)
+	}
+	sections, err := ckpt.Sections(encodeCheckpoint(t, live), CheckpointSections)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A trailing byte fails each damaged section's decoder.
+	for _, i := range []int{0, 4} {
+		sections[i] = append(bytes.Clone(sections[i]), 0)
+	}
+	cfg.Workers = 3
+	err = NewSim(checkpointSim(), cfg).RestoreCheckpoint(sections)
+	if err == nil {
+		t.Fatal("damaged sections restored")
+	}
+	lines := strings.Split(err.Error(), "\n")
+	if len(lines) != 2 || !strings.HasPrefix(lines[0], "learner: ") || !strings.HasPrefix(lines[1], "baseliner: ") {
+		t.Errorf("restore failed with %q, want the learner's error, then the baseliner's", err)
 	}
 }
 

@@ -310,11 +310,12 @@ func (p *ClientPredictor) AppendCheckpoint(e *ckpt.Encoder) {
 // AppendCheckpoint wrote; the slice spans at most the key space.
 func (p *ClientPredictor) RestoreCheckpoint(d *ckpt.Decoder) {
 	p.hist = make([]*clientHist, d.Bound(p.keys.Len()))
+	var slab ckpt.Slab[clientHist]
 	prev := -1
 	for n := d.Bound(len(p.hist)); n > 0 && d.Err() == nil; n-- {
 		i := d.Gap(prev, len(p.hist))
 		prev = i
-		h := &clientHist{}
+		h := &slab.Take(1)[0]
 		for s := range h.dayTag {
 			h.dayTag[s] = d.Range(-1, math.MaxInt32)
 			if h.dayTag[s] != -1 {

@@ -56,16 +56,18 @@ func (bg *Baseliner) AppendCheckpoint(e *ckpt.Encoder) {
 func (bg *Baseliner) RestoreCheckpoint(d *ckpt.Decoder) {
 	keys := len(bg.baselines)
 	clear(bg.baselines)
+	var sl traceSlabs
 	prev := -1
 	for n := d.Bound(keys); n > 0 && d.Err() == nil; n-- {
 		id := d.Gap(prev, keys)
 		prev = id
-		h := make([]Traceroute, d.Bound(historyLen))
+		// Capped: store appends to a restored history.
+		h := sl.trs.Take(d.Bound(historyLen))
 		if len(h) == 0 {
 			d.Failf("path %d with no baselines", id)
 		}
 		for i := range h {
-			h[i] = restoreTraceroute(d)
+			sl.restore(d, &h[i])
 		}
 		bg.baselines[id] = h
 	}
@@ -98,20 +100,27 @@ func appendTraceroute(e *ckpt.Encoder, tr *Traceroute) {
 	}
 }
 
-func restoreTraceroute(d *ckpt.Decoder) Traceroute {
-	tr := Traceroute{
+// traceSlabs cut a restore's traceroutes, their path middles and their
+// hops from a few blocks.
+type traceSlabs struct {
+	trs  ckpt.Slab[Traceroute]
+	asns ckpt.Slab[netmodel.ASN]
+	hops ckpt.Slab[Hop]
+}
+
+func (sl *traceSlabs) restore(d *ckpt.Decoder, tr *Traceroute) {
+	*tr = Traceroute{
 		Cloud:  netmodel.CloudID(d.Int()),
 		Prefix: netmodel.PrefixID(d.Int()),
 		Bucket: netmodel.Bucket(d.Int()),
-		Path:   d.Path(),
+		Path:   d.SlabPath(&sl.asns),
 	}
 	if n, isNil := d.NilLen(10); !isNil {
-		tr.Hops = make([]Hop, n)
+		tr.Hops = sl.hops.Take(n)
 		for i := range tr.Hops {
 			tr.Hops[i] = Hop{AS: netmodel.ASN(d.Int()), Segment: netmodel.Segment(d.Int()), CumulativeMS: d.F64()}
 		}
 	}
-	return tr
 }
 
 // AppendCheckpoint encodes the spend and the denials, each as its

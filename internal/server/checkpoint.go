@@ -9,13 +9,15 @@ import (
 	"blameit/internal/pipeline"
 )
 
-// appendState encodes a checkpoint's body: the pipeline's state, then the
-// headers of the reports the log retains, oldest first. Their bytes stay
-// in the history's report records.
+// appendState encodes a checkpoint's body: the pipeline's sections, then
+// a section of the headers of the reports the log retains, oldest first,
+// and the sections' trailer. The reports' bytes stay in the reports
+// family.
 func appendState(e *ckpt.Encoder, pipe *pipeline.Pipeline, headers []storedReport) error {
 	if err := pipe.AppendCheckpoint(e); err != nil {
 		return err
 	}
+	e.Mark()
 	e.Len(len(headers))
 	for i := range headers {
 		h := &headers[i]
@@ -33,16 +35,22 @@ func appendState(e *ckpt.Encoder, pipe *pipeline.Pipeline, headers []storedRepor
 		}
 		e.Int(hl.OpenCircuits)
 	}
+	e.EndSections()
 	return nil
 }
 
 // restoreState reads what appendState wrote into pipe, a pipeline built
 // afresh, and returns the headers, in increasing seq order and without
 // their bytes.
-func restoreState(d *ckpt.Decoder, pipe *pipeline.Pipeline) ([]storedReport, error) {
-	if err := pipe.RestoreCheckpoint(d); err != nil {
+func restoreState(body []byte, pipe *pipeline.Pipeline) ([]storedReport, error) {
+	sections, err := ckpt.Sections(body, pipeline.CheckpointSections+1)
+	if err != nil {
 		return nil, err
 	}
+	if err := pipe.RestoreCheckpoint(sections[:pipeline.CheckpointSections]); err != nil {
+		return nil, err
+	}
+	d := ckpt.NewDecoder(sections[pipeline.CheckpointSections])
 	headers := make([]storedReport, d.Len(14))
 	for i := range headers {
 		h := &headers[i]

@@ -5,12 +5,14 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -105,8 +107,9 @@ func everyJob(c *Config) { c.checkpointAt = func(netmodel.Bucket) bool { return 
 // every job — on the raw feed, the aggregate feed, a drain flush and a
 // chaos profile. Every recovered arm must serve what the uninterrupted one
 // serves: report bytes, index, verdicts and quarantine books. The
-// checkpointed arm must have continued from a checkpoint after each
-// crash past warm-up, replaying one job window at most.
+// checkpointed arm runs, and restores its sections, on one pipeline worker
+// and on two; it must have continued from a checkpoint after each crash
+// past warm-up, replaying one job window at most.
 func TestCheckpointCrashMatrix(t *testing.T) {
 	const warmup = 36
 	mkSim := func() *sim.Simulator { return newTestSim(1) }
@@ -131,28 +134,31 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 		sameBooks(t, "replay from zero", servedBooks(t, zero), want)
 		zero.close(t)
 
-		buf := captureLog(t)
-		e := run(t.TempDir(), ckMut)
-		sameBooks(t, "checkpointed", servedBooks(t, e), want)
-		if wh := e.srv.WALHealth(); wh.CheckpointBucket < 0 {
-			t.Errorf("the checkpointed arm's last incarnation knows no checkpoint: %+v", wh)
-		}
-		e.close(t)
-		n, replayed := 0, 0
-		from, counts := recoveries(t, buf)
-		for i, b := range from {
-			if b >= 0 {
-				n++
-				replayed = max(replayed, counts[i])
+		for _, workers := range []int{1, 2} {
+			arm := fmt.Sprintf("checkpointed at %d workers", workers)
+			buf := captureLog(t)
+			e := run(t.TempDir(), func(c *Config) { ckMut(c); c.Pipeline.Workers = workers })
+			sameBooks(t, arm, servedBooks(t, e), want)
+			if wh := e.srv.WALHealth(); wh.CheckpointBucket < 0 {
+				t.Errorf("%s: the last incarnation knows no checkpoint: %+v", arm, wh)
 			}
+			e.close(t)
+			n, replayed := 0, 0
+			from, counts := recoveries(t, buf)
+			for i, b := range from {
+				if b >= 0 {
+					n++
+					replayed = max(replayed, counts[i])
+				}
+			}
+			if n == 0 {
+				t.Fatalf("%s: no incarnation continued from a checkpoint", arm)
+			}
+			if replayed > runEvery {
+				t.Errorf("%s: an incarnation replayed %d buckets after its checkpoint, more than one job window (%d)", arm, replayed, runEvery)
+			}
+			t.Logf("%s: %d restores from a checkpoint, at most %d buckets replayed after one", arm, n, replayed)
 		}
-		if n == 0 {
-			t.Fatal("no incarnation continued from a checkpoint")
-		}
-		if replayed > runEvery {
-			t.Errorf("an incarnation replayed %d buckets after its checkpoint, more than one job window (%d)", replayed, runEvery)
-		}
-		t.Logf("%d restores from a checkpoint, at most %d buckets replayed after one", n, replayed)
 	}
 
 	t.Run("raw", func(t *testing.T) {
@@ -548,20 +554,27 @@ func TestCheckpointSeam(t *testing.T) {
 	}
 }
 
-// FuzzCheckpoint holds the checkpoint decoder — the WAL's file framing,
-// the pipeline's state and the report log's headers — to arbitrary bytes:
-// no input panics it; each is rejected or restored; and a restored
-// checkpoint re-encodes to exactly the bytes it came from, so nothing a
-// restore accepts is changed by it. Each input is tried as it is, then
-// with its CRC made to match.
-func FuzzCheckpoint(f *testing.F) {
-	// A world of a few dozen /24s keeps the seed state, and each restore,
-	// small enough to mutate quickly.
+// tinySim is a world of a few dozen /24s without faults: its checkpoints
+// are tens of kilobytes.
+func tinySim() *sim.Simulator {
 	tiny := topology.SmallScale()
 	tiny.TransitPerRegion, tiny.EyeballsPerRegion = 2, 4
 	tiny.MinBGPPerAS, tiny.MaxBGPPerAS = 1, 1
 	w := topology.Generate(tiny, 7)
-	probeSim := sim.New(w, bgp.NewTable(w, bgp.DefaultChurnConfig(), netmodel.BucketsPerDay, 9), faults.NewSchedule(nil), sim.DefaultConfig(10))
+	return sim.New(w, bgp.NewTable(w, bgp.DefaultChurnConfig(), netmodel.BucketsPerDay, 9), faults.NewSchedule(nil), sim.DefaultConfig(10))
+}
+
+// FuzzCheckpoint holds the checkpoint decoder — the WAL's file framing,
+// the sections' trailer, the pipeline's state and the report log's
+// headers — to arbitrary bytes: no input panics it; each is rejected or
+// restored; and a restored checkpoint re-encodes to exactly the bytes it
+// came from, so nothing a restore accepts is changed by it. Each input is
+// tried as it is, then with its CRC made to match, and restored on one
+// goroutine and on several.
+func FuzzCheckpoint(f *testing.F) {
+	// The tiny world keeps the seed state, and each restore, small enough
+	// to mutate quickly.
+	probeSim := tinySim()
 	pcfg := pipeline.DefaultConfig()
 	pcfg.Workers = 1
 	deps := pipeline.Deps{
@@ -598,6 +611,25 @@ func FuzzCheckpoint(f *testing.F) {
 	f.Add(seed[:len(seed)-1])
 	f.Add(append([]byte(nil), seed[:64]...))
 	f.Add([]byte("BLAMECKP"))
+	// The trailer damaged: its offsets swapped, one past the sections, two
+	// equal, and a count of zero (the CRC is made to match below).
+	const sections = pipeline.CheckpointSections + 1
+	trailer := len(seed) - 4 - 4*(sections+1)
+	offset := func(b []byte, i int) []byte { return b[trailer+4*i : trailer+4*i+4] }
+	for _, damage := range []func(b []byte){
+		func(b []byte) {
+			x, y := slices.Clone(offset(b, 2)), slices.Clone(offset(b, 3))
+			copy(offset(b, 2), y)
+			copy(offset(b, 3), x)
+		},
+		func(b []byte) { binary.LittleEndian.PutUint32(offset(b, 4), uint32(len(seed))) },
+		func(b []byte) { copy(offset(b, 5), offset(b, 4)) },
+		func(b []byte) { binary.LittleEndian.PutUint32(offset(b, sections), 0) },
+	} {
+		b := slices.Clone(seed)
+		damage(b)
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		wal.DecodeCheckpoint(data)
 		// The input with its CRC made to match, so that the mutations reach
@@ -609,17 +641,21 @@ func FuzzCheckpoint(f *testing.F) {
 		if err != nil {
 			return
 		}
-		pipe := pipeline.New(deps, pcfg)
-		headers, err := restoreState(ckpt.NewDecoder(ck.Body), pipe)
-		if err != nil {
-			return
-		}
-		again, err := encode(ck, pipe, headers)
-		if err != nil {
-			t.Fatalf("a restored checkpoint does not encode: %v", err)
-		}
-		if !bytes.Equal(again, data) {
-			t.Fatalf("a restored checkpoint re-encodes to %d bytes, not the %d it came from", len(again), len(data))
+		for _, workers := range []int{1, 3} {
+			cfg := pcfg
+			cfg.Workers = workers
+			pipe := pipeline.New(deps, cfg)
+			headers, err := restoreState(ck.Body, pipe)
+			if err != nil {
+				return
+			}
+			again, err := encode(ck, pipe, headers)
+			if err != nil {
+				t.Fatalf("a checkpoint restored at %d workers does not encode: %v", workers, err)
+			}
+			if !bytes.Equal(again, data) {
+				t.Fatalf("a checkpoint restored at %d workers re-encodes to %d bytes, not the %d it came from", workers, len(again), len(data))
+			}
 		}
 	})
 }
@@ -722,4 +758,164 @@ func TestCheckpointRetainedReports(t *testing.T) {
 		sameBooks(t, fmt.Sprintf("retaining %d", tc.retain), servedBooks(t, e), want)
 		e.close(t)
 	}
+}
+
+// TestCheckpointWorldFailure restarts over a checkpointed directory with a
+// world that fails to build. New fails with the world's error, and no
+// checkpoint — good, or torn — is rejected, logged or unlinked: the world
+// is no checkpoint's fault. A restart with the world then judges them as
+// ever: the torn one is rejected and the older one restored. Without a
+// data directory the error fails New too.
+func TestCheckpointWorldFailure(t *testing.T) {
+	const warmup, stop = 36, 80
+	streams := simStreams(newTestSim(1), stop)
+	mkSim := func() *sim.Simulator { return newTestSim(1) }
+	mut := func(c *Config) {
+		c.WarmupBuckets = warmup
+		c.CompactEveryReports = -1
+		c.checkpointAt = func(b netmodel.Bucket) bool { return (b+1)%12 == 0 }
+	}
+	dir := t.TempDir()
+	e := openEnv(t, dir, mkSim, mut)
+	for b := 0; b < stop; b++ {
+		postWithRetry(t, e.ts.Client(), e.ts.URL+"/v1/ingest", jsonlBody(t, streams[b]))
+		if st, body := postSeal(t, e.ts.Client(), e.ts.URL, netmodel.Bucket(b)); st != http.StatusAccepted {
+			t.Fatalf("seal %d = %d (%s)", b, st, body)
+		}
+	}
+	e.quiesce(t, netmodel.Bucket(stop-1))
+	e.crash()
+	ckpts, _ := filepath.Glob(filepath.Join(dir, "checkpoint-*.ckpt"))
+	sort.Strings(ckpts)
+	if len(ckpts) != 2 {
+		t.Fatalf("the directory keeps %d checkpoints, want 2: %v", len(ckpts), ckpts)
+	}
+
+	errWorld := errors.New("the world would not build")
+	for _, torn := range []bool{false, true} {
+		if torn {
+			st, err := os.Stat(ckpts[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(ckpts[1], st.Size()-1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before [][]byte
+		for _, path := range ckpts {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before = append(before, data)
+		}
+		buf := captureLog(t)
+		calls := 0
+		srv, err := NewDeferred(func() (pipeline.Deps, error) {
+			calls++
+			return pipeline.Deps{}, errWorld
+		}, envConfig(dir, mut))
+		if err == nil {
+			srv.Shutdown(context.Background())
+			t.Fatalf("torn %v: a server was started without its world", torn)
+		}
+		if !errors.Is(err, errWorld) || calls != 1 {
+			t.Errorf("torn %v: New failed with %v after %d calls for the world, want the world's error after 1", torn, err, calls)
+		}
+		if strings.Contains(buf.String(), "recovery.checkpoint_rejected") {
+			t.Errorf("torn %v: a checkpoint was rejected for the world's failure:\n%s", torn, buf)
+		}
+		for i, path := range ckpts {
+			if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, before[i]) {
+				t.Errorf("torn %v: %s was touched (err %v)", torn, filepath.Base(path), err)
+			}
+		}
+	}
+
+	buf := captureLog(t)
+	e = openEnv(t, dir, mkSim, mut)
+	checkRecoveryConsistent(t, e)
+	if got := strings.Count(buf.String(), `"msg":"recovery.checkpoint_rejected"`); got != 1 {
+		t.Errorf("%d checkpoints rejected once the world builds, want the torn one:\n%s", got, buf)
+	}
+	if from, _ := recoveries(t, buf); len(from) != 1 || from[0] != 59 {
+		t.Errorf("recovery continued from checkpoints %v, want [59]", from)
+	}
+	e.close(t)
+
+	if _, err := NewDeferred(func() (pipeline.Deps, error) { return pipeline.Deps{}, errWorld }, envConfig("", nil)); !errors.Is(err, errWorld) {
+		t.Errorf("without a data directory New failed with %v, want the world's error", err)
+	}
+}
+
+// TestCheckpointVersion2 restarts over a data directory the build before
+// sectioned checkpoints wrote (testdata/checkpoint-v2: the tiny world fed
+// through bucket 25 and killed, its checkpoint cut after bucket 23, in
+// version 2). The checkpoint is rejected, naming its version, and unlinked;
+// recovery replays the history from zero — its first segment is there —
+// and the daemon then serves what an uninterrupted one serves.
+func TestCheckpointVersion2(t *testing.T) {
+	const warmup, stop, horizon = 12, 26, 40
+	streams := simStreams(tinySim(), horizon)
+	mut := func(c *Config) {
+		c.WarmupBuckets = warmup
+		c.CompactEveryReports = -1
+		c.checkpointAt = func(b netmodel.Bucket) bool { return (b+1)%12 == 0 }
+	}
+	feed := func(e *walEnv, from, to int) {
+		t.Helper()
+		for b := from; b < to; b++ {
+			postWithRetry(t, e.ts.Client(), e.ts.URL+"/v1/ingest", jsonlBody(t, streams[b]))
+			if st, body := postSeal(t, e.ts.Client(), e.ts.URL, netmodel.Bucket(b)); st != http.StatusAccepted {
+				t.Fatalf("seal %d = %d (%s)", b, st, body)
+			}
+		}
+		e.quiesce(t, netmodel.Bucket(to-1))
+	}
+	ref := openEnv(t, "", tinySim, mut)
+	feed(ref, 0, horizon)
+	want := servedBooks(t, ref)
+	ref.close(t)
+
+	dir := t.TempDir()
+	fixture := filepath.Join("testdata", "checkpoint-v2")
+	entries, err := os.ReadDir(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, de := range entries {
+		data, err := os.ReadFile(filepath.Join(fixture, de.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, de.Name()), data, 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const v2 = "checkpoint-0000000015.ckpt"
+	if _, err := os.Stat(filepath.Join(dir, "wal-0000000001.log")); err != nil {
+		t.Fatalf("the fixture holds no history from zero: %v", err)
+	}
+	buf := captureLog(t)
+	e := openEnv(t, dir, tinySim, mut)
+	checkRecoveryConsistent(t, e)
+	var rejected []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.Contains(line, `"msg":"recovery.checkpoint_rejected"`) {
+			rejected = append(rejected, line)
+		}
+	}
+	if len(rejected) != 1 || !strings.Contains(rejected[0], v2+": format version 2") {
+		t.Errorf("rejections %q, want %s's by its version", rejected, v2)
+	}
+	if from, _ := recoveries(t, buf); len(from) != 1 || from[0] != -1 {
+		t.Errorf("recovery continued from checkpoints %v, want none", from)
+	}
+	if _, err := os.Stat(filepath.Join(dir, v2)); !os.IsNotExist(err) {
+		t.Errorf("the rejected %s was kept: %v", v2, err)
+	}
+	feed(e, stop, horizon)
+	sameBooks(t, "from a version-2 directory", servedBooks(t, e), want)
+	e.close(t)
 }

@@ -260,10 +260,18 @@ type Server struct {
 // whole point of the daemon. World, Table, and Prober are required, as for
 // pipeline.New.
 func New(deps pipeline.Deps, cfg Config) (*Server, error) {
+	return NewDeferred(func() (pipeline.Deps, error) { return deps, nil }, cfg)
+}
+
+// NewDeferred is New over dependencies still being built: deps is called
+// once, on the caller's goroutine, when the server first needs them. With a
+// data directory that is after everything opening the journal can do
+// without them — the directory scan, the checkpoint's read and CRC, the
+// history from its seam, the reports and the accepted family — so that a
+// world built on another goroutine meanwhile overlaps it. An error from
+// deps fails NewDeferred and rejects no checkpoint.
+func NewDeferred(deps func() (pipeline.Deps, error), cfg Config) (*Server, error) {
 	start := time.Now()
-	if deps.Source != nil {
-		return nil, fmt.Errorf("server: deps.Source must be nil; the server feeds the pipeline from its HTTP ingest queue")
-	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -279,24 +287,44 @@ func New(deps pipeline.Deps, cfg Config) (*Server, error) {
 	s := &Server{cfg: cfg, done: make(chan struct{})}
 	s.reports.max = cfg.MaxReports
 	s.q = newIngestQueue(cfg.MaxPendingRecords, cfg.ManualSeal, nil, nil)
-	deps.Source = s.q
+	var worldWait time.Duration
+	world := sync.OnceValues(func() (pipeline.Deps, error) {
+		waiting := time.Now()
+		d, err := deps()
+		worldWait = time.Since(waiting)
+		switch {
+		case err != nil:
+			return d, fmt.Errorf("building the world: %w", err)
+		case d.Source != nil:
+			return d, fmt.Errorf("deps.Source must be nil; the server feeds the pipeline from its HTTP ingest queue")
+		}
+		d.Source = s.q
+		return d, nil
+	})
 	// With a data directory, open the WAL — restoring the pipeline and the
 	// report log from its checkpoint, if it has one recovery can use — and
 	// fill the queue with what it recovered: the journal is live, and the
 	// journaled streams after the checkpoint are what the backend reads
 	// first.
 	if cfg.DataDir != "" {
-		rec, err := s.openWAL(cfg, deps)
+		rec, err := s.openWAL(cfg, world)
 		if err != nil {
 			return nil, err
 		}
 		s.q.recover(s.wal, rec)
 	}
+	d, err := world()
+	if err != nil {
+		if s.wal != nil {
+			s.wal.log.Close()
+		}
+		return nil, fmt.Errorf("server: %w", err)
+	}
 	if s.pipe == nil {
-		s.pipe = pipeline.New(deps, cfg.Pipeline)
+		s.pipe = pipeline.New(d, cfg.Pipeline)
 	}
 	s.reg = s.pipe.Metrics
-	s.frontQuar = ingest.NewQuarantine(netmodel.PrefixID(len(deps.World.Prefixes)), len(deps.World.Clouds))
+	s.frontQuar = ingest.NewQuarantine(netmodel.PrefixID(len(d.World.Prefixes)), len(d.World.Clouds))
 	s.frontQuar.SetMetrics(s.reg)
 	s.mBatches = s.reg.Counter("server.ingest.batches")
 	s.mRecords = s.reg.Counter("server.ingest.records")
@@ -316,6 +344,10 @@ func New(deps pipeline.Deps, cfg Config) (*Server, error) {
 	s.mux = http.NewServeMux()
 	s.routes()
 	s.bctx, s.bcancel = context.WithCancel(context.Background())
+	if s.wal != nil {
+		s.wal.worldWait = worldWait
+		s.wal.catchupFrom = time.Now()
+	}
 	go s.run()
 	// Wait until the backend asks for its first bucket past the journaled
 	// ones (at once, without a journal): callers get a server whose state

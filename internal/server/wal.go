@@ -100,18 +100,23 @@ type walState struct {
 	restored *wal.Checkpoint
 
 	// Recovery summary, fixed once New returns. The phases split New's
-	// recovery time: wal.Open (restoreTime of it restoring the checkpoint),
-	// then the backend's catch-up over the journaled reads after the
-	// checkpoint, which starts at openedAt. historySegments and
-	// historyBytes are what the open read of the history.
+	// recovery time: wal.Open — readTime of it reading the directory up to
+	// the first restore (all of it without one), restoreTime restoring the
+	// checkpoint — then the backend's catch-up over the journaled reads
+	// after the checkpoint, which starts at catchupFrom. worldWait is how
+	// long recovery waited for the world, in the open or after it.
+	// historySegments and historyBytes are what the open read of the
+	// history.
 	recoveredBuckets int
 	replayedBuckets  int
 	recoveredBatches int
 	recoveredReports int
 	truncatedBytes   int64
 	openTime         time.Duration
+	readTime         time.Duration
+	worldWait        time.Duration
 	restoreTime      time.Duration
-	openedAt         time.Time
+	catchupFrom      time.Time
 	recoveryMS       int64
 	historySegments  int
 	historyBytes     int64
@@ -299,9 +304,10 @@ func (ws *walState) health() *WALHealth {
 // report log from the newest checkpoint recovery can use — keeps the
 // journaled reports after the checkpoint as the evidence the regenerated
 // ones will be checked against, and notes the positions of the drain
-// flushes among the reads to replay. It runs before the backend goroutine
-// starts.
-func (s *Server) openWAL(cfg Config, deps pipeline.Deps) (*wal.Recovery, error) {
+// flushes among the reads to replay. world is New's deps: the open waits
+// for it only to restore a checkpoint, once the journal is read. It runs
+// before the backend goroutine starts.
+func (s *Server) openWAL(cfg Config, world func() (pipeline.Deps, error)) (*wal.Recovery, error) {
 	wcfg := cfg.WAL
 	if wcfg.Meta == "" {
 		// The fingerprint pins everything replay determinism depends on:
@@ -313,16 +319,28 @@ func (s *Server) openWAL(cfg Config, deps pipeline.Deps) (*wal.Recovery, error) 
 		pc.Metrics, pc.Workers = nil, 0
 		wcfg.Meta = fmt.Sprintf("pipe=%+v|warmup=%d|manual=%v", pc, cfg.WarmupBuckets, cfg.ManualSeal)
 	}
-	var restoreTime time.Duration
+	var deps pipeline.Deps
+	var readTime, restoreTime time.Duration
+	opening := time.Now()
+	wcfg.Await = func() (err error) {
+		if readTime == 0 {
+			readTime = time.Since(opening)
+		}
+		deps, err = world()
+		return err
+	}
 	wcfg.Restore = func(ck wal.Checkpoint, rec *wal.Recovery) error {
 		start := time.Now()
 		defer func() { restoreTime = time.Since(start) }()
 		return s.restore(deps, cfg, ck, rec)
 	}
-	opening := time.Now()
 	lg, rec, err := wal.Open(cfg.DataDir, wcfg)
 	if err != nil {
 		return nil, fmt.Errorf("server: opening WAL in %s: %w", cfg.DataDir, err)
+	}
+	openTime := time.Since(opening)
+	if readTime == 0 {
+		readTime = openTime
 	}
 	for _, why := range rec.Rejected {
 		slog.Error("recovery.checkpoint_rejected", "err", why)
@@ -341,6 +359,8 @@ func (s *Server) openWAL(cfg Config, deps pipeline.Deps) (*wal.Recovery, error) 
 		recoveredReports: len(rec.Reports),
 		reportRecords:    rec.NextReport,
 		truncatedBytes:   rec.TruncatedBytes,
+		openTime:         openTime,
+		readTime:         readTime,
 		restoreTime:      restoreTime,
 		historySegments:  rec.HistorySegments,
 		historyBytes:     rec.HistoryBytes,
@@ -368,8 +388,6 @@ func (s *Server) openWAL(cfg Config, deps pipeline.Deps) (*wal.Recovery, error) 
 	}
 	rec.Reports = nil // the walState's now, released as they match
 	ws.verifying.Store(true)
-	ws.openedAt = time.Now()
-	ws.openTime = ws.openedAt.Sub(opening)
 	s.wal = ws
 	return rec, nil
 }
@@ -383,7 +401,7 @@ func (s *Server) openWAL(cfg Config, deps pipeline.Deps) (*wal.Recovery, error) 
 // raised) is refused: replay serves the older ones too.
 func (s *Server) restore(deps pipeline.Deps, cfg Config, ck wal.Checkpoint, rec *wal.Recovery) error {
 	pipe := pipeline.New(deps, cfg.Pipeline)
-	headers, err := restoreState(ckpt.NewDecoder(ck.Body), pipe)
+	headers, err := restoreState(ck.Body, pipe)
 	if err != nil {
 		return err
 	}
@@ -511,7 +529,8 @@ func (ws *walState) verifyRegenerated(start time.Time) {
 			"checkpoint_bucket", ckBucket, "replayed_buckets", ws.replayedBuckets,
 			"history_segments", ws.historySegments, "history_bytes", ws.historyBytes,
 			"duration_ms", ws.recoveryMS, "open_ms", ws.openTime.Milliseconds(),
+			"read_ms", ws.readTime.Milliseconds(), "world_wait_ms", ws.worldWait.Milliseconds(),
 			"restore_ms", ws.restoreTime.Milliseconds(),
-			"catchup_ms", caughtUp.Sub(ws.openedAt).Milliseconds())
+			"catchup_ms", caughtUp.Sub(ws.catchupFrom).Milliseconds())
 	}
 }

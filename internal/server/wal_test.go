@@ -79,9 +79,8 @@ func openEnv(t *testing.T, dir string, makeSim func() *sim.Simulator, mut func(*
 	return e
 }
 
-// newEnvServer is the server openEnv starts, or New's error.
-func newEnvServer(dir string, makeSim func() *sim.Simulator, mut func(*Config)) (*Server, error) {
-	probeSim := makeSim()
+// envConfig is the configuration of an incarnation openEnv starts.
+func envConfig(dir string, mut func(*Config)) Config {
 	pcfg := pipeline.DefaultConfig()
 	pcfg.Workers = 1
 	cfg := Config{Pipeline: pcfg}
@@ -93,6 +92,13 @@ func newEnvServer(dir string, makeSim func() *sim.Simulator, mut func(*Config)) 
 	if mut != nil {
 		mut(&cfg)
 	}
+	return cfg
+}
+
+// newEnvServer is the server openEnv starts, or New's error.
+func newEnvServer(dir string, makeSim func() *sim.Simulator, mut func(*Config)) (*Server, error) {
+	probeSim := makeSim()
+	cfg := envConfig(dir, mut)
 	return New(pipeline.Deps{
 		World:  probeSim.World,
 		Table:  probeSim.Routes,
@@ -325,17 +331,24 @@ func TestWALRestartEquivalence(t *testing.T) {
 				points = []crashPoint{{bucket: 21, mode: "midbatch"}, {bucket: 44, mode: "afterseal"}, {bucket: 61, mode: "boundary"}}
 			}
 			t.Logf("crash points: %+v", points)
-			e := runServiceFeed(t, t.TempDir(), mkSim, mut, streams, points, false)
-			defer e.close(t)
-			if got := collectCanonical(t, e.ts.Client(), e.ts.URL); !bytes.Equal(got, want) {
-				t.Errorf("reports diverged after %d crash/recover cycles", len(points))
-			}
-			if got := reportsIndex(t, e.ts.Client(), e.ts.URL); !bytes.Equal(got, wantIdx) {
-				t.Errorf("report index diverged after crashes:\n got %s\nwant %s", got, wantIdx)
-			}
-			wh := e.srv.WALHealth()
-			if wh.RecoveredBuckets == 0 || wh.RecoveredReports == 0 {
-				t.Errorf("final incarnation recovered nothing: %+v", wh)
+			// Every incarnation runs, and recovers, at the worker count:
+			// the reference ran at one.
+			for _, workers := range []int{1, 2} {
+				t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
+					mut := func(c *Config) { mut(c); c.Pipeline.Workers = workers }
+					e := runServiceFeed(t, t.TempDir(), mkSim, mut, streams, points, false)
+					defer e.close(t)
+					if got := collectCanonical(t, e.ts.Client(), e.ts.URL); !bytes.Equal(got, want) {
+						t.Errorf("reports diverged after %d crash/recover cycles", len(points))
+					}
+					if got := reportsIndex(t, e.ts.Client(), e.ts.URL); !bytes.Equal(got, wantIdx) {
+						t.Errorf("report index diverged after crashes:\n got %s\nwant %s", got, wantIdx)
+					}
+					wh := e.srv.WALHealth()
+					if wh.RecoveredBuckets == 0 || wh.RecoveredReports == 0 {
+						t.Errorf("final incarnation recovered nothing: %+v", wh)
+					}
+				})
 			}
 		})
 	}
@@ -1293,7 +1306,7 @@ func logEvents(t *testing.T, buf *bytes.Buffer) []string {
 		if err := json.Unmarshal([]byte(line), &ev); err != nil {
 			t.Fatalf("log line %q is not JSON: %v", line, err)
 		}
-		for _, k := range []string{"duration_ms", "open_ms", "restore_ms", "catchup_ms", "ms"} {
+		for _, k := range []string{"duration_ms", "open_ms", "read_ms", "world_wait_ms", "restore_ms", "catchup_ms", "ms"} {
 			if d, ok := ev[k].(float64); ok && d >= 0 {
 				ev[k] = "ok"
 			}
@@ -1380,7 +1393,7 @@ func TestWALLogEvents(t *testing.T) {
 
 	want := []string{
 		`{"err":"set","msg":"recovery.report_undecodable","seq":1}`,
-		`{"batches":0,"buckets":0,"catchup_ms":"ok","checkpoint_bucket":-1,"duration_ms":"ok","history_bytes":46,"history_segments":1,"inconsistent":1,"msg":"recovery.complete","open_ms":"ok","replayed_buckets":0,"reports":1,"restore_ms":"ok","truncated_bytes":0}`,
+		`{"batches":0,"buckets":0,"catchup_ms":"ok","checkpoint_bucket":-1,"duration_ms":"ok","history_bytes":46,"history_segments":1,"inconsistent":1,"msg":"recovery.complete","open_ms":"ok","read_ms":"ok","replayed_buckets":0,"reports":1,"restore_ms":"ok","truncated_bytes":0,"world_wait_ms":"ok"}`,
 		`{"from":0,"msg":"recovery.report_mismatch","to":2}`,
 		`{"msg":"recovery.unregenerated","n":1}`,
 		`{"err":"disk gone","msg":"wal.degraded"}`,

@@ -24,14 +24,15 @@ import (
 //	"BLAMECKP" | version | reads | bucket | reports | keep | seam | body | CRC-32C
 //
 // with the integers as varints and the CRC, little-endian, over everything
-// before it. Cut starts the checkpoint's seam, the history segment whose
-// base is its position, and WriteCheckpoint writes the file in place,
-// without fsync: its CRC and its seam decide at open whether it is used,
-// and compaction fsyncs the kept ones before it unlinks the history
-// before them.
+// before it. The body is the daemon's; since version 3 it is cut into
+// sections closed by an offsets trailer (ckpt.EndSections). Cut starts
+// the checkpoint's seam, the history segment whose base is its position,
+// and WriteCheckpoint writes the file in place, without fsync: its CRC
+// and its seam decide at open whether it is used, and compaction fsyncs
+// the kept ones before it unlinks the history before them.
 const (
 	ckptMagic   = "BLAMECKP"
-	ckptVersion = 2
+	ckptVersion = 3
 	ckptPrefix  = "checkpoint-"
 	ckptSuffix  = ".ckpt"
 	// ckptKeep is how many checkpoints a directory keeps: the newest, and

@@ -95,11 +95,16 @@ type Config struct {
 	// Restore, when set, is offered the newest checkpoint whose seam — the
 	// history segment it started — opens at its position, with the journal
 	// scanned from the seam on (Buckets holds the reads after the
-	// checkpoint, Reports the reports family). When it returns nil
-	// recovery goes on from the checkpoint; an error rejects the checkpoint
-	// and Open tries the next older one. Without Restore, checkpoints are
-	// ignored and the history is read from zero.
+	// checkpoint, Reports the reports family, Batches the accepted one).
+	// When it returns nil recovery goes on from the checkpoint; an error
+	// rejects the checkpoint and Open tries the next older one. Without
+	// Restore, checkpoints are ignored and the history is read from zero.
 	Restore func(Checkpoint, *Recovery) error
+	// Await, when set, is called before each Restore, once the directory
+	// and the journal are read: it waits for what Restore needs besides
+	// them (the daemon's world, built meanwhile). Its error fails Open
+	// and rejects no checkpoint.
+	Await func() error
 }
 
 const (
@@ -394,7 +399,8 @@ func (r rejection) Error() string { return r.why.Error() }
 // those is rejected and the next older one tried, then zero, which needs
 // the history's first segment. The rejected checkpoints are unlinked —
 // and named in Recovery.Rejected — once recovery has a start; without
-// one, Open fails naming each and unlinks none.
+// one, Open fails naming each and unlinks none. An error from cfg.Await
+// is no checkpoint's fault: Open fails with it, rejecting none.
 func Open(dir string, cfg Config) (*Log, *Recovery, error) {
 	cfg = cfg.withDefaults()
 	if err := os.MkdirAll(dir, 0o777); err != nil {
@@ -559,15 +565,8 @@ func open(dir string, cfg Config, ck *Checkpoint) (*Log, *Recovery, error) {
 	rec.NextReport = l.pos.reports
 	l.reps.cur.next = l.pos.reports
 
-	if err == nil && ck != nil {
-		if why := cfg.Restore(*ck, rec); why != nil {
-			err = rejection{why}
-		} else {
-			ck.Body = nil
-			rec.Checkpoint = ck
-			l.stats.LastCheckpoint.Bucket = ck.Bucket
-		}
-	}
+	// The accepted family, whole: the history's reads settle it, and no
+	// restore changes them.
 	lastAfter := 0 // the position of the family's last batch
 	if err == nil {
 		var accChanged bool
@@ -581,6 +580,20 @@ func open(dir string, cfg Config, ck *Checkpoint) (*Log, *Recovery, error) {
 			return interpret(rec, recs, cfg.Meta)
 		})
 		changed = changed || accChanged
+	}
+	// Everything above needs nothing but the directory; the restore may
+	// need more.
+	if err == nil && ck != nil && cfg.Await != nil {
+		err = cfg.Await()
+	}
+	if err == nil && ck != nil {
+		if why := cfg.Restore(*ck, rec); why != nil {
+			err = rejection{why}
+		} else {
+			ck.Body = nil
+			rec.Checkpoint = ck
+			l.stats.LastCheckpoint.Bucket = ck.Bucket
+		}
 	}
 	// A segment any family started, or discarded, counts once the
 	// directory entry is durable: one directory fsync covers them all.
