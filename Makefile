@@ -33,21 +33,25 @@ race:
 
 # The crash-safety gate, under the race detector: every WAL-layer test
 # (framing, torn tails of either family, compaction killed before its
-# history fsync, between its unlinks and after them, checkpoint files)
-# plus the service-level kill-injection matrix — 20 seeded in-process
-# crash points, the checkpointed crash matrix on both feeds, a drain flush
-# and a chaos profile, damaged checkpoints, 20 kill -9s against the real
-# binary, the 2-day restart-under-chaos run, and the degraded-disk /
-# corrupt-tail / Retry-After surfaces. Recovery must be byte-identical
-# everywhere.
+# checkpoints' fsync, between its unlinks and after them, checkpoint
+# files) plus the service-level kill-injection matrix — 20 seeded
+# in-process crash points, the checkpointed crash matrix on both feeds,
+# past the baselines' periodic refresh, a drain flush and a chaos profile,
+# each arm's closed state held to the uninterrupted one, batches pushed
+# while checkpoints are cut, damaged checkpoints, a read that does not
+# re-derive, 20 kill -9s against the real binary, the 2-day
+# restart-under-chaos run, and the degraded-disk / corrupt-tail /
+# Retry-After surfaces. Recovery must be byte-identical everywhere.
 crash:
 	$(GO) test -race -count=1 -timeout 20m ./internal/wal/
 	$(GO) test -race -count=1 -timeout 20m -run 'TestWAL|TestCheckpoint|TestRetryAfter|TestCrashRecovery|TestRestartUnderChaos' ./internal/server/
 
 # Shell-level kill -9 proof against real processes and a real disk: feed
-# a WAL-backed blameitd bucket by bucket, SIGKILL it four times, and
-# require the survivor to serve byte-identical reports to an
-# uninterrupted in-memory control.
+# a WAL-backed blameitd three days bucket by bucket, SIGKILL it five
+# times — before the first checkpoint, between the first two, and after
+# compaction has unlinked the journal before the older one — and require
+# the survivor to serve byte-identical reports to an uninterrupted
+# in-memory control.
 crash-smoke:
 	bash scripts/crash_smoke.sh
 

@@ -154,6 +154,10 @@ func (a *Aggregate) inOrder() []*Partial {
 	return a.parts
 }
 
+// Partials returns the partials in PartialID order. They stay the
+// aggregate's.
+func (a *Aggregate) Partials() []*Partial { return a.inOrder() }
+
 // Cells returns the partials' cells concatenated in PartialID order.
 func (a *Aggregate) Cells() []Cell {
 	n := 0

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"blameit/internal/bgp"
@@ -381,16 +379,17 @@ func TestAggregateCollisionQuarantined(t *testing.T) {
 	}
 }
 
-// TestAggregateFeedJournaledOnce reads back the log of a daemon fed only
-// through /v1/aggregates: each cell is journaled once on arrival, in an
-// agg-batch record, and once on consumption, in its bucket's record — no
-// batch record restates it in between.
+// TestAggregateFeedJournaledOnce reads back the journal of a daemon fed
+// only through /v1/aggregates: each cell is journaled once, on arrival, in
+// an agg-batch record — no raw batch record restates it, and the reads
+// journal only how many observations they served, all of them together
+// the cells posted.
 func TestAggregateFeedJournaledOnce(t *testing.T) {
 	dir := t.TempDir()
 	wcfg := wal.Config{Fsync: wal.SyncOff, Meta: "journaled-once"}
 	posted := 0
 	runFeed(t, func(c *Config) {
-		c.WarmupBuckets = 0 // every bucket is read: none discarded unjournaled
+		c.WarmupBuckets = 0 // every bucket is read: none discarded unread
 		c.DataDir = dir
 		c.WAL = wcfg
 		c.CompactEveryReports = -1 // keep every record for the read-back
@@ -403,38 +402,19 @@ func TestAggregateFeedJournaledOnce(t *testing.T) {
 		t.Fatalf("reading the journal back: %v", err)
 	}
 	defer lg.Close()
-	// An open decodes only the batches the reads left unsettled: the
-	// accepted family alone, with no reads to settle it, decodes whole.
-	accDir := t.TempDir()
-	segs, err := filepath.Glob(filepath.Join(dir, "accepted-*.log"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no accepted segments in %s (err %v)", dir, err)
-	}
-	for _, seg := range segs {
-		data, err := os.ReadFile(seg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(accDir, filepath.Base(seg)), data, 0o666); err != nil {
-			t.Fatal(err)
+	arrived, served := 0, 0
+	for _, r := range rec.Journal {
+		switch r.Kind {
+		case wal.KindBatch:
+			if len(r.Obs) > 0 {
+				t.Fatalf("the aggregate feed journaled a raw batch record (%d observations)", len(r.Obs))
+			}
+			arrived += len(r.Cells)
+		case wal.KindRead:
+			served += r.Served
 		}
 	}
-	accLog, acc, err := wal.Open(accDir, wcfg)
-	if err != nil {
-		t.Fatalf("reading the accepted family back: %v", err)
-	}
-	defer accLog.Close()
-	arrived, consumed := 0, 0
-	for _, batch := range acc.Batches {
-		if len(batch.Obs) > 0 {
-			t.Fatalf("the aggregate feed journaled a raw batch record (%d observations)", len(batch.Obs))
-		}
-		arrived += len(batch.Cells)
-	}
-	for _, bs := range rec.Buckets {
-		consumed += len(bs.Obs)
-	}
-	if arrived != posted || consumed != posted {
-		t.Fatalf("journal holds %d arrived and %d consumed cells for %d posted", arrived, consumed, posted)
+	if arrived != posted || served != posted {
+		t.Fatalf("journal holds %d arrived cells and reads serving %d for %d posted", arrived, served, posted)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -26,16 +27,20 @@ import (
 	"blameit/internal/netmodel"
 	"blameit/internal/pipeline"
 	"blameit/internal/probe"
+	"blameit/internal/quartet"
 	"blameit/internal/sim"
 	"blameit/internal/topology"
+	"blameit/internal/trace"
 	"blameit/internal/wal"
 )
 
 // books is what one arm serves at the end: the canonical report stream,
-// the report index, the verdicts, and the quarantine's books.
+// the report index, the verdicts, and the quarantine's books; and, once
+// closed, the backend's state as a checkpoint encodes it.
 type books struct {
 	reports, index, verdicts []byte
 	quarantine               string
+	state                    []byte
 }
 
 func servedBooks(t *testing.T, e *walEnv) books {
@@ -58,7 +63,23 @@ func servedBooks(t *testing.T, e *walEnv) books {
 	}
 }
 
-// sameBooks fails unless got serves exactly what want serves.
+// closedState is the backend's state once e is closed, as a checkpoint
+// encodes it.
+func closedState(t *testing.T, e *walEnv) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := ckpt.NewEncoder(&buf)
+	if err := e.srv.Pipeline().AppendCheckpoint(enc); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// sameBooks fails unless got serves exactly what want serves, and holds
+// the same state when want's is known.
 func sameBooks(t *testing.T, arm string, got, want books) {
 	t.Helper()
 	if len(want.reports) == 0 {
@@ -76,6 +97,21 @@ func sameBooks(t *testing.T, arm string, got, want books) {
 	if got.quarantine != want.quarantine {
 		t.Errorf("%s: quarantine books\n got %s\nwant %s", arm, got.quarantine, want.quarantine)
 	}
+	if want.state != nil && !bytes.Equal(got.state, want.state) {
+		t.Errorf("%s: the backend's state diverged (%d vs %d encoded bytes)", arm, len(got.state), len(want.state))
+	}
+}
+
+// lastHeld is the last bucket the daemon has read or holds records of.
+func (e *walEnv) lastHeld() netmodel.Bucket {
+	q := e.srv.q
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	last := q.frontier - 1
+	for b := range q.pending {
+		last = max(last, b)
+	}
+	return last
 }
 
 // recoveries reads the recovery.complete events of a captured log: the
@@ -104,9 +140,11 @@ func everyJob(c *Config) { c.checkpointAt = func(netmodel.Bucket) bool { return 
 // TestCheckpointCrashMatrix is the crash gate of checkpointed recovery:
 // the same feed runs uninterrupted in memory, crashed and recovered by
 // replay from zero, and crashed and recovered from a checkpoint cut after
-// every job — on the raw feed, the aggregate feed, a drain flush and a
-// chaos profile. Every recovered arm must serve what the uninterrupted one
-// serves: report bytes, index, verdicts and quarantine books. The
+// every job — on the raw feed, the raw feed past the periodic baseline
+// refresh of restored paths, the aggregate feed, a drain flush and a chaos
+// profile. Every recovered arm must serve what the uninterrupted one
+// serves — report bytes, index, verdicts and quarantine books — and hold
+// the same state once closed, byte for byte as a checkpoint encodes it. The
 // checkpointed arm runs, and restores its sections, on one pipeline worker
 // and on two; it must have continued from a checkpoint after each crash
 // past warm-up, replaying one job window at most.
@@ -122,27 +160,28 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 	// uninterrupted arm when it is not run's own in-memory form.
 	check := func(t *testing.T, run func(dir string, mut func(*Config)) *walEnv, mut, ckMut func(*Config), ref *books) {
 		t.Helper()
+		served := func(e *walEnv) books {
+			b := servedBooks(t, e)
+			e.close(t)
+			b.state = closedState(t, e)
+			return b
+		}
 		var want books
 		if ref != nil {
 			want = *ref
 		} else {
-			e := run("", mut)
-			want = servedBooks(t, e)
-			e.close(t)
+			want = served(run("", mut))
 		}
-		zero := run(t.TempDir(), mut)
-		sameBooks(t, "replay from zero", servedBooks(t, zero), want)
-		zero.close(t)
+		sameBooks(t, "replay from zero", served(run(t.TempDir(), mut)), want)
 
 		for _, workers := range []int{1, 2} {
 			arm := fmt.Sprintf("checkpointed at %d workers", workers)
 			buf := captureLog(t)
 			e := run(t.TempDir(), func(c *Config) { ckMut(c); c.Pipeline.Workers = workers })
-			sameBooks(t, arm, servedBooks(t, e), want)
 			if wh := e.srv.WALHealth(); wh.CheckpointBucket < 0 {
 				t.Errorf("%s: the last incarnation knows no checkpoint: %+v", arm, wh)
 			}
-			e.close(t)
+			sameBooks(t, arm, served(e), want)
 			n, replayed := 0, 0
 			from, counts := recoveries(t, buf)
 			for i, b := range from {
@@ -170,6 +209,31 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 			{bucket: 77, mode: "boundary"},
 			{bucket: 101, mode: "boundary"},
 			{bucket: 130, mode: "midbatch"},
+		}
+		check(t, func(dir string, mut func(*Config)) *walEnv {
+			if dir == "" {
+				return runServiceFeed(t, dir, mkSim, mut, streams, nil, false)
+			}
+			return runServiceFeed(t, dir, mkSim, mut, streams, points, false)
+		}, base, withCkpt, nil)
+	})
+
+	t.Run("refresh", func(t *testing.T) {
+		// The background prober refreshes each path's baseline every
+		// PeriodBuckets (144), at an offset hashed per path: past bucket
+		// 144 + warmup each restore is followed by refreshes of restored
+		// paths, appending to the histories the restore cut, and the
+		// catch-up after the afterseal and midbatch kills replays some.
+		if every := pipeline.DefaultConfig().Background.PeriodBuckets; every != 144 {
+			t.Fatalf("PeriodBuckets %d: the crash points below assume 144", every)
+		}
+		const horizon = 216
+		streams := simStreams(newTestSim(1), horizon)
+		points := []crashPoint{
+			{bucket: 152, mode: "boundary"},
+			{bucket: 176, mode: "afterseal"},
+			{bucket: 193, mode: "midbatch"},
+			{bucket: 205, mode: "afterseal"},
 		}
 		check(t, func(dir string, mut func(*Config)) *walEnv {
 			if dir == "" {
@@ -213,6 +277,7 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 		zero := run(t.TempDir(), base)
 		want := servedBooks(t, zero)
 		zero.close(t)
+		want.state = closedState(t, zero)
 		var idx []reportSummary
 		if err := json.Unmarshal(want.index, &idx); err != nil {
 			t.Fatal(err)
@@ -249,14 +314,14 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 // one does. A history cut after the newest seam costs no checkpoint. Once
 // compaction has unlinked the history before the older checkpoint, zero
 // is no fallback: with both checkpoints damaged the daemon refuses to
-// start, naming both, as it refuses a directory in format version 4.
+// start, naming both, as it refuses a directory in format version 4 or 5.
 func TestCheckpointRejected(t *testing.T) {
 	const warmup, stop, horizon = 36, 80, 96
 	streams := simStreams(newTestSim(1), horizon)
 	mkSim := func() *sim.Simulator { return newTestSim(1) }
 	mut := func(c *Config) {
 		c.WarmupBuckets = warmup
-		c.CompactEveryReports = -1 // a cut history re-queues its batches
+		c.CompactEveryReports = -1 // zero stays a fallback
 		c.checkpointAt = func(b netmodel.Bucket) bool { return (b+1)%12 == 0 }
 	}
 	feed := func(e *walEnv, from, to int) {
@@ -380,6 +445,10 @@ func TestCheckpointRejected(t *testing.T) {
 					t.Errorf("%s after recovery: %v", filepath.Base(path), err)
 				}
 			}
+			// A cut journal lost the batches after the cut, as a disk that
+			// lost them would: the feeder posts again what the daemon does
+			// not hold.
+			feed(e, int(e.lastHeld())+1, stop)
 			feed(e, stop, horizon)
 			sameBooks(t, tc.name, servedBooks(t, e), want)
 			e.close(t)
@@ -417,25 +486,44 @@ func TestCheckpointRejected(t *testing.T) {
 		}
 	})
 
-	t.Run("format-v4", func(t *testing.T) {
-		dir := t.TempDir()
-		old, err := os.ReadFile(filepath.Join("..", "wal", "testdata", "format-v4", "wal-0000000001.log"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, "wal-0000000001.log"), old, 0o666); err != nil {
-			t.Fatal(err)
-		}
-		srv, err := newEnvServer(dir, mkSim, mut)
-		if err == nil {
-			srv.Shutdown(context.Background())
-			t.Fatal("a format version 4 directory was served")
-		}
-		if !strings.Contains(err.Error(), "format version 4") {
-			t.Fatalf("the refusal does not name the version: %v", err)
-		}
-	})
-
+	// Directories of older formats: format-v4 a history segment alone;
+	// format-v5 the tiny world fed through bucket 25 and killed, with its
+	// accepted family, its reports and a version-2 checkpoint cut after
+	// bucket 23. Each is refused, naming its version, and left as it was.
+	for _, version := range []int{4, 5} {
+		t.Run(fmt.Sprintf("format-v%d", version), func(t *testing.T) {
+			dir := t.TempDir()
+			fixture := filepath.Join("..", "wal", "testdata", fmt.Sprintf("format-v%d", version))
+			entries, err := os.ReadDir(fixture)
+			if err != nil {
+				t.Fatal(err)
+			}
+			old := map[string][]byte{}
+			for _, de := range entries {
+				data, err := os.ReadFile(filepath.Join(fixture, de.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				old[de.Name()] = data
+				if err := os.WriteFile(filepath.Join(dir, de.Name()), data, 0o666); err != nil {
+					t.Fatal(err)
+				}
+			}
+			srv, err := newEnvServer(dir, mkSim, mut)
+			if err == nil {
+				srv.Shutdown(context.Background())
+				t.Fatalf("a format version %d directory was served", version)
+			}
+			if want := fmt.Sprintf("format version %d", version); !strings.Contains(err.Error(), want) {
+				t.Fatalf("the refusal does not name the version: %v", err)
+			}
+			for name, data := range old {
+				if now, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(now, data) {
+					t.Errorf("the refused start touched %s (err %v)", name, err)
+				}
+			}
+		})
+	}
 }
 
 // TestCheckpointSeam holds recovery to the seam rule. A restart reads
@@ -502,7 +590,7 @@ func TestCheckpointSeam(t *testing.T) {
 		if from, _ := recoveries(t, buf); len(from) != 1 || from[0] != 71 {
 			t.Errorf("recovery continued from checkpoints %v, want [71]", from)
 		}
-		if !strings.Contains(buf.String(), `"history_segments":1,`) {
+		if !strings.Contains(buf.String(), `"journal_segments":1,`) {
 			t.Errorf("recovery read more than the seam segment:\n%s", buf)
 		}
 		for seg, data := range garbled {
@@ -565,8 +653,8 @@ func tinySim() *sim.Simulator {
 }
 
 // FuzzCheckpoint holds the checkpoint decoder — the WAL's file framing,
-// the sections' trailer, the pipeline's state and the report log's
-// headers — to arbitrary bytes: no input panics it; each is rejected or
+// the sections' trailer, the pipeline's state, the report log's headers
+// and the ingest queue's records — to arbitrary bytes: no input panics it; each is rejected or
 // restored; and a restored checkpoint re-encodes to exactly the bytes it
 // came from, so nothing a restore accepts is changed by it. Each input is
 // tried as it is, then with its CRC made to match, and restored on one
@@ -597,12 +685,26 @@ func FuzzCheckpoint(f *testing.F) {
 			headers = append(headers, stored(int64(len(headers)), rep, nil))
 		}
 	}
-	encode := func(pos wal.Checkpoint, pipe *pipeline.Pipeline, headers []storedReport) ([]byte, error) {
+	// A queue holding a stale record, a pending raw run and two partials.
+	q := newIngestQueue(0, true)
+	q.frontier, q.watermark = 24, 24
+	q.pushLocked(append(probeSim.ObservationsAt(20, nil)[:1], probeSim.ObservationsAt(25, nil)[:3]...), nil)
+	obs26 := probeSim.ObservationsAt(26, nil)
+	q.pushLocked(nil, []*quartet.Partial{
+		partialOf(quartet.PartialID{Agent: 1, Seq: 2}, 26, obs26[:2]),
+		partialOf(quartet.PartialID{Agent: 0, Seq: 5}, 26, obs26[2:3]),
+	})
+	noCut := func() error { return nil }
+	encode := func(pos wal.Checkpoint, pipe *pipeline.Pipeline, headers []storedReport, q *ingestQueue) ([]byte, error) {
+		queue, err := q.snapshot(noCut)
+		if err != nil {
+			return nil, err
+		}
 		var buf bytes.Buffer
-		_, err := wal.EncodeCheckpoint(&buf, pos, func(e *ckpt.Encoder) error { return appendState(e, pipe, headers) })
+		_, err = wal.EncodeCheckpoint(&buf, pos, func(e *ckpt.Encoder) error { return appendState(e, pipe, headers, queue) })
 		return buf.Bytes(), err
 	}
-	seed, err := encode(wal.Checkpoint{Reads: 12, Bucket: 23, Reports: 4}, p, headers)
+	seed, err := encode(wal.Checkpoint{Reads: 12, Bucket: 23, Reports: 4}, p, headers, q)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -613,7 +715,7 @@ func FuzzCheckpoint(f *testing.F) {
 	f.Add([]byte("BLAMECKP"))
 	// The trailer damaged: its offsets swapped, one past the sections, two
 	// equal, and a count of zero (the CRC is made to match below).
-	const sections = pipeline.CheckpointSections + 1
+	const sections = pipeline.CheckpointSections + 2
 	trailer := len(seed) - 4 - 4*(sections+1)
 	offset := func(b []byte, i int) []byte { return b[trailer+4*i : trailer+4*i+4] }
 	for _, damage := range []func(b []byte){
@@ -645,11 +747,12 @@ func FuzzCheckpoint(f *testing.F) {
 			cfg := pcfg
 			cfg.Workers = workers
 			pipe := pipeline.New(deps, cfg)
-			headers, err := restoreState(ck.Body, pipe)
+			held := newIngestQueue(0, false)
+			headers, err := restoreState(ck.Body, pipe, held)
 			if err != nil {
 				return
 			}
-			again, err := encode(ck, pipe, headers)
+			again, err := encode(ck, pipe, headers, held)
 			if err != nil {
 				t.Fatalf("a checkpoint restored at %d workers does not encode: %v", workers, err)
 			}
@@ -849,73 +952,147 @@ func TestCheckpointWorldFailure(t *testing.T) {
 	}
 }
 
-// TestCheckpointVersion2 restarts over a data directory the build before
-// sectioned checkpoints wrote (testdata/checkpoint-v2: the tiny world fed
-// through bucket 25 and killed, its checkpoint cut after bucket 23, in
-// version 2). The checkpoint is rejected, naming its version, and unlinked;
-// recovery replays the history from zero — its first segment is there —
-// and the daemon then serves what an uninterrupted one serves.
-func TestCheckpointVersion2(t *testing.T) {
-	const warmup, stop, horizon = 12, 26, 40
-	streams := simStreams(tinySim(), horizon)
-	mut := func(c *Config) {
-		c.WarmupBuckets = warmup
-		c.CompactEveryReports = -1
-		c.checkpointAt = func(b netmodel.Bucket) bool { return (b+1)%12 == 0 }
-	}
-	feed := func(e *walEnv, from, to int) {
-		t.Helper()
-		for b := from; b < to; b++ {
-			postWithRetry(t, e.ts.Client(), e.ts.URL+"/v1/ingest", jsonlBody(t, streams[b]))
-			if st, body := postSeal(t, e.ts.Client(), e.ts.URL, netmodel.Bucket(b)); st != http.StatusAccepted {
-				t.Fatalf("seal %d = %d (%s)", b, st, body)
-			}
-		}
-		e.quiesce(t, netmodel.Bucket(to-1))
-	}
-	ref := openEnv(t, "", tinySim, mut)
-	feed(ref, 0, horizon)
-	want := servedBooks(t, ref)
-	ref.close(t)
-
+// TestCheckpointConcurrentPushes cuts the journal, with a snapshot of the
+// queue, four times after every read while another goroutine pushes
+// batches of either feed, each raw one told apart by its RTT and some
+// late: a batch pushed during a cut must land in the snapshot or in the
+// journal after the seam, never both and never neither. Restored from
+// each cut's checkpoint and replayed, the queue must hold exactly what the
+// live one holds. Run with -race.
+func TestCheckpointConcurrentPushes(t *testing.T) {
 	dir := t.TempDir()
-	fixture := filepath.Join("testdata", "checkpoint-v2")
-	entries, err := os.ReadDir(fixture)
+	wcfg := wal.Config{Fsync: wal.SyncOff, Meta: "concurrent"}
+	lg, _, err := wal.Open(dir, wcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, de := range entries {
-		data, err := os.ReadFile(filepath.Join(fixture, de.Name()))
+	q := newIngestQueue(0, true)
+	q.recover(&walState{log: lg}, &wal.Recovery{})
+	stop, pushed := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(pushed)
+		for k := 0; ; k++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			b := netmodel.Bucket(k / 8)
+			if k%7 == 0 {
+				b = 0 // late once bucket 0 is read
+			}
+			obs := obsAt(b, 2)
+			obs[0].MeanRTT = float64(k)
+			if err := q.Push(obs); err != nil {
+				t.Error(err)
+				return
+			}
+			if k%3 == 0 {
+				if _, err := q.PushCells(ingest.AggCellsOf(partialOf(quartet.PartialID{Agent: k}, b, obs[1:]), nil)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			runtime.Gosched()
+		}
+	}()
+	type cut struct {
+		pos   wal.Checkpoint
+		queue []byte
+	}
+	var cuts []cut
+	ctx := context.Background()
+	for b := netmodel.Bucket(0); b < 24; b++ {
+		q.SealThrough(b)
+		if _, err := q.ObservationsAt(ctx, b, nil); err != nil {
+			t.Fatal(err)
+		}
+		for range 4 {
+			c := cut{pos: wal.Checkpoint{Reads: int(b) + 1, Bucket: b}}
+			c.queue, err = q.snapshot(func() (err error) {
+				c.pos, err = lg.Cut(c.pos)
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cuts = append(cuts, c)
+		}
+	}
+	close(stop)
+	<-pushed
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	live := queueBooks(q)
+
+	segs, _ := filepath.Glob(filepath.Join(dir, "*.log"))
+	for i, c := range cuts {
+		// A directory holding the journal and this cut's checkpoint alone.
+		at := t.TempDir()
+		for _, seg := range segs {
+			data, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(at, filepath.Base(seg)), data, 0o666); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var ck bytes.Buffer
+		if _, err := wal.EncodeCheckpoint(&ck, c.pos, func(e *ckpt.Encoder) error { e.Raw(c.queue); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(at, fmt.Sprintf("checkpoint-%010d.ckpt", c.pos.Reads)), ck.Bytes(), 0o666); err != nil {
+			t.Fatal(err)
+		}
+		held := newIngestQueue(0, true)
+		wcfg.Restore = func(ck wal.Checkpoint, _ *wal.Recovery) error { return held.restoreCheckpoint(ck.Body) }
+		lg, rec, err := wal.Open(at, wcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, de.Name()), data, 0o666); err != nil {
-			t.Fatal(err)
+		lg.Close()
+		if rec.Checkpoint == nil {
+			t.Fatalf("cut %d: the checkpoint was not restored: %v", i, rec.Rejected)
+		}
+		held.recover(nil, rec)
+		for {
+			held.mu.Lock()
+			next, ok := held.replay, held.replayLocked()
+			held.mu.Unlock()
+			if !ok {
+				break
+			}
+			if _, err := held.ObservationsAt(ctx, next[0].Bucket, nil); err != nil {
+				t.Fatalf("cut %d: %v", i, err)
+			}
+		}
+		if got := queueBooks(held); got != live {
+			t.Fatalf("restored from cut %d, after read %d, and replayed, the queue holds\n%s\nthe live one\n%s", i, c.pos.Reads, got, live)
 		}
 	}
-	const v2 = "checkpoint-0000000015.ckpt"
-	if _, err := os.Stat(filepath.Join(dir, "wal-0000000001.log")); err != nil {
-		t.Fatalf("the fixture holds no history from zero: %v", err)
+}
+
+// queueBooks renders what the queue holds: its frontier and watermark,
+// its stale records and each pending bucket's stream.
+func queueBooks(q *ingestQueue) string {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	var b strings.Builder
+	fmt.Fprintf(&b, "frontier %d watermark %d records %d stale %v\n", q.frontier, q.watermark, q.records, q.stale)
+	buckets := make([]netmodel.Bucket, 0, len(q.pending))
+	for bk := range q.pending {
+		buckets = append(buckets, bk)
 	}
-	buf := captureLog(t)
-	e := openEnv(t, dir, tinySim, mut)
-	checkRecoveryConsistent(t, e)
-	var rejected []string
-	for _, line := range strings.Split(buf.String(), "\n") {
-		if strings.Contains(line, `"msg":"recovery.checkpoint_rejected"`) {
-			rejected = append(rejected, line)
+	slices.Sort(buckets)
+	for _, bk := range buckets {
+		pb := q.pending[bk]
+		var agg []trace.Observation
+		if pb.agg != nil {
+			agg = pb.agg.Observations(nil)
 		}
+		fmt.Fprintf(&b, "bucket %d: %d records, raw %v, partials %v\n", bk, pb.records, pb.raw, agg)
 	}
-	if len(rejected) != 1 || !strings.Contains(rejected[0], v2+": format version 2") {
-		t.Errorf("rejections %q, want %s's by its version", rejected, v2)
-	}
-	if from, _ := recoveries(t, buf); len(from) != 1 || from[0] != -1 {
-		t.Errorf("recovery continued from checkpoints %v, want none", from)
-	}
-	if _, err := os.Stat(filepath.Join(dir, v2)); !os.IsNotExist(err) {
-		t.Errorf("the rejected %s was kept: %v", v2, err)
-	}
-	feed(e, stop, horizon)
-	sameBooks(t, "from a version-2 directory", servedBooks(t, e), want)
-	e.close(t)
+	return b.String()
 }

@@ -42,7 +42,7 @@ type fleetDelivery struct {
 
 func newFleetDelivery(f *fleet.Fleet, cfg chaos.Config) *fleetDelivery {
 	return &fleetDelivery{
-		q:        newIngestQueue(0, true, nil, nil),
+		q:        newIngestQueue(0, true),
 		fleet:    f,
 		cfg:      cfg,
 		dice:     chaos.Decider{Seed: cfg.Seed},

@@ -23,7 +23,7 @@ import (
 func frontendOnly() *Server {
 	s := &Server{
 		cfg:       Config{MaxBatchBytes: DefaultMaxBatchBytes},
-		q:         newIngestQueue(0, true, nil, nil),
+		q:         newIngestQueue(0, true),
 		frontQuar: ingest.NewQuarantine(1<<20, 16),
 		mux:       http.NewServeMux(),
 	}

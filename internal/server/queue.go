@@ -25,11 +25,11 @@ var (
 
 // queueJournal receives the queue's externally visible events for the
 // durability layer: accepted batches in push order, explicit seals, and
-// the exact per-bucket streams served to the backend. Calls happen under
-// the queue lock, so journal order IS queue order — which is what makes
-// replaying the journal reconstruct the queue's behavior exactly. The
-// journal is best-effort: implementations absorb their own errors
-// (degrading durability loudly) rather than failing the data plane.
+// each bucket read with the stream it served. Calls happen under the
+// queue lock, so journal order IS queue order — which is what makes
+// pushing the journal back through the queue reconstruct its behavior
+// exactly. The journal is best-effort: implementations absorb their own
+// errors (degrading durability loudly) rather than failing the data plane.
 type queueJournal interface {
 	journalBatch(obs []trace.Observation)
 	journalAggBatch(cells []ingest.AggCell)
@@ -67,9 +67,11 @@ type cellAdmission struct {
 // interface a file replay or a live simulator feeds the pipeline through,
 // which is what keeps the daemon byte-equivalent to the batch CLI.
 //
-// A queue built over a journal (DESIGN.md §14) serves the journaled bucket
-// streams first, verbatim and in the order they were consumed: recovery is
-// the backend's first reads. Nothing new is readable until they are spent.
+// A queue recovered over a journal (DESIGN.md §14) replays it first: each
+// batch and seal is applied where the journal has it, and each journaled
+// read is the backend's next read, re-derived and checked against its
+// count, not journaled again. Nothing new is readable until they are
+// spent.
 //
 // A bucket becomes readable when it SEALS. In the streaming mode (the
 // default), a record for bucket X seals every bucket below X — the
@@ -96,16 +98,15 @@ type ingestQueue struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	// jrn, when non-nil, journals accepted batches, seals, and consumed
-	// buckets.
+	// jrn, when non-nil, journals accepted batches, seals, and reads.
 	jrn queueJournal
 
-	// recovered holds the journaled bucket streams the backend has not yet
-	// read again. They are not journaled a second time.
-	recovered []wal.BucketStream
-	// caughtUp is closed when the backend first asks for a bucket with
-	// recovered empty. It asks for nothing before the previous step is
-	// published, so the journaled history has been re-stepped by then.
+	// replay holds the journal records not yet applied again. They are
+	// not journaled a second time.
+	replay []wal.Record
+	// caughtUp is closed when the backend first asks for a bucket with no
+	// journaled read left. It asks for nothing before the previous step is
+	// published, so the journal has been re-stepped by then.
 	caughtUp     chan struct{}
 	caughtUpOnce sync.Once
 
@@ -128,17 +129,15 @@ type ingestQueue struct {
 	manualSeal bool
 	closed     bool
 
-	// reads counts the bucket reads served, journaled ones and those a
-	// restored checkpoint folds in included: the history's position.
+	// reads counts the bucket reads served, replayed ones and those a
+	// restored checkpoint folds in included: the journal's position.
 	reads int
 
-	discarded int64 // records dropped for skipped (subsampled) buckets
-	pushed    int64 // records accepted over the queue's lifetime
+	pushed int64 // records accepted over the queue's lifetime
 }
 
-// newIngestQueue builds the queue, over what a journal scan recovered when
-// rec is non-nil (see recover).
-func newIngestQueue(maxRecords int, manualSeal bool, jrn queueJournal, rec *wal.Recovery) *ingestQueue {
+// newIngestQueue builds an empty queue.
+func newIngestQueue(maxRecords int, manualSeal bool) *ingestQueue {
 	q := &ingestQueue{
 		caughtUp:   make(chan struct{}),
 		pending:    make(map[netmodel.Bucket]*pendingBucket),
@@ -146,50 +145,29 @@ func newIngestQueue(maxRecords int, manualSeal bool, jrn queueJournal, rec *wal.
 		manualSeal: manualSeal,
 	}
 	q.cond = sync.NewCond(&q.mu)
-	if rec != nil {
-		q.recover(jrn, rec)
-	}
 	return q
 }
 
-// recover installs the journal and what its scan recovered, before the
-// queue serves anything: the consumed streams after the checkpoint to
-// serve again, with the frontier and the watermark already past them (or
-// past the checkpoint), and then — queued as they were when the process
-// died, neither capacity-checked nor journaled again — what each journaled
-// batch still had pending and the explicit seal.
+// recover installs the journal and what its scan recovered after the
+// checkpoint the queue was restored from, if any, before the queue serves
+// anything: the backend's reads replay it.
 func (q *ingestQueue) recover(jrn queueJournal, rec *wal.Recovery) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	q.jrn = jrn
-	q.recovered = rec.Buckets
 	if ck := rec.Checkpoint; ck != nil {
 		q.reads = ck.Reads
-		q.frontier = ck.Bucket + 1
 	}
-	if n := len(rec.Buckets); n > 0 {
-		q.frontier = rec.Buckets[n-1].Bucket + 1
-	}
-	q.watermark = q.frontier
-	// In journal order, the runs no later read settled (wal.Horizon has the
-	// rule). Settled records were served — the streams above restate them —
-	// or discarded by a read that jumped over their bucket, and must stay
-	// gone. A run (a raw stretch, a partial) is one bucket's, so its records
-	// stay or go together, and redeliveries among the partials are refused
-	// as on arrival.
-	for _, batch := range rec.Batches {
-		q.pushLocked(batch.Obs, ingest.PartialsOf(batch.Cells), func(b netmodel.Bucket) bool {
-			return !rec.Reads.Reached(batch.AfterBuckets, b)
-		})
-	}
-	if rec.MaxSeal >= 0 {
-		q.sealThroughLocked(rec.MaxSeal)
-	}
+	q.replay = rec.Journal
 }
 
-// replaying reports whether journaled streams remain to be read again.
+// replaying reports whether journaled reads remain to be served again.
+// Without one, the rest of the journal is applied: a checkpoint cut now
+// holds it.
 func (q *ingestQueue) replaying() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.recovered) > 0
+	return q.replayLocked()
 }
 
 // readCount returns how many bucket reads the queue has served.
@@ -199,14 +177,40 @@ func (q *ingestQueue) readCount() int {
 	return q.reads
 }
 
-// replayingLocked reports whether journaled streams remain to be read
-// again; the first call that finds none closes caughtUp.
-func (q *ingestQueue) replayingLocked() bool {
-	if len(q.recovered) > 0 {
-		return true
+// replayLocked applies the journal up to its next read — as it was
+// applied live: each batch pushed, neither capacity-checked nor journaled
+// again, and each seal at its place — and reports whether one is left.
+// Without one it applies the rest.
+func (q *ingestQueue) replayLocked() bool {
+	for len(q.replay) > 0 {
+		r := &q.replay[0]
+		switch r.Kind {
+		case wal.KindRead:
+			return true
+		case wal.KindSeal:
+			q.sealThroughLocked(r.Bucket)
+		default:
+			q.pushLocked(r.Obs, ingest.PartialsOf(r.Cells))
+		}
+		*r = wal.Record{}
+		q.replay = q.replay[1:]
 	}
-	q.caughtUpOnce.Do(func() { close(q.caughtUp) })
 	return false
+}
+
+// caughtUpLocked reports whether no journaled read is left for the backend
+// to ask for. The first call that finds none raises the watermark to the
+// frontier — reads after a Close may have passed it, and this queue is
+// open — and closes caughtUp.
+func (q *ingestQueue) caughtUpLocked() bool {
+	if q.replayLocked() {
+		return false
+	}
+	q.caughtUpOnce.Do(func() {
+		q.watermark = max(q.watermark, q.frontier)
+		close(q.caughtUp)
+	})
+	return true
 }
 
 // Push enqueues one decoded raw batch. The whole batch is accepted or
@@ -224,7 +228,7 @@ func (q *ingestQueue) Push(obs []trace.Observation) error {
 		// at least as durable as the fsync policy promises.
 		q.jrn.journalBatch(obs)
 	}
-	q.pushLocked(obs, nil, nil)
+	q.pushLocked(obs, nil)
 	return nil
 }
 
@@ -242,7 +246,7 @@ func (q *ingestQueue) PushCells(cells []ingest.AggCell) (cellAdmission, error) {
 	if q.jrn != nil {
 		q.jrn.journalAggBatch(cells)
 	}
-	return q.pushLocked(nil, parts, nil), nil
+	return q.pushLocked(nil, parts), nil
 }
 
 func (q *ingestQueue) admitLocked(n int) error {
@@ -256,27 +260,22 @@ func (q *ingestQueue) admitLocked(n int) error {
 }
 
 // pushLocked routes a raw batch and a regrouped aggregate batch into the
-// queue, keeping only the runs whose bucket keep accepts (nil keeps all).
-// Each stretch of equal buckets in obs is one run, copied onto the end of
-// its bucket's records.
-func (q *ingestQueue) pushLocked(obs []trace.Observation, parts []*quartet.Partial, keep func(netmodel.Bucket) bool) (adm cellAdmission) {
+// queue. Each stretch of equal buckets in obs is one run, copied onto the
+// end of its bucket's records.
+func (q *ingestQueue) pushLocked(obs []trace.Observation, parts []*quartet.Partial) (adm cellAdmission) {
 	for len(obs) > 0 {
 		n := 1
 		for n < len(obs) && obs[n].Bucket == obs[0].Bucket {
 			n++
 		}
-		if keep == nil || keep(obs[0].Bucket) {
-			q.pushRunLocked(obs[:n])
-		}
+		q.pushRunLocked(obs[:n])
 		obs = obs[n:]
 	}
 	for _, p := range parts {
-		switch {
-		case keep != nil && !keep(p.Bucket):
-		case q.pushPartialLocked(p):
+		if q.pushPartialLocked(p) {
 			adm.partials++
 			adm.records += len(p.Cells)
-		default:
+		} else {
 			adm.deduped++
 		}
 	}
@@ -384,18 +383,17 @@ func (q *ingestQueue) Watermark() netmodel.Bucket {
 }
 
 // dropLocked forgets bucket b's pending records, keeping their raw slice
-// for a later bucket, and returns how many there were.
-func (q *ingestQueue) dropLocked(b netmodel.Bucket) int {
+// for a later bucket.
+func (q *ingestQueue) dropLocked(b netmodel.Bucket) {
 	pb := q.pending[b]
 	if pb == nil {
-		return 0
+		return
 	}
 	delete(q.pending, b)
 	q.records -= pb.records
 	if cap(pb.raw) > 0 && poolable(pb.raw) && len(q.freeRaw) < maxFreeRaw {
 		q.freeRaw = append(q.freeRaw, pb.raw[:0])
 	}
-	return pb.records
 }
 
 // maxQueuedLocked returns the highest bucket with pending records, or -1.
@@ -415,13 +413,13 @@ func (q *ingestQueue) maxQueuedLocked() netmodel.Bucket {
 func (q *ingestQueue) discardBelowLocked(b netmodel.Bucket) {
 	for pb := range q.pending {
 		if pb < b {
-			q.discarded += int64(q.dropLocked(pb))
+			q.dropLocked(pb)
 		}
 	}
 }
 
 // awaitBucket blocks until bucket b is sealed — or is the next journaled
-// stream's (returns true: step it) — or
+// read's (returns true: step it) — or
 // the queue is closed and nothing at or past b remains (returns false: the
 // drain is complete). After Close it keeps returning true while records at
 // or past b — or held stale records — remain, so a draining backend
@@ -436,7 +434,7 @@ func (q *ingestQueue) awaitBucket(ctx context.Context, b netmodel.Bucket) bool {
 		if ctx.Err() != nil {
 			return false
 		}
-		if q.replayingLocked() || b < q.watermark {
+		if !q.caughtUpLocked() || b < q.watermark {
 			return true
 		}
 		if q.closed {
@@ -448,25 +446,29 @@ func (q *ingestQueue) awaitBucket(ctx context.Context, b netmodel.Bucket) bool {
 
 // ObservationsAt implements ingest.ObservationSource: it serves bucket b's
 // raw runs in arrival order, then its aggregate's partials in PartialID
-// order, preceded by any held stale records (the pipeline's quarantine rejects
-// those as late). It blocks until b seals,
-// the queue closes, or ctx is cancelled; the pipeline's warmup and step
-// loops call it with non-decreasing buckets, discarding skipped ones.
-// While journaled streams remain, the next of them is the answer instead: a
-// backend under the configuration that wrote the journal asks for exactly
-// the buckets it consumed before.
+// order, preceded by any held stale records (the pipeline's quarantine
+// rejects those as late). It blocks until b seals, the queue closes, or
+// ctx is cancelled; the pipeline's warmup and step loops call it with
+// non-decreasing buckets, discarding skipped ones. While journaled reads
+// remain, the next of them is served instead, without waiting: a backend
+// under the configuration that wrote the journal asks for exactly the
+// buckets it read before, and the queue, replayed to the read's place,
+// serves the stream it served then — which must be as long as the
+// journal says.
 func (q *ingestQueue) ObservationsAt(ctx context.Context, b netmodel.Bucket, buf []trace.Observation) ([]trace.Observation, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.replayingLocked() {
-		bs := q.recovered[0]
-		if bs.Bucket != b {
-			return buf, fmt.Errorf("server: recovery: the backend reads bucket %d where the journal has bucket %d", b, bs.Bucket)
+	if !q.caughtUpLocked() {
+		r := q.replay[0]
+		if r.Bucket != b {
+			return buf, fmt.Errorf("server: recovery: the backend reads bucket %d where the journal has bucket %d", b, r.Bucket)
 		}
-		q.recovered[0] = wal.BucketStream{}
-		q.recovered = q.recovered[1:]
-		q.reads++
-		return append(buf, bs.Obs...), nil
+		q.replay = q.replay[1:]
+		start := len(buf)
+		if buf = q.readLocked(b, buf); len(buf)-start != r.Served {
+			return buf[:start], fmt.Errorf("server: recovery: bucket %d served %d observations where the journal read %d", b, len(buf)-start, r.Served)
+		}
+		return buf, nil
 	}
 	q.discardBelowLocked(b)
 	stop := context.AfterFunc(ctx, q.cond.Broadcast)
@@ -478,6 +480,20 @@ func (q *ingestQueue) ObservationsAt(ctx context.Context, b netmodel.Bucket, buf
 		return buf, err
 	}
 	start := len(buf)
+	buf = q.readLocked(b, buf)
+	if q.jrn != nil {
+		// Journal every read, empty ones too: replaying the journal steps
+		// the pipeline once per read, so it must hold every one.
+		q.jrn.journalBucket(b, buf[start:])
+	}
+	return buf, nil
+}
+
+// readLocked serves bucket b, live or replayed: the buckets below it
+// dropped, the stale records first, then b's own, the frontier moved past
+// it.
+func (q *ingestQueue) readLocked(b netmodel.Bucket, buf []trace.Observation) []trace.Observation {
+	q.discardBelowLocked(b)
 	buf = append(buf, q.stale...)
 	q.records -= len(q.stale)
 	q.stale = q.stale[:0]
@@ -488,17 +504,10 @@ func (q *ingestQueue) ObservationsAt(ctx context.Context, b netmodel.Bucket, buf
 		}
 		q.dropLocked(b)
 	}
-	if q.jrn != nil {
-		// Journal the exact slice served — stale-first order and all, and
-		// empty reads too: replaying these streams in order IS how recovery
-		// reconstructs the pipeline, so the journal must record every
-		// consumption, not just the non-empty ones.
-		q.jrn.journalBucket(b, buf[start:])
-	}
 	q.reads++
 	if b+1 > q.frontier {
 		q.frontier = b + 1
 	}
 	q.cond.Broadcast()
-	return buf, nil
+	return buf
 }

@@ -267,9 +267,9 @@ func New(deps pipeline.Deps, cfg Config) (*Server, error) {
 // once, on the caller's goroutine, when the server first needs them. With a
 // data directory that is after everything opening the journal can do
 // without them — the directory scan, the checkpoint's read and CRC, the
-// history from its seam, the reports and the accepted family — so that a
-// world built on another goroutine meanwhile overlaps it. An error from
-// deps fails NewDeferred and rejects no checkpoint.
+// journal from its seam and the reports — so that a world built on
+// another goroutine meanwhile overlaps it. An error from deps fails
+// NewDeferred and rejects no checkpoint.
 func NewDeferred(deps func() (pipeline.Deps, error), cfg Config) (*Server, error) {
 	start := time.Now()
 	if err := cfg.Validate(); err != nil {
@@ -286,7 +286,7 @@ func NewDeferred(deps func() (pipeline.Deps, error), cfg Config) (*Server, error
 	}
 	s := &Server{cfg: cfg, done: make(chan struct{})}
 	s.reports.max = cfg.MaxReports
-	s.q = newIngestQueue(cfg.MaxPendingRecords, cfg.ManualSeal, nil, nil)
+	s.q = newIngestQueue(cfg.MaxPendingRecords, cfg.ManualSeal)
 	var worldWait time.Duration
 	world := sync.OnceValues(func() (pipeline.Deps, error) {
 		waiting := time.Now()
@@ -301,11 +301,10 @@ func NewDeferred(deps func() (pipeline.Deps, error), cfg Config) (*Server, error
 		d.Source = s.q
 		return d, nil
 	})
-	// With a data directory, open the WAL — restoring the pipeline and the
-	// report log from its checkpoint, if it has one recovery can use — and
-	// fill the queue with what it recovered: the journal is live, and the
-	// journaled streams after the checkpoint are what the backend reads
-	// first.
+	// With a data directory, open the WAL — restoring the pipeline, the
+	// report log and the queue from its checkpoint, if it has one recovery
+	// can use — and hand the queue the journal after it: the journal is
+	// live, and replaying it is what the backend's first reads do.
 	if cfg.DataDir != "" {
 		rec, err := s.openWAL(cfg, world)
 		if err != nil {

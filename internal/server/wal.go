@@ -2,15 +2,15 @@ package server
 
 // blameitd's durability glue. When Config.DataDir is set, a wal.Log
 // journals the ingest queue's externally visible events (accepted
-// batches of either feed, explicit seals, the exact per-bucket streams the
-// pipeline consumed) plus every published report's canonical JSON, and
-// once a stepped day the backend's folded state as a checkpoint. On the
-// next start the pipeline and the report log are restored from the newest
-// usable checkpoint, the queue is built over the journal after it, and the
-// backend's first reads are the journaled streams, through the unchanged
-// StepContext path, before New returns: a restart — kill -9 mid-window
-// included — answers /v1/reports byte-identical to an uninterrupted run.
-// See DESIGN.md §14.
+// batches of either feed, explicit seals, each read and the count it
+// served) plus every published report's canonical JSON, and once a
+// stepped day the backend's folded state and the queue's as a checkpoint.
+// On the next start the pipeline, the report log and the queue are
+// restored from the newest usable checkpoint, and the journal after it is
+// replayed through the queue — each journaled read the backend's next,
+// through the unchanged StepContext path — before New returns: a restart
+// — kill -9 mid-window included — answers /v1/reports byte-identical to
+// an uninterrupted run. See DESIGN.md §14.
 
 import (
 	"bytes"
@@ -102,11 +102,11 @@ type walState struct {
 	// Recovery summary, fixed once New returns. The phases split New's
 	// recovery time: wal.Open — readTime of it reading the directory up to
 	// the first restore (all of it without one), restoreTime restoring the
-	// checkpoint — then the backend's catch-up over the journaled reads
-	// after the checkpoint, which starts at catchupFrom. worldWait is how
-	// long recovery waited for the world, in the open or after it.
-	// historySegments and historyBytes are what the open read of the
-	// history.
+	// checkpoint — then the backend's catch-up over the journal after the
+	// checkpoint, which starts at catchupFrom. worldWait is how long
+	// recovery waited for the world, in the open or after it.
+	// journalSegments and journalBytes are what the open read of the
+	// journal.
 	recoveredBuckets int
 	replayedBuckets  int
 	recoveredBatches int
@@ -118,8 +118,8 @@ type walState struct {
 	restoreTime      time.Duration
 	catchupFrom      time.Time
 	recoveryMS       int64
-	historySegments  int
-	historyBytes     int64
+	journalSegments  int
+	journalBytes     int64
 }
 
 // The queueJournal hooks. Append errors degrade durability instead of
@@ -197,10 +197,8 @@ func (ws *walState) regenerated(rep *pipeline.Report, canonical []byte) (held bo
 }
 
 // journalReport appends a newly published report and drives the
-// compaction cadence: once a window's report is durable, the batches it
-// covers are redundant with the consumed-bucket records and compaction
-// unlinks their segments. During recovery, a report the journal already
-// holds is not appended again.
+// compaction cadence. During recovery, a report the journal already holds
+// is not appended again.
 func (ws *walState) journalReport(seq int64, rep *pipeline.Report, canonical []byte) {
 	ws.lastRecord = -1
 	if ws.verifying.Load() {
@@ -247,8 +245,7 @@ func (ws *walState) compact() {
 		return
 	}
 	p := ws.log.Stats().LastCompact
-	slog.Info("wal.compact", "segments", p.Segments, "bytes", p.Bytes,
-		"duration_ms", p.Duration.Milliseconds(), "reads", p.Reads, "report_to", p.ReportTo)
+	slog.Info("wal.compact", "segments", p.Segments, "bytes", p.Bytes, "duration_ms", p.Duration.Milliseconds())
 }
 
 // stopCompacting waits for the compaction pass in flight and lets no
@@ -276,8 +273,8 @@ type WALHealth struct {
 	// Segments counts the files of both journal families.
 	Segments    int   `json:"segments"`
 	Compactions int64 `json:"compactions"`
-	// What the latest compaction pass unlinked: about the batches
-	// journaled per cadence, once the log is past its first passes.
+	// What the latest compaction pass unlinked: the journal of a day and
+	// the reports before it, once a day has passed its second checkpoint.
 	LastCompactUnlinked int64 `json:"last_compact_unlinked_bytes"`
 }
 
@@ -300,13 +297,13 @@ func (ws *walState) health() *WALHealth {
 	}
 }
 
-// openWAL opens the data directory's log — restoring the pipeline and the
-// report log from the newest checkpoint recovery can use — keeps the
-// journaled reports after the checkpoint as the evidence the regenerated
-// ones will be checked against, and notes the positions of the drain
-// flushes among the reads to replay. world is New's deps: the open waits
-// for it only to restore a checkpoint, once the journal is read. It runs
-// before the backend goroutine starts.
+// openWAL opens the data directory's log — restoring the pipeline, the
+// report log and the queue from the newest checkpoint recovery can use —
+// keeps the journaled reports after the checkpoint as the evidence the
+// regenerated ones will be checked against, and notes the positions of
+// the drain flushes among the reads to replay. world is New's deps: the
+// open waits for it only to restore a checkpoint, once the journal is
+// read. It runs before the backend goroutine starts.
 func (s *Server) openWAL(cfg Config, world func() (pipeline.Deps, error)) (*wal.Recovery, error) {
 	wcfg := cfg.WAL
 	if wcfg.Meta == "" {
@@ -353,22 +350,29 @@ func (s *Server) openWAL(cfg Config, world func() (pipeline.Deps, error)) (*wal.
 		compacting:       make(chan struct{}, 1),
 		compactEvery:     cfg.CompactEveryReports,
 		restored:         rec.Checkpoint,
-		recoveredBuckets: len(rec.Buckets),
-		replayedBuckets:  len(rec.Buckets),
-		recoveredBatches: len(rec.Batches) + rec.Settled,
 		recoveredReports: len(rec.Reports),
 		reportRecords:    rec.NextReport,
 		truncatedBytes:   rec.TruncatedBytes,
 		openTime:         openTime,
 		readTime:         readTime,
 		restoreTime:      restoreTime,
-		historySegments:  rec.HistorySegments,
-		historyBytes:     rec.HistoryBytes,
+		journalSegments:  rec.JournalSegments,
+		journalBytes:     rec.JournalBytes,
 	}
 	if ws.compactEvery == 0 {
 		ws.compactEvery = DefaultCompactEveryReports
 	}
-	reads := 0 // the reads before rec.Buckets
+	var read []netmodel.Bucket // the bucket of each journaled read
+	for i := range rec.Journal {
+		switch r := &rec.Journal[i]; r.Kind {
+		case wal.KindRead:
+			read = append(read, r.Bucket)
+		case wal.KindBatch:
+			ws.recoveredBatches++
+		}
+	}
+	ws.recoveredBuckets, ws.replayedBuckets = len(read), len(read)
+	reads := 0 // the reads before the journal's
 	if ck := rec.Checkpoint; ck != nil {
 		reads = ck.Reads
 		ws.recoveredBuckets += reads
@@ -383,7 +387,7 @@ func (s *Server) openWAL(cfg Config, world func() (pipeline.Deps, error)) (*wal.
 		if jr.Final && jr.AfterBuckets > reads {
 			// A flush follows the step of the last bucket read before it,
 			// and reads only move forward: the bucket names the position.
-			ws.flushedAfter[rec.Buckets[jr.AfterBuckets-reads-1].Bucket] = true
+			ws.flushedAfter[read[jr.AfterBuckets-reads-1]] = true
 		}
 	}
 	rec.Reports = nil // the walState's now, released as they match
@@ -392,16 +396,18 @@ func (s *Server) openWAL(cfg Config, world func() (pipeline.Deps, error)) (*wal.
 	return rec, nil
 }
 
-// restore is wal.Config.Restore: it rebuilds the pipeline and the report
-// log from checkpoint ck, and is all or nothing — on an error neither is
-// touched, and recovery falls back to an older checkpoint or to zero. The
-// restored log's entries take their canonical bytes from the journaled
-// reports, which must hold each entry's window at its seq. A checkpoint
-// retaining fewer reports than this daemon would (-retain-reports was
-// raised) is refused: replay serves the older ones too.
+// restore is wal.Config.Restore: it rebuilds the pipeline, the report log
+// and the queue from checkpoint ck, and is all or nothing — on an error
+// none is touched, and recovery falls back to an older checkpoint or to
+// zero. The restored log's entries take their canonical bytes from the
+// journaled reports, which must hold each entry's window at its seq. A
+// checkpoint retaining fewer reports than this daemon would
+// (-retain-reports was raised) is refused: replay serves the older ones
+// too.
 func (s *Server) restore(deps pipeline.Deps, cfg Config, ck wal.Checkpoint, rec *wal.Recovery) error {
 	pipe := pipeline.New(deps, cfg.Pipeline)
-	headers, err := restoreState(ck.Body, pipe)
+	held := newIngestQueue(0, false)
+	headers, err := restoreState(ck.Body, pipe, held)
 	if err != nil {
 		return err
 	}
@@ -432,12 +438,13 @@ func (s *Server) restore(deps pipeline.Deps, cfg Config, ck wal.Checkpoint, rec 
 	}
 	s.pipe = pipe
 	s.reports.reports, s.reports.nextSeq = headers, int64(ck.Reports)
+	s.q.adopt(held)
 	return nil
 }
 
 // checkpointDue reports whether the report of the job ending at bucket b
 // cuts a checkpoint: at each day's end. While the backend catches up the
-// history is ahead of it, and a checkpoint is cut only at the journal's
+// journal is ahead of it, and a checkpoint is cut only at the journal's
 // last read.
 func (s *Server) checkpointDue(b netmodel.Bucket) bool {
 	if s.wal == nil || (b+1)%netmodel.BucketsPerDay != 0 && (s.cfg.checkpointAt == nil || !s.cfg.checkpointAt(b)) {
@@ -446,16 +453,16 @@ func (s *Server) checkpointDue(b netmodel.Bucket) bool {
 	return !s.q.replaying()
 }
 
-// checkpoint cuts the history after the report latest, whose job has
+// checkpoint cuts the journal after the report latest, whose job has
 // just run and which has just been journaled, and writes the backend's
-// state there into the data directory — unless the log is degraded or
-// inconsistent, or does not hold latest as its last report record, of
-// index latest.seq: the restored log names the journal's reports by seq,
-// and a catch-up can regenerate a report the journal holds more after.
-// The cut seals the history's active segment; its failure degrades
-// durability like any append's. A failed write loses nothing — the
-// history holds every record — and is only logged. It reports false when
-// Config.killAt stopped the backend.
+// state and the queue's there into the data directory — unless the log is
+// degraded or inconsistent, or does not hold latest as its last report
+// record, of index latest.seq: the restored log names the journal's
+// reports by seq, and a catch-up can regenerate a report the journal holds
+// more after. The cut seals the journal's active segment; its failure
+// degrades durability like any append's. A failed write loses nothing —
+// the journal holds every record — and is only logged. It reports false
+// when Config.killAt stopped the backend.
 func (s *Server) checkpoint(latest storedReport) bool {
 	ws := s.wal
 	if ws.degraded.Load() || ws.inconsistent.Load() > 0 || int64(ws.lastRecord) != latest.seq || ws.lastRecord+1 != ws.reportRecords {
@@ -467,7 +474,10 @@ func (s *Server) checkpoint(latest storedReport) bool {
 		pos.Keep = int(headers[0].seq)
 	}
 	start := time.Now()
-	pos, err := ws.log.Cut(pos)
+	queue, err := s.q.snapshot(func() (err error) {
+		pos, err = ws.log.Cut(pos)
+		return err
+	})
 	if err != nil {
 		ws.absorb(err)
 		return true
@@ -476,7 +486,7 @@ func (s *Server) checkpoint(latest storedReport) bool {
 		return false
 	}
 	n, err := ws.log.WriteCheckpoint(pos, func(e *ckpt.Encoder) error {
-		return appendState(e, s.pipe, headers)
+		return appendState(e, s.pipe, headers, queue)
 	})
 	if err != nil {
 		slog.Error("wal.checkpoint_failed", "bucket", pos.Bucket, "err", err)
@@ -527,7 +537,7 @@ func (ws *walState) verifyRegenerated(start time.Time) {
 			"buckets", ws.recoveredBuckets, "batches", ws.recoveredBatches, "reports", ws.recoveredReports,
 			"truncated_bytes", ws.truncatedBytes, "inconsistent", ws.inconsistent.Load(),
 			"checkpoint_bucket", ckBucket, "replayed_buckets", ws.replayedBuckets,
-			"history_segments", ws.historySegments, "history_bytes", ws.historyBytes,
+			"journal_segments", ws.journalSegments, "journal_bytes", ws.journalBytes,
 			"duration_ms", ws.recoveryMS, "open_ms", ws.openTime.Milliseconds(),
 			"read_ms", ws.readTime.Milliseconds(), "world_wait_ms", ws.worldWait.Milliseconds(),
 			"restore_ms", ws.restoreTime.Milliseconds(),

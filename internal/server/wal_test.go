@@ -31,6 +31,7 @@ import (
 	"blameit/internal/alerting"
 	"blameit/internal/bgp"
 	"blameit/internal/chaos"
+	"blameit/internal/ckpt"
 	"blameit/internal/core"
 	"blameit/internal/faults"
 	"blameit/internal/ingest"
@@ -366,7 +367,7 @@ func TestWALRestartEquivalence(t *testing.T) {
 // "afterpost" kills right after the batch is acked, backend wherever it
 // is; "compacted" kills after the batch is acked AND the backend has
 // finished the bucket before it — report, compaction pass and all — so
-// the pass ran with this bucket's cells pending and unsettled; "boundary"
+// the pass ran with this bucket's cells pending; "boundary"
 // seals, quiesces and kills.
 // compactions[i] is how many passes the incarnation killed at points[i]
 // had completed.
@@ -431,8 +432,8 @@ func runAggFeed(t *testing.T, dir string, makeSim func() *sim.Simulator, mut fun
 }
 
 // TestWALRestartEquivalenceAggregates is TestWALRestartEquivalence over
-// /v1/aggregates: the queued partials (agg-batch records, settled by the
-// reads) and the watermark their arrival set must survive kills before the
+// /v1/aggregates: the queued partials (agg-batch records, replayed up to
+// each read) and the watermark their arrival set must survive kills before the
 // first compaction and after later ones, including one with a partial
 // pending and one with a redelivery held as stale.
 func TestWALRestartEquivalenceAggregates(t *testing.T) {
@@ -542,17 +543,16 @@ func TestWALHealthzRecoveryStats(t *testing.T) {
 		t.Fatalf("reports after restart+resume = %d, want 4", n)
 	}
 
-	// The new report's pass seals the accepted segment the restart went on
-	// appending to — every batch in it read and reported — and unlinks it:
-	// the history's and the reports' one segment each and a fresh accepted
-	// one are left.
+	// The new report's pass finds no checkpoint — no day has ended — and
+	// unlinks nothing: a restart from zero needs every batch. The
+	// journal's and the reports' one segment each are left.
 	waitFor(t, "the compaction pass", func() bool { return e.srv.WALHealth().Compactions == 1 })
 	wh = e.srv.WALHealth()
-	if _, err := os.Stat(filepath.Join(dir, "accepted-0000000001.log")); !os.IsNotExist(err) || wh.Segments != 3 || wh.LastCompactUnlinked <= 0 {
-		t.Fatalf("after the pass: %+v, accepted-0000000001.log stat err %v", wh, err)
+	if _, err := os.Stat(filepath.Join(dir, "wal-0000000001.log")); err != nil || wh.Segments != 2 || wh.LastCompactUnlinked != 0 {
+		t.Fatalf("after the pass: %+v, wal-0000000001.log stat err %v", wh, err)
 	}
 	_, body := (&testEnv{srv: e.srv, ts: e.ts}).get(t, "/healthz")
-	if want := fmt.Sprintf(`"segments":3,"compactions":1,"last_compact_unlinked_bytes":%d}`, wh.LastCompactUnlinked); !strings.Contains(string(body), want) {
+	if want := `"segments":2,"compactions":1,"last_compact_unlinked_bytes":0}`; !strings.Contains(string(body), want) {
 		t.Fatalf("/healthz = %s, want a wal section ending %s", body, want)
 	}
 }
@@ -605,10 +605,10 @@ func TestWALCorruptTailTruncated(t *testing.T) {
 	}
 }
 
-// TestWALHistoryTruncatedBatchesRequeued cuts the history's tail — reads,
-// seals and a report — while the accepted family keeps every batch: the
-// restart re-queues the batches recorded past the reads that are left,
-// reads them again once sealed, and serves the same reports as before.
+// TestWALHistoryTruncatedBatchesRequeued tears the journal's last record
+// — the read of the last bucket — while the batch and the seal before it
+// stay: the restart re-queues the batch, reads it again, and serves the
+// same reports as before, the last one regenerated.
 func TestWALHistoryTruncatedBatchesRequeued(t *testing.T) {
 	dir := t.TempDir()
 	mkSim := func() *sim.Simulator { return newTestSim(1) }
@@ -623,34 +623,29 @@ func TestWALHistoryTruncatedBatchesRequeued(t *testing.T) {
 		e.quiesce(t, netmodel.Bucket(b))
 	}
 	want := collectCanonical(t, e.ts.Client(), e.ts.URL)
-	e.close(t)
+	e.crash()
 
 	path := filepath.Join(dir, "wal-0000000001.log")
 	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(path, fi.Size()/2); err != nil {
+	if err := os.Truncate(path, fi.Size()-2); err != nil {
 		t.Fatal(err)
 	}
 
 	e = openEnv(t, dir, mkSim, nil)
 	defer e.close(t)
-	wh := e.srv.WALHealth()
-	if wh.TruncatedBytes == 0 || wh.RecoveredBuckets >= len(streams) || wh.RecoveredBatches != len(streams) {
-		t.Fatalf("after cutting the history in half: %+v, want fewer reads than the %d batches kept", wh, len(streams))
-	}
-	// The cut took the last seals with it; sealing again reads the
-	// re-queued batches.
 	last := netmodel.Bucket(len(streams) - 1)
-	if st, body := postSeal(t, e.ts.Client(), e.ts.URL, last); st != http.StatusAccepted {
-		t.Fatalf("seal %d = %d (%s)", last, st, body)
-	}
 	e.quiesce(t, last)
-	if got := collectCanonical(t, e.ts.Client(), e.ts.URL); !bytes.Equal(got, want) {
-		t.Fatal("reports diverged after the history lost its tail")
+	wh := e.srv.WALHealth()
+	if wh.TruncatedBytes == 0 || wh.RecoveredBuckets != len(streams)-1 || wh.RecoveredBatches != len(streams) {
+		t.Fatalf("after tearing the last read: %+v, want %d reads and %d batches", wh, len(streams)-1, len(streams))
 	}
-	if wh := e.srv.WALHealth(); wh.RecoveryInconsistent != 0 {
+	if got := collectCanonical(t, e.ts.Client(), e.ts.URL); !bytes.Equal(got, want) {
+		t.Fatal("reports diverged after the journal lost its last read")
+	}
+	if wh.RecoveryInconsistent != 0 {
 		t.Fatalf("the re-read flagged inconsistency: %+v", wh)
 	}
 }
@@ -1369,9 +1364,9 @@ func TestWALLogEvents(t *testing.T) {
 	ws.absorb(errors.New("disk gone"))
 	ws.absorb(errors.New("said once"))
 
-	// A compaction pass over a journal whose one batch is read and
-	// reported: it unlinks the accepted segment, the batch's 25-byte frame
-	// after a 31-byte header and meta record.
+	// A compaction pass over a journal with two checkpoints: it unlinks the
+	// segment before the older one's seam: a 43-byte header, meta and base
+	// record, the batch's 24-byte frame and the read's 11.
 	cl, _, err := wal.Open(t.TempDir(), wcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -1380,11 +1375,17 @@ func TestWALLogEvents(t *testing.T) {
 	if err := cl.AppendBatch(obs); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.AppendBucket(1, obs); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.AppendReport(wal.Report{From: 0, To: 2, Canonical: []byte("{}")}); err != nil {
-		t.Fatal(err)
+	for b := netmodel.Bucket(1); b <= 2; b++ {
+		if err := cl.AppendBucket(b, obs[:2-b]); err != nil {
+			t.Fatal(err)
+		}
+		pos, err := cl.Cut(wal.Checkpoint{Reads: int(b), Bucket: b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.WriteCheckpoint(pos, func(*ckpt.Encoder) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
 	}
 	(&walState{log: cl}).compact()
 	if err := cl.Close(); err != nil {
@@ -1393,11 +1394,11 @@ func TestWALLogEvents(t *testing.T) {
 
 	want := []string{
 		`{"err":"set","msg":"recovery.report_undecodable","seq":1}`,
-		`{"batches":0,"buckets":0,"catchup_ms":"ok","checkpoint_bucket":-1,"duration_ms":"ok","history_bytes":46,"history_segments":1,"inconsistent":1,"msg":"recovery.complete","open_ms":"ok","read_ms":"ok","replayed_buckets":0,"reports":1,"restore_ms":"ok","truncated_bytes":0,"world_wait_ms":"ok"}`,
+		`{"batches":0,"buckets":0,"catchup_ms":"ok","checkpoint_bucket":-1,"duration_ms":"ok","inconsistent":1,"journal_bytes":43,"journal_segments":1,"msg":"recovery.complete","open_ms":"ok","read_ms":"ok","replayed_buckets":0,"reports":1,"restore_ms":"ok","truncated_bytes":0,"world_wait_ms":"ok"}`,
 		`{"from":0,"msg":"recovery.report_mismatch","to":2}`,
 		`{"msg":"recovery.unregenerated","n":1}`,
 		`{"err":"disk gone","msg":"wal.degraded"}`,
-		`{"bytes":56,"duration_ms":"ok","msg":"wal.compact","reads":1,"report_to":2,"segments":1}`,
+		`{"bytes":78,"duration_ms":"ok","msg":"wal.compact","segments":1}`,
 	}
 	if got := logEvents(t, buf); !reflect.DeepEqual(got, want) {
 		t.Fatalf("log events:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -1429,7 +1430,7 @@ func TestWALLeftoverReportDecoded(t *testing.T) {
 		t.Helper()
 		return openEnv(t, dir, makeSim, func(c *Config) { c.WAL = wcfg })
 	}
-	// restart journals the first window's consumed buckets, when buckets
+	// restart journals the first window's batches and reads, when buckets
 	// is set, and then reports, and opens a daemon over the journal.
 	restart := func(t *testing.T, buckets bool, reports ...wal.Report) (*walEnv, string) {
 		t.Helper()
@@ -1441,7 +1442,11 @@ func TestWALLeftoverReportDecoded(t *testing.T) {
 		if buckets {
 			feed := makeSim()
 			for b := netmodel.Bucket(0); b < 3; b++ {
-				if err := lg.AppendBucket(b, feed.ObservationsAt(b, nil)); err != nil {
+				obs := feed.ObservationsAt(b, nil)
+				if err := lg.AppendBatch(obs); err != nil {
+					t.Fatal(err)
+				}
+				if err := lg.AppendBucket(b, obs); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -1582,4 +1587,43 @@ func TestWALLeftoverReportDecoded(t *testing.T) {
 		checkRecoveryConsistent(t, e)
 		servesRegeneration(t, e, want)
 	})
+}
+
+// TestWALReadCountMismatch restarts over a journal whose read of bucket 1
+// claims one observation fewer than the batches before it re-derive: the
+// replay is not the history the journal records, and recovery fails,
+// naming the bucket and both counts, rather than serving a diverged
+// backend.
+func TestWALReadCountMismatch(t *testing.T) {
+	dir := t.TempDir()
+	wcfg := wal.Config{Fsync: wal.SyncOff, Meta: "read-count"}
+	lg, _, err := wal.Open(dir, wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := newTestSim(1)
+	for b := netmodel.Bucket(0); b < 3; b++ {
+		obs := feed.ObservationsAt(b, nil)
+		if err := lg.AppendBatch(obs); err != nil {
+			t.Fatal(err)
+		}
+		if b == 1 {
+			obs = obs[1:]
+		}
+		if err := lg.AppendBucket(b, obs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := newEnvServer(dir, func() *sim.Simulator { return newTestSim(1) }, func(c *Config) { c.WAL = wcfg })
+	if err == nil {
+		srv.Shutdown(context.Background())
+		t.Fatal("a journal whose read does not re-derive was served")
+	}
+	n := len(feed.ObservationsAt(1, nil))
+	if want := fmt.Sprintf("bucket 1 served %d observations where the journal read %d", n, n-1); !strings.Contains(err.Error(), want) {
+		t.Fatalf("recovery failed with %v, want it to say %q", err, want)
+	}
 }

@@ -19,20 +19,20 @@ import (
 
 // Checkpoint files (checkpoint-%010d.ckpt, numbered by their Reads) sit
 // beside the segments. Each holds the daemon's folded state at one point
-// of the history, so that recovery reads only the history after it:
+// of the journal, so that recovery reads only the journal after it:
 //
 //	"BLAMECKP" | version | reads | bucket | reports | keep | seam | body | CRC-32C
 //
 // with the integers as varints and the CRC, little-endian, over everything
-// before it. The body is the daemon's; since version 3 it is cut into
-// sections closed by an offsets trailer (ckpt.EndSections). Cut starts
-// the checkpoint's seam, the history segment whose base is its position,
-// and WriteCheckpoint writes the file in place, without fsync: its CRC
-// and its seam decide at open whether it is used, and compaction fsyncs
-// the kept ones before it unlinks the history before them.
+// before it. The body is the daemon's, cut into sections closed by an
+// offsets trailer (ckpt.EndSections); version 4 added the ingest queue's.
+// Cut starts the checkpoint's seam, the journal segment whose base is its
+// position, and WriteCheckpoint writes the file in place, without fsync:
+// its CRC and its seam decide at open whether it is used, and compaction
+// fsyncs the kept ones before it unlinks the journal before them.
 const (
 	ckptMagic   = "BLAMECKP"
-	ckptVersion = 3
+	ckptVersion = 4
 	ckptPrefix  = "checkpoint-"
 	ckptSuffix  = ".ckpt"
 	// ckptKeep is how many checkpoints a directory keeps: the newest, and
@@ -40,11 +40,11 @@ const (
 	ckptKeep = 2
 )
 
-// Checkpoint is where in the history a checkpoint was cut and, once read,
+// Checkpoint is where in the journal a checkpoint was cut and, once read,
 // the state it holds.
 type Checkpoint struct {
-	// Reads is how many bucket records the history held, and Bucket the
-	// last one's bucket.
+	// Reads is how many reads the journal held, and Bucket the last one's
+	// bucket.
 	Reads  int
 	Bucket netmodel.Bucket
 	// Reports is how many report records the reports family held, and Keep
@@ -56,7 +56,7 @@ type Checkpoint struct {
 	// Config.Restore; it is not kept past that.
 	Body []byte
 
-	// seam is the history segment Cut started at the checkpoint.
+	// seam is the journal segment Cut started at the checkpoint.
 	seam uint64
 }
 
@@ -152,11 +152,14 @@ func readCheckpoint(dir string, reads int) (*Checkpoint, error) {
 	return &ck, nil
 }
 
-// Cut starts the history segment a checkpoint at pos will be restored
+// Cut starts the journal segment a checkpoint at pos will be restored
 // from, its seam: the active segment is sealed, and the next one opens
 // with the log's position as its base. pos must be that position — its
 // reads, the last one's bucket, its reports — and Keep no more than
-// Reports. It returns pos with the seam, for WriteCheckpoint.
+// Reports. It returns pos with the seam, for WriteCheckpoint. What the
+// checkpoint holds of the records journaled so far must be taken in the
+// same critical section as the Cut: they are before the seam, and the
+// ones after it are not.
 func (l *Log) Cut(pos Checkpoint) (Checkpoint, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -164,14 +167,14 @@ func (l *Log) Cut(pos Checkpoint) (Checkpoint, error) {
 		return pos, errors.New("wal: log closed")
 	}
 	at := l.pos
-	if pos.Reads < 1 || pos.Reads != at.reads || pos.Bucket != at.horizon.last || pos.Reports != at.reports || pos.Keep > pos.Reports || pos.Keep < 0 {
+	if pos.Reads < 1 || pos.Reads != at.reads || pos.Bucket != at.last || pos.Reports != at.reports || pos.Keep > pos.Reports || pos.Keep < 0 {
 		return pos, fmt.Errorf("wal: checkpoint at read %d, bucket %d, report %d: the log is at read %d, bucket %d, report %d",
-			pos.Reads, pos.Bucket, pos.Reports, at.reads, at.horizon.last, at.reports)
+			pos.Reads, pos.Bucket, pos.Reports, at.reads, at.last, at.reports)
 	}
-	if err := l.rotateLocked(&l.hist); err != nil {
+	if err := l.rotateLocked(&l.jrn); err != nil {
 		return pos, err
 	}
-	pos.seam = l.hist.seq
+	pos.seam = l.jrn.seq
 	return pos, nil
 }
 
@@ -179,8 +182,8 @@ func (l *Log) Cut(pos Checkpoint) (Checkpoint, error) {
 // with the body body encodes, and unlinks the directory's older
 // checkpoints but one. It returns the bytes written. The state is encoded
 // straight into the file through the encoder's bounded buffer; a failed
-// write leaves no file. No bucket or report record may be appended
-// between the Cut and the write (seals may).
+// write leaves no file. No read or report may be journaled between the
+// Cut and the write (batches and seals may).
 func (l *Log) WriteCheckpoint(pos Checkpoint, body func(*ckpt.Encoder) error) (int64, error) {
 	l.mu.Lock()
 	moved := pos.seam == 0 || l.pos.reads != pos.Reads || l.pos.reports != pos.Reports

@@ -2,11 +2,12 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -35,9 +36,9 @@ func writeCheckpoint(t *testing.T, l *Log, pos Checkpoint, body string) Checkpoi
 
 // TestCheckpointRecovery writes six reads and two reports, with a
 // checkpoint after every second read, and reopens: recovery offers Restore
-// the newest checkpoint with the history from its seam on — nothing — and
+// the newest checkpoint with the journal from its seam on — nothing — and
 // every report, keeps the newest two checkpoints, and on Restore's refusal
-// falls back to the older one, reading the history from its seam,
+// falls back to the older one, reading the journal from its seam,
 // unlinking the refused one.
 func TestCheckpointRecovery(t *testing.T) {
 	dir := t.TempDir()
@@ -89,19 +90,18 @@ func TestCheckpointRecovery(t *testing.T) {
 	if len(offered) != 1 || offered[0].Reads != 6 || string(offered[0].Body) != "\x01f" {
 		t.Fatalf("Restore offered %+v, want the checkpoint after read 6", offered)
 	}
-	if rec.Checkpoint == nil || rec.Checkpoint.Bucket != 5 || len(rec.Buckets) != 0 || len(rec.Rejected) != 0 {
-		t.Fatalf("recovered from %+v with %d reads after it, %v rejected", rec.Checkpoint, len(rec.Buckets), rec.Rejected)
+	if rec.Checkpoint == nil || rec.Checkpoint.Bucket != 5 || len(rec.Journal) != 0 || len(rec.Rejected) != 0 {
+		t.Fatalf("recovered from %+v with %d records after it, %v rejected", rec.Checkpoint, len(rec.Journal), rec.Rejected)
 	}
-	if rec.HistorySegments != 1 || rec.Reads.Len() != 6 || rec.NextReport != 2 {
-		t.Errorf("read %d history segments to a horizon of %d reads, next report %d: want the seam alone, 6 and 2",
-			rec.HistorySegments, rec.Reads.Len(), rec.NextReport)
+	if rec.JournalSegments != 1 || rec.NextReport != 2 {
+		t.Errorf("read %d journal segments, next report %d: want the seam alone and 2", rec.JournalSegments, rec.NextReport)
 	}
 	if rec.Reports[1].AfterBuckets != 6 {
 		t.Errorf("the second report follows %d reads, want 6", rec.Reports[1].AfterBuckets)
 	}
 
 	// Refused, the newest is unlinked and the one before it used: the reads
-	// after it are decoded in full.
+	// after it are decoded.
 	offered, refuse = nil, 1
 	l, rec, err = Open(dir, cfg)
 	if err != nil {
@@ -111,9 +111,7 @@ func TestCheckpointRecovery(t *testing.T) {
 	if len(offered) != 2 || offered[1].Reads != 4 || len(rec.Rejected) != 1 {
 		t.Fatalf("offered %+v, rejected %v: want the refused one, then the one after read 4", offered, rec.Rejected)
 	}
-	if len(rec.Buckets) != 2 || rec.Buckets[0].Bucket != 4 || !obsEqual(rec.Buckets[1].Obs, obsFor(5, 3)) {
-		t.Fatalf("recovered %d reads after the checkpoint, want buckets 4 and 5 decoded", len(rec.Buckets))
-	}
+	checkJournal(t, rec.Journal, []Record{{Kind: KindRead, Bucket: 4, Served: 3}, {Kind: KindRead, Bucket: 5, Served: 3}})
 	if _, err := os.Stat(filepath.Join(dir, ckptName(6))); !os.IsNotExist(err) {
 		t.Errorf("the refused checkpoint is still there: %v", err)
 	}
@@ -168,8 +166,8 @@ func TestCheckpointRejectedAtOpen(t *testing.T) {
 				t.Fatal(err)
 			}
 			l.Close()
-			if rec.Checkpoint != nil || len(rec.Rejected) != 1 || len(rec.Buckets) != 2 {
-				t.Fatalf("checkpoint %+v, rejected %v, %d reads: want replay from zero", rec.Checkpoint, rec.Rejected, len(rec.Buckets))
+			if rec.Checkpoint != nil || len(rec.Rejected) != 1 || reads(rec.Journal) != 2 {
+				t.Fatalf("checkpoint %+v, rejected %v, %d reads: want replay from zero", rec.Checkpoint, rec.Rejected, reads(rec.Journal))
 			}
 			if names, _ := filepath.Glob(filepath.Join(dir, "checkpoint-*")); len(names) != 0 {
 				t.Errorf("rejected checkpoints left behind: %v", names)
@@ -209,9 +207,9 @@ func TestCheckpointUnremovable(t *testing.T) {
 }
 
 // TestBaseDisagreementCutsTheHistory rewrites the base record of a later
-// history segment — framed and CRC-valid, but restating a history the
+// journal segment — framed and CRC-valid, but restating a journal the
 // segments before it do not fold to — and reopens from zero: the
-// disagreement is corruption, and the history is cut there, that segment
+// disagreement is corruption, and the journal is cut there, that segment
 // and the ones after it discarded, as for a bad frame.
 func TestBaseDisagreementCutsTheHistory(t *testing.T) {
 	dir := t.TempDir()
@@ -221,6 +219,9 @@ func TestBaseDisagreementCutsTheHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	for b := netmodel.Bucket(0); b < 12; b++ {
+		if err := l.AppendBatch(obsFor(b, 3)); err != nil {
+			t.Fatal(err)
+		}
 		if err := l.AppendBucket(b, obsFor(b, 3)); err != nil {
 			t.Fatal(err)
 		}
@@ -228,16 +229,16 @@ func TestBaseDisagreementCutsTheHistory(t *testing.T) {
 	l.Close()
 	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
 	if len(segs) < 3 {
-		t.Fatalf("%d history segments, want 3 or more", len(segs))
+		t.Fatalf("%d journal segments, want 3 or more", len(segs))
 	}
 	path := filepath.Join(dir, "wal-0000000002.log")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, _ := scanRecords(data[segHeader:], historyKinds, nil)
+	recs, _ := scanRecords(data[segHeader:], journalKinds)
 	base := recs[1].val.(position)
-	base.maxSeal = 3 // no seal was ever journaled
+	base.last += 7 // no read was of that bucket
 	forged := append([]byte(nil), data[:segHeader]...)
 	forged = appendFrame(forged, append([]byte{recMeta}, recs[0].body...))
 	forged = appendFrame(forged, appendPosition([]byte{recBase}, base))
@@ -259,16 +260,16 @@ func TestBaseDisagreementCutsTheHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if len(rec.Buckets) != base.reads || rec.TruncatedBytes != discarded {
-		t.Fatalf("recovered %d reads, %d bytes truncated: want the %d before segment 2 and its %d bytes on", len(rec.Buckets), rec.TruncatedBytes, base.reads, discarded)
+	if reads(rec.Journal) != base.reads || rec.TruncatedBytes != discarded {
+		t.Fatalf("recovered %d reads, %d bytes truncated: want the %d before segment 2 and its %d bytes on", reads(rec.Journal), rec.TruncatedBytes, base.reads, discarded)
 	}
 	if left, _ := filepath.Glob(filepath.Join(dir, "wal-*.log")); len(left) != 1 {
-		t.Fatalf("history segments left: %v, want the first alone", left)
+		t.Fatalf("journal segments left: %v, want the first alone", left)
 	}
 }
 
 // TestCompactionUnlinksBeforeTheOlderSeam keeps two checkpoints of three
-// and compacts: the pass unlinks the history before the older seam and
+// and compacts: the pass unlinks the journal before the older seam and
 // the reports segments before the first report the older one names, and
 // nothing else. Recovery from either checkpoint is unchanged — killed
 // after each unlink as well — and zero is no longer a fallback: refusing
@@ -343,7 +344,7 @@ func TestCompactionUnlinksBeforeTheOlderSeam(t *testing.T) {
 	l.Close()
 	hist, reps := files(dir, "wal-*.log"), files(dir, "reports-*.log")
 	if want := fmt.Sprintf("wal-%010d.log", oldestSeam); hist[0] != want || len(histBefore)-len(hist) != int(oldestSeam)-1 {
-		t.Fatalf("the history after the pass is %v, want it to start at the older seam, %s", hist, want)
+		t.Fatalf("the journal after the pass is %v, want it to start at the older seam, %s", hist, want)
 	}
 	if len(reps) >= len(repsBefore) {
 		t.Fatalf("the pass left every reports segment: %v", reps)
@@ -359,16 +360,10 @@ func TestCompactionUnlinksBeforeTheOlderSeam(t *testing.T) {
 			t.Fatal(err)
 		}
 		l.Close()
-		if len(offered) != 1 || rec.Checkpoint.Reads != 12 || rec.HistorySegments != 1 {
-			t.Fatalf("offered %v, restored %+v from %d history segments: want the newest from its seam", offered, rec.Checkpoint, rec.HistorySegments)
+		if len(offered) != 1 || rec.Checkpoint.Reads != 12 || rec.JournalSegments != 1 {
+			t.Fatalf("offered %v, restored %+v from %d journal segments: want the newest from its seam", offered, rec.Checkpoint, rec.JournalSegments)
 		}
-		// The reports are the uncompacted log's from some index on.
-		got, w := project(rec), project(want)
-		if first := got.reports[0].Index; !reflect.DeepEqual(got.reports, w.reports[first:]) {
-			t.Fatalf("reports from %d differ from the uncompacted log's", first)
-		}
-		got.reports, w.reports = nil, nil
-		checkProjectionsEqual(t, got, w)
+		checkProjectionsEqual(t, project(rec), project(want))
 	}
 	reopen(t, dir)
 
@@ -398,8 +393,8 @@ func TestCompactionUnlinksBeforeTheOlderSeam(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Close()
-	if rec.Checkpoint.Reads != 8 || len(rec.Buckets) != 4 || len(rec.Rejected) != 1 {
-		t.Fatalf("refusing the newest: restored %+v with %d reads after it, %v rejected", rec.Checkpoint, len(rec.Buckets), rec.Rejected)
+	if rec.Checkpoint.Reads != 8 || reads(rec.Journal) != 4 || len(rec.Rejected) != 1 {
+		t.Fatalf("refusing the newest: restored %+v with %d reads after it, %v rejected", rec.Checkpoint, reads(rec.Journal), rec.Rejected)
 	}
 	names := files(dir, "checkpoint-*.ckpt")
 	offered = nil
@@ -408,5 +403,27 @@ func TestCompactionUnlinksBeforeTheOlderSeam(t *testing.T) {
 	}
 	if after := files(dir, "checkpoint-*.ckpt"); !slices.Equal(after, names) {
 		t.Fatalf("the failed open left checkpoints %v, had %v", after, names)
+	}
+}
+
+// TestDecodeCheckpointVersion holds DecodeCheckpoint to its version: a
+// checkpoint whose header names another one — framed, CRC-valid — is
+// refused, naming both.
+func TestDecodeCheckpointVersion(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := EncodeCheckpoint(&buf, Checkpoint{Reads: 2, Bucket: 1, seam: 2}, ckptBody("x")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeCheckpoint(buf.Bytes()); err != nil {
+		t.Fatalf("this version's checkpoint: %v", err)
+	}
+	for _, v := range []byte{2, 3, 5} {
+		data := slices.Clone(buf.Bytes())
+		data[len(ckptMagic)] = v // the version, one varint byte
+		data = binary.LittleEndian.AppendUint32(data[:len(data)-4], crc32.Checksum(data[:len(data)-4], ckpt.Table))
+		want := fmt.Sprintf("format version %d, this build reads %d", v, ckptVersion)
+		if _, err := DecodeCheckpoint(data); err == nil || err.Error() != want {
+			t.Errorf("version %d: %v, want %q", v, err, want)
+		}
 	}
 }

@@ -29,33 +29,32 @@ const (
 
 	recMeta = 0x01 // configuration fingerprint; first record of every segment
 	// 0x02 was format version 1's compaction snapshot marker.
-	recBatch    = 0x03 // one accepted ingest batch, in queue push order
-	recBucket   = 0x04 // one consumed bucket: the exact stream served to the pipeline
+	recBatch = 0x03 // one accepted ingest batch, in queue order
+	// 0x04 was format version 5's consumed bucket stream.
 	recSeal     = 0x05 // one explicit watermark advance
 	recReport   = 0x06 // one published report: its index, the reads before it, its canonical JSON
-	recAggBatch = 0x07 // one accepted /v1/aggregates cell batch, in queue push order
-	// 0x08 was format version 2's aggregate-flush marker.
-	recSkip = 0x09 // the position the next bucket read takes, past reads a truncation lost
-	recBase = 0x0a // the folded history at a history segment's start: its second record
+	recAggBatch = 0x07 // one accepted /v1/aggregates cell batch, in queue order
+	// 0x08 was format version 2's aggregate-flush marker, 0x09 format
+	// version 5's skip record.
+	recBase = 0x0a // the journal folded before a journal segment: its second record
+	recRead = 0x0b // one bucket read: the bucket and how many observations it served
 )
 
 // The record types each family's segments may hold.
 var (
-	historyKinds  = string([]byte{recMeta, recBase, recBucket, recSeal, recSkip})
-	reportKinds   = string([]byte{recMeta, recReport})
-	acceptedKinds = string([]byte{recMeta, recBatch, recAggBatch})
+	journalKinds = string([]byte{recMeta, recBase, recBatch, recAggBatch, recSeal, recRead})
+	reportKinds  = string([]byte{recMeta, recReport})
 )
 
 // segment file header: magic + format version. Version 2 dropped the
-// snapshot record; version 3 dropped the agg-flush record, and an
-// agg-batch now settles by the reads, as a batch does. Version 4 moved
-// the batches into a family of their own, each carrying its position.
-// Version 5 moved the reports into a family of their own, each carrying
-// its index and the reads before it, and opens every history segment
-// with a base record, so that recovery starts at a checkpoint's segment.
+// snapshot record; version 3 dropped the agg-flush record. Version 4 moved
+// the batches into a family of their own and version 5 the reports, and
+// opened every history segment with a base record. Version 6 put the
+// batches back in the journal, each read in place of the stream it
+// served: a read is its bucket and its count, re-derived on replay.
 const (
 	segMagic   = "BLAMEWAL"
-	segVersion = 5
+	segVersion = 6
 	segHeader  = len(segMagic) + 4
 )
 
@@ -87,15 +86,11 @@ func crcMatches(hdr, payload []byte) bool {
 
 // rawRecord is one CRC-valid record as scanned from a segment, with its
 // decoded body. The body slice aliases the scanned file buffer; decoded
-// values own their memory. A batch of either feed also carries its
-// position and highest bucket. A settled batch is only checked, not
-// decoded: its val is nil.
+// values own their memory.
 type rawRecord struct {
-	typ   byte
-	body  []byte
-	val   any
-	after int
-	high  netmodel.Bucket
+	typ  byte
+	body []byte
+	val  any
 }
 
 // scanRecords walks data (a segment's bytes after the header) and returns
@@ -103,14 +98,13 @@ type rawRecord struct {
 // kinds plus the byte offset where that prefix ends. Anything after the
 // returned offset — a torn frame, a CRC mismatch, an over-long length, a
 // type the family does not hold, or an undecodable body — is the corrupt
-// tail the caller truncates. A batch settled, if not nil, reports settled
-// by its position and highest bucket is checked but not decoded.
+// tail the caller truncates.
 //
 // Frames are checked in order, since each one's position depends on the
 // length before it. The bodies are independent once framed, so they decode
 // on every core, each into its own record; the prefix is then cut at the
 // first body that failed, as a sequential decode would have stopped there.
-func scanRecords(data []byte, kinds string, settled func(after int, high netmodel.Bucket) bool) (recs []rawRecord, valid int64) {
+func scanRecords(data []byte, kinds string) (recs []rawRecord, valid int64) {
 	off := int64(0)
 	for {
 		rest := data[off:]
@@ -130,7 +124,7 @@ func scanRecords(data []byte, kinds string, settled func(after int, high netmode
 	}
 	ok := make([]bool, len(recs))
 	parallel.ForEach(len(recs), parallel.Resolve(0), func(i int) {
-		ok[i] = recs[i].decode(settled)
+		recs[i].val, ok[i] = decodeBody(recs[i].typ, recs[i].body)
 	})
 	for i := range recs {
 		if !ok[i] {
@@ -139,25 +133,6 @@ func scanRecords(data []byte, kinds string, settled func(after int, high netmode
 		valid += frameHeader + 1 + int64(len(recs[i].body))
 	}
 	return recs, valid
-}
-
-// decode checks the record's body and decodes it into val, except for a
-// batch settled reports settled.
-func (r *rawRecord) decode(settled func(int, netmodel.Bucket) bool) bool {
-	var ok bool
-	if r.typ == recBatch || r.typ == recAggBatch {
-		r.after = (&reader{b: r.body}).position()
-		// Only a batch some read came after can be settled: such a batch is
-		// checked first, and decoded only if it holds a bucket no read has
-		// reached.
-		if settled != nil && settled(r.after, noBucket) {
-			if _, r.high, ok = decodeBody(r.typ, r.body, false); !ok || settled(r.after, r.high) {
-				return ok
-			}
-		}
-	}
-	r.val, r.high, ok = decodeBody(r.typ, r.body, true)
-	return ok
 }
 
 // reader is a bounds-checked cursor over a record body. Any overrun sets
@@ -208,7 +183,8 @@ func (r *reader) uvarint() uint64 {
 	return v
 }
 
-// position reads a journal position: a count of bucket reads.
+// position reads a count — of reads, of reports, of observations served —
+// bounded to an int32.
 func (r *reader) position() int {
 	v := r.uvarint()
 	if v > math.MaxInt32 {
@@ -257,20 +233,14 @@ func appendObs(buf []byte, obs []trace.Observation) []byte {
 	return buf
 }
 
-// readObs reads an observation list and returns it with the highest
-// bucket in it (noBucket for none). Without build the same bytes are
-// checked and nothing is allocated.
-func readObs(r *reader, build bool) ([]trace.Observation, netmodel.Bucket) {
-	high := noBucket
+// readObs reads an observation list.
+func readObs(r *reader) []trace.Observation {
 	n := r.uvarint()
 	if r.err || n > uint64(r.left()/minObsBytes)+1 {
 		r.err = true
-		return nil, high
+		return nil
 	}
-	var obs []trace.Observation
-	if build {
-		obs = make([]trace.Observation, 0, n)
-	}
+	obs := make([]trace.Observation, 0, n)
 	for i := uint64(0); i < n; i++ {
 		var o trace.Observation
 		o.Prefix = netmodel.PrefixID(r.varint())
@@ -281,14 +251,11 @@ func readObs(r *reader, build bool) ([]trace.Observation, netmodel.Bucket) {
 		o.MeanRTT = r.f64()
 		o.Clients = int(r.varint())
 		if r.err {
-			return nil, high
+			return nil
 		}
-		high = max(high, o.Bucket)
-		if build {
-			obs = append(obs, o)
-		}
+		obs = append(obs, o)
 	}
-	return obs, high
+	return obs
 }
 
 const minCellBytes = 9 + 8 // nine 1-byte varints, 8-byte float
@@ -312,17 +279,13 @@ func appendCells(buf []byte, cells []ingest.AggCell) []byte {
 }
 
 // readCells is readObs for aggregate cells.
-func readCells(r *reader, build bool) ([]ingest.AggCell, netmodel.Bucket) {
-	high := noBucket
+func readCells(r *reader) []ingest.AggCell {
 	n := r.uvarint()
 	if r.err || n > uint64(r.left()/minCellBytes)+1 {
 		r.err = true
-		return nil, high
+		return nil
 	}
-	var cells []ingest.AggCell
-	if build {
-		cells = make([]ingest.AggCell, 0, n)
-	}
+	cells := make([]ingest.AggCell, 0, n)
 	for i := uint64(0); i < n; i++ {
 		var c ingest.AggCell
 		c.Agent = int(r.varint())
@@ -336,73 +299,42 @@ func readCells(r *reader, build bool) ([]ingest.AggCell, netmodel.Bucket) {
 		c.MeanRTT = r.f64()
 		c.Clients = int(r.varint())
 		if r.err {
-			return nil, high
+			return nil
 		}
-		high = max(high, c.Bucket)
-		if build {
-			cells = append(cells, c)
-		}
+		cells = append(cells, c)
 	}
-	return cells, high
+	return cells
 }
 
-// appendPosition encodes a base record's body: the bucket records, the
-// read horizon, the highest seal and the report records.
+// appendPosition encodes a base record's body: the reads, the last one's
+// bucket and the report records.
 func appendPosition(buf []byte, p position) []byte {
 	buf = binary.AppendUvarint(buf, uint64(p.reads))
-	buf = binary.AppendUvarint(buf, uint64(p.horizon.n))
-	buf = binary.AppendUvarint(buf, uint64(p.horizon.reached))
-	buf = binary.AppendVarint(buf, int64(p.horizon.last))
-	buf = binary.AppendVarint(buf, int64(p.maxSeal))
+	buf = binary.AppendVarint(buf, int64(p.last))
 	return binary.AppendUvarint(buf, uint64(p.reports))
 }
 
-// readPosition reads what appendPosition wrote. A horizon no history can
-// fold to — reads or a latest read past its next position — is an error.
+// readPosition reads what appendPosition wrote.
 func readPosition(r *reader) position {
-	p := position{reads: r.position()}
-	p.horizon.n = r.position()
-	p.horizon.reached = r.position()
-	p.horizon.last = netmodel.Bucket(r.varint())
-	p.maxSeal = netmodel.Bucket(r.varint())
-	p.reports = r.position()
-	if p.reads > p.horizon.n || p.horizon.reached > p.horizon.n {
-		r.err = true
-	}
-	return p
+	return position{reads: r.position(), last: netmodel.Bucket(r.varint()), reports: r.position()}
 }
 
-// noBucket is the high bucket of a record that names none.
-const noBucket = netmodel.Bucket(math.MinInt)
-
-// decodeBody checks one record body by type and, with build, decodes it
-// into val (without, val is not to be used). high is the highest bucket
-// among a batch's observations or an agg-batch's cells: with the batch's
-// position, what the settle rule judges it by. A batch is built or only
-// checked, but both go through here, so they accept the same bytes. A
-// false return marks the record — and everything after it — as the
-// corrupt tail.
-func decodeBody(typ byte, body []byte, build bool) (val any, high netmodel.Bucket, ok bool) {
+// decodeBody checks one record body by type and decodes it. A false
+// return marks the record — and everything after it — as the corrupt
+// tail.
+func decodeBody(typ byte, body []byte) (val any, ok bool) {
 	r := &reader{b: body}
-	high = noBucket
 	switch typ {
 	case recMeta:
-		if build {
-			val = string(body)
-		}
-		return val, high, true
+		return string(body), true
 	case recBatch:
-		after := r.position()
-		var obs []trace.Observation
-		if obs, high = readObs(r, build); build {
-			val = Batch{Obs: obs, AfterBuckets: after}
-		}
-	case recBucket:
-		b := netmodel.Bucket(r.varint())
-		obs, _ := readObs(r, build)
-		val = BucketStream{Bucket: b, Obs: obs}
+		val = Record{Kind: KindBatch, Obs: readObs(r)}
+	case recAggBatch:
+		val = Record{Kind: KindBatch, Cells: readCells(r)}
 	case recSeal:
-		val = netmodel.Bucket(r.varint())
+		val = Record{Kind: KindSeal, Bucket: netmodel.Bucket(r.varint())}
+	case recRead:
+		val = Record{Kind: KindRead, Bucket: netmodel.Bucket(r.varint()), Served: r.position()}
 	case recBase:
 		val = readPosition(r)
 	case recReport:
@@ -411,20 +343,10 @@ func decodeBody(typ byte, body []byte, build bool) (val any, high netmodel.Bucke
 		rep.From = netmodel.Bucket(r.varint())
 		rep.To = netmodel.Bucket(r.varint())
 		rep.Final = r.varint() != 0
-		if build {
-			rep.Canonical = append([]byte(nil), r.rest()...)
-		}
-		return rep, high, !r.err
-	case recAggBatch:
-		after := r.position()
-		var cells []ingest.AggCell
-		if cells, high = readCells(r, build); build {
-			val = Batch{Cells: cells, AfterBuckets: after}
-		}
-	case recSkip:
-		val = r.position()
+		rep.Canonical = append([]byte(nil), r.rest()...)
+		return rep, !r.err
 	default:
-		return nil, high, false
+		return nil, false
 	}
-	return val, high, !r.err && r.empty()
+	return val, !r.err && r.empty()
 }

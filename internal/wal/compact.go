@@ -8,38 +8,26 @@ import (
 	"time"
 )
 
-// Compact unlinks the segments no recovery needs any more. A batch of
-// either feed is redundant once the reads have settled every observation
-// or cell in it (Horizon) — the bucket records restate what was served,
-// and what a read discarded must stay gone — and a journaled report
-// covers its highest bucket. With two checkpoints kept, the history
-// before the older one's seam and the reports before the first one it
-// names feed no recovery either: one starts at a seam, and zero is given
-// up. A pass does four things:
+// Compact unlinks the segments no recovery needs any more. Recovery
+// starts at a kept checkpoint's seam, and zero is given up once two are
+// kept: the journal before the older one's seam and the reports before
+// the first one it names feed no recovery. A pass
 //
-//   - it seals the accepted family's active segment, so that the batches
-//     in it can go once they are settled, and copies the evidence;
-//   - with two checkpoints kept, it fsyncs both, so that no history goes
-//     on a checkpoint a power loss could take back;
-//   - it fsyncs the history's active segment, so that the evidence it
-//     judges by is durable: no acknowledged batch goes on evidence a power
-//     loss could take back;
-//   - it unlinks, oldest first, every history segment wholly before the
-//     older seam, every sealed reports segment wholly before the older
-//     checkpoint's first report, and every sealed accepted segment whose
-//     batches are all settled and covered.
+//   - fsyncs both kept checkpoints, so that no journal goes on a
+//     checkpoint a power loss could take back;
+//   - unlinks, oldest first, every journal segment wholly before the older
+//     seam and every sealed reports segment wholly before the older
+//     checkpoint's first report.
 //
-// The history is never rewritten, so a directory keeps about two days of
-// it (from the older seam on) plus the reports the checkpoints retain and
-// about two cadences of batches.
+// The journal is never rewritten, so a directory keeps about two days of
+// it (from the older seam on) plus the reports the checkpoints retain;
+// before its second checkpoint it keeps everything.
 //
-// A pass reads no segment and writes no file beyond the sealing: the lock
-// is held only while it seals and books, and appends never wait for an
-// fsync or an unlink. A crash leaves any subset of the doomed segments
-// unlinked, the history's oldest first; each is invisible to the
-// recoveries that remain (from either checkpoint, and from zero while the
-// history's first segment is there), so every such state recovers the
-// same.
+// A pass reads no segment and writes no file: the lock is held only while
+// it books, and appends never wait for an fsync or an unlink. A crash
+// leaves any subset of the doomed segments unlinked, the journal's oldest
+// first; each is invisible to the recoveries that remain, from either
+// checkpoint, so every such state recovers the same.
 func (l *Log) Compact() error {
 	l.compactMu.Lock()
 	defer l.compactMu.Unlock()
@@ -47,60 +35,37 @@ func (l *Log) Compact() error {
 	if !l.step("begin") {
 		return nil
 	}
-	// Flushing what has piled up since the last sync without the lock
-	// leaves the locked fsync of the seal below next to nothing to do.
-	l.syncBehind()
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return errors.New("wal: log closed")
 	}
-	if l.acc.size > l.acc.fresh {
-		if err := l.rotateLocked(&l.acc); err != nil {
-			l.mu.Unlock()
-			return err
-		}
-	}
-	ev, hist := evidence{reads: l.pos.horizon, reportTo: l.reportTo}, l.hist.f
-	accDoomed := l.acc.take(func(s segment) bool { return s.droppable(ev) })
 	var kept []ckptFile
 	if n := len(l.ckpts); n >= ckptKeep {
 		kept = append(kept, l.ckpts[n-2:]...)
 	}
 	l.mu.Unlock()
 
-	var histDoomed, repDoomed []segment
+	if !l.step("pre-sync") {
+		return nil
+	}
+	var jrnDoomed, repDoomed []segment
 	if older, ok := l.durable(kept); ok {
 		l.mu.Lock()
-		histDoomed = l.hist.take(func(s segment) bool { return s.seq < older.seam })
+		jrnDoomed = l.jrn.take(func(s segment) bool { return s.seq < older.seam })
 		repDoomed = l.reps.take(func(s segment) bool { return s.next <= older.keep })
 		l.mu.Unlock()
 	}
 
-	// The evidence goes to disk before anything goes by it. Everything in
-	// it was written before this fsync began; a history segment sealed
-	// meanwhile was fsynced by the sealing, before its file was closed.
-	if !l.step("pre-sync") {
-		return nil
-	}
-	if err := hist.Sync(); err != nil {
-		l.mu.Lock()
-		sealed := l.hist.f != hist
-		l.mu.Unlock()
-		if !sealed {
-			return fmt.Errorf("wal: compacting: %w", err)
-		}
-	}
-
-	pass := CompactPass{Reads: ev.reads.Len(), ReportTo: ev.reportTo}
+	var pass CompactPass
 	for _, d := range []struct {
 		fam  *family
 		segs []segment
-	}{{&l.hist, histDoomed}, {&l.reps, repDoomed}, {&l.acc, accDoomed}} {
+	}{{&l.jrn, jrnDoomed}, {&l.reps, repDoomed}} {
 		for _, seg := range d.segs {
 			path := filepath.Join(l.dir, d.fam.segName(seg.seq))
 			if seg.size == 0 {
-				// A history segment before the seam recovery started at:
+				// A journal segment before the seam recovery started at:
 				// booked, never read.
 				if st, err := os.Stat(path); err == nil {
 					seg.size = st.Size()

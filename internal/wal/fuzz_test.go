@@ -3,11 +3,9 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
-	"reflect"
 	"testing"
 
 	"blameit/internal/ingest"
-	"blameit/internal/netmodel"
 )
 
 // appendFrame frames one payload (type byte first) onto buf.
@@ -18,33 +16,34 @@ func appendFrame(buf, payload []byte) []byte {
 	return buf
 }
 
-// batchBody is a batch record's payload of either feed: type, position,
-// then the observations or cells.
-func batchBody(after int, obs []byte) []byte {
-	return append(binary.AppendUvarint([]byte{obs[0]}, uint64(after)), obs[1:]...)
+// readBody is a read record's payload: type, bucket, count served.
+func readBody(b int64, served uint64) []byte {
+	return binary.AppendUvarint(binary.AppendVarint([]byte{recRead}, b), served)
 }
 
 // FuzzWALDecode drives the segment record scanner over arbitrary bytes,
-// as each family — history, reports, accepted — reads them. The scanner
-// sits on the recovery path of every daemon restart, so it must uphold,
-// for ANY input: no panic, no out-of-bounds, a valid offset (the
-// truncation point never exceeds the input), and prefix consistency (the
-// records it accepts re-encode to exactly the bytes it consumed — what
-// recovery replays is what was on disk). A batch the reads have settled
-// is only checked, not decoded; the check must accept exactly the bytes
-// the decode accepts, record for record, or a settled batch could hide a
-// corrupt tail. The fold over the accepted records — base records held to
-// the history folded before them, report indices to the one before —
-// takes a prefix of them and never panics.
+// as each family — the journal, with batches of either feed, seals and
+// reads interleaved, and the reports — reads them. The scanner sits on the
+// recovery path of every daemon restart, so it must uphold, for ANY
+// input: no panic, no out-of-bounds, a valid offset (the truncation point
+// never exceeds the input), and prefix consistency (the records it
+// accepts re-encode to exactly the bytes it consumed — what recovery
+// replays is what was on disk). The fold over the accepted records — base
+// records held to the journal folded before them, report indices to the
+// one before — takes a prefix of them and never panics.
 func FuzzWALDecode(f *testing.F) {
-	// Seed corpus: a valid accepted segment of both feeds' batches, a torn
-	// tail, a bit flip, a zero-length record, and a giant-length record.
+	// Seed corpus: a valid journal segment, a torn tail, a bit flip, a
+	// zero-length record, and a giant-length record.
 	cells := []ingest.AggCell{{Agent: 1, Seq: 2, Bucket: 4, Samples: 9, MeanRTT: 55.25, Clients: 2}}
 	meta := appendFrame(nil, append([]byte{recMeta}, "m"...))
 	valid := append([]byte(nil), meta...)
-	valid = appendFrame(valid, batchBody(0, appendObs([]byte{recBatch}, obsFor(3, 2))))
-	valid = appendFrame(valid, batchBody(2, appendCells([]byte{recAggBatch}, cells)))
-	valid = appendFrame(valid, batchBody(300, appendObs([]byte{recBatch}, obsFor(9, 1))))
+	valid = appendFrame(valid, appendPosition([]byte{recBase}, origin))
+	valid = appendFrame(valid, appendObs([]byte{recBatch}, obsFor(3, 2)))
+	valid = appendFrame(valid, appendCells([]byte{recAggBatch}, cells))
+	valid = appendFrame(valid, binary.AppendVarint([]byte{recSeal}, 3))
+	valid = appendFrame(valid, readBody(3, 2))
+	valid = appendFrame(valid, appendObs([]byte{recBatch}, obsFor(9, 1)))
+	valid = appendFrame(valid, readBody(4, 1))
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3]) // torn tail
 	flipped := append([]byte(nil), valid...)
@@ -57,19 +56,13 @@ func FuzzWALDecode(f *testing.F) {
 	giant = binary.LittleEndian.AppendUint32(giant, 0)
 	f.Add(giant)
 	f.Add([]byte{})
-	// A history segment: one of each of its record types, the base second.
-	hist := append([]byte(nil), meta...)
-	hist = appendFrame(hist, appendPosition([]byte{recBase}, origin))
-	hist = appendFrame(hist, appendObs(binary.AppendVarint([]byte{recBucket}, 3), obsFor(3, 2)))
-	hist = appendFrame(hist, binary.AppendVarint([]byte{recSeal}, 7))
-	hist = appendFrame(hist, binary.AppendUvarint([]byte{recSkip}, 5))
-	f.Add(hist)
-	// A later history segment, opening at the position the first folds to
+	// A later journal segment, opening at the position the first folds to
 	// — and one opening elsewhere.
-	at := position{reads: 1, horizon: Horizon{n: 5, reached: 1, last: 3}, maxSeal: 7, reports: 2}
+	at := position{reads: 2, last: 4, reports: 2}
+	f.Add(appendFrame(append([]byte(nil), meta...), appendPosition([]byte{recBase}, at)))
+	at.reads = 3
 	f.Add(appendFrame(append([]byte(nil), meta...), appendPosition([]byte{recBase}, at)))
 	at.reads = 2
-	f.Add(appendFrame(append([]byte(nil), meta...), appendPosition([]byte{recBase}, at)))
 	// A reports segment: two reports in index order, and one out of it.
 	report := func(index, after int, to int64) []byte {
 		body := binary.AppendUvarint([]byte{recReport}, uint64(index))
@@ -79,41 +72,39 @@ func FuzzWALDecode(f *testing.F) {
 		}
 		return append(body, "{}\n"...)
 	}
-	reports := appendFrame(append([]byte(nil), meta...), report(4, 10, 12))
-	reports = appendFrame(reports, report(5, 12, 15))
+	reports := appendFrame(append([]byte(nil), meta...), report(4, 1, 12))
+	reports = appendFrame(reports, report(5, 2, 15))
 	f.Add(reports)
-	f.Add(appendFrame(append([]byte(nil), reports...), report(7, 13, 18)))
-	f.Add(appendFrame(nil, []byte{0x02, 0, 1, 0}))                              // version 1's snapshot record: now an unknown type
-	withFlush := appendFrame(append([]byte(nil), hist...), []byte{0x08, 8, 10}) // version 2's agg-flush record: likewise
-	f.Add(appendFrame(withFlush, binary.AppendVarint([]byte{recSeal}, 9)))
-	if recs, n := scanRecords(withFlush, historyKinds, nil); len(recs) != 5 || n != int64(len(hist)) {
-		f.Fatalf("scan accepted %d records / %d bytes of a log with a kind-0x08 record after %d bytes: the unknown kind must stop it", len(recs), n, len(hist))
+	f.Add(appendFrame(append([]byte(nil), reports...), report(7, 2, 18)))
+	f.Add(appendFrame(nil, []byte{0x02, 0, 1, 0})) // version 1's snapshot record: now an unknown type
+	// Retired record types stop the journal: version 2's agg-flush, version
+	// 5's bucket stream and skip.
+	for _, retired := range [][]byte{{0x08, 8, 10}, appendObs([]byte{0x04, 6}, obsFor(3, 2)), {0x09, 5}} {
+		old := appendFrame(append([]byte(nil), valid...), retired)
+		f.Add(appendFrame(old, binary.AppendVarint([]byte{recSeal}, 9)))
+		if recs, n := scanRecords(old, journalKinds); len(recs) != 8 || n != int64(len(valid)) {
+			f.Fatalf("scan accepted %d records / %d bytes of a journal with a kind-%#x record after %d bytes: the retired kind must stop it", len(recs), n, retired[0], len(valid))
+		}
 	}
-	// Version 3's batch body, without a position: its count of
-	// observations is read as one.
-	f.Add(appendFrame(append([]byte(nil), valid[:len(valid)/3]...), appendObs([]byte{recBatch}, obsFor(3, 2))))
 	// A family stops at the other's records.
-	mixed := append(append([]byte(nil), valid...), hist[len(meta):]...)
+	mixed := append(append([]byte(nil), valid...), reports[len(meta):]...)
 	f.Add(mixed)
-	if recs, n := scanRecords(mixed, acceptedKinds, nil); len(recs) != 4 || n != int64(len(valid)) {
-		f.Fatalf("the accepted family accepted %d records / %d bytes past its own %d", len(recs), n, len(valid))
+	if recs, n := scanRecords(mixed, journalKinds); len(recs) != 8 || n != int64(len(valid)) {
+		f.Fatalf("the journal accepted %d records / %d bytes past its own %d", len(recs), n, len(valid))
 	}
 	// A framed, CRC-valid batch whose body claims observations it does not
 	// hold, between good frames: bodies decode in parallel, and the prefix
 	// must still end at the first one that fails, whatever decodes after it.
-	badBody := appendFrame(append([]byte(nil), valid...), []byte{recBatch, 0, 5})
-	badBody = appendFrame(badBody, batchBody(1, appendObs([]byte{recBatch}, obsFor(3, 2))))
+	badBody := appendFrame(append([]byte(nil), valid...), []byte{recBatch, 5})
+	badBody = appendFrame(badBody, appendObs([]byte{recBatch}, obsFor(3, 2)))
 	f.Add(badBody)
-	if recs, n := scanRecords(badBody, acceptedKinds, nil); len(recs) != 4 || n != int64(len(valid)) {
-		f.Fatalf("scan accepted %d records / %d bytes of a log with an undecodable body after %d bytes: the bad body must stop it", len(recs), n, len(valid))
+	if recs, n := scanRecords(badBody, journalKinds); len(recs) != 8 || n != int64(len(valid)) {
+		f.Fatalf("scan accepted %d records / %d bytes of a journal with an undecodable body after %d bytes: the bad body must stop it", len(recs), n, len(valid))
 	}
 
-	// settledOdd settles the batches at odd positions, reached by the
-	// horizon or not, so both paths run on every input.
-	settledOdd := func(after int, _ netmodel.Bucket) bool { return after%2 == 1 }
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, k := range []string{historyKinds, reportKinds, acceptedKinds} {
-			recs, valid := scanRecords(data, k, nil)
+		for _, k := range []string{journalKinds, reportKinds} {
+			recs, valid := scanRecords(data, k)
 			if valid < 0 || valid > int64(len(data)) {
 				t.Fatalf("truncation offset %d out of range [0, %d]", valid, len(data))
 			}
@@ -126,53 +117,18 @@ func FuzzWALDecode(f *testing.F) {
 			if !bytes.Equal(re, data[:valid]) {
 				t.Fatalf("accepted records re-encode to %d bytes != consumed %d", len(re), valid)
 			}
-			// Checking without decoding accepts the same prefix, and the
-			// records it decodes anyway are the same: here the batches at
-			// odd positions are checked.
-			checked, n := scanRecords(data, k, settledOdd)
-			if len(checked) != len(recs) || n != valid {
-				t.Fatalf("with checked records the scan accepted %d records / %d bytes, without %d / %d", len(checked), n, len(recs), valid)
-			}
-			for i, r := range checked {
-				if settledOdd(r.after, r.high) && (r.typ == recBatch || r.typ == recAggBatch) {
-					if r.val != nil {
-						t.Fatalf("record %d: a settled batch was decoded", i)
-					}
-					continue
-				}
-				if !reflect.DeepEqual(r.val, recs[i].val) && !hasNaN(r.val) {
-					t.Fatalf("record %d: decoded %+v, without settling %+v", i, r.val, recs[i].val)
-				}
-			}
 			// The fold must not panic either, and takes a prefix: from
 			// zero, and from the position a seam would seed.
 			for _, seed := range []position{origin, at} {
-				rec := &Recovery{MaxSeal: -1}
-				rec.seed(seed)
-				if n, _ := interpret(rec, recs, "m"); n < 0 || n > len(recs) {
+				rec := &Recovery{at: seed}
+				n, _ := interpret(rec, recs, "m")
+				if n < 0 || n > len(recs) {
 					t.Fatalf("the fold took %d of %d records", n, len(recs))
+				}
+				if got := reads(rec.Journal); rec.at.reads != seed.reads+got {
+					t.Fatalf("the fold counts %d reads from %d, the journal holds %d", rec.at.reads, seed.reads, got)
 				}
 			}
 		}
 	})
-}
-
-// hasNaN reports whether a decoded batch holds a NaN, which DeepEqual
-// never finds equal to itself.
-func hasNaN(val any) bool {
-	b, ok := val.(Batch)
-	if !ok {
-		return false
-	}
-	for _, o := range b.Obs {
-		if o.MeanRTT != o.MeanRTT {
-			return true
-		}
-	}
-	for _, c := range b.Cells {
-		if c.MeanRTT != c.MeanRTT {
-			return true
-		}
-	}
-	return false
 }

@@ -1,25 +1,24 @@
 // Package wal is blameitd's durability layer: a checksummed,
 // length-prefixed, append-only write-ahead log over rotating segment
 // files. The daemon journals the ingest queue's externally visible events
-// — accepted batches of either feed (raw observations, aggregate cells),
-// explicit seals, and the exact per-bucket streams the pipeline consumed —
-// plus every published report. Because the pipeline's state is a
-// deterministic function of the consumed observation streams, replaying
-// the journaled buckets through the unchanged WarmupContext/StepContext
-// path reconstructs the backend exactly, and a restart (including kill -9
-// mid-window) serves /v1/reports byte-identical to an uninterrupted run.
+// in queue order — accepted batches of either feed (raw observations,
+// aggregate cells), explicit seals, and each bucket read with the count it
+// served — plus every published report. The pipeline's state is a
+// deterministic function of the streams it read, and the queue's of the
+// batches, seals and reads before it, so pushing the journal back through
+// the same queue, each read re-deriving its stream, and stepping the
+// unchanged WarmupContext/StepContext path reconstructs the backend
+// exactly: a restart (kill -9 mid-window included) serves /v1/reports
+// byte-identical to an uninterrupted run.
 //
-// The log is three families of segments. The history (wal-*.log) holds
-// the consumed buckets and seals, and is never rewritten; each of its
-// segments opens with a base record, the folded history at its start.
-// The reports (reports-*.log) hold the published reports, each with the
-// number of bucket reads before it. The accepted family (accepted-*.log)
-// holds the batches, each stamped with the number of bucket reads
-// journaled before it. A checkpoint (checkpoint.go) cuts the history:
-// the segment it starts, its seam, has the checkpoint's position as its
-// base, and recovery from the checkpoint reads the history from there on.
-// Compaction (Compact) unlinks what no kept checkpoint and no unsettled
-// batch needs.
+// The log is two families of segments. The journal (wal-*.log) holds the
+// batches, seals and reads, and is never rewritten; each of its segments
+// opens with a base record, the reads and reports journaled before it. The
+// reports (reports-*.log) hold the published reports, each with the number
+// of reads before it. A checkpoint (checkpoint.go) cuts the journal: the
+// segment it starts, its seam, has the checkpoint's position as its base,
+// and recovery from the checkpoint reads the journal from there on.
+// Compaction (Compact) unlinks what no kept checkpoint needs.
 //
 // Durability semantics by fsync policy:
 //
@@ -93,12 +92,12 @@ type Config struct {
 	// a mismatch refuses to open instead.
 	Meta string
 	// Restore, when set, is offered the newest checkpoint whose seam — the
-	// history segment it started — opens at its position, with the journal
-	// scanned from the seam on (Buckets holds the reads after the
-	// checkpoint, Reports the reports family, Batches the accepted one).
+	// journal segment it started — opens at its position, with the journal
+	// scanned from the seam on (Journal holds the records after the
+	// checkpoint, Reports the reports family).
 	// When it returns nil recovery goes on from the checkpoint; an error
 	// rejects the checkpoint and Open tries the next older one. Without
-	// Restore, checkpoints are ignored and the history is read from zero.
+	// Restore, checkpoints are ignored and the journal is read from zero.
 	Restore func(Checkpoint, *Recovery) error
 	// Await, when set, is called before each Restore, once the directory
 	// and the journal are read: it waits for what Restore needs besides
@@ -141,7 +140,7 @@ type Stats struct {
 	// LagRecords counts appended records not yet fsynced — the window a
 	// power loss (not a process death) could lose.
 	LagRecords int64
-	// Segments counts the segment files of all three families.
+	// Segments counts the segment files of both families.
 	Segments    int
 	Compactions int64
 	// LastCompact is the most recent compaction pass.
@@ -151,25 +150,11 @@ type Stats struct {
 	LastCheckpoint CheckpointPass
 }
 
-// CompactPass is what one compaction pass judged by and what it unlinked.
+// CompactPass is what one compaction pass unlinked, of both families.
 type CompactPass struct {
-	// Reads is how many bucket reads the history held, and ReportTo the
-	// highest window end among its reports (-1 for none).
-	Reads    int
-	ReportTo netmodel.Bucket
-	// Segments and Bytes are the segments the pass unlinked, of every
-	// family.
 	Segments int
 	Bytes    int64
 	Duration time.Duration
-}
-
-// BucketStream is one consumed bucket: the exact observation stream —
-// stale arrivals first, then pending records in arrival order — the
-// ingest queue served to the pipeline.
-type BucketStream struct {
-	Bucket netmodel.Bucket
-	Obs    []trace.Observation
 }
 
 // Report is one journaled published report.
@@ -179,37 +164,47 @@ type Report struct {
 	Final     bool
 	Canonical []byte
 	// Index is the report's place in the reports family, from 0, and
-	// AfterBuckets how many bucket records the history held when it was
-	// journaled. AppendReport sets both from the log's position. Recovery
-	// uses AfterBuckets to run a final report's drain flush again after
-	// the same replayed read.
+	// AfterBuckets how many reads the journal held when it was journaled.
+	// AppendReport sets both from the log's position. Recovery uses
+	// AfterBuckets to run a final report's drain flush again after the same
+	// replayed read.
 	Index        int
 	AfterBuckets int
 }
 
-// Batch is one accepted ingest batch in push order: raw observations
-// (POST /v1/ingest) or aggregate cells (POST /v1/aggregates), never both.
-type Batch struct {
-	Obs   []trace.Observation
-	Cells []ingest.AggCell
-	// AfterBuckets is the position the batch was journaled at: how many
-	// bucket reads the history held when it arrived. It is the position
-	// Recovery.Reads judges the batch's records from (served or discarded
-	// by a later read, or still queued).
-	AfterBuckets int
+// Kind is what a journal record is.
+type Kind uint8
+
+const (
+	// KindBatch is one accepted ingest batch: raw observations (POST
+	// /v1/ingest) or aggregate cells (POST /v1/aggregates), never both.
+	KindBatch Kind = iota + 1
+	// KindSeal is one explicit watermark advance through Bucket.
+	KindSeal
+	// KindRead is one bucket read: Bucket, and Served, how many
+	// observations the queue served for it.
+	KindRead
+)
+
+// Record is one journal record, in queue order.
+type Record struct {
+	Kind   Kind
+	Obs    []trace.Observation
+	Cells  []ingest.AggCell
+	Bucket netmodel.Bucket
+	Served int
 }
 
-// position is the folded history at one point of the log: what a history
+// position is the journal folded to one point of the log: what a journal
 // segment's base record restates and where a checkpoint is cut.
 type position struct {
-	reads   int // bucket records
-	horizon Horizon
-	maxSeal netmodel.Bucket
-	reports int // report records
+	reads   int             // read records
+	last    netmodel.Bucket // the last read's bucket, or -1
+	reports int             // report records
 }
 
 // origin is the position of an empty log.
-var origin = position{maxSeal: -1}
+var origin = position{last: -1}
 
 // Recovery is everything a scan of the directory reconstructs.
 type Recovery struct {
@@ -219,39 +214,23 @@ type Recovery struct {
 	// Rejected says why each checkpoint recovery passed over was not
 	// used; each was unlinked.
 	Rejected []error
-	// Buckets are the consumed per-bucket streams after the checkpoint (all
-	// of them without one), in consumption order.
-	Buckets []BucketStream
-	// Batches are the journaled batches the reads have not settled, in
-	// push order. Recovery re-pushes what the consumed streams did not
-	// already settle.
-	Batches []Batch
-	// Settled counts the journaled batches the reads had settled whole:
-	// checked like the rest, but not decoded.
-	Settled int
+	// Journal is the journal after the checkpoint (all of it without one),
+	// in queue order.
+	Journal []Record
 	// Reports are the reports the reports family holds, in Index order,
 	// and NextReport the Index the next one journaled takes.
 	Reports    []Report
 	NextReport int
-	// MaxSeal is the highest explicitly sealed bucket, or -1.
-	MaxSeal netmodel.Bucket
-	// Reads is the settle rule over the history: Reads.Reached(batch.AfterBuckets,
-	// o.Bucket) says whether a later read served or discarded record o of a
-	// batch, so that recovery re-queues exactly the rest.
-	Reads Horizon
 	// TruncatedBytes is how much corrupt tail the open discarded.
 	TruncatedBytes int64
-	// HistorySegments and HistoryBytes are what the open read of the
-	// history: its segments from the seam on.
-	HistorySegments int
-	HistoryBytes    int64
+	// JournalSegments and JournalBytes are what the open read of the
+	// journal: its segments from the seam on.
+	JournalSegments int
+	JournalBytes    int64
 
-	// reads counts the bucket records before the seam and after it, and
-	// baseReports is the report count the latest base read restates.
-	reads       int
-	baseReports int
-	// reportTo is the highest window end among journaled reports, or -1.
-	reportTo netmodel.Bucket
+	// at is the journal folded so far; its reports are the count the
+	// latest base read restates.
+	at position
 }
 
 // Report returns the journaled report of the given index, or nil when the
@@ -267,46 +246,19 @@ func (rec *Recovery) Report(index int) *Report {
 	return &rec.Reports[i]
 }
 
-// position is the history folded so far.
-func (rec *Recovery) position() position {
-	return position{reads: rec.reads, horizon: rec.Reads, maxSeal: rec.MaxSeal, reports: rec.baseReports}
-}
-
-// seed starts the fold at p: a seam's base.
-func (rec *Recovery) seed(p position) {
-	rec.reads, rec.Reads, rec.MaxSeal, rec.baseReports = p.reads, p.horizon, p.maxSeal, p.reports
-}
-
-// continues reports whether a history segment opening at p follows the
-// history folded so far: the reads, the horizon and the seal restated
-// exactly, and no report taken back.
+// continues reports whether a journal segment opening at p follows the
+// journal folded so far: the reads restated exactly, and no report taken
+// back.
 func (rec *Recovery) continues(p position) bool {
-	return p.reads == rec.reads && p.horizon == rec.Reads && p.maxSeal == rec.MaxSeal && p.reports >= rec.baseReports
-}
-
-// evidence is the journaled history compaction judges the batches by.
-type evidence struct {
-	reads    Horizon
-	reportTo netmodel.Bucket
+	return p.reads == rec.at.reads && p.last == rec.at.last && p.reports >= rec.at.reports
 }
 
 // segment is one segment file as the log books it: its number and size,
-// and what compaction judges it by. In the accepted family every batch in
-// it is settled once the reads after its last batch's position reached
-// its highest bucket; in the reports family next is the index after its
-// last report.
+// and in the reports family next, the index after its last report.
 type segment struct {
-	seq   uint64
-	size  int64
-	after int             // the position of its last batch
-	high  netmodel.Bucket // the highest bucket among its batches
-	next  int
-}
-
-// droppable reports whether the evidence has settled every batch in the
-// accepted segment and a report covers them all.
-func (s segment) droppable(ev evidence) bool {
-	return ev.reads.Reached(s.after, s.high) && s.high <= ev.reportTo
+	seq  uint64
+	size int64
+	next int
 }
 
 // family is one series of segment files, appended to at its last.
@@ -314,7 +266,7 @@ type family struct {
 	prefix string // file names are prefix-%010d.log
 	kinds  string // the record types its segments may hold
 	// preamble is how many records open each of its segments: the meta
-	// record, and in the history the base. A segment whose valid records
+	// record, and in the journal the base. A segment whose valid records
 	// stop short of them is dropped whole.
 	preamble int
 	f        *os.File
@@ -352,20 +304,16 @@ type Log struct {
 	cfg Config
 
 	// compactMu serializes compaction passes. It is taken before mu and
-	// held for the whole pass; mu is held only while the pass seals the
-	// accepted family and books its result.
+	// held for the whole pass; mu is held only while the pass books.
 	compactMu sync.Mutex
 
 	mu    sync.Mutex
-	hist  family
+	jrn   family
 	reps  family
-	acc   family
 	stats Stats
-	// pos is the folded history at the log's end, and reportTo the highest
-	// window end among the reports.
-	pos      position
-	reportTo netmodel.Bucket
-	closed   bool
+	// pos is the journal folded to the log's end.
+	pos    position
+	closed bool
 
 	buf []byte // frame buffer, reused under mu
 
@@ -395,9 +343,9 @@ func (r rejection) Error() string { return r.why.Error() }
 //
 // With cfg.Restore set, recovery starts from the newest checkpoint that
 // decodes, whose seam opens at its position, and that Restore accepts:
-// the history before the seam is not read. Each checkpoint failing one of
+// the journal before the seam is not read. Each checkpoint failing one of
 // those is rejected and the next older one tried, then zero, which needs
-// the history's first segment. The rejected checkpoints are unlinked —
+// the journal's first segment. The rejected checkpoints are unlinked —
 // and named in Recovery.Rejected — once recovery has a start; without
 // one, Open fails naming each and unlinks none. An error from cfg.Await
 // is no checkpoint's fault: Open fails with it, rejecting none.
@@ -440,7 +388,7 @@ func Open(dir string, cfg Config) (*Log, *Recovery, error) {
 			return nil, nil, err
 		}
 		// A rejected checkpoint left in place could be taken by a later
-		// open over a history that has moved on: one that will not go
+		// open over a journal that has moved on: one that will not go
 		// fails the open.
 		for _, seq := range seqs[i:] {
 			if err := os.Remove(filepath.Join(dir, ckptName(seq))); err != nil && !errors.Is(err, os.ErrNotExist) {
@@ -465,7 +413,7 @@ func Open(dir string, cfg Config) (*Log, *Recovery, error) {
 	}
 }
 
-// noStart is Open's failure when no checkpoint restores a history that
+// noStart is Open's failure when no checkpoint restores a journal that
 // does not start at zero: it names why, and each checkpoint rejected.
 func noStart(why error, rejected []error) error {
 	msg := fmt.Sprintf("wal: %v, and no checkpoint restores it", why)
@@ -486,48 +434,46 @@ func open(dir string, cfg Config, ck *Checkpoint) (*Log, *Recovery, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	rec := &Recovery{MaxSeal: -1, reportTo: -1}
+	rec := &Recovery{at: origin}
 	l := &Log{
-		dir:      dir,
-		cfg:      cfg,
-		hist:     family{prefix: "wal", kinds: historyKinds, preamble: 2},
-		reps:     family{prefix: "reports", kinds: reportKinds, preamble: 1},
-		acc:      family{prefix: "accepted", kinds: acceptedKinds, preamble: 1},
-		pos:      origin,
-		reportTo: -1,
+		dir:  dir,
+		cfg:  cfg,
+		jrn:  family{prefix: "wal", kinds: journalKinds, preamble: 2},
+		reps: family{prefix: "reports", kinds: reportKinds, preamble: 1},
+		pos:  origin,
 	}
 	l.stats.LastCheckpoint.Bucket = -1
 
-	// The history first, from the seam (or the first segment) on: its
-	// reads are what the batches are judged by.
-	seqs := l.hist.segSeqs(entries)
+	// The journal first, from the seam (or the first segment) on: the
+	// reports are judged by its reads.
+	seqs := l.jrn.segSeqs(entries)
 	from := 0
 	switch {
 	case ck != nil:
 		if from = slices.Index(seqs, ck.seam); from < 0 {
-			return nil, rec, rejection{fmt.Errorf("its seam, history segment %d, is gone", ck.seam)}
+			return nil, rec, rejection{fmt.Errorf("its seam, journal segment %d, is gone", ck.seam)}
 		}
 	case len(seqs) > 0 && seqs[0] != 1:
 		// A directory in another format is refused as such, wherever its
-		// history starts.
-		path := filepath.Join(dir, l.hist.segName(seqs[0]))
+		// journal starts.
+		path := filepath.Join(dir, l.jrn.segName(seqs[0]))
 		if data, err := os.ReadFile(path); err == nil {
 			if err := checkVersion(path, data); err != nil {
 				return nil, rec, err
 			}
 		}
-		return nil, rec, rejection{fmt.Errorf("the history starts at segment %d", seqs[0])}
+		return nil, rec, rejection{fmt.Errorf("the journal starts at segment %d", seqs[0])}
 	}
 	for _, seq := range seqs[:from] {
-		l.hist.sealed = append(l.hist.sealed, segment{seq: seq})
+		l.jrn.sealed = append(l.jrn.sealed, segment{seq: seq})
 	}
 	seam := ck != nil
-	changed, err := l.openFamily(&l.hist, seqs[from:], rec, nil, func(s *segment, recs []rawRecord, size int64) (int, error) {
-		rec.HistorySegments++
-		rec.HistoryBytes += size
+	changed, err := l.openFamily(&l.jrn, seqs[from:], rec, func(s *segment, recs []rawRecord, size int64) (int, error) {
+		rec.JournalSegments++
+		rec.JournalBytes += size
 		if len(recs) < 2 || recs[0].typ != recMeta || recs[1].typ != recBase {
 			if seam {
-				return 0, rejection{fmt.Errorf("its seam, history segment %d, opens with no base", s.seq)}
+				return 0, rejection{fmt.Errorf("its seam, journal segment %d, opens with no base", s.seq)}
 			}
 			return 0, nil
 		}
@@ -536,11 +482,11 @@ func open(dir string, cfg Config, ck *Checkpoint) (*Log, *Recovery, error) {
 			// goes on from there.
 			seam = false
 			b := recs[1].val.(position)
-			if b.reads != ck.Reads || b.horizon.last != ck.Bucket || b.reports != ck.Reports {
-				return 0, rejection{fmt.Errorf("cut at read %d, bucket %d, report %d; its seam, history segment %d, opens at read %d, bucket %d, report %d",
-					ck.Reads, ck.Bucket, ck.Reports, s.seq, b.reads, b.horizon.last, b.reports)}
+			if b.reads != ck.Reads || b.last != ck.Bucket || b.reports != ck.Reports {
+				return 0, rejection{fmt.Errorf("cut at read %d, bucket %d, report %d; its seam, journal segment %d, opens at read %d, bucket %d, report %d",
+					ck.Reads, ck.Bucket, ck.Reports, s.seq, b.reads, b.last, b.reports)}
 			}
-			rec.seed(b)
+			rec.at = b
 		}
 		return interpret(rec, recs, cfg.Meta)
 	})
@@ -548,10 +494,10 @@ func open(dir string, cfg Config, ck *Checkpoint) (*Log, *Recovery, error) {
 		l.closeFiles()
 		return nil, rec, err
 	}
-	l.pos = rec.position()
+	l.pos = rec.at
 
 	// The reports, whole.
-	repChanged, err := l.openFamily(&l.reps, l.reps.segSeqs(entries), rec, nil, func(s *segment, recs []rawRecord, _ int64) (int, error) {
+	repChanged, err := l.openFamily(&l.reps, l.reps.segSeqs(entries), rec, func(s *segment, recs []rawRecord, _ int64) (int, error) {
 		n, err := interpret(rec, recs, cfg.Meta)
 		if k := len(rec.Reports); k > 0 {
 			s.next = rec.Reports[k-1].Index + 1
@@ -565,22 +511,6 @@ func open(dir string, cfg Config, ck *Checkpoint) (*Log, *Recovery, error) {
 	rec.NextReport = l.pos.reports
 	l.reps.cur.next = l.pos.reports
 
-	// The accepted family, whole: the history's reads settle it, and no
-	// restore changes them.
-	lastAfter := 0 // the position of the family's last batch
-	if err == nil {
-		var accChanged bool
-		accChanged, err = l.openFamily(&l.acc, l.acc.segSeqs(entries), rec, rec.Reads.Reached, func(s *segment, recs []rawRecord, _ int64) (int, error) {
-			for _, r := range recs {
-				if r.typ == recBatch || r.typ == recAggBatch {
-					s.after, s.high = r.after, max(s.high, r.high)
-					lastAfter = r.after
-				}
-			}
-			return interpret(rec, recs, cfg.Meta)
-		})
-		changed = changed || accChanged
-	}
 	// Everything above needs nothing but the directory; the restore may
 	// need more.
 	if err == nil && ck != nil && cfg.Await != nil {
@@ -595,7 +525,7 @@ func open(dir string, cfg Config, ck *Checkpoint) (*Log, *Recovery, error) {
 			l.stats.LastCheckpoint.Bucket = ck.Bucket
 		}
 	}
-	// A segment any family started, or discarded, counts once the
+	// A segment either family started, or discarded, counts once the
 	// directory entry is durable: one directory fsync covers them all.
 	if err == nil && changed {
 		if err = syncDir(dir); err != nil {
@@ -606,24 +536,6 @@ func open(dir string, cfg Config, ck *Checkpoint) (*Log, *Recovery, error) {
 		l.closeFiles()
 		return nil, rec, err
 	}
-
-	// Batches recorded past the recovered reads arrived after reads a
-	// corrupt history tail lost. They are re-queued whole, and every read
-	// from here on comes after them: the history says so before it takes
-	// another read, so that a later recovery judges them the same way.
-	if lastAfter > rec.Reads.Len() {
-		err := l.write(&l.hist, binary.AppendUvarint(l.frame(recSkip), uint64(lastAfter)))
-		if err == nil {
-			err = l.syncLocked(&l.hist)
-		}
-		if err != nil {
-			l.closeFiles()
-			return nil, nil, err
-		}
-		rec.Reads.skipTo(lastAfter)
-		l.pos.horizon = rec.Reads
-	}
-	l.reportTo = rec.reportTo
 
 	if cfg.Fsync == SyncInterval {
 		l.stop = make(chan struct{})
@@ -641,10 +553,10 @@ func open(dir string, cfg Config, ck *Checkpoint) (*Log, *Recovery, error) {
 // is cut back to its last valid record — a segment left without its
 // preamble is removed whole — and every later segment of the family is
 // removed: replay needs a consistent prefix of each family, and anything
-// after a corrupt record has no trustworthy order against it. settled
-// names the batches checked but not decoded. It reports whether it
-// created or removed a segment: syncing the directory is the caller's.
-func (l *Log) openFamily(fam *family, seqs []uint64, rec *Recovery, settled func(int, netmodel.Bucket) bool, fold func(*segment, []rawRecord, int64) (int, error)) (bool, error) {
+// after a corrupt record has no trustworthy order against it. It reports
+// whether it created or removed a segment: syncing the directory is the
+// caller's.
+func (l *Log) openFamily(fam *family, seqs []uint64, rec *Recovery, fold func(*segment, []rawRecord, int64) (int, error)) (bool, error) {
 	n := 0 // segments kept
 	next := 0
 	for ; n < len(seqs); n++ {
@@ -659,9 +571,9 @@ func (l *Log) openFamily(fam *family, seqs []uint64, rec *Recovery, settled func
 		var recs []rawRecord
 		var valid int64
 		if len(data) >= segHeader && string(data[:len(segMagic)]) == segMagic {
-			recs, valid = scanRecords(data[segHeader:], fam.kinds, settled)
+			recs, valid = scanRecords(data[segHeader:], fam.kinds)
 		}
-		s := segment{seq: seqs[n], high: noBucket, next: next}
+		s := segment{seq: seqs[n], next: next}
 		keep, err := fold(&s, recs, int64(len(data)))
 		if err != nil {
 			return false, err
@@ -690,7 +602,7 @@ func (l *Log) openFamily(fam *family, seqs []uint64, rec *Recovery, settled func
 		if st, err := os.Stat(path); err == nil {
 			rec.TruncatedBytes += st.Size()
 		}
-		// A discarded segment that stayed would be read as live history by
+		// A discarded segment that stayed would be read as live journal by
 		// the next open.
 		if err := os.Remove(path); err != nil {
 			return false, fmt.Errorf("wal: discarding segment after corruption: %w", err)
@@ -699,13 +611,13 @@ func (l *Log) openFamily(fam *family, seqs []uint64, rec *Recovery, settled func
 	removed := len(seqs) > n
 	if n == 0 {
 		// A family with none kept starts over at segment 1: for the
-		// history that is zero, as only a history read from zero — never
+		// journal that is zero, as only a journal read from zero — never
 		// one from a seam — comes here.
 		f, size, err := l.createSegment(fam, 1)
 		if err != nil {
 			return false, err
 		}
-		fam.sealed = append(fam.sealed, segment{seq: 1, size: size, high: noBucket, next: next})
+		fam.sealed = append(fam.sealed, segment{seq: 1, size: size, next: next})
 		fam.f, fam.fresh = f, size
 		removed = true
 	} else {
@@ -744,12 +656,12 @@ func framedBytes(recs []rawRecord) int64 {
 
 // interpret folds one segment's scanned records into the recovery state.
 // It returns how many it took: a base record that is not its segment's
-// second, or that does not continue the history folded so far, and a
+// second, or that does not continue the journal folded so far, and a
 // report whose index does not follow the one before, are corruption, and
 // the family is cut there. So is a report after more reads than the
-// history holds: it followed reads a corrupt history tail lost, and the
+// journal holds: it followed reads a corrupt journal tail lost, and the
 // replay publishes it again after them. The reports are folded after the
-// history.
+// journal.
 func interpret(rec *Recovery, recs []rawRecord, wantMeta string) (int, error) {
 	for i, r := range recs {
 		switch r.typ {
@@ -762,40 +674,27 @@ func interpret(rec *Recovery, recs []rawRecord, wantMeta string) (int, error) {
 			if i != 1 || !rec.continues(p) {
 				return i, nil
 			}
-			rec.baseReports = p.reports
-		case recBatch, recAggBatch:
-			if r.val == nil {
-				rec.Settled++
-			} else {
-				rec.Batches = append(rec.Batches, r.val.(Batch))
-			}
-		case recBucket:
-			bs := r.val.(BucketStream)
-			rec.Buckets = append(rec.Buckets, bs)
-			rec.reads++
-			rec.Reads.add(bs.Bucket)
-		case recSeal:
-			if b := r.val.(netmodel.Bucket); b > rec.MaxSeal {
-				rec.MaxSeal = b
-			}
+			rec.at.reports = p.reports
 		case recReport:
 			rep := r.val.(Report)
-			if n := len(rec.Reports); n > 0 && rep.Index != rec.Reports[n-1].Index+1 || rep.AfterBuckets > rec.reads {
+			if n := len(rec.Reports); n > 0 && rep.Index != rec.Reports[n-1].Index+1 || rep.AfterBuckets > rec.at.reads {
 				return i, nil
 			}
 			rec.Reports = append(rec.Reports, rep)
-			if rep.To > rec.reportTo {
-				rec.reportTo = rep.To
+		default:
+			jr := r.val.(Record)
+			if jr.Kind == KindRead {
+				rec.at.reads++
+				rec.at.last = jr.Bucket
 			}
-		case recSkip:
-			rec.Reads.skipTo(r.val.(int))
+			rec.Journal = append(rec.Journal, jr)
 		}
 	}
 	return len(recs), nil
 }
 
 // createSegment writes a fresh segment file of the family — header, meta
-// record and, in the history, the base the log's position makes — and
+// record and, in the journal, the base the log's position makes — and
 // fsyncs it. It returns the file and its size. The caller syncs the
 // directory before trusting it.
 func (l *Log) createSegment(fam *family, seq uint64) (*os.File, int64, error) {
@@ -809,7 +708,7 @@ func (l *Log) createSegment(fam *family, seq uint64) (*os.File, int64, error) {
 	start := len(buf)
 	buf = append(beginFrame(buf, recMeta), l.cfg.Meta...)
 	sealFrame(buf, start)
-	if fam == &l.hist {
+	if fam == &l.jrn {
 		start = len(buf)
 		buf = appendPosition(beginFrame(buf, recBase), l.pos)
 		sealFrame(buf, start)
@@ -878,7 +777,7 @@ func (l *Log) write(fam *family, frame []byte) error {
 
 // rotateLocked seals the family's active segment — fsynced under every
 // policy, so whatever is in a sealed segment is durable — and starts the
-// next one, which in the history opens at the log's position.
+// next one, which in the journal opens at the log's position.
 func (l *Log) rotateLocked(fam *family) error {
 	if err := fam.f.Sync(); err != nil {
 		return fmt.Errorf("wal: %w", err)
@@ -897,61 +796,38 @@ func (l *Log) rotateLocked(fam *family) error {
 	}
 	fam.cur.size = fam.size
 	fam.sealed = append(fam.sealed, fam.cur)
-	fam.cur = segment{seq: fam.seq + 1, high: noBucket, next: l.pos.reports}
+	fam.cur = segment{seq: fam.seq + 1, next: l.pos.reports}
 	fam.f, fam.seq, fam.size, fam.fresh = f, fam.seq+1, size, size
 	l.stats.Segments++
 	return nil
 }
 
-// writeBatch journals one batch frame to the accepted family and books its
-// position and highest bucket for compaction. Caller holds mu.
-func (l *Log) writeBatch(frame []byte, high netmodel.Bucket) error {
-	err := l.write(&l.acc, frame)
-	if err == nil {
-		l.acc.cur.after, l.acc.cur.high = l.pos.horizon.Len(), max(l.acc.cur.high, high)
-	}
-	return err
-}
-
-// batchFrame starts a batch record of either feed: its type, then the
-// position it is journaled at. Caller holds mu.
-func (l *Log) batchFrame(typ byte) []byte {
-	return binary.AppendUvarint(l.frame(typ), uint64(l.pos.horizon.Len()))
-}
-
-// AppendBatch journals one accepted ingest batch in queue push order.
+// AppendBatch journals one accepted ingest batch in queue order.
 func (l *Log) AppendBatch(obs []trace.Observation) error {
-	high := noBucket
-	for i := range obs {
-		high = max(high, obs[i].Bucket)
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.writeBatch(appendObs(l.batchFrame(recBatch), obs), high)
+	return l.write(&l.jrn, appendObs(l.frame(recBatch), obs))
 }
 
-// AppendAggBatch journals one accepted aggregate cell batch in queue push
+// AppendAggBatch journals one accepted aggregate cell batch in queue
 // order.
 func (l *Log) AppendAggBatch(cells []ingest.AggCell) error {
-	high := noBucket
-	for i := range cells {
-		high = max(high, cells[i].Bucket)
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.writeBatch(appendCells(l.batchFrame(recAggBatch), cells), high)
+	return l.write(&l.jrn, appendCells(l.frame(recAggBatch), cells))
 }
 
-// AppendBucket journals the exact stream served to the pipeline for one
-// consumed bucket. Empty streams are journaled too: replay must re-seal
+// AppendBucket journals one bucket read: b, and how many observations the
+// queue served for it — obs, which replay re-derives from the batches
+// journaled before it. Empty reads are journaled too: replay must step
 // empty buckets in the same places.
 func (l *Log) AppendBucket(b netmodel.Bucket, obs []trace.Observation) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	err := l.write(&l.hist, appendObs(binary.AppendVarint(l.frame(recBucket), int64(b)), obs))
+	err := l.write(&l.jrn, binary.AppendUvarint(binary.AppendVarint(l.frame(recRead), int64(b)), uint64(len(obs))))
 	if err == nil {
 		l.pos.reads++
-		l.pos.horizon.add(b)
+		l.pos.last = b
 	}
 	return err
 }
@@ -960,15 +836,11 @@ func (l *Log) AppendBucket(b netmodel.Bucket, obs []trace.Observation) error {
 func (l *Log) AppendSeal(b netmodel.Bucket) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	err := l.write(&l.hist, binary.AppendVarint(l.frame(recSeal), int64(b)))
-	if err == nil && b > l.pos.maxSeal {
-		l.pos.maxSeal = b
-	}
-	return err
+	return l.write(&l.jrn, binary.AppendVarint(l.frame(recSeal), int64(b)))
 }
 
 // AppendReport journals one published report's canonical JSON to the
-// reports family, at the next index and the history's read count.
+// reports family, at the next index and the journal's read count.
 func (l *Log) AppendReport(rep Report) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -987,12 +859,11 @@ func (l *Log) AppendReport(rep Report) error {
 	}
 	l.pos.reports++
 	l.reps.cur.next = l.pos.reports
-	l.reportTo = max(l.reportTo, rep.To)
 	return nil
 }
 
 // families lists the log's families.
-func (l *Log) families() [3]*family { return [3]*family{&l.hist, &l.reps, &l.acc} }
+func (l *Log) families() [2]*family { return [2]*family{&l.jrn, &l.reps} }
 
 // Sync forces everything appended so far to disk.
 func (l *Log) Sync() error {
@@ -1028,7 +899,7 @@ func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	st := l.stats
-	st.LagRecords = l.hist.lag + l.reps.lag + l.acc.lag
+	st.LagRecords = l.jrn.lag + l.reps.lag
 	return st
 }
 

@@ -38,10 +38,10 @@ func writeSample(t *testing.T, dir string, cfg Config) *Recovery {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if len(rec.Buckets) > 0 || len(rec.Batches) > 0 || rec.Settled > 0 || len(rec.Reports) > 0 || rec.MaxSeal >= 0 {
+	if len(rec.Journal) > 0 || len(rec.Reports) > 0 {
 		t.Fatalf("fresh dir recovered non-empty state: %+v", rec)
 	}
-	want := &Recovery{MaxSeal: -1}
+	want := &Recovery{}
 
 	// Exercise the exact-bits paths: NaN, Inf, negative counts (chaos
 	// corruption shapes that must survive the round-trip bit for bit).
@@ -56,21 +56,20 @@ func writeSample(t *testing.T, dir string, cfg Config) *Recovery {
 	if err := l.AppendBatch(batch0); err != nil {
 		t.Fatalf("AppendBatch: %v", err)
 	}
-	want.Settled++ // the read of bucket 0 below serves it whole
-
 	if err := l.AppendBucket(0, batch0); err != nil {
 		t.Fatalf("AppendBucket: %v", err)
 	}
-	want.Buckets = append(want.Buckets, BucketStream{Bucket: 0, Obs: batch0})
 	if err := l.AppendBucket(1, nil); err != nil {
 		t.Fatalf("AppendBucket empty: %v", err)
 	}
-	want.Buckets = append(want.Buckets, BucketStream{Bucket: 1})
-
 	if err := l.AppendSeal(3); err != nil {
 		t.Fatalf("AppendSeal: %v", err)
 	}
-	want.MaxSeal = 3
+	want.Journal = append(want.Journal,
+		Record{Kind: KindBatch, Obs: batch0},
+		Record{Kind: KindRead, Bucket: 0, Served: 5},
+		Record{Kind: KindRead, Bucket: 1},
+		Record{Kind: KindSeal, Bucket: 3})
 
 	rep := Report{Seq: 0, From: 0, To: 2, Final: true, Canonical: []byte(`{"from":0,"to":2}` + "\n")}
 	if err := l.AppendReport(rep); err != nil {
@@ -83,12 +82,11 @@ func writeSample(t *testing.T, dir string, cfg Config) *Recovery {
 	if err := l.AppendAggBatch(cells); err != nil {
 		t.Fatalf("AppendAggBatch: %v", err)
 	}
-	want.Batches = append(want.Batches, Batch{Cells: cells, AfterBuckets: 2})
 	late := withOddValues(obsFor(5, 5))
 	if err := l.AppendBatch(late); err != nil {
 		t.Fatalf("AppendBatch: %v", err)
 	}
-	want.Batches = append(want.Batches, Batch{Obs: late, AfterBuckets: 2})
+	want.Journal = append(want.Journal, Record{Kind: KindBatch, Cells: cells}, Record{Kind: KindBatch, Obs: late})
 
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -98,31 +96,7 @@ func writeSample(t *testing.T, dir string, cfg Config) *Recovery {
 
 func checkRecovered(t *testing.T, got, want *Recovery) {
 	t.Helper()
-	if len(got.Buckets) != len(want.Buckets) {
-		t.Fatalf("recovered %d bucket streams, want %d", len(got.Buckets), len(want.Buckets))
-	}
-	for i := range want.Buckets {
-		if got.Buckets[i].Bucket != want.Buckets[i].Bucket {
-			t.Errorf("bucket stream %d: bucket %d, want %d", i, got.Buckets[i].Bucket, want.Buckets[i].Bucket)
-		}
-		if !obsEqual(got.Buckets[i].Obs, want.Buckets[i].Obs) {
-			t.Errorf("bucket stream %d: observations differ", i)
-		}
-	}
-	if len(got.Batches) != len(want.Batches) {
-		t.Fatalf("recovered %d batches, want %d", len(got.Batches), len(want.Batches))
-	}
-	for i := range want.Batches {
-		if !obsEqual(got.Batches[i].Obs, want.Batches[i].Obs) {
-			t.Errorf("batch %d: observations differ", i)
-		}
-		if !reflect.DeepEqual(got.Batches[i].Cells, want.Batches[i].Cells) {
-			t.Errorf("batch %d: cells = %+v, want %+v", i, got.Batches[i].Cells, want.Batches[i].Cells)
-		}
-		if got.Batches[i].AfterBuckets != want.Batches[i].AfterBuckets {
-			t.Errorf("batch %d: AfterBuckets = %d, want %d", i, got.Batches[i].AfterBuckets, want.Batches[i].AfterBuckets)
-		}
-	}
+	checkJournal(t, got.Journal, want.Journal)
 	if len(got.Reports) != len(want.Reports) {
 		t.Fatalf("recovered %d reports, want %d", len(got.Reports), len(want.Reports))
 	}
@@ -133,12 +107,31 @@ func checkRecovered(t *testing.T, got, want *Recovery) {
 			t.Errorf("report %d: got %+v want %+v", i, g, w)
 		}
 	}
-	if got.MaxSeal != want.MaxSeal {
-		t.Errorf("MaxSeal = %d, want %d", got.MaxSeal, want.MaxSeal)
+}
+
+// checkJournal fails unless got holds want's records, NaN for NaN.
+func checkJournal(t *testing.T, got, want []Record) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("recovered %d journal records, want %d", len(got), len(want))
 	}
-	if got.Settled != want.Settled {
-		t.Errorf("Settled = %d, want %d", got.Settled, want.Settled)
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Kind != w.Kind || g.Bucket != w.Bucket || g.Served != w.Served || !obsEqual(g.Obs, w.Obs) || !reflect.DeepEqual(g.Cells, w.Cells) {
+			t.Fatalf("journal record %d: got %+v, want %+v", i, g, w)
+		}
 	}
+}
+
+// reads counts the read records among recs.
+func reads(recs []Record) int {
+	n := 0
+	for _, r := range recs {
+		if r.Kind == KindRead {
+			n++
+		}
+	}
+	return n
 }
 
 // obsEqual compares observations with NaN-aware float equality (the codec
@@ -188,9 +181,9 @@ func TestMetaMismatchRefusesOpen(t *testing.T) {
 	}
 }
 
-// families are the log's three segment families, by the file name of
-// their first segment.
-var families = []string{"wal-0000000001.log", "reports-0000000001.log", "accepted-0000000001.log"}
+// families are the log's two segment families, by the file name of their
+// first segment.
+var families = []string{"wal-0000000001.log", "reports-0000000001.log"}
 
 // withSegment copies dir's segments into a fresh directory, with data as
 // the named one.
@@ -235,19 +228,19 @@ func TestTornTailTruncation(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s cut=%d: Open: %v", name, cut, err)
 			}
-			if len(rec.Buckets) > len(want.Buckets) || len(rec.Reports) > len(want.Reports) || len(rec.Batches)+rec.Settled > len(want.Batches)+want.Settled {
+			if len(rec.Journal) > len(want.Journal) || len(rec.Reports) > len(want.Reports) {
 				t.Fatalf("%s cut=%d: recovered more than was written", name, cut)
 			}
-			// A cut history takes the reports after its lost reads along.
+			checkJournal(t, rec.Journal, want.Journal[:len(rec.Journal)])
+			// A cut journal takes the reports after its lost reads along.
 			reports := 0
 			for _, r := range want.Reports {
-				if r.AfterBuckets <= len(rec.Buckets) {
+				if r.AfterBuckets <= reads(rec.Journal) {
 					reports++
 				}
 			}
-			if name != families[0] && len(rec.Buckets) != len(want.Buckets) ||
-				name != families[1] && len(rec.Reports) != reports ||
-				name != families[2] && len(rec.Batches)+rec.Settled != len(want.Batches)+want.Settled {
+			if name != families[0] && len(rec.Journal) != len(want.Journal) ||
+				name != families[1] && len(rec.Reports) != reports {
 				t.Fatalf("%s cut=%d: another family lost records", name, cut)
 			}
 			// Every family must remain appendable after tail truncation.
@@ -267,8 +260,9 @@ func TestTornTailTruncation(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s cut=%d: reopen: %v", name, cut, err)
 			}
-			if n, r := len(rec2.Batches), len(rec2.Reports); rec2.MaxSeal != 9 || n == 0 || rec2.Batches[n-1].Obs[0].Bucket != 9 || r == 0 || rec2.Reports[r-1].Seq != 9 {
-				t.Fatalf("%s cut=%d: post-truncation appends lost: MaxSeal=%d, %d batches, %d reports", name, cut, rec2.MaxSeal, n, r)
+			n, r := len(rec2.Journal), len(rec2.Reports)
+			if n < 2 || rec2.Journal[n-2].Kind != KindSeal || rec2.Journal[n-2].Bucket != 9 || rec2.Journal[n-1].Obs[0].Bucket != 9 || r == 0 || rec2.Reports[r-1].Seq != 9 {
+				t.Fatalf("%s cut=%d: post-truncation appends lost: %d journal records, %d reports", name, cut, n, r)
 			}
 			l2.Close()
 		}
@@ -322,17 +316,20 @@ func TestSegmentRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []BucketStream
+	var want []Record
 	for b := netmodel.Bucket(0); b < 40; b++ {
 		obs := obsFor(b, 3)
+		if err := l.AppendBatch(obs); err != nil {
+			t.Fatalf("append batch %d: %v", b, err)
+		}
 		if err := l.AppendBucket(b, obs); err != nil {
 			t.Fatalf("append bucket %d: %v", b, err)
 		}
-		want = append(want, BucketStream{Bucket: b, Obs: obs})
+		want = append(want, Record{Kind: KindBatch, Obs: obs}, Record{Kind: KindRead, Bucket: b, Served: 3})
 	}
 	st := l.Stats()
 	if st.Segments < 4 {
-		t.Fatalf("Segments = %d, want the history rotated past 1 segment beside the reports and the accepted one", st.Segments)
+		t.Fatalf("Segments = %d, want the journal rotated past 2 segments beside the reports", st.Segments)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -342,14 +339,7 @@ func TestSegmentRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if len(rec.Buckets) != len(want) {
-		t.Fatalf("recovered %d bucket streams across segments, want %d", len(rec.Buckets), len(want))
-	}
-	for i := range want {
-		if rec.Buckets[i].Bucket != want[i].Bucket || !obsEqual(rec.Buckets[i].Obs, want[i].Obs) {
-			t.Fatalf("bucket stream %d differs after rotation", i)
-		}
-	}
+	checkJournal(t, rec.Journal, want)
 }
 
 // TestAbandonKeepsAcknowledged simulates a kill -9: Abandon closes the fd
@@ -363,6 +353,9 @@ func TestAbandonKeepsAcknowledged(t *testing.T) {
 		t.Fatal(err)
 	}
 	for b := netmodel.Bucket(0); b < 10; b++ {
+		if err := l.AppendBatch(obsFor(b, 2)); err != nil {
+			t.Fatal(err)
+		}
 		if err := l.AppendBucket(b, obsFor(b, 2)); err != nil {
 			t.Fatal(err)
 		}
@@ -372,8 +365,8 @@ func TestAbandonKeepsAcknowledged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Buckets) != 10 {
-		t.Fatalf("recovered %d bucket streams after abandon, want 10", len(rec.Buckets))
+	if len(rec.Journal) != 20 || reads(rec.Journal) != 10 {
+		t.Fatalf("recovered %d journal records after abandon, want 20", len(rec.Journal))
 	}
 }
 

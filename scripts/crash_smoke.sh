@@ -1,17 +1,20 @@
 #!/usr/bin/env bash
 # crash-smoke: the kill -9 gate for the WAL-backed daemon. A control
-# blameitd ingests a one-day small-scale trace uninterrupted in memory;
+# blameitd ingests a three-day small-scale trace uninterrupted in memory;
 # a second blameitd with -data-dir ingests the same trace bucket by
-# bucket and is SIGKILLed (no drain, no warning) at several points, some
-# on drained sealed-bucket boundaries and some right after a seal ack
-# with the backend mid-flight. Every restart must replay its WAL cleanly
-# (no inconsistencies, no degraded durability, no *.tmp left in the data
-# directory: compaction only unlinks), the incarnation killed last must
-# have compacted and unlinked something first, a restart at a drained
-# boundary must read the /healthz it read before the kill (report count,
-# last window and the latest report's health), and the survivor must
-# serve a /v1/reports index, canonical report bodies and /v1/verdicts
-# byte-identical to the control's. The seeded per-crash-point matrix lives in
+# bucket and is SIGKILLed (no drain, no warning) at five points, some on
+# drained sealed-bucket boundaries and some right after a seal ack with
+# the backend mid-flight: two before the first day-end checkpoint (bucket
+# 287), two between it and the second (575), each restart restoring the
+# first, and one after the second, once compaction has unlinked the
+# journal before the older checkpoint — nothing can go before two
+# checkpoints exist, as a restart from zero needs every batch. Every
+# restart must replay its WAL cleanly (no inconsistencies, no degraded
+# durability, no *.tmp left in the data directory: compaction only
+# unlinks), a restart at a drained boundary must read the /healthz it read
+# before the kill (report count, last window and the latest report's
+# health), and the survivor must serve a /v1/reports index, one canonical
+# report body a day and /v1/verdicts byte-identical to the control's. The seeded per-crash-point matrix lives in
 # internal/server's TestCrashRecoverySIGKILL; this script is the
 # shell-level end-to-end proof against real processes and a real disk.
 set -euo pipefail
@@ -31,9 +34,12 @@ go build -o "$WORK/blameitd" ./cmd/blameitd
 go build -o "$WORK/blameit-tracegen" ./cmd/blameit-tracegen
 
 # World flags for both daemon arms and the matching trace producer.
-# -warmup 0 so a one-day trace localizes from bucket 0.
-WORLD=(-scale small -seed 42 -workload random -warmup 0 -days 1)
-TGEN=(-scale small -seed 42 -workload random -days 1)
+# -warmup 0 so the trace localizes from bucket 0, and a checkpoint is cut
+# at each day's end.
+WORLD=(-scale small -seed 42 -workload random -warmup 0 -days 3)
+TGEN=(-scale small -seed 42 -workload random -days 3)
+LAST=863
+REPORTS=(200 450 800) # one a day
 
 wait_up() {
   local up=""
@@ -77,10 +83,10 @@ wait_drained() {
 DPID=$!
 wait_up
 "$WORK/blameit-tracegen" "${TGEN[@]}" -post "$BASE" >/dev/null
-wait_drained 287
+wait_drained "$LAST"
 curl -fsS "$BASE/v1/reports" > "$WORK/index-control.json"
 curl -fsS "$BASE/v1/verdicts" > "$WORK/verdicts-control.json"
-for b in 119 200 287; do
+for b in "${REPORTS[@]}"; do
   curl -fsS "$BASE/v1/reports/$b" > "$WORK/report$b-control.json"
 done
 kill -TERM "$DPID"; wait "$DPID" || true
@@ -113,18 +119,17 @@ start_wal_daemon() {
   fi
 }
 
-# wait_unlinked: this incarnation's compaction has run and unlinked
-# accepted segments. A pass starts on a goroutine once a report is
-# journaled, so give it a moment.
+# wait_unlinked: this incarnation's compaction has run and unlinked the
+# journal's first segment, which only the restart from zero needed. A pass
+# starts on a goroutine once a report is journaled, so give it a moment.
 wait_unlinked() {
-  local passes="" unlinked=""
+  local passes=""
   for _ in $(seq 1 100); do
     passes=$(healthz_field compactions)
-    unlinked=$(healthz_field last_compact_unlinked_bytes)
-    [ "${passes:-0}" -gt 0 ] && [ "${unlinked:-0}" -gt 0 ] && return 0
+    [ "${passes:-0}" -gt 0 ] && [ ! -e "$DATA/wal-0000000001.log" ] && return 0
     sleep 0.1
   done
-  echo "crash-smoke: compactions=$passes last_compact_unlinked_bytes=$unlinked before the last kill: compaction unlinks nothing" >&2
+  echo "crash-smoke: compactions=$passes and wal-0000000001.log still there before the last kill: compaction unlinks nothing past two checkpoints" >&2
   exit 1
 }
 
@@ -148,11 +153,12 @@ feed_range() { # feed_range <from> <to-inclusive>
 start_wal_daemon
 next=0
 ki=0
-# Kill points: after bucket 40 and 170 the queue is drained first (a
-# sealed-bucket boundary), and the restart must read the same /healthz
-# report state; after 120 and 230 the seal is acked but the backend is
-# wherever the SIGKILL finds it.
-for kb in 40 120 170 230; do
+# Kill points: after buckets 100, 350 and 640 the queue is drained first
+# (a sealed-bucket boundary), and the restart must read the same /healthz
+# report state; after 200 and 450 the seal is acked but the backend is
+# wherever the SIGKILL finds it. The restarts after 350 and 450 restore
+# the checkpoint of bucket 287, the one after 640 that of 575.
+for kb in 100 200 350 450 640; do
   feed_range "$next" "$kb"
   next=$((kb + 1))
   before=""
@@ -162,7 +168,7 @@ for kb in 40 120 170 230; do
     [ -n "$before" ] || { echo "crash-smoke: /healthz has no report state at bucket $kb" >&2; exit 1; }
   fi
   ki=$((ki + 1))
-  [ "$kb" = 230 ] && wait_unlinked
+  [ "$kb" = 640 ] && wait_unlinked
   kill -9 "$DPID"; wait "$DPID" 2>/dev/null || true
   DPID=""
   start_wal_daemon
@@ -171,9 +177,15 @@ for kb in 40 120 170 230; do
     [ "$after" = "$before" ] || {
       echo "crash-smoke: /healthz after the restart at bucket $kb reads '$after', before the kill '$before'" >&2; exit 1; }
   fi
+  want=-1
+  [ "$kb" -gt 287 ] && want=287
+  [ "$kb" -gt 575 ] && want=575
+  restored=$(healthz_field checkpoint_bucket)
+  [ "$restored" = "$want" ] || {
+    echo "crash-smoke: the restart after bucket $kb restored checkpoint_bucket=$restored, want $want" >&2; exit 1; }
 done
-feed_range "$next" 287
-wait_drained 287
+feed_range "$next" "$LAST"
+wait_drained "$LAST"
 
 recovered=$(healthz_field recovered_reports)
 [ "${recovered:-0}" -gt 0 ] || { echo "crash-smoke: final restart recovered no reports" >&2; exit 1; }
@@ -187,7 +199,7 @@ cmp -s "$WORK/index-control.json" "$WORK/index-wal.json" || {
 curl -fsS "$BASE/v1/verdicts" > "$WORK/verdicts-wal.json"
 cmp -s "$WORK/verdicts-control.json" "$WORK/verdicts-wal.json" || {
   echo "crash-smoke: /v1/verdicts diverges from control after kill -9 recovery" >&2; exit 1; }
-for b in 119 200 287; do
+for b in "${REPORTS[@]}"; do
   curl -fsS "$BASE/v1/reports/$b" > "$WORK/report$b-wal.json"
   cmp -s "$WORK/report$b-control.json" "$WORK/report$b-wal.json" || {
     echo "crash-smoke: canonical report $b diverges from control" >&2; exit 1; }
@@ -200,4 +212,4 @@ if ! wait "$DPID"; then
   exit 1
 fi
 DPID=""
-echo "crash-smoke: OK (4 kill -9 recoveries; index, verdicts + 3 canonical reports byte-identical; recovered_reports=$recovered)"
+echo "crash-smoke: OK (5 kill -9 recoveries, 3 from a checkpoint; index, verdicts + 3 canonical reports byte-identical; recovered_reports=$recovered)"
