@@ -133,11 +133,12 @@ func run(o options) error {
 		return fmt.Errorf("warmup must be >= 0 and days >= 1")
 	}
 	// The world is built on a goroutine of its own while the server reads
-	// its journal, which needs none of it; the server waits for it only to
-	// restore a checkpoint, or to start. The collector is paused until it
-	// is built: the build keeps nearly all it allocates (4.1 of 5.4 MB at
-	// small scale, 52 of 66 MB at large), so collecting the young heap
-	// then only slows the build and the journal read beside it.
+	// its journal and decodes its checkpoint, which need none of it; the
+	// server waits for it only to adopt the checkpoint's state, or to
+	// start. The collector is paused until it is built: the build keeps
+	// nearly all it allocates (4.1 of 5.4 MB at small scale, 52 of 66 MB
+	// at large), so collecting the young heap then only slows the build
+	// and the journal read beside it.
 	horizon := netmodel.Bucket(o.days * netmodel.BucketsPerDay)
 	type built struct {
 		s   *sim.Simulator
@@ -271,8 +272,6 @@ func run(o options) error {
 	return nil
 }
 
-// pprofMux routes the net/http/pprof handlers, which the package would
-// otherwise register on http.DefaultServeMux.
 // logWorldBuilt logs the world's build time part by part: without a data
 // directory, that is most of a cold start.
 func logWorldBuilt(scale string, days int, bt sim.BuildTimes) {
@@ -281,6 +280,8 @@ func logWorldBuilt(scale string, days int, bt sim.BuildTimes) {
 		"topology_ms", ms(bt.Topology), "faults_ms", ms(bt.Faults), "table_ms", ms(bt.Table), "total_ms", ms(bt.Total))
 }
 
+// pprofMux routes the net/http/pprof handlers, which the package would
+// otherwise register on http.DefaultServeMux.
 func pprofMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

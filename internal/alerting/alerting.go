@@ -170,3 +170,6 @@ func (a *Alerter) AppendCheckpoint(e *ckpt.Encoder) { e.Int(a.nextID) }
 
 // RestoreCheckpoint restores the ticket counter.
 func (a *Alerter) RestoreCheckpoint(d *ckpt.Decoder) { a.nextID = d.Range(0, math.MaxInt32) }
+
+// Adopt takes the ticket counter RestoreCheckpoint read into from as a's.
+func (a *Alerter) Adopt(from *Alerter) { a.nextID = from.nextID }

@@ -454,3 +454,59 @@ func (d *Decoder) Gap(prev, limit int) int {
 	}
 	return prev + 1 + int(g)
 }
+
+// Sparse is a sparse array decoded before the length it must have is
+// known: its length as encoded and its present entries, in index order.
+// The caller checks the length, then lays the entries out (Dense, Each).
+type Sparse[T any] struct {
+	Len   int
+	index []int
+	vals  []T
+}
+
+// ReadSparse reads a sparse array of length n, each entry's value read by
+// val; an index at or past n fails the decoder. Nothing is allocated for
+// the absent entries, so n may be anything a checkpoint claims.
+func ReadSparse[T any](d *Decoder, n int, val func() T) Sparse[T] {
+	s := Sparse[T]{Len: n}
+	k := d.Bound(n)
+	// Each entry takes a byte at least: the capacity is what the input
+	// can hold.
+	s.index = make([]int, 0, min(k, d.Left()))
+	s.vals = make([]T, 0, min(k, d.Left()))
+	prev := -1
+	for ; k > 0 && d.Err() == nil; k-- {
+		i := d.Gap(prev, n)
+		prev = i
+		v := val()
+		if d.Err() != nil {
+			break
+		}
+		s.index = append(s.index, i)
+		s.vals = append(s.vals, v)
+	}
+	return s
+}
+
+// Span is one past the last entry's index: the least length the entries
+// fit.
+func (s *Sparse[T]) Span() int {
+	if len(s.index) == 0 {
+		return 0
+	}
+	return s.index[len(s.index)-1] + 1
+}
+
+// Each calls f on every entry, in index order.
+func (s *Sparse[T]) Each(f func(i int, v T)) {
+	for k, i := range s.index {
+		f(i, s.vals[k])
+	}
+}
+
+// Dense lays the entries out in an array of Len elements.
+func (s *Sparse[T]) Dense() []T {
+	a := make([]T, s.Len)
+	s.Each(func(i int, v T) { a[i] = v })
+	return a
+}

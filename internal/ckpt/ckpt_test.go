@@ -199,3 +199,45 @@ func TestSlab(t *testing.T) {
 		t.Error("a nil slab's empty piece is nil")
 	}
 }
+
+// TestSparse reads a sparse array of a claimed length back: its entries
+// keep their indices, Span is one past the last, Dense lays them out at
+// that length; an index at or past it fails the decoder, and a length far
+// past what the input holds allocates nothing for it.
+func TestSparse(t *testing.T) {
+	encode := func(idx ...int) []byte {
+		var buf bytes.Buffer
+		e := NewEncoder(&buf)
+		e.Len(len(idx))
+		prev := -1
+		for _, i := range idx {
+			e.Gap(prev, i)
+			prev = i
+			e.Int(10 * i)
+		}
+		if _, _, err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	d := NewDecoder(encode(1, 4))
+	s := ReadSparse(d, 6, d.Int)
+	if err := d.Done(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Dense(); s.Len != 6 || s.Span() != 5 || len(got) != 6 || got[1] != 10 || got[4] != 40 || got[0]+got[2]+got[3]+got[5] != 0 {
+		t.Errorf("Len %d, Span %d, Dense %v", s.Len, s.Span(), got)
+	}
+	d = NewDecoder(encode(1, 6))
+	if ReadSparse(d, 6, d.Int); d.Err() == nil {
+		t.Error("an index at the length was read")
+	}
+	d = NewDecoder(encode(3))
+	if s := ReadSparse(d, math.MaxInt32, d.Int); d.Err() != nil || s.Span() != 4 || cap(s.index) > 2 {
+		t.Errorf("a claimed length of %d: span %d, %d slots, %v", s.Len, s.Span(), cap(s.index), d.Err())
+	}
+	var empty Sparse[int]
+	if empty.Span() != 0 || len(empty.Dense()) != 0 {
+		t.Error("an empty sparse array spans something")
+	}
+}

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math"
+
 	"blameit/internal/ckpt"
 	"blameit/internal/netmodel"
 	"blameit/internal/stats"
@@ -229,35 +232,40 @@ func (l *Learner) AppendCheckpoint(e *ckpt.Encoder) {
 	}
 }
 
-// RestoreCheckpoint replaces the learner's reservoirs with what
-// AppendCheckpoint wrote. clouds bounds the cloud IDs; the middle slice
-// must span the learner's key space exactly.
-func (l *Learner) RestoreCheckpoint(d *ckpt.Decoder, clouds int) {
+// LearnerState is a learner's reservoirs as DecodeLearner reads them,
+// before the clouds and the key space they must fit are known.
+type LearnerState struct{ Cloud, Middle ckpt.Sparse[*reservoir] }
+
+// DecodeLearner reads what Learner.AppendCheckpoint wrote.
+func DecodeLearner(d *ckpt.Decoder) LearnerState {
 	var sl reservoirSlabs
-	l.cloud = sl.restore(d, clouds*netmodel.NumDeviceClasses, -1)
-	l.middle = sl.restore(d, len(l.middle), len(l.middle))
+	return LearnerState{Cloud: sl.decode(d), Middle: sl.decode(d)}
 }
 
-// reservoirSlabs cut a restore's reservoirs and their values from a few
+// Adopt replaces the learner's reservoirs with st's, once the cloud slice
+// fits clouds locations and the middle slice spans the learner's key
+// space exactly.
+func (l *Learner) Adopt(st LearnerState, clouds int) error {
+	if limit := clouds * netmodel.NumDeviceClasses; st.Cloud.Len > limit {
+		return fmt.Errorf("cloud reservoirs of %d entries, the world's clouds have %d", st.Cloud.Len, limit)
+	}
+	if st.Middle.Len != len(l.middle) {
+		return fmt.Errorf("middle reservoirs of %d entries, the key space has %d", st.Middle.Len, len(l.middle))
+	}
+	l.cloud, l.middle = st.Cloud.Dense(), st.Middle.Dense()
+	return nil
+}
+
+// reservoirSlabs cut a decode's reservoirs and their values from a few
 // blocks.
 type reservoirSlabs struct {
 	rs   ckpt.Slab[reservoir]
 	vals ckpt.Slab[float64]
 }
 
-// restore reads one reservoir slice no longer than limit (of exactly want
-// entries, unless want < 0).
-func (sl *reservoirSlabs) restore(d *ckpt.Decoder, limit, want int) []*reservoir {
-	size := d.Bound(limit)
-	if want >= 0 && size != want {
-		d.Failf("reservoir slice of %d entries, want %d", size, want)
-		return nil
-	}
-	rs := make([]*reservoir, size)
-	prev := -1
-	for n := d.Bound(size); n > 0 && d.Err() == nil; n-- {
-		i := d.Gap(prev, size)
-		prev = i
+// decode reads one reservoir slice.
+func (sl *reservoirSlabs) decode(d *ckpt.Decoder) ckpt.Sparse[*reservoir] {
+	return ckpt.ReadSparse(d, d.Bound(math.MaxInt32), func() *reservoir {
 		r := &sl.rs.Take(1)[0]
 		r.n = int(d.Varint())
 		r.salt = d.Uvarint()
@@ -272,9 +280,8 @@ func (sl *reservoirSlabs) restore(d *ckpt.Decoder, limit, want int) []*reservoir
 		}
 		r.vals = sl.vals.Take(k)
 		d.F64s(r.vals)
-		rs[i] = r
-	}
-	return rs
+		return r
+	})
 }
 
 // AppendCheckpoint encodes the thresholds: for the cloud and the middle
@@ -294,23 +301,39 @@ func (t *Thresholds) AppendCheckpoint(e *ckpt.Encoder) {
 	}
 }
 
-// RestoreThresholds reads what Thresholds.AppendCheckpoint wrote, over
-// the key space the thresholds are learned in and clouds locations.
-func RestoreThresholds(d *ckpt.Decoder, keys *netmodel.KeySpace, clouds int) *Thresholds {
-	t := &Thresholds{keys: keys}
-	for j, limit := range []int{clouds * netmodel.NumDeviceClasses, keys.Len() * netmodel.NumDeviceClasses} {
-		es := make([]expected, d.Bound(limit))
-		prev := -1
-		for n := d.Bound(len(es)); n > 0 && d.Err() == nil; n-- {
-			i := d.Gap(prev, len(es))
-			prev = i
-			es[i] = expected{d.F64(), true}
-		}
-		if j == 0 {
-			t.cloud = es
-		} else {
-			t.middle = es
-		}
+// ThresholdsState is thresholds as DecodeThresholds reads them, before
+// the clouds and the key space they must fit are known.
+type ThresholdsState struct{ Cloud, Middle ckpt.Sparse[float64] }
+
+// DecodeThresholds reads what Thresholds.AppendCheckpoint wrote.
+func DecodeThresholds(d *ckpt.Decoder) ThresholdsState {
+	var st ThresholdsState
+	for _, es := range []*ckpt.Sparse[float64]{&st.Cloud, &st.Middle} {
+		*es = ckpt.ReadSparse(d, d.Bound(math.MaxInt32), d.F64)
 	}
-	return t
+	return st
+}
+
+// AdoptThresholds makes thresholds of st over the key space they are
+// learned in and clouds locations, once st fits both.
+func AdoptThresholds(st ThresholdsState, keys *netmodel.KeySpace, clouds int) (*Thresholds, error) {
+	cloud, err := expectations(st.Cloud, clouds*netmodel.NumDeviceClasses, "cloud")
+	if err != nil {
+		return nil, err
+	}
+	middle, err := expectations(st.Middle, keys.Len()*netmodel.NumDeviceClasses, "middle")
+	if err != nil {
+		return nil, err
+	}
+	return &Thresholds{keys: keys, cloud: cloud, middle: middle}, nil
+}
+
+// expectations lays out a decoded threshold slice no longer than limit.
+func expectations(sp ckpt.Sparse[float64], limit int, what string) ([]expected, error) {
+	if sp.Len > limit {
+		return nil, fmt.Errorf("%s thresholds of %d entries, the world has %d", what, sp.Len, limit)
+	}
+	es := make([]expected, sp.Len)
+	sp.Each(func(i int, v float64) { es[i] = expected{v, true} })
+	return es, nil
 }

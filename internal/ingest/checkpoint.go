@@ -32,6 +32,13 @@ func (q *Quarantine) AppendCheckpoint(e *ckpt.Encoder) {
 	e.Len(q.next)
 }
 
+// Adopt takes the books RestoreCheckpoint read into from as q's, and
+// starts the duplicate stamps afresh for the next bucket filtered.
+func (q *Quarantine) Adopt(from *Quarantine) {
+	q.counts, q.recent, q.next = from.counts, from.recent, from.next
+	q.stamps, q.epoch, q.epochBucket = nil, 0, 0
+}
+
 // RestoreCheckpoint replaces the books with what AppendCheckpoint wrote,
 // and starts the duplicate stamps afresh for the next bucket filtered.
 func (q *Quarantine) RestoreCheckpoint(d *ckpt.Decoder) {

@@ -5,10 +5,15 @@ import (
 	"fmt"
 	"math"
 
+	"blameit/internal/active"
+	"blameit/internal/alerting"
 	"blameit/internal/ckpt"
 	"blameit/internal/core"
+	"blameit/internal/ingest"
 	"blameit/internal/parallel"
+	"blameit/internal/predict"
 	"blameit/internal/probe"
+	"blameit/internal/quartet"
 )
 
 // CheckpointSections is how many sections AppendCheckpoint marks: the
@@ -19,9 +24,9 @@ const CheckpointSections = 6
 // sectionNames name the sections in their errors.
 var sectionNames = [CheckpointSections]string{"learner", "thresholds", "client predictor", "durations", "baseliner", "the rest"}
 
-// restoreOrder is the order the sections are handed to the restoring
+// decodeOrder is the order the sections are handed to the decoding
 // goroutines in, costliest first, so that two of them finish together.
-var restoreOrder = [CheckpointSections]int{4, 0, 2, 1, 3, 5}
+var decodeOrder = [CheckpointSections]int{4, 0, 2, 1, 3, 5}
 
 // AppendCheckpoint encodes everything a later step or job of the pipeline
 // depends on: the expected-RTT learner and the thresholds in force with
@@ -29,7 +34,7 @@ var restoreOrder = [CheckpointSections]int{4, 0, 2, 1, 3, 5}
 // budget, the ticket counter, both persistence trackers, the quarantine
 // books and the health-interval baselines. What configuration and the
 // world rebuild is not encoded, nor are the metrics. Each of the
-// CheckpointSections parts starts with a Mark, so that they restore
+// CheckpointSections parts starts with a Mark, so that they decode
 // concurrently; the caller closes the sections.
 //
 // A checkpoint is cut between jobs: the window must be empty and the
@@ -72,55 +77,117 @@ func (p *Pipeline) AppendCheckpoint(e *ckpt.Encoder) error {
 	return nil
 }
 
-// RestoreCheckpoint replaces the pipeline's state with what
-// AppendCheckpoint wrote, its sections as ckpt.Sections split them, as a
-// freshly built pipeline over the same world and configuration: the next
-// Step continues where the checkpointed pipeline's would have. The
-// sections touch disjoint state and restore on up to Cfg.Workers
-// goroutines, one after another at 1; their errors are joined in section
-// order. On an error the pipeline is half restored and must be discarded.
-func (p *Pipeline) RestoreCheckpoint(sections [][]byte) error {
+// Decoded is a checkpoint's pipeline state, decoded from its sections
+// with nothing of the world: what must fit the world — the key space, the
+// clouds, the BGP event log — as read, unchecked, and the rest into
+// detached instances of its types.
+type Decoded struct {
+	learner    core.LearnerState
+	thresholds core.ThresholdsState
+	clients    predict.ClientState
+	durations  *predict.DurationPredictor
+	baseliner  probe.BaselinerState
+
+	lastRelearnDay int
+	budget         *probe.Budget
+	alerter        *alerting.Alerter
+	quartets       *quartet.Tracker
+	middles        *active.Tracker
+	quar           *ingest.Quarantine
+	health         [5]int64 // srcRetries, darkBuckets and the last* counts
+}
+
+// DecodeCheckpoint decodes what AppendCheckpoint wrote, its sections as
+// ckpt.Sections split them, needing no world, so that it runs while the
+// world is built. The sections decode into disjoint state, on up to
+// workers goroutines, one after another at 1; their errors are joined in
+// section order.
+func DecodeCheckpoint(sections [][]byte, workers int) (*Decoded, error) {
 	if len(sections) != CheckpointSections {
-		return fmt.Errorf("%w: %d pipeline sections, want %d", ckpt.ErrMalformed, len(sections), CheckpointSections)
+		return nil, fmt.Errorf("%w: %d pipeline sections, want %d", ckpt.ErrMalformed, len(sections), CheckpointSections)
 	}
-	clouds := len(p.World.Clouds)
-	restore := [CheckpointSections]func(*ckpt.Decoder){
-		func(d *ckpt.Decoder) { p.Learner.RestoreCheckpoint(d, clouds) },
-		func(d *ckpt.Decoder) { p.Thresholds = core.RestoreThresholds(d, p.Table.Keys(), clouds) },
-		p.Clients.RestoreCheckpoint,
-		p.Durations.RestoreCheckpoint,
-		p.Baseliner.RestoreCheckpoint,
-		p.restoreRest,
+	dec := &Decoded{
+		durations: predict.NewDurationPredictor(1),
+		budget:    probe.NewBudget(0),
+		alerter:   alerting.NewAlerter(0),
+		quartets:  quartet.NewTracker(),
+		middles:   active.NewTracker(nil),
+		quar:      ingest.NewQuarantine(0, 0),
+	}
+	decode := [CheckpointSections]func(*ckpt.Decoder){
+		func(d *ckpt.Decoder) { dec.learner = core.DecodeLearner(d) },
+		func(d *ckpt.Decoder) { dec.thresholds = core.DecodeThresholds(d) },
+		func(d *ckpt.Decoder) { dec.clients = predict.DecodeClients(d) },
+		dec.durations.RestoreCheckpoint,
+		func(d *ckpt.Decoder) { dec.baseliner = probe.DecodeBaseliner(d) },
+		dec.decodeRest,
 	}
 	var errs [CheckpointSections]error
-	parallel.ForEach(CheckpointSections, parallel.Resolve(p.Cfg.Workers), func(i int) {
-		sec := restoreOrder[i]
+	parallel.ForEach(CheckpointSections, parallel.Resolve(workers), func(i int) {
+		sec := decodeOrder[i]
 		d := ckpt.NewDecoder(sections[sec])
-		restore[sec](d)
+		decode[sec](d)
 		if err := d.Done(); err != nil {
 			errs[sec] = fmt.Errorf("%s: %w", sectionNames[sec], err)
 		}
 	})
 	if err := errors.Join(errs[:]...); err != nil {
-		return err
+		return nil, err
 	}
-	p.window, p.windowPrimed = p.window[:0], false
-	p.rebuildPassive()
-	return nil
+	return dec, nil
 }
 
-// restoreRest reads the last section: the relearn day, the budget, the
+// decodeRest reads the last section: the relearn day, the budget, the
 // ticket counter, the trackers, the quarantine and the health counts.
-func (p *Pipeline) restoreRest(d *ckpt.Decoder) {
-	p.lastRelearnDay = d.Range(0, math.MaxInt32)
-	p.Budget.RestoreCheckpoint(d)
-	p.Alerter.RestoreCheckpoint(d)
-	p.QuartetTracker.RestoreCheckpoint(d)
-	p.MiddleTracker.RestoreCheckpoint(d)
-	p.quar.RestoreCheckpoint(d)
-	for _, v := range []*int64{&p.srcRetries, &p.darkBuckets, &p.lastQuarTotal, &p.lastSrcRetries, &p.lastDark} {
-		if *v = d.Varint(); *v < 0 {
+func (dec *Decoded) decodeRest(d *ckpt.Decoder) {
+	dec.lastRelearnDay = d.Range(0, math.MaxInt32)
+	dec.budget.RestoreCheckpoint(d)
+	dec.alerter.RestoreCheckpoint(d)
+	dec.quartets.RestoreCheckpoint(d)
+	dec.middles.RestoreCheckpoint(d)
+	dec.quar.RestoreCheckpoint(d)
+	for i := range dec.health {
+		if dec.health[i] = d.Varint(); dec.health[i] < 0 {
 			d.Failf("negative health count")
 		}
 	}
+}
+
+// AdoptCheckpoint replaces the state of p, a pipeline freshly built over
+// the world and configuration of the one checkpointed, with dec's, once
+// dec fits p's world: the learner, the thresholds and the client
+// predictor its key space and clouds, the baseliner its key space and its
+// BGP event log. The next Step continues where the checkpointed
+// pipeline's would have. On an error the pipeline is half adopted and must
+// be discarded.
+func (p *Pipeline) AdoptCheckpoint(dec *Decoded) error {
+	clouds := len(p.World.Clouds)
+	th, err := core.AdoptThresholds(dec.thresholds, p.Table.Keys(), clouds)
+	errs := [CheckpointSections]error{
+		p.Learner.Adopt(dec.learner, clouds),
+		err,
+		p.Clients.Adopt(dec.clients),
+		nil,
+		p.Baseliner.Adopt(dec.baseliner),
+	}
+	for sec, err := range errs {
+		if err != nil {
+			errs[sec] = fmt.Errorf("%s: %w", sectionNames[sec], err)
+		}
+	}
+	if err := errors.Join(errs[:]...); err != nil {
+		return err
+	}
+	p.Thresholds = th
+	p.Durations.Adopt(dec.durations)
+	p.lastRelearnDay = dec.lastRelearnDay
+	p.Budget.Adopt(dec.budget)
+	p.Alerter.Adopt(dec.alerter)
+	p.QuartetTracker.Adopt(dec.quartets)
+	p.MiddleTracker.Adopt(dec.middles)
+	p.quar.Adopt(dec.quar)
+	p.srcRetries, p.darkBuckets, p.lastQuarTotal, p.lastSrcRetries, p.lastDark = dec.health[0], dec.health[1], dec.health[2], dec.health[3], dec.health[4]
+	p.window, p.windowPrimed = p.window[:0], false
+	p.rebuildPassive()
+	return nil
 }

@@ -24,6 +24,15 @@ func checkpointSim() *sim.Simulator {
 	return sim.New(w, tbl, faults.NewSchedule(fs), sim.DefaultConfig(99))
 }
 
+// restore decodes sections on p's workers and adopts them into p.
+func restore(p *Pipeline, sections [][]byte) error {
+	dec, err := DecodeCheckpoint(sections, p.Cfg.Workers)
+	if err != nil {
+		return err
+	}
+	return p.AdoptCheckpoint(dec)
+}
+
 func encodeCheckpoint(t *testing.T, p *Pipeline) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -69,8 +78,8 @@ func TestCheckpointRestoresState(t *testing.T) {
 		rcfg.Workers = workers
 		restored = NewSim(checkpointSim(), rcfg)
 		start = time.Now()
-		if err := restored.RestoreCheckpoint(sections); err != nil {
-			t.Fatalf("RestoreCheckpoint at %d workers: %v", workers, err)
+		if err := restore(restored, sections); err != nil {
+			t.Fatalf("restore at %d workers: %v", workers, err)
 		}
 		t.Logf("checkpoint at bucket %d: %d bytes, encoded in %v, restored at %d workers in %v", cut, len(body), encoded, workers, time.Since(start))
 		if again := encodeCheckpoint(t, restored); !bytes.Equal(again, body) {
@@ -109,6 +118,48 @@ func TestCheckpointRestoresState(t *testing.T) {
 	}
 }
 
+// TestCheckpointAdoptChecksTheWorld decodes a checkpoint whose state names
+// a key, a cloud or a BGP event outside the world, each in turn: the
+// decode, which knows no world, takes it, and the adoption into a pipeline
+// over the world refuses it, naming the section.
+func TestCheckpointAdoptChecksTheWorld(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	live := NewSim(checkpointSim(), cfg)
+	live.Warmup(0, 12)
+	if err := live.Run(12, 24, nil); err != nil {
+		t.Fatal(err)
+	}
+	sections, err := ckpt.Sections(encodeCheckpoint(t, live), CheckpointSections)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := live.Table.Keys().Len()
+	for _, tc := range []struct {
+		name, section string
+		outside       func(*Decoded)
+	}{
+		{"key", "learner", func(dec *Decoded) { dec.learner.Middle.Len += netmodel.NumDeviceClasses }},
+		{"cloud", "thresholds", func(dec *Decoded) {
+			dec.thresholds.Cloud.Len = (len(live.World.Clouds) + 1) * netmodel.NumDeviceClasses
+		}},
+		{"client-key", "client predictor", func(dec *Decoded) { dec.clients.Hist.Len = keys + 1 }},
+		{"bgp-event", "baseliner", func(dec *Decoded) { dec.baseliner.Position = 1 << 30 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dec, err := DecodeCheckpoint(sections, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.outside(dec)
+			err = NewSim(checkpointSim(), cfg).AdoptCheckpoint(dec)
+			if err == nil || !strings.HasPrefix(err.Error(), tc.section+": ") {
+				t.Fatalf("adopted with %v, want the %s's refusal", err, tc.section)
+			}
+		})
+	}
+}
+
 // TestCheckpointSectionErrorsInOrder damages two sections of a checkpoint
 // and restores it on several goroutines: the error names both, in section
 // order, whichever finished first.
@@ -129,7 +180,7 @@ func TestCheckpointSectionErrorsInOrder(t *testing.T) {
 		sections[i] = append(bytes.Clone(sections[i]), 0)
 	}
 	cfg.Workers = 3
-	err = NewSim(checkpointSim(), cfg).RestoreCheckpoint(sections)
+	err = restore(NewSim(checkpointSim(), cfg), sections)
 	if err == nil {
 		t.Fatal("damaged sections restored")
 	}

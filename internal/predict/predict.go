@@ -7,6 +7,7 @@
 package predict
 
 import (
+	"fmt"
 	"math"
 	"slices"
 
@@ -257,6 +258,11 @@ func (p *DurationPredictor) AppendCheckpoint(e *ckpt.Encoder) {
 	}
 }
 
+// Adopt takes the histograms RestoreCheckpoint read into from as p's.
+func (p *DurationPredictor) Adopt(from *DurationPredictor) {
+	p.global, p.perKey = from.global, from.perKey
+}
+
 // RestoreCheckpoint replaces the predictor's histograms with what
 // AppendCheckpoint wrote.
 func (p *DurationPredictor) RestoreCheckpoint(d *ckpt.Decoder) {
@@ -306,15 +312,14 @@ func (p *ClientPredictor) AppendCheckpoint(e *ckpt.Encoder) {
 	}
 }
 
-// RestoreCheckpoint replaces the client histories with what
-// AppendCheckpoint wrote; the slice spans at most the key space.
-func (p *ClientPredictor) RestoreCheckpoint(d *ckpt.Decoder) {
-	p.hist = make([]*clientHist, d.Bound(p.keys.Len()))
+// ClientState is the client histories as DecodeClients reads them, before
+// the key space they must fit is known.
+type ClientState struct{ Hist ckpt.Sparse[*clientHist] }
+
+// DecodeClients reads what ClientPredictor.AppendCheckpoint wrote.
+func DecodeClients(d *ckpt.Decoder) ClientState {
 	var slab ckpt.Slab[clientHist]
-	prev := -1
-	for n := d.Bound(len(p.hist)); n > 0 && d.Err() == nil; n-- {
-		i := d.Gap(prev, len(p.hist))
-		prev = i
+	return ClientState{Hist: ckpt.ReadSparse(d, d.Bound(math.MaxInt32), func() *clientHist {
 		h := &slab.Take(1)[0]
 		for s := range h.dayTag {
 			h.dayTag[s] = d.Range(-1, math.MaxInt32)
@@ -324,6 +329,16 @@ func (p *ClientPredictor) RestoreCheckpoint(d *ckpt.Decoder) {
 		}
 		h.sum = d.F64()
 		h.n = int(d.Varint())
-		p.hist[i] = h
+		return h
+	})}
+}
+
+// Adopt replaces the client histories with st's, once they span at most
+// the predictor's key space.
+func (p *ClientPredictor) Adopt(st ClientState) error {
+	if st.Hist.Len > p.keys.Len() {
+		return fmt.Errorf("client histories of %d paths, the key space has %d", st.Hist.Len, p.keys.Len())
 	}
+	p.hist = st.Hist.Dense()
+	return nil
 }

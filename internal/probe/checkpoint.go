@@ -2,6 +2,7 @@ package probe
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
 
@@ -51,40 +52,56 @@ func (bg *Baseliner) AppendCheckpoint(e *ckpt.Encoder) {
 	e.Len(bg.listener.Position())
 }
 
-// RestoreCheckpoint replaces the baseliner's state with what
-// AppendCheckpoint wrote.
-func (bg *Baseliner) RestoreCheckpoint(d *ckpt.Decoder) {
-	keys := len(bg.baselines)
-	clear(bg.baselines)
+// BaselinerState is a baseliner's state as DecodeBaseliner reads it,
+// before the key space and the BGP event log it must fit are known.
+type BaselinerState struct {
+	Baselines  ckpt.Sparse[[]Traceroute]
+	Suppressed ckpt.Sparse[netmodel.Bucket]
+	Position   int
+}
+
+// DecodeBaseliner reads what Baseliner.AppendCheckpoint wrote.
+func DecodeBaseliner(d *ckpt.Decoder) BaselinerState {
+	var st BaselinerState
 	var sl traceSlabs
-	prev := -1
-	for n := d.Bound(keys); n > 0 && d.Err() == nil; n-- {
-		id := d.Gap(prev, keys)
-		prev = id
+	st.Baselines = ckpt.ReadSparse(d, math.MaxInt32, func() []Traceroute {
 		// Capped: store appends to a restored history.
 		h := sl.trs.Take(d.Bound(historyLen))
 		if len(h) == 0 {
-			d.Failf("path %d with no baselines", id)
+			d.Failf("a path with no baselines")
 		}
 		for i := range h {
 			sl.restore(d, &h[i])
 		}
-		bg.baselines[id] = h
-	}
-	clear(bg.suppressed)
-	prev = -1
-	for n := d.Bound(keys); n > 0 && d.Err() == nil; n-- {
-		id := d.Gap(prev, keys)
-		prev = id
+		return h
+	})
+	st.Suppressed = ckpt.ReadSparse(d, math.MaxInt32, func() netmodel.Bucket {
 		until := d.Int()
 		if until == 0 {
-			d.Failf("suppression of path %d ends at bucket 0", id)
+			d.Failf("a suppression ending at bucket 0")
 		}
-		bg.suppressed[id] = netmodel.Bucket(until)
+		return netmodel.Bucket(until)
+	})
+	st.Position = d.Bound(math.MaxInt32)
+	return st
+}
+
+// Adopt replaces the baseliner's state with st's, once its paths are in
+// the baseliner's key space and its listener position in the BGP event
+// log.
+func (bg *Baseliner) Adopt(st BaselinerState) error {
+	keys := len(bg.baselines)
+	if n := max(st.Baselines.Span(), st.Suppressed.Span()); n > keys {
+		return fmt.Errorf("path %d, the key space has %d", n-1, keys)
 	}
-	if next := d.Bound(math.MaxInt32); d.Err() == nil && !bg.listener.SetPosition(next) {
-		d.Failf("listener position %d past the event log", next)
+	if !bg.listener.SetPosition(st.Position) {
+		return fmt.Errorf("listener position %d past the event log", st.Position)
 	}
+	clear(bg.baselines)
+	st.Baselines.Each(func(id int, h []Traceroute) { bg.baselines[id] = h })
+	clear(bg.suppressed)
+	st.Suppressed.Each(func(id int, until netmodel.Bucket) { bg.suppressed[id] = until })
+	return nil
 }
 
 func appendTraceroute(e *ckpt.Encoder, tr *Traceroute) {
@@ -145,6 +162,10 @@ func (bu *Budget) AppendCheckpoint(e *ckpt.Encoder) {
 func compareBudgetKeys(a, b budgetKey) int {
 	return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.day, b.day))
 }
+
+// Adopt takes the spend and the denials RestoreCheckpoint read into from
+// as bu's.
+func (bu *Budget) Adopt(from *Budget) { bu.used, bu.denied = from.used, from.denied }
 
 // RestoreCheckpoint replaces the spend and the denials with what
 // AppendCheckpoint wrote.

@@ -34,8 +34,11 @@ func TestBaselinerRestoredHistoriesStayApart(t *testing.T) {
 	body := encode(bg)
 	restored := NewBaseliner(cfg, NewEngine(s, 0), s.Routes)
 	d := ckpt.NewDecoder(body)
-	restored.RestoreCheckpoint(d)
+	st := DecodeBaseliner(d)
 	if err := d.Done(); err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Adopt(st); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(encode(restored), body) {

@@ -34,6 +34,10 @@ func (t *Tracker) AppendCheckpoint(e *ckpt.Encoder) {
 	e.Bool(t.primed)
 }
 
+// Adopt takes the open runs and the last advance RestoreCheckpoint read
+// into from as t's.
+func (t *Tracker) Adopt(from *Tracker) { t.open, t.last, t.primed = from.open, from.last, from.primed }
+
 // RestoreCheckpoint replaces the open runs and the last advance with
 // what AppendCheckpoint wrote.
 func (t *Tracker) RestoreCheckpoint(d *ckpt.Decoder) {

@@ -45,25 +45,34 @@ func appendState(e *ckpt.Encoder, pipe *pipeline.Pipeline, headers []storedRepor
 	return nil
 }
 
-// restoreState reads what appendState wrote into pipe, a pipeline built
-// afresh, and q, an empty queue, and returns the headers, in increasing
-// seq order and without their bytes.
-func restoreState(body []byte, pipe *pipeline.Pipeline, q *ingestQueue) ([]storedReport, error) {
+// decodedState is a checkpoint's body as decodeState reads it, before the
+// world is built: the pipeline's sections, the retained reports' headers —
+// in increasing seq order and without their bytes — and the queue.
+type decodedState struct {
+	pipe    *pipeline.Decoded
+	headers []storedReport
+	queue   *ingestQueue
+}
+
+// decodeState reads what appendState wrote, needing no world, the
+// pipeline's sections on up to workers goroutines.
+func decodeState(body []byte, workers int) (*decodedState, error) {
 	sections, err := ckpt.Sections(body, pipeline.CheckpointSections+2)
 	if err != nil {
 		return nil, err
 	}
-	if err := pipe.RestoreCheckpoint(sections[:pipeline.CheckpointSections]); err != nil {
+	st := &decodedState{queue: newIngestQueue(0, false)}
+	if st.pipe, err = pipeline.DecodeCheckpoint(sections[:pipeline.CheckpointSections], workers); err != nil {
 		return nil, err
 	}
-	if err := q.restoreCheckpoint(sections[pipeline.CheckpointSections+1]); err != nil {
+	if err := st.queue.restoreCheckpoint(sections[pipeline.CheckpointSections+1]); err != nil {
 		return nil, err
 	}
 	d := ckpt.NewDecoder(sections[pipeline.CheckpointSections])
-	headers := make([]storedReport, d.Len(14))
-	for i := range headers {
-		h := &headers[i]
-		if h.seq = d.Varint(); h.seq < 0 || i > 0 && h.seq <= headers[i-1].seq {
+	st.headers = make([]storedReport, d.Len(14))
+	for i := range st.headers {
+		h := &st.headers[i]
+		if h.seq = d.Varint(); h.seq < 0 || i > 0 && h.seq <= st.headers[i-1].seq {
 			d.Failf("report seq %d out of order", h.seq)
 		}
 		h.from = netmodel.Bucket(d.Int())
@@ -85,7 +94,7 @@ func restoreState(body []byte, pipe *pipeline.Pipeline, q *ingestQueue) ([]store
 	if err := d.Done(); err != nil {
 		return nil, err
 	}
-	return headers, nil
+	return st, nil
 }
 
 // snapshot encodes what the queue holds and calls cut — the journal's Cut

@@ -307,8 +307,9 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 }
 
 // TestCheckpointRejected damages the newest checkpoints of a stopped
-// daemon's directory — torn, cut short, a body that does not decode, seams
-// a power loss took back — and restarts over each. Every damaged
+// daemon's directory — torn, cut short, a body that does not decode, a
+// state that decodes but names a key, a cloud or a BGP event outside the
+// world, seams a power loss took back — and restarts over each. Every damaged
 // checkpoint is rejected, logged and unlinked, recovery falls back to an
 // older one or to zero, and the daemon then serves what the uninterrupted
 // one does. A history cut after the newest seam costs no checkpoint. Once
@@ -337,6 +338,7 @@ func TestCheckpointRejected(t *testing.T) {
 	ref := openEnv(t, "", mkSim, mut)
 	feed(ref, 0, horizon)
 	want := servedBooks(t, ref)
+	keys, clouds := ref.srv.Pipeline().Table.Keys().Len(), len(ref.srv.Pipeline().World.Clouds)
 	ref.close(t)
 
 	src := t.TempDir()
@@ -370,6 +372,45 @@ func TestCheckpointRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// outside rewrites a checkpoint, CRC and all, with the count that opens
+	// or closes one pipeline section set to n: state the decode takes, as
+	// it knows no world, and the world it is adopted into does not hold.
+	outside := func(path string, sec int, opens bool, n int) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck, err := wal.DecodeCheckpoint(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		secs, err := ckpt.Sections(ck.Body, pipeline.CheckpointSections+2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opens {
+			_, k := binary.Uvarint(secs[sec])
+			secs[sec] = append(binary.AppendUvarint(nil, uint64(n)), secs[sec][k:]...)
+		} else {
+			// The baseliner's section closes with its BGP listener's position.
+			k := len(binary.AppendUvarint(nil, uint64(probe.DecodeBaseliner(ckpt.NewDecoder(secs[sec])).Position)))
+			secs[sec] = binary.AppendUvarint(slices.Clip(secs[sec][:len(secs[sec])-k]), uint64(n))
+		}
+		var out bytes.Buffer
+		if _, err := wal.EncodeCheckpoint(&out, ck, func(e *ckpt.Encoder) error {
+			for _, sec := range secs {
+				e.Mark()
+				e.Raw(sec)
+			}
+			e.EndSections()
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, out.Bytes(), 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
 	cutFile := func(path string, keep func(size int64) int64) {
 		st, err := os.Stat(path)
 		if err != nil {
@@ -385,14 +426,24 @@ func TestCheckpointRejected(t *testing.T) {
 		damage   func(dir string)
 		rejected int
 		from     netmodel.Bucket // the checkpoint recovery continues from, or -1
+		why      string          // in the rejection, when set
 	}{
-		{"torn", func(dir string) { cutFile(filepath.Join(dir, newest), func(n int64) int64 { return n - 1 }) }, 1, older},
-		{"truncated", func(dir string) { cutFile(filepath.Join(dir, newest), func(n int64) int64 { return n / 3 }) }, 1, older},
-		{"undecodable", func(dir string) { undecodable(filepath.Join(dir, newest)) }, 1, older},
+		{"torn", func(dir string) { cutFile(filepath.Join(dir, newest), func(n int64) int64 { return n - 1 }) }, 1, older, ""},
+		{"truncated", func(dir string) { cutFile(filepath.Join(dir, newest), func(n int64) int64 { return n / 3 }) }, 1, older, ""},
+		{"undecodable", func(dir string) { undecodable(filepath.Join(dir, newest)) }, 1, older, ""},
+		// Decoded beside the world's build, these are refused once it is
+		// built: a key, a cloud and a BGP event outside it.
+		{"outside-keys", func(dir string) { outside(filepath.Join(dir, newest), 2, true, keys+1) }, 1, older,
+			fmt.Sprintf("client predictor: client histories of %d paths, the key space has %d", keys+1, keys)},
+		{"outside-clouds", func(dir string) {
+			outside(filepath.Join(dir, newest), 1, true, (clouds+1)*netmodel.NumDeviceClasses)
+		}, 1, older, "thresholds: cloud thresholds of"},
+		{"outside-bgp-events", func(dir string) { outside(filepath.Join(dir, newest), 4, false, 1<<30) }, 1, older,
+			"baseliner: listener position 1073741824 past the event log"},
 		{"both", func(dir string) {
 			undecodable(filepath.Join(dir, newest))
 			cutFile(filepath.Join(dir, filepath.Base(ckpts[0])), func(n int64) int64 { return 100 })
-		}, 2, -1},
+		}, 2, -1, ""},
 		{"history-cut", func(dir string) {
 			// Back to the middle of the first segment: both seams are gone.
 			segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
@@ -403,12 +454,12 @@ func TestCheckpointRejected(t *testing.T) {
 				}
 			}
 			cutFile(segs[0], func(n int64) int64 { return n / 2 })
-		}, 2, -1},
+		}, 2, -1, ""},
 		{"seam-cut", func(dir string) {
 			segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
 			sort.Strings(segs)
 			cutFile(segs[len(segs)-1], func(n int64) int64 { return n / 2 })
-		}, 0, 71},
+		}, 0, 71, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -431,6 +482,9 @@ func TestCheckpointRejected(t *testing.T) {
 			checkRecoveryConsistent(t, e)
 			if got := strings.Count(buf.String(), `"msg":"recovery.checkpoint_rejected"`); got != tc.rejected {
 				t.Errorf("%d checkpoints rejected, want %d:\n%s", got, tc.rejected, buf)
+			}
+			if tc.why != "" && !strings.Contains(buf.String(), tc.why) {
+				t.Errorf("no rejection says %q:\n%s", tc.why, buf)
 			}
 			if from, _ := recoveries(t, buf); len(from) != 1 || from[0] != int(tc.from) {
 				t.Errorf("recovery continued from checkpoints %v, want [%d]", from, tc.from)
@@ -657,8 +711,8 @@ func tinySim() *sim.Simulator {
 // and the ingest queue's records — to arbitrary bytes: no input panics it; each is rejected or
 // restored; and a restored checkpoint re-encodes to exactly the bytes it
 // came from, so nothing a restore accepts is changed by it. Each input is
-// tried as it is, then with its CRC made to match, and restored on one
-// goroutine and on several.
+// tried as it is, then with its CRC made to match, decoded on one
+// goroutine and on several, and adopted into a pipeline over the world.
 func FuzzCheckpoint(f *testing.F) {
 	// The tiny world keeps the seed state, and each restore, small enough
 	// to mutate quickly.
@@ -744,15 +798,15 @@ func FuzzCheckpoint(f *testing.F) {
 			return
 		}
 		for _, workers := range []int{1, 3} {
-			cfg := pcfg
-			cfg.Workers = workers
-			pipe := pipeline.New(deps, cfg)
-			held := newIngestQueue(0, false)
-			headers, err := restoreState(ck.Body, pipe, held)
+			st, err := decodeState(ck.Body, workers)
 			if err != nil {
 				return
 			}
-			again, err := encode(ck, pipe, headers, held)
+			pipe := pipeline.New(deps, pcfg)
+			if err := pipe.AdoptCheckpoint(st.pipe); err != nil {
+				return
+			}
+			again, err := encode(ck, pipe, st.headers, st.queue)
 			if err != nil {
 				t.Fatalf("a checkpoint restored at %d workers does not encode: %v", workers, err)
 			}
@@ -861,6 +915,126 @@ func TestCheckpointRetainedReports(t *testing.T) {
 		sameBooks(t, fmt.Sprintf("retaining %d", tc.retain), servedBooks(t, e), want)
 		e.close(t)
 	}
+}
+
+// TestCheckpointReportsByReference restarts a daemon over a directory of
+// several checkpoints, one every twelve buckets. The restored log holds
+// its reports by reference: every retained report is served
+// byte-identical to an uninterrupted daemon's, read back from the
+// reports family, while at most residentReports keep their bytes in
+// memory — live, right after the restart and once fed on. The in-memory
+// daemon keeps every report's bytes. A report record damaged on disk
+// after the open is never served: its read gets a 500, counted in
+// /metrics, and the other reports are served as before.
+func TestCheckpointReportsByReference(t *testing.T) {
+	const warmup, stop, horizon = 36, 80, 96
+	streams := simStreams(newTestSim(1), horizon)
+	mkSim := func() *sim.Simulator { return newTestSim(1) }
+	mut := func(c *Config) {
+		c.WarmupBuckets = warmup
+		c.checkpointAt = func(b netmodel.Bucket) bool { return (b+1)%12 == 0 }
+	}
+	feed := func(e *walEnv, from, to int) {
+		t.Helper()
+		for b := from; b < to; b++ {
+			postWithRetry(t, e.ts.Client(), e.ts.URL+"/v1/ingest", jsonlBody(t, streams[b]))
+			if st, body := postSeal(t, e.ts.Client(), e.ts.URL, netmodel.Bucket(b)); st != http.StatusAccepted {
+				t.Fatalf("seal %d = %d (%s)", b, st, body)
+			}
+		}
+		e.quiesce(t, netmodel.Bucket(to-1))
+	}
+	resident := func(e *walEnv, when string, most int) {
+		t.Helper()
+		if n := e.srv.reports.resident(); n > most {
+			t.Errorf("%s: %d reports hold their bytes in memory, want at most %d", when, n, most)
+		}
+	}
+	ref := openEnv(t, "", mkSim, mut)
+	feed(ref, 0, horizon)
+	want := servedBooks(t, ref)
+	if n, all := ref.srv.reports.resident(), len(ref.srv.reports.reports); n != all || all < 2*residentReports {
+		t.Errorf("in memory, %d of %d reports hold their bytes: want all of them, and more than a few", n, all)
+	}
+	ref.close(t)
+
+	dir := t.TempDir()
+	e := openEnv(t, dir, mkSim, mut)
+	feed(e, 0, stop)
+	resident(e, "live", residentReports)
+	e.crash()
+	buf := captureLog(t)
+	e = openEnv(t, dir, mkSim, mut)
+	checkRecoveryConsistent(t, e)
+	if from, _ := recoveries(t, buf); len(from) != 1 || from[0] != 71 {
+		t.Errorf("recovery continued from checkpoints %v, want [71]", from)
+	}
+	resident(e, "restarted", residentReports)
+	feed(e, stop, horizon)
+	resident(e, "fed on", residentReports)
+	sameBooks(t, "restarted", servedBooks(t, e), want)
+
+	var old storedReport
+	e.srv.reports.each(func(sr *storedReport) {
+		if old.ref.Segment == 0 && sr.canonical == nil {
+			old = *sr
+		}
+	})
+	if old.ref.Segment == 0 {
+		t.Fatal("no retained report is held by reference")
+	}
+	seg := filepath.Join(dir, fmt.Sprintf("reports-%010d.log", old.ref.Segment))
+	f, err := os.OpenFile(seg, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := make([]byte, 1)
+	if _, err := f.ReadAt(last, old.ref.Offset+old.ref.Length-1); err != nil {
+		t.Fatal(err)
+	}
+	last[0] ^= 1
+	if _, err := f.WriteAt(last, old.ref.Offset+old.ref.Length-1); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	get := func(path string) (int, []byte) {
+		t.Helper()
+		resp, err := e.ts.Client().Get(e.ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body
+	}
+	if status, body := get(fmt.Sprintf("/v1/reports/%d", old.to)); status != http.StatusInternalServerError {
+		t.Errorf("the damaged report [%d, %d] was served %d: %.80s", old.from, old.to, status, body)
+	}
+	_, body := get("/metrics")
+	var snap struct {
+		Counters map[string]int64 `json:"counters"`
+	}
+	if err := json.Unmarshal(body, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if n := snap.Counters["server.reports.read_failed"]; n != 1 {
+		t.Errorf("server.reports.read_failed = %d, want 1", n)
+	}
+	var others []netmodel.Bucket
+	e.srv.reports.each(func(sr *storedReport) {
+		if sr.seq != old.seq {
+			others = append(others, sr.to)
+		}
+	})
+	for _, to := range others {
+		if status, _ := get(fmt.Sprintf("/v1/reports/%d", to)); status != http.StatusOK {
+			t.Errorf("report %d beside the damaged one was served %d", to, status)
+		}
+	}
+	e.close(t)
 }
 
 // TestCheckpointWorldFailure restarts over a checkpointed directory with a
@@ -1047,7 +1221,9 @@ func TestCheckpointConcurrentPushes(t *testing.T) {
 			t.Fatal(err)
 		}
 		held := newIngestQueue(0, true)
-		wcfg.Restore = func(ck wal.Checkpoint, _ *wal.Recovery) error { return held.restoreCheckpoint(ck.Body) }
+		wcfg.Restore = func(ck wal.Checkpoint, _ *wal.Recovery) (func() error, error) {
+			return nil, held.restoreCheckpoint(ck.Body)
+		}
 		lg, rec, err := wal.Open(at, wcfg)
 		if err != nil {
 			t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"sync"
@@ -362,7 +363,9 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 
 // handleReport serves the canonical JSON of the report whose job window
 // covers the requested bucket — the same bytes the batch CLI's replay
-// equivalence is graded on.
+// equivalence is graded on. Bytes read back from the reports family that
+// do not check out are never served: the request gets a 500, counted in
+// server.reports.read_failed.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	raw := r.PathValue("bucket")
 	n, err := strconv.Atoi(raw)
@@ -375,9 +378,20 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no retained report covers bucket %d", n)
 		return
 	}
+	body := sr.canonical
+	if body == nil {
+		// An older report over a data directory: its bytes are read back
+		// from the reports family, and served only once verified.
+		if body, err = s.wal.readReport(sr); err != nil {
+			s.mReadFailed.Inc()
+			slog.Error("report.read_failed", "seq", sr.seq, "err", err)
+			writeError(w, http.StatusInternalServerError, "reading report [%d, %d]: %v", sr.from, sr.to, err)
+			return
+		}
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(sr.canonical)
+	_, _ = w.Write(body)
 	_, _ = w.Write([]byte{'\n'})
 }
 

@@ -418,6 +418,14 @@ func (q *ingestQueue) discardBelowLocked(b netmodel.Bucket) {
 	}
 }
 
+// wake broadcasts under mu, for a cancelled context: a waiter that saw
+// the context live before it Waits is then still woken.
+func (q *ingestQueue) wake() {
+	q.mu.Lock()
+	q.cond.Broadcast()
+	q.mu.Unlock()
+}
+
 // awaitBucket blocks until bucket b is sealed — or is the next journaled
 // read's (returns true: step it) — or
 // the queue is closed and nothing at or past b remains (returns false: the
@@ -428,7 +436,7 @@ func (q *ingestQueue) discardBelowLocked(b netmodel.Bucket) {
 func (q *ingestQueue) awaitBucket(ctx context.Context, b netmodel.Bucket) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	stop := context.AfterFunc(ctx, q.cond.Broadcast)
+	stop := context.AfterFunc(ctx, q.wake)
 	defer stop()
 	for {
 		if ctx.Err() != nil {
@@ -471,7 +479,7 @@ func (q *ingestQueue) ObservationsAt(ctx context.Context, b netmodel.Bucket, buf
 		return buf, nil
 	}
 	q.discardBelowLocked(b)
-	stop := context.AfterFunc(ctx, q.cond.Broadcast)
+	stop := context.AfterFunc(ctx, q.wake)
 	defer stop()
 	for b >= q.watermark && !q.closed && ctx.Err() == nil {
 		q.cond.Wait()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -168,6 +169,38 @@ func TestQueueContextCancellation(t *testing.T) {
 	}
 	if ok := <-okc; ok {
 		t.Fatal("awaitBucket = true after cancellation")
+	}
+}
+
+// TestQueueCancelRacesWait cancels the context as a read or an
+// awaitBucket starts waiting, many times over, after a varying number of
+// yields: a cancel that lands between the waiter's check of the context
+// and its Wait must still wake it. A wake-up sent without the queue's lock
+// is lost there, and this test caught it in 3 of 20 runs on 2 cores.
+func TestQueueCancelRacesWait(t *testing.T) {
+	q := newIngestQueue(0, true)
+	for i := range 20000 {
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan struct{}, 2)
+		go func() {
+			_, _ = q.ObservationsAt(ctx, 0, nil)
+			done <- struct{}{}
+		}()
+		go func() {
+			q.awaitBucket(ctx, 0)
+			done <- struct{}{}
+		}()
+		for range i % 64 {
+			runtime.Gosched()
+		}
+		cancel()
+		for range 2 {
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("iteration %d: a waiter slept through the cancel", i)
+			}
+		}
 	}
 }
 

@@ -108,9 +108,10 @@ func (c Config) Validate() error {
 	return c.Pipeline.Validate()
 }
 
-// storedReport is one retained report: its canonical bytes, rendered
-// once at publish, and the header the read APIs answer from. The full
-// Report is not kept.
+// storedReport is one retained report: the header the read APIs answer
+// from, and its canonical bytes, rendered once at publish — or, once ref
+// names the record of the reports family that holds them, read back from
+// there (wal.ReportRef). The full Report is not kept.
 type storedReport struct {
 	seq              int64
 	from, to         netmodel.Bucket
@@ -118,6 +119,7 @@ type storedReport struct {
 	verdicts         []active.Verdict
 	health           pipeline.Health
 	canonical        []byte
+	ref              wal.ReportRef
 }
 
 // stored renders the header of a report published with seq.
@@ -131,13 +133,23 @@ func stored(seq int64, rep *pipeline.Report, canonical []byte) storedReport {
 
 // reportLog retains the most recent reports for the read APIs. It only
 // appends; the oldest entries are evicted past max. Only the backend
-// appends.
+// appends. Over a data directory it keeps the bytes of the newest
+// residentReports alone: an older entry whose record the reports family
+// holds drops them, and they are read back from there when served —
+// until the journal degrades, after which every entry keeps what it
+// holds.
 type reportLog struct {
 	mu      sync.Mutex
 	reports []storedReport
 	nextSeq int64
 	max     int
+	held    bool // no entry drops its bytes any more
 }
+
+// residentReports is how many of the newest reports keep their bytes in
+// memory whatever the journal holds: the ones the read APIs are asked for
+// as they come out.
+const residentReports = 4
 
 // add appends a report, which takes the next seq.
 func (l *reportLog) add(sr storedReport) {
@@ -152,6 +164,49 @@ func (l *reportLog) add(sr storedReport) {
 		}
 		l.reports = l.reports[:n]
 	}
+	l.release()
+}
+
+// journaled notes that the record ref holds the bytes of the report of
+// seq, the latest one added.
+func (l *reportLog) journaled(seq int64, ref wal.ReportRef) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.reports); n > 0 && l.reports[n-1].seq == seq {
+		l.reports[n-1].ref = ref
+	}
+	l.release()
+}
+
+// release drops the bytes of the entry that has just left the newest
+// residentReports, if the reports family holds them. Each entry leaves
+// once, and is journaled before it does. Caller holds mu.
+func (l *reportLog) release() {
+	if i := len(l.reports) - residentReports - 1; !l.held && i >= 0 && l.reports[i].ref.Segment != 0 {
+		l.reports[i].canonical = nil
+	}
+}
+
+// hold stops releasing bytes: a degraded journal may no longer read back
+// what it holds, so the bytes still in memory stay there. Entries already
+// released are read back from the disk still.
+func (l *reportLog) hold() {
+	l.mu.Lock()
+	l.held = true
+	l.mu.Unlock()
+}
+
+// resident counts the entries holding their bytes.
+func (l *reportLog) resident() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for i := range l.reports {
+		if l.reports[i].canonical != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // retainedWith returns the entries the log would retain once sr is added,
@@ -238,6 +293,7 @@ type Server struct {
 	mSeals       *metrics.Counter
 	gQueueDepth  *metrics.Gauge
 	mReportsPub  *metrics.Counter
+	mReadFailed  *metrics.Counter
 	mAggBatches  *metrics.Counter
 	mAggCells    *metrics.Counter
 	mAggPartials *metrics.Counter
@@ -333,6 +389,9 @@ func NewDeferred(deps func() (pipeline.Deps, error), cfg Config) (*Server, error
 	s.mSeals = s.reg.Counter("server.seal.requests")
 	s.gQueueDepth = s.reg.Gauge("server.ingest.queue_depth")
 	s.mReportsPub = s.reg.Counter("server.reports.published")
+	// Retained reports whose bytes, read back from the reports family, did
+	// not check out.
+	s.mReadFailed = s.reg.Counter("server.reports.read_failed")
 	s.mAggBatches = s.reg.Counter("server.aggregates.batches")
 	s.mAggCells = s.reg.Counter("server.aggregates.cells")
 	s.mAggPartials = s.reg.Counter("server.aggregates.partials")
@@ -485,14 +544,16 @@ func (s *Server) publish(rep *pipeline.Report, checkpoint bool) {
 	case s.wal != nil && checkpoint:
 		// The report's record and the checkpoint holding it reach the
 		// kernel before the report is served.
-		s.wal.journalReport(sr.seq, rep, canonical)
+		sr.ref = s.wal.journalReport(sr.seq, rep, canonical)
 		if !s.checkpoint(sr) || s.killed("checkpointed") {
 			return
 		}
 		s.reports.add(sr)
 	case s.wal != nil:
 		s.reports.add(sr)
-		s.wal.journalReport(sr.seq, rep, canonical)
+		if ref := s.wal.journalReport(sr.seq, rep, canonical); ref.Segment != 0 {
+			s.reports.journaled(sr.seq, ref)
+		}
 	default:
 		s.reports.add(sr)
 	}

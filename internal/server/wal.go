@@ -23,6 +23,7 @@ import (
 	"blameit/internal/ckpt"
 	"blameit/internal/ingest"
 	"blameit/internal/netmodel"
+	"blameit/internal/parallel"
 	"blameit/internal/pipeline"
 	"blameit/internal/trace"
 	"blameit/internal/wal"
@@ -46,8 +47,11 @@ type walState struct {
 	// degraded flips on the first append failure: the daemon keeps
 	// serving from memory, journals nothing further, and says so loudly
 	// in the process log (wal.degraded) and /healthz
-	// (degraded_durability). A restart after that point recovers only
-	// what was journaled before the failure.
+	// (degraded_durability). The report log keeps the bytes it still
+	// holds from then on; the reports it released before are read back
+	// from the disk still, and answer 500 if it no longer reads them. A
+	// restart after that point recovers only what was journaled before
+	// the failure.
 	degraded atomic.Bool
 
 	// inconsistent counts recovery divergences: regenerated reports whose
@@ -101,12 +105,13 @@ type walState struct {
 
 	// Recovery summary, fixed once New returns. The phases split New's
 	// recovery time: wal.Open — readTime of it reading the directory up to
-	// the first restore (all of it without one), restoreTime restoring the
-	// checkpoint — then the backend's catch-up over the journal after the
-	// checkpoint, which starts at catchupFrom. worldWait is how long
-	// recovery waited for the world, in the open or after it.
-	// journalSegments and journalBytes are what the open read of the
-	// journal.
+	// the first checkpoint's decode (all of it without one), decodeTime
+	// decoding checkpoints, which needs no world and overlaps its build,
+	// restoreTime adopting the decoded state once the world is there —
+	// then the backend's catch-up over the journal after the checkpoint,
+	// which starts at catchupFrom. worldWait is how long recovery waited
+	// for the world, in the open or after it. The byte counts are what the
+	// open read of the checkpoint, the journal and the reports.
 	recoveredBuckets int
 	replayedBuckets  int
 	recoveredBatches int
@@ -114,12 +119,15 @@ type walState struct {
 	truncatedBytes   int64
 	openTime         time.Duration
 	readTime         time.Duration
+	decodeTime       time.Duration
 	worldWait        time.Duration
 	restoreTime      time.Duration
 	catchupFrom      time.Time
 	recoveryMS       int64
 	journalSegments  int
 	journalBytes     int64
+	checkpointBytes  int64
+	reportsBytes     int64
 }
 
 // The queueJournal hooks. Append errors degrade durability instead of
@@ -158,19 +166,20 @@ func (ws *walState) absorb(err error) {
 		return
 	}
 	if ws.degraded.CompareAndSwap(false, true) {
+		ws.reports.hold()
 		slog.Error("wal.degraded", "err", err)
 	}
 }
 
 // regenerated checks a just-published report against the journaled
 // report of its window, if any, and reports whether the journal already
-// holds it, and which report record holds its bytes (-1 for none). Equal
-// bytes are the rule. Other bytes that decode are a divergence: counted
-// and logged, and the log serves the regeneration while the journal keeps
-// what it has. Journaled bytes that are not a report passed their CRC, so
-// they are a bug, not disk corruption: they are counted and logged too,
-// and the regeneration is journaled anew.
-func (ws *walState) regenerated(rep *pipeline.Report, canonical []byte) (held bool, record int) {
+// holds it, and which report record holds its bytes (the zero ref for
+// none). Equal bytes are the rule. Other bytes that decode are a
+// divergence: counted and logged, and the log serves the regeneration
+// while the journal keeps what it has. Journaled bytes that are not a
+// report passed their CRC, so they are a bug, not disk corruption: they
+// are counted and logged too, and the regeneration is journaled anew.
+func (ws *walState) regenerated(rep *pipeline.Report, canonical []byte) (held bool, record wal.ReportRef) {
 	win := walWindow{rep.From, rep.To}
 	ws.mu.Lock()
 	i, ok := ws.byWindow[win]
@@ -183,39 +192,43 @@ func (ws *walState) regenerated(rep *pipeline.Report, canonical []byte) (held bo
 	ws.mu.Unlock()
 	switch {
 	case !ok:
-		return false, -1
+		return false, wal.ReportRef{}
 	case bytes.Equal(jr.Canonical, canonical):
-		return true, jr.Index
+		return true, jr.Ref
 	}
 	ws.inconsistent.Add(1)
 	if _, err := pipeline.ReportFromCanonical(jr.Canonical); err != nil {
 		slog.Error("recovery.report_undecodable", "seq", jr.Seq, "err", err)
-		return false, -1
+		return false, wal.ReportRef{}
 	}
 	slog.Error("recovery.report_mismatch", "from", rep.From, "to", rep.To)
-	return true, -1
+	return true, wal.ReportRef{}
 }
 
 // journalReport appends a newly published report and drives the
-// compaction cadence. During recovery, a report the journal already holds
-// is not appended again.
-func (ws *walState) journalReport(seq int64, rep *pipeline.Report, canonical []byte) {
+// compaction cadence, and returns the record holding its bytes (the zero
+// ref for none). During recovery, a report the journal already holds is
+// not appended again.
+func (ws *walState) journalReport(seq int64, rep *pipeline.Report, canonical []byte) (record wal.ReportRef) {
 	ws.lastRecord = -1
+	defer func() {
+		if record.Segment != 0 {
+			ws.lastRecord = record.Index
+		}
+	}()
 	if ws.verifying.Load() {
-		if held, record := ws.regenerated(rep, canonical); held {
-			ws.lastRecord = record
-			return
+		if held, ref := ws.regenerated(rep, canonical); held {
+			return ref
 		}
 	}
 	if ws.degraded.Load() {
-		return
+		return wal.ReportRef{}
 	}
-	err := ws.log.AppendReport(wal.Report{
+	record, err := ws.log.AppendReportRef(wal.Report{
 		Seq: seq, From: rep.From, To: rep.To, Final: rep.Final, Canonical: canonical,
 	})
 	ws.absorb(err)
 	if err == nil {
-		ws.lastRecord = ws.reportRecords
 		ws.reportRecords++
 	}
 	ws.mu.Lock()
@@ -226,7 +239,7 @@ func (ws *walState) journalReport(seq int64, rep *pipeline.Report, canonical []b
 	}
 	ws.mu.Unlock()
 	if !due || ws.degraded.Load() {
-		return
+		return record
 	}
 	select {
 	case ws.compacting <- struct{}{}:
@@ -236,6 +249,18 @@ func (ws *walState) journalReport(seq int64, rep *pipeline.Report, canonical []b
 		}()
 	default:
 	}
+	return record
+}
+
+// readReport reads back the bytes of a retained report whose record ref
+// names, checked to be that report's: wal.ReadReport verifies the frame
+// and its index, and the record must hold the report's window.
+func (ws *walState) readReport(sr storedReport) ([]byte, error) {
+	rep, err := ws.log.ReadReport(sr.ref)
+	if err == nil && (rep.From != sr.from || rep.To != sr.to) {
+		err = fmt.Errorf("report record %d holds window [%d, %d], not [%d, %d]", sr.ref.Index, rep.From, rep.To, sr.from, sr.to)
+	}
+	return rep.Canonical, err
 }
 
 // compact runs one compaction pass and says what it did.
@@ -302,8 +327,9 @@ func (ws *walState) health() *WALHealth {
 // keeps the journaled reports after the checkpoint as the evidence the
 // regenerated ones will be checked against, and notes the positions of
 // the drain flushes among the reads to replay. world is New's deps: the
-// open waits for it only to restore a checkpoint, once the journal is
-// read. It runs before the backend goroutine starts.
+// open waits for it only to adopt a checkpoint, once the journal is read
+// and the checkpoint decoded. It runs before the backend goroutine
+// starts.
 func (s *Server) openWAL(cfg Config, world func() (pipeline.Deps, error)) (*wal.Recovery, error) {
 	wcfg := cfg.WAL
 	if wcfg.Meta == "" {
@@ -317,19 +343,27 @@ func (s *Server) openWAL(cfg Config, world func() (pipeline.Deps, error)) (*wal.
 		wcfg.Meta = fmt.Sprintf("pipe=%+v|warmup=%d|manual=%v", pc, cfg.WarmupBuckets, cfg.ManualSeal)
 	}
 	var deps pipeline.Deps
-	var readTime, restoreTime time.Duration
+	var readTime, decodeTime, restoreTime time.Duration
 	opening := time.Now()
 	wcfg.Await = func() (err error) {
-		if readTime == 0 {
-			readTime = time.Since(opening)
-		}
 		deps, err = world()
 		return err
 	}
-	wcfg.Restore = func(ck wal.Checkpoint, rec *wal.Recovery) error {
+	wcfg.Restore = func(ck wal.Checkpoint, rec *wal.Recovery) (func() error, error) {
 		start := time.Now()
-		defer func() { restoreTime = time.Since(start) }()
-		return s.restore(deps, cfg, ck, rec)
+		if readTime == 0 {
+			readTime = start.Sub(opening)
+		}
+		st, err := s.decodeCheckpoint(cfg, ck, rec)
+		decodeTime += time.Since(start)
+		if err != nil {
+			return nil, err
+		}
+		return func() error {
+			start := time.Now()
+			defer func() { restoreTime = time.Since(start) }()
+			return s.adopt(deps, cfg, ck, st)
+		}, nil
 	}
 	lg, rec, err := wal.Open(cfg.DataDir, wcfg)
 	if err != nil {
@@ -355,9 +389,12 @@ func (s *Server) openWAL(cfg Config, world func() (pipeline.Deps, error)) (*wal.
 		truncatedBytes:   rec.TruncatedBytes,
 		openTime:         openTime,
 		readTime:         readTime,
+		decodeTime:       decodeTime,
 		restoreTime:      restoreTime,
 		journalSegments:  rec.JournalSegments,
 		journalBytes:     rec.JournalBytes,
+		checkpointBytes:  rec.CheckpointBytes,
+		reportsBytes:     rec.ReportsBytes,
 	}
 	if ws.compactEvery == 0 {
 		ws.compactEvery = DefaultCompactEveryReports
@@ -396,49 +433,53 @@ func (s *Server) openWAL(cfg Config, world func() (pipeline.Deps, error)) (*wal.
 	return rec, nil
 }
 
-// restore is wal.Config.Restore: it rebuilds the pipeline, the report log
-// and the queue from checkpoint ck, and is all or nothing — on an error
-// none is touched, and recovery falls back to an older checkpoint or to
-// zero. The restored log's entries take their canonical bytes from the
-// journaled reports, which must hold each entry's window at its seq. A
-// checkpoint retaining fewer reports than this daemon would
-// (-retain-reports was raised) is refused: replay serves the older ones
-// too.
-func (s *Server) restore(deps pipeline.Deps, cfg Config, ck wal.Checkpoint, rec *wal.Recovery) error {
-	pipe := pipeline.New(deps, cfg.Pipeline)
-	held := newIngestQueue(0, false)
-	headers, err := restoreState(ck.Body, pipe, held)
+// decodeCheckpoint is the first half of wal.Config.Restore: it decodes
+// checkpoint ck — what it needs of the world is checked once that is
+// built, by adopt — and checks the headers it retains against the
+// journaled reports, which must hold each one's window at its seq: the
+// restored log reads their bytes from there. A checkpoint retaining fewer
+// reports than this daemon would (-retain-reports was raised) is refused:
+// replay serves the older ones too. Its error rejects the checkpoint.
+func (s *Server) decodeCheckpoint(cfg Config, ck wal.Checkpoint, rec *wal.Recovery) (*decodedState, error) {
+	// One core is the world build's, which the decode runs beside.
+	st, err := decodeState(ck.Body, max(1, parallel.Resolve(cfg.Pipeline.Workers)-1))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if want := min(ck.Reports, s.reports.max); len(headers) < want {
-		return fmt.Errorf("holds %d reports, the log retains %d", len(headers), want)
+	if want := min(ck.Reports, s.reports.max); len(st.headers) < want {
+		return nil, fmt.Errorf("holds %d reports, the log retains %d", len(st.headers), want)
 	}
-	headers = headers[len(headers)-min(len(headers), s.reports.max):]
-	for i := range headers {
-		h := &headers[i]
+	st.headers = st.headers[len(st.headers)-min(len(st.headers), s.reports.max):]
+	for i := range st.headers {
+		h := &st.headers[i]
 		if h.seq >= int64(ck.Reports) {
-			return fmt.Errorf("report %d past the cut", h.seq)
+			return nil, fmt.Errorf("report %d past the cut", h.seq)
 		}
 		jr := rec.Report(int(h.seq))
 		switch {
 		case jr == nil:
-			return fmt.Errorf("report %d is no longer journaled", h.seq)
+			return nil, fmt.Errorf("report %d is no longer journaled", h.seq)
 		case jr.From != h.from || jr.To != h.to:
-			return fmt.Errorf("report %d is window [%d, %d], the journal's [%d, %d]", h.seq, h.from, h.to, jr.From, jr.To)
+			return nil, fmt.Errorf("report %d is window [%d, %d], the journal's [%d, %d]", h.seq, h.from, h.to, jr.From, jr.To)
 		}
+		h.ref = jr.Ref
 	}
-	for i := range headers {
-		headers[i].canonical = rec.Report(int(headers[i].seq)).Canonical
-	}
-	for i := range rec.Reports {
-		if rec.Reports[i].Index < ck.Reports {
-			rec.Reports[i].Canonical = nil
-		}
+	return st, nil
+}
+
+// adopt is the second half of wal.Config.Restore: it builds the pipeline
+// over the world, deps, adopts the decoded state into it, and takes it,
+// the retained headers and the queue as the server's. It is all or
+// nothing — on an error none is touched, and recovery falls back to an
+// older checkpoint or to zero.
+func (s *Server) adopt(deps pipeline.Deps, cfg Config, ck wal.Checkpoint, st *decodedState) error {
+	pipe := pipeline.New(deps, cfg.Pipeline)
+	if err := pipe.AdoptCheckpoint(st.pipe); err != nil {
+		return err
 	}
 	s.pipe = pipe
-	s.reports.reports, s.reports.nextSeq = headers, int64(ck.Reports)
-	s.q.adopt(held)
+	s.reports.reports, s.reports.nextSeq = st.headers, int64(ck.Reports)
+	s.q.adopt(st.queue)
 	return nil
 }
 
@@ -521,7 +562,9 @@ func (ws *walState) verifyRegenerated(start time.Time) {
 			slog.Error("recovery.report_undecodable", "seq", jr.Seq, "err", err)
 			continue
 		}
-		ws.reports.add(stored(ws.reports.count(), rep, jr.Canonical))
+		sr := stored(ws.reports.count(), rep, jr.Canonical)
+		sr.ref = jr.Ref
+		ws.reports.add(sr)
 		unregenerated++
 	}
 	if unregenerated > 0 {
@@ -538,9 +581,10 @@ func (ws *walState) verifyRegenerated(start time.Time) {
 			"truncated_bytes", ws.truncatedBytes, "inconsistent", ws.inconsistent.Load(),
 			"checkpoint_bucket", ckBucket, "replayed_buckets", ws.replayedBuckets,
 			"journal_segments", ws.journalSegments, "journal_bytes", ws.journalBytes,
+			"checkpoint_bytes", ws.checkpointBytes, "reports_bytes", ws.reportsBytes,
 			"duration_ms", ws.recoveryMS, "open_ms", ws.openTime.Milliseconds(),
-			"read_ms", ws.readTime.Milliseconds(), "world_wait_ms", ws.worldWait.Milliseconds(),
-			"restore_ms", ws.restoreTime.Milliseconds(),
+			"read_ms", ws.readTime.Milliseconds(), "decode_ms", ws.decodeTime.Milliseconds(),
+			"world_wait_ms", ws.worldWait.Milliseconds(), "restore_ms", ws.restoreTime.Milliseconds(),
 			"catchup_ms", caughtUp.Sub(ws.catchupFrom).Milliseconds())
 	}
 }

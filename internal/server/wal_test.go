@@ -696,6 +696,92 @@ func TestWALDegradedDisk(t *testing.T) {
 	}
 }
 
+// TestWALDegradedKeepsReports degrades a daemon whose report log already
+// holds older reports by reference, the data directory gone under it.
+// The reports released before the failure are read back from the disk,
+// which no longer reads them: each answers 500, counted in
+// server.reports.read_failed. No report releases its bytes after the
+// failure, so every other one — the newest few at the failure and all
+// published since — is served from memory, byte-identical to an
+// in-memory daemon's.
+func TestWALDegradedKeepsReports(t *testing.T) {
+	const healthy, horizon = 16, 40
+	streams := simStreams(newTestSim(1), horizon)
+	mkSim := func() *sim.Simulator { return newTestSim(1) }
+	feed := func(e *walEnv, b int) {
+		t.Helper()
+		postWithRetry(t, e.ts.Client(), e.ts.URL+"/v1/ingest", jsonlBody(t, streams[b]))
+		if st, body := postSeal(t, e.ts.Client(), e.ts.URL, netmodel.Bucket(b)); st != http.StatusAccepted {
+			t.Fatalf("seal %d = %d (%s)", b, st, body)
+		}
+		e.quiesce(t, netmodel.Bucket(b))
+	}
+	released := func(e *walEnv) int {
+		return len(e.srv.reports.reports) - e.srv.reports.resident()
+	}
+
+	ref := openEnv(t, "", mkSim, nil)
+	for b := range horizon {
+		feed(ref, b)
+	}
+	want := map[netmodel.Bucket][]byte{}
+	ref.srv.reports.each(func(sr *storedReport) { want[sr.to] = sr.canonical })
+	ref.close(t)
+
+	dir := t.TempDir()
+	e := openEnv(t, dir, mkSim, func(c *Config) {
+		c.WAL.SegmentBytes = 4 << 10 // rotate every few records
+	})
+	for b := range healthy {
+		feed(e, b)
+	}
+	if released(e) == 0 {
+		t.Fatal("no report was released to the journal before the failure")
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	atFailure, publishedAt := -1, int64(0)
+	for b := healthy; b < horizon; b++ {
+		feed(e, b)
+		if atFailure < 0 && e.srv.WALHealth().Degraded {
+			atFailure, publishedAt = released(e), e.srv.Reports()
+		}
+	}
+	if atFailure < 0 {
+		t.Fatal("removing the data directory never degraded durability")
+	}
+	if n := e.srv.Reports() - publishedAt; n <= residentReports {
+		t.Fatalf("%d reports published after the failure, want more than %d", n, residentReports)
+	}
+	if n := released(e); n != atFailure {
+		t.Errorf("%d reports hold no bytes, %d did when the journal degraded", n, atFailure)
+	}
+
+	env := &testEnv{srv: e.srv, ts: e.ts}
+	var tos []netmodel.Bucket
+	e.srv.reports.each(func(sr *storedReport) { tos = append(tos, sr.to) })
+	failed := 0
+	for _, to := range tos {
+		status, body := env.get(t, fmt.Sprintf("/v1/reports/%d", to))
+		switch {
+		case status == http.StatusInternalServerError:
+			failed++
+		case status != http.StatusOK:
+			t.Errorf("report %d was served %d", to, status)
+		case !bytes.Equal(bytes.TrimSuffix(body, []byte("\n")), want[to]):
+			t.Errorf("report %d was served other bytes than the in-memory daemon's", to)
+		}
+	}
+	if failed != atFailure {
+		t.Errorf("%d reports answered 500, want the %d released before the failure", failed, atFailure)
+	}
+	if counters, _ := env.metricsSnapshot(t); counters["server.reports.read_failed"] != int64(failed) {
+		t.Errorf("server.reports.read_failed = %d, want %d", counters["server.reports.read_failed"], failed)
+	}
+	e.close(t)
+}
+
 // TestRetryAfterDerivation pins the queue-occupancy → Retry-After
 // mapping, including the full-queue answer of 5s and the clamp.
 func TestRetryAfterDerivation(t *testing.T) {
@@ -1301,7 +1387,7 @@ func logEvents(t *testing.T, buf *bytes.Buffer) []string {
 		if err := json.Unmarshal([]byte(line), &ev); err != nil {
 			t.Fatalf("log line %q is not JSON: %v", line, err)
 		}
-		for _, k := range []string{"duration_ms", "open_ms", "read_ms", "world_wait_ms", "restore_ms", "catchup_ms", "ms"} {
+		for _, k := range []string{"duration_ms", "open_ms", "read_ms", "decode_ms", "world_wait_ms", "restore_ms", "catchup_ms", "ms"} {
 			if d, ok := ev[k].(float64); ok && d >= 0 {
 				ev[k] = "ok"
 			}
@@ -1394,7 +1480,7 @@ func TestWALLogEvents(t *testing.T) {
 
 	want := []string{
 		`{"err":"set","msg":"recovery.report_undecodable","seq":1}`,
-		`{"batches":0,"buckets":0,"catchup_ms":"ok","checkpoint_bucket":-1,"duration_ms":"ok","inconsistent":1,"journal_bytes":43,"journal_segments":1,"msg":"recovery.complete","open_ms":"ok","read_ms":"ok","replayed_buckets":0,"reports":1,"restore_ms":"ok","truncated_bytes":0,"world_wait_ms":"ok"}`,
+		`{"batches":0,"buckets":0,"catchup_ms":"ok","checkpoint_bucket":-1,"checkpoint_bytes":0,"decode_ms":"ok","duration_ms":"ok","inconsistent":1,"journal_bytes":43,"journal_segments":1,"msg":"recovery.complete","open_ms":"ok","read_ms":"ok","replayed_buckets":0,"reports":1,"reports_bytes":100,"restore_ms":"ok","truncated_bytes":0,"world_wait_ms":"ok"}`,
 		`{"from":0,"msg":"recovery.report_mismatch","to":2}`,
 		`{"msg":"recovery.unregenerated","n":1}`,
 		`{"err":"disk gone","msg":"wal.degraded"}`,

@@ -56,8 +56,10 @@ type Checkpoint struct {
 	// Config.Restore; it is not kept past that.
 	Body []byte
 
-	// seam is the journal segment Cut started at the checkpoint.
-	seam uint64
+	// seam is the journal segment Cut started at the checkpoint, and bytes
+	// the size of the file it was read from.
+	seam  uint64
+	bytes int64
 }
 
 // ckptFile is a kept checkpoint as compaction judges by it: its position,
@@ -149,6 +151,7 @@ func readCheckpoint(dir string, reads int) (*Checkpoint, error) {
 	if ck.Reads != reads {
 		return nil, fmt.Errorf("position %d under another name", ck.Reads)
 	}
+	ck.bytes = int64(len(data))
 	return &ck, nil
 }
 

@@ -72,16 +72,16 @@ func TestCheckpointRecovery(t *testing.T) {
 
 	var offered []Checkpoint
 	refuse := 0
-	cfg.Restore = func(ck Checkpoint, rec *Recovery) error {
+	cfg.Restore = func(ck Checkpoint, rec *Recovery) (func() error, error) {
 		offered = append(offered, ck)
 		if len(rec.Reports) != 2 {
 			t.Errorf("Restore saw %d reports, want all 2", len(rec.Reports))
 		}
 		if refuse > 0 {
 			refuse--
-			return errors.New("refused")
+			return nil, errors.New("refused")
 		}
-		return nil
+		return nil, nil
 	}
 	_, rec, err := Open(dir, cfg)
 	if err != nil {
@@ -157,9 +157,9 @@ func TestCheckpointRejectedAtOpen(t *testing.T) {
 			}
 			l.Close()
 			tc.write(dir)
-			cfg.Restore = func(Checkpoint, *Recovery) error {
+			cfg.Restore = func(Checkpoint, *Recovery) (func() error, error) {
 				t.Error("Restore was offered a checkpoint Open should have rejected")
-				return nil
+				return nil, nil
 			}
 			l, rec, err := Open(dir, cfg)
 			if err != nil {
@@ -193,9 +193,9 @@ func TestCheckpointUnremovable(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(stuck, "x"), 0o777); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Restore = func(Checkpoint, *Recovery) error {
+	cfg.Restore = func(Checkpoint, *Recovery) (func() error, error) {
 		t.Error("Restore was offered a checkpoint that does not read")
-		return nil
+		return nil, nil
 	}
 	if l, _, err := Open(dir, cfg); err == nil {
 		l.Close()
@@ -306,15 +306,15 @@ func TestCompactionUnlinksBeforeTheOlderSeam(t *testing.T) {
 	}
 	restoring := func(offered *[]int, refuse int) Config {
 		c := cfg
-		c.Restore = func(ck Checkpoint, rec *Recovery) error {
+		c.Restore = func(ck Checkpoint, rec *Recovery) (func() error, error) {
 			*offered = append(*offered, ck.Reads)
 			if len(*offered) <= refuse {
-				return errors.New("refused")
+				return nil, errors.New("refused")
 			}
 			if rec.Report(ck.Keep) == nil {
 				t.Errorf("the reports family lost report %d, which checkpoint %d names", ck.Keep, ck.Reads)
 			}
-			return nil
+			return nil, nil
 		}
 		return c
 	}
@@ -424,6 +424,105 @@ func TestDecodeCheckpointVersion(t *testing.T) {
 		want := fmt.Sprintf("format version %d, this build reads %d", v, ckptVersion)
 		if _, err := DecodeCheckpoint(data); err == nil || err.Error() != want {
 			t.Errorf("version %d: %v, want %q", v, err, want)
+		}
+	}
+}
+
+// TestReportsByReference journals six reports over several segments of
+// the reports family, with a checkpoint after the third, and reopens.
+// Every report reads back by its ReportRef, before the reopen and after.
+// The open walks the three reports the checkpoint holds, reading their
+// headers alone, and reads the three after it whole. A read whose record
+// does not check out — a byte of it flipped, another index, another
+// offset, a segment that is gone — fails and returns no bytes.
+func TestReportsByReference(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Fsync: SyncOff, Meta: "m", SegmentBytes: 600}
+	l, _, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canonical := func(i int) []byte { return bytes.Repeat([]byte{'a' + byte(i)}, 150+i) }
+	var refs []ReportRef
+	for b := netmodel.Bucket(0); b < 6; b++ {
+		if err := l.AppendBucket(b, obsFor(b, 1)); err != nil {
+			t.Fatal(err)
+		}
+		ref, err := l.AppendReportRef(Report{Seq: int64(b), From: b, To: b, Canonical: canonical(int(b))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs = append(refs, ref)
+		if b == 2 {
+			writeCheckpoint(t, l, Checkpoint{Reads: 3, Bucket: 2, Reports: 3}, "s")
+		}
+	}
+	readAll := func(l *Log) {
+		t.Helper()
+		for i, ref := range refs {
+			rep, err := l.ReadReport(ref)
+			if err != nil || rep.Index != i || rep.To != netmodel.Bucket(i) || !bytes.Equal(rep.Canonical, canonical(i)) {
+				t.Fatalf("report %d read back as %+v, %v", i, rep, err)
+			}
+		}
+	}
+	readAll(l)
+	if refs[0].Segment == refs[5].Segment {
+		t.Fatalf("the reports share segment %d: the test wants several", refs[0].Segment)
+	}
+	l.Close()
+
+	cfg.Restore = func(Checkpoint, *Recovery) (func() error, error) { return nil, nil }
+	l, rec, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if rec.Checkpoint == nil || len(rec.Reports) != 6 {
+		t.Fatalf("recovered %d reports from %+v, want 6 from the checkpoint", len(rec.Reports), rec.Checkpoint)
+	}
+	family := int64(0)
+	names, _ := filepath.Glob(filepath.Join(dir, "reports-*.log"))
+	for _, name := range names {
+		st, err := os.Stat(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		family += st.Size()
+	}
+	if rec.ReportsBytes >= family || rec.CheckpointBytes == 0 {
+		t.Errorf("the open read %d of the reports family's %d bytes and %d of the checkpoint: want less than all, and some", rec.ReportsBytes, family, rec.CheckpointBytes)
+	}
+	for i, jr := range rec.Reports {
+		if jr.Ref != refs[i] {
+			t.Errorf("report %d opens at %+v, was appended at %+v", i, jr.Ref, refs[i])
+		}
+		if walked := i < 3; walked != (jr.Canonical == nil) || !walked && !bytes.Equal(jr.Canonical, canonical(i)) {
+			t.Errorf("report %d opens with %d bytes: want none before the checkpoint, all after", i, len(jr.Canonical))
+		}
+	}
+	readAll(l)
+
+	seg := filepath.Join(dir, l.reps.segName(refs[1].Segment))
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := slices.Clone(data)
+	flipped[refs[1].Offset+refs[1].Length-1] ^= 1
+	if err := os.WriteFile(seg, flipped, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	moved := refs[0]
+	moved.Offset++
+	gone := refs[0]
+	gone.Segment = 1 << 20
+	for name, ref := range map[string]ReportRef{
+		"flipped": refs[1], "another index": {Index: 3, Segment: refs[0].Segment, Offset: refs[0].Offset, Length: refs[0].Length},
+		"another offset": moved, "gone": gone, "none": {},
+	} {
+		if rep, err := l.ReadReport(ref); err == nil || rep.Canonical != nil {
+			t.Errorf("%s: read back %d bytes, %v: want an error and no bytes", name, len(rep.Canonical), err)
 		}
 	}
 }

@@ -85,12 +85,13 @@ func crcMatches(hdr, payload []byte) bool {
 }
 
 // rawRecord is one CRC-valid record as scanned from a segment, with its
-// decoded body. The body slice aliases the scanned file buffer; decoded
-// values own their memory.
+// decoded body and how many bytes its frame takes. The body slice aliases
+// the scanned file buffer; decoded values own their memory.
 type rawRecord struct {
 	typ  byte
 	body []byte
 	val  any
+	size int64
 }
 
 // scanRecords walks data (a segment's bytes after the header) and returns
@@ -119,7 +120,7 @@ func scanRecords(data []byte, kinds string) (recs []rawRecord, valid int64) {
 		if !crcMatches(rest, payload) || strings.IndexByte(kinds, payload[0]) < 0 {
 			break
 		}
-		recs = append(recs, rawRecord{typ: payload[0], body: payload[1:]})
+		recs = append(recs, rawRecord{typ: payload[0], body: payload[1:], size: frameHeader + n})
 		off += frameHeader + n
 	}
 	ok := make([]bool, len(recs))
@@ -130,7 +131,7 @@ func scanRecords(data []byte, kinds string) (recs []rawRecord, valid int64) {
 		if !ok[i] {
 			return recs[:i], valid
 		}
-		valid += frameHeader + 1 + int64(len(recs[i].body))
+		valid += recs[i].size
 	}
 	return recs, valid
 }
@@ -319,6 +320,18 @@ func readPosition(r *reader) position {
 	return position{reads: r.position(), last: netmodel.Bucket(r.varint()), reports: r.position()}
 }
 
+// readReport reads a report record's body: its header, then the canonical
+// bytes, which alias the body.
+func readReport(r *reader) Report {
+	rep := Report{Index: r.position(), AfterBuckets: r.position()}
+	rep.Seq = r.varint()
+	rep.From = netmodel.Bucket(r.varint())
+	rep.To = netmodel.Bucket(r.varint())
+	rep.Final = r.varint() != 0
+	rep.Canonical = r.rest()
+	return rep
+}
+
 // decodeBody checks one record body by type and decodes it. A false
 // return marks the record — and everything after it — as the corrupt
 // tail.
@@ -338,12 +351,8 @@ func decodeBody(typ byte, body []byte) (val any, ok bool) {
 	case recBase:
 		val = readPosition(r)
 	case recReport:
-		rep := Report{Index: r.position(), AfterBuckets: r.position()}
-		rep.Seq = r.varint()
-		rep.From = netmodel.Bucket(r.varint())
-		rep.To = netmodel.Bucket(r.varint())
-		rep.Final = r.varint() != 0
-		rep.Canonical = append([]byte(nil), r.rest()...)
+		rep := readReport(r)
+		rep.Canonical = append([]byte(nil), rep.Canonical...)
 		return rep, !r.err
 	default:
 		return nil, false

@@ -64,7 +64,7 @@ func populate(t *testing.T, l *Log, from, to netmodel.Bucket) {
 // smallSegments spreads populate's records over several segments of each
 // family, so that a pass has more than one to unlink; it restores every
 // checkpoint offered.
-var smallSegments = Config{Fsync: SyncOff, Meta: "m", SegmentBytes: 200, Restore: func(Checkpoint, *Recovery) error { return nil }}
+var smallSegments = Config{Fsync: SyncOff, Meta: "m", SegmentBytes: 200, Restore: func(Checkpoint, *Recovery) (func() error, error) { return nil, nil }}
 
 // projection is what a recovery hands the daemon: where it starts, the
 // journal after it, and the reports from the checkpoint's first on.

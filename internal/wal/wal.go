@@ -37,7 +37,10 @@
 // Torn and corrupt tails: the scanner validates every record's CRC and
 // body on open, truncates each family at its last valid record, deletes
 // the family's later segments, and reports the discarded byte count so
-// the daemon can surface it in /healthz.
+// the daemon can surface it in /healthz. The reports a checkpoint holds
+// are the exception: they were written before it, so the open walks them
+// frame by frame, reading each one's header alone, and ReadReport
+// verifies each one's frame when it is read back.
 package wal
 
 import (
@@ -94,15 +97,19 @@ type Config struct {
 	// Restore, when set, is offered the newest checkpoint whose seam — the
 	// journal segment it started — opens at its position, with the journal
 	// scanned from the seam on (Journal holds the records after the
-	// checkpoint, Reports the reports family).
-	// When it returns nil recovery goes on from the checkpoint; an error
-	// rejects the checkpoint and Open tries the next older one. Without
-	// Restore, checkpoints are ignored and the journal is read from zero.
-	Restore func(Checkpoint, *Recovery) error
-	// Await, when set, is called before each Restore, once the directory
-	// and the journal are read: it waits for what Restore needs besides
-	// them (the daemon's world, built meanwhile). Its error fails Open
-	// and rejects no checkpoint.
+	// checkpoint, Reports the reports family). It decodes the checkpoint,
+	// needing nothing but the directory, and returns adopt, which Open
+	// calls once Await has returned: adopt checks what the decoded state
+	// needs of the rest (the daemon's world) and takes it as the daemon's.
+	// When both return nil recovery goes on from the checkpoint; an error
+	// from either rejects the checkpoint and Open tries the next older
+	// one. Without Restore, checkpoints are ignored and the journal is
+	// read from zero.
+	Restore func(Checkpoint, *Recovery) (adopt func() error, err error)
+	// Await, when set, is called between each Restore and its adopt: it
+	// waits for what adopt needs besides the directory (the daemon's
+	// world, built meanwhile). Its error fails Open and rejects no
+	// checkpoint.
 	Await func() error
 }
 
@@ -170,6 +177,18 @@ type Report struct {
 	// replayed read.
 	Index        int
 	AfterBuckets int
+	// Ref is where the report's record sits, set by Open and ReadReport.
+	Ref ReportRef
+}
+
+// ReportRef is where a journaled report's record sits in the reports
+// family: its index, its segment, and its frame's offset and length
+// there. The zero ReportRef names no record (segments count from 1).
+type ReportRef struct {
+	Index   int
+	Segment uint64
+	Offset  int64
+	Length  int64
 }
 
 // Kind is what a journal record is.
@@ -218,15 +237,22 @@ type Recovery struct {
 	// in queue order.
 	Journal []Record
 	// Reports are the reports the reports family holds, in Index order,
-	// and NextReport the Index the next one journaled takes.
+	// each with its Ref, and NextReport the Index the next one journaled
+	// takes. Only the reports from the checkpoint's on — all of them
+	// without one — carry their Canonical bytes: the ones before it were
+	// walked header by header, not read.
 	Reports    []Report
 	NextReport int
 	// TruncatedBytes is how much corrupt tail the open discarded.
 	TruncatedBytes int64
 	// JournalSegments and JournalBytes are what the open read of the
-	// journal: its segments from the seam on.
+	// journal: its segments from the seam on. CheckpointBytes is the size
+	// of the checkpoint recovery continues from, and ReportsBytes what the
+	// open read of the reports family.
 	JournalSegments int
 	JournalBytes    int64
+	CheckpointBytes int64
+	ReportsBytes    int64
 
 	// at is the journal folded so far; its reports are the count the
 	// latest base read restates.
@@ -264,7 +290,6 @@ type segment struct {
 // family is one series of segment files, appended to at its last.
 type family struct {
 	prefix string // file names are prefix-%010d.log
-	kinds  string // the record types its segments may hold
 	// preamble is how many records open each of its segments: the meta
 	// record, and in the journal the base. A segment whose valid records
 	// stop short of them is dropped whole.
@@ -438,8 +463,8 @@ func open(dir string, cfg Config, ck *Checkpoint) (*Log, *Recovery, error) {
 	l := &Log{
 		dir:  dir,
 		cfg:  cfg,
-		jrn:  family{prefix: "wal", kinds: journalKinds, preamble: 2},
-		reps: family{prefix: "reports", kinds: reportKinds, preamble: 1},
+		jrn:  family{prefix: "wal", preamble: 2},
+		reps: family{prefix: "reports", preamble: 1},
 		pos:  origin,
 	}
 	l.stats.LastCheckpoint.Bucket = -1
@@ -468,7 +493,7 @@ func open(dir string, cfg Config, ck *Checkpoint) (*Log, *Recovery, error) {
 		l.jrn.sealed = append(l.jrn.sealed, segment{seq: seq})
 	}
 	seam := ck != nil
-	changed, err := l.openFamily(&l.jrn, seqs[from:], rec, func(s *segment, recs []rawRecord, size int64) (int, error) {
+	changed, err := l.openFamily(&l.jrn, seqs[from:], rec, scanJournal, func(s *segment, recs []rawRecord, size int64) (int, error) {
 		rec.JournalSegments++
 		rec.JournalBytes += size
 		if len(recs) < 2 || recs[0].typ != recMeta || recs[1].typ != recBase {
@@ -496,8 +521,16 @@ func open(dir string, cfg Config, ck *Checkpoint) (*Log, *Recovery, error) {
 	}
 	l.pos = rec.at
 
-	// The reports, whole.
-	repChanged, err := l.openFamily(&l.reps, l.reps.segSeqs(entries), rec, func(s *segment, recs []rawRecord, _ int64) (int, error) {
+	// The reports: those the checkpoint holds are walked, the ones after it
+	// read whole, as replay checks its regenerated reports against them.
+	walked := 0
+	if ck != nil {
+		walked = ck.Reports
+		rec.CheckpointBytes = ck.bytes
+	}
+	scan := func(path string, seq uint64) (scanned, error) { return scanReports(path, seq, walked) }
+	repChanged, err := l.openFamily(&l.reps, l.reps.segSeqs(entries), rec, scan, func(s *segment, recs []rawRecord, size int64) (int, error) {
+		rec.ReportsBytes += size
 		n, err := interpret(rec, recs, cfg.Meta)
 		if k := len(rec.Reports); k > 0 {
 			s.next = rec.Reports[k-1].Index + 1
@@ -511,15 +544,25 @@ func open(dir string, cfg Config, ck *Checkpoint) (*Log, *Recovery, error) {
 	rec.NextReport = l.pos.reports
 	l.reps.cur.next = l.pos.reports
 
-	// Everything above needs nothing but the directory; the restore may
-	// need more.
+	// Everything above needs nothing but the directory, and so does the
+	// checkpoint's decode; taking the decoded state may need more.
+	var adopt func() error
+	if err == nil && ck != nil {
+		var why error
+		if adopt, why = cfg.Restore(*ck, rec); why != nil {
+			err = rejection{why}
+		}
+	}
 	if err == nil && ck != nil && cfg.Await != nil {
 		err = cfg.Await()
 	}
 	if err == nil && ck != nil {
-		if why := cfg.Restore(*ck, rec); why != nil {
-			err = rejection{why}
-		} else {
+		if adopt != nil {
+			if why := adopt(); why != nil {
+				err = rejection{why}
+			}
+		}
+		if err == nil {
 			ck.Body = nil
 			rec.Checkpoint = ck
 			l.stats.LastCheckpoint.Bucket = ck.Bucket
@@ -545,36 +588,178 @@ func open(dir string, cfg Config, ck *Checkpoint) (*Log, *Recovery, error) {
 	return l, rec, nil
 }
 
-// openFamily scans one family's segments in order, hands fold each one's
-// valid records, and opens the last for append; a family with none starts
-// one. fold folds the records it takes into rec and books the segment; it
-// returns how many it took, fewer cutting the family there, or an error
-// that ends the open. The first corruption truncates the family: the file
-// is cut back to its last valid record — a segment left without its
-// preamble is removed whole — and every later segment of the family is
-// removed: replay needs a consistent prefix of each family, and anything
-// after a corrupt record has no trustworthy order against it. It reports
-// whether it created or removed a segment: syncing the directory is the
-// caller's.
-func (l *Log) openFamily(fam *family, seqs []uint64, rec *Recovery, fold func(*segment, []rawRecord, int64) (int, error)) (bool, error) {
+// scanned is what openFamily takes of one segment: its valid records, the
+// bytes they take after the header, the file's size and the bytes read.
+type scanned struct {
+	recs        []rawRecord
+	valid, size int64
+	read        int64
+}
+
+// scanJournal reads a journal segment whole and scans it.
+func scanJournal(path string, _ uint64) (scanned, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return scanned{}, fmt.Errorf("wal: %w", err)
+	}
+	if err := checkVersion(path, data); err != nil {
+		return scanned{}, err
+	}
+	sc := scanned{size: int64(len(data)), read: int64(len(data))}
+	if len(data) >= segHeader && string(data[:len(segMagic)]) == segMagic {
+		sc.recs, sc.valid = scanRecords(data[segHeader:], journalKinds)
+	}
+	return sc, nil
+}
+
+// peekBytes is how much of a frame the walk of the reports reads: the
+// frame's header, its type and a report's six header varints.
+const peekBytes = frameHeader + 1 + 6*binary.MaxVarintLen64
+
+// scanReports reads reports segment seq. The reports before index walked
+// are walked: each frame's header and the report's are read, and the walk
+// steps over the canonical bytes, unread and unchecked — ReadReport
+// checks them when they are read back. The segment's meta record is read
+// and checked whole. From the first frame the walk cannot vouch for — a
+// report from walked on, a length past the file, a header that does not
+// decode — the rest of the segment is read and scanned as any segment is.
+func scanReports(path string, seq uint64, walked int) (scanned, error) {
+	var sc scanned
+	f, err := os.Open(path)
+	if err != nil {
+		return sc, fmt.Errorf("wal: %w", err)
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return sc, fmt.Errorf("wal: %w", err)
+	}
+	sc.size = st.Size()
+	buf := make([]byte, peekBytes)
+	read := func(p []byte, off int64) error {
+		n, err := f.ReadAt(p, off)
+		sc.read += int64(n)
+		if err != nil {
+			return fmt.Errorf("wal: %w", err)
+		}
+		return nil
+	}
+	head := buf[:min(sc.size, int64(segHeader))]
+	if err := read(head, 0); err != nil {
+		return sc, err
+	}
+	if err := checkVersion(path, head); err != nil || len(head) < segHeader || string(head[:len(segMagic)]) != segMagic {
+		return sc, err
+	}
+	off := int64(segHeader)
+	for off < sc.size {
+		p := buf[:min(sc.size-off, peekBytes)]
+		if err := read(p, off); err != nil {
+			return sc, err
+		}
+		r, ok := peekReport(p, sc.size-off, walked)
+		if !ok && len(p) > frameHeader && p[frameHeader] == recMeta {
+			if r, ok, err = readMeta(p, off, sc.size-off, read); err != nil {
+				return sc, err
+			}
+		}
+		if !ok {
+			break
+		}
+		if rep, isReport := r.val.(Report); isReport {
+			rep.Ref = ReportRef{Index: rep.Index, Segment: seq, Offset: off, Length: r.size}
+			r.val = rep
+		}
+		sc.recs = append(sc.recs, r)
+		sc.valid += r.size
+		off += r.size
+	}
+	if off == sc.size {
+		return sc, nil
+	}
+	rest := make([]byte, sc.size-off)
+	if err := read(rest, off); err != nil {
+		return sc, err
+	}
+	recs, valid := scanRecords(rest, reportKinds)
+	for i := range recs {
+		r := &recs[i]
+		if rep, isReport := r.val.(Report); isReport {
+			rep.Ref = ReportRef{Index: rep.Index, Segment: seq, Offset: off, Length: r.size}
+			r.val = rep
+		}
+		off += r.size
+	}
+	sc.recs = append(sc.recs, recs...)
+	sc.valid += valid
+	return sc, nil
+}
+
+// peekReport reads the frame starting p, of at most left bytes in the
+// file, as a walked report: a report record, before index walked, whose
+// header decodes. Its value holds the header and no bytes.
+func peekReport(p []byte, left int64, walked int) (rawRecord, bool) {
+	if len(p) < frameHeader+1 || p[frameHeader] != recReport {
+		return rawRecord{}, false
+	}
+	n, ok := frameLen(p)
+	if !ok || frameHeader+n > left {
+		return rawRecord{}, false
+	}
+	r := &reader{b: p[frameHeader+1 : min(int64(len(p)), frameHeader+n)]}
+	rep := readReport(r)
+	if r.err || rep.Index >= walked {
+		return rawRecord{}, false
+	}
+	rep.Canonical = nil
+	return rawRecord{typ: recReport, val: rep, size: frameHeader + n}, true
+}
+
+// readMeta reads and checks the meta record whose frame starts p, at off
+// with left bytes of the file from there, reading the rest of the frame
+// when p does not hold it.
+func readMeta(p []byte, off, left int64, read func([]byte, int64) error) (rawRecord, bool, error) {
+	n, ok := frameLen(p)
+	if !ok || frameHeader+n > left {
+		return rawRecord{}, false, nil
+	}
+	frame := p
+	if int64(len(p)) < frameHeader+n {
+		frame = make([]byte, frameHeader+n)
+		if err := read(frame, off); err != nil {
+			return rawRecord{}, false, err
+		}
+	}
+	frame = frame[:frameHeader+n]
+	if !crcMatches(frame, frame[frameHeader:]) {
+		return rawRecord{}, false, nil
+	}
+	return rawRecord{typ: recMeta, val: string(frame[frameHeader+1:]), size: frameHeader + n}, true, nil
+}
+
+// openFamily scans one family's segments in order, scan reading each, hands
+// fold each one's valid records and the bytes read of it, and opens the
+// last for append; a family with none starts one. fold folds the records
+// it takes into rec and books the segment; it returns how many it took,
+// fewer cutting the family there, or an error that ends the open. The first
+// corruption truncates the family: the file is cut back to its last valid
+// record — a segment left without its preamble is removed whole — and
+// every later segment of the family is removed: replay needs a consistent
+// prefix of each family, and anything after a corrupt record has no
+// trustworthy order against it. It reports whether it created or removed a
+// segment: syncing the directory is the caller's.
+func (l *Log) openFamily(fam *family, seqs []uint64, rec *Recovery, scan func(path string, seq uint64) (scanned, error), fold func(*segment, []rawRecord, int64) (int, error)) (bool, error) {
 	n := 0 // segments kept
 	next := 0
 	for ; n < len(seqs); n++ {
 		path := filepath.Join(l.dir, fam.segName(seqs[n]))
-		data, err := os.ReadFile(path)
+		sc, err := scan(path, seqs[n])
 		if err != nil {
-			return false, fmt.Errorf("wal: %w", err)
-		}
-		if err := checkVersion(path, data); err != nil {
 			return false, err
 		}
-		var recs []rawRecord
-		var valid int64
-		if len(data) >= segHeader && string(data[:len(segMagic)]) == segMagic {
-			recs, valid = scanRecords(data[segHeader:], fam.kinds)
-		}
+		recs, valid := sc.recs, sc.valid
 		s := segment{seq: seqs[n], next: next}
-		keep, err := fold(&s, recs, int64(len(data)))
+		keep, err := fold(&s, recs, sc.read)
 		if err != nil {
 			return false, err
 		}
@@ -588,7 +773,7 @@ func (l *Log) openFamily(fam *family, seqs []uint64, rec *Recovery, fold func(*s
 		fam.sealed = append(fam.sealed, s)
 		fam.fresh = int64(segHeader) + framedBytes(recs[:fam.preamble])
 		next = s.next
-		if tail := int64(len(data)-segHeader) - valid; tail > 0 {
+		if tail := sc.size - int64(segHeader) - valid; tail > 0 {
 			rec.TruncatedBytes += tail
 			if err := os.Truncate(path, s.size); err != nil {
 				return false, fmt.Errorf("wal: truncating corrupt tail: %w", err)
@@ -649,7 +834,7 @@ func checkVersion(path string, data []byte) error {
 func framedBytes(recs []rawRecord) int64 {
 	n := int64(0)
 	for i := range recs {
-		n += frameHeader + 1 + int64(len(recs[i].body))
+		n += recs[i].size
 	}
 	return n
 }
@@ -743,36 +928,38 @@ func (l *Log) frame(typ byte) []byte { return beginFrame(l.buf[:0], typ) }
 
 // write completes the frame begun by frame and writes it to the family
 // as one write(2) under the configured fsync policy, rotating the
-// family's active segment first when it would overflow. Caller holds mu.
-func (l *Log) write(fam *family, frame []byte) error {
+// family's active segment first when it would overflow. It returns the
+// frame's offset in the family's active segment. Caller holds mu.
+func (l *Log) write(fam *family, frame []byte) (int64, error) {
 	l.buf = frame[:0]
 	if l.closed {
-		return errors.New("wal: log closed")
+		return 0, errors.New("wal: log closed")
 	}
 	if n := len(frame) - frameHeader; n > maxRecordBytes {
-		return fmt.Errorf("wal: record %d bytes exceeds limit %d", n, maxRecordBytes)
+		return 0, fmt.Errorf("wal: record %d bytes exceeds limit %d", n, maxRecordBytes)
 	}
 	sealFrame(frame, 0)
 	if fam.size+int64(len(frame)) > l.cfg.SegmentBytes && fam.size > fam.fresh {
 		if err := l.rotateLocked(fam); err != nil {
-			return err
+			return 0, err
 		}
 	}
+	at := fam.size
 	if _, err := fam.f.Write(frame); err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return 0, fmt.Errorf("wal: %w", err)
 	}
 	fam.size += int64(len(frame))
 	l.stats.AppendedRecords++
 	l.stats.AppendedBytes += int64(len(frame))
 	if l.cfg.Fsync == SyncAlways {
 		if err := fam.f.Sync(); err != nil {
-			return fmt.Errorf("wal: %w", err)
+			return 0, fmt.Errorf("wal: %w", err)
 		}
 		l.stats.Syncs++
 	} else {
 		fam.lag++
 	}
-	return nil
+	return at, nil
 }
 
 // rotateLocked seals the family's active segment — fsynced under every
@@ -806,7 +993,8 @@ func (l *Log) rotateLocked(fam *family) error {
 func (l *Log) AppendBatch(obs []trace.Observation) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.write(&l.jrn, appendObs(l.frame(recBatch), obs))
+	_, err := l.write(&l.jrn, appendObs(l.frame(recBatch), obs))
+	return err
 }
 
 // AppendAggBatch journals one accepted aggregate cell batch in queue
@@ -814,7 +1002,8 @@ func (l *Log) AppendBatch(obs []trace.Observation) error {
 func (l *Log) AppendAggBatch(cells []ingest.AggCell) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.write(&l.jrn, appendCells(l.frame(recAggBatch), cells))
+	_, err := l.write(&l.jrn, appendCells(l.frame(recAggBatch), cells))
+	return err
 }
 
 // AppendBucket journals one bucket read: b, and how many observations the
@@ -824,7 +1013,7 @@ func (l *Log) AppendAggBatch(cells []ingest.AggCell) error {
 func (l *Log) AppendBucket(b netmodel.Bucket, obs []trace.Observation) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	err := l.write(&l.jrn, binary.AppendUvarint(binary.AppendVarint(l.frame(recRead), int64(b)), uint64(len(obs))))
+	_, err := l.write(&l.jrn, binary.AppendUvarint(binary.AppendVarint(l.frame(recRead), int64(b)), uint64(len(obs))))
 	if err == nil {
 		l.pos.reads++
 		l.pos.last = b
@@ -836,12 +1025,20 @@ func (l *Log) AppendBucket(b netmodel.Bucket, obs []trace.Observation) error {
 func (l *Log) AppendSeal(b netmodel.Bucket) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.write(&l.jrn, binary.AppendVarint(l.frame(recSeal), int64(b)))
+	_, err := l.write(&l.jrn, binary.AppendVarint(l.frame(recSeal), int64(b)))
+	return err
 }
 
 // AppendReport journals one published report's canonical JSON to the
 // reports family, at the next index and the journal's read count.
 func (l *Log) AppendReport(rep Report) error {
+	_, err := l.AppendReportRef(rep)
+	return err
+}
+
+// AppendReportRef is AppendReport, returning where the record sits: once
+// it returns, ReadReport reads the report back from there.
+func (l *Log) AppendReportRef(rep Report) (ReportRef, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	buf := binary.AppendUvarint(l.frame(recReport), uint64(l.pos.reports))
@@ -854,12 +1051,49 @@ func (l *Log) AppendReport(rep Report) error {
 		final = 1
 	}
 	buf = binary.AppendVarint(buf, final)
-	if err := l.write(&l.reps, append(buf, rep.Canonical...)); err != nil {
-		return err
+	buf = append(buf, rep.Canonical...)
+	at, err := l.write(&l.reps, buf)
+	if err != nil {
+		return ReportRef{}, err
 	}
+	ref := ReportRef{Index: l.pos.reports, Segment: l.reps.seq, Offset: at, Length: int64(len(buf))}
 	l.pos.reports++
 	l.reps.cur.next = l.pos.reports
-	return nil
+	return ref, nil
+}
+
+// ReadReport reads back the journaled report ref names, verified: the
+// frame there must check out — its length, its CRC — and hold a report of
+// ref's index, or ReadReport fails saying why; it never returns other
+// bytes. The segment is opened for the read, so a read of a record
+// compaction has unlinked fails too. Safe beside appends: a record is
+// written whole before its ReportRef is handed out.
+func (l *Log) ReadReport(ref ReportRef) (Report, error) {
+	fail := func(format string, args ...any) (Report, error) {
+		return Report{}, fmt.Errorf("wal: report %d at %d of %s: %s", ref.Index, ref.Offset, l.reps.segName(ref.Segment), fmt.Sprintf(format, args...))
+	}
+	if ref.Segment == 0 || ref.Length < frameHeader+1 || ref.Length > frameHeader+maxRecordBytes {
+		return fail("no such record")
+	}
+	f, err := os.Open(filepath.Join(l.dir, l.reps.segName(ref.Segment)))
+	if err != nil {
+		return fail("%v", err)
+	}
+	defer f.Close()
+	frame := make([]byte, ref.Length)
+	if _, err := f.ReadAt(frame, ref.Offset); err != nil {
+		return fail("%v", err)
+	}
+	if n, ok := frameLen(frame); !ok || frameHeader+n != ref.Length || !crcMatches(frame, frame[frameHeader:]) || frame[frameHeader] != recReport {
+		return fail("the frame does not check out")
+	}
+	r := &reader{b: frame[frameHeader+1:]}
+	rep := readReport(r)
+	if r.err || rep.Index != ref.Index {
+		return fail("the record holds report %d", rep.Index)
+	}
+	rep.Ref = ref
+	return rep, nil
 }
 
 // families lists the log's families.
